@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoundaryMismatch,
@@ -326,9 +326,11 @@ class Isotopy:
     note: str = ""
 
 
-BasicMove = Union[
-    Cup, Cap, Saddle, Zip, Unzip, DigonCup, DigonCap, Assoc, Coassoc, Decorate, Isotopy
-]
+# A PEP 604 union, not typing.Union: typing caches its unions process-wide,
+# which would keep every imported copy of these classes alive.
+BasicMove = (
+    Cup | Cap | Saddle | Zip | Unzip | DigonCup | DigonCap | Assoc | Coassoc | Decorate | Isotopy
+)
 
 
 def _get_edge(w: Web, eid: str) -> Edge:
@@ -869,16 +871,6 @@ def mirror(m: Movie) -> Movie:
         else:
             raise PatternMismatch(f"cannot mirror {mv!r}")
     return Movie(m.output_web, tuple(rev))
-
-
-def movie_algebra(op: str, a: Movie, b: Movie | None = None) -> Movie:
-    if op == "compose":
-        if b is None:
-            raise ValueError("compose needs two movies")
-        return compose(a, b)
-    if op == "mirror":
-        return mirror(a)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

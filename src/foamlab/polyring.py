@@ -21,10 +21,11 @@ This module provides the algebraic substrate for the rest of foamlab:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionNotExact,
@@ -33,7 +34,7 @@ from .errors import (
     WrongRing,
 )
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 # ---------------------------------------------------------------------------
 # Coefficient rings
@@ -148,6 +149,11 @@ def _grlex_key(exp: tuple[int, ...]) -> tuple:
     # Graded lexicographic: compare by total degree, then lexicographically
     # on the exponent vector in the declared variable order.
     return (sum(exp), exp)
+
+
+def _heap_key(exp: tuple[int, ...]) -> tuple:
+    # Negated grlex key: the smallest heap key is the grlex-largest exponent.
+    return (-sum(exp), tuple(-k for k in exp))
 
 
 class MultiPoly:
@@ -398,40 +404,47 @@ class MultiPoly:
 
     # -- division -----------------------------------------------------------
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact division; raises :class:`DivisionNotExact` on remainder."""
+        """Exact division; raises :class:`DivisionNotExact` on remainder.
+
+        The leading term of the remainder comes from a heap of grlex keys
+        with lazy deletion: an exponent that cancels stays in the heap and is
+        skipped when it is popped.
+        """
         self._check_compat(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
+        ring = self.ring
         lead = max(divisor.terms, key=_grlex_key)
         lead_c = divisor.terms[lead]
         rem = dict(self.terms)
+        heap = [(_heap_key(e), e) for e in rem]
+        heapq.heapify(heap)
         quo: dict[tuple[int, ...], Scalar] = {}
-        while rem:
-            e = max(rem, key=_grlex_key)
-            c = rem[e]
+        while heap:
+            e = heapq.heappop(heap)[1]
+            c = rem.get(e)
+            if c is None:
+                continue
             qe = tuple(a - b for a, b in zip(e, lead))
             if any(x < 0 for x in qe):
                 raise DivisionNotExact("leading monomial not divisible")
-            qc = self.ring.divide(c, lead_c)
-            quo[qe] = self.ring.add(quo.get(qe, 0), qc) if qe in quo else qc
+            qc = ring.divide(c, lead_c)
+            quo[qe] = qc
             # rem -= qc * x^qe * divisor
             for de, dc in divisor.terms.items():
                 te = tuple(a + b for a, b in zip(qe, de))
-                s = self.ring.add(rem.get(te, 0), self.ring.neg(self.ring.mul(qc, dc)))
+                old = rem.get(te)
+                if old is None:
+                    heapq.heappush(heap, (_heap_key(te), te))
+                    old = 0
+                s = ring.add(old, ring.neg(ring.mul(qc, dc)))
                 if s == 0:
                     rem.pop(te, None)
                 else:
                     rem[te] = s
-        return MultiPoly(self.ring, self.vars, quo)
-
-    def divisible_by(self, divisor: "MultiPoly") -> bool:
-        try:
-            self.exact_div(divisor)
-            return True
-        except DivisionNotExact:
-            return False
+        return MultiPoly(ring, self.vars, quo)
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -859,26 +872,26 @@ class RatFun:
         self.den = clean
 
     def _diff(self, i: int, j: int) -> MultiPoly:
-        ring, vs = self.num.ring, self.num.vars
-        return MultiPoly.var(ring, vs, vs[i]) - MultiPoly.var(ring, vs, vs[j])
+        return _difference(self.num.ring, self.num.vars, i, j)
 
     def normalize(self) -> "RatFun":
         """Cancel every denominator factor that divides the numerator."""
         num = self.num
-        den = dict(self.den)
         if num.is_zero():
             return RatFun(num, {})
-        for pair in sorted(den):
-            while den.get(pair, 0) > 0:
-                i, j = pair
-                d = RatFun(num)._diff(i, j)
-                try:
-                    num = num.exact_div(d)
-                except DivisionNotExact:
+        terms = num.terms
+        den: dict[tuple[int, int], int] = {}
+        for (i, j), m in sorted(self.den.items()):
+            while m:
+                quo = _divide_by_difference(terms, i, j, num.ring)
+                if quo is None:
                     break
-                den[pair] -= 1
-            if den.get(pair) == 0:
-                del den[pair]
+                terms = quo
+                m -= 1
+            if m:
+                den[(i, j)] = m
+        if terms is not num.terms:
+            num = MultiPoly(num.ring, num.vars, terms)
         return RatFun(num, den)
 
     def is_polynomial(self) -> bool:
@@ -952,14 +965,88 @@ class RatFun:
     __repr__ = __str__
 
 
+def _difference(ring: CoefRing, variables: tuple[str, ...], i: int, j: int) -> MultiPoly:
+    """The factor ``x_i - x_j``."""
+    xi = MultiPoly.var(ring, variables, variables[i])
+    xj = MultiPoly.var(ring, variables, variables[j])
+    return xi - xj
+
+
+def _divide_by_difference(
+    terms: Mapping[tuple[int, ...], Scalar], i: int, j: int, ring: CoefRing
+) -> dict[tuple[int, ...], Scalar] | None:
+    """Quotient of a polynomial by ``x_i - x_j``, or None if it leaves a remainder.
+
+    Synthetic division in ``x_i``: the terms are bucketed by their ``x_i``
+    exponent into coefficients ``a_k`` (polynomials in the other variables)
+    and a Horner pass from the top exponent down gives the quotient
+    coefficients ``b_{k-1} = a_k + x_j * b_k``; the remainder is
+    ``a_0 + x_j * b_0``.  The divisor is monic in ``x_i``, so no coefficient
+    is ever divided.  Coefficients are left unreduced (``MultiPoly`` reduces
+    them); only the remainder is reduced, to decide divisibility.
+    """
+    buckets: dict[int, dict[tuple[int, ...], Scalar]] = {}
+    for e, c in terms.items():
+        buckets.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    quo: dict[tuple[int, ...], Scalar] = {}
+    carry: dict[tuple[int, ...], Scalar] = {}
+    for k in range(max(buckets), -1, -1):
+        acc = dict(buckets.get(k, ()))
+        for e, c in carry.items():
+            e = e[:j] + (e[j] + 1,) + e[j + 1:]
+            acc[e] = acc.get(e, 0) + c
+        carry = {e: c for e, c in acc.items() if c}
+        if k:
+            quo.update((e[:i] + (k - 1,) + e[i + 1:], c) for e, c in carry.items())
+    # After the x_i^0 step the carry is the remainder.
+    if any(ring.normalize(c) for c in carry.values()):
+        return None
+    return quo
+
+
 def ratfun_sum(parts: Iterable[RatFun]) -> RatFun:
-    parts = list(parts)
-    if not parts:
+    """The normalized sum of rational functions.
+
+    Numerators of parts with the same denominator are added first.  Each
+    group's sum is then lifted once to the least common denominator, the
+    per-pair maximum over nonzero groups, multiplying by powers
+    ``(x_i - x_j)^k`` computed once per call; the total is normalized once.
+    """
+    groups: dict[tuple, dict[tuple[int, ...], Scalar]] = {}
+    first: MultiPoly | None = None
+    for r in parts:
+        if first is None:
+            first = r.num
+        else:
+            first._check_compat(r.num)
+        acc = groups.setdefault(tuple(sorted(r.den.items())), {})
+        for e, c in r.num.terms.items():
+            acc[e] = acc.get(e, 0) + c
+    if first is None:
         raise ValueError("empty sum: no alphabet to infer")
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return total.normalize()
+    ring, variables = first.ring, first.vars
+    sums = {
+        key: num
+        for key, terms in groups.items()
+        if not (num := MultiPoly(ring, variables, terms)).is_zero()
+    }
+    lcd: dict[tuple[int, int], int] = {}
+    for key in sums:
+        for pair, m in key:
+            lcd[pair] = max(lcd.get(pair, 0), m)
+    powers: dict[tuple[tuple[int, int], int], MultiPoly] = {}
+    total: dict[tuple[int, ...], Scalar] = {}
+    for key, num in sums.items():
+        den = dict(key)
+        for pair, m in lcd.items():
+            need = m - den.get(pair, 0)
+            if need:
+                if (pair, need) not in powers:
+                    powers[(pair, need)] = _difference(ring, variables, *pair) ** need
+                num = num * powers[(pair, need)]
+        for e, c in num.terms.items():
+            total[e] = total.get(e, 0) + c
+    return RatFun(MultiPoly(ring, variables, total), lcd).normalize()
 
 
 def poly_arith(op: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:

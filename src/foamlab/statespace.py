@@ -380,6 +380,8 @@ def _specialize(entry: MultiPoly, values: dict[str, int], p: int) -> int:
     s = entry.eval_scalar({v: values[v] for v in entry.vars})
     if isinstance(s, int):
         return s % p
+    if s.denominator % p == 0:
+        raise WrongRing(f"coefficient denominator {s.denominator} is not invertible mod {p}")
     return s.numerator * pow(s.denominator, -1, p) % p
 
 
@@ -416,13 +418,24 @@ def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
     prime field of size > 2**31 and row-reduces with pivots chosen greedily
     in generator-degree order; the contributions appear as ``q^degree``.
     Disagreeing trials raise :class:`RankUnstable` rather than averaging.
+
+    A trial errs only when the rank of some row prefix drops at the chosen
+    point, that is, when a nonzero minor vanishes there.  The graded rank
+    is decided by at most ``n`` row prefixes, each by one minor of size at
+    most ``r = min(n, m)`` and total degree at most ``r * D``, where ``D``
+    is the largest total degree of an entry.  By Schwartz--Zippel one trial
+    is therefore wrong with probability at most ``eps = n * r * D / p``
+    (times ``1 + O(N**2 / p)`` because the coordinates are drawn distinct),
+    and ``trials`` independent trials all return the same wrong rank with
+    probability at most ``eps ** trials``.  This assumes no such minor
+    vanishes identically mod ``p``.
     """
     if G.ring.kind not in ("Z", "Q"):
         raise WrongRing("graded ranks are computed over Z or Q coefficients")
     if trials < 1:
         raise InputError("at least one specialization is required")
     rng = random.Random(seed)
-    results = [_rank_once(G, rng, _RANK_PRIME) for _ in range(max(trials, 3))]
+    results = [_rank_once(G, rng, _RANK_PRIME) for _ in range(trials)]
     if any(r != results[0] for r in results[1:]):
         raise RankUnstable(f"specializations disagree: {results}")
     return results[0]

@@ -6,7 +6,11 @@ higher genus, theta foam, membrane bubble), and the slice tallies against
 the compiled topology on randomized corpora.
 """
 
+import gc
+import importlib
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -546,3 +550,34 @@ class TestColoredEuler:
                 chi, _, _, _ = bichrome_data(F, c, i, j)
                 tally, _, _ = spherical_tally(F, c, i, j)
                 assert chi == tally
+
+
+# ---------------------------------------------------------------------------
+# re-importing the package
+# ---------------------------------------------------------------------------
+
+
+def _ours(name):
+    return name == "foamlab" or name.startswith("foamlab.")
+
+
+def _drop_foamlab():
+    for name in [m for m in sys.modules if _ours(m)]:
+        del sys.modules[name]
+
+
+def test_reimport_releases_the_previous_copy():
+    # A process-wide cache (typing.Union's, for a union of move classes) that
+    # holds foamlab classes would keep every imported copy alive.
+    saved = {m: mod for m, mod in sys.modules.items() if _ours(m)}
+    try:
+        _drop_foamlab()
+        importlib.import_module("foamlab.cli")
+        ref = weakref.ref(sys.modules["foamlab.polyring"].MultiPoly)
+        _drop_foamlab()
+        importlib.import_module("foamlab.cli")
+        gc.collect()
+        assert ref() is None
+    finally:
+        _drop_foamlab()
+        sys.modules.update(saved)

@@ -1,9 +1,11 @@
 """Tests for the exact polynomial / rational-function core."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from foamlab.errors import (
     DivisionNotExact,
@@ -45,6 +47,9 @@ from foamlab.polyring import (
 
 V2 = ("x", "y")
 V3 = ("x", "y", "z")
+X3 = xvars(3)
+PAIRS = ((0, 1), (0, 2), (1, 2))
+RINGS = st.sampled_from([ZZ, QQ, GF(5)])
 
 
 def P(vars=V2, ring=ZZ, **monos):
@@ -65,7 +70,10 @@ def polys(vars=V2, ring=ZZ, max_deg=4, max_terms=5, coeff_range=6):
     exps = st.tuples(*[st.integers(0, max_deg // 2 + 1) for _ in range(n)]).filter(
         lambda e: sum(e) <= max_deg
     )
-    coeffs = st.integers(-coeff_range, coeff_range)
+    if ring == QQ:
+        coeffs = st.fractions(-coeff_range, coeff_range, max_denominator=4)
+    else:
+        coeffs = st.integers(-coeff_range, coeff_range)
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: MultiPoly(ring, vars, d)
     )
@@ -100,12 +108,36 @@ class TestArith:
         assert a * b == b * a
         assert a - a == MultiPoly.zero(ZZ, V2)
 
-    @given(polys(), polys())
-    @settings(max_examples=60, deadline=None)
-    def test_division_roundtrip(self, a, b):
-        if b.is_zero():
-            return
+    @given(
+        RINGS.flatmap(
+            lambda ring: st.tuples(
+                polys(X3, ring, max_deg=4, max_terms=6), polys(X3, ring, max_deg=3, max_terms=4)
+            )
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_division_roundtrip(self, ab):
+        a, b = ab
+        assume(not b.is_zero())
         assert (a * b).exact_div(b) == a
+
+    @given(
+        RINGS.flatmap(
+            lambda ring: st.tuples(
+                polys(X3, ring, max_deg=3, max_terms=4),
+                polys(X3, ring, max_deg=3, max_terms=4),
+                st.integers(1, 4),
+            )
+        )
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_division_remainder_raises(self, abc):
+        # A nonconstant b cannot divide a*b + c for a constant c, nonzero in
+        # every ring drawn.
+        a, b, c = abc
+        assume(not b.is_constant())
+        with pytest.raises(DivisionNotExact):
+            (a * b + c).exact_div(b)
 
     def test_canonical_str_order(self):
         x, y = var("x"), var("y")
@@ -416,6 +448,103 @@ class TestRatFun:
         ra = RatFun(a, {(0, 1): 1, (1, 2): 2})
         rb = RatFun(b, {(0, 2): 1})
         assert (ra + rb) - rb == ra
+
+
+
+# ---------------------------------------------------------------------------
+# the rational-sum kernel against the generic paths
+# ---------------------------------------------------------------------------
+
+def difference(ring, i, j):
+    return MultiPoly.var(ring, X3, X3[i]) - MultiPoly.var(ring, X3, X3[j])
+
+
+def swap(poly, i, j):
+    return poly.permute_vars({X3[i]: X3[j], X3[j]: X3[i]})
+
+
+@st.composite
+def ratfun_parts(draw):
+    """Summands shaped like colored evaluations: ``(Xi - Xj)``-power
+    denominators, numerators with some of those factors, and pairs that
+    cancel, either outright or antisymmetrically over one factor."""
+    ring = draw(RINGS)
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        num = draw(polys(X3, ring, max_deg=3, max_terms=4))
+        den = {}
+        for pair in PAIRS:
+            num = num * difference(ring, *pair) ** draw(st.integers(0, 2))
+            den[pair] = draw(st.integers(0, 2))
+        parts.append(RatFun(num, den))
+        pair = draw(st.sampled_from(PAIRS))
+        kind = draw(st.sampled_from(["none", "negate", "antisymmetrize"]))
+        if kind == "negate":
+            lifted = {**den, pair: den[pair] + 1}
+            parts.append(RatFun(-num * difference(ring, *pair), lifted))
+        elif kind == "antisymmetrize":
+            parts.append(RatFun(num, {pair: 1}))
+            parts.append(RatFun(-swap(num, *pair), {pair: 1}))
+    return parts
+
+
+def normalize_by_exact_div(r):
+    """Reference: cancel ``(Xi - Xj)`` factors by generic exact division."""
+    num, den = r.num, dict(r.den)
+    if num.is_zero():
+        return RatFun(num, {})
+    for pair in sorted(den):
+        while den[pair]:
+            try:
+                num = num.exact_div(difference(num.ring, *pair))
+            except DivisionNotExact:
+                break
+            den[pair] -= 1
+    return RatFun(num, den)
+
+
+class TestRationalSumKernel:
+    @given(ratfun_parts())
+    @settings(max_examples=120, deadline=None)
+    def test_sum_matches_pairwise_fold(self, parts):
+        got = ratfun_sum(parts)
+        want = functools.reduce(operator.add, parts).normalize()
+        assert got.num == want.num
+        assert got.den == want.den
+
+    @given(ratfun_parts())
+    @settings(max_examples=120, deadline=None)
+    def test_normalize_matches_exact_division(self, parts):
+        r = functools.reduce(operator.add, parts)
+        got, want = r.normalize(), normalize_by_exact_div(r)
+        assert got.num == want.num
+        assert got.den == want.den
+
+    @given(
+        RINGS.flatmap(lambda ring: polys(X3, ring, max_deg=3, max_terms=4)),
+        st.sampled_from(PAIRS),
+        st.integers(0, 3),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_factor_that_does_not_divide_stays(self, f, pair, k, m):
+        i, j = pair
+        onto_xj = {v: MultiPoly.var(f.ring, X3, X3[j] if v == X3[i] else v) for v in X3}
+        at_diagonal = f.subs(onto_xj)
+        assume(not at_diagonal.is_zero())
+        r = RatFun(f * difference(f.ring, i, j) ** k, {pair: m}).normalize()
+        assert r.den == ({pair: m - k} if m > k else {})
+        assert r.num == f * difference(f.ring, i, j) ** max(k - m, 0)
+
+    def test_empty_sum_rejected(self):
+        with pytest.raises(ValueError):
+            ratfun_sum([])
+
+    def test_mixed_rings_rejected(self):
+        a = RatFun(MultiPoly.const(ZZ, X3, 1), {(0, 1): 1})
+        b = RatFun(MultiPoly.const(QQ, X3, 1), {(0, 1): 1})
+        with pytest.raises(WrongRing):
+            ratfun_sum([a, b])
 
 
 # ---------------------------------------------------------------------------

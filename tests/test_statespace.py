@@ -1,6 +1,8 @@
 """Tests for web state spaces: Gram matrices, graded ranks, kernel
 membership, induced operator matrices and the local rank relations."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from foamlab.actions import ActionParams, FoamSum, sl2_from_witt
-from foamlab.errors import InputError, WrongRing
+from foamlab import statespace
+from foamlab.errors import InputError, RankUnstable, WrongRing
 from foamlab.foamcore import MovieBuilder
 from foamlab.polyring import (
     GF,
@@ -180,6 +183,35 @@ class TestGradedRank:
         G = gram_matrix(circle_presentation(1, 2, GF(5)))
         with pytest.raises(WrongRing):
             graded_rank(G)
+
+    def test_trials_is_the_number_of_specializations(self, monkeypatch):
+        G = gram_matrix(circle_presentation(1, 2))
+        calls = []
+        real = statespace._rank_once
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(statespace, "_rank_once", counting)
+        assert graded_rank(G, trials=1) == qbinom_laurent(2, 1)
+        assert len(calls) == 1
+        graded_rank(G, trials=4)
+        assert len(calls) == 5
+
+    def test_disagreeing_specializations_raise(self, monkeypatch):
+        G = gram_matrix(circle_presentation(1, 2))
+        answers = itertools.cycle([{0: 2}, {0: 1}])
+        monkeypatch.setattr(statespace, "_rank_once", lambda *args: next(answers))
+        with pytest.raises(RankUnstable):
+            graded_rank(G, trials=2)
+
+    def test_denominator_vanishing_mod_p_is_a_typed_error(self):
+        G = gram_matrix(circle_presentation(1, 2, QQ))
+        bad = MultiPoly.const(QQ, xvars(2), Fraction(1, statespace._RANK_PRIME))
+        rows = ((bad,) + G.entries[0][1:],) + G.entries[1:]
+        with pytest.raises(WrongRing):
+            graded_rank(dataclasses.replace(G, entries=rows))
 
 
 class TestIsZero:
