@@ -670,6 +670,35 @@ def pdg_iterate(params: ActionParams, target: Movie | FoamSum, k: int) -> FoamSu
     return S
 
 
+def parse_operator(op: str) -> str | int:
+    """Validate an operator name: ``e``, ``h``, ``f``, ``d`` or ``L:<n>``.
+
+    Returns the name itself, or the index ``n >= -1`` of a Witt operator;
+    anything else raises :class:`InputError`.
+    """
+    if op in ("e", "h", "f", "d"):
+        return op
+    if op.startswith("L:"):
+        try:
+            n = int(op[2:])
+        except ValueError:
+            raise InputError(f"bad operator index in {op!r}") from None
+        if n < -1:
+            raise InputError("operator index must be at least -1")
+        return n
+    raise InputError(f"unknown operator {op!r} (use L:<n>, e, h, f or d)")
+
+
+def apply_operator(op: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
+    """Apply the operator named ``op`` (see :func:`parse_operator`)."""
+    name = parse_operator(op)
+    if isinstance(name, int):
+        return act_witt(name, params, target)
+    if name == "d":
+        return act_pdg(params, target)
+    return act_sl2(name, params, target)
+
+
 # ---------------------------------------------------------------------------
 # Structural checks
 # ---------------------------------------------------------------------------

@@ -18,9 +18,7 @@ import click
 from .actions import (
     ActionParams,
     FoamSum,
-    act_pdg,
-    act_sl2,
-    act_witt,
+    apply_operator,
     commutator_check,
     verify_compat,
 )
@@ -196,20 +194,6 @@ def _build_pack(
     )
 
 
-def _apply_operator(op: str, params: ActionParams, mov: Movie) -> FoamSum:
-    if op in ("e", "h", "f"):
-        return act_sl2(op, params, mov)
-    if op == "d":
-        return act_pdg(params, mov)
-    if op.startswith("L:"):
-        try:
-            n = int(op[2:])
-        except ValueError:
-            raise InputError(f"bad operator index in {op!r}") from None
-        return act_witt(n, params, mov)
-    raise InputError(f"unknown operator {op!r} (use L:<n>, e, h, f or d)")
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -282,7 +266,7 @@ def act_cmd(
         t1_text, t2_text, t3_text, spherical,
     )
     mov = _load_movie(target, n_pigments, params.ring)
-    S = _apply_operator(op, params, mov)
+    S = apply_operator(op, params, mov)
     record = {
         "command": "act",
         "op": op,

@@ -18,10 +18,21 @@ from .errors import (
     OddEuler,
 )
 from .foamcore import (
+    Assoc,
     Binding,
+    Cap,
+    Coassoc,
     Coloring,
+    Cup,
+    Decorate,
+    DigonCap,
+    DigonCup,
     FoamComplex,
+    Isotopy,
     Movie,
+    Saddle,
+    Unzip,
+    Zip,
     bichrome_data,
     compile_movie,
     enumerate_colorings,
@@ -235,11 +246,6 @@ def degree_incremental(mov: Movie, N: int) -> int:
     total = 0
     webs = mov.slices()
     for idx, mv in enumerate(mov.moves):
-        from .foamcore import (
-            Assoc, Cap, Coassoc, Cup, Decorate, DigonCap, DigonCup,
-            Isotopy, Saddle, Unzip, Zip,
-        )
-
         if isinstance(mv, Decorate):
             if not mv.poly.poly.is_homogeneous():
                 raise NonHomogeneous(f"decoration {mv.poly.poly}")
@@ -336,8 +342,6 @@ def with_bubble(mov: Movie, edge: str, R: SymPoly, N: int, side: str = "good") -
     re-closed membrane circle dies.  The facet edge id is reused by the
     unzip so the remainder of the movie applies unchanged.
     """
-    from .foamcore import Cap, Cup, Decorate, Unzip, Zip
-
     idx, a = _find_edge_slice(mov, edge)
     m = N - a
     if m < 0:

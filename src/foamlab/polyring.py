@@ -512,14 +512,7 @@ class SymPoly:
             )
 
     def is_invariant(self) -> bool:
-        start = 0
-        for b in self.blocks:
-            for i in range(start, start + b - 1):
-                u, v = self.poly.vars[i], self.poly.vars[i + 1]
-                if self.poly.permute_vars({u: v, v: u}) != self.poly:
-                    return False
-            start += b
-        return True
+        return is_symmetric(self.poly, self.blocks)
 
 
 def is_symmetric(poly: MultiPoly, blocks: Sequence[int] | None = None) -> bool:

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .actions import ActionParams, FoamSum, act_pdg, act_sl2, act_witt
+from .actions import ActionParams, FoamSum, apply_operator, parse_operator
 from .errors import (
     DivisionNotExact,
     InputError,
@@ -45,6 +45,7 @@ from .polyring import (
     elementary,
     kill_equivariance,
     qbinom_laurent,
+    witt_act,
     xvars,
 )
 
@@ -481,168 +482,77 @@ def is_zero_in_statespace(
 # ---------------------------------------------------------------------------
 
 
-def _poly_one(ring: CoefRing, vs: tuple[str, ...]) -> MultiPoly:
-    return MultiPoly.const(ring, vs, 1)
+def _fraction_free_solve(
+    M: list[list[MultiPoly]], B: list[list[MultiPoly]]
+) -> tuple[int, list[list[MultiPoly]], list[list[MultiPoly]]]:
+    """Rank of ``M``, a basis of its right kernel, and the solution of ``M X = B``.
 
+    One fraction-free Gauss--Jordan pass (Bareiss) over ``[M | B]``.  Each
+    column of ``M`` in turn is pivoted on its first nonzero entry at or
+    below the current row, and every other row becomes
+    ``(p * a_ij - a_ic * p_j) / prev``, where ``p`` is the new pivot, ``p_j``
+    the pivot row and ``prev`` the previous pivot (1 at first).  Every entry
+    is then a minor of ``[M | B]``, so each division is exact (Sylvester's
+    identity), and every pivot equals the last one, ``D`` (``prev`` after
+    the loop).
 
-def _bareiss_det(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Fraction-free determinant (all intermediate divisions are exact)."""
-    n = len(rows)
-    ring = rows[0][0].ring
-    vs = rows[0][0].vars
-    if n == 0:
-        return _poly_one(ring, vs)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = _poly_one(ring, vs)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if swap is None:
-                return MultiPoly.zero(ring, vs)
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = MultiPoly.zero(ring, vs)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
-class _Frac:
-    """A quotient of two polynomials, reduced only when division is exact."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultiPoly, den: MultiPoly | None = None):
-        one = _poly_one(num.ring, num.vars)
-        if den is None:
-            den = one
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            num, den = MultiPoly.zero(num.ring, num.vars), one
-        else:
-            try:
-                num, den = num.exact_div(den), one
-            except DivisionNotExact:
-                pass
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __mul__(self, other: "_Frac") -> "_Frac":
-        return _Frac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "_Frac") -> "_Frac":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero fraction")
-        return _Frac(self.num * other.den, self.den * other.num)
-
-
-def _frac_rref(rows: list[list[_Frac]]) -> tuple[list[list[_Frac]], list[int]]:
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
+    For a free column ``fc`` the kernel vector has ``D`` at ``fc`` and
+    ``-A[r][fc]`` at the pivot column of each row ``r``.  The solution is the
+    reduced one with the free unknowns 0, ``X[pc][col] = A[r][n + col] / D``.
+    Raises :class:`NotWellDefined` when a column of ``B`` is outside the span
+    of ``M`` or the solution is not polynomial.
+    """
+    n = len(M)
+    ring, vs = M[0][0].ring, M[0][0].vars
+    zero = MultiPoly.zero(ring, vs)
+    A = [list(M[i]) + list(B[i]) for i in range(n)]
+    width = len(A[0])
+    prev = MultiPoly.const(ring, vs, 1)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not m[i][c].is_zero()), None)
-        if pivot is None:
+    for c in range(n):
+        r = len(pivots)
+        found = next((i for i in range(r, n) if not A[i][c].is_zero()), None)
+        if found is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        A[r], A[found] = A[found], A[r]
+        prow = A[r]
+        p = prow[c]
+        for i, row in enumerate(A):
+            if i == r:
+                continue
+            f = row[c]
+            for j in range(width):
+                if j == c:
+                    row[j] = zero
+                    continue
+                num = p * row[j] - f * prow[j]
+                row[j] = zero if num.is_zero() else num.exact_div(prev)
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def _kernel_basis(rows: list[list[MultiPoly]]) -> list[list[MultiPoly]]:
-    """Polynomial spanning vectors of the right kernel (denominators cleared)."""
-    if not rows:
-        return []
-    fr = [[_Frac(e) for e in row] for row in rows]
-    red, pivots = _frac_rref(fr)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    ring = rows[0][0].ring
-    vs = rows[0][0].vars
-    basis: list[list[MultiPoly]] = []
-    for fc in free:
-        vec = [_Frac(MultiPoly.zero(ring, vs)) for _ in range(ncols)]
-        vec[fc] = _Frac(_poly_one(ring, vs))
-        for r, pc in enumerate(pivots):
-            vec[pc] = _Frac(MultiPoly.zero(ring, vs)) - red[r][fc]
-        den = _poly_one(ring, vs)
-        for x in vec:
-            den = den * x.den
-        basis.append([(x.num * den).exact_div(x.den) for x in vec])
-    return basis
-
-
-def _solve_exact(
-    M: list[list[MultiPoly]], B: list[list[MultiPoly]]
-) -> list[list[MultiPoly]]:
-    """Solve ``M X = B`` with polynomial entries (Cramer over Bareiss)."""
-    n = len(M)
-    det = _bareiss_det(M)
-    ring = M[0][0].ring
-    vs = M[0][0].vars
-    if det.is_zero():
-        return _solve_singular(M, B)
-    ncols = len(B[0])
-    X = [[MultiPoly.zero(ring, vs)] * ncols for _ in range(n)]
-    for col in range(ncols):
-        rhs = [B[i][col] for i in range(n)]
-        for k in range(n):
-            mk = [
-                [rhs[i] if j == k else M[i][j] for j in range(n)] for i in range(n)
-            ]
-            X[k][col] = _bareiss_det(mk).exact_div(det)
-    return X
-
-
-def _solve_singular(
-    M: list[list[MultiPoly]], B: list[list[MultiPoly]]
-) -> list[list[MultiPoly]]:
-    n = len(M)
-    ncols = len(B[0])
-    ring = M[0][0].ring
-    vs = M[0][0].vars
-    aug = [[_Frac(e) for e in M[i]] + [_Frac(e) for e in B[i]] for i in range(n)]
-    red, pivots = _frac_rref(aug)
-    if any(p >= n for p in pivots):
+    rank = len(pivots)
+    if any(not e.is_zero() for row in A[rank:] for e in row[n:]):
         raise NotWellDefined(
             "operator image is not in the span of the generator pairings"
         )
-    X = [[MultiPoly.zero(ring, vs)] * ncols for _ in range(n)]
+    kernel: list[list[MultiPoly]] = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [zero] * n
+        vec[fc] = prev
+        for r, pc in enumerate(pivots):
+            vec[pc] = -A[r][fc]
+        kernel.append(vec)
+    X = [[zero] * (width - n) for _ in range(n)]
     for r, pc in enumerate(pivots):
-        for col in range(ncols):
-            f = red[r][n + col]
+        for col, e in enumerate(A[r][n:]):
+            if e.is_zero():
+                continue
             try:
-                X[pc][col] = f.num.exact_div(f.den)
+                X[pc][col] = e.exact_div(prev)
             except DivisionNotExact:
                 raise NotWellDefined(
                     "operator matrix entry is not polynomial over the base"
-                )
-    return X
+                ) from None
+    return rank, kernel, X
 
 
 # ---------------------------------------------------------------------------
@@ -720,16 +630,6 @@ class InducedAction:
     base: str
 
 
-def _apply_operator(op: str, params: ActionParams, mov: Movie) -> FoamSum:
-    if op == "e" or op == "h" or op == "f":
-        return act_sl2(op, params, mov)
-    if op == "d":
-        return act_pdg(params, mov)
-    if op.startswith("L:"):
-        return act_witt(int(op[2:]), params, mov)
-    raise InputError(f"unknown operator {op!r}")
-
-
 def _pair_sum(S: FoamSum, G: Movie, N: int, ring: CoefRing) -> MultiPoly:
     total = MultiPoly.zero(ring, xvars(N))
     for coef, mov in S.movies():
@@ -746,6 +646,7 @@ def induced_action(
     when the Gram matrix is degenerate, the operator must map the pairing
     kernel into itself, otherwise :class:`NotWellDefined` is raised.
     """
+    parse_operator(op)
     if N is not None and N != gens.N:
         raise InputError(f"presentation was built for N={gens.N}, not N={N}")
     if params.N != gens.N or params.ring != gens.ring:
@@ -763,19 +664,21 @@ def induced_action(
         [None] * n for _ in range(n)  # type: ignore[list-item]
     ]
     for i, F in enumerate(gens.movies):
-        S = _apply_operator(op, params, F)
+        S = apply_operator(op, params, F)
         for j, Gm in enumerate(gens.movies):
             B[j][i] = _base_entry(_pair_sum(S, Gm, gens.N, gens.ring), gens.base)
-    det = _bareiss_det(M)
-    if det.is_zero():
+    # A system without a polynomial solution raises here, before the kernel
+    # is checked; the operator is not well defined either way.
+    _, kernel, X = _fraction_free_solve(M, B)
+    if kernel:
         # A vector of coefficients in the pairing kernel must stay in the
         # kernel; the operator acts on its coefficients by the base
-        # derivation and on the generators by the pairing columns.
+        # derivation and on the generators by the pairing columns.  The
+        # check is blind to the scaling of each kernel vector.
         deriv = base_derivation(op) if gens.base == "equivariant" else None
-        kernel = _kernel_basis(M)
         for vec in kernel:
             for j in range(n):
-                acc = MultiPoly.zero(det.ring, det.vars)
+                acc = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
                 for k in range(n):
                     acc = acc + B[j][k] * vec[k]
                     if deriv is not None:
@@ -790,7 +693,6 @@ def induced_action(
         )
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
-    X = _solve_exact(M, B)
     return InducedAction(op, tuple(tuple(row) for row in X), cert, gens.base)
 
 
@@ -808,18 +710,14 @@ def induced_action(
 
 def base_derivation(op: str):
     """The action of an operator on base-ring coefficients."""
-    from .polyring import witt_act as _witt
-
-    if op == "e":
-        return lambda q: _witt(-1, q)
-    if op == "h":
-        return lambda q: _witt(0, q) * 2
-    if op == "f" or op == "d":
-        return lambda q: -_witt(1, q)
-    if op.startswith("L:"):
-        n = int(op[2:])
-        return lambda q: _witt(n, q)
-    raise InputError(f"unknown operator {op!r}")
+    name = parse_operator(op)
+    if isinstance(name, int):
+        return lambda q: witt_act(name, q)
+    if name == "e":
+        return lambda q: witt_act(-1, q)
+    if name == "h":
+        return lambda q: witt_act(0, q) * 2
+    return lambda q: -witt_act(1, q)
 
 
 def _derive_matrix(op: str, M: Matrix) -> Matrix:

@@ -152,6 +152,13 @@ class TestInduced:
         )
         assert code == 2
 
+    def test_bad_operator_index_is_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "induced", "--op", "L:x", "--web", "circle:1", "--N", "2",
+        )
+        assert code == 2
+        assert "bad operator index" in err and "Traceback" not in err
+
 
 class TestAct:
     def test_witt_on_dotted_sphere(self, capsys, foam_file):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from foamlab.actions import ActionParams, FoamSum, sl2_from_witt
 from foamlab import statespace
-from foamlab.errors import InputError, RankUnstable, WrongRing
+from foamlab.errors import (
+    DivisionNotExact,
+    InputError,
+    NotWellDefined,
+    RankUnstable,
+    WrongRing,
+)
 from foamlab.foamcore import MovieBuilder
 from foamlab.polyring import (
     GF,
@@ -37,6 +43,7 @@ from foamlab.statespace import (
     laurent_add,
     laurent_mul,
     mat_is_zero,
+    mat_mul,
     mat_scale,
     mat_sub,
     moy_check,
@@ -327,6 +334,231 @@ class TestInducedAction:
         A = induced_action("L:1", P, gens)
         # degree-lowering corner must vanish for a degree +2 operator
         assert A.matrix[0][1].is_zero() or A.matrix[0][1].qdegree() == 4
+
+    def test_bad_operator_fails_before_any_pairing(self, monkeypatch):
+        def no_pairing(*args, **kwargs):
+            raise AssertionError("pairing work started")
+
+        monkeypatch.setattr(statespace, "gram_matrix", no_pairing)
+        gens = circle_presentation(1, 2, QQ)
+        for op in ("L:x", "L:-2", "q"):
+            with pytest.raises(InputError):
+                induced_action(op, ActionParams(ring=QQ, N=2), gens)
+
+
+# Matrices and certificate details computed by the earlier solver (Cramer's
+# rule over Bareiss determinants; a rational rref for degenerate pairings).
+# The fraction-free Gauss-Jordan pass must reproduce them exactly.
+PINNED = {
+    "circle(1,3).e": (
+        ("0", "-1", "0"),
+        ("0", "0", "-2"),
+        ("0", "0", "0"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "circle(1,3).h": (
+        ("2", "0", "0"),
+        ("0", "0", "0"),
+        ("0", "0", "-2"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "circle(1,3).f": (
+        ("-1/2*X1 - 1/2*X2 - 1/2*X3", "0", "3/2*X1*X2*X3"),
+        ("-1/2", "-1/2*X1 - 1/2*X2 - 1/2*X3", "-3/2*X1*X2 - 3/2*X1*X3 - 3/2*X2*X3"),
+        ("0", "1/2", "X1 + X2 + X3"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "circle(1,3).d": (
+        ("0", "0", "0"),
+        ("1", "0", "0"),
+        ("0", "2", "0"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "theta(1,1,3).e": (
+        ("0", "-1", "-2", "0", "0", "0"),
+        ("0", "0", "0", "-2", "0", "0"),
+        ("0", "0", "0", "-1", "-1", "0"),
+        ("0", "0", "0", "0", "0", "-1"),
+        ("0", "0", "0", "0", "0", "-1"),
+        ("0", "0", "0", "0", "0", "0"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "theta(1,1,3).h": (
+        ("2", "0", "0", "0", "0", "0"),
+        ("0", "0", "0", "0", "0", "0"),
+        ("0", "0", "0", "0", "0", "0"),
+        ("0", "0", "0", "-2", "0", "0"),
+        ("0", "0", "0", "0", "-2", "0"),
+        ("0", "0", "0", "0", "0", "-4"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "theta(1,1,3).f": (
+        ("-X1 - X2 - X3", "0", "-3/2*X1*X2 - 3/2*X1*X3 - 3/2*X2*X3", "X1*X2*X3", "-3/2*X1*X2*X3", "0"),
+        ("0", "-X1 - X2 - X3", "0", "-5/2*X1*X2 - 5/2*X1*X3 - 5/2*X2*X3", "0", "-5/2*X1*X2*X3"),
+        ("1/2", "0", "1/2*X1 + 1/2*X2 + 1/2*X3", "0", "0", "X1*X2*X3"),
+        ("0", "3/2", "0", "3/2*X1 + 3/2*X2 + 3/2*X3", "0", "0"),
+        ("0", "-1", "-1/2", "-X1 - X2 - X3", "1/2*X1 + 1/2*X2 + 1/2*X3", "-X1*X2 - X1*X3 - X2*X3"),
+        ("0", "0", "0", "1/2", "0", "3/2*X1 + 3/2*X2 + 3/2*X3"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "theta(1,1,3).d": (
+        ("0", "0", "2*X1*X2 + 2*X1*X3 + 2*X2*X3", "2*X1*X2*X3", "2*X1*X2*X3", "0"),
+        ("1", "0", "0", "0", "0", "0"),
+        ("0", "0", "X1 + X2 + X3", "0", "0", "2*X1*X2*X3"),
+        ("0", "2", "1", "0", "0", "0"),
+        ("0", "1", "2", "X1 + X2 + X3", "X1 + X2 + X3", "X1*X2 + X1*X3 + X2*X3"),
+        ("0", "0", "0", "1", "1", "0"),
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "thin_cups(N=2).e": (
+        ("0", "-1", "0"),
+        ("0", "0", "-2"),
+        ("0", "0", "0"),
+        "kernel of dimension 1 is preserved",
+    ),
+    "thin_cups(N=2).h": (
+        ("1", "0", "3*X1*X2"),
+        ("0", "-1", "-3*X1 - 3*X2"),
+        ("0", "0", "0"),
+        "kernel of dimension 1 is preserved",
+    ),
+    "thin_cups(N=2).f": (
+        ("-1/2*X1 - 1/2*X2", "-X1*X2", "-3/2*X1^2*X2 - 3/2*X1*X2^2"),
+        ("0", "1/2*X1 + 1/2*X2", "3/2*X1^2 + X1*X2 + 3/2*X2^2"),
+        ("0", "0", "0"),
+        "kernel of dimension 1 is preserved",
+    ),
+    "thin_cups(N=2).d": (
+        ("0", "0", "2*X1^2*X2 + 2*X1*X2^2"),
+        ("2", "0", "X1^2 + X1*X2 + X2^2"),
+        ("0", "0", "0"),
+        "kernel of dimension 1 is preserved",
+    ),
+}
+
+
+def thin_cups(ring, N=2, kmax=2):
+    """Thin cups dotted p_1^k, k = 0..kmax: a kernel of dimension 1 at N = 2."""
+    movs = [decorated_cup()]
+    for k in range(1, kmax + 1):
+        movs.append(decorated_cup(SymPoly(power_sum(ring, ("x1",), 1) ** k, (1,))))
+    return presentation(movs, N, ring)
+
+
+PINNED_FAMILIES = {
+    "circle(1,3)": (3, lambda ring: circle_presentation(1, 3, ring)),
+    "theta(1,1,3)": (3, lambda ring: theta_presentation(1, 1, 3, ring)),
+    "thin_cups(N=2)": (2, thin_cups),
+}
+
+
+class TestPinnedMatrices:
+    @pytest.mark.parametrize("op", ["e", "h", "f", "d"])
+    @pytest.mark.parametrize("family", sorted(PINNED_FAMILIES))
+    def test_matches_the_previous_solver(self, family, op):
+        N, build = PINNED_FAMILIES[family]
+        if op == "d":
+            ring = GF(3)
+            P = ActionParams(ring=ring, N=N, t1=1, t2=2, t3=0)
+        else:
+            ring = QQ
+            P = rich_pack(N)
+        A = induced_action(op, P, build(ring))
+        *rows, detail = PINNED[f"{family}.{op}"]
+        assert [tuple(str(e) for e in row) for row in A.matrix] == rows
+        assert A.certificate.detail == detail
+
+
+def is_zero_vector(M, v):
+    return mat_is_zero(mat_mul(M, [[x] for x in v]))
+
+
+solve = statespace._fraction_free_solve
+X1, X2 = (MultiPoly.var(ZZ, xvars(2), v) for v in xvars(2))
+ONE = MultiPoly.const(ZZ, xvars(2), 1)
+ZERO = MultiPoly.zero(ZZ, xvars(2))
+
+
+@st.composite
+def solvable_systems(draw):
+    """A square M (often singular, as a product L R through k <= n), and Y."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(5)]))
+    vs = ("X1", "X2")
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 2))
+    if ring == QQ:
+        coeffs = st.fractions(-3, 3, max_denominator=3)
+    else:
+        coeffs = st.integers(-3, 3)
+    exps = st.sampled_from([(0, 0), (1, 0), (0, 1)])
+    entry = st.dictionaries(exps, coeffs, max_size=2).map(
+        lambda d: MultiPoly(ring, vs, d)
+    )
+
+    def matrix(rows, cols):
+        return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+    M = mat_mul(matrix(n, k), matrix(k, n)) if k < n else matrix(n, n)
+    return M, matrix(n, m)
+
+
+class TestFractionFreeSolve:
+    def test_column_outside_the_span_is_not_well_defined(self):
+        M = [[X1, X2], [X1 * 2, X2 * 2]]
+        with pytest.raises(NotWellDefined, match="span"):
+            solve(M, [[ONE], [ZERO]])
+
+    def test_non_polynomial_solution_is_not_well_defined(self):
+        with pytest.raises(NotWellDefined, match="polynomial") as info:
+            solve([[X1 - X2]], [[ONE]])
+        assert not isinstance(info.value, DivisionNotExact)
+
+    def test_degenerate_matrix_kernel(self):
+        # rank 1: every row is a polynomial multiple of (X1, X2, X1*X2)
+        row = [X1, X2, X1 * X2]
+        M = [row, [X2 * e for e in row], [ZERO] * 3]
+        B = ((X1,), (X1 * X2,), (ZERO,))
+        rank, kernel, X = solve(M, B)
+        assert rank == 1 and len(kernel) == 2
+        for v in kernel:
+            assert not all(e.is_zero() for e in v)
+            assert is_zero_vector(M, v)
+        assert mat_mul(M, X) == B
+
+    def test_thin_cup_gram_kernel(self):
+        G = gram_matrix(thin_cups(ZZ))
+        M = [list(row) for row in G.entries]
+        zero = [[MultiPoly.zero(ZZ, xvars(2))] for _ in M]
+        rank, kernel, _ = solve(M, zero)
+        assert (rank, len(kernel)) == (2, 1)
+        assert is_zero_vector(M, kernel[0])
+
+    @given(solvable_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_solution_rank_and_kernel(self, system):
+        M, Y = system
+        n = len(M)
+        zero = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
+        rank, kernel, _ = solve(M, [[zero] for _ in range(n)])
+        assert rank + len(kernel) == n
+        # an echelon kernel basis: each vector ends at its own free unknown,
+        # so the vectors are independent
+        free = []
+        for v in kernel:
+            assert is_zero_vector(M, v)
+            support = [c for c in range(n) if not v[c].is_zero()]
+            assert support
+            free.append(support[-1])
+        assert len(set(free)) == len(free)
+        # B is in the span of the pivot columns, so the reduced solution,
+        # with its free unknowns 0, is exactly Y
+        Y = [[zero] * len(row) if i in free else row for i, row in enumerate(Y)]
+        B = mat_mul(M, Y)
+        rank2, kernel2, X = solve(M, B)
+        assert (rank2, kernel2) == (rank, kernel)
+        assert mat_mul(M, X) == B
+        assert X == Y
 
 
 class TestMoyChecks:
