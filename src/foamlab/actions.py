@@ -34,8 +34,16 @@ from .foamcore import (
     Movie,
     MoveTrace,
     compile_movie,
+    _strip_decorations,
 )
-from .foameval import CheckReport, degree, evaluate
+from .foameval import (
+    CheckReport,
+    _facet_decorations,
+    _facet_vars,
+    degree,
+    evaluate,
+    evaluate_family,
+)
 from .polyring import (
     CoefRing,
     MultiPoly,
@@ -146,12 +154,6 @@ def sl2_from_witt(params: ActionParams) -> ActionParams:
 # ---------------------------------------------------------------------------
 
 
-def _facet_vars(a: int, m: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, a + 1)) + tuple(
-        f"y{i}" for i in range(1, m + 1)
-    )
-
-
 class _Skeleton:
     """The undecorated shape shared by all summands of a :class:`FoamSum`.
 
@@ -166,14 +168,9 @@ class _Skeleton:
 
     def __init__(self, mov: Movie, params: ActionParams):
         ring, N = params.ring, params.N
-        stripped = Movie(
-            mov.input_web,
-            tuple(m for m in mov.moves if not isinstance(m, Decorate)),
-        )
-        self.movie = stripped
+        self.movie, decorations = _strip_decorations(mov)
         self.params = params
-        self.complex = compile_movie(stripped)
-        orig = compile_movie(mov)
+        self.complex = compile_movie(self.movie)
         self.thickness = {f.id: f.thickness for f in self.complex.facets.values()}
         self.has_saddle = any(tr.kind == "saddle" for tr in self.complex.traces)
         for f, a in self.thickness.items():
@@ -188,12 +185,7 @@ class _Skeleton:
                     rep[f] = (t, e)
         self.rep = rep
         # base decorations, canonicalized onto the two-block facet alphabet
-        base: dict[str, MultiPoly] = {}
-        for f in orig.facets.values():
-            for dec in f.decorations:
-                p = _canonical_decoration(dec, self.thickness[f.id], N, ring)
-                base[f.id] = base[f.id] * p if f.id in base else p
-        self.base = base
+        self.base = _facet_decorations(self.complex, decorations, N, ring)
 
     def power_dot(self, f: str, n: int, hat: bool) -> tuple[Scalar, MultiPoly | None]:
         """p_n (or complementary p_n for ``hat``) on facet f.
@@ -213,34 +205,9 @@ class _Skeleton:
         return 1, poly
 
 
-def _canonical_decoration(dec: SymPoly, a: int, N: int, ring: CoefRing) -> MultiPoly:
-    """Rename a facet decoration onto the canonical x/y alphabet."""
-    vs = _facet_vars(a, N - a)
-    blocks = dec.blocks
-    if len(blocks) == 1:
-        inner, outer = blocks[0], 0
-    elif len(blocks) == 2:
-        inner, outer = blocks
-    else:
-        raise InputError(f"decoration has {len(blocks)} blocks; expected 1 or 2")
-    if inner != a:
-        raise InputError(f"decoration inner block {inner} != facet thickness {a}")
-    if outer not in (0, N - a):
-        raise InputError(f"decoration outer block {outer} incompatible with N={N}, a={a}")
-    if outer:
-        poly = dec.poly.rename(vs)
-    else:
-        poly = dec.poly.rename(vs[:a]).extend(vs)
-    if poly.ring != ring:
-        poly = poly.map_coefficients(ring, ring.normalize)
-    return poly
-
-
 # A dot shape is a pair of weakly-decreasing exponent tuples, one per block.
 DotShape = tuple[tuple[int, ...], tuple[int, ...]]
 DecMap = tuple[tuple[str, DotShape], ...]
-
-_TRIVIAL_SHAPE_CACHE: dict = {}
 
 
 def _orbit_decompose(poly: MultiPoly, a: int) -> dict[DotShape, Scalar]:
@@ -265,18 +232,13 @@ def _orbit_poly(ring: CoefRing, a: int, m: int, shape: DotShape) -> MultiPoly:
     """The monomial symmetric polynomial of a dot shape on the x/y alphabet."""
     import itertools
 
-    cached = _TRIVIAL_SHAPE_CACHE.get((ring, a, m, shape))
-    if cached is not None:
-        return cached
     lam, mu = shape
     terms = {
         lx + ly: 1
         for lx in set(itertools.permutations(lam))
         for ly in set(itertools.permutations(mu))
     }
-    poly = MultiPoly(ring, _facet_vars(a, m), terms)
-    _TRIVIAL_SHAPE_CACHE[(ring, a, m, shape)] = poly
-    return poly
+    return MultiPoly(ring, _facet_vars(a, m), terms)
 
 
 class FoamSum:
@@ -407,12 +369,13 @@ class FoamSum:
             return FoamSum(self.skeleton, ())
         return FoamSum(self.skeleton, [(ring.mul(c, c0), d) for c0, d in self.terms])
 
-    def value(self, check_degree: bool = True) -> MultiPoly:
+    def value(self) -> MultiPoly:
         """Evaluate a closed formal sum to a symmetric polynomial."""
         params = self.skeleton.params
+        terms = list(self.movies())
+        values = evaluate_family([mov for _, mov in terms], params.N, params.ring)
         total = MultiPoly.zero(params.ring, xvars(params.N))
-        for coef, mov in self.movies():
-            v = evaluate(mov, params.N, params.ring, check_degree=check_degree).value
+        for (coef, _), v in zip(terms, values):
             total = total + v * coef
         return total
 

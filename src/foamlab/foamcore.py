@@ -664,6 +664,25 @@ class Movie:
             validate_web(w)
 
 
+def _strip_decorations(mov: Movie) -> tuple[Movie, tuple[tuple[int, str, SymPoly], ...]]:
+    """Split a movie into its undecorated movie and its decorations.
+
+    Each decoration comes back as ``(t, edge, poly)``: it sits on ``edge`` of
+    slice ``t`` of the undecorated movie.  A decorate move changes no web and
+    creates no facet, so both movies compile to the same facet ids and the
+    decoration lies on facet ``edge_facets[t][edge]`` of the undecorated
+    complex.
+    """
+    moves: list[BasicMove] = []
+    decorations: list[tuple[int, str, SymPoly]] = []
+    for mv in mov.moves:
+        if isinstance(mv, Decorate):
+            decorations.append((len(moves), mv.edge, mv.poly))
+        else:
+            moves.append(mv)
+    return Movie(mov.input_web, tuple(moves)), tuple(decorations)
+
+
 class MovieBuilder:
     """Incrementally builds a movie with deterministic fresh ids."""
 

@@ -9,6 +9,7 @@ by the topology and the decorations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .errors import (
     InputError,
@@ -16,6 +17,7 @@ from .errors import (
     NotPolynomial,
     NotSymmetric,
     OddEuler,
+    PatternMismatch,
 )
 from .foamcore import (
     Assoc,
@@ -37,6 +39,7 @@ from .foamcore import (
     compile_movie,
     enumerate_colorings,
     monochrome_euler,
+    _strip_decorations,
 )
 from .polyring import (
     CoefRing,
@@ -50,43 +53,76 @@ from .polyring import (
 )
 
 # ---------------------------------------------------------------------------
-# facet decoration evaluation
+# facet decorations
 # ---------------------------------------------------------------------------
 
 
-def _decoration_value(
-    dec: SymPoly, color: frozenset[int], N: int, ring: CoefRing
-) -> MultiPoly:
-    """Evaluate a decoration on (X_color, X_complement)."""
-    inner = sorted(color)
-    outer = sorted(set(range(1, N + 1)) - color)
+def _facet_vars(a: int, m: int) -> tuple[str, ...]:
+    """The canonical alphabet of a facet: ``x1..xa`` inside, ``y1..ym`` outside."""
+    return tuple(f"x{i}" for i in range(1, a + 1)) + tuple(
+        f"y{i}" for i in range(1, m + 1)
+    )
+
+
+def _canonical_decoration(dec: SymPoly, a: int, N: int, ring: CoefRing) -> MultiPoly:
+    """Rename a decoration of a thickness-``a`` facet onto the x/y alphabet."""
+    vs = _facet_vars(a, N - a)
     blocks = dec.blocks
     if len(blocks) == 1:
-        a = blocks[0]
-        m = 0
+        inner, outer = blocks[0], 0
     elif len(blocks) == 2:
-        a, m = blocks
+        inner, outer = blocks
     else:
         raise InputError(f"decoration has {len(blocks)} blocks; expected 1 or 2")
-    if a != len(inner):
-        raise InputError(
-            f"decoration inner block size {a} != facet thickness {len(inner)}"
-        )
-    if m not in (0, N - a):
-        raise InputError(
-            f"decoration outer block size {m} incompatible with N={N}, a={a}"
-        )
-    vs = xvars(N)
-    mapping = {}
-    names = dec.poly.vars
-    for k, pig in enumerate(inner):
-        mapping[names[k]] = MultiPoly.var(ring, vs, f"X{pig}")
-    for k in range(m):
-        mapping[names[a + k]] = MultiPoly.var(ring, vs, f"X{outer[k]}")
-    poly = dec.poly
+    if inner != a:
+        raise InputError(f"decoration inner block {inner} != facet thickness {a}")
+    if outer not in (0, N - a):
+        raise InputError(f"decoration outer block {outer} incompatible with N={N}, a={a}")
+    if outer:
+        poly = dec.poly.rename(vs)
+    else:
+        poly = dec.poly.rename(vs[:a]).extend(vs)
     if poly.ring != ring:
         poly = poly.map_coefficients(ring, ring.normalize)
-    return poly.subs(mapping)
+    return poly
+
+
+def _at_coloring(p: MultiPoly, color: frozenset[int], N: int) -> MultiPoly:
+    """A canonical facet polynomial on (X_color, X_complement).
+
+    ``x_k`` becomes the k-th pigment of the color and ``y_k`` the k-th
+    pigment outside it, both in increasing order.
+    """
+    inner = sorted(color)
+    outer = [i for i in range(1, N + 1) if i not in color]
+    return p.rename([f"X{i}" for i in inner + outer]).extend(xvars(N))
+
+
+def _facet_decorations(
+    F: FoamComplex,
+    decorations: Sequence[tuple[int, str, SymPoly]],
+    N: int,
+    ring: CoefRing,
+) -> dict[str, MultiPoly]:
+    """A movie's decorations, multiplied per facet of its undecorated complex.
+
+    ``decorations`` are placed as :func:`_strip_decorations` returns them;
+    each facet's product is on the canonical alphabet.
+    """
+    out: dict[str, MultiPoly] = {}
+    for t, edge, dec in decorations:
+        f = F.edge_facets[t].get(edge)
+        if f is None:
+            raise PatternMismatch(f"edge {edge} not in slice")
+        p = _canonical_decoration(dec, F.facets[f].thickness, N, ring)
+        out[f] = out[f] * p if f in out else p
+    return out
+
+
+def _decoration_degree(dec: SymPoly) -> int:
+    if not dec.poly.is_homogeneous():
+        raise NonHomogeneous(f"decoration {dec.poly}")
+    return dec.poly.qdegree()
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +163,8 @@ def colored_eval(
 
     for f in F.facets.values():
         for dec in f.decorations:
-            num = num * _decoration_value(dec, c[f.id], N, ring)
+            p = _canonical_decoration(dec, f.thickness, N, ring)
+            num = num * _at_coloring(p, c[f.id], N)
 
     if sign_exp % 2:
         num = -num
@@ -146,16 +183,35 @@ class EvalResult:
     N: int
 
 
-def _cache(F: FoamComplex) -> dict:
-    cache = getattr(F, "_eval_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(F, "_eval_cache", cache)
-    return cache
-
-
 def _coloring_key(c: Coloring) -> tuple:
     return tuple(sorted((f, tuple(sorted(s))) for f, s in c.items()))
+
+
+def _checked_value(
+    terms: list[RatFun],
+    N: int,
+    ring: CoefRing,
+    expected_degree: Callable[[], int] | None,
+) -> MultiPoly:
+    """Sum colored terms; the sum must be a symmetric polynomial.
+
+    A nonzero sum must also be homogeneous of ``expected_degree()``, unless
+    that is ``None``.
+    """
+    if terms:
+        total = ratfun_sum(terms)
+    else:
+        total = RatFun(MultiPoly.zero(ring, xvars(N)))
+    value = total.as_polynomial()
+    if not is_symmetric(value):
+        raise NotSymmetric(f"evaluation {value} is not symmetric")
+    if expected_degree is not None and not value.is_zero():
+        d = expected_degree()
+        if value.qdegree() != d or not value.is_homogeneous():
+            raise NotPolynomial(
+                f"evaluation has degree {value.qdegree()}, expected {d}"
+            )
+    return value
 
 
 def evaluate(
@@ -171,28 +227,49 @@ def evaluate(
         F = compile_movie(F)
     if not F.closed:
         raise InputError("only closed foams are evaluated")
-    cache = _cache(F)
-    breakdown = []
-    vs = xvars(N)
-    for c in enumerate_colorings(F, N):
-        key = (_coloring_key(c), N, str(ring))
-        if key not in cache:
-            cache[key] = colored_eval(F, c, N, ring)
-        breakdown.append((c, cache[key]))
-    if not breakdown:
-        total = RatFun(MultiPoly.zero(ring, vs))
-    else:
-        total = ratfun_sum(r for _, r in breakdown)
-    value = total.as_polynomial()
-    if not is_symmetric(value):
-        raise NotSymmetric(f"evaluation {value} is not symmetric")
-    if check_degree and not value.is_zero():
-        d = degree(F, N)
-        if value.qdegree() != d or not value.is_homogeneous():
-            raise NotPolynomial(
-                f"evaluation has degree {value.qdegree()}, expected {d}"
-            )
+    breakdown = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
+    value = _checked_value(
+        [r for _, r in breakdown], N, ring,
+        (lambda: degree(F, N)) if check_degree else None,
+    )
     return EvalResult(value, breakdown, N)
+
+
+def evaluate_family(
+    movies: Sequence[Movie], N: int, ring: CoefRing = ZZ
+) -> list[MultiPoly]:
+    """The values of closed movies, coloring each undecorated foam once.
+
+    Movies are grouped by their undecorated movie, which is compiled and
+    colored once per group.  A coloring's sign, denominator and
+    ``(Xi − Xj)`` powers do not depend on decorations, so a movie's term at
+    a coloring is the undecorated term times the movie's decorations there.
+    Each value gets the checks of :func:`evaluate` and equals its value.
+    """
+    groups: dict[Movie, list[tuple[int, tuple]]] = {}
+    for k, mov in enumerate(movies):
+        stripped, decorations = _strip_decorations(mov)
+        groups.setdefault(stripped, []).append((k, decorations))
+    values: list[MultiPoly] = [None] * len(movies)  # type: ignore[list-item]
+    for stripped, members in groups.items():
+        F = compile_movie(stripped)
+        if not F.closed:
+            raise InputError("only closed foams are evaluated")
+        table = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
+        bare_degree = degree(F, N)
+        for k, decorations in members:
+            decs = _facet_decorations(F, decorations, N, ring)
+            terms = []
+            for c, r in table:
+                num = r.num
+                for f, p in decs.items():
+                    num = num * _at_coloring(p, c[f], N)
+                terms.append(RatFun(num, r.den))
+            values[k] = _checked_value(
+                terms, N, ring,
+                lambda: bare_degree + sum(_decoration_degree(d) for _, _, d in decorations),
+            )
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +288,7 @@ def degree(F: FoamComplex | Movie, N: int) -> int:
         F = compile_movie(F)
     total = 0
     for f in F.facets.values():
-        dec_deg = 0
-        for dec in f.decorations:
-            if not dec.poly.is_homogeneous():
-                raise NonHomogeneous(f"decoration {dec.poly} on facet {f.id}")
-            dec_deg += dec.poly.qdegree()
+        dec_deg = sum(_decoration_degree(dec) for dec in f.decorations)
         ell = f.thickness
         total += dec_deg - ell * (N - ell) * f.chi
     for b in F.bindings.values():
@@ -247,9 +320,7 @@ def degree_incremental(mov: Movie, N: int) -> int:
     webs = mov.slices()
     for idx, mv in enumerate(mov.moves):
         if isinstance(mv, Decorate):
-            if not mv.poly.poly.is_homogeneous():
-                raise NonHomogeneous(f"decoration {mv.poly.poly}")
-            total += mv.poly.poly.qdegree()
+            total += _decoration_degree(mv.poly)
         elif isinstance(mv, (Assoc, Coassoc, Isotopy)):
             pass
         elif isinstance(mv, Cup):
@@ -431,7 +502,6 @@ def bubble_check(
         _coloring_key(c): (c, colored_eval(Fb, c, N, ring))
         for c in enumerate_colorings(Fb, N)
     }
-    vs = xvars(N)
     fmap = None
     sign_main = (-1) ** ((m * (m + 1)) // 2)
     for side, sign in (("good", sign_main), ("other", sign_main * (-1) ** (a * m))):
@@ -450,15 +520,7 @@ def bubble_check(
             # the target facet is the one the bubble's thick facet refines
             n_before = _facets_created_before(base, idx)
             membrane = f"f{n_before + 1}"
-            outer = sorted(c[membrane])
-            mapping = {
-                name: MultiPoly.var(ring, vs, f"X{p}")
-                for name, p in zip(R.poly.vars, outer)
-            }
-            poly = R.poly
-            if poly.ring != ring:
-                poly = poly.map_coefficients(ring, ring.normalize)
-            r_val = poly.subs(mapping)
+            r_val = _at_coloring(_canonical_decoration(R, m, N, ring), c[membrane], N)
             lhs = colored_eval(Fg, c, N, ring) * sign
             rhs = base_val * r_val
             if lhs != rhs:

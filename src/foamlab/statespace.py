@@ -35,7 +35,7 @@ from .foamcore import (
     compose,
     mirror,
 )
-from .foameval import CheckReport, degree, evaluate
+from .foameval import CheckReport, degree, evaluate, evaluate_family
 from .polyring import (
     CoefRing,
     MultiPoly,
@@ -361,15 +361,40 @@ def gram_matrix(
     cols = cols if cols is not None else gens
     if cols.web != gens.web or cols.N != gens.N:
         raise InputError("row and column families must present the same web")
-    rows = []
-    for F in gens.movies:
-        row = []
-        for G in cols.movies:
-            row.append(_base_entry(pair_movies(F, G, gens.N, gens.ring), gens.base))
-        rows.append(tuple(row))
+    rows = _pairings([[(1, F)] for F in gens.movies], gens, cols)
     return GramMatrix(
-        tuple(rows), gens.degrees, cols.degrees, gens.N, gens.ring, gens.base
+        tuple(map(tuple, rows)), gens.degrees, cols.degrees, gens.N, gens.ring, gens.base
     )
+
+
+def _pairings(
+    sums: Sequence[Sequence[tuple[Scalar | MultiPoly, Movie]]],
+    gens: Presentation,
+    cols: Presentation,
+) -> list[list[MultiPoly]]:
+    """Entry ``[i][j]`` pairs the formal sum ``sums[i]`` with ``cols.movies[j]``.
+
+    Every pairing of a term is one movie of a single :func:`evaluate_family`
+    call.  Coefficients may be scalars or polynomials in the full alphabet;
+    entries are taken in the base of ``gens``.
+    """
+    vs = xvars(gens.N)
+    mirrors = [mirror(G) for G in cols.movies]
+    values = iter(evaluate_family(
+        [compose(mov, Gr) for terms in sums for Gr in mirrors for _, mov in terms],
+        gens.N, gens.ring,
+    ))
+    out = []
+    for terms in sums:
+        row = []
+        for _ in mirrors:
+            total = MultiPoly.zero(gens.ring, vs)
+            for coef, _ in terms:
+                val = next(values)
+                total = total + val * (coef.extend(vs) if isinstance(coef, MultiPoly) else coef)
+            row.append(_base_entry(total, gens.base))
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +487,8 @@ def is_zero_in_statespace(
     if N is not None and N != gens.N:
         raise InputError(f"presentation was built for N={gens.N}, not N={N}")
     pairs = list(v.movies()) if isinstance(v, FoamSum) else list(v)
-    vs = xvars(gens.N)
-    for G in gens.movies:
-        total = MultiPoly.zero(gens.ring, vs)
-        for coef, mov in pairs:
-            val = pair_movies(mov, G, gens.N, gens.ring)
-            if isinstance(coef, MultiPoly):
-                val = val * coef.extend(vs)
-            else:
-                val = val * coef
-            total = total + val
-        if not _base_entry(total, gens.base).is_zero():
-            return False
-    return True
+    (row,) = _pairings([pairs], gens, gens)
+    return all(e.is_zero() for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -630,13 +644,6 @@ class InducedAction:
     base: str
 
 
-def _pair_sum(S: FoamSum, G: Movie, N: int, ring: CoefRing) -> MultiPoly:
-    total = MultiPoly.zero(ring, xvars(N))
-    for coef, mov in S.movies():
-        total = total + pair_movies(mov, G, N, ring) * coef
-    return total
-
-
 def induced_action(
     op: str, params: ActionParams, gens: Presentation, N: int | None = None
 ) -> InducedAction:
@@ -660,13 +667,9 @@ def induced_action(
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries
     M = [[G.entries[k][j] for k in range(n)] for j in range(n)]
-    B: list[list[MultiPoly]] = [
-        [None] * n for _ in range(n)  # type: ignore[list-item]
-    ]
-    for i, F in enumerate(gens.movies):
-        S = apply_operator(op, params, F)
-        for j, Gm in enumerate(gens.movies):
-            B[j][i] = _base_entry(_pair_sum(S, Gm, gens.N, gens.ring), gens.base)
+    images = [list(apply_operator(op, params, F).movies()) for F in gens.movies]
+    P = _pairings(images, gens, gens)
+    B = [[P[k][j] for k in range(n)] for j in range(n)]
     # A system without a polynomial solution raises here, before the kernel
     # is checked; the operator is not well defined either way.
     _, kernel, X = _fraction_free_solve(M, B)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from foamlab.dsl import (
     dumps,
@@ -206,3 +209,25 @@ class TestParams:
 
     def test_witt_linear_text(self):
         assert witt_spec_text(WittSequence.linear(ZZ, 2)) == "lin:2"
+
+
+# the words and symbols of the two example files, for token-level fuzzing
+VOCABULARY = sorted(set(re.findall(r"\w+|->|\S", KITCHEN_SINK + SPHERES)))
+
+arbitrary_text = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(VOCABULARY), max_size=80).map(" ".join),
+    st.tuples(st.integers(0, len(KITCHEN_SINK)), st.integers(0, len(KITCHEN_SINK))).map(
+        lambda ij: KITCHEN_SINK[: min(ij)] + KITCHEN_SINK[max(ij):]
+    ),
+)
+
+
+class TestFuzz:
+    @given(arbitrary_text)
+    @settings(max_examples=200, deadline=None)
+    def test_parse_returns_or_raises_input_error(self, text):
+        try:
+            parse(text)
+        except InputError:
+            pass

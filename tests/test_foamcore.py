@@ -15,9 +15,17 @@ import weakref
 import pytest
 
 from foamlab.corpus import closed_corpus, spherical_corpus
-from foamlab.errors import BoundaryMismatch, PatternMismatch, WebInvalid
+from foamlab.errors import (
+    BoundaryMismatch,
+    FoamlabError,
+    PatternMismatch,
+    SeamSignInconsistent,
+    WebInvalid,
+)
+from foamlab.foameval import evaluate
 from foamlab.foamcore import (
     Assoc,
+    Binding,
     Cap,
     Coassoc,
     Cup,
@@ -25,6 +33,8 @@ from foamlab.foamcore import (
     DigonCap,
     DigonCup,
     Edge,
+    Facet,
+    FoamComplex,
     Movie,
     MovieBuilder,
     Saddle,
@@ -32,6 +42,7 @@ from foamlab.foamcore import (
     Vertex,
     Web,
     Zip,
+    _strip_decorations,
     apply_move,
     bichrome_data,
     check_planarity,
@@ -581,3 +592,58 @@ def test_reimport_releases_the_previous_copy():
     finally:
         _drop_foamlab()
         sys.modules.update(saved)
+
+
+def seam_complex(segments, endpoints=()):
+    """Two thin facets and a thick one along one hand-built seam binding.
+
+    The Euler characteristics keep every monochrome surface even, so the
+    evaluation of a coloring reaches the seam-sign bookkeeping.
+    """
+    facets = {
+        "f1": Facet("f1", 1, 2, ()),
+        "f2": Facet("f2", 1, 2, ()),
+        "f3": Facet("f3", 2, 1 if endpoints else 2, ()),
+    }
+    binding = Binding("b1", not endpoints, tuple(segments), tuple(endpoints), False)
+    return FoamComplex(facets, {"b1": binding}, {}, (), True)
+
+
+SEAM_COLORING = {"f1": frozenset({1}), "f2": frozenset({2}), "f3": frozenset({1, 2})}
+
+
+class TestSeamSigns:
+    def test_mixed_signs_on_one_separating_circle(self):
+        F = seam_complex([("f1", "f2", "f3"), ("f2", "f1", "f3")])
+        with pytest.raises(SeamSignInconsistent, match="mixed seam signs"):
+            bichrome_data(F, SEAM_COLORING, 1, 2)
+
+    def test_odd_separating_seam_valence_at_a_vertex(self):
+        F = seam_complex([("f1", "f2", "f3")], endpoints=("v1", "v2"))
+        with pytest.raises(SeamSignInconsistent, match="odd valence"):
+            bichrome_data(F, SEAM_COLORING, 1, 2)
+
+    @pytest.mark.parametrize("endpoints", [(), ("v1", "v2")])
+    def test_evaluate_passes_the_error_through(self, endpoints):
+        segments = [("f1", "f2", "f3")] + ([] if endpoints else [("f2", "f1", "f3")])
+        F = seam_complex(segments, endpoints)
+        with pytest.raises(FoamlabError) as info:
+            evaluate(F, 2)
+        assert isinstance(info.value, SeamSignInconsistent)
+
+
+def test_stripped_movie_compiles_to_the_same_facets():
+    for mov in closed_corpus(seed=21, count=30):
+        F = compile_movie(mov)
+        stripped, decorations = _strip_decorations(mov)
+        bare = compile_movie(stripped)
+        placed: dict = {}
+        for t, edge, dec in decorations:
+            placed.setdefault(bare.edge_facets[t][edge], []).append(str(dec))
+        assert placed == {
+            f.id: [str(d) for d in f.decorations] for f in F.facets.values() if f.decorations
+        }
+        assert [(f.id, f.thickness, f.chi) for f in bare.facets.values()] == [
+            (f.id, f.thickness, f.chi) for f in F.facets.values()
+        ]
+        assert (bare.bindings, bare.vertices) == (F.bindings, F.vertices)

@@ -8,7 +8,7 @@ are treated as an independent oracle for the implementation.
 import pytest
 
 from foamlab.corpus import closed_corpus, spherical_corpus
-from foamlab.errors import InputError
+from foamlab.errors import InputError, NonHomogeneous, PatternMismatch
 from foamlab.foameval import (
     bubble_check,
     colored_eval,
@@ -16,11 +16,15 @@ from foamlab.foameval import (
     degree_incremental,
     dot_migration_check,
     evaluate,
+    evaluate_family,
     split_decoration,
     trivial_degree_check,
     with_bubble,
 )
 from foamlab.foamcore import (
+    Cap,
+    Cup,
+    Decorate,
     Movie,
     MovieBuilder,
     Web,
@@ -174,6 +178,36 @@ class TestEvaluate:
         b.cup(1)
         with pytest.raises(InputError):
             evaluate(b.movie(), 2)
+
+    def test_family_matches_evaluate(self):
+        movies = closed_corpus(seed=29, count=25) + [
+            dotted_sphere(k) for k in range(4)
+        ] + [torus_movie(), theta_with_thin_dot("a"), theta_with_thin_dot("b")]
+        for N in (2, 3):
+            assert evaluate_family(movies, N) == [evaluate(m, N).value for m in movies]
+
+    def test_family_checks_each_value(self):
+        mixed = SymPoly(power_sum(ZZ, ("x1",), 1) + power_sum(ZZ, ("x1",), 2), (1,))
+        b = MovieBuilder()
+        c = b.cup(1)
+        b.decorate(c, mixed)
+        b.cap(c)
+        with pytest.raises(NonHomogeneous):
+            evaluate(b.movie(), 2)
+        with pytest.raises(NonHomogeneous):
+            evaluate_family([dotted_sphere(1), b.movie()], 2)
+
+    def test_family_rejects_open_movies_and_missing_edges(self):
+        b = MovieBuilder()
+        b.cup(1)
+        with pytest.raises(InputError):
+            evaluate_family([b.movie()], 2)
+        dot = SymPoly(power_sum(ZZ, ("x1",), 1), (1,))
+        stray = Movie(Web.empty(), (Cup(1, "c"), Decorate("d", dot), Cap("c")))
+        with pytest.raises(PatternMismatch):
+            evaluate(stray, 2)
+        with pytest.raises(PatternMismatch):
+            evaluate_family([stray], 2)
 
 
 class TestDegree:

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from foamlab.actions import ActionParams, FoamSum, sl2_from_witt
+from foamlab.actions import (
+    ActionParams,
+    FoamSum,
+    act_sl2,
+    act_witt,
+    apply_operator,
+    sl2_from_witt,
+)
 from foamlab import statespace
 from foamlab.errors import (
     DivisionNotExact,
@@ -18,7 +25,8 @@ from foamlab.errors import (
     RankUnstable,
     WrongRing,
 )
-from foamlab.foamcore import MovieBuilder
+from foamlab.foameval import evaluate
+from foamlab.foamcore import MovieBuilder, _strip_decorations, compose, mirror
 from foamlab.polyring import (
     GF,
     MultiPoly,
@@ -634,3 +642,98 @@ class TestOracleInternals:
             assert {e: c for e, c in val.terms.items()} == {
                 e: int(c) for e, c in oracle.sphere_value(k, 2).items()
             }
+
+
+def two_shape_presentation(N=3, ring=ZZ):
+    """Dotted thin cups, some after a dotted thin sphere born and killed.
+
+    The generators have two different undecorated movies, so their
+    pairings fall into four undecorated foams.
+    """
+    movs = []
+    for sphere_dots in (None, N - 1, N):
+        for k in (0, 1):
+            b = MovieBuilder()
+            if sphere_dots is not None:
+                s = b.cup(1)
+                b.decorate(s, SymPoly(power_sum(ring, ("x1",), 1) ** sphere_dots, (1,)))
+                b.cap(s)
+            c = b.cup(1, "c")
+            if k:
+                b.decorate(c, p1_poly(ring))
+            movs.append(b.movie())
+    return presentation(movs, N, ring)
+
+
+# every presentation family at N <= 4, and the two-shape family
+FAMILIES = {
+    "circle(1,3)": lambda ring: circle_presentation(1, 3, ring),
+    "circle(2,4)": lambda ring: circle_presentation(2, 4, ring),
+    "theta(1,1,3)": lambda ring: theta_presentation(1, 1, 3, ring),
+    "zipped(1,1,3)": lambda ring: zipped_presentation(1, 1, 3, ring),
+    "necklace(3)": lambda ring: necklace_presentation(3, ring),
+    "left(1,1,1,3)": lambda ring: chain_presentation("left", 1, 1, 1, 3, ring),
+    "right(1,1,1,3)": lambda ring: chain_presentation("right", 1, 1, 1, 3, ring),
+    "two_shapes(3)": lambda ring: two_shape_presentation(3, ring),
+}
+
+
+def per_term_value(S, N, ring):
+    """Σ coef · evaluate(term), one full evaluation per term."""
+    total = MultiPoly.zero(ring, xvars(N))
+    for coef, mov in S.movies():
+        total = total + evaluate(mov, N, ring).value * coef
+    return total
+
+
+class TestOneEvaluationPath:
+    """``evaluate_family`` against ``evaluate`` of every foam on its own."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gram_equals_pair_movies(self, family):
+        gens = FAMILIES[family](ZZ)
+        G = gram_matrix(gens)
+        for i, F in enumerate(gens.movies):
+            for j, Gm in enumerate(gens.movies):
+                assert G.entries[i][j] == pair_movies(F, Gm, gens.N, gens.ring)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gram_is_symmetric(self, family):
+        G = gram_matrix(FAMILIES[family](ZZ))
+        n = len(G.entries)
+        assert all(G.entries[i][j] == G.entries[j][i] for i in range(n) for j in range(n))
+
+    def test_two_shapes_share_four_undecorated_foams(self):
+        gens = two_shape_presentation()
+        bare = {
+            _strip_decorations(compose(F, mirror(Gm)))[0]
+            for F in gens.movies
+            for Gm in gens.movies
+        }
+        assert len(bare) == 4
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_operator_image_values(self, family):
+        gens = FAMILIES[family](QQ)
+        P = rich_pack(gens.N)
+        for F, Gm in zip(gens.movies, reversed(gens.movies)):
+            closed = compose(F, mirror(Gm))
+            for S in (act_witt(1, P, closed), act_sl2("f", P, closed)):
+                assert S.value() == per_term_value(S, gens.N, QQ)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_operator_image_pairings(self, family):
+        gens = FAMILIES[family](QQ)
+        P = rich_pack(gens.N)
+        for op in ("L:-1", "L:1"):
+            for F in gens.movies[:3]:
+                S = apply_operator(op, P, F)
+                want = [
+                    sum(
+                        (pair_movies(mov, Gm, gens.N, QQ) * coef for coef, mov in S.movies()),
+                        MultiPoly.zero(QQ, xvars(gens.N)),
+                    )
+                    for Gm in gens.movies
+                ]
+                assert statespace._pairings([list(S.movies())], gens, gens) == [want]
+                assert is_zero_in_statespace(S, gens) == all(w.is_zero() for w in want)
