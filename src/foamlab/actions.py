@@ -18,6 +18,7 @@ invertible; the sl2 triple on saddle-free movies does not.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -34,12 +35,14 @@ from .foamcore import (
     Movie,
     MoveTrace,
     compile_movie,
+    enumerate_colorings,
     _strip_decorations,
 )
 from .foameval import (
     CheckReport,
     _facet_decorations,
     _facet_vars,
+    colored_eval,
     degree,
     evaluate,
     evaluate_family,
@@ -51,7 +54,6 @@ from .polyring import (
     Scalar,
     SymPoly,
     WittSequence,
-    power_sum,
     witt_act,
     witt_sequence_check,
     xvars,
@@ -187,23 +189,6 @@ class _Skeleton:
         # base decorations, canonicalized onto the two-block facet alphabet
         self.base = _facet_decorations(self.complex, decorations, N, ring)
 
-    def power_dot(self, f: str, n: int, hat: bool) -> tuple[Scalar, MultiPoly | None]:
-        """p_n (or complementary p_n for ``hat``) on facet f.
-
-        Returns (scalar, poly): index 0 is the constant block size; a power
-        sum over an empty block is the scalar 0.
-        """
-        a = self.thickness[f]
-        m = self.params.N - a
-        if n == 0:
-            return (m if hat else a), None
-        vs = _facet_vars(a, m)
-        block = vs[a:] if hat else vs[:a]
-        if not block:
-            return 0, None
-        poly = power_sum(self.params.ring, block, n).extend(vs)
-        return 1, poly
-
 
 # A dot shape is a pair of weakly-decreasing exponent tuples, one per block.
 DotShape = tuple[tuple[int, ...], tuple[int, ...]]
@@ -230,8 +215,6 @@ def _orbit_decompose(poly: MultiPoly, a: int) -> dict[DotShape, Scalar]:
 
 def _orbit_poly(ring: CoefRing, a: int, m: int, shape: DotShape) -> MultiPoly:
     """The monomial symmetric polynomial of a dot shape on the x/y alphabet."""
-    import itertools
-
     lam, mu = shape
     terms = {
         lx + ly: 1
@@ -239,6 +222,54 @@ def _orbit_poly(ring: CoefRing, a: int, m: int, shape: DotShape) -> MultiPoly:
         for ly in set(itertools.permutations(mu))
     }
     return MultiPoly(ring, _facet_vars(a, m), terms)
+
+
+# The two rules below act on the orbit sums m_shape without expanding them
+# (Macdonald, Symmetric Functions and Hall Polynomials, I.2): each changes
+# one part v of one block to v + step, and the new orbit is hit once per
+# part of the new block equal to v + step.
+
+
+def _change_one_part(
+    block: tuple[int, ...], step: int
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """Yield ``(v, block', mult)`` once per distinct part ``v`` of ``block``.
+
+    ``block'`` is ``block`` with one ``v`` changed to ``v + step``, sorted
+    weakly decreasing, and ``mult`` counts the parts ``v + step`` in it.
+    """
+    for i, v in enumerate(block):
+        if i and block[i - 1] == v:
+            continue
+        w = v + step
+        new = tuple(sorted(block[:i] + (w,) + block[i + 1:], reverse=True))
+        yield v, new, new.count(w)
+
+
+def _dot_rule(shape: DotShape, k: int, hat: bool) -> list[tuple[DotShape, int]]:
+    """``p_k`` of the inner block (outer for ``hat``) times ``m_shape``.
+
+    Returns ``(shape', coefficient)`` pairs; ``k >= 1``.
+    """
+    lam, mu = shape
+    if hat:
+        return [((lam, new), mult) for _, new, mult in _change_one_part(mu, k)]
+    return [((new, mu), mult) for _, new, mult in _change_one_part(lam, k)]
+
+
+def _derivation_rule(shape: DotShape, n: int) -> dict[DotShape, int]:
+    """``L_n = -sum z^{n+1} d/dz`` over both blocks applied to ``m_shape``."""
+    lam, mu = shape
+    out: dict[DotShape, int] = {}
+    for v, new, mult in _change_one_part(lam, n):
+        if v:
+            key = (new, mu)
+            out[key] = out.get(key, 0) - v * mult
+    for v, new, mult in _change_one_part(mu, n):
+        if v:
+            key = (lam, new)
+            out[key] = out.get(key, 0) - v * mult
+    return out
 
 
 class FoamSum:
@@ -270,8 +301,6 @@ class FoamSum:
     def _canonical(
         cls, skel: _Skeleton, raw: Iterable[tuple[Scalar, dict[str, MultiPoly]]]
     ) -> "FoamSum":
-        import itertools
-
         ring = skel.params.ring
         acc: dict[DecMap, Scalar] = {}
         for coef, decmap in raw:
@@ -379,14 +408,16 @@ class FoamSum:
             total = total + v * coef
         return total
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
+    def term_texts(self) -> Iterator[tuple[str, str]]:
+        """Yield (coefficient, dots) texts per term.
+
+        The dots text is ``f:<poly>, ...`` over the decorated facets, or ``1``.
+        """
         for c, d in self.terms:
-            dots = ", ".join(f"{f}:{self._shape_poly(f, s)}" for f, s in d) or "1"
-            parts.append(f"({c})*[{dots}]")
-        return " + ".join(parts)
+            yield str(c), ", ".join(f"{f}:{self._shape_poly(f, s)}" for f, s in d) or "1"
+
+    def __str__(self) -> str:
+        return " + ".join(f"({c})*[{dots}]" for c, dots in self.term_texts()) or "0"
 
     __repr__ = __str__
 
@@ -395,52 +426,81 @@ class FoamSum:
 # The generic applicator
 # ---------------------------------------------------------------------------
 
-LocalImage = list[tuple[Scalar, list[tuple[str, MultiPoly]]]]
+# A local image is a list of (scalar, dots) summands; each dot (f, k, hat)
+# multiplies in p_k of facet f's inner block (outer block for ``hat``).
+LocalImage = list[tuple[Scalar, list[tuple[str, int, bool]]]]
 
 
 def _apply(
     S: FoamSum,
-    dec_fn: Callable[[MultiPoly], MultiPoly],
+    dec: tuple[int, int],
     local_fn: Callable[[MoveTrace], LocalImage],
 ) -> FoamSum:
-    """Leibniz application: derive each decoration, add each move image."""
+    """Leibniz application in the dot-shape basis.
+
+    ``dec = (n, c)``: each decoration is replaced by its image under
+    ``c * L_n``; each move image multiplies its power-sum dots in.
+    """
+    n, c = dec
     skel = S.skeleton
     ring = skel.params.ring
-    raw: list[tuple[Scalar, dict[str, MultiPoly]]] = []
-    locals_by_trace = [local_fn(tr) for tr in skel.complex.traces]
+    N = skel.params.N
+    blank = {f: ((0,) * a, (0,) * (N - a)) for f, a in skel.thickness.items()}
+    images = [term for tr in skel.complex.traces for term in local_fn(tr)]
+    acc: dict[DecMap, Scalar] = {}
+
+    def add(coef: Scalar, shapes: dict[str, DotShape]) -> None:
+        if coef == 0:
+            return
+        key = tuple(sorted(shapes.items()))
+        s = ring.add(acc[key], coef) if key in acc else coef
+        if s == 0:
+            del acc[key]
+        else:
+            acc[key] = s
+
     for coef, decs in S.terms:
-        dmap = {f: S._shape_poly(f, shape) for f, shape in decs}
-        for f, p in dmap.items():
-            dp = dec_fn(p)
-            if dp.is_zero():
-                continue
-            nd = dict(dmap)
-            nd[f] = dp
-            raw.append((coef, nd))
-        for image in locals_by_trace:
-            for c_loc, extras in image:
-                nd = dict(dmap)
-                for f2, p2 in extras:
-                    nd[f2] = nd[f2] * p2 if f2 in nd else p2
-                raw.append((ring.mul(coef, c_loc), nd))
-    return FoamSum._canonical(skel, raw)
+        shapes = dict(decs)
+        for f, shape in decs:
+            for new, k in _derivation_rule(shape, n).items():
+                nd = dict(shapes)
+                if new == blank[f]:
+                    del nd[f]
+                else:
+                    nd[f] = new
+                add(ring.mul(coef, c * k), nd)
+        for c_loc, dots in images:
+            partial = [(ring.mul(coef, c_loc), shapes)]
+            for f, k, hat in dots:
+                partial = [
+                    (ring.mul(cc, mult), {**nd, f: new})
+                    for cc, nd in partial
+                    for new, mult in _dot_rule(nd.get(f, blank[f]), k, hat)
+                ]
+            for cc, nd in partial:
+                add(cc, nd)
+    return FoamSum(skel, [(acc[k], k) for k in sorted(acc)])
 
 
 def _dotted(
     skel: _Skeleton, coef: Scalar, *spec: tuple[str, int, bool]
-) -> tuple[Scalar, list[tuple[str, MultiPoly]]] | None:
+) -> tuple[Scalar, list[tuple[str, int, bool]]] | None:
+    """One local summand; ``p_0`` is the block size, a dot on an empty block is 0."""
     ring = skel.params.ring
     sc = ring.normalize(coef)
-    extras: list[tuple[str, MultiPoly]] = []
-    for f, n, hat in spec:
-        s2, poly = skel.power_dot(f, n, hat)
-        if poly is None:
-            sc = ring.mul(sc, s2)
+    dots: list[tuple[str, int, bool]] = []
+    for f, k, hat in spec:
+        a = skel.thickness[f]
+        size = skel.params.N - a if hat else a
+        if k == 0:
+            sc = ring.mul(sc, size)
+        elif size == 0:
+            sc = 0
         else:
-            extras.append((f, poly))
+            dots.append((f, k, hat))
     if sc == 0:
         return None
-    return sc, extras
+    return sc, dots
 
 
 def _push(out: LocalImage, term) -> None:
@@ -521,8 +581,7 @@ def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     if n < -1:
         raise InputError("operator index must be at least -1")
     S = _as_sum(target, params)
-    dec_fn = lambda p: witt_act(n, p)  # noqa: E731
-    return _apply(S, dec_fn, _witt_local(S.skeleton, params, n))
+    return _apply(S, (n, 1), _witt_local(S.skeleton, params, n))
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +654,8 @@ def _sl2_local(
     return local
 
 
-_SL2_DEC = {
-    "e": lambda p: witt_act(-1, p),
-    "h": lambda p: witt_act(0, p) * 2,
-    "f": lambda p: -witt_act(1, p),
-}
+# (e, h, f) = (L_{-1}, 2 L_0, -L_1) on decorations
+_SL2_DEC = {"e": (-1, 1), "h": (0, 2), "f": (1, -1)}
 
 
 def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
@@ -734,9 +790,6 @@ def colored_compat_check(mov: Movie, n: int, params: ActionParams) -> CheckRepor
     colored value of the image must equal the derivation applied to the
     colored value, including the denominator corrections.
     """
-    from .foamcore import enumerate_colorings
-    from .foameval import colored_eval
-
     F = compile_movie(mov)
     S = act_witt(n, params, mov)
     term_complexes = [(c, compile_movie(m)) for c, m in S.movies()]

@@ -17,7 +17,6 @@ import click
 
 from .actions import (
     ActionParams,
-    FoamSum,
     apply_operator,
     commutator_check,
     verify_compat,
@@ -87,14 +86,6 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
         click.echo(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         click.echo(human)
-
-
-def _sum_record(S: FoamSum) -> list[list[str]]:
-    out = []
-    for c, d in S.terms:
-        dots = ", ".join(f"{f}:{S._shape_poly(f, s)}" for f, s in d) or "1"
-        out.append([str(c), dots])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +263,7 @@ def act_cmd(
         "op": op,
         "N": n_pigments,
         "ring": str(params.ring),
-        "terms": _sum_record(S),
+        "terms": [list(t) for t in S.term_texts()],
     }
     _emit(record, as_json, str(S))
 

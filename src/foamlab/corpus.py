@@ -20,10 +20,6 @@ def inner_vars(a: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, a + 1))
 
 
-def outer_vars(m: int) -> tuple[str, ...]:
-    return tuple(f"y{i}" for i in range(1, m + 1))
-
-
 def random_decoration(
     rng: random.Random, thickness: int, max_qdegree: int = 4, ring: CoefRing = ZZ
 ) -> SymPoly:

@@ -1370,10 +1370,6 @@ def compile_movie(mov: Movie) -> FoamComplex:
     return FoamComplex(facets, bindings, vertices, named_traces, closed, edge_facets)
 
 
-# alias matching the spec-facing operation name
-compile = compile_movie  # noqa: A001
-
-
 # ---------------------------------------------------------------------------
 # Colorings
 # ---------------------------------------------------------------------------

@@ -64,6 +64,10 @@ class CoefRing:
 
     # -- scalar arithmetic --------------------------------------------------
     def normalize(self, c: Scalar) -> Scalar:
+        # exact type first: isinstance(c, Fraction) goes through the
+        # numbers.Rational ABC on every call
+        if type(c) is int:
+            return c % self.p if self.kind == "Fp" else c
         if self.kind == "Fp":
             if isinstance(c, Fraction):
                 if c.denominator % self.p == 0:

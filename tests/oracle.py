@@ -1,16 +1,27 @@
-"""Independent brute-force oracle for closed-foam values.
+"""Independent references for the test suite.
 
-This is a from-scratch transcription of the colored evaluation formula for
-the simplest hand-built complexes (a 1-sphere with dots), using its own
-dense polynomial arithmetic over ``fractions.Fraction``.  It shares no code
-with the package and exists so that worked values in the test suite are
-pinned by two fully independent computations.
+The brute-force oracle for closed-foam values is a from-scratch
+transcription of the colored evaluation formula for the simplest hand-built
+complexes (a 1-sphere with dots), using its own dense polynomial arithmetic
+over ``fractions.Fraction``.  It shares no code with the package and exists
+so that worked values in the test suite are pinned by two fully independent
+computations.
+
+The reference operator applicator at the end works through polynomials:
+it expands every dot shape to a ``MultiPoly``, differentiates it with
+``witt_act``, multiplies the move images' power sums in, and decomposes the
+results back into dot shapes.  The package applies the same operators with
+closed rules on the shapes; the tests require identical terms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+from foamlab import actions
+from foamlab.foameval import _facet_vars
+from foamlab.polyring import MultiPoly, power_sum, witt_act
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
 
@@ -111,3 +122,60 @@ def elementary_poly(N: int, k: int) -> Poly:
         if sum(picks) == k:
             out[tuple(picks)] = Fraction(1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference operator applicator
+# ---------------------------------------------------------------------------
+
+
+def leibniz_reference(S, dec_fn, local_fn):
+    """Apply an operator to the formal sum ``S`` through polynomials.
+
+    ``dec_fn`` maps a decoration polynomial to its image; ``local_fn`` gives
+    each move's image as ``actions`` builds it, (scalar, dots) summands with
+    a dot ``(f, k, hat)`` standing for ``p_k`` of a block of facet ``f``.
+    """
+    skel = S.skeleton
+    ring, N = skel.params.ring, skel.params.N
+
+    def dot_poly(f: str, k: int, hat: bool) -> MultiPoly:
+        a = skel.thickness[f]
+        vs = _facet_vars(a, N - a)
+        return power_sum(ring, vs[a:] if hat else vs[:a], k).extend(vs)
+
+    images = [local_fn(tr) for tr in skel.complex.traces]
+    raw = []
+    for coef, decs in S.terms:
+        dmap = {f: S._shape_poly(f, shape) for f, shape in decs}
+        for f, p in dmap.items():
+            dp = dec_fn(p)
+            if not dp.is_zero():
+                raw.append((coef, {**dmap, f: dp}))
+        for image in images:
+            for c_loc, dots in image:
+                nd = dict(dmap)
+                for f, k, hat in dots:
+                    q = dot_poly(f, k, hat)
+                    nd[f] = nd[f] * q if f in nd else q
+                raw.append((ring.mul(coef, c_loc), nd))
+    return actions.FoamSum._canonical(skel, raw)
+
+
+_SL2_POLY = {
+    "e": lambda p: witt_act(-1, p),
+    "h": lambda p: witt_act(0, p) * 2,
+    "f": lambda p: -witt_act(1, p),
+}
+
+
+def witt_reference(n, params, S):
+    """The reference image of ``S`` under the half-Witt operator ``L_n``."""
+    local = actions._witt_local(S.skeleton, params, n)
+    return leibniz_reference(S, lambda p: witt_act(n, p), local)
+
+
+def sl2_reference(gen, params, S):
+    """The reference image of ``S`` under the sl2 generator ``gen``."""
+    local = actions._sl2_local(S.skeleton, params, gen)
+    return leibniz_reference(S, _SL2_POLY[gen], local)

@@ -9,10 +9,16 @@ evaluation, both summed and coloring by coloring.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
+from foamlab import actions, polyring
 from foamlab.actions import (
     ActionParams,
     FoamSum,
+    _derivation_rule,
+    _dot_rule,
+    _orbit_poly,
     act_pdg,
     act_sl2,
     act_witt,
@@ -33,8 +39,8 @@ from foamlab.errors import (
     TwoNotInvertible,
     WrongRing,
 )
-from foamlab.foamcore import MovieBuilder, compose, compile_movie
-from foamlab.foameval import degree, evaluate
+from foamlab.foamcore import Decorate, MovieBuilder, Saddle, compose, compile_movie
+from foamlab.foameval import _facet_vars, degree, evaluate
 from foamlab.polyring import (
     GF,
     MultiPoly,
@@ -42,7 +48,9 @@ from foamlab.polyring import (
     RatFun,
     WittSequence,
     ZZ,
+    power_sum,
     symmetric_basis,
+    witt_act,
     xvars,
 )
 
@@ -424,3 +432,139 @@ class TestPdg:
         P = ActionParams(ring=R, N=2, t1=1, t2=2, t3=2, spherical=False)
         mov = dotted_sphere(2)
         assert (act_pdg(P, mov) - act_sl2("f", P, mov)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The dot-shape rules and the applicator against the polynomial reference
+# ---------------------------------------------------------------------------
+
+RULE_RINGS = (ZZ, QQ, GF(2), GF(3))
+
+
+@st.composite
+def dot_shapes(draw):
+    """(a, m, shape): blocks of sizes a in 1..3 and m in 0..3, parts <= 4."""
+    a = draw(st.integers(1, 3))
+    m = draw(st.integers(0, 3))
+    part = st.integers(0, 4)
+    lam = draw(st.lists(part, min_size=a, max_size=a))
+    mu = draw(st.lists(part, min_size=m, max_size=m))
+    return a, m, (tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
+
+
+def expand_shapes(ring, a, m, pairs):
+    total = MultiPoly.zero(ring, _facet_vars(a, m))
+    for shape, c in pairs:
+        total = total + _orbit_poly(ring, a, m, shape) * c
+    return total
+
+
+class TestDotShapeRules:
+    @settings(max_examples=200, deadline=None)
+    @given(dot_shapes(), st.integers(-1, 3), st.sampled_from(RULE_RINGS))
+    def test_derivation_rule_is_witt_act(self, am_shape, n, ring):
+        a, m, shape = am_shape
+        got = expand_shapes(ring, a, m, _derivation_rule(shape, n).items())
+        assert got == witt_act(n, _orbit_poly(ring, a, m, shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dot_shapes(), st.integers(1, 3), st.booleans(), st.sampled_from(RULE_RINGS))
+    def test_dot_rule_is_power_sum_product(self, am_shape, k, hat, ring):
+        a, m, shape = am_shape
+        vs = _facet_vars(a, m)
+        block = vs[a:] if hat else vs[:a]
+        want = power_sum(ring, block, k).extend(vs) * _orbit_poly(ring, a, m, shape)
+        assert expand_shapes(ring, a, m, _dot_rule(shape, k, hat)) == want
+
+
+def has_saddle(mov):
+    return any(isinstance(x, Saddle) for x in mov.moves)
+
+
+def decorated_closed(seed, count, **kw):
+    movs = [
+        m for m in closed_corpus(seed=seed, count=count, **kw)
+        if any(isinstance(x, Decorate) for x in m.moves)
+    ]
+    assert movs
+    return movs
+
+
+def same_terms(S, R):
+    """Equal terms, in the same order, with coefficients of the same type."""
+    return [(type(c), c, d) for c, d in S.terms] == [(type(c), c, d) for c, d in R.terms]
+
+
+def witt_cases():
+    """(pack, formal sum) pairs: basic movies and closed decorated movies,
+    saddles included, each also through one L_2 image for richer shapes."""
+    for ab in ((1, 1), (1, 2)):
+        for name, mov in basic_open_movies(*ab).items():
+            yield (saddle_pack() if name == "saddle" else rich_pack()), mov
+    for mov in decorated_closed(seed=71, count=12, half_moves=4):
+        yield (saddle_pack() if has_saddle(mov) else rich_pack()), mov
+
+
+class TestDotShapeApplicator:
+    def test_witt_matches_reference(self):
+        for pack, mov in witt_cases():
+            S = FoamSum.from_movie(mov, pack)
+            for T in (S, act_witt(2, pack, S)):
+                for n in INDICES:
+                    assert same_terms(
+                        act_witt(n, pack, T), oracle.witt_reference(n, pack, T)
+                    ), (mov, n)
+
+    @pytest.mark.parametrize(
+        "ring,ts", [(QQ, (Fraction(1, 3), Fraction(-2, 5))), (GF(2), (1, 1))]
+    )
+    def test_sl2_matches_reference(self, ring, ts):
+        movs = list(basic_open_movies(1, 2).values())
+        movs += decorated_closed(seed=78, count=12, half_moves=4)
+        for mov in movs:
+            if has_saddle(mov) and ring.kind == "Fp":
+                continue
+            P = ActionParams(
+                ring=ring, N=3, t1=ts[0], t2=ts[1], t3=None if has_saddle(mov) else 1,
+                spherical=not has_saddle(mov),
+            )
+            S = FoamSum.from_movie(mov, P)
+            for T in (S, act_sl2("f", P, S)):
+                for gen in ("e", "h", "f"):
+                    assert same_terms(
+                        act_sl2(gen, P, T), oracle.sl2_reference(gen, P, T)
+                    ), (mov, gen)
+
+    @pytest.mark.parametrize("p,N", [(3, 4), (5, 3)])
+    def test_pdg_matches_reference(self, p, N):
+        R = GF(p)
+        P = ActionParams(ring=R, N=N, t1=2, t2=p - 1, t3=half_scalar(R), spherical=False)
+        for mov in decorated_closed(seed=89, count=12, half_moves=3, max_thickness=3):
+            S = FoamSum.from_movie(mov, P)
+            for _ in range(p):
+                ref = oracle.sl2_reference("f", P, S)
+                S = act_pdg(P, S)
+                assert same_terms(S, ref), mov
+
+    def test_applicator_does_no_polynomial_work(self, monkeypatch):
+        Pw = rich_pack()
+        Ps = sl2_from_witt(Pw)
+        mov = decorated_closed(seed=89, count=6, allow_saddle=False)[0]
+        Sw, Ss = FoamSum.from_movie(mov, Pw), FoamSum.from_movie(mov, Ps)
+
+        def forbidden(*args, **kw):
+            raise AssertionError("polynomial work in the dot-shape applicator")
+
+        for mod, name in (
+            (polyring, "witt_act"), (actions, "witt_act"), (polyring, "power_sum"),
+            (actions, "_orbit_poly"), (actions, "_orbit_decompose"),
+            (MultiPoly, "__init__"),
+        ):
+            monkeypatch.setattr(mod, name, forbidden)
+        witt = {n: act_witt(n, Pw, Sw) for n in INDICES}
+        sl2 = {g: act_sl2(g, Ps, Ss) for g in ("e", "h", "f")}
+        monkeypatch.undo()
+        for n, img in witt.items():
+            assert not img.is_zero() and same_terms(img, oracle.witt_reference(n, Pw, Sw))
+        for g, img in sl2.items():
+            assert not img.is_zero() and same_terms(img, oracle.sl2_reference(g, Ps, Ss))

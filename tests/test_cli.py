@@ -21,6 +21,12 @@ movie dotted_sphere on empty {
   decorate c1 with p_1;
   cap(1) on c1;
 }
+
+movie thick_sphere on empty {
+  cup(2) -> c1;
+  decorate c1 with p_2;
+  cap(2) on c1;
+}
 """
 
 
@@ -168,6 +174,25 @@ class TestAct:
         )
         rec = json.loads(out)
         assert code == 0 and rec["command"] == "act"
+
+    def test_witt_image_is_pinned(self, capsys, foam_file):
+        args = ("act", "--op", "L:2", "--N", "3", "--nu3", "lin:1/5")
+        target = f"{foam_file}#thick_sphere"
+        code, out, _ = run(capsys, *args, "--json", target)
+        assert code == 0
+        assert out == (
+            '{"N":3,"command":"act","op":"L:2","ring":"Q","schema":"foamlab.v1",'
+            '"terms":[["2","f1:x1^2*y1^2 + x2^2*y1^2"],'
+            '["1","f1:x1^2*x2*y1 + x1*x2^2*y1"],["2","f1:x1^2*x2^2"],'
+            '["1","f1:x1^3*y1 + x2^3*y1"],["-1","f1:x1^4 + x2^4"]]}\n'
+        )
+        code, out, _ = run(capsys, *args, target)
+        assert code == 0
+        assert out == (
+            "(2)*[f1:x1^2*y1^2 + x2^2*y1^2] + (1)*[f1:x1^2*x2*y1 + x1*x2^2*y1]"
+            " + (2)*[f1:x1^2*x2^2] + (1)*[f1:x1^3*y1 + x2^3*y1]"
+            " + (-1)*[f1:x1^4 + x2^4]\n"
+        )
 
     def test_unknown_operator_is_input_error(self, capsys, foam_file):
         code, _, _ = run(

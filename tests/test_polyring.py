@@ -83,6 +83,38 @@ def polys(vars=V2, ring=ZZ, max_deg=4, max_terms=5, coeff_range=6):
 # arithmetic
 # ---------------------------------------------------------------------------
 
+def normalize_reference(ring, c):
+    """``CoefRing.normalize`` without the exact-int test in front."""
+    if ring.kind == "Fp":
+        if isinstance(c, Fraction):
+            if c.denominator % ring.p == 0:
+                raise WrongRing(f"denominator {c.denominator} not invertible mod {ring.p}")
+            return (c.numerator * pow(c.denominator, -1, ring.p)) % ring.p
+        return c % ring.p
+    if isinstance(c, Fraction):
+        if c.denominator == 1:
+            return int(c)
+        if ring.kind == "Z":
+            raise WrongRing(f"{c} is not an integer")
+    return c
+
+
+class TestCoefRing:
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+    def test_normalize_results_and_types(self, ring):
+        values = [0, 1, -7, 12, 10**30 + 3, True, False,
+                  Fraction(3), Fraction(-10, 2), Fraction(1, 3), Fraction(-7, 5)]
+        for c in values:
+            try:
+                want = normalize_reference(ring, c)
+            except WrongRing:
+                with pytest.raises(WrongRing):
+                    ring.normalize(c)
+                continue
+            got = ring.normalize(c)
+            assert (type(got), got) == (type(want), want), (ring, c)
+
+
 class TestArith:
     def test_mul_difference_of_squares(self):
         x, y = var("x"), var("y")
