@@ -18,7 +18,6 @@ invertible; the sl2 triple on saddle-free movies does not.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -40,12 +39,15 @@ from .foamcore import (
 )
 from .foameval import (
     CheckReport,
+    DecMap,
+    DotShape,
+    _ShapeTable,
+    _dot_shapes,
     _facet_decorations,
-    _facet_vars,
+    _orbit_poly,
     colored_eval,
     degree,
     evaluate,
-    evaluate_family,
 )
 from .polyring import (
     CoefRing,
@@ -190,40 +192,6 @@ class _Skeleton:
         self.base = _facet_decorations(self.complex, decorations, N, ring)
 
 
-# A dot shape is a pair of weakly-decreasing exponent tuples, one per block.
-DotShape = tuple[tuple[int, ...], tuple[int, ...]]
-DecMap = tuple[tuple[str, DotShape], ...]
-
-
-def _orbit_decompose(poly: MultiPoly, a: int) -> dict[DotShape, Scalar]:
-    """Expand a block-symmetric polynomial in the monomial-orbit basis.
-
-    Each orbit is represented by its weakly-decreasing exponent pair; by
-    block symmetry the coefficient of the representative monomial is the
-    orbit coefficient.
-    """
-    out: dict[DotShape, Scalar] = {}
-    for exp in poly.terms:
-        key = (
-            tuple(sorted(exp[:a], reverse=True)),
-            tuple(sorted(exp[a:], reverse=True)),
-        )
-        if key not in out:
-            out[key] = poly.terms[key[0] + key[1]]
-    return out
-
-
-def _orbit_poly(ring: CoefRing, a: int, m: int, shape: DotShape) -> MultiPoly:
-    """The monomial symmetric polynomial of a dot shape on the x/y alphabet."""
-    lam, mu = shape
-    terms = {
-        lx + ly: 1
-        for lx in set(itertools.permutations(lam))
-        for ly in set(itertools.permutations(mu))
-    }
-    return MultiPoly(ring, _facet_vars(a, m), terms)
-
-
 # The two rules below act on the orbit sums m_shape without expanding them
 # (Macdonald, Symmetric Functions and Hall Polynomials, I.2): each changes
 # one part v of one block to v + step, and the new orbit is hit once per
@@ -292,11 +260,6 @@ class FoamSum:
         skel = _Skeleton(mov, params)
         return cls._canonical(skel, [(1, dict(skel.base))])
 
-    def _shape_poly(self, f: str, shape: DotShape) -> MultiPoly:
-        skel = self.skeleton
-        a = skel.thickness[f]
-        return _orbit_poly(skel.params.ring, a, skel.params.N - a, shape)
-
     @classmethod
     def _canonical(
         cls, skel: _Skeleton, raw: Iterable[tuple[Scalar, dict[str, MultiPoly]]]
@@ -304,26 +267,7 @@ class FoamSum:
         ring = skel.params.ring
         acc: dict[DecMap, Scalar] = {}
         for coef, decmap in raw:
-            c = ring.normalize(coef)
-            if c == 0:
-                continue
-            facets = sorted(f for f in decmap if not decmap[f].is_zero())
-            if len(facets) < len(decmap):
-                continue  # a zero decoration kills the whole summand
-            pieces = [
-                list(_orbit_decompose(decmap[f], skel.thickness[f]).items())
-                for f in facets
-            ]
-            for choice in itertools.product(*pieces):
-                cc = c
-                key_parts = []
-                for f, (shape, oc) in zip(facets, choice):
-                    cc = ring.mul(cc, oc)
-                    if shape != ((0,) * len(shape[0]), (0,) * len(shape[1])):
-                        key_parts.append((f, shape))
-                if cc == 0:
-                    continue
-                key: DecMap = tuple(key_parts)
+            for cc, key in _dot_shapes(ring.normalize(coef), decmap, skel.thickness, ring):
                 cc = ring.add(acc.get(key, 0), cc) if key in acc else cc
                 if cc == 0:
                     acc.pop(key, None)
@@ -351,7 +295,7 @@ class FoamSum:
             t, edge = skel.rep[f]
             a = skel.thickness[f]
             m = N - a
-            poly = self._shape_poly(f, shape)
+            poly = _orbit_poly(skel.params.ring, shape)
             sym = SymPoly(poly, (a, m) if m else (a,))
             inserts.setdefault(t, []).append(Decorate(edge, sym))
         moves: list = []
@@ -399,22 +343,24 @@ class FoamSum:
         return FoamSum(self.skeleton, [(ring.mul(c, c0), d) for c0, d in self.terms])
 
     def value(self) -> MultiPoly:
-        """Evaluate a closed formal sum to a symmetric polynomial."""
+        """Evaluate a closed formal sum to a symmetric polynomial.
+
+        Each term's dot-shape map is evaluated on the skeleton, with the
+        checks of :func:`~foamlab.foameval.evaluate`; no movie is built.
+        """
         params = self.skeleton.params
-        terms = list(self.movies())
-        values = evaluate_family([mov for _, mov in terms], params.N, params.ring)
-        total = MultiPoly.zero(params.ring, xvars(params.N))
-        for (coef, _), v in zip(terms, values):
-            total = total + v * coef
-        return total
+        if not self.terms:
+            return MultiPoly.zero(params.ring, xvars(params.N))
+        return _ShapeTable(self.skeleton.complex, params.N, params.ring).combine(self.terms)
 
     def term_texts(self) -> Iterator[tuple[str, str]]:
         """Yield (coefficient, dots) texts per term.
 
         The dots text is ``f:<poly>, ...`` over the decorated facets, or ``1``.
         """
+        ring = self.skeleton.params.ring
         for c, d in self.terms:
-            yield str(c), ", ".join(f"{f}:{self._shape_poly(f, s)}" for f, s in d) or "1"
+            yield str(c), ", ".join(f"{f}:{_orbit_poly(ring, s)}" for f, s in d) or "1"
 
     def __str__(self) -> str:
         return " + ".join(f"({c})*[{dots}]" for c, dots in self.term_texts()) or "0"

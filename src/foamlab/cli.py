@@ -549,6 +549,10 @@ def _suite_pdg(seed: int) -> list[tuple[str, bool, str]]:
 @click.option("--json", "as_json", is_flag=True)
 def check_cmd(suite, nmax, count, seed, as_json) -> None:
     """Run a named property suite; exit status 1 if any check fails."""
+    if nmax < -1:
+        raise InputError(f"--nmax must be at least -1, got {nmax}")
+    if count < 1:
+        raise InputError(f"--count must be at least 1, got {count}")
     if suite == "euler":
         results = _suite_euler(count, seed)
     elif suite == "commutators":

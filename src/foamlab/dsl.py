@@ -655,6 +655,8 @@ def parse_scalar(text: str):
         raise InputError(f"bad scalar {text!r}")
     if m.group(2) is None:
         return int(m.group(1))
+    if int(m.group(2)) == 0:
+        raise InputError(f"zero denominator in {text!r}")
     return Fraction(int(m.group(1)), int(m.group(2)))
 
 

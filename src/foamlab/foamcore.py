@@ -852,7 +852,12 @@ def mirror(m: Movie) -> Movie:
             rev.append(Cup(before.edges[mv.edge].thickness, mv.edge))
         elif isinstance(mv, Saddle):
             if mv.out2 is None:
-                rev.append(Saddle(mv.out1, mv.out1, mv.edge1, mv.edge2))
+                # a merge reverses to a self-saddle, whose first output is
+                # the interval when one of the merged edges was an interval
+                e1, e2 = mv.edge1, mv.edge2
+                if before.edges[e1].is_circle and not before.edges[e2].is_circle:
+                    e1, e2 = e2, e1
+                rev.append(Saddle(mv.out1, mv.out1, e1, e2))
             elif mv.edge1 == mv.edge2:
                 rev.append(Saddle(mv.out1, mv.out2, mv.edge1, None))
             else:

@@ -8,8 +8,9 @@ by the topology and the decorations.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InputError,
@@ -45,6 +46,7 @@ from .polyring import (
     CoefRing,
     MultiPoly,
     RatFun,
+    Scalar,
     SymPoly,
     ZZ,
     is_symmetric,
@@ -126,6 +128,80 @@ def _decoration_degree(dec: SymPoly) -> int:
 
 
 # ---------------------------------------------------------------------------
+# dot shapes
+# ---------------------------------------------------------------------------
+
+# A dot shape is a pair of weakly-decreasing exponent tuples, one per block
+# of a facet alphabet (inside, outside); it stands for the monomial
+# symmetric decoration of that orbit.  A shape map assigns shapes to facets
+# in sorted facet order; a facet it leaves out carries no dots.
+DotShape = tuple[tuple[int, ...], tuple[int, ...]]
+DecMap = tuple[tuple[str, DotShape], ...]
+
+
+def _orbit_decompose(poly: MultiPoly, a: int) -> dict[DotShape, Scalar]:
+    """Expand a block-symmetric polynomial in the monomial-orbit basis.
+
+    Each orbit is represented by its weakly-decreasing exponent pair; by
+    block symmetry the coefficient of the representative monomial is the
+    orbit coefficient.
+    """
+    out: dict[DotShape, Scalar] = {}
+    for exp in poly.terms:
+        key = (
+            tuple(sorted(exp[:a], reverse=True)),
+            tuple(sorted(exp[a:], reverse=True)),
+        )
+        if key not in out:
+            out[key] = poly.terms[key[0] + key[1]]
+    return out
+
+
+def _orbit_poly(ring: CoefRing, shape: DotShape) -> MultiPoly:
+    """The monomial symmetric polynomial of a dot shape on the x/y alphabet."""
+    lam, mu = shape
+    terms = {
+        lx + ly: 1
+        for lx in set(itertools.permutations(lam))
+        for ly in set(itertools.permutations(mu))
+    }
+    return MultiPoly(ring, _facet_vars(len(lam), len(mu)), terms)
+
+
+def _dots(shapes: Iterable[DotShape]) -> int:
+    """The number of dots of some shapes: the sum of their exponents."""
+    return sum(sum(lam) + sum(mu) for lam, mu in shapes)
+
+
+def _dot_shapes(
+    coef: Scalar,
+    decs: Mapping[str, MultiPoly],
+    thickness: Mapping[str, int],
+    ring: CoefRing,
+) -> Iterator[tuple[Scalar, DecMap]]:
+    """Split ``coef`` times per-facet decorations into dot-shape maps.
+
+    ``decs`` maps facets to block-symmetric polynomials on the canonical
+    alphabet.  Yields ``(coefficient, shape map)`` once per choice of one
+    orbit per facet, with blank shapes left out of the map; a zero
+    coefficient or decoration yields nothing.
+    """
+    facets = sorted(decs)
+    if coef == 0 or any(decs[f].is_zero() for f in facets):
+        return
+    pieces = [list(_orbit_decompose(decs[f], thickness[f]).items()) for f in facets]
+    for choice in itertools.product(*pieces):
+        c = coef
+        key = []
+        for f, (shape, oc) in zip(facets, choice):
+            c = ring.mul(c, oc)
+            if any(shape[0]) or any(shape[1]):
+                key.append((f, shape))
+        if c != 0:
+            yield c, tuple(key)
+
+
+# ---------------------------------------------------------------------------
 # colored evaluation
 # ---------------------------------------------------------------------------
 
@@ -187,17 +263,13 @@ def _coloring_key(c: Coloring) -> tuple:
     return tuple(sorted((f, tuple(sorted(s))) for f, s in c.items()))
 
 
-def _checked_value(
-    terms: list[RatFun],
-    N: int,
-    ring: CoefRing,
-    expected_degree: Callable[[], int] | None,
-) -> MultiPoly:
-    """Sum colored terms; the sum must be a symmetric polynomial.
+def _require_pigments(N: int) -> None:
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
 
-    A nonzero sum must also be homogeneous of ``expected_degree()``, unless
-    that is ``None``.
-    """
+
+def _checked_sum(terms: list[RatFun], N: int, ring: CoefRing) -> MultiPoly:
+    """Sum colored terms; the sum must be a symmetric polynomial."""
     if terms:
         total = ratfun_sum(terms)
     else:
@@ -205,13 +277,17 @@ def _checked_value(
     value = total.as_polynomial()
     if not is_symmetric(value):
         raise NotSymmetric(f"evaluation {value} is not symmetric")
-    if expected_degree is not None and not value.is_zero():
+    return value
+
+
+def _check_degree(value: MultiPoly, expected_degree: Callable[[], int]) -> None:
+    """A nonzero value must be homogeneous of ``expected_degree()``."""
+    if not value.is_zero():
         d = expected_degree()
         if value.qdegree() != d or not value.is_homogeneous():
             raise NotPolynomial(
                 f"evaluation has degree {value.qdegree()}, expected {d}"
             )
-    return value
 
 
 def evaluate(
@@ -223,52 +299,116 @@ def evaluate(
     ``NotPolynomial`` / ``NotSymmetric`` otherwise) and, for homogeneous
     decorations and nonzero value, that its degree matches :func:`degree`.
     """
+    _require_pigments(N)
     if isinstance(F, Movie):
         F = compile_movie(F)
     if not F.closed:
         raise InputError("only closed foams are evaluated")
     breakdown = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
-    value = _checked_value(
-        [r for _, r in breakdown], N, ring,
-        (lambda: degree(F, N)) if check_degree else None,
-    )
+    value = _checked_sum([r for _, r in breakdown], N, ring)
+    if check_degree:
+        _check_degree(value, lambda: degree(F, N))
     return EvalResult(value, breakdown, N)
 
 
-def evaluate_family(
-    movies: Sequence[Movie], N: int, ring: CoefRing = ZZ
-) -> list[MultiPoly]:
-    """The values of closed movies, coloring each undecorated foam once.
+class _ShapeTable:
+    """Checked values of one undecorated closed foam under dot-shape maps.
 
-    Movies are grouped by their undecorated movie, which is compiled and
-    colored once per group.  A coloring's sign, denominator and
-    ``(Xi − Xj)`` powers do not depend on decorations, so a movie's term at
-    a coloring is the undecorated term times the movie's decorations there.
-    Each value gets the checks of :func:`evaluate` and equals its value.
+    The foam is colored once.  A map is evaluated on first use, as the sum
+    over colorings of the undecorated term times the map's monomial
+    symmetric decorations there, and kept for the life of the table.  Each
+    value gets the checks of :func:`evaluate`: a symmetric polynomial,
+    homogeneous of degree ``degree(F) + 2 * dots`` when nonzero, where
+    ``dots`` is the sum of the map's exponents.
     """
-    groups: dict[Movie, list[tuple[int, tuple]]] = {}
-    for k, mov in enumerate(movies):
-        stripped, decorations = _strip_decorations(mov)
-        groups.setdefault(stripped, []).append((k, decorations))
-    values: list[MultiPoly] = [None] * len(movies)  # type: ignore[list-item]
-    for stripped, members in groups.items():
-        F = compile_movie(stripped)
+
+    def __init__(self, F: FoamComplex, N: int, ring: CoefRing):
         if not F.closed:
             raise InputError("only closed foams are evaluated")
-        table = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
-        bare_degree = degree(F, N)
-        for k, decorations in members:
-            decs = _facet_decorations(F, decorations, N, ring)
+        self.N, self.ring = N, ring
+        self.colored = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
+        self.bare_degree = degree(F, N)
+        self.values: dict[DecMap, MultiPoly] = {}
+
+    def value(self, decmap: DecMap) -> MultiPoly:
+        if decmap not in self.values:
+            N, ring = self.N, self.ring
+            polys = [(f, _orbit_poly(ring, shape)) for f, shape in decmap]
             terms = []
-            for c, r in table:
+            for c, r in self.colored:
                 num = r.num
-                for f, p in decs.items():
+                for f, p in polys:
                     num = num * _at_coloring(p, c[f], N)
                 terms.append(RatFun(num, r.den))
-            values[k] = _checked_value(
-                terms, N, ring,
-                lambda: bare_degree + sum(_decoration_degree(d) for _, _, d in decorations),
-            )
+            value = _checked_sum(terms, N, ring)
+            _check_degree(value, lambda: self.bare_degree + 2 * _dots(s for _, s in decmap))
+            self.values[decmap] = value
+        return self.values[decmap]
+
+    def combine(self, terms: Iterable[tuple[Scalar, DecMap]]) -> MultiPoly:
+        """``sum c * value(decmap)`` over ``(c, decmap)`` terms."""
+        total = MultiPoly.zero(self.ring, xvars(self.N))
+        for c, decmap in terms:
+            total = total + self.value(decmap) * c
+        return total
+
+
+# A dot term of :func:`evaluate_family`: a coefficient and dot shapes, each
+# placed on the facet of ``edge`` in slice ``t`` of the undecorated movie.
+DotTerm = tuple[Scalar, tuple[tuple[int, str, DotShape], ...]]
+_PLAIN: tuple[DotTerm, ...] = ((1, ()),)
+
+
+def evaluate_family(
+    foams: Sequence[Movie | tuple[Movie, Sequence[DotTerm]]],
+    N: int,
+    ring: CoefRing = ZZ,
+) -> list[MultiPoly]:
+    """The values of closed foams, each shape map summed once per undecorated foam.
+
+    A foam is a closed movie, or a pair ``(movie, terms)`` whose value is
+    ``sum c * value(movie with the term's extra dot shapes)`` over the dot
+    terms ``(c, ((t, edge, shape), ...))``; a bare movie is the single term
+    ``(1, ())``.  Foams are grouped by undecorated movie, which is compiled
+    and colored once per group (a :class:`_ShapeTable`).  A term's
+    decorations are multiplied per facet and split into dot-shape maps, and
+    its value is their combination, so a map shared by many terms is
+    summed over the colorings once.
+
+    Each map's value has the checks of :func:`evaluate`; a nonzero term
+    value must also be homogeneous of the degree of its decorated foam,
+    which raises :class:`NonHomogeneous` for a non-homogeneous decoration.
+    Each value equals the :func:`evaluate` value of its foam (summed over
+    its terms).
+    """
+    _require_pigments(N)
+    groups: dict[Movie, list[tuple[int, tuple, Sequence[DotTerm]]]] = {}
+    for k, foam in enumerate(foams):
+        mov, terms = foam if isinstance(foam, tuple) else (foam, _PLAIN)
+        stripped, decorations = _strip_decorations(mov)
+        groups.setdefault(stripped, []).append((k, decorations, terms))
+    values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
+    for stripped, members in groups.items():
+        F = compile_movie(stripped)
+        table = _ShapeTable(F, N, ring)
+        thickness = {f: facet.thickness for f, facet in F.facets.items()}
+        for k, decorations, terms in members:
+            decs = _facet_decorations(F, decorations, N, ring)
+            total = MultiPoly.zero(ring, xvars(N))
+            for coef, placed in terms:
+                term_decs = dict(decs)
+                for t, edge, shape in placed:
+                    f = F.edge_facets[t][edge]
+                    p = _orbit_poly(ring, shape)
+                    term_decs[f] = term_decs[f] * p if f in term_decs else p
+                value = table.combine(_dot_shapes(1, term_decs, thickness, ring))
+                _check_degree(value, lambda: (
+                    table.bare_degree
+                    + sum(_decoration_degree(d) for _, _, d in decorations)
+                    + 2 * _dots(s for _, _, s in placed)
+                ))
+                total = total + value * coef
+            values[k] = total
     return values
 
 
@@ -284,6 +424,7 @@ def _binding_term(b: Binding, F: FoamComplex, N: int) -> int:
 
 def degree(F: FoamComplex | Movie, N: int) -> int:
     """The intrinsic degree of a compiled foam for N pigments."""
+    _require_pigments(N)
     if isinstance(F, Movie):
         F = compile_movie(F)
     total = 0
@@ -578,8 +719,6 @@ def split_decoration(
 
 
 def _permutations_of(exp: tuple[int, ...]) -> set[tuple[int, ...]]:
-    import itertools
-
     return set(itertools.permutations(exp))
 
 

@@ -29,7 +29,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionNotExact,
+    ElementaryNotTerminating,
     IndexOutOfRange,
+    InputError,
     NotInSymmetricSubring,
     WrongRing,
 )
@@ -55,12 +57,12 @@ class CoefRing:
 
     def __post_init__(self) -> None:
         if self.kind not in ("Z", "Q", "Fp"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise InputError(f"unknown ring kind {self.kind!r}")
         if self.kind == "Fp":
             if self.p is None or self.p < 2 or not _is_prime(self.p):
-                raise ValueError(f"modulus {self.p!r} is not prime")
+                raise InputError(f"modulus {self.p!r} is not prime")
         elif self.p is not None:
-            raise ValueError("modulus only allowed for prime fields")
+            raise InputError("modulus only allowed for prime fields")
 
     # -- scalar arithmetic --------------------------------------------------
     def normalize(self, c: Scalar) -> Scalar:
@@ -595,6 +597,10 @@ def symmetric_basis(kind: str, n: int, ring: CoefRing, variables: Sequence[str])
     return SymPoly(fn(ring, variables, n), (len(tuple(variables)),))
 
 
+#: Leading-term subtractions :func:`to_elementary` makes before giving up.
+_TO_ELEMENTARY_STEPS = 100000
+
+
 def to_elementary(poly: MultiPoly, e_names: Sequence[str] | None = None) -> MultiPoly:
     """Rewrite a symmetric polynomial in the elementary symmetric generators.
 
@@ -613,8 +619,8 @@ def to_elementary(poly: MultiPoly, e_names: Sequence[str] | None = None) -> Mult
     guard = 0
     while not work.is_zero():
         guard += 1
-        if guard > 100000:
-            raise RuntimeError("to_elementary failed to terminate")
+        if guard > _TO_ELEMENTARY_STEPS:
+            raise ElementaryNotTerminating("to_elementary failed to terminate")
         lead = max(work.terms, key=_grlex_key)
         c = work.terms[lead]
         lam = sorted(lead, reverse=True)

@@ -205,6 +205,11 @@ def elementary_product(ring: CoefRing, a: int, mu: Sequence[int]) -> SymPoly:
     return SymPoly(poly, (a,))
 
 
+def _require_thicknesses(*thicknesses: int) -> None:
+    if min(thicknesses) < 1:
+        raise InputError(f"edge thicknesses must be >= 1, got {thicknesses}")
+
+
 def circle_presentation(
     a: int, N: int, ring: CoefRing = ZZ, base: str = "equivariant"
 ) -> Presentation:
@@ -224,6 +229,7 @@ def theta_presentation(
     a: int, b: int, N: int, ring: CoefRing = ZZ, base: str = "equivariant"
 ) -> Presentation:
     """The two-vertex web read as a thick circle with a pinched-in bigon."""
+    _require_thicknesses(a, b)
     if a + b > N:
         raise InputError(f"total thickness {a + b} exceeds N={N}")
     movies = []
@@ -242,6 +248,7 @@ def zipped_presentation(
     a: int, b: int, N: int, ring: CoefRing = ZZ, base: str = "equivariant"
 ) -> Presentation:
     """The two-vertex web read as two circles merged along a seam pair."""
+    _require_thicknesses(a, b)
     if a + b > N:
         raise InputError(f"total thickness {a + b} exceeds N={N}")
     movies = []
@@ -283,6 +290,7 @@ def chain_presentation(
     ring: CoefRing = ZZ, base: str = "equivariant",
 ) -> Presentation:
     """A thick circle split twice, with the two bracketings of (a, b, c)."""
+    _require_thicknesses(a, b, c)
     s = a + b + c
     if s > N:
         raise InputError(f"total thickness {s} exceeds N={N}")
@@ -368,32 +376,40 @@ def gram_matrix(
 
 
 def _pairings(
-    sums: Sequence[Sequence[tuple[Scalar | MultiPoly, Movie]]],
+    rows: Sequence[FoamSum | Sequence[tuple[Scalar | MultiPoly, Movie]]],
     gens: Presentation,
     cols: Presentation,
 ) -> list[list[MultiPoly]]:
-    """Entry ``[i][j]`` pairs the formal sum ``sums[i]`` with ``cols.movies[j]``.
+    """Entry ``[i][j]`` pairs ``rows[i]`` with ``cols.movies[j]``.
 
-    Every pairing of a term is one movie of a single :func:`evaluate_family`
-    call.  Coefficients may be scalars or polynomials in the full alphabet;
-    entries are taken in the base of ``gens``.
+    A row is a formal sum: a :class:`FoamSum`, or ``(coefficient, movie)``
+    terms whose coefficients may be scalars or polynomials in the full
+    alphabet.  A :class:`FoamSum` is paired as its skeleton composed with
+    the mirrored column, its terms' dot shapes placed where they sit on the
+    skeleton; no term becomes a movie.  All pairings go through one
+    :func:`evaluate_family` call.  Entries are taken in the base of ``gens``.
     """
     vs = xvars(gens.N)
     mirrors = [mirror(G) for G in cols.movies]
-    values = iter(evaluate_family(
-        [compose(mov, Gr) for terms in sums for Gr in mirrors for _, mov in terms],
-        gens.N, gens.ring,
-    ))
+    foams: list = []
+    for row in rows:
+        if isinstance(row, FoamSum):
+            skel = row.skeleton
+            terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
+            foams.extend((compose(skel.movie, Gr), terms) for Gr in mirrors)
+        else:
+            foams.extend(compose(mov, Gr) for _, mov in row for Gr in mirrors)
+    values = iter(evaluate_family(foams, gens.N, gens.ring))
     out = []
-    for terms in sums:
-        row = []
-        for _ in mirrors:
-            total = MultiPoly.zero(gens.ring, vs)
-            for coef, _ in terms:
-                val = next(values)
-                total = total + val * (coef.extend(vs) if isinstance(coef, MultiPoly) else coef)
-            row.append(_base_entry(total, gens.base))
-        out.append(row)
+    for row in rows:
+        if isinstance(row, FoamSum):
+            entries = [next(values) for _ in mirrors]
+        else:
+            entries = [MultiPoly.zero(gens.ring, vs) for _ in mirrors]
+            for coef, _ in row:
+                c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
+                entries = [e + next(values) * c for e in entries]
+        out.append([_base_entry(e, gens.base) for e in entries])
     return out
 
 
@@ -486,8 +502,7 @@ def is_zero_in_statespace(
     """
     if N is not None and N != gens.N:
         raise InputError(f"presentation was built for N={gens.N}, not N={N}")
-    pairs = list(v.movies()) if isinstance(v, FoamSum) else list(v)
-    (row,) = _pairings([pairs], gens, gens)
+    (row,) = _pairings([v if isinstance(v, FoamSum) else list(v)], gens, gens)
     return all(e.is_zero() for e in row)
 
 
@@ -667,8 +682,7 @@ def induced_action(
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries
     M = [[G.entries[k][j] for k in range(n)] for j in range(n)]
-    images = [list(apply_operator(op, params, F).movies()) for F in gens.movies]
-    P = _pairings(images, gens, gens)
+    P = _pairings([apply_operator(op, params, F) for F in gens.movies], gens, gens)
     B = [[P[k][j] for k in range(n)] for j in range(n)]
     # A system without a polynomial solution raises here, before the kernel
     # is checked; the operator is not well defined either way.

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 
 from foamlab import actions
-from foamlab.foameval import _facet_vars
+from foamlab.foameval import _facet_vars, _orbit_poly
 from foamlab.polyring import MultiPoly, power_sum, witt_act
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
@@ -147,7 +147,7 @@ def leibniz_reference(S, dec_fn, local_fn):
     images = [local_fn(tr) for tr in skel.complex.traces]
     raw = []
     for coef, decs in S.terms:
-        dmap = {f: S._shape_poly(f, shape) for f, shape in decs}
+        dmap = {f: _orbit_poly(ring, shape) for f, shape in decs}
         for f, p in dmap.items():
             dp = dec_fn(p)
             if not dp.is_zero():

@@ -59,6 +59,7 @@ from foamlab.statespace import (
     induced_action,
     laurent_mul,
     mat_is_zero,
+    moy_check,
     operator_commutator,
     operator_power,
     mat_sub,
@@ -371,6 +372,14 @@ class TestStateSpaceRanks:
             want = laurent_mul(qbinom_laurent(N - 1, 1), qbinom_laurent(N, 1))
             assert graded_rank(gram_matrix(reversed_digon)) == want
         assert time.monotonic() - start < 120
+
+    @pytest.mark.parametrize(
+        "relation,N,kw", [("circle", 6, {"a": 3}), ("square", 4, {}), ("assoc", 4, {})]
+    )
+    def test_larger_webs(self, relation, N, kw):
+        # Gram matrices of 20 x 20, 24 x 24 and twice 24 x 24 pairings
+        report = moy_check(relation, N, **kw)
+        assert report.ok, report.detail
 
 
 # ---------------------------------------------------------------------------

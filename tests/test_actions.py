@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from foamlab import actions, polyring
+from foamlab import actions, foameval, polyring
 from foamlab.actions import (
     ActionParams,
     FoamSum,
     _derivation_rule,
     _dot_rule,
-    _orbit_poly,
     act_pdg,
     act_sl2,
     act_witt,
@@ -40,7 +39,7 @@ from foamlab.errors import (
     WrongRing,
 )
 from foamlab.foamcore import Decorate, MovieBuilder, Saddle, compose, compile_movie
-from foamlab.foameval import _facet_vars, degree, evaluate
+from foamlab.foameval import _facet_vars, _orbit_poly, degree, evaluate
 from foamlab.polyring import (
     GF,
     MultiPoly,
@@ -161,6 +160,38 @@ class TestFoamSum:
         P = rich_pack(N=1)
         with pytest.raises(InputError):
             FoamSum.from_movie(dotted_sphere(1, thickness=2), P)
+
+
+class TestFoamSumValue:
+    """``FoamSum.value`` evaluates shape maps on the skeleton, movie-free."""
+
+    @staticmethod
+    def per_term(S, params):
+        total = MultiPoly.zero(params.ring, xvars(params.N))
+        for coef, mov in S.movies():
+            total = total + evaluate(mov, params.N, params.ring).value * coef
+        return total
+
+    def test_witt_and_sl2_images_match_per_term_evaluation(self, monkeypatch):
+        seen = 0
+        for mov in decorated_closed(seed=71, count=12, half_moves=4):
+            Pw = saddle_pack() if has_saddle(mov) else rich_pack()
+            Ps = sl2_from_witt(Pw)
+            images = [act_witt(n, Pw, mov) for n in (-1, 0, 1, 2)]
+            images += [act_sl2(g, Ps, mov) for g in ("e", "h", "f")]
+            for S in images:
+                want = self.per_term(S, S.skeleton.params)
+                with monkeypatch.context() as m:
+                    m.setattr(FoamSum, "_materialize", None)
+                    got = S.value()
+                assert got == want, mov
+                seen += not want.is_zero()
+        assert seen >= 20
+
+    def test_value_of_open_sum_is_rejected(self):
+        S = act_witt(1, rich_pack(N=2), basic_open_movies(1, 1)["cup"])
+        with pytest.raises(InputError):
+            S.value()
 
 
 class TestWittCommutators:
@@ -455,7 +486,7 @@ def dot_shapes(draw):
 def expand_shapes(ring, a, m, pairs):
     total = MultiPoly.zero(ring, _facet_vars(a, m))
     for shape, c in pairs:
-        total = total + _orbit_poly(ring, a, m, shape) * c
+        total = total + _orbit_poly(ring, shape) * c
     return total
 
 
@@ -465,7 +496,7 @@ class TestDotShapeRules:
     def test_derivation_rule_is_witt_act(self, am_shape, n, ring):
         a, m, shape = am_shape
         got = expand_shapes(ring, a, m, _derivation_rule(shape, n).items())
-        assert got == witt_act(n, _orbit_poly(ring, a, m, shape))
+        assert got == witt_act(n, _orbit_poly(ring, shape))
 
     @settings(max_examples=200, deadline=None)
     @given(dot_shapes(), st.integers(1, 3), st.booleans(), st.sampled_from(RULE_RINGS))
@@ -473,7 +504,7 @@ class TestDotShapeRules:
         a, m, shape = am_shape
         vs = _facet_vars(a, m)
         block = vs[a:] if hat else vs[:a]
-        want = power_sum(ring, block, k).extend(vs) * _orbit_poly(ring, a, m, shape)
+        want = power_sum(ring, block, k).extend(vs) * _orbit_poly(ring, shape)
         assert expand_shapes(ring, a, m, _dot_rule(shape, k, hat)) == want
 
 
@@ -557,7 +588,8 @@ class TestDotShapeApplicator:
 
         for mod, name in (
             (polyring, "witt_act"), (actions, "witt_act"), (polyring, "power_sum"),
-            (actions, "_orbit_poly"), (actions, "_orbit_decompose"),
+            (actions, "_orbit_poly"), (foameval, "_orbit_poly"),
+            (foameval, "_orbit_decompose"),
             (MultiPoly, "__init__"),
         ):
             monkeypatch.setattr(mod, name, forbidden)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foamlab.cli import laurent_text, main, parse_presentation
 from foamlab.errors import InputError
@@ -217,6 +220,32 @@ class TestCheckSuites:
         assert out.strip().splitlines()[-1] == "pass"
 
 
+class TestTypedBoundary:
+    """Malformed numbers exit 2 with an ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--N", "2", "--mod", "4", "#sphere"),
+            ("eval", "--N", "2", "--mod", "1", "#sphere"),
+            ("rank", "--web", "circle:1", "--N", "2", "--ring", "F4"),
+            ("rank", "--web", "circle:1", "--N", "2", "--ring", "F1"),
+            ("eval", "--N", "0", "#dotted_sphere"),
+            ("eval", "--N", "-1", "#dotted_sphere"),
+            ("rank", "--web", "digon:0,1", "--N", "3"),
+            ("rank", "--web", "chain_left:0,1,1", "--N", "3"),
+            ("rank", "--web", "chain_right:1,0,1", "--N", "3"),
+            ("check", "--suite", "commutators", "--nmax", "-5"),
+            ("act", "--op", "e", "--N", "2", "--s", "1/0", "#sphere"),
+        ],
+    )
+    def test_input_error(self, capsys, foam_file, argv):
+        argv = [foam_file + a if a.startswith("#") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestHelpers:
     def test_laurent_text(self):
         assert laurent_text({}) == "0"
@@ -229,3 +258,109 @@ class TestHelpers:
             parse_presentation("circle:1,2", 2, ZZ, "equivariant")
         pres = parse_presentation("circle:1", 2, ZZ, "equivariant")
         assert len(pres.movies) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the entry point
+# ---------------------------------------------------------------------------
+
+# N <= 3 and thicknesses <= 2 keep every generated case fast.  The pools
+# mix valid values (repeated, so that most cases get past the parser) with
+# malformed ones.
+_N = st.sampled_from(["1", "2", "3", "2", "3", "0", "-1"])
+_THICK = st.sampled_from(["1", "2", "1", "2", "0", "-1"])
+_RING = st.sampled_from(["Z", "Q", "F3", "F5"] * 3 + ["F2", "F0", "F1", "F4", "R"])
+_BASE = st.sampled_from(["equivariant", "phi0"])
+_OP = st.sampled_from(["e", "h", "f", "d", "L:-1", "L:0", "L:2", "L:-2", "L:x", "q"])
+_SCALAR = st.sampled_from(["0", "1", "-1", "1/2", "-2/3"] * 3 + ["1/0", "x"])
+_SEQ = st.sampled_from(["lin:0", "lin:1/2", "tab:[0,1,2]"] * 3 + ["lin:1/0", "tab:[1", "bogus"])
+_ARITY = {"circle": 1, "digon": 2, "bad_digon": 2, "necklace": 0,
+          "chain_left": 3, "chain_right": 3, "pentagon": 1}
+
+
+@st.composite
+def _web(draw):
+    family = draw(st.sampled_from(sorted(_ARITY)))
+    arity = draw(st.sampled_from([_ARITY[family]] * 4 + [0, 1, 2, 3]))
+    return f"{family}:{','.join(draw(_THICK) for _ in range(arity))}"
+
+
+@st.composite
+def _pack(draw):
+    out = []
+    for flag, values in (
+        ("--s", _SCALAR), ("--t1", _SCALAR), ("--t2", _SCALAR), ("--t3", _SCALAR),
+        ("--nu1", _SEQ), ("--nu2", _SEQ), ("--nu3", _SEQ),
+    ):
+        if draw(st.booleans()):
+            out += [flag, draw(values)]
+    if draw(st.booleans()):
+        out.append(draw(st.sampled_from(["--spherical", "--no-spherical"])))
+    return out
+
+
+@st.composite
+def _argv(draw, movie_file):
+    cmd = draw(st.sampled_from(
+        ["eval", "degree", "act", "gram", "rank", "moy-check", "induced", "check"]
+    ))
+    target = f"{movie_file}#{draw(st.sampled_from(['sphere', 'dotted_sphere', 'thick_sphere', 'nope']))}"
+    if cmd == "eval":
+        argv = ["eval", "--N", draw(_N), target]
+        if draw(st.booleans()):
+            argv += ["--mod", draw(st.sampled_from(["-1", "0", "1", "2", "3", "4"]))]
+        argv += [f for f in ("--phi0", "--breakdown") if draw(st.booleans())]
+    elif cmd == "degree":
+        argv = ["degree", "--N", draw(_N), target]
+    elif cmd == "act":
+        argv = ["act", "--op", draw(_OP), "--N", draw(_N), "--ring", draw(_RING), target]
+        argv += draw(_pack())
+    elif cmd in ("gram", "rank"):
+        argv = [cmd, "--web", draw(_web()), "--N", draw(_N), "--ring", draw(_RING),
+                "--base", draw(_BASE)]
+        if cmd == "rank":
+            argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
+    elif cmd == "moy-check":
+        relation = draw(st.sampled_from(
+            ["circle", "digon", "bad_digon", "assoc", "square", "bad_square"]
+        ))
+        argv = ["moy-check", "--relation", relation, "--N", draw(_N),
+                "--a", draw(_THICK), "--b", draw(_THICK), "--c", draw(_THICK),
+                "--ring", draw(_RING), "--base", draw(_BASE),
+                "--trials", draw(st.sampled_from(["-1", "0", "1"]))]
+    elif cmd == "induced":
+        argv = ["induced", "--op", draw(_OP), "--web", draw(_web()), "--N", draw(_N),
+                "--ring", draw(_RING), "--base", draw(_BASE)]
+        argv += draw(_pack())
+    else:
+        argv = ["check", "--suite", draw(st.sampled_from(["euler", "commutators", "compat", "pdg"])),
+                "--nmax", draw(st.sampled_from(["-5", "-1", "0", "1"])),
+                "--count", draw(st.sampled_from(["-1", "0", "1", "2"]))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("fuzz") / "fixtures.foam"
+    p.write_text(FIXTURES)
+    return str(p)
+
+
+class TestFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_codes_without_tracebacks(self, fuzz_file, data):
+        argv = data.draw(_argv(fuzz_file))
+        out, err = io.StringIO(), io.StringIO()
+        code = 0
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                main(argv)
+            except SystemExit as exc:
+                code = exc.code or 0
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+        if code == 2:
+            assert err.getvalue(), argv

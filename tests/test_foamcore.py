@@ -14,7 +14,7 @@ import weakref
 
 import pytest
 
-from foamlab.corpus import closed_corpus, spherical_corpus
+from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
 from foamlab.errors import (
     BoundaryMismatch,
     FoamlabError,
@@ -54,7 +54,7 @@ from foamlab.foamcore import (
     monochrome_euler,
     validate_web,
 )
-from foamlab.polyring import ZZ, symmetric_basis
+from foamlab.polyring import ZZ, MultiPoly, symmetric_basis
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +344,46 @@ class TestMovieAlgebra:
         closed.validate()
         assert closed.is_closed()
         assert len(closed.moves) == 2
+
+    @staticmethod
+    def circle_meets_interval(circle_first: bool) -> Movie:
+        """A split-off circle merged into a digon edge (design stream 2, movie 40)."""
+        b = MovieBuilder()
+        thin = b.cup(2)
+        thick = b.cup(3)
+        _, circle = b.saddle(thin, thin)
+        dc = b.digon_cup(thick, 2, 1)
+        if circle_first:
+            b.saddle(circle, dc.edge_a)
+        else:
+            b.saddle(dc.edge_a, circle)
+        return b.movie()
+
+    def test_mirror_of_circle_interval_merge(self):
+        mov = self.circle_meets_interval(circle_first=True)
+        rev = mirror(mov)
+        rev.validate()
+        closed = compose(mov, mirror(mov))
+        assert evaluate(closed, 3).value == MultiPoly.const(ZZ, ("X1", "X2", "X3"), -3)
+        # the same foam with the merge written the other way round
+        other = self.circle_meets_interval(circle_first=False)
+        for N in (3, 4, 5):
+            assert evaluate(closed, N).value == evaluate(compose(other, mirror(other)), N).value
+        assert mirror(rev).slices() == mov.slices()
+
+    def test_self_pairings_of_seeded_streams(self):
+        seen = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            for _ in range(5):
+                mov = random_open_movie(rng, n_moves=5, max_thickness=3)
+                if not any(isinstance(mv, Saddle) for mv in mov.moves):
+                    continue
+                seen += any(isinstance(mv, DigonCup) for mv in mov.moves)
+                closed = compose(mov, mirror(mov))
+                compile_movie(closed)
+                evaluate(closed, 3)
+        assert seen >= 40
 
     def test_mirror_preserves_compiled_euler_numbers(self):
         for mov in closed_corpus(seed=11, count=15):

@@ -5,10 +5,14 @@ conventions (monochrome and bichrome Euler characteristics of spheres) and
 are treated as an independent oracle for the implementation.
 """
 
-import pytest
+import random
+from fractions import Fraction
 
-from foamlab.corpus import closed_corpus, spherical_corpus
-from foamlab.errors import InputError, NonHomogeneous, PatternMismatch
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
+from foamlab.errors import FoamlabError, InputError, NonHomogeneous, PatternMismatch
 from foamlab.foameval import (
     bubble_check,
     colored_eval,
@@ -28,11 +32,15 @@ from foamlab.foamcore import (
     Movie,
     MovieBuilder,
     Web,
+    _strip_decorations,
     compile_movie,
     compose,
     enumerate_colorings,
+    mirror,
 )
 from foamlab.polyring import (
+    GF,
+    QQ,
     MultiPoly,
     RatFun,
     SymPoly,
@@ -208,6 +216,103 @@ class TestEvaluate:
             evaluate(stray, 2)
         with pytest.raises(PatternMismatch):
             evaluate_family([stray], 2)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_family against evaluate on random decorated pairings
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _decoration(draw, ring, a, N):
+    """A decoration of a thickness-``a`` facet: mostly one basis element,
+    sometimes on both blocks, inhomogeneous, scaled, or zero."""
+    inner = tuple(f"x{i}" for i in range(1, a + 1))
+    kind = draw(st.sampled_from(["p", "e", "h", "outer", "mixed", "zero"]))
+    if kind == "outer" and N > a:
+        outer = tuple(f"y{i}" for i in range(1, N - a + 1))
+        poly = power_sum(ring, inner, 1).extend(inner + outer) * power_sum(
+            ring, outer, draw(st.integers(1, 2))
+        ).extend(inner + outer)
+        return SymPoly(poly, (a, N - a))
+    if kind == "mixed":
+        poly = power_sum(ring, inner, 1) + power_sum(ring, inner, 2)
+    elif kind == "zero":
+        poly = MultiPoly.zero(ring, inner)
+    elif kind == "e":
+        poly = elementary(ring, inner, draw(st.integers(1, a)))
+    else:
+        name = "power_sum" if kind in ("p", "outer") else "complete"
+        poly = symmetric_basis(name, draw(st.integers(1, 2)), ring, inner).poly
+    scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)] if ring == QQ else [1, -1, 2]))
+    return SymPoly(poly * scale, (a,))
+
+
+@st.composite
+def _redecorated(draw, bare, ring, N):
+    """The undecorated movie ``bare`` with up to three random decorations."""
+    webs = bare.slices()
+    inserts: dict[int, list] = {}
+    for _ in range(draw(st.integers(0, 3))):
+        t = draw(st.integers(0, len(bare.moves)))
+        edges = sorted(webs[t].edges)
+        if not edges:
+            continue
+        e = draw(st.sampled_from(edges))
+        dec = draw(_decoration(ring, webs[t].edges[e].thickness, N))
+        inserts.setdefault(t, []).append(Decorate(e, dec))
+    moves = []
+    for t in range(len(bare.moves) + 1):
+        moves += inserts.get(t, [])
+        if t < len(bare.moves):
+            moves.append(bare.moves[t])
+    return Movie(bare.input_web, tuple(moves))
+
+
+@st.composite
+def decorated_pairings(draw):
+    """(closed movies, N, ring): pairings of decorated copies of one or two skeletons."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(5)]))
+    N = draw(st.integers(2, 4))
+    skeletons = [
+        _strip_decorations(random_open_movie(
+            random.Random(draw(st.integers(0, 10**6))),
+            n_moves=draw(st.integers(1, 3 if N < 4 else 2)),
+            max_thickness=2,
+            ring=ring,
+        ))[0]
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    movies = []
+    for _ in range(draw(st.integers(1, 4))):
+        bare = draw(st.sampled_from(skeletons))
+        left = draw(_redecorated(bare, ring, N))
+        right = draw(_redecorated(bare, ring, N))
+        movies.append(compose(left, mirror(right)))
+    return movies, N, ring
+
+
+def _outcome(fn):
+    try:
+        return "value", fn()
+    except FoamlabError as exc:
+        return "error", type(exc)
+
+
+class TestFamilyAgainstEvaluate:
+    @settings(max_examples=80, deadline=None)
+    @given(decorated_pairings())
+    def test_values_and_errors(self, case):
+        movies, N, ring = case
+        each = [_outcome(lambda m=m: evaluate(m, N, ring).value) for m in movies]
+        for m, want in zip(movies, each):
+            got = _outcome(lambda m=m: evaluate_family([m], N, ring)[0])
+            assert got == want
+        kind, got = _outcome(lambda: evaluate_family(movies, N, ring))
+        if kind == "value":
+            assert [("value", v) for v in got] == each
+        else:
+            assert ("error", got) in each
 
 
 class TestDegree:

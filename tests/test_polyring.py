@@ -7,9 +7,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from foamlab import polyring
 from foamlab.errors import (
     DivisionNotExact,
+    ElementaryNotTerminating,
+    FoamlabError,
     IndexOutOfRange,
+    InputError,
     NotInSymmetricSubring,
     WrongRing,
 )
@@ -232,6 +236,22 @@ class TestSymmetric:
     def test_to_elementary_rejects_asymmetric(self):
         with pytest.raises(NotInSymmetricSubring):
             to_elementary(var("x"))
+
+    def test_to_elementary_guard_is_typed(self, monkeypatch):
+        # p_4 in three variables takes one step per partition of 4 with at
+        # most three parts: (4), (3,1), (2,2), (2,1,1)
+        p = power_sum(ZZ, V3, 4)
+        monkeypatch.setattr(polyring, "_TO_ELEMENTARY_STEPS", 4)
+        assert from_elementary(to_elementary(p), V3) == p
+        monkeypatch.setattr(polyring, "_TO_ELEMENTARY_STEPS", 3)
+        with pytest.raises(ElementaryNotTerminating) as info:
+            to_elementary(p)
+        assert isinstance(info.value, FoamlabError)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
+    def test_bad_modulus_is_an_input_error(self, p):
+        with pytest.raises(InputError):
+            GF(p)
 
 
 # ---------------------------------------------------------------------------
