@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -94,6 +95,8 @@ class CoefRing:
 
     def divide(self, a: Scalar, b: Scalar) -> Scalar:
         """Exact division a / b; raises if not exact in this ring."""
+        if self.kind == "Fp":
+            a, b = self.normalize(a), self.normalize(b)
         if b == 0:
             raise ZeroDivisionError("division by zero scalar")
         if self.kind == "Fp":
@@ -151,6 +154,12 @@ def GF(p: int) -> CoefRing:
 # ---------------------------------------------------------------------------
 
 
+def _canonical(ring: CoefRing, raw: Mapping[tuple[int, ...], Scalar]) -> dict:
+    """Normalize each coefficient once and drop the zeros."""
+    norm = ring.normalize
+    return {e: c for e, r in raw.items() if (c := norm(r))}
+
+
 def _grlex_key(exp: tuple[int, ...]) -> tuple:
     # Graded lexicographic: compare by total degree, then lexicographically
     # on the exponent vector in the declared variable order.
@@ -181,19 +190,33 @@ class MultiPoly:
     ) -> None:
         self.ring = ring
         self.vars = tuple(variables)
-        clean: dict[tuple[int, ...], Scalar] = {}
+        raw: dict[tuple[int, ...], Scalar] = {}
         n = len(self.vars)
         for exp, c in terms.items():
             exp = tuple(exp)
             if len(exp) != n or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for {n} variables")
-            c = ring.normalize(c)
-            if c != 0:
-                clean[exp] = ring.add(clean.get(exp, 0), c) if exp in clean else c
-                if clean[exp] == 0:
-                    del clean[exp]
-        self.terms = clean
+            raw[exp] = raw[exp] + c if exp in raw else c
+        self.terms = _canonical(ring, raw)
         self._hash = None
+
+    @classmethod
+    def _from_raw(
+        cls, ring: CoefRing, variables: tuple[str, ...], raw: Mapping[tuple[int, ...], Scalar]
+    ) -> "MultiPoly":
+        """A polynomial from terms this module built itself.
+
+        ``raw`` maps exponent tuples of the right length to unreduced
+        coefficients (plain ``+``/``*`` sums of ring elements); each is
+        normalized once and zeros are dropped.  The exponents are not
+        re-validated.
+        """
+        self = object.__new__(cls)
+        self.ring = ring
+        self.vars = variables
+        self.terms = _canonical(ring, raw)
+        self._hash = None
+        return self
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -255,18 +278,15 @@ class MultiPoly:
             other = MultiPoly.const(self.ring, self.vars, other)
         self._check_compat(other)
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = self.ring.add(out.get(e, 0), c)
-            if s == 0:
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return MultiPoly(self.ring, self.vars, out)
+            out[e] = get(e, 0) + c
+        return MultiPoly._from_raw(self.ring, self.vars, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ring, self.vars, {e: self.ring.neg(c) for e, c in self.terms.items()})
+        return MultiPoly._from_raw(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,20 +301,17 @@ class MultiPoly:
             c0 = self.ring.normalize(other)
             if c0 == 0:
                 return MultiPoly.zero(self.ring, self.vars)
-            return MultiPoly(
-                self.ring, self.vars, {e: self.ring.mul(c, c0) for e, c in self.terms.items()}
+            return MultiPoly._from_raw(
+                self.ring, self.vars, {e: c * c0 for e, c in self.terms.items()}
             )
         self._check_compat(other)
         out: dict[tuple[int, ...], Scalar] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = self.ring.add(out.get(e, 0), self.ring.mul(c1, c2))
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return MultiPoly(self.ring, self.vars, out)
+                e = tuple(map(operator.add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return MultiPoly._from_raw(self.ring, self.vars, out)
 
     __rmul__ = __mul__
 
@@ -328,15 +345,9 @@ class MultiPoly:
         i = self.vars.index(name)
         out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = tuple(v - 1 if k == i else v for k, v in enumerate(e))
-            s = self.ring.add(out.get(ne, 0), self.ring.mul(c, e[i]))
-            if s == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = s
-        return MultiPoly(self.ring, self.vars, out)
+            if e[i]:
+                out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return MultiPoly._from_raw(self.ring, self.vars, out)
 
     def subs(self, mapping: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables.
@@ -369,7 +380,7 @@ class MultiPoly:
         new_vars = tuple(new_vars)
         if len(new_vars) != len(self.vars):
             raise ValueError("rename must preserve arity")
-        return MultiPoly(self.ring, new_vars, self.terms)
+        return MultiPoly._from_raw(self.ring, new_vars, self.terms)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """View this polynomial inside a larger variable alphabet."""
@@ -381,19 +392,20 @@ class MultiPoly:
             for pos, k in zip(idx, e):
                 ne[pos] = k
             out[tuple(ne)] = c
-        return MultiPoly(self.ring, variables, out)
+        return MultiPoly._from_raw(self.ring, variables, out)
 
     def permute_vars(self, perm: Mapping[str, str]) -> "MultiPoly":
         """Apply a variable permutation (a bijection on the alphabet)."""
         pos = {v: i for i, v in enumerate(self.vars)}
         out = {}
+        get = out.get
         for e, c in self.terms.items():
             ne = [0] * len(self.vars)
             for v, k in zip(self.vars, e):
                 ne[pos[perm.get(v, v)]] = k
             key = tuple(ne)
-            out[key] = self.ring.add(out.get(key, 0), c) if key in out else c
-        return MultiPoly(self.ring, self.vars, out)
+            out[key] = get(key, 0) + c
+        return MultiPoly._from_raw(self.ring, self.vars, out)
 
     def eval_scalar(self, values: Mapping[str, Scalar]) -> Scalar:
         total: Scalar = 0
@@ -422,8 +434,11 @@ class MultiPoly:
         if self.is_zero():
             return self
         ring = self.ring
+        norm = ring.normalize
         lead = max(divisor.terms, key=_grlex_key)
         lead_c = divisor.terms[lead]
+        # over F_p the leading coefficient is inverted once per call
+        inv = pow(lead_c, -1, ring.p) if ring.kind == "Fp" else None
         rem = dict(self.terms)
         heap = [(_heap_key(e), e) for e in rem]
         heapq.heapify(heap)
@@ -433,24 +448,24 @@ class MultiPoly:
             c = rem.get(e)
             if c is None:
                 continue
-            qe = tuple(a - b for a, b in zip(e, lead))
-            if any(x < 0 for x in qe):
+            qe = tuple(map(operator.sub, e, lead))
+            if min(qe, default=0) < 0:
                 raise DivisionNotExact("leading monomial not divisible")
-            qc = ring.divide(c, lead_c)
+            qc = ring.divide(c, lead_c) if inv is None else norm(c * inv)
             quo[qe] = qc
             # rem -= qc * x^qe * divisor
             for de, dc in divisor.terms.items():
-                te = tuple(a + b for a, b in zip(qe, de))
+                te = tuple(map(operator.add, qe, de))
                 old = rem.get(te)
                 if old is None:
                     heapq.heappush(heap, (_heap_key(te), te))
                     old = 0
-                s = ring.add(old, ring.neg(ring.mul(qc, dc)))
+                s = norm(old - qc * dc)
                 if s == 0:
                     rem.pop(te, None)
                 else:
                     rem[te] = s
-        return MultiPoly(ring, self.vars, quo)
+        return MultiPoly._from_raw(ring, self.vars, quo)
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -894,7 +909,7 @@ class RatFun:
             if m:
                 den[(i, j)] = m
         if terms is not num.terms:
-            num = MultiPoly(num.ring, num.vars, terms)
+            num = MultiPoly._from_raw(num.ring, num.vars, terms)
         return RatFun(num, den)
 
     def is_polynomial(self) -> bool:
@@ -1031,7 +1046,7 @@ def ratfun_sum(parts: Iterable[RatFun]) -> RatFun:
     sums = {
         key: num
         for key, terms in groups.items()
-        if not (num := MultiPoly(ring, variables, terms)).is_zero()
+        if not (num := MultiPoly._from_raw(ring, variables, terms)).is_zero()
     }
     lcd: dict[tuple[int, int], int] = {}
     for key in sums:
@@ -1049,7 +1064,7 @@ def ratfun_sum(parts: Iterable[RatFun]) -> RatFun:
                 num = num * powers[(pair, need)]
         for e, c in num.terms.items():
             total[e] = total.get(e, 0) + c
-    return RatFun(MultiPoly(ring, variables, total), lcd).normalize()
+    return RatFun(MultiPoly._from_raw(ring, variables, total), lcd).normalize()
 
 
 def poly_arith(op: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -7,6 +7,11 @@ over ``fractions.Fraction``.  It shares no code with the package and exists
 so that worked values in the test suite are pinned by two fully independent
 computations.
 
+The per-term polynomial kernel keeps ``MultiPoly``'s earlier arithmetic,
+which reduced every partial sum through ``ring.add``/``ring.mul``/
+``ring.divide``; the package accumulates raw sums and normalizes once, and
+the tests require identical terms.
+
 The reference operator applicator at the end works through polynomials:
 it expands every dot shape to a ``MultiPoly``, differentiates it with
 ``witt_act``, multiplies the move images' power sums in, and decomposes the
@@ -16,11 +21,13 @@ closed rules on the shapes; the tests require identical terms.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from itertools import product
 
 from foamlab import actions
 from foamlab.foameval import _facet_vars, _orbit_poly
+from foamlab.errors import DivisionNotExact
 from foamlab.polyring import MultiPoly, power_sum, witt_act
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
@@ -122,6 +129,71 @@ def elementary_poly(N: int, k: int) -> Poly:
         if sum(picks) == k:
             out[tuple(picks)] = Fraction(1)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-term polynomial kernel
+# ---------------------------------------------------------------------------
+
+
+def term_add(a: MultiPoly, b: MultiPoly) -> dict:
+    """The terms of ``a + b``, every partial sum reduced by ``ring.add``."""
+    ring, out = a.ring, dict(a.terms)
+    for e, c in b.terms.items():
+        s = ring.add(out.get(e, 0), c)
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def term_mul(a: MultiPoly, b: MultiPoly) -> dict:
+    """The terms of ``a * b``, one ``ring.add(…, ring.mul(…))`` per pair."""
+    ring, out = a.ring, {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            s = ring.add(out.get(e, 0), ring.mul(c1, c2))
+            if s == 0:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return out
+
+
+def term_exact_div(a: MultiPoly, b: MultiPoly) -> dict:
+    """The terms of ``a / b`` by leading-term elimination, one
+    ``ring.divide`` per quotient term and four ring calls per update.
+    """
+    ring = a.ring
+    lead = max(b.terms, key=lambda e: (sum(e), e))
+    rem = dict(a.terms)
+    heap = [((-sum(e), tuple(-k for k in e)), e) for e in rem]
+    heapq.heapify(heap)
+    quo = {}
+    while heap:
+        e = heapq.heappop(heap)[1]
+        c = rem.get(e)
+        if c is None:
+            continue
+        qe = tuple(x - y for x, y in zip(e, lead))
+        if any(x < 0 for x in qe):
+            raise DivisionNotExact("leading monomial not divisible")
+        qc = ring.divide(c, b.terms[lead])
+        quo[qe] = qc
+        for de, dc in b.terms.items():
+            te = tuple(x + y for x, y in zip(qe, de))
+            old = rem.get(te)
+            if old is None:
+                heapq.heappush(heap, ((-sum(te), tuple(-k for k in te)), te))
+                old = 0
+            s = ring.add(old, ring.neg(ring.mul(qc, dc)))
+            if s == 0:
+                rem.pop(te, None)
+            else:
+                rem[te] = s
+    return quo
 
 
 # ---------------------------------------------------------------------------

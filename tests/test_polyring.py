@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import oracle
 from foamlab import polyring
 from foamlab.errors import (
     DivisionNotExact,
@@ -54,6 +55,7 @@ V3 = ("x", "y", "z")
 X3 = xvars(3)
 PAIRS = ((0, 1), (0, 2), (1, 2))
 RINGS = st.sampled_from([ZZ, QQ, GF(5)])
+ALL_RINGS = st.sampled_from([ZZ, QQ, GF(2), GF(5)])
 
 
 def P(vars=V2, ring=ZZ, **monos):
@@ -81,6 +83,34 @@ def polys(vars=V2, ring=ZZ, max_deg=4, max_terms=5, coeff_range=6):
     return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda d: MultiPoly(ring, vars, d)
     )
+
+
+@st.composite
+def cancelling_pairs(draw, ring, vars=V2):
+    """(a, b) where b carries the negatives of some of a's coefficients.
+
+    Over F_p a negative is stored as ``p - c``, so the raw sum at those
+    exponents is ``p`` and cancels only after reduction.
+    """
+    a = draw(polys(vars, ring, max_deg=3, max_terms=5))
+    b = draw(polys(vars, ring, max_deg=3, max_terms=5))
+    cancel = draw(st.sets(st.sampled_from(sorted(a.terms)))) if a.terms else set()
+    terms = dict(b.terms)
+    terms.update({e: -a.terms[e] for e in cancel})
+    return a, MultiPoly(ring, vars, terms)
+
+
+def typed(terms):
+    """A terms dict with each coefficient paired with its type."""
+    return {e: (type(c), c) for e, c in terms.items()}
+
+
+def assert_canonical(poly):
+    """No zero is stored and each coefficient is its own normal form."""
+    for c in poly.terms.values():
+        assert c != 0, poly.terms
+        n = poly.ring.normalize(c)
+        assert (type(n), n) == (type(c), c), (poly.ring, c)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +148,40 @@ class TestCoefRing:
             got = ring.normalize(c)
             assert (type(got), got) == (type(want), want), (ring, c)
 
+    def test_fp_divide_reduces_operands(self):
+        F5 = GF(5)
+        got = F5.divide(Fraction(1, 3), 1)
+        assert (type(got), got) == (int, 2)
+        assert F5.divide(7, 3) == 4
+        assert F5.divide(Fraction(3, 2), 8) == 3  # 4 / 3 = 4 * 2 = 3
+
+    @pytest.mark.parametrize("b", [0, 5, -10, Fraction(5, 3)])
+    def test_fp_divide_by_zero_class(self, b):
+        with pytest.raises(ZeroDivisionError):
+            GF(5).divide(3, b)
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("exp", [(1,), (1, 0, 0), (1, -1), (-2, 0)])
+    def test_bad_exponent_rejected(self, exp):
+        with pytest.raises(ValueError):
+            MultiPoly(ZZ, V2, {exp: 1})
+
+    def test_fp_coefficients_reduced_and_zeros_dropped(self):
+        p = MultiPoly(GF(5), V2, {(1, 0): 7, (0, 1): 5, (0, 0): -1, (2, 0): Fraction(1, 3)})
+        assert typed(p.terms) == {(1, 0): (int, 2), (0, 0): (int, 4), (2, 0): (int, 2)}
+
+    def test_qq_integral_fractions_become_ints(self):
+        p = MultiPoly(QQ, V2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(0, 3),
+                               (0, 0): Fraction(1, 3)})
+        assert typed(p.terms) == {(1, 0): (int, 2), (0, 0): (Fraction, Fraction(1, 3))}
+
+    def test_zz_coefficients(self):
+        assert MultiPoly(ZZ, V2, {(1, 0): 0, (0, 1): Fraction(6, 3)}).terms == {(0, 1): 2}
+        assert type(MultiPoly(ZZ, V2, {(0, 1): Fraction(6, 3)}).terms[(0, 1)]) is int
+        with pytest.raises(WrongRing):
+            MultiPoly(ZZ, V2, {(1, 0): Fraction(1, 2)})
+
 
 class TestArith:
     def test_mul_difference_of_squares(self):
@@ -137,12 +201,37 @@ class TestArith:
         with pytest.raises(DivisionNotExact):
             poly_arith("exact_div", x1**2 + x2, x1 - x2)
 
-    @given(polys(), polys(), polys())
-    @settings(max_examples=60, deadline=None)
-    def test_ring_axioms(self, a, b, c):
-        assert (a + b) * c == a * c + b * c
-        assert a * b == b * a
-        assert a - a == MultiPoly.zero(ZZ, V2)
+    @given(ALL_RINGS.flatmap(lambda ring: st.tuples(*[polys(V2, ring)] * 3)))
+    @settings(max_examples=120, deadline=None)
+    def test_ring_axioms(self, abc):
+        a, b, c = abc
+        results = [(a + b) * c, a * c + b * c, a * b, b * a, a - a, -a, a * 3, a + 2]
+        assert results[0] == results[1]
+        assert results[2] == results[3]
+        assert results[4] == MultiPoly.zero(a.ring, V2)
+        for r in [a + b, a * c, b * c] + results:
+            assert_canonical(r)
+
+    @given(ALL_RINGS.flatmap(cancelling_pairs))
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_per_term_reference(self, ab):
+        a, b = ab
+        assert typed((a + b).terms) == typed(oracle.term_add(a, b))
+        assert typed((b + a).terms) == typed(oracle.term_add(b, a))
+        assert typed((a * b).terms) == typed(oracle.term_mul(a, b))
+        s = a + b
+        assert typed((s * s).terms) == typed(oracle.term_mul(s, s))
+        if not b.is_zero():
+            prod = a * b
+            assert typed(prod.exact_div(b).terms) == typed(oracle.term_exact_div(prod, b))
+            near = prod + a
+            try:
+                want = typed(oracle.term_exact_div(near, b))
+            except DivisionNotExact:
+                with pytest.raises(DivisionNotExact):
+                    near.exact_div(b)
+            else:
+                assert typed(near.exact_div(b).terms) == want
 
     @given(
         RINGS.flatmap(
