@@ -2,18 +2,25 @@
 
 An operator sends a decorated movie to a finite formal sum of movies with
 the same undecorated shape, differing only in facet decorations.  The image
-has one summand per decorated point (the decoration replaced by a fixed
-derivation of it) and a bundle of summands per basic move, each adding
-power-sum dots on the facets involved in that move.  Dots on the
+has one summand per decorated point (the decoration replaced by its image
+under ``c * L_n``) and a bundle of summands per basic move.  Dots on the
 complementary alphabet of a facet (thickness a inside, N-a outside) are
 first-class citizens here: they are stored as two-block decorations.
 
+Every operator has an index ``n`` and follows one move rule: a basic move
+touches two blocks (inside and outside of the facet of a cup, cap or
+saddle; the two thin facets of a digon or zip move) and goes to
+``sum_k w_k p_k(first) p_{n-k}(second)``.  An operator is thus an index
+pair ``(n, c)`` plus a weight function giving ``(w_0, w_n, w_k)`` per move
+kind: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
+``(e, h, f) = (L_{-1}, 2 L_0, -L_1)``; the p-DG differential is ``f``.
+
 The scalar data of the family is an :class:`ActionParams` pack: a seam
 constant ``s``, three index sequences ``nu1/nu2/nu3`` satisfying the Witt
-recurrence, and three scalars ``t1/t2/t3`` used by the sl2 triple.  The
-sequence ``nu3`` must vanish identically on movies containing saddles, and
-several move images carry a coefficient 1/2, so the full family needs 2
-invertible; the sl2 triple on saddle-free movies does not.
+recurrence, and three scalars ``t1/t2/t3`` that give the weights of the
+sl2 triple.  The sequence ``nu3`` must vanish identically on movies
+containing saddles, and several Witt weights are 1/2, so the full family
+needs 2 invertible; the sl2 triple on saddle-free movies does not.
 """
 
 from __future__ import annotations
@@ -369,30 +376,77 @@ class FoamSum:
 
 
 # ---------------------------------------------------------------------------
-# The generic applicator
+# The move rule and the generic applicator
 # ---------------------------------------------------------------------------
+
+# Each named operator acts on decorations and base coefficients as c * L_n:
+# (e, h, f) = (L_{-1}, 2 L_0, -L_1), and the p-DG differential d is f.
+OPERATOR_INDEX = {"e": (-1, 1), "h": (0, 2), "f": (1, -1), "d": (1, -1)}
+
+
+def operator_index(name: str | int) -> tuple[int, int]:
+    """``(n, c)`` for a name from :func:`parse_operator`; ``L:<n>`` is ``(n, 1)``."""
+    return (name, 1) if isinstance(name, int) else OPERATOR_INDEX[name]
+
 
 # A local image is a list of (scalar, dots) summands; each dot (f, k, hat)
 # multiplies in p_k of facet f's inner block (outer block for ``hat``).
 LocalImage = list[tuple[Scalar, list[tuple[str, int, bool]]]]
 
+# The weights (x, y, z) of a move kind under one operator.
+Weights = Callable[[str], tuple[Scalar, Scalar, Scalar]]
 
-def _apply(
-    S: FoamSum,
-    dec: tuple[int, int],
-    local_fn: Callable[[MoveTrace], LocalImage],
-) -> FoamSum:
+
+def _move_image(skel: _Skeleton, tr: MoveTrace, n: int, weights: Weights) -> LocalImage:
+    """The image ``sum_k w_k p_k(first) p_{n-k}(second)`` of one basic move.
+
+    The two blocks are the inside and the outside of the facet of a cup,
+    cap or saddle, and the two thin facets of a digon or zip move.  With
+    ``(x, y, z) = weights(kind)``, ``w_0 = x``, ``w_n = y`` and ``w_k = z``
+    in between; at ``n = 0`` the one summand has weight ``x + y - z``.
+    ``p_0`` is the block size; a dot on an empty block is 0, as
+    :func:`_dot_rule` finds no part in it to raise.  At ``n = -1``, and for
+    moves that change no facet, the image is empty.
+    """
+    if n == -1 or tr.kind in ("assoc", "isotopy", "decorate"):
+        return []
+    ring, N = skel.params.ring, skel.params.N
+    x, y, z = weights(tr.kind)
+    if tr.kind in ("cup", "cap", "saddle"):
+        (f,) = tr.facets
+        (a,) = tr.thickness
+        blocks = ((f, False, a), (f, True, N - a))
+    else:
+        fa, fb, _ft = tr.facets
+        a, b = tr.thickness
+        blocks = ((fa, False, a), (fb, False, b))
+    out: LocalImage = []
+    for k, w in enumerate([x + y - z] if n == 0 else [x] + [z] * (n - 1) + [y]):
+        w = ring.normalize(w)
+        dots: list[tuple[str, int, bool]] = []
+        for (f, hat, size), j in zip(blocks, (k, n - k)):
+            if j:
+                dots.append((f, j, hat))
+            else:
+                w = ring.mul(w, size)
+        if w != 0:
+            out.append((w, dots))
+    return out
+
+
+def _apply(S: FoamSum, name: str | int, weights: Weights) -> FoamSum:
     """Leibniz application in the dot-shape basis.
 
-    ``dec = (n, c)``: each decoration is replaced by its image under
-    ``c * L_n``; each move image multiplies its power-sum dots in.
+    With ``(n, c) = operator_index(name)``, each decoration is replaced by
+    its image under ``c * L_n``; each move image multiplies its power-sum
+    dots in.
     """
-    n, c = dec
+    n, c = operator_index(name)
     skel = S.skeleton
     ring = skel.params.ring
     N = skel.params.N
     blank = {f: ((0,) * a, (0,) * (N - a)) for f, a in skel.thickness.items()}
-    images = [term for tr in skel.complex.traces for term in local_fn(tr)]
+    images = [term for tr in skel.complex.traces for term in _move_image(skel, tr, n, weights)]
     acc: dict[DecMap, Scalar] = {}
 
     def add(coef: Scalar, shapes: dict[str, DotShape]) -> None:
@@ -419,7 +473,7 @@ def _apply(
             partial = [(ring.mul(coef, c_loc), shapes)]
             for f, k, hat in dots:
                 partial = [
-                    (ring.mul(cc, mult), {**nd, f: new})
+                    (cc if mult == 1 else ring.mul(cc, mult), {**nd, f: new})
                     for cc, nd in partial
                     for new, mult in _dot_rule(nd.get(f, blank[f]), k, hat)
                 ]
@@ -428,92 +482,32 @@ def _apply(
     return FoamSum(skel, [(acc[k], k) for k in sorted(acc)])
 
 
-def _dotted(
-    skel: _Skeleton, coef: Scalar, *spec: tuple[str, int, bool]
-) -> tuple[Scalar, list[tuple[str, int, bool]]] | None:
-    """One local summand; ``p_0`` is the block size, a dot on an empty block is 0."""
-    ring = skel.params.ring
-    sc = ring.normalize(coef)
-    dots: list[tuple[str, int, bool]] = []
-    for f, k, hat in spec:
-        a = skel.thickness[f]
-        size = skel.params.N - a if hat else a
-        if k == 0:
-            sc = ring.mul(sc, size)
-        elif size == 0:
-            sc = 0
-        else:
-            dots.append((f, k, hat))
-    if sc == 0:
-        return None
-    return sc, dots
-
-
-def _push(out: LocalImage, term) -> None:
-    if term is not None:
-        out.append(term)
-
-
 # ---------------------------------------------------------------------------
 # Half-Witt operators
 # ---------------------------------------------------------------------------
 
 
-def _witt_local(skel: _Skeleton, params: ActionParams, n: int) -> Callable[[MoveTrace], LocalImage]:
-    ring = params.ring
-    s = params.s
-    sbar = ring.add(1, ring.neg(s))
+def _witt_weights(params: ActionParams, n: int) -> Weights:
+    """The weights of ``L_n``, from ``s``, ``nu1/nu2/nu3(n)`` and 1/2."""
+    ring, s = params.ring, params.s
+    # (sign of the nu terms, z) per digon or zip kind
+    seam = {"digon_cup": (1, s), "digon_cap": (-1, 1 - s), "zip": (1, s - 1), "unzip": (-1, -s)}
 
-    def local(tr: MoveTrace) -> LocalImage:
-        out: LocalImage = []
-        if n == -1 or tr.kind in ("assoc", "isotopy", "decorate"):
-            return out
-        if tr.kind in ("cup", "cap", "saddle"):
-            (f,) = tr.facets
-            (a,) = tr.thickness
-            m = params.N - a
-            if tr.kind == "saddle":
-                if not params.nu3.is_identically_zero():
-                    raise NonSphericalWithNu3(
-                        "nu3 must vanish identically on movies with saddles"
-                    )
-                conv = ring.neg(half_scalar(ring))
-            else:
-                nu = params.nu3(n)
-                sign = 1 if tr.kind == "cup" else -1
-                _push(out, _dotted(skel, ring.mul(sign, ring.mul(nu, a)), (f, n, True)))
-                _push(out, _dotted(skel, ring.mul(-sign, ring.mul(nu, m)), (f, n, False)))
-                conv = half_scalar(ring)
-            for k in range(n + 1):
-                _push(out, _dotted(skel, conv, (f, k, False), (f, n - k, True)))
-            return out
-        fa, fb, _ft = tr.facets
-        a, b = tr.thickness
+    def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
+        if kind == "saddle":
+            if not params.nu3.is_identically_zero():
+                raise NonSphericalWithNu3("nu3 must vanish identically on movies with saddles")
+            w = -half_scalar(ring)
+            return w, w, w
+        if kind in ("cup", "cap"):
+            nu = params.nu3(n) if kind == "cup" else -params.nu3(n)
+            half = half_scalar(ring)
+            return half + nu, half - nu, half
         nu1, nu2 = params.nu1(n), params.nu2(n)
-        if tr.kind == "digon_cup":
-            _push(out, _dotted(skel, ring.mul(nu1, b), (fa, n, False)))
-            _push(out, _dotted(skel, ring.mul(nu2, a), (fb, n, False)))
-            conv = s
-        elif tr.kind == "digon_cap":
-            _push(out, _dotted(skel, ring.neg(ring.mul(nu1, b)), (fa, n, False)))
-            _push(out, _dotted(skel, ring.neg(ring.mul(nu2, a)), (fb, n, False)))
-            conv = sbar
-        elif tr.kind == "zip":
-            _push(out, _dotted(skel, ring.mul(nu1, b), (fa, n, False)))
-            _push(out, _dotted(skel, ring.mul(nu2, a), (fb, n, False)))
-            conv = ring.neg(sbar)
-        elif tr.kind == "unzip":
-            _push(out, _dotted(skel, ring.neg(ring.mul(nu1, b)), (fa, n, False)))
-            _push(out, _dotted(skel, ring.neg(ring.mul(nu2, a)), (fb, n, False)))
-            conv = ring.neg(s)
-        else:
-            raise InputError(f"unknown move kind {tr.kind!r}")
-        if conv != 0:
-            for k in range(n + 1):
-                _push(out, _dotted(skel, conv, (fa, k, False), (fb, n - k, False)))
-        return out
+        sign, z = seam[kind]
+        return z + sign * nu2, z + sign * nu1, z
 
-    return local
+    return weights
 
 
 def _as_sum(target: Movie | FoamSum, params: ActionParams) -> FoamSum:
@@ -527,7 +521,7 @@ def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     if n < -1:
         raise InputError("operator index must be at least -1")
     S = _as_sum(target, params)
-    return _apply(S, (n, 1), _witt_local(S.skeleton, params, n))
+    return _apply(S, n, _witt_weights(params, n))
 
 
 # ---------------------------------------------------------------------------
@@ -535,73 +529,32 @@ def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
 # ---------------------------------------------------------------------------
 
 
-def _sl2_local(
-    skel: _Skeleton, params: ActionParams, gen: str
-) -> Callable[[MoveTrace], LocalImage]:
-    ring = params.ring
+def _sl2_weights(params: ActionParams, gen: str) -> Weights:
+    """The weights of ``h`` (n = 0) or ``f`` (n = 1) from ``t1/t2/t3``.
+
+    ``e`` (n = -1) reads no weights and gets those of ``f``.
+    """
     t1, t2, t3 = params.t1, params.t2, params.t3
-    t1b = ring.add(1, ring.neg(t1))
-    t2b = ring.add(1, ring.neg(t2))
-    t3b = params.t3bar()
+    if gen == "h":
+        # h = 2 L_0: one weight x + y - z = W per kind, with no 1/2 in it
+        u, v = t1 + t2, 2 - t1 - t2
+        W = {"cup": 1, "cap": 1, "saddle": -1,
+             "digon_cup": u, "digon_cap": v, "zip": -v, "unzip": -u}
+        return lambda kind: (W[kind], 0, 0)
+    # f = -L_1 with t1, t2, t3 in place of nu1(1) + s, nu2(1) + s, nu3(1) + 1/2
+    table = {
+        "cup": (-t3, t3 - 1, 0), "cap": (t3 - 1, -t3, 0),
+        "digon_cup": (-t2, -t1, 0), "digon_cap": (t2 - 1, t1 - 1, 0),
+        "zip": (1 - t2, 1 - t1, 0), "unzip": (t2, t1, 0),
+    }
 
-    def local(tr: MoveTrace) -> LocalImage:
-        out: LocalImage = []
-        if gen == "e" or tr.kind in ("assoc", "isotopy", "decorate"):
-            return out
-        if tr.kind in ("cup", "cap", "saddle"):
-            (f,) = tr.facets
-            (a,) = tr.thickness
-            m = params.N - a
-            if gen == "h":
-                sc = ring.normalize(-a * m if tr.kind == "saddle" else a * m)
-                if sc != 0:
-                    out.append((sc, []))
-            else:  # f
-                if tr.kind == "cup":
-                    ca, cm = ring.neg(ring.mul(t3, a)), ring.neg(ring.mul(t3b, m))
-                elif tr.kind == "cap":
-                    ca, cm = ring.neg(ring.mul(t3b, a)), ring.neg(ring.mul(t3, m))
-                else:
-                    half = half_scalar(ring)
-                    ca, cm = ring.mul(half, a), ring.mul(half, m)
-                _push(out, _dotted(skel, ca, (f, 1, True)))
-                _push(out, _dotted(skel, cm, (f, 1, False)))
-            return out
-        fa, fb, _ft = tr.facets
-        a, b = tr.thickness
-        if gen == "h":
-            ab = a * b
-            if tr.kind == "digon_cup":
-                sc = ring.mul(ab, ring.add(t1, t2))
-            elif tr.kind == "digon_cap":
-                sc = ring.mul(ab, ring.add(t1b, t2b))
-            elif tr.kind == "zip":
-                sc = ring.neg(ring.mul(ab, ring.add(t1b, t2b)))
-            else:  # unzip
-                sc = ring.neg(ring.mul(ab, ring.add(t1, t2)))
-            if sc != 0:
-                out.append((sc, []))
-            return out
-        # gen == "f"
-        if tr.kind == "digon_cup":
-            _push(out, _dotted(skel, ring.neg(ring.mul(t1, b)), (fa, 1, False)))
-            _push(out, _dotted(skel, ring.neg(ring.mul(t2, a)), (fb, 1, False)))
-        elif tr.kind == "digon_cap":
-            _push(out, _dotted(skel, ring.neg(ring.mul(t1b, b)), (fa, 1, False)))
-            _push(out, _dotted(skel, ring.neg(ring.mul(t2b, a)), (fb, 1, False)))
-        elif tr.kind == "zip":
-            _push(out, _dotted(skel, ring.mul(t1b, b), (fa, 1, False)))
-            _push(out, _dotted(skel, ring.mul(t2b, a), (fb, 1, False)))
-        else:  # unzip
-            _push(out, _dotted(skel, ring.mul(t1, b), (fa, 1, False)))
-            _push(out, _dotted(skel, ring.mul(t2, a), (fb, 1, False)))
-        return out
+    def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
+        if kind == "saddle":
+            half = half_scalar(params.ring)
+            return half, half, 0
+        return table[kind]
 
-    return local
-
-
-# (e, h, f) = (L_{-1}, 2 L_0, -L_1) on decorations
-_SL2_DEC = {"e": (-1, 1), "h": (0, 2), "f": (1, -1)}
+    return weights
 
 
 def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
@@ -609,7 +562,7 @@ def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     if gen not in ("e", "h", "f"):
         raise InputError(f"unknown sl2 generator {gen!r}")
     S = _as_sum(target, params)
-    return _apply(S, _SL2_DEC[gen], _sl2_local(S.skeleton, params, gen))
+    return _apply(S, gen, _sl2_weights(params, gen))
 
 
 # ---------------------------------------------------------------------------

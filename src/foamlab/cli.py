@@ -432,7 +432,7 @@ def _suite_euler(count: int, seed: int) -> list[tuple[str, bool, str]]:
     for mov in spherical_corpus(seed=seed, count=count):
         F = compile_movie(mov)
         for c in enumerate_colorings(F, 2):
-            chi, _, _, _ = bichrome_data(F, c, 1, 2)
+            chi, _ = bichrome_data(F, c, 1, 2)
             t, cij, cji = tally(F, c, 1, 2)
             ok1 = ok1 and chi == t
             for i in (1, 2):
@@ -451,7 +451,7 @@ def _suite_euler(count: int, seed: int) -> list[tuple[str, bool, str]]:
     for mov in closed_corpus(seed=seed + 1, count=count):
         F = compile_movie(mov)
         for c in enumerate_colorings(F, 2):
-            chi, _, cij, cji = bichrome_data(F, c, 1, 2)
+            chi, _ = bichrome_data(F, c, 1, 2)
             t, tij, tji = tally(F, c, 1, 2)
             ok4 = ok4 and chi == t - tij.S - tji.S
     results.append(("saddle Euler correction", ok4, "closed corpus"))

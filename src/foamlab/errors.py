@@ -34,7 +34,7 @@ class ElementaryNotTerminating(FoamlabError):
     """The rewriting in elementary symmetric polynomials ran out of steps."""
 
 
-class IndexOutOfRange(FoamlabError):
+class IndexOutOfRange(InputError):
     """A sequence (Witt/flat) was queried beyond its stored index range."""
 
 

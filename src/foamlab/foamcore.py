@@ -1516,10 +1516,8 @@ def local_counts(F: FoamComplex, c: Coloring, i: int, j: int) -> LocalCounts:
     return out
 
 
-def bichrome_data(
-    F: FoamComplex, c: Coloring, i: int, j: int
-) -> tuple[int, int, LocalCounts, LocalCounts]:
-    """(chi of the bichrome surface, positive-circle count, counts ij, ji).
+def bichrome_data(F: FoamComplex, c: Coloring, i: int, j: int) -> tuple[int, int]:
+    """(chi of the bichrome surface, positive-circle count).
 
     The bichrome surface consists of facets whose color contains exactly one
     of i, j.  Separating circles are the components of the union of bindings
@@ -1593,4 +1591,4 @@ def bichrome_data(
             if circle_sign(comp):
                 theta_plus += 1
 
-    return chi, theta_plus, local_counts(F, c, i, j), local_counts(F, c, j, i)
+    return chi, theta_plus

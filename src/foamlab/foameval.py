@@ -222,7 +222,7 @@ def colored_eval(
     den: dict[tuple[int, int], int] = {}
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            chi_ij, theta_plus, _, _ = bichrome_data(F, c, i, j)
+            chi_ij, theta_plus = bichrome_data(F, c, i, j)
             if chi_ij % 2:
                 raise OddEuler(
                     f"pigments ({i},{j}): bichrome surface has odd Euler "
@@ -505,7 +505,7 @@ def trivial_degree_check(F: FoamComplex, N: int) -> bool:
         total = 0
         for i in range(1, N + 1):
             for j in range(i + 1, N + 1):
-                chi_ij, _, _, _ = bichrome_data(F, c, i, j)
+                chi_ij, _ = bichrome_data(F, c, i, j)
                 total += chi_ij
         if d != -total:
             return False

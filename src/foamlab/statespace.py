@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .actions import ActionParams, FoamSum, apply_operator, parse_operator
+from .actions import ActionParams, FoamSum, apply_operator, operator_index, parse_operator
 from .errors import (
     DivisionNotExact,
     InputError,
@@ -726,15 +726,9 @@ def induced_action(
 
 
 def base_derivation(op: str):
-    """The action of an operator on base-ring coefficients."""
-    name = parse_operator(op)
-    if isinstance(name, int):
-        return lambda q: witt_act(name, q)
-    if name == "e":
-        return lambda q: witt_act(-1, q)
-    if name == "h":
-        return lambda q: witt_act(0, q) * 2
-    return lambda q: -witt_act(1, q)
+    """The action ``c * L_n`` of an operator on base-ring coefficients."""
+    n, c = operator_index(parse_operator(op))
+    return lambda q: witt_act(n, q) * c
 
 
 def _derive_matrix(op: str, M: Matrix) -> Matrix:

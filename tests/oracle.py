@@ -16,7 +16,9 @@ The reference operator applicator at the end works through polynomials:
 it expands every dot shape to a ``MultiPoly``, differentiates it with
 ``witt_act``, multiplies the move images' power sums in, and decomposes the
 results back into dot shapes.  The package applies the same operators with
-closed rules on the shapes; the tests require identical terms.
+closed rules on the shapes; the tests require identical terms.  Its move
+images come from separate Witt and sl2 tables, one branch per move kind,
+where the package uses one move rule with per-operator weights.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from foamlab import actions
+from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
+from foamlab.foamcore import MoveTrace
 from foamlab.foameval import _facet_vars, _orbit_poly
-from foamlab.errors import DivisionNotExact
-from foamlab.polyring import MultiPoly, power_sum, witt_act
+from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3
+from foamlab.polyring import MultiPoly, Scalar, power_sum, witt_act
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
 
@@ -234,6 +239,159 @@ def leibniz_reference(S, dec_fn, local_fn):
     return actions.FoamSum._canonical(skel, raw)
 
 
+# The move tables below transcribe each operator's basic move images
+# separately, one branch per move kind and operator, as reference for the
+# package's single move rule with per-operator weights.
+
+
+def _dotted(
+    skel: _Skeleton, coef: Scalar, *spec: tuple[str, int, bool]
+) -> tuple[Scalar, list[tuple[str, int, bool]]] | None:
+    """One local summand; ``p_0`` is the block size, a dot on an empty block is 0."""
+    ring = skel.params.ring
+    sc = ring.normalize(coef)
+    dots: list[tuple[str, int, bool]] = []
+    for f, k, hat in spec:
+        a = skel.thickness[f]
+        size = skel.params.N - a if hat else a
+        if k == 0:
+            sc = ring.mul(sc, size)
+        elif size == 0:
+            sc = 0
+        else:
+            dots.append((f, k, hat))
+    if sc == 0:
+        return None
+    return sc, dots
+
+
+def _push(out: LocalImage, term) -> None:
+    if term is not None:
+        out.append(term)
+
+
+def _witt_local(skel: _Skeleton, params: ActionParams, n: int) -> Callable[[MoveTrace], LocalImage]:
+    ring = params.ring
+    s = params.s
+    sbar = ring.add(1, ring.neg(s))
+
+    def local(tr: MoveTrace) -> LocalImage:
+        out: LocalImage = []
+        if n == -1 or tr.kind in ("assoc", "isotopy", "decorate"):
+            return out
+        if tr.kind in ("cup", "cap", "saddle"):
+            (f,) = tr.facets
+            (a,) = tr.thickness
+            m = params.N - a
+            if tr.kind == "saddle":
+                if not params.nu3.is_identically_zero():
+                    raise NonSphericalWithNu3(
+                        "nu3 must vanish identically on movies with saddles"
+                    )
+                conv = ring.neg(half_scalar(ring))
+            else:
+                nu = params.nu3(n)
+                sign = 1 if tr.kind == "cup" else -1
+                _push(out, _dotted(skel, ring.mul(sign, ring.mul(nu, a)), (f, n, True)))
+                _push(out, _dotted(skel, ring.mul(-sign, ring.mul(nu, m)), (f, n, False)))
+                conv = half_scalar(ring)
+            for k in range(n + 1):
+                _push(out, _dotted(skel, conv, (f, k, False), (f, n - k, True)))
+            return out
+        fa, fb, _ft = tr.facets
+        a, b = tr.thickness
+        nu1, nu2 = params.nu1(n), params.nu2(n)
+        if tr.kind == "digon_cup":
+            _push(out, _dotted(skel, ring.mul(nu1, b), (fa, n, False)))
+            _push(out, _dotted(skel, ring.mul(nu2, a), (fb, n, False)))
+            conv = s
+        elif tr.kind == "digon_cap":
+            _push(out, _dotted(skel, ring.neg(ring.mul(nu1, b)), (fa, n, False)))
+            _push(out, _dotted(skel, ring.neg(ring.mul(nu2, a)), (fb, n, False)))
+            conv = sbar
+        elif tr.kind == "zip":
+            _push(out, _dotted(skel, ring.mul(nu1, b), (fa, n, False)))
+            _push(out, _dotted(skel, ring.mul(nu2, a), (fb, n, False)))
+            conv = ring.neg(sbar)
+        elif tr.kind == "unzip":
+            _push(out, _dotted(skel, ring.neg(ring.mul(nu1, b)), (fa, n, False)))
+            _push(out, _dotted(skel, ring.neg(ring.mul(nu2, a)), (fb, n, False)))
+            conv = ring.neg(s)
+        else:
+            raise InputError(f"unknown move kind {tr.kind!r}")
+        if conv != 0:
+            for k in range(n + 1):
+                _push(out, _dotted(skel, conv, (fa, k, False), (fb, n - k, False)))
+        return out
+
+    return local
+
+
+def _sl2_local(
+    skel: _Skeleton, params: ActionParams, gen: str
+) -> Callable[[MoveTrace], LocalImage]:
+    ring = params.ring
+    t1, t2, t3 = params.t1, params.t2, params.t3
+    t1b = ring.add(1, ring.neg(t1))
+    t2b = ring.add(1, ring.neg(t2))
+    t3b = params.t3bar()
+
+    def local(tr: MoveTrace) -> LocalImage:
+        out: LocalImage = []
+        if gen == "e" or tr.kind in ("assoc", "isotopy", "decorate"):
+            return out
+        if tr.kind in ("cup", "cap", "saddle"):
+            (f,) = tr.facets
+            (a,) = tr.thickness
+            m = params.N - a
+            if gen == "h":
+                sc = ring.normalize(-a * m if tr.kind == "saddle" else a * m)
+                if sc != 0:
+                    out.append((sc, []))
+            else:  # f
+                if tr.kind == "cup":
+                    ca, cm = ring.neg(ring.mul(t3, a)), ring.neg(ring.mul(t3b, m))
+                elif tr.kind == "cap":
+                    ca, cm = ring.neg(ring.mul(t3b, a)), ring.neg(ring.mul(t3, m))
+                else:
+                    half = half_scalar(ring)
+                    ca, cm = ring.mul(half, a), ring.mul(half, m)
+                _push(out, _dotted(skel, ca, (f, 1, True)))
+                _push(out, _dotted(skel, cm, (f, 1, False)))
+            return out
+        fa, fb, _ft = tr.facets
+        a, b = tr.thickness
+        if gen == "h":
+            ab = a * b
+            if tr.kind == "digon_cup":
+                sc = ring.mul(ab, ring.add(t1, t2))
+            elif tr.kind == "digon_cap":
+                sc = ring.mul(ab, ring.add(t1b, t2b))
+            elif tr.kind == "zip":
+                sc = ring.neg(ring.mul(ab, ring.add(t1b, t2b)))
+            else:  # unzip
+                sc = ring.neg(ring.mul(ab, ring.add(t1, t2)))
+            if sc != 0:
+                out.append((sc, []))
+            return out
+        # gen == "f"
+        if tr.kind == "digon_cup":
+            _push(out, _dotted(skel, ring.neg(ring.mul(t1, b)), (fa, 1, False)))
+            _push(out, _dotted(skel, ring.neg(ring.mul(t2, a)), (fb, 1, False)))
+        elif tr.kind == "digon_cap":
+            _push(out, _dotted(skel, ring.neg(ring.mul(t1b, b)), (fa, 1, False)))
+            _push(out, _dotted(skel, ring.neg(ring.mul(t2b, a)), (fb, 1, False)))
+        elif tr.kind == "zip":
+            _push(out, _dotted(skel, ring.mul(t1b, b), (fa, 1, False)))
+            _push(out, _dotted(skel, ring.mul(t2b, a), (fb, 1, False)))
+        else:  # unzip
+            _push(out, _dotted(skel, ring.mul(t1, b), (fa, 1, False)))
+            _push(out, _dotted(skel, ring.mul(t2, a), (fb, 1, False)))
+        return out
+
+    return local
+
+
 _SL2_POLY = {
     "e": lambda p: witt_act(-1, p),
     "h": lambda p: witt_act(0, p) * 2,
@@ -243,11 +401,11 @@ _SL2_POLY = {
 
 def witt_reference(n, params, S):
     """The reference image of ``S`` under the half-Witt operator ``L_n``."""
-    local = actions._witt_local(S.skeleton, params, n)
+    local = _witt_local(S.skeleton, params, n)
     return leibniz_reference(S, lambda p: witt_act(n, p), local)
 
 
 def sl2_reference(gen, params, S):
     """The reference image of ``S`` under the sl2 generator ``gen``."""
-    local = actions._sl2_local(S.skeleton, params, gen)
+    local = _sl2_local(S.skeleton, params, gen)
     return leibniz_reference(S, _SL2_POLY[gen], local)

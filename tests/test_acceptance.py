@@ -133,7 +133,7 @@ class TestDegreeIsEulerSum:
                     total = 0
                     for i in range(1, N + 1):
                         for j in range(i + 1, N + 1):
-                            chi, _, _, _ = bichrome_data(F, c, i, j)
+                            chi, _ = bichrome_data(F, c, i, j)
                             total += chi
                     assert d == -total, (mov, c)
 
@@ -183,7 +183,7 @@ class TestEulerBookkeeping:
                 for c in enumerate_colorings(F, N):
                     for i in range(1, N + 1):
                         for j in range(i + 1, N + 1):
-                            chi, _, _, _ = bichrome_data(F, c, i, j)
+                            chi, _ = bichrome_data(F, c, i, j)
                             tally, _, _ = _tally(F, c, i, j)
                             assert chi == tally
 
@@ -191,7 +191,7 @@ class TestEulerBookkeeping:
         for mov in closed_corpus(seed=9, count=40):
             F = compile_movie(mov)
             for c in enumerate_colorings(F, 2):
-                chi, _, cij, cji = bichrome_data(F, c, 1, 2)
+                chi, _ = bichrome_data(F, c, 1, 2)
                 tally, tij, tji = _tally(F, c, 1, 2)
                 assert chi == tally - tij.S - tji.S
 

@@ -33,6 +33,8 @@ from foamlab.actions import (
 from foamlab.corpus import basic_open_movies, closed_corpus, spherical_corpus
 from foamlab.errors import (
     CharTwoNonSpherical,
+    FoamlabError,
+    IndexOutOfRange,
     InputError,
     NonSphericalWithNu3,
     TwoNotInvertible,
@@ -54,6 +56,7 @@ from foamlab.polyring import (
 )
 
 INDICES = (-1, 0, 1, 2, 3)
+APPLICATOR_INDICES = INDICES + (4,)
 
 
 def rich_pack(ring=QQ, N=3, **kw):
@@ -526,6 +529,26 @@ def same_terms(S, R):
     return [(type(c), c, d) for c, d in S.terms] == [(type(c), c, d) for c, d in R.terms]
 
 
+def outcome(fn):
+    """What ``fn()`` gives: a formal sum, or the type of the error it raises."""
+    try:
+        return fn()
+    except FoamlabError as exc:
+        return type(exc)
+
+
+def same_outcome(a, b):
+    """Two outcomes: ``same_terms`` on two sums, or the same error type."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return same_terms(a, b)
+
+
+def table_seq(ring, slope, n_max):
+    """The linear sequence of ``slope`` stored as a ``tab:`` table up to ``n_max``."""
+    return WittSequence.from_table(ring, [slope * (n + 1) for n in range(-1, n_max + 1)])
+
+
 def witt_cases():
     """(pack, formal sum) pairs: basic movies and closed decorated movies,
     saddles included, each also through one L_2 image for richer shapes."""
@@ -541,7 +564,7 @@ class TestDotShapeApplicator:
         for pack, mov in witt_cases():
             S = FoamSum.from_movie(mov, pack)
             for T in (S, act_witt(2, pack, S)):
-                for n in INDICES:
+                for n in APPLICATOR_INDICES:
                     assert same_terms(
                         act_witt(n, pack, T), oracle.witt_reference(n, pack, T)
                     ), (mov, n)
@@ -600,3 +623,68 @@ class TestDotShapeApplicator:
             assert not img.is_zero() and same_terms(img, oracle.witt_reference(n, Pw, Sw))
         for g, img in sl2.items():
             assert not img.is_zero() and same_terms(img, oracle.sl2_reference(g, Ps, Ss))
+
+    def test_witt_table_sequences_match_reference(self):
+        # tab: sequences, some too short for L_4, and nonzero nu3 of several
+        # slopes on saddle-free movies; on saddles every n >= 0 must raise.
+        # Over Z a cup reads nu3(n) before it fails to find 1/2.
+        packs = [
+            rich_pack(nu1=table_seq(QQ, Fraction(1, 2), 8), nu2=table_seq(QQ, -2, 3),
+                      nu3=table_seq(QQ, Fraction(-3, 7), 8)),
+            rich_pack(s=Fraction(2, 3), nu3=table_seq(QQ, 4, 3)),
+            ActionParams(ring=GF(5), N=3, s=3, nu1=table_seq(GF(5), 2, 5),
+                         nu2=WittSequence.linear(GF(5), 4), nu3=table_seq(GF(5), 1, 8)),
+            ActionParams(ring=ZZ, N=3, s=2, nu1=table_seq(ZZ, 3, 8),
+                         nu2=table_seq(ZZ, -1, 8), nu3=table_seq(ZZ, 1, 3)),
+        ]
+        movs = list(basic_open_movies(1, 1).values()) + list(basic_open_movies(1, 2).values())
+        movs += decorated_closed(seed=71, count=12, half_moves=4)
+        raised = set()
+        for pack in packs:
+            for mov in movs:
+                S = FoamSum.from_movie(mov, pack)
+                for T in (S, act_witt(-1, pack, S)):
+                    for n in APPLICATOR_INDICES:
+                        got = outcome(lambda: act_witt(n, pack, T))
+                        ref = outcome(lambda: oracle.witt_reference(n, pack, T))
+                        assert same_outcome(got, ref), (mov, n)
+                        if isinstance(got, type):
+                            raised.add(got)
+        assert {IndexOutOfRange, NonSphericalWithNu3, TwoNotInvertible} <= raised
+
+    @pytest.mark.parametrize("ts", [(1, 1), (1, 0), (0, 1)])
+    def test_sl2_over_gf2_with_t3_zero(self, ts):
+        # no 1/2 exists: h and e work everywhere, f raises on saddles
+        P = ActionParams(ring=GF(2), N=3, t1=ts[0], t2=ts[1], t3=0)
+        movs = list(basic_open_movies(1, 2).values())
+        movs += closed_corpus(seed=78, count=12, half_moves=4)
+        for mov in movs:
+            S = FoamSum.from_movie(mov, P)
+            for T in (S, act_sl2("h", P, S)):
+                for gen in ("e", "h", "f"):
+                    got = outcome(lambda: act_sl2(gen, P, T))
+                    ref = outcome(lambda: oracle.sl2_reference(gen, P, T))
+                    assert same_outcome(got, ref), (mov, gen)
+        saddle = basic_open_movies(1, 2)["saddle"]
+        with pytest.raises(TwoNotInvertible):
+            act_sl2("f", P, saddle)
+
+    def test_facet_of_thickness_N(self):
+        # the outside block of a thickness-N facet is empty
+        N = 3
+        basic = basic_open_movies(N, 1)
+        movs = [basic[k] for k in ("cup", "cap", "saddle", "decorate")]
+        movs += [dotted_sphere(2, thickness=N)]
+        movs += decorated_closed(seed=89, count=12, half_moves=3, max_thickness=N)
+        for mov in movs:
+            Pw = saddle_pack(N=N) if has_saddle(mov) else rich_pack(N=N)
+            Ps = ActionParams(ring=QQ, N=N, t1=Fraction(1, 3), t2=2,
+                              t3=None if has_saddle(mov) else Fraction(-1, 4),
+                              spherical=not has_saddle(mov))
+            Sw, Ss = FoamSum.from_movie(mov, Pw), FoamSum.from_movie(mov, Ps)
+            for n in APPLICATOR_INDICES:
+                ref = oracle.witt_reference(n, Pw, Sw)
+                assert same_terms(act_witt(n, Pw, Sw), ref), (mov, n)
+            for gen in ("e", "h", "f"):
+                ref = oracle.sl2_reference(gen, Ps, Ss)
+                assert same_terms(act_sl2(gen, Ps, Ss), ref), (mov, gen)

@@ -30,6 +30,11 @@ movie thick_sphere on empty {
   decorate c1 with p_2;
   cap(2) on c1;
 }
+
+movie thick_cup on empty {
+  cup(2) -> c1;
+  decorate c1 with p_2;
+}
 """
 
 
@@ -197,6 +202,55 @@ class TestAct:
             " + (-1)*[f1:x1^4 + x2^4]\n"
         )
 
+    # h vanishes on the closed sphere (degree 0), so it is also pinned on the
+    # open cup, where the cup's own weight shows.
+    @pytest.mark.parametrize(
+        "args,target,json_out,text_out",
+        [
+            (
+                ("--op", "e", "--t3", "1/3"), "thick_sphere",
+                '"op":"e","ring":"Q","schema":"foamlab.v1","terms":[["-2","f1:x1 + x2"]]}',
+                "(-2)*[f1:x1 + x2]",
+            ),
+            (
+                ("--op", "h", "--t3", "1/3"), "thick_sphere",
+                '"op":"h","ring":"Q","schema":"foamlab.v1","terms":[]}',
+                "0",
+            ),
+            (
+                ("--op", "h", "--t3", "1/3"), "thick_cup",
+                '"op":"h","ring":"Q","schema":"foamlab.v1","terms":[["-2","f1:x1^2 + x2^2"]]}',
+                "(-2)*[f1:x1^2 + x2^2]",
+            ),
+            (
+                ("--op", "f", "--t3", "1/3"), "thick_sphere",
+                '"op":"f","ring":"Q","schema":"foamlab.v1","terms":'
+                '[["-2","f1:x1^2*y1 + x2^2*y1"],["-1","f1:x1^2*x2 + x1*x2^2"],'
+                '["1","f1:x1^3 + x2^3"]]}',
+                "(-2)*[f1:x1^2*y1 + x2^2*y1] + (-1)*[f1:x1^2*x2 + x1*x2^2]"
+                " + (1)*[f1:x1^3 + x2^3]",
+            ),
+            (
+                ("--op", "d", "--ring", "F3"), "thick_sphere",
+                '"op":"d","ring":"F3","schema":"foamlab.v1","terms":'
+                '[["1","f1:x1^2*y1 + x2^2*y1"],["2","f1:x1^2*x2 + x1*x2^2"],'
+                '["1","f1:x1^3 + x2^3"]]}',
+                "(1)*[f1:x1^2*y1 + x2^2*y1] + (2)*[f1:x1^2*x2 + x1*x2^2]"
+                " + (1)*[f1:x1^3 + x2^3]",
+            ),
+        ],
+    )
+    def test_sl2_and_differential_images_are_pinned(
+        self, capsys, foam_file, args, target, json_out, text_out
+    ):
+        argv = ("act", "--N", "3", *args, f"{foam_file}#{target}")
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        assert out == '{"N":3,"command":"act",' + json_out + "\n"
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == text_out + "\n"
+
     def test_unknown_operator_is_input_error(self, capsys, foam_file):
         code, _, _ = run(
             capsys, "act", "--op", "q", "--N", "2", f"{foam_file}#sphere"
@@ -221,7 +275,8 @@ class TestCheckSuites:
 
 
 class TestTypedBoundary:
-    """Malformed numbers exit 2 with an ``error:`` line and no traceback."""
+    """Malformed or out-of-range numbers exit 2 with an ``error:`` line and
+    no traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -237,6 +292,8 @@ class TestTypedBoundary:
             ("rank", "--web", "chain_right:1,0,1", "--N", "3"),
             ("check", "--suite", "commutators", "--nmax", "-5"),
             ("act", "--op", "e", "--N", "2", "--s", "1/0", "#sphere"),
+            ("act", "--op", "L:9", "--N", "2", "#dotted_sphere"),
+            ("check", "--suite", "commutators", "--nmax", "5"),
         ],
     )
     def test_input_error(self, capsys, foam_file, argv):
