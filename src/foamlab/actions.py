@@ -168,20 +168,17 @@ def sl2_from_witt(params: ActionParams) -> ActionParams:
 class _Skeleton:
     """The undecorated shape shared by all summands of a :class:`FoamSum`.
 
-    Holds the decoration-free movie, its compiled complex, and for every
-    facet a representative (slice, edge) at which decorations are inserted
-    when a summand is materialized as a movie.
+    Holds the decoration-free movie, its compiled complex, the coefficient
+    ring and pigment count, and for every facet a representative (slice,
+    edge) at which decorations are inserted when a summand is materialized
+    as a movie.
     """
 
-    __slots__ = (
-        "movie", "complex", "params", "thickness", "rep", "has_saddle", "base"
-    )
+    __slots__ = ("movie", "complex", "ring", "N", "thickness", "rep", "has_saddle")
 
-    def __init__(self, mov: Movie, params: ActionParams):
-        ring, N = params.ring, params.N
-        self.movie, decorations = _strip_decorations(mov)
-        self.params = params
-        self.complex = compile_movie(self.movie)
+    def __init__(self, movie: Movie, ring: CoefRing, N: int):
+        self.movie, self.ring, self.N = movie, ring, N
+        self.complex = compile_movie(movie)
         self.thickness = {f.id: f.thickness for f in self.complex.facets.values()}
         self.has_saddle = any(tr.kind == "saddle" for tr in self.complex.traces)
         for f, a in self.thickness.items():
@@ -195,8 +192,6 @@ class _Skeleton:
                 if f not in rep:
                     rep[f] = (t, e)
         self.rep = rep
-        # base decorations, canonicalized onto the two-block facet alphabet
-        self.base = _facet_decorations(self.complex, decorations, N, ring)
 
 
 # The two rules below act on the orbit sums m_shape without expanding them
@@ -264,14 +259,24 @@ class FoamSum:
 
     @classmethod
     def from_movie(cls, mov: Movie, params: ActionParams) -> "FoamSum":
-        skel = _Skeleton(mov, params)
-        return cls._canonical(skel, [(1, dict(skel.base))])
+        """The movie as a formal sum; reads only ``params.ring`` and ``params.N``."""
+        stripped, decorations = _strip_decorations(mov)
+        return cls._decorated(_Skeleton(stripped, params.ring, params.N), decorations)
+
+    @classmethod
+    def _decorated(
+        cls, skel: _Skeleton, decorations: Sequence[tuple[int, str, SymPoly]]
+    ) -> "FoamSum":
+        """The skeleton carrying ``decorations``, placed as
+        ``_strip_decorations`` returns them, as a formal sum."""
+        decs = _facet_decorations(skel.complex, decorations, skel.N, skel.ring)
+        return cls._canonical(skel, [(1, decs)])
 
     @classmethod
     def _canonical(
         cls, skel: _Skeleton, raw: Iterable[tuple[Scalar, dict[str, MultiPoly]]]
     ) -> "FoamSum":
-        ring = skel.params.ring
+        ring = skel.ring
         acc: dict[DecMap, Scalar] = {}
         for coef, decmap in raw:
             for cc, key in _dot_shapes(ring.normalize(coef), decmap, skel.thickness, ring):
@@ -296,13 +301,13 @@ class FoamSum:
 
     def _materialize(self, decmap: DecMap) -> Movie:
         skel = self.skeleton
-        N = skel.params.N
+        N = skel.N
         inserts: dict[int, list[Decorate]] = {}
         for f, shape in decmap:
             t, edge = skel.rep[f]
             a = skel.thickness[f]
             m = N - a
-            poly = _orbit_poly(skel.params.ring, shape)
+            poly = _orbit_poly(skel.ring, shape)
             sym = SymPoly(poly, (a, m) if m else (a,))
             inserts.setdefault(t, []).append(Decorate(edge, sym))
         moves: list = []
@@ -317,15 +322,13 @@ class FoamSum:
     def _check(self, other: "FoamSum") -> None:
         a, b = self.skeleton, other.skeleton
         if a is not b and (
-            a.movie != b.movie
-            or a.params.ring != b.params.ring
-            or a.params.N != b.params.N
+            a.movie != b.movie or a.ring != b.ring or a.N != b.N
         ):
             raise InputError("formal sums live over different skeletons")
 
     def __add__(self, other: "FoamSum") -> "FoamSum":
         self._check(other)
-        ring = self.skeleton.params.ring
+        ring = self.skeleton.ring
         acc: dict[DecMap, Scalar] = {}
         for c, k in self.terms + other.terms:
             s = ring.add(acc.get(k, 0), c) if k in acc else c
@@ -336,14 +339,14 @@ class FoamSum:
         return FoamSum(self.skeleton, [(acc[k], k) for k in sorted(acc)])
 
     def __neg__(self) -> "FoamSum":
-        ring = self.skeleton.params.ring
+        ring = self.skeleton.ring
         return FoamSum(self.skeleton, [(ring.neg(c), d) for c, d in self.terms])
 
     def __sub__(self, other: "FoamSum") -> "FoamSum":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "FoamSum":
-        ring = self.skeleton.params.ring
+        ring = self.skeleton.ring
         c = ring.normalize(c)
         if c == 0:
             return FoamSum(self.skeleton, ())
@@ -355,17 +358,17 @@ class FoamSum:
         Each term's dot-shape map is evaluated on the skeleton, with the
         checks of :func:`~foamlab.foameval.evaluate`; no movie is built.
         """
-        params = self.skeleton.params
+        skel = self.skeleton
         if not self.terms:
-            return MultiPoly.zero(params.ring, xvars(params.N))
-        return _ShapeTable(self.skeleton.complex, params.N, params.ring).combine(self.terms)
+            return MultiPoly.zero(skel.ring, xvars(skel.N))
+        return _ShapeTable(skel.complex, skel.N, skel.ring).combine(self.terms)
 
     def term_texts(self) -> Iterator[tuple[str, str]]:
         """Yield (coefficient, dots) texts per term.
 
         The dots text is ``f:<poly>, ...`` over the decorated facets, or ``1``.
         """
-        ring = self.skeleton.params.ring
+        ring = self.skeleton.ring
         for c, d in self.terms:
             yield str(c), ", ".join(f"{f}:{_orbit_poly(ring, s)}" for f, s in d) or "1"
 
@@ -410,7 +413,7 @@ def _move_image(skel: _Skeleton, tr: MoveTrace, n: int, weights: Weights) -> Loc
     """
     if n == -1 or tr.kind in ("assoc", "isotopy", "decorate"):
         return []
-    ring, N = skel.params.ring, skel.params.N
+    ring, N = skel.ring, skel.N
     x, y, z = weights(tr.kind)
     if tr.kind in ("cup", "cap", "saddle"):
         (f,) = tr.facets
@@ -443,8 +446,7 @@ def _apply(S: FoamSum, name: str | int, weights: Weights) -> FoamSum:
     """
     n, c = operator_index(name)
     skel = S.skeleton
-    ring = skel.params.ring
-    N = skel.params.N
+    ring, N = skel.ring, skel.N
     blank = {f: ((0,) * a, (0,) * (N - a)) for f, a in skel.thickness.items()}
     images = [term for tr in skel.complex.traces for term in _move_image(skel, tr, n, weights)]
     acc: dict[DecMap, Scalar] = {}
@@ -511,9 +513,15 @@ def _witt_weights(params: ActionParams, n: int) -> Weights:
 
 
 def _as_sum(target: Movie | FoamSum, params: ActionParams) -> FoamSum:
-    if isinstance(target, FoamSum):
-        return target
-    return FoamSum.from_movie(target, params)
+    if not isinstance(target, FoamSum):
+        return FoamSum.from_movie(target, params)
+    skel = target.skeleton
+    if skel.ring != params.ring or skel.N != params.N:
+        raise InputError(
+            f"formal sum over {skel.ring} with N={skel.N}, pack over"
+            f" {params.ring} with N={params.N}"
+        )
+    return target
 
 
 def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:

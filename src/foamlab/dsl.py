@@ -686,7 +686,10 @@ def _realize_params(decl: ParamsDecl) -> ActionParams:
     if "ring" not in table or "N" not in table:
         raise InputError(f"parameter pack {decl.name!r} needs ring and N")
     ring = parse_ring(table.pop("ring"))
-    kwargs: dict = {"ring": ring, "N": int(table.pop("N"))}
+    n_text = table.pop("N")
+    if not re.fullmatch(r"-?\d+", n_text):
+        raise InputError(f"N must be an integer, not {n_text!r}")
+    kwargs: dict = {"ring": ring, "N": int(n_text)}
     for key in ("s", "t1", "t2", "t3"):
         if key in table:
             kwargs[key] = parse_scalar(table.pop(key))

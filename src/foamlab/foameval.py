@@ -290,9 +290,7 @@ def _check_degree(value: MultiPoly, expected_degree: Callable[[], int]) -> None:
             )
 
 
-def evaluate(
-    F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ, check_degree: bool = True
-) -> EvalResult:
+def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
     """Sum the colored evaluations of a closed foam.
 
     Asserts that the sum is a symmetric polynomial (raising
@@ -306,8 +304,7 @@ def evaluate(
         raise InputError("only closed foams are evaluated")
     breakdown = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
     value = _checked_sum([r for _, r in breakdown], N, ring)
-    if check_degree:
-        _check_degree(value, lambda: degree(F, N))
+    _check_degree(value, lambda: degree(F, N))
     return EvalResult(value, breakdown, N)
 
 

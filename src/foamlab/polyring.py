@@ -106,24 +106,6 @@ class CoefRing:
             raise DivisionNotExact(f"{a} / {b} is not an integer")
         return self.normalize(q)
 
-    def invertible(self, a: Scalar) -> bool:
-        a = self.normalize(a)
-        if a == 0:
-            return False
-        if self.kind == "Z":
-            return a in (1, -1)
-        return True
-
-    def half(self) -> Scalar:
-        """The scalar 1/2, when it exists."""
-        from .errors import TwoNotInvertible
-
-        if self.kind == "Q":
-            return Fraction(1, 2)
-        if self.kind == "Fp" and self.p != 2:
-            return pow(2, -1, self.p)
-        raise TwoNotInvertible(f"2 is not invertible in {self}")
-
     def __str__(self) -> str:
         return self.kind if self.kind != "Fp" else f"F{self.p}"
 
@@ -693,21 +675,14 @@ def witt_act(n: int, q: MultiPoly) -> MultiPoly:
 
 
 def p_derivation(q: MultiPoly, iterate: int = 1) -> MultiPoly:
-    """Apply ``sum_k x_k^2 d/dx_k`` ``iterate`` times (prime field only)."""
+    """Apply ``sum_k x_k^2 d/dx_k = -L_1`` ``iterate`` times (prime field only)."""
     if q.ring.kind != "Fp":
         raise WrongRing("the p-derivation is defined over prime fields")
     if iterate < 1:
         raise ValueError("iterate must be >= 1")
     out = q
     for _ in range(iterate):
-        nxt = MultiPoly.zero(out.ring, out.vars)
-        for i, v in enumerate(out.vars):
-            d = out.derivative(v)
-            if d.is_zero():
-                continue
-            exp = tuple(2 if k == i else 0 for k in range(len(out.vars)))
-            nxt = nxt + MultiPoly(out.ring, out.vars, {exp: 1}) * d
-        out = nxt
+        out = -witt_act(1, out)
     return out
 
 

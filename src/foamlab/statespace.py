@@ -19,7 +19,14 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .actions import ActionParams, FoamSum, apply_operator, operator_index, parse_operator
+from .actions import (
+    ActionParams,
+    FoamSum,
+    _Skeleton,
+    apply_operator,
+    operator_index,
+    parse_operator,
+)
 from .errors import (
     DivisionNotExact,
     InputError,
@@ -30,8 +37,8 @@ from .errors import (
 from .foamcore import (
     Movie,
     MovieBuilder,
-    Saddle,
     Web,
+    _strip_decorations,
     compose,
     mirror,
 )
@@ -69,13 +76,11 @@ __all__ = [
     "moy_check",
     "laurent_add",
     "laurent_mul",
-    "laurent_scale",
     "quantum_integer",
     "mat_add",
     "mat_sub",
     "mat_mul",
     "mat_scale",
-    "mat_pow",
     "mat_is_zero",
     "scalar_matrix",
     "base_derivation",
@@ -114,10 +119,6 @@ def laurent_mul(a: Laurent, b: Laurent) -> Laurent:
     return _laurent_clean(out)
 
 
-def laurent_scale(a: Laurent, c: int) -> Laurent:
-    return _laurent_clean({e: c * v for e, v in a.items()})
-
-
 def quantum_integer(k: int) -> Laurent:
     """The balanced q-integer ``q^{k-1} + q^{k-3} + ... + q^{1-k}``."""
     if k <= 0:
@@ -145,7 +146,6 @@ class Presentation:
     N: int
     ring: CoefRing
     base: str
-    spherical: bool
 
     def __len__(self) -> int:
         return len(self.movies)
@@ -173,10 +173,7 @@ def presentation(
     if offset % 2:
         raise InputError("odd boundary offset: degrees cannot be calibrated")
     degrees = tuple(d + offset // 2 for d in raw)
-    spherical = not any(
-        isinstance(mv, Saddle) for m in movies for mv in m.moves
-    )
-    return Presentation(web, movies, degrees, N, ring, base, spherical)
+    return Presentation(web, movies, degrees, N, ring, base)
 
 
 def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
@@ -347,11 +344,10 @@ def _base_entry(value: MultiPoly, base: str) -> MultiPoly:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Matrix of pairings between two generator families of one web."""
+    """Matrix of pairings between the generators of one family."""
 
     entries: tuple[tuple[MultiPoly, ...], ...]
     row_degrees: tuple[int, ...]
-    col_degrees: tuple[int, ...]
     N: int
     ring: CoefRing
     base: str
@@ -361,56 +357,53 @@ class GramMatrix:
         return (len(self.entries), len(self.entries[0]) if self.entries else 0)
 
 
-def gram_matrix(
-    gens: Presentation, N: int | None = None, cols: Presentation | None = None
-) -> GramMatrix:
-    if N is not None and N != gens.N:
-        raise InputError(f"presentation was built for N={gens.N}, not N={N}")
-    cols = cols if cols is not None else gens
-    if cols.web != gens.web or cols.N != gens.N:
-        raise InputError("row and column families must present the same web")
-    rows = _pairings([[(1, F)] for F in gens.movies], gens, cols)
-    return GramMatrix(
-        tuple(map(tuple, rows)), gens.degrees, cols.degrees, gens.N, gens.ring, gens.base
-    )
+def gram_matrix(gens: Presentation) -> GramMatrix:
+    rows = _pairings(_movie_sums(gens.movies, gens), gens)
+    entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
+    return GramMatrix(entries, gens.degrees, gens.N, gens.ring, gens.base)
 
 
-def _pairings(
-    rows: Sequence[FoamSum | Sequence[tuple[Scalar | MultiPoly, Movie]]],
-    gens: Presentation,
-    cols: Presentation,
-) -> list[list[MultiPoly]]:
-    """Entry ``[i][j]`` pairs ``rows[i]`` with ``cols.movies[j]``.
+def _movie_sums(movies: Iterable[Movie], gens: Presentation) -> list[FoamSum]:
+    """Movies as formal sums over the ring and N of ``gens``.
 
-    A row is a formal sum: a :class:`FoamSum`, or ``(coefficient, movie)``
-    terms whose coefficients may be scalars or polynomials in the full
-    alphabet.  A :class:`FoamSum` is paired as its skeleton composed with
-    the mirrored column, its terms' dot shapes placed where they sit on the
-    skeleton; no term becomes a movie.  All pairings go through one
-    :func:`evaluate_family` call.  Entries are taken in the base of ``gens``.
+    Movies with the same undecorated movie share one skeleton.
     """
-    vs = xvars(gens.N)
-    mirrors = [mirror(G) for G in cols.movies]
+    skeletons: dict[Movie, _Skeleton] = {}
+    sums = []
+    for mov in movies:
+        stripped, decorations = _strip_decorations(mov)
+        if stripped not in skeletons:
+            skeletons[stripped] = _Skeleton(stripped, gens.ring, gens.N)
+        sums.append(FoamSum._decorated(skeletons[stripped], decorations))
+    return sums
+
+
+def _pairings(rows: Sequence[FoamSum], gens: Presentation) -> list[list[MultiPoly]]:
+    """Entry ``[i][j]`` pairs ``rows[i]`` with ``gens.movies[j]``, equivariantly.
+
+    A row is paired as its skeleton composed with the mirrored generator,
+    its terms' dot shapes placed where they sit on the skeleton; no term
+    becomes a movie.  Each (skeleton, generator) composite is built once and
+    shared by the rows over that skeleton, and all pairings go through one
+    :func:`evaluate_family` call.
+    """
+    mirrors = [mirror(G) for G in gens.movies]
+    composites: dict[_Skeleton, list[Movie]] = {}
     foams: list = []
     for row in rows:
-        if isinstance(row, FoamSum):
-            skel = row.skeleton
-            terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
-            foams.extend((compose(skel.movie, Gr), terms) for Gr in mirrors)
-        else:
-            foams.extend(compose(mov, Gr) for _, mov in row for Gr in mirrors)
-    values = iter(evaluate_family(foams, gens.N, gens.ring))
-    out = []
-    for row in rows:
-        if isinstance(row, FoamSum):
-            entries = [next(values) for _ in mirrors]
-        else:
-            entries = [MultiPoly.zero(gens.ring, vs) for _ in mirrors]
-            for coef, _ in row:
-                c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
-                entries = [e + next(values) * c for e in entries]
-        out.append([_base_entry(e, gens.base) for e in entries])
-    return out
+        skel = row.skeleton
+        if skel.ring != gens.ring or skel.N != gens.N:
+            raise InputError(
+                f"formal sum over {skel.ring} with N={skel.N}, presentation over"
+                f" {gens.ring} with N={gens.N}"
+            )
+        if skel not in composites:
+            composites[skel] = [compose(skel.movie, Gr) for Gr in mirrors]
+        terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
+        foams.extend((closed, terms) for closed in composites[skel])
+    values = evaluate_family(foams, gens.N, gens.ring)
+    n = len(mirrors)
+    return [values[i * n:(i + 1) * n] for i in range(len(rows))]
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +482,7 @@ def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
 
 
 def is_zero_in_statespace(
-    v: FoamSum | Iterable[tuple[Scalar | MultiPoly, Movie]],
-    gens: Presentation,
-    N: int | None = None,
+    v: FoamSum | Iterable[tuple[Scalar | MultiPoly, Movie]], gens: Presentation
 ) -> bool:
     """Whether ``v`` pairs to zero against every generator.
 
@@ -500,10 +491,17 @@ def is_zero_in_statespace(
     one-sided otherwise.  Coefficients may be scalars or polynomials in the
     full alphabet.
     """
-    if N is not None and N != gens.N:
-        raise InputError(f"presentation was built for N={gens.N}, not N={N}")
-    (row,) = _pairings([v if isinstance(v, FoamSum) else list(v)], gens, gens)
-    return all(e.is_zero() for e in row)
+    if isinstance(v, FoamSum):
+        (row,) = _pairings([v], gens)
+    else:
+        vs = xvars(gens.N)
+        v = list(v)
+        row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
+        pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens)
+        for (coef, _), values in zip(v, pairs):
+            c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
+            row = [e + value * c for e, value in zip(row, values)]
+    return all(_base_entry(e, gens.base).is_zero() for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -617,15 +615,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def mat_pow(A: Matrix, k: int) -> Matrix:
-    if k < 1:
-        raise InputError("matrix power needs a positive exponent")
-    out = A
-    for _ in range(k - 1):
-        out = mat_mul(out, A)
-    return out
-
-
 def mat_is_zero(A: Matrix) -> bool:
     return all(e.is_zero() for row in A for e in row)
 
@@ -659,9 +648,7 @@ class InducedAction:
     base: str
 
 
-def induced_action(
-    op: str, params: ActionParams, gens: Presentation, N: int | None = None
-) -> InducedAction:
+def induced_action(op: str, params: ActionParams, gens: Presentation) -> InducedAction:
     """The matrix of an operator on the span of a generator family.
 
     Solves the pairing equations exactly and certifies well-definedness:
@@ -669,21 +656,20 @@ def induced_action(
     kernel into itself, otherwise :class:`NotWellDefined` is raised.
     """
     parse_operator(op)
-    if N is not None and N != gens.N:
-        raise InputError(f"presentation was built for N={gens.N}, not N={N}")
     if params.N != gens.N or params.ring != gens.ring:
         raise InputError("operator parameters and presentation disagree on ring/N")
     if gens.base == "phi0" and op != "d":
         raise InputError(
             "the non-equivariant base only carries the p-differential"
         )
-    G = gram_matrix(gens)
-    n = len(gens)
+    sums = _movie_sums(gens.movies, gens)
+    n = len(sums)
+    P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens)
     # rows of the system are indexed by the pairing partner G_j, columns by
-    # the generator coordinates, i.e. the transpose of the Gram entries
-    M = [[G.entries[k][j] for k in range(n)] for j in range(n)]
-    P = _pairings([apply_operator(op, params, F) for F in gens.movies], gens, gens)
-    B = [[P[k][j] for k in range(n)] for j in range(n)]
+    # the generator coordinates, i.e. the transpose of the Gram entries (the
+    # generator rows of P) and of the image pairings (the rows after them)
+    M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
+    B = [[_base_entry(P[n + k][j], gens.base) for k in range(n)] for j in range(n)]
     # A system without a polynomial solution raises here, before the kernel
     # is checked; the operator is not well defined either way.
     _, kernel, X = _fraction_free_solve(M, B)

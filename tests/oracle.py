@@ -214,7 +214,7 @@ def leibniz_reference(S, dec_fn, local_fn):
     a dot ``(f, k, hat)`` standing for ``p_k`` of a block of facet ``f``.
     """
     skel = S.skeleton
-    ring, N = skel.params.ring, skel.params.N
+    ring, N = skel.ring, skel.N
 
     def dot_poly(f: str, k: int, hat: bool) -> MultiPoly:
         a = skel.thickness[f]
@@ -248,12 +248,12 @@ def _dotted(
     skel: _Skeleton, coef: Scalar, *spec: tuple[str, int, bool]
 ) -> tuple[Scalar, list[tuple[str, int, bool]]] | None:
     """One local summand; ``p_0`` is the block size, a dot on an empty block is 0."""
-    ring = skel.params.ring
+    ring = skel.ring
     sc = ring.normalize(coef)
     dots: list[tuple[str, int, bool]] = []
     for f, k, hat in spec:
         a = skel.thickness[f]
-        size = skel.params.N - a if hat else a
+        size = skel.N - a if hat else a
         if k == 0:
             sc = ring.mul(sc, size)
         elif size == 0:

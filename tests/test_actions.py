@@ -21,6 +21,7 @@ from foamlab.actions import (
     act_pdg,
     act_sl2,
     act_witt,
+    apply_operator,
     colored_compat_check,
     commutator_check,
     half_scalar,
@@ -165,6 +166,16 @@ class TestFoamSum:
             FoamSum.from_movie(dotted_sphere(1, thickness=2), P)
 
 
+    def test_operator_rejects_a_sum_over_another_pack(self):
+        S = FoamSum.from_movie(dotted_sphere(), ActionParams(ring=QQ, N=2))
+        with pytest.raises(InputError):
+            act_witt(1, ActionParams(ring=QQ, N=3), S)
+        with pytest.raises(InputError):
+            act_sl2("f", ActionParams(ring=GF(5), N=2), S)
+        with pytest.raises(InputError):
+            apply_operator("d", ActionParams(ring=GF(5), N=2), S)
+
+
 class TestFoamSumValue:
     """``FoamSum.value`` evaluates shape maps on the skeleton, movie-free."""
 
@@ -183,7 +194,7 @@ class TestFoamSumValue:
             images = [act_witt(n, Pw, mov) for n in (-1, 0, 1, 2)]
             images += [act_sl2(g, Ps, mov) for g in ("e", "h", "f")]
             for S in images:
-                want = self.per_term(S, S.skeleton.params)
+                want = self.per_term(S, Pw)
                 with monkeypatch.context() as m:
                     m.setattr(FoamSum, "_materialize", None)
                     got = S.value()

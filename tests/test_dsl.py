@@ -155,7 +155,7 @@ class TestBuilders:
     def test_poly_reference_used_in_decoration(self):
         ff = parse(KITCHEN_SINK)
         m = ff.build_movie("bubble", 3)
-        assert evaluate(m, 3, check_degree=False) is not None
+        assert evaluate(m, 3) is not None
 
     def test_stale_edge_reference_rejected(self):
         text = "movie m on empty { cup(1) -> c; cap(1) on c; cap(1) on c; }"
@@ -187,6 +187,12 @@ class TestParams:
         assert P.nu1(1) == 1 and P.nu2(2) == -1
         assert P.nu3(0) == 0 and P.nu3(2) == 0
         assert P.spherical is True
+
+    @pytest.mark.parametrize("value", ["x", "1/2", "lin:1"])
+    def test_non_integer_n_is_an_input_error(self, value):
+        ff = parse(f"params p {{ ring Q; N {value}; }}")
+        with pytest.raises(InputError, match="N must be an integer"):
+            ff.build_params("p")
 
     def test_parse_ring(self):
         assert parse_ring("Z") == ZZ
@@ -228,6 +234,11 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     def test_parse_returns_or_raises_input_error(self, text):
         try:
-            parse(text)
+            ff = parse(text)
         except InputError:
-            pass
+            return
+        for name in ff.params:
+            try:
+                ff.build_params(name)
+            except InputError:
+                pass
