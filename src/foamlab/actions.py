@@ -14,6 +14,9 @@ saddle; the two thin facets of a digon or zip move) and goes to
 pair ``(n, c)`` plus a weight function giving ``(w_0, w_n, w_k)`` per move
 kind: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
 ``(e, h, f) = (L_{-1}, 2 L_0, -L_1)``; the p-DG differential is ``f``.
+An operator's move images are built once per skeleton, the summands of
+all moves merged by dot list, and a structural check or an iterate reuses
+them across its applications.
 
 The scalar data of the family is an :class:`ActionParams` pack: a seam
 constant ``s``, three index sequences ``nu1/nu2/nu3`` satisfying the Witt
@@ -394,27 +397,27 @@ def operator_index(name: str | int) -> tuple[int, int]:
 
 # A local image is a list of (scalar, dots) summands; each dot (f, k, hat)
 # multiplies in p_k of facet f's inner block (outer block for ``hat``).
-LocalImage = list[tuple[Scalar, list[tuple[str, int, bool]]]]
+Dots = tuple[tuple[str, int, bool], ...]
+LocalImage = list[tuple[Scalar, Dots]]
 
 # The weights (x, y, z) of a move kind under one operator.
 Weights = Callable[[str], tuple[Scalar, Scalar, Scalar]]
 
 
-def _move_image(skel: _Skeleton, tr: MoveTrace, n: int, weights: Weights) -> LocalImage:
+def _move_image(
+    skel: _Skeleton, tr: MoveTrace, n: int, xyz: tuple[Scalar, Scalar, Scalar]
+) -> LocalImage:
     """The image ``sum_k w_k p_k(first) p_{n-k}(second)`` of one basic move.
 
     The two blocks are the inside and the outside of the facet of a cup,
     cap or saddle, and the two thin facets of a digon or zip move.  With
-    ``(x, y, z) = weights(kind)``, ``w_0 = x``, ``w_n = y`` and ``w_k = z``
-    in between; at ``n = 0`` the one summand has weight ``x + y - z``.
-    ``p_0`` is the block size; a dot on an empty block is 0, as
-    :func:`_dot_rule` finds no part in it to raise.  At ``n = -1``, and for
-    moves that change no facet, the image is empty.
+    ``(x, y, z) = xyz``, the weights of the move's kind, ``w_0 = x``,
+    ``w_n = y`` and ``w_k = z`` in between; at ``n = 0`` the one summand
+    has weight ``x + y - z``.  ``p_0`` is the block size; a dot on an empty
+    block is 0, as :func:`_dot_rule` finds no part in it to raise.
     """
-    if n == -1 or tr.kind in ("assoc", "isotopy", "decorate"):
-        return []
     ring, N = skel.ring, skel.N
-    x, y, z = weights(tr.kind)
+    x, y, z = xyz
     if tr.kind in ("cup", "cap", "saddle"):
         (f,) = tr.facets
         (a,) = tr.thickness
@@ -433,22 +436,42 @@ def _move_image(skel: _Skeleton, tr: MoveTrace, n: int, weights: Weights) -> Loc
             else:
                 w = ring.mul(w, size)
         if w != 0:
-            out.append((w, dots))
+            out.append((w, tuple(dots)))
     return out
 
 
-def _apply(S: FoamSum, name: str | int, weights: Weights) -> FoamSum:
-    """Leibniz application in the dot-shape basis.
+def _images(skel: _Skeleton, n: int, weights: Weights) -> LocalImage:
+    """The local images of the operator of index ``n`` on a skeleton.
 
-    With ``(n, c) = operator_index(name)``, each decoration is replaced by
-    its image under ``c * L_n``; each move image multiplies its power-sum
-    dots in.
+    ``weights`` is read once per move kind, in trace order, and the
+    summands of all moves are merged by dot list, zero sums dropped.  At
+    ``n = -1``, and for moves that change no facet, the image is empty.
     """
-    n, c = operator_index(name)
+    if n == -1:
+        return []
+    ring = skel.ring
+    read: dict[str, tuple[Scalar, Scalar, Scalar]] = {}
+    acc: dict[Dots, Scalar] = {}
+    for tr in skel.complex.traces:
+        if tr.kind in ("assoc", "isotopy", "decorate"):
+            continue
+        if tr.kind not in read:
+            read[tr.kind] = weights(tr.kind)
+        for w, dots in _move_image(skel, tr, n, read[tr.kind]):
+            acc[dots] = ring.add(acc[dots], w) if dots in acc else w
+    return [(w, dots) for dots, w in acc.items() if w != 0]
+
+
+def _apply(S: FoamSum, n: int, c: int, images: LocalImage) -> FoamSum:
+    """Leibniz application of ``c * L_n`` in the dot-shape basis.
+
+    Each decoration is replaced by its image under ``c * L_n``; each of
+    ``images``, the operator's local images on ``S``'s skeleton, multiplies
+    its power-sum dots in.
+    """
     skel = S.skeleton
     ring, N = skel.ring, skel.N
     blank = {f: ((0,) * a, (0,) * (N - a)) for f, a in skel.thickness.items()}
-    images = [term for tr in skel.complex.traces for term in _move_image(skel, tr, n, weights)]
     acc: dict[DecMap, Scalar] = {}
 
     def add(coef: Scalar, shapes: dict[str, DotShape]) -> None:
@@ -484,13 +507,35 @@ def _apply(S: FoamSum, name: str | int, weights: Weights) -> FoamSum:
     return FoamSum(skel, [(acc[k], k) for k in sorted(acc)])
 
 
+def _applier(
+    skel: _Skeleton, weights: Callable[[str | int], Weights]
+) -> Callable[[str | int, FoamSum], FoamSum]:
+    """``apply(name, T)`` applies the operator ``name`` to a sum ``T`` over
+    ``skel``; each operator's images are built, from ``weights(name)``, on
+    its first application and reused by the later ones."""
+    images: dict[str | int, LocalImage] = {}
+
+    def apply(name: str | int, T: FoamSum) -> FoamSum:
+        n, c = operator_index(name)
+        if name not in images:
+            images[name] = _images(skel, n, weights(name))
+        return _apply(T, n, c, images[name])
+
+    return apply
+
+
 # ---------------------------------------------------------------------------
 # Half-Witt operators
 # ---------------------------------------------------------------------------
 
 
 def _witt_weights(params: ActionParams, n: int) -> Weights:
-    """The weights of ``L_n``, from ``s``, ``nu1/nu2/nu3(n)`` and 1/2."""
+    """The weights of ``L_n``, from ``s``, ``nu1/nu2/nu3(n)`` and 1/2.
+
+    Raises :class:`InputError` for ``n < -1``.
+    """
+    if n < -1:
+        raise InputError("operator index must be at least -1")
     ring, s = params.ring, params.s
     # (sign of the nu terms, z) per digon or zip kind
     seam = {"digon_cup": (1, s), "digon_cap": (-1, 1 - s), "zip": (1, s - 1), "unzip": (-1, -s)}
@@ -526,10 +571,9 @@ def _as_sum(target: Movie | FoamSum, params: ActionParams) -> FoamSum:
 
 def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     """Apply the n-th half-Witt operator (n >= -1) to a movie or sum."""
-    if n < -1:
-        raise InputError("operator index must be at least -1")
+    weights = _witt_weights(params, n)
     S = _as_sum(target, params)
-    return _apply(S, n, _witt_weights(params, n))
+    return _apply(S, n, 1, _images(S.skeleton, n, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +614,8 @@ def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     if gen not in ("e", "h", "f"):
         raise InputError(f"unknown sl2 generator {gen!r}")
     S = _as_sum(target, params)
-    return _apply(S, gen, _sl2_weights(params, gen))
+    n, c = operator_index(gen)
+    return _apply(S, n, c, _images(S.skeleton, n, _sl2_weights(params, gen)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +623,33 @@ def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
 # ---------------------------------------------------------------------------
 
 
-def act_pdg(params: ActionParams, target: Movie | FoamSum) -> FoamSum:
-    """The degree-2 differential with d^p = 0 over a prime field."""
+def _pdg_sum(params: ActionParams, target: Movie | FoamSum) -> FoamSum:
+    """``target`` as a sum the differential acts on: over a prime field,
+    and over one of odd characteristic if it has saddles."""
     if params.ring.kind != "Fp":
         raise WrongRing("the p-DG differential is defined over prime fields")
     S = _as_sum(target, params)
     if params.ring.p == 2 and (S.skeleton.has_saddle or not params.spherical):
         raise CharTwoNonSpherical("the differential needs p > 2 on movies with saddles")
-    return act_sl2("f", params, S)
+    return S
+
+
+def act_pdg(params: ActionParams, target: Movie | FoamSum) -> FoamSum:
+    """The degree-2 differential with d^p = 0 over a prime field."""
+    return act_sl2("f", params, _pdg_sum(params, target))
 
 
 def pdg_iterate(params: ActionParams, target: Movie | FoamSum, k: int) -> FoamSum:
-    """Apply the p-DG differential ``k`` times."""
-    S = _as_sum(target, params)
+    """Apply the p-DG differential ``k >= 0`` times; its images are built once."""
+    if k < 0:
+        raise InputError(f"cannot apply the differential {k} times")
+    if k == 0:
+        return _as_sum(target, params)
+    S = _pdg_sum(params, target)
+    n, c = operator_index("f")
+    images = _images(S.skeleton, n, _sl2_weights(params, "f"))
     for _ in range(k):
-        S = act_pdg(params, S)
+        S = _apply(S, n, c, images)
     return S
 
 
@@ -635,11 +692,10 @@ def commutator_check(
 ) -> CheckReport:
     """Check [L_n, L_m] = (n-m) L_{n+m} on a movie, as formal sums."""
     S = _as_sum(mov, params)
-    lhs = act_witt(n, params, act_witt(m, params, S)) - act_witt(
-        m, params, act_witt(n, params, S)
-    )
+    L = _applier(S.skeleton, lambda k: _witt_weights(params, k))
+    lhs = L(n, L(m, S)) - L(m, L(n, S))
     # n + m < -1 only happens for n = m = -1, where the bracket is trivially 0
-    rhs = S.scale(0) if n + m < -1 else act_witt(n + m, params, S).scale(n - m)
+    rhs = S.scale(0) if n + m < -1 else L(n + m, S).scale(n - m)
     diff = lhs - rhs
     if diff.is_zero():
         return CheckReport(True)
@@ -649,16 +705,15 @@ def commutator_check(
 def sl2_relations_check(params: ActionParams, mov: Movie | FoamSum) -> CheckReport:
     """Check [e,f] = h, [h,e] = 2e, [h,f] = -2f on a movie."""
     S = _as_sum(mov, params)
+    op = _applier(S.skeleton, lambda gen: _sl2_weights(params, gen))
 
     def br(x: str, y: str) -> FoamSum:
-        return act_sl2(x, params, act_sl2(y, params, S)) - act_sl2(
-            y, params, act_sl2(x, params, S)
-        )
+        return op(x, op(y, S)) - op(y, op(x, S))
 
     for name, defect in (
-        ("[e,f]-h", br("e", "f") - act_sl2("h", params, S)),
-        ("[h,e]-2e", br("h", "e") - act_sl2("e", params, S).scale(2)),
-        ("[h,f]+2f", br("h", "f") + act_sl2("f", params, S).scale(2)),
+        ("[e,f]-h", br("e", "f") - op("h", S)),
+        ("[h,e]-2e", br("h", "e") - op("e", S).scale(2)),
+        ("[h,f]+2f", br("h", "f") + op("f", S).scale(2)),
     ):
         if not defect.is_zero():
             return CheckReport(False, None, f"{name} defect: {defect}")

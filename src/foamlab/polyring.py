@@ -193,10 +193,18 @@ class MultiPoly:
         normalized once and zeros are dropped.  The exponents are not
         re-validated.
         """
+        return cls._from_terms(ring, variables, _canonical(ring, raw))
+
+    @classmethod
+    def _from_terms(
+        cls, ring: CoefRing, variables: tuple[str, ...], terms: dict
+    ) -> "MultiPoly":
+        """A polynomial owning ``terms``, already canonical: normalized
+        nonzero coefficients at exponent tuples of the right length."""
         self = object.__new__(cls)
         self.ring = ring
         self.vars = variables
-        self.terms = _canonical(ring, raw)
+        self.terms = terms
         self._hash = None
         return self
 
@@ -255,15 +263,26 @@ class MultiPoly:
         if self.vars != other.vars:
             raise ValueError(f"mixed variable alphabets {self.vars} and {other.vars}")
 
-    def __add__(self, other):
+    def _add(self, other, op: Callable[[Scalar, Scalar], Scalar]) -> "MultiPoly":
+        """``op(self, other)`` for ``op`` one of ``operator.add`` and
+        ``operator.sub``, in one pass: ``self``'s terms are copied as they
+        are, and only the exponents of ``other`` are normalized."""
         if isinstance(other, (int, Fraction)):
             other = MultiPoly.const(self.ring, self.vars, other)
         self._check_compat(other)
+        norm = self.ring.normalize
         out = dict(self.terms)
         get = out.get
         for e, c in other.terms.items():
-            out[e] = get(e, 0) + c
-        return MultiPoly._from_raw(self.ring, self.vars, out)
+            s = norm(op(get(e, 0), c))
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return MultiPoly._from_terms(self.ring, self.vars, out)
+
+    def __add__(self, other):
+        return self._add(other, operator.add)
 
     __radd__ = __add__
 
@@ -271,9 +290,7 @@ class MultiPoly:
         return MultiPoly._from_raw(self.ring, self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.ring, self.vars, other)
-        return self + (-other)
+        return self._add(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -419,8 +436,14 @@ class MultiPoly:
         norm = ring.normalize
         lead = max(divisor.terms, key=_grlex_key)
         lead_c = divisor.terms[lead]
-        # over F_p the leading coefficient is inverted once per call
-        inv = pow(lead_c, -1, ring.p) if ring.kind == "Fp" else None
+        # over a field the leading coefficient is inverted once per call;
+        # over Z ring.divide raises when a quotient coefficient is not integral
+        if ring.kind == "Fp":
+            inv = pow(lead_c, -1, ring.p)
+        elif ring.kind == "Q":
+            inv = 1 / Fraction(lead_c)
+        else:
+            inv = None
         rem = dict(self.terms)
         heap = [(_heap_key(e), e) for e in rem]
         heapq.heapify(heap)

@@ -153,6 +153,18 @@ def term_add(a: MultiPoly, b: MultiPoly) -> dict:
     return out
 
 
+def term_sub(a: MultiPoly, b: MultiPoly) -> dict:
+    """The terms of ``a - b``, every partial difference reduced by ``ring.add``."""
+    ring, out = a.ring, dict(a.terms)
+    for e, c in b.terms.items():
+        s = ring.add(out.get(e, 0), ring.neg(c))
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
 def term_mul(a: MultiPoly, b: MultiPoly) -> dict:
     """The terms of ``a * b``, one ``ring.add(…, ring.mul(…))`` per pair."""
     ring, out = a.ring, {}

@@ -218,6 +218,9 @@ class TestArith:
         a, b = ab
         assert typed((a + b).terms) == typed(oracle.term_add(a, b))
         assert typed((b + a).terms) == typed(oracle.term_add(b, a))
+        # a - (-b) cancels where a + b does
+        for x, y in ((a, b), (b, a), (a, -b)):
+            assert typed((x - y).terms) == typed(oracle.term_sub(x, y))
         assert typed((a * b).terms) == typed(oracle.term_mul(a, b))
         s = a + b
         assert typed((s * s).terms) == typed(oracle.term_mul(s, s))
@@ -232,6 +235,27 @@ class TestArith:
                     near.exact_div(b)
             else:
                 assert typed(near.exact_div(b).terms) == want
+
+    def test_exact_div_over_Q_matches_per_term_reference(self):
+        X = xvars(2)
+        x1, x2 = (MultiPoly.var(QQ, X, v) for v in X)
+        b = x1 * Fraction(3, 2) - x2 * Fraction(2, 7)
+        q = x1 * x1 * Fraction(2, 3) + x2 * 5 - Fraction(1, 3)
+        prod = q * b
+        got = prod.exact_div(b)
+        assert got == q
+        assert typed(got.terms) == typed(oracle.term_exact_div(prod, b))
+        for rem in (prod + Fraction(1, 2), prod + x2 * x2):
+            with pytest.raises(DivisionNotExact):
+                oracle.term_exact_div(rem, b)
+            with pytest.raises(DivisionNotExact):
+                rem.exact_div(b)
+
+    def test_exact_div_over_Z_needs_integral_quotient(self):
+        X = xvars(2)
+        x1 = MultiPoly.var(ZZ, X, "X1")
+        with pytest.raises(DivisionNotExact):
+            (x1 * 2).exact_div(x1 * 4)
 
     @given(
         RINGS.flatmap(
