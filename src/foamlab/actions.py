@@ -66,6 +66,7 @@ from .polyring import (
     Scalar,
     SymPoly,
     WittSequence,
+    ratfun_sum,
     witt_act,
     witt_sequence_check,
     xvars,
@@ -210,12 +211,21 @@ def _change_one_part(
 
     ``block'`` is ``block`` with one ``v`` changed to ``v + step``, sorted
     weakly decreasing, and ``mult`` counts the parts ``v + step`` in it.
+    The new part is moved from the first ``v`` to its place in the sorted
+    rest: left past smaller parts when raised, right past larger ones when
+    lowered.
     """
     for i, v in enumerate(block):
         if i and block[i - 1] == v:
             continue
         w = v + step
-        new = tuple(sorted(block[:i] + (w,) + block[i + 1:], reverse=True))
+        rest = block[:i] + block[i + 1:]
+        j = i
+        while j and rest[j - 1] < w:
+            j -= 1
+        while j < len(rest) and rest[j] > w:
+            j += 1
+        new = rest[:j] + (w,) + rest[j:]
         yield v, new, new.count(w)
 
 
@@ -757,9 +767,10 @@ def colored_compat_check(mov: Movie, n: int, params: ActionParams) -> CheckRepor
     term_complexes = [(c, compile_movie(m)) for c, m in S.movies()]
     for col in enumerate_colorings(F, params.N):
         rhs = witt_act_ratfun(n, colored_eval(F, col, params.N, params.ring))
-        lhs = RatFun(MultiPoly.zero(params.ring, xvars(params.N)))
-        for coef, Ft in term_complexes:
-            lhs = lhs + colored_eval(Ft, col, params.N, params.ring) * coef
+        # the zero part gives the sum its alphabet when the image is empty
+        parts = [RatFun(MultiPoly.zero(params.ring, xvars(params.N)))]
+        parts += [colored_eval(Ft, col, params.N, params.ring) * coef for coef, Ft in term_complexes]
+        lhs = ratfun_sum(parts)
         if lhs != rhs:
             return CheckReport(False, col, f"{lhs} != {rhs}")
     return CheckReport(True)

@@ -379,33 +379,39 @@ def evaluate_family(
     its terms).
     """
     _require_pigments(N)
-    groups: dict[Movie, list[tuple[int, tuple, Sequence[DotTerm]]]] = {}
+    # foams by undecorated movie, then by movie: a movie given many times is
+    # stripped, and its decorations multiplied per facet, once
+    stripped_of: dict[Movie, tuple[Movie, tuple]] = {}
+    groups: dict[Movie, dict[Movie, list[tuple[int, Sequence[DotTerm]]]]] = {}
     for k, foam in enumerate(foams):
         mov, terms = foam if isinstance(foam, tuple) else (foam, _PLAIN)
-        stripped, decorations = _strip_decorations(mov)
-        groups.setdefault(stripped, []).append((k, decorations, terms))
+        if mov not in stripped_of:
+            stripped_of[mov] = _strip_decorations(mov)
+        groups.setdefault(stripped_of[mov][0], {}).setdefault(mov, []).append((k, terms))
     values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
-    for stripped, members in groups.items():
+    for stripped, movies in groups.items():
         F = compile_movie(stripped)
         table = _ShapeTable(F, N, ring)
         thickness = {f: facet.thickness for f, facet in F.facets.items()}
-        for k, decorations, terms in members:
+        for mov, members in movies.items():
+            decorations = stripped_of[mov][1]
             decs = _facet_decorations(F, decorations, N, ring)
-            total = MultiPoly.zero(ring, xvars(N))
-            for coef, placed in terms:
-                term_decs = dict(decs)
-                for t, edge, shape in placed:
-                    f = F.edge_facets[t][edge]
-                    p = _orbit_poly(ring, shape)
-                    term_decs[f] = term_decs[f] * p if f in term_decs else p
-                value = table.combine(_dot_shapes(1, term_decs, thickness, ring))
-                _check_degree(value, lambda: (
-                    table.bare_degree
-                    + sum(_decoration_degree(d) for _, _, d in decorations)
-                    + 2 * _dots(s for _, _, s in placed)
-                ))
-                total = total + value * coef
-            values[k] = total
+            for k, terms in members:
+                total = MultiPoly.zero(ring, xvars(N))
+                for coef, placed in terms:
+                    term_decs = dict(decs)
+                    for t, edge, shape in placed:
+                        f = F.edge_facets[t][edge]
+                        p = _orbit_poly(ring, shape)
+                        term_decs[f] = term_decs[f] * p if f in term_decs else p
+                    value = table.combine(_dot_shapes(1, term_decs, thickness, ring))
+                    _check_degree(value, lambda: (
+                        table.bare_degree
+                        + sum(_decoration_degree(d) for _, _, d in decorations)
+                        + 2 * _dots(s for _, _, s in placed)
+                    ))
+                    total = total + value * coef
+                values[k] = total
     return values
 
 

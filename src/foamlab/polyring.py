@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -542,15 +543,50 @@ class SymPoly:
 
 
 def is_symmetric(poly: MultiPoly, blocks: Sequence[int] | None = None) -> bool:
-    blocks = tuple(blocks) if blocks is not None else (len(poly.vars),)
+    return _sorted_coefficients(poly, blocks) is not None
+
+
+def _sorted_coefficients(
+    poly: MultiPoly, blocks: Sequence[int] | None = None
+) -> dict[tuple[int, ...], Scalar] | None:
+    """The coefficients of ``poly`` at exponents weakly decreasing inside each
+    block (all variables one block by default), or None unless ``poly`` is
+    invariant under permutations inside each block.
+
+    An invariant polynomial is fixed by these coefficients: every term's
+    exponent, sorted inside each block, must carry the same coefficient, and
+    the terms must fill the whole orbit of every sorted exponent.
+    """
+    n = len(poly.vars)
+    bounds = []
     start = 0
-    for b in blocks:
-        for i in range(start, start + b - 1):
-            u, v = poly.vars[i], poly.vars[i + 1]
-            if poly.permute_vars({u: v, v: u}) != poly:
-                return False
+    for b in (n,) if blocks is None else blocks:
+        bounds.append((start, start + b))
         start += b
-    return True
+    if bounds == [(0, n)]:
+        def block_sorted(e: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(sorted(e, reverse=True))
+    else:
+        def block_sorted(e: tuple[int, ...]) -> tuple[int, ...]:
+            out: list[int] = []
+            for lo, hi in bounds:
+                out += sorted(e[lo:hi], reverse=True)
+            return (*out, *e[start:])
+
+    keyed = [(block_sorted(e), e, c) for e, c in poly.terms.items()]
+    coeffs = {e: c for key, e, c in keyed if key == e}
+    get = coeffs.get
+    if any(get(key) != c for key, _, c in keyed):
+        return None
+    orbits = 0
+    for e in coeffs:
+        size = 1
+        for lo, hi in bounds:
+            size *= math.factorial(hi - lo)
+            for _, run in itertools.groupby(e[lo:hi]):
+                size //= math.factorial(sum(1 for _ in run))
+        orbits += size
+    return coeffs if orbits == len(keyed) else None
 
 
 def elementary(ring: CoefRing, variables: Sequence[str], n: int) -> MultiPoly:
@@ -621,60 +657,187 @@ def symmetric_basis(kind: str, n: int, ring: CoefRing, variables: Sequence[str])
 _TO_ELEMENTARY_STEPS = 100000
 
 
+class ElementaryBasis:
+    """Symmetric polynomials in ``variables`` written in ``e_1..e_N``.
+
+    :meth:`to_e` rewrites a symmetric polynomial as a polynomial in the
+    elementary symmetric polynomials (variables ``E1..EN`` or ``e_names``)
+    and :meth:`from_e` expands one back.  Both work on partitions
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2): a
+    symmetric polynomial is fixed by its coefficients at weakly decreasing
+    exponents, and each ``e^alpha`` is expanded on partitions only, by one
+    Pieri step ``e^(alpha - u_i) * e_i``.  A converter keeps every expansion
+    it builds, so values that share one should share one converter.
+    """
+
+    def __init__(self, variables: Sequence[str], e_names: Sequence[str] | None = None):
+        self.vars = tuple(variables)
+        N = len(self.vars)
+        self.e_names = (
+            tuple(f"E{i}" for i in range(1, N + 1)) if e_names is None else tuple(e_names)
+        )
+        if len(self.e_names) != N:
+            raise ValueError(f"{N} variables need {N} elementary names")
+        zero = (0,) * N
+        # e^alpha -> {partition: coefficient of its orbit sum}, integers
+        self._expansions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
+            zero: {zero: 1}
+        }
+        self._subsets = [list(itertools.combinations(range(N), r)) for r in range(N + 1)]
+
+    def to_e(self, poly: MultiPoly) -> MultiPoly:
+        """``poly`` as a polynomial in ``e_1..e_N``.
+
+        Classical leading-term subtraction under graded lex order, on the
+        coefficients at partitions: the leading partition ``lam`` of what
+        is left contributes ``c * e^alpha`` with ``alpha_i = lam_i -
+        lam_{i+1}``, whose expansion has leading coefficient 1 at ``lam``.
+        Raises :class:`NotInSymmetricSubring` unless ``poly`` is symmetric.
+        """
+        if poly.vars != self.vars:
+            raise ValueError(f"alphabet {poly.vars} is not {self.vars}")
+        work = _sorted_coefficients(poly)
+        if work is None:
+            raise NotInSymmetricSubring(f"{poly} is not symmetric")
+        norm = poly.ring.normalize
+        heap = [(_heap_key(lam), lam) for lam in work]
+        heapq.heapify(heap)
+        out: dict[tuple[int, ...], Scalar] = {}
+        steps = 0
+        while heap:
+            lam = heapq.heappop(heap)[1]
+            c = work.pop(lam, None)
+            if c is None:
+                continue
+            steps += 1
+            if steps > _TO_ELEMENTARY_STEPS:
+                raise ElementaryNotTerminating("to_elementary failed to terminate")
+            alpha = tuple(map(operator.sub, lam, lam[1:] + (0,)))
+            out[alpha] = c
+            for mu, k in self._expansion(alpha).items():
+                if mu == lam:
+                    continue
+                old = work.get(mu)
+                if old is None:
+                    heapq.heappush(heap, (_heap_key(mu), mu))
+                    old = 0
+                s = norm(old - c * k)
+                if s:
+                    work[mu] = s
+                else:
+                    work.pop(mu, None)
+        return MultiPoly._from_terms(poly.ring, self.e_names, out)
+
+    def from_e(self, epoly: MultiPoly) -> MultiPoly:
+        """Expand a polynomial in ``e_1..e_N`` back into ``variables``."""
+        if epoly.vars != self.e_names:
+            raise ValueError(f"alphabet {epoly.vars} is not {self.e_names}")
+        return self._expand(epoly.ring, epoly.terms)
+
+    def _expand(self, ring: CoefRing, terms: Mapping[tuple[int, ...], Scalar]) -> MultiPoly:
+        """``sum c * e^alpha`` over ``terms`` ``{alpha: c}``: summed on
+        partitions, then each partition's orbit written out."""
+        coeffs: dict[tuple[int, ...], Scalar] = {}
+        get = coeffs.get
+        for alpha, c in terms.items():
+            for lam, k in self._expansion(alpha).items():
+                coeffs[lam] = get(lam, 0) + c * k
+        out: dict[tuple[int, ...], Scalar] = {}
+        norm = ring.normalize
+        for lam, c in coeffs.items():
+            c = norm(c)
+            if c:
+                out.update(dict.fromkeys(_distinct_permutations(lam), c))
+        return MultiPoly._from_terms(ring, self.vars, out)
+
+    def _expansion(self, alpha: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """``e^alpha`` as ``{partition: coefficient}``."""
+        found = self._expansions.get(alpha)
+        if found is None:
+            i = next(j for j, a in enumerate(alpha) if a)
+            found = self._pieri(
+                self._expansion(alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]), i + 1
+            )
+            self._expansions[alpha] = found
+        return found
+
+    def _pieri(
+        self, f: Mapping[tuple[int, ...], int], r: int
+    ) -> dict[tuple[int, ...], int]:
+        """``f * e_r`` for ``f`` given by its coefficients at partitions.
+
+        The product's coefficient at a partition ``nu`` sums ``f`` at
+        ``nu - 1_S`` over the ``r``-subsets ``S`` of positions, and every
+        such ``nu`` is ``mu + 1_S`` for a partition ``mu`` of ``f``.
+        """
+        subsets = self._subsets[r]
+        targets = set()
+        for mu in f:
+            for S in subsets:
+                nu = list(mu)
+                for i in S:
+                    nu[i] += 1
+                if all(map(operator.ge, nu, nu[1:])):
+                    targets.add(tuple(nu))
+        out: dict[tuple[int, ...], int] = {}
+        get = f.get
+        for nu in targets:
+            total = 0
+            for S in subsets:
+                if nu[S[-1]]:  # nu decreases, so every part at S is positive
+                    a = list(nu)
+                    for i in S:
+                        a[i] -= 1
+                    total += get(tuple(sorted(a, reverse=True)), 0)
+            if total:
+                out[nu] = total
+        return out
+
+
+def _distinct_permutations(exp: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """Every distinct rearrangement of ``exp``, each once."""
+    if not exp:
+        yield ()
+        return
+    for v in dict.fromkeys(exp):
+        i = exp.index(v)
+        for rest in _distinct_permutations(exp[:i] + exp[i + 1:]):
+            yield (v, *rest)
+
+
 def to_elementary(poly: MultiPoly, e_names: Sequence[str] | None = None) -> MultiPoly:
     """Rewrite a symmetric polynomial in the elementary symmetric generators.
 
     Returns a polynomial in variables ``E1..Ek`` (or the supplied names)
-    such that substituting ``Ei -> e_i(vars)`` recovers the input.  Uses the
-    classical leading-term subtraction algorithm under graded lex order.
+    such that substituting ``Ei -> e_i(vars)`` recovers the input; see
+    :class:`ElementaryBasis`.
     """
-    if not is_symmetric(poly):
-        raise NotInSymmetricSubring(f"{poly} is not symmetric")
-    k = len(poly.vars)
-    e_names = tuple(e_names) if e_names is not None else tuple(f"E{i}" for i in range(1, k + 1))
-    ring = poly.ring
-    elems = [elementary(ring, poly.vars, i) for i in range(1, k + 1)]
-    result = MultiPoly.zero(ring, e_names)
-    work = poly
-    guard = 0
-    while not work.is_zero():
-        guard += 1
-        if guard > _TO_ELEMENTARY_STEPS:
-            raise ElementaryNotTerminating("to_elementary failed to terminate")
-        lead = max(work.terms, key=_grlex_key)
-        c = work.terms[lead]
-        lam = sorted(lead, reverse=True)
-        if list(lead) != lam:
-            # For a symmetric polynomial the grlex-leading exponent is always
-            # weakly decreasing along the declared variable order.
-            raise NotInSymmetricSubring(f"{poly} is not symmetric")
-        # exponent of E_i in the subtracted product: lam_i - lam_{i+1}
-        e_exp = [0] * k
-        prod = MultiPoly.const(ring, poly.vars, 1)
-        for i in range(k):
-            nxt = lam[i + 1] if i + 1 < k else 0
-            d = lam[i] - nxt
-            e_exp[i] = d
-            if d:
-                prod = prod * (elems[i] ** d)
-        result = result + MultiPoly(ring, e_names, {tuple(e_exp): c})
-        work = work - prod * c
-    return result
+    return ElementaryBasis(poly.vars, e_names).to_e(poly)
 
 
 def from_elementary(epoly: MultiPoly, variables: Sequence[str]) -> MultiPoly:
     """Substitute E_i -> e_i(variables) into a polynomial in E-variables."""
-    variables = tuple(variables)
-    ring = epoly.ring
-    mapping = {}
-    for name in epoly.vars:
-        if not name.startswith("E"):
-            raise ValueError(f"expected E-variables, got {name}")
-        i = int(name[1:])
-        mapping[name] = elementary(ring, variables, i)
     if not epoly.vars:
         raise ValueError("no variables")
-    return epoly.subs(mapping)
+    basis = ElementaryBasis(variables)
+    N = len(basis.vars)
+    index = []
+    for name in epoly.vars:
+        if not name.startswith("E") or int(name[1:]) < 0:
+            raise ValueError(f"expected E-variables, got {name}")
+        index.append(int(name[1:]))
+    terms: dict[tuple[int, ...], Scalar] = {}
+    for e, c in epoly.terms.items():
+        alpha = [0] * N
+        for i, k in zip(index, e):
+            if k and i:
+                if i > N:  # e_i vanishes on fewer than i variables
+                    break
+                alpha[i - 1] += k
+        else:
+            key = tuple(alpha)
+            terms[key] = terms.get(key, 0) + c
+    return basis._expand(epoly.ring, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -887,9 +1050,6 @@ class RatFun:
                 clean[(i, j)] = m
         self.den = clean
 
-    def _diff(self, i: int, j: int) -> MultiPoly:
-        return _difference(self.num.ring, self.num.vars, i, j)
-
     def normalize(self) -> "RatFun":
         """Cancel every denominator factor that divides the numerator."""
         num = self.num
@@ -922,21 +1082,10 @@ class RatFun:
         return r.num
 
     def __add__(self, other: "RatFun") -> "RatFun":
+        """The normalized sum, by :func:`ratfun_sum`."""
         if isinstance(other, MultiPoly):
             other = RatFun(other)
-        pairs = set(self.den) | set(other.den)
-        common = {p: max(self.den.get(p, 0), other.den.get(p, 0)) for p in pairs}
-        a = self.num
-        for p, m in common.items():
-            need = m - self.den.get(p, 0)
-            if need:
-                a = a * (self._diff(*p) ** need)
-        b = other.num
-        for p, m in common.items():
-            need = m - other.den.get(p, 0)
-            if need:
-                b = b * (other._diff(*p) ** need)
-        return RatFun(a + b, common)
+        return ratfun_sum((self, other))
 
     def __neg__(self) -> "RatFun":
         return RatFun(-self.num, self.den)
@@ -961,8 +1110,7 @@ class RatFun:
                 if isinstance(other, MultiPoly)
                 else MultiPoly.const(self.num.ring, self.num.vars, other)
             )
-        diff = (self - other).normalize()
-        return diff.num.is_zero()
+        return (self - other).num.is_zero()
 
     def __hash__(self):
         r = self.normalize()

@@ -45,6 +45,7 @@ from .foamcore import (
 from .foameval import CheckReport, degree, evaluate, evaluate_family
 from .polyring import (
     CoefRing,
+    ElementaryBasis,
     MultiPoly,
     Scalar,
     SymPoly,
@@ -665,11 +666,24 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     sums = _movie_sums(gens.movies, gens)
     n = len(sums)
     P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens)
+    # The system is solved over R[e_1..e_N]: every pairing is a symmetric
+    # polynomial and far smaller in the elementary basis.  The ``phi0``
+    # entries are constants already.  Only the solution is converted back.
+    equivariant = gens.base == "equivariant"
+    if equivariant:
+        basis = ElementaryBasis(xvars(gens.N))
+        entry, back = basis.to_e, basis.from_e
+    else:
+        def entry(v: MultiPoly) -> MultiPoly:
+            return _base_entry(v, gens.base)
+
+        def back(v: MultiPoly) -> MultiPoly:
+            return v
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries (the
     # generator rows of P) and of the image pairings (the rows after them)
-    M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
-    B = [[_base_entry(P[n + k][j], gens.base) for k in range(n)] for j in range(n)]
+    M = [[entry(P[k][j]) for k in range(n)] for j in range(n)]
+    B = [[entry(P[n + k][j]) for k in range(n)] for j in range(n)]
     # A system without a polynomial solution raises here, before the kernel
     # is checked; the operator is not well defined either way.
     _, kernel, X = _fraction_free_solve(M, B)
@@ -678,7 +692,7 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         # kernel; the operator acts on its coefficients by the base
         # derivation and on the generators by the pairing columns.  The
         # check is blind to the scaling of each kernel vector.
-        deriv = base_derivation(op) if gens.base == "equivariant" else None
+        deriv = _elementary_derivation(op, basis, gens.ring) if equivariant else None
         for vec in kernel:
             for j in range(n):
                 acc = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
@@ -689,14 +703,15 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
                 if not acc.is_zero():
                     raise NotWellDefined(
                         f"operator {op} moves a pairing-kernel vector out of the"
-                        f" kernel (generator coordinates {vec})"
+                        f" kernel (generator coordinates {[back(e) for e in vec]})"
                     )
         cert = CheckReport(
             True, None, f"kernel of dimension {len(kernel)} is preserved"
         )
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
-    return InducedAction(op, tuple(tuple(row) for row in X), cert, gens.base)
+    matrix = tuple(tuple(back(e) for e in row) for row in X)
+    return InducedAction(op, matrix, cert, gens.base)
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +730,26 @@ def base_derivation(op: str):
     """The action ``c * L_n`` of an operator on base-ring coefficients."""
     n, c = operator_index(parse_operator(op))
     return lambda q: witt_act(n, q) * c
+
+
+def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
+    """:func:`base_derivation` on polynomials in ``e_1..e_N``, by the chain
+    rule ``d(q) = sum_k dq/de_k * d(e_k)``; each ``d(e_k)`` is converted
+    once."""
+    d = base_derivation(op)
+    images = [
+        basis.to_e(d(elementary(ring, basis.vars, k))) for k in range(1, len(basis.vars) + 1)
+    ]
+
+    def deriv(q: MultiPoly) -> MultiPoly:
+        acc = MultiPoly.zero(q.ring, q.vars)
+        for name, image in zip(q.vars, images):
+            dq = q.derivative(name)
+            if not dq.is_zero():
+                acc = acc + dq * image
+        return acc
+
+    return deriv
 
 
 def _derive_matrix(op: str, M: Matrix) -> Matrix:

@@ -19,6 +19,12 @@ results back into dot shapes.  The package applies the same operators with
 closed rules on the shapes; the tests require identical terms.  Its move
 images come from separate Witt and sl2 tables, one branch per move kind,
 where the package uses one move rule with per-operator weights.
+
+The reference induced-operator matrix solves the pairing system with the
+package's solver on entries in the pigment alphabet ``X1..XN`` and runs
+the kernel certificate there, differentiating coefficients with
+``witt_act``; the package solves over the elementary symmetric
+polynomials and converts only the solution back.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable
 
-from foamlab import actions
+from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
 from foamlab.foamcore import MoveTrace
 from foamlab.foameval import _facet_vars, _orbit_poly
-from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3
+from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3, NotWellDefined
 from foamlab.polyring import MultiPoly, Scalar, power_sum, witt_act
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
@@ -421,3 +427,32 @@ def sl2_reference(gen, params, S):
     """The reference image of ``S`` under the sl2 generator ``gen``."""
     local = _sl2_local(S.skeleton, params, gen)
     return leibniz_reference(S, _SL2_POLY[gen], local)
+
+
+def induced_reference(op, params, gens):
+    """``(matrix, certificate detail)`` of ``induced_action(op, params, gens)``,
+    solved and certified on entries in the pigment alphabet."""
+    sums = statespace._movie_sums(gens.movies, gens)
+    n = len(sums)
+    images = [actions.apply_operator(op, params, S) for S in sums]
+    P = statespace._pairings(sums + images, gens)
+    base = lambda v: statespace._base_entry(v, gens.base)  # noqa: E731
+    M = [[base(P[k][j]) for k in range(n)] for j in range(n)]
+    B = [[base(P[n + k][j]) for k in range(n)] for j in range(n)]
+    _, kernel, X = statespace._fraction_free_solve(M, B)
+    if not kernel:
+        return X, "pairing nondegenerate; kernel trivial"
+    deriv = statespace.base_derivation(op) if gens.base == "equivariant" else None
+    for vec in kernel:
+        for j in range(n):
+            acc = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
+            for k in range(n):
+                acc = acc + B[j][k] * vec[k]
+                if deriv is not None:
+                    acc = acc + M[j][k] * deriv(vec[k])
+            if not acc.is_zero():
+                raise NotWellDefined(
+                    f"operator {op} moves a pairing-kernel vector out of the"
+                    f" kernel (generator coordinates {vec})"
+                )
+    return X, f"kernel of dimension {len(kernel)} is preserved"

@@ -6,6 +6,7 @@ evaluation compatibility checks compare against the independent closed-foam
 evaluation, both summed and coloring by coloring.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -520,6 +521,29 @@ class TestDotShapeRules:
         block = vs[a:] if hat else vs[:a]
         want = power_sum(ring, block, k).extend(vs) * _orbit_poly(ring, shape)
         assert expand_shapes(ring, a, m, _dot_rule(shape, k, hat)) == want
+
+
+def sorted_change_one_part(block, step):
+    """The rule as first written: sort a fresh tuple per distinct part."""
+    for i, v in enumerate(block):
+        if i and block[i - 1] == v:
+            continue
+        w = v + step
+        new = tuple(sorted(block[:i] + (w,) + block[i + 1:], reverse=True))
+        yield v, new, new.count(w)
+
+
+class TestChangeOnePart:
+    def test_matches_sorting_every_block(self):
+        blocks = [
+            tuple(sorted(parts, reverse=True))
+            for k in range(5)
+            for parts in itertools.combinations_with_replacement(range(6), k)
+        ]
+        for block in blocks:
+            for step in range(-1, 4):
+                got = list(actions._change_one_part(block, step))
+                assert got == list(sorted_change_one_part(block, step)), (block, step)
 
 
 def has_saddle(mov):

@@ -1,6 +1,7 @@
 """Tests for the exact polynomial / rational-function core."""
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 
@@ -360,6 +361,65 @@ class TestSymmetric:
         with pytest.raises(ElementaryNotTerminating) as info:
             to_elementary(p)
         assert isinstance(info.value, FoamlabError)
+
+    @given(st.data(), st.integers(1, 4), RINGS)
+    @settings(max_examples=60, deadline=None)
+    def test_elementary_roundtrip(self, data, k, ring):
+        # q is a random polynomial in e_1..e_k; p is q expanded by plain
+        # substitution, an expansion that shares no code with the converter
+        q = data.draw(polys(tuple(f"E{i}" for i in range(1, k + 1)), ring, max_deg=3))
+        V = xvars(k)
+        p = q.subs({f"E{i}": elementary(ring, V, i) for i in range(1, k + 1)})
+        assert to_elementary(p) == q
+        assert from_elementary(to_elementary(p), V) == p
+
+    @pytest.mark.parametrize(
+        "case",
+        ["permuted term missing", "sorted term missing", "coefficient differs", "block only"],
+    )
+    def test_to_elementary_rejects_broken_symmetry(self, case):
+        p = power_sum(ZZ, V3, 2) * elementary(ZZ, V3, 1) + elementary(ZZ, V3, 3)
+        terms = dict(p.terms)
+        if case == "permuted term missing":
+            del terms[(1, 2, 0)]
+        elif case == "sorted term missing":
+            del terms[(2, 1, 0)]
+        elif case == "coefficient differs":
+            terms[(0, 1, 2)] += 1
+        else:
+            # symmetric in {x, y} but not under x <-> z
+            terms = {(1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 0): 3}
+        broken = MultiPoly(ZZ, V3, terms)
+        assert not is_symmetric(broken)
+        with pytest.raises(NotInSymmetricSubring):
+            to_elementary(broken)
+        if case == "block only":
+            assert is_symmetric(broken, (2, 1))
+
+    @given(polys(X3, ZZ, max_deg=3), st.sampled_from([(3,), (2, 1), (1, 2), (1, 1, 1)]))
+    @settings(max_examples=80, deadline=None)
+    def test_is_symmetric_is_transposition_invariance(self, p, blocks):
+        def invariant(q):
+            start = 0
+            for b in blocks:
+                for i in range(start, start + b - 1):
+                    u, v = q.vars[i], q.vars[i + 1]
+                    if q.permute_vars({u: v, v: u}) != q:
+                        return False
+                start += b
+            return True
+
+        assert is_symmetric(p, blocks) == invariant(p)
+        ranges, start = [], 0
+        for b in blocks:
+            ranges.append(range(start, start + b))
+            start += b
+        orbit = MultiPoly.zero(ZZ, X3)
+        for images in itertools.product(*(itertools.permutations(r) for r in ranges)):
+            perm = [i for image in images for i in image]
+            orbit = orbit + p.permute_vars({X3[i]: X3[j] for i, j in enumerate(perm)})
+        # the sum over the permutations inside the blocks is invariant
+        assert is_symmetric(orbit, blocks)
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
     def test_bad_modulus_is_an_input_error(self, p):

@@ -17,7 +17,7 @@ from foamlab.actions import (
     apply_operator,
     sl2_from_witt,
 )
-from foamlab import dsl, statespace
+from foamlab import actions, dsl, foameval, statespace
 from foamlab.errors import (
     DivisionNotExact,
     InputError,
@@ -163,6 +163,30 @@ class TestGramMatrix:
         monkeypatch.setattr(statespace, "compose", lambda *a: calls.append(a) or real(*a))
         gram_matrix(gens)
         assert len(calls) == 6
+
+    def test_strips_each_distinct_movie_once(self, monkeypatch):
+        # the pairings hand evaluate_family each composite once per row
+        calls = {"_strip_decorations": 0, "_facet_decorations": 0}
+        for name in calls:
+            real = getattr(foameval, name)
+
+            def counting(*a, name=name, real=real):
+                calls[name] += 1
+                return real(*a)
+
+            monkeypatch.setattr(foameval, name, counting)
+        movies, foams = set(), []
+        real_family = statespace.evaluate_family
+
+        def family(given, *a):
+            foams.extend(given)
+            movies.update(mov for mov, _ in given)
+            return real_family(given, *a)
+
+        monkeypatch.setattr(statespace, "evaluate_family", family)
+        assert moy_check("circle", 4, a=2).ok
+        assert (len(foams), len(movies)) == (36, 6)
+        assert calls == {"_strip_decorations": 6, "_facet_decorations": 6}
 
     def test_phi0_entries_are_constants(self):
         G = gram_matrix(circle_presentation(1, 3, ZZ, "phi0"))
@@ -497,6 +521,105 @@ class TestPinnedMatrices:
         *rows, detail = PINNED[f"{family}.{op}"]
         assert [tuple(str(e) for e in row) for row in A.matrix] == rows
         assert A.certificate.detail == detail
+
+
+# Presentations at N <= 4 for the differential test of the solver over
+# the elementary basis: name -> (N, build(ring)).
+DIFFERENTIAL_FAMILIES = {
+    "circle(1,2)": (2, lambda ring: circle_presentation(1, 2, ring)),
+    "circle(1,4)": (4, lambda ring: circle_presentation(1, 4, ring)),
+    "circle(2,3)": (3, lambda ring: circle_presentation(2, 3, ring)),
+    "circle(2,4)": (4, lambda ring: circle_presentation(2, 4, ring)),
+    "theta(1,1,3)": (3, lambda ring: theta_presentation(1, 1, 3, ring)),
+    "thin_cups(N=2)": (2, thin_cups),
+    "thin_cups(N=3)": (3, lambda ring: thin_cups(ring, 3, 3)),
+    "thin_cups(N=4)": (4, lambda ring: thin_cups(ring, 4, 5)),
+    "circle(1,3) phi0": (3, lambda ring: circle_presentation(1, 3, ring, "phi0")),
+    "circle(2,4) phi0": (4, lambda ring: circle_presentation(2, 4, ring, "phi0")),
+}
+
+
+def induced_outcome(solve):
+    """``(matrix, certificate detail)``, or the ``NotWellDefined`` message."""
+    try:
+        matrix, detail = solve()
+    except NotWellDefined as exc:
+        return "NotWellDefined", str(exc)
+    return [list(row) for row in matrix], detail
+
+
+def outcomes(op, P, gens):
+    """The package's outcome and the pigment-basis reference's."""
+
+    def package():
+        A = induced_action(op, P, gens)
+        return A.matrix, A.certificate.detail
+
+    return (
+        induced_outcome(package),
+        induced_outcome(lambda: oracle.induced_reference(op, P, gens)),
+    )
+
+
+def differential_cases():
+    for family in sorted(DIFFERENTIAL_FAMILIES):
+        ops = "d" if family.endswith("phi0") else "ehfd"
+        for op in ops:
+            for ring in (QQ, GF(5)) if op != "d" else (GF(5),):
+                yield family, op, ring
+
+
+def differential_pack(op, ring, N):
+    if op == "d":
+        return ActionParams(ring=ring, N=N, t1=1, t2=2, t3=0)
+    if ring == QQ:
+        return rich_pack(N)
+    return ActionParams(ring=ring, N=N, t1=1, t2=3, t3=0)
+
+
+class TestInducedAgainstPigmentBasis:
+    """The solve over ``e_1..e_N`` against the reference solve on entries in
+    ``X1..XN`` (``oracle.induced_reference``)."""
+
+    @pytest.mark.parametrize("family,op,ring", list(differential_cases()))
+    def test_same_matrix_and_certificate(self, family, op, ring):
+        N, build = DIFFERENTIAL_FAMILIES[family]
+        got, want = outcomes(op, differential_pack(op, ring, N), build(ring))
+        assert got == want
+        if family.startswith("thin_cups"):
+            assert "kernel of dimension" in got[1]
+
+    @pytest.mark.parametrize("N,kmax", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("op", ["e", "f"])
+    def test_same_kernel_violation(self, N, kmax, op, monkeypatch):
+        # images of h certified with the derivation of op: the kernel moves
+        real = actions.apply_operator
+
+        def wrong(_op, params, S):
+            return real("h", params, S)
+
+        monkeypatch.setattr(statespace, "apply_operator", wrong)
+        monkeypatch.setattr(actions, "apply_operator", wrong)
+        got, want = outcomes(op, rich_pack(N), thin_cups(QQ, N, kmax))
+        assert got[0] == "NotWellDefined" and "kernel" in got[1]
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "N,cups,op,reason",
+        [(3, (2,), "e", "polynomial"), (2, (0,), "d", "span"), (3, (0, 1), "f", "span")],
+    )
+    def test_same_unsolvable_system(self, N, cups, op, reason):
+        # one-sided families of dotted thin cups whose systems have no
+        # polynomial solution
+        ring = GF(5) if op == "d" else QQ
+        movs = [
+            decorated_cup(SymPoly(power_sum(ring, ("x1",), 1) ** k, (1,)) if k else None)
+            for k in cups
+        ]
+        gens = presentation(movs, N, ring)
+        got, want = outcomes(op, differential_pack(op, ring, N), gens)
+        assert got[0] == "NotWellDefined" and reason in got[1]
+        assert got == want
 
 
 def is_zero_vector(M, v):
