@@ -1439,6 +1439,40 @@ def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
     yield from rec(0)
 
 
+def _components(F: FoamComplex) -> list[FoamComplex]:
+    """The connected components of a foam, as sub-complexes in facet order.
+
+    Facets are joined when they share a binding segment or a singular
+    vertex.  A component holds its facets, bindings and singular vertices
+    under their ids in ``F``, with the move traces and slice edges on its
+    facets; a closed foam's components are closed.  The empty foam has none.
+    """
+    uf = _UF()
+    for f in F.facets:
+        uf.make(f)
+    for b in F.bindings.values():
+        for a, bb, th in b.segments:
+            uf.union(a, bb)
+            uf.union(a, th)
+    for v in F.vertices.values():
+        for f in v.facets[1:]:
+            uf.union(v.facets[0], f)
+    members: dict[str, set[str]] = {}
+    for f in F.facet_ids():
+        members.setdefault(uf.find(f), set()).add(f)
+    return [
+        FoamComplex(
+            {f: facet for f, facet in F.facets.items() if f in S},
+            {k: b for k, b in F.bindings.items() if b.sideA in S},
+            {k: v for k, v in F.vertices.items() if v.facets[0] in S},
+            tuple(tr for tr in F.traces if tr.facets and tr.facets[0] in S),
+            F.closed,
+            tuple({e: f for e, f in snap.items() if f in S} for snap in F.edge_facets),
+        )
+        for S in members.values()
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Colored Euler-characteristic data
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from .foamcore import (
     compile_movie,
     enumerate_colorings,
     monochrome_euler,
+    _components,
     _strip_decorations,
 )
 from .polyring import (
@@ -255,8 +256,16 @@ def colored_eval(
 @dataclass
 class EvalResult:
     value: MultiPoly
-    breakdown: list[tuple[Coloring, RatFun]]
+    foam: FoamComplex
     N: int
+    ring: CoefRing
+
+    @property
+    def breakdown(self) -> list[tuple[Coloring, RatFun]]:
+        """Each coloring of the whole foam with its colored value, in
+        :func:`enumerate_colorings` order; computed on every read."""
+        F, N, ring = self.foam, self.N, self.ring
+        return [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
 
 
 def _coloring_key(c: Coloring) -> tuple:
@@ -291,21 +300,33 @@ def _check_degree(value: MultiPoly, expected_degree: Callable[[], int]) -> None:
 
 
 def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
-    """Sum the colored evaluations of a closed foam.
+    """Sum the colored evaluations of a closed foam, one component at a time.
 
-    Asserts that the sum is a symmetric polynomial (raising
-    ``NotPolynomial`` / ``NotSymmetric`` otherwise) and, for homogeneous
-    decorations and nonzero value, that its degree matches :func:`degree`.
+    A coloring of a disjoint union is one coloring per component, and its
+    value is the product of theirs, so the sum over colorings is the
+    product of the components' sums.  Each component's sum must be a
+    symmetric polynomial (raising ``NotPolynomial`` / ``NotSymmetric``
+    otherwise).  For homogeneous decorations and a nonzero value, each
+    component's sum and the product must have the degree :func:`degree`
+    gives them.
     """
     _require_pigments(N)
     if isinstance(F, Movie):
         F = compile_movie(F)
     if not F.closed:
         raise InputError("only closed foams are evaluated")
-    breakdown = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
-    value = _checked_sum([r for _, r in breakdown], N, ring)
-    _check_degree(value, lambda: degree(F, N))
-    return EvalResult(value, breakdown, N)
+    sums = []
+    for P in _components(F):
+        terms = [colored_eval(P, c, N, ring) for c in enumerate_colorings(P, N)]
+        sums.append((P, _checked_sum(terms, N, ring)))
+    value = MultiPoly.const(ring, xvars(N), 1)
+    for _, s in sums:
+        value = value * s
+    if not value.is_zero():
+        for P, s in sums:
+            _check_degree(s, lambda: degree(P, N))
+        _check_degree(value, lambda: degree(F, N))
+    return EvalResult(value, F, N, ring)
 
 
 class _ShapeTable:

@@ -20,6 +20,10 @@ closed rules on the shapes; the tests require identical terms.  Its move
 images come from separate Witt and sl2 tables, one branch per move kind,
 where the package uses one move rule with per-operator weights.
 
+The unfactored closed-foam value sums the colored evaluations of every
+coloring of the whole complex in one rational sum; the package sums each
+connected component's colorings and multiplies the component values.
+
 The reference induced-operator matrix solves the pairing system with the
 package's solver on entries in the pigment alphabet ``X1..XN`` and runs
 the kernel certificate there, differentiating coefficients with
@@ -36,10 +40,10 @@ from typing import Callable
 
 from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
-from foamlab.foamcore import MoveTrace
-from foamlab.foameval import _facet_vars, _orbit_poly
+from foamlab.foamcore import FoamComplex, MoveTrace, enumerate_colorings
+from foamlab.foameval import _facet_vars, _orbit_poly, colored_eval
 from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3, NotWellDefined
-from foamlab.polyring import MultiPoly, Scalar, power_sum, witt_act
+from foamlab.polyring import CoefRing, MultiPoly, Scalar, power_sum, ratfun_sum, witt_act, xvars
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
 
@@ -456,3 +460,12 @@ def induced_reference(op, params, gens):
                     f" kernel (generator coordinates {vec})"
                 )
     return X, f"kernel of dimension {len(kernel)} is preserved"
+
+
+def unfactored_value(F: FoamComplex, N: int, ring: CoefRing) -> MultiPoly:
+    """The value of a closed foam as one sum over the colorings of the whole
+    complex, with no split into connected components."""
+    terms = [colored_eval(F, c, N, ring) for c in enumerate_colorings(F, N)]
+    if not terms:
+        return MultiPoly.zero(ring, xvars(N))
+    return ratfun_sum(terms).as_polynomial()

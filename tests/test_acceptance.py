@@ -49,6 +49,7 @@ from foamlab.polyring import (
     SymPoly,
     WittSequence,
     ZZ,
+    power_sum,
     qbinom_laurent,
     symmetric_basis,
 )
@@ -412,6 +413,24 @@ class TestWorkedValues:
             [{}, {(0, 0): Fraction(-1)}],
             [{(0, 0): Fraction(-1)}, {k: -v for k, v in e1.items()}],
         ]
+
+    @pytest.mark.parametrize(
+        "thickness,k,want", [(1, 5, 1), (2, 8, 56693912375296)]
+    )
+    def test_twelve_disjoint_dotted_spheres(self, thickness, k, want):
+        # one sphere is 1 or -14 at N = 6; the union of twelve is the
+        # product, summed one component at a time
+        vs = tuple(f"x{i}" for i in range(1, thickness + 1))
+        dot = SymPoly(power_sum(ZZ, vs, 1) ** k, (thickness,))
+        b = MovieBuilder()
+        for _ in range(12):
+            e = b.cup(thickness)
+            b.decorate(e, dot)
+            b.cap(e)
+        start = time.monotonic()
+        value = evaluate(b.movie(), 6).value
+        assert time.monotonic() - start < 2
+        assert value == MultiPoly.const(ZZ, value.vars, want)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,16 @@ movie thick_cup on empty {
   cup(2) -> c1;
   decorate c1 with p_2;
 }
+
+movie dotted_sphere_torus on empty {
+  cup(1) -> c1;
+  decorate c1 with p_1;
+  cap(1) on c1;
+  cup(1) -> c2;
+  saddle on (c2, c2);
+  saddle on (e1, e2);
+  cap(1) on e3;
+}
 """
 
 
@@ -73,6 +83,36 @@ class TestEval:
         assert code == 0
         assert rec["schema"] == "foamlab.v1"
         assert rec["value"] == "-1"
+
+    def test_breakdown_lists_colorings_of_the_whole_foam(self, capsys, foam_file):
+        # two components, summed apart; the breakdown still has one line per
+        # coloring of the whole foam, in enumeration order
+        target = f"{foam_file}#dotted_sphere_torus"
+        parts = [
+            "({'f1': frozenset({1}), 'f2': frozenset({1})}, (-X1) / ((X1 - X2)))",
+            "({'f1': frozenset({1}), 'f2': frozenset({2})}, (-X1) / ((X1 - X2)))",
+            "({'f1': frozenset({2}), 'f2': frozenset({1})}, (X2) / ((X1 - X2)))",
+            "({'f1': frozenset({2}), 'f2': frozenset({2})}, (X2) / ((X1 - X2)))",
+        ]
+        code, out, _ = run(capsys, "eval", "--N", "2", "--breakdown", target)
+        assert code == 0
+        assert out == "\n".join(
+            ["-2"] + [f"  coloring {i}: {p}" for i, p in enumerate(parts)]
+        ) + "\n"
+        code, out, _ = run(capsys, "eval", "--N", "2", "--breakdown", "--json", target)
+        assert code == 0
+        assert out == json.dumps(
+            {
+                "N": 2,
+                "base": "equivariant",
+                "breakdown": parts,
+                "command": "eval",
+                "ring": "Z",
+                "schema": "foamlab.v1",
+                "value": "-2",
+            },
+            separators=(",", ":"),
+        ) + "\n"
 
     def test_unknown_movie_is_input_error(self, capsys, foam_file):
         code, _, err = run(capsys, "eval", "--N", "2", f"{foam_file}#nope")

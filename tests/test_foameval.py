@@ -32,6 +32,7 @@ from foamlab.foamcore import (
     Movie,
     MovieBuilder,
     Web,
+    _components,
     _strip_decorations,
     compile_movie,
     compose,
@@ -51,6 +52,7 @@ from foamlab.polyring import (
     xvars,
 )
 
+from oracle import unfactored_value
 from test_foamcore import (
     assoc_movie,
     membrane_bubble_movie,
@@ -216,6 +218,87 @@ class TestEvaluate:
             evaluate(stray, 2)
         with pytest.raises(PatternMismatch):
             evaluate_family([stray], 2)
+
+
+def _unions():
+    """Closed corpus movies and 2- and 3-fold disjoint unions of them."""
+    corpus = closed_corpus(seed=29, count=25)
+    pairs = [compose(corpus[i], corpus[i + 1]) for i in range(0, 10, 2)]
+    triples = [
+        compose(compose(corpus[i], corpus[i + 1]), corpus[i + 2]) for i in range(10, 19, 3)
+    ]
+    return corpus + pairs + triples
+
+
+def _inhomogeneous_sphere():
+    mixed = SymPoly(power_sum(ZZ, ("x1",), 1) + power_sum(ZZ, ("x1",), 2), (1,))
+    b = MovieBuilder()
+    c = b.cup(1)
+    b.decorate(c, mixed)
+    b.cap(c)
+    return b.movie()
+
+
+class TestComponents:
+    """``evaluate`` sums each connected component's colorings and multiplies."""
+
+    def test_split_partitions_the_complex(self):
+        for mov in _unions():
+            F = compile_movie(mov)
+            parts = _components(F)
+            for attr in ("facets", "bindings", "vertices"):
+                ids = [k for P in parts for k in getattr(P, attr)]
+                assert sorted(ids) == sorted(getattr(F, attr))
+            for P in parts:
+                assert P.closed and P.facets
+                for b in P.bindings.values():
+                    assert {f for seg in b.segments for f in seg} <= set(P.facets)
+                    assert set(b.endpoints) <= set(P.vertices)
+                for v in P.vertices.values():
+                    assert set(v.facets) <= set(P.facets)
+                    assert set(v.bindings) <= set(P.bindings)
+
+    def test_counts_multiply_and_degrees_add(self):
+        for mov in _unions():
+            F = compile_movie(mov)
+            parts = _components(F)
+            for N in (2, 3):
+                count = 1
+                for P in parts:
+                    count *= len(list(enumerate_colorings(P, N)))
+                assert len(list(enumerate_colorings(F, N))) == count
+                assert degree(F, N) == sum(degree(P, N) for P in parts)
+
+    def test_empty_foam(self):
+        F = compile_movie(Movie(Web.empty(), ()))
+        assert _components(F) == []
+        assert evaluate(F, 3).value == MultiPoly.const(ZZ, xvars(3), 1)
+
+    def test_seamed_foams_are_one_component(self):
+        theta = compile_movie(theta_movie())
+        assert theta.bindings and len(_components(theta)) == 1
+        assoc = compile_movie(assoc_movie())
+        assert assoc.bindings and assoc.vertices and len(_components(assoc)) == 1
+
+    def test_against_unfactored_sum(self):
+        foams = [compile_movie(mov) for mov in _unions()]
+        assert sum(len(_components(F)) >= 2 for F in foams) >= 10
+        assert max(len(_components(F)) for F in foams) >= 3
+        for ring in (ZZ, GF(5)):
+            for N in (2, 3, 4):
+                for F in foams:
+                    assert evaluate(F, N, ring).value == unfactored_value(F, N, ring)
+
+    def test_inhomogeneous_component_raises(self):
+        union = compose(dotted_sphere(1), _inhomogeneous_sphere())
+        with pytest.raises(NonHomogeneous):
+            evaluate(union, 2)
+
+    def test_too_thick_component_gives_zero(self):
+        too_thick = sphere_movie(3)
+        for other in (dotted_sphere(1), torus_movie(), _inhomogeneous_sphere()):
+            for union in (compose(other, too_thick), compose(too_thick, other)):
+                assert evaluate(union, 2).value.is_zero()
 
 
 # ---------------------------------------------------------------------------
