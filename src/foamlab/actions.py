@@ -61,6 +61,7 @@ from .foameval import (
 )
 from .polyring import (
     CoefRing,
+    ElementaryBasis,
     MultiPoly,
     RatFun,
     Scalar,
@@ -374,7 +375,9 @@ class FoamSum:
         skel = self.skeleton
         if not self.terms:
             return MultiPoly.zero(skel.ring, xvars(skel.N))
-        return _ShapeTable(skel.complex, skel.N, skel.ring).combine(self.terms)
+        basis = ElementaryBasis(xvars(skel.N))
+        table = _ShapeTable(skel.complex, skel.N, skel.ring, basis)
+        return basis.from_e(table.combine(self.terms))
 
     def term_texts(self) -> Iterator[tuple[str, str]]:
         """Yield (coefficient, dots) texts per term.

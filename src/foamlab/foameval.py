@@ -9,6 +9,7 @@ by the topology and the decorations.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -45,12 +46,14 @@ from .foamcore import (
 )
 from .polyring import (
     CoefRing,
+    ElementaryBasis,
     MultiPoly,
     RatFun,
     Scalar,
     SymPoly,
     ZZ,
     is_symmetric,
+    _difference,
     ratfun_sum,
     xvars,
 )
@@ -289,14 +292,29 @@ def _checked_sum(terms: list[RatFun], N: int, ring: CoefRing) -> MultiPoly:
     return value
 
 
-def _check_degree(value: MultiPoly, expected_degree: Callable[[], int]) -> None:
-    """A nonzero value must be homogeneous of ``expected_degree()``."""
+def _check_degree(
+    value: MultiPoly,
+    expected_degree: Callable[[], int],
+    weights: Sequence[int] | None = None,
+) -> None:
+    """A nonzero value must be homogeneous of ``expected_degree()``.
+
+    Variable ``k`` has q-degree ``2 * weights[k]``: 2 for each ``X_i`` by
+    default, ``2k`` for ``E_k`` (``weights = _e_weights(N)``).
+    """
     if not value.is_zero():
+        w = weights or (1,) * len(value.vars)
+        degrees = {2 * sum(map(operator.mul, w, e)) for e in value.terms}
         d = expected_degree()
-        if value.qdegree() != d or not value.is_homogeneous():
+        if degrees != {d}:
             raise NotPolynomial(
-                f"evaluation has degree {value.qdegree()}, expected {d}"
+                f"evaluation has degree {max(degrees)}, expected {d}"
             )
+
+
+def _e_weights(N: int) -> tuple[int, ...]:
+    """The degrees of ``E_1..E_N`` in units of one pigment variable."""
+    return tuple(range(1, N + 1))
 
 
 def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
@@ -332,43 +350,96 @@ def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
 class _ShapeTable:
     """Checked values of one undecorated closed foam under dot-shape maps.
 
-    The foam is colored once.  A map is evaluated on first use, as the sum
-    over colorings of the undecorated term times the map's monomial
-    symmetric decorations there, and kept for the life of the table.  Each
-    value gets the checks of :func:`evaluate`: a symmetric polynomial,
-    homogeneous of degree ``degree(F) + 2 * dots`` when nonzero, where
-    ``dots`` is the sum of the map's exponents.
+    The foam is colored once, and the colorings are grouped by the
+    denominator of their colored value.  Each class's lift to the table's
+    least common denominator, ``LCD / D_class``, is built once, and each
+    (facet, dot shape) a map uses is specialized at every coloring the first
+    time it is used.  A map's value is then
+
+        sum over classes of lift * sum over c in the class of num_c * prod specializations at c
+
+    divided once by the LCD.  Each value gets the checks of
+    :func:`evaluate`: a polynomial, symmetric, and homogeneous of degree
+    ``degree(F) + 2 * dots`` when nonzero, where ``dots`` is the sum of the
+    map's exponents.  It is then written in ``e_1..e_N`` by ``basis`` and
+    kept for the life of the table.
     """
 
-    def __init__(self, F: FoamComplex, N: int, ring: CoefRing):
+    def __init__(self, F: FoamComplex, N: int, ring: CoefRing, basis: ElementaryBasis):
         if not F.closed:
             raise InputError("only closed foams are evaluated")
-        self.N, self.ring = N, ring
-        self.colored = [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
+        self.N, self.ring, self.basis = N, ring, basis
+        self.colorings = list(enumerate_colorings(F, N))
+        classes: dict[tuple, list[tuple[int, MultiPoly]]] = {}
+        for k, c in enumerate(self.colorings):
+            r = colored_eval(F, c, N, ring)
+            classes.setdefault(tuple(sorted(r.den.items())), []).append((k, r.num))
+        self.lcd: dict[tuple[int, int], int] = {}
+        for key in classes:
+            for pair, m in key:
+                self.lcd[pair] = max(self.lcd.get(pair, 0), m)
+        vs = xvars(N)
+        powers: dict[tuple[tuple[int, int], int], MultiPoly] = {}
+        # (lift, [(coloring index, numerator), ...]) per denominator class
+        self.classes: list[tuple[MultiPoly, list[tuple[int, MultiPoly]]]] = []
+        for key, members in classes.items():
+            lift = MultiPoly.const(ring, vs, 1)
+            den = dict(key)
+            for pair, m in self.lcd.items():
+                need = m - den.get(pair, 0)
+                if need:
+                    if (pair, need) not in powers:
+                        powers[(pair, need)] = _difference(ring, vs, *pair) ** need
+                    lift = lift * powers[(pair, need)]
+            self.classes.append((lift, members))
         self.bare_degree = degree(F, N)
+        self.specialized: dict[tuple[str, DotShape], list[MultiPoly]] = {}
         self.values: dict[DecMap, MultiPoly] = {}
 
+    def _specialized(self, f: str, shape: DotShape) -> list[MultiPoly]:
+        """The decoration of ``shape`` on facet ``f`` at each coloring."""
+        key = (f, shape)
+        if key not in self.specialized:
+            p = _orbit_poly(self.ring, shape)
+            at: dict[frozenset[int], MultiPoly] = {}
+            for c in self.colorings:
+                if c[f] not in at:
+                    at[c[f]] = _at_coloring(p, c[f], self.N)
+            self.specialized[key] = [at[c[f]] for c in self.colorings]
+        return self.specialized[key]
+
     def value(self, decmap: DecMap) -> MultiPoly:
+        """The checked value of ``decmap``, in ``e_1..e_N``."""
         if decmap not in self.values:
             N, ring = self.N, self.ring
-            polys = [(f, _orbit_poly(ring, shape)) for f, shape in decmap]
-            terms = []
-            for c, r in self.colored:
-                num = r.num
-                for f, p in polys:
-                    num = num * _at_coloring(p, c[f], N)
-                terms.append(RatFun(num, r.den))
-            value = _checked_sum(terms, N, ring)
+            specs = [self._specialized(f, shape) for f, shape in decmap]
+            total: dict[tuple[int, ...], Scalar] = {}
+            for lift, members in self.classes:
+                acc: dict[tuple[int, ...], Scalar] = {}
+                for k, num in members:
+                    for spec in specs:
+                        num = num * spec[k]
+                    for e, c in num.terms.items():
+                        acc[e] = acc.get(e, 0) + c
+                part = MultiPoly._from_raw(ring, lift.vars, acc)
+                if not part.is_zero():
+                    for e, c in (lift * part).terms.items():
+                        total[e] = total.get(e, 0) + c
+            summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
+            value = summed.as_polynomial()
+            if not is_symmetric(value):
+                raise NotSymmetric(f"evaluation {value} is not symmetric")
             _check_degree(value, lambda: self.bare_degree + 2 * _dots(s for _, s in decmap))
-            self.values[decmap] = value
+            self.values[decmap] = self.basis.to_e(value)
         return self.values[decmap]
 
     def combine(self, terms: Iterable[tuple[Scalar, DecMap]]) -> MultiPoly:
-        """``sum c * value(decmap)`` over ``(c, decmap)`` terms."""
-        total = MultiPoly.zero(self.ring, xvars(self.N))
+        """``sum c * value(decmap)`` over ``(c, decmap)`` terms, in ``e_1..e_N``."""
+        total: dict[tuple[int, ...], Scalar] = {}
         for c, decmap in terms:
-            total = total + self.value(decmap) * c
-        return total
+            for e, v in self.value(decmap).terms.items():
+                total[e] = total.get(e, 0) + v * c
+        return MultiPoly._from_raw(self.ring, self.basis.e_names, total)
 
 
 # A dot term of :func:`evaluate_family`: a coefficient and dot shapes, each
@@ -399,6 +470,21 @@ def evaluate_family(
     Each value equals the :func:`evaluate` value of its foam (summed over
     its terms).
     """
+    basis = ElementaryBasis(xvars(N))
+    return [basis.from_e(v) for v in _family_values(foams, N, ring, basis)]
+
+
+def _family_values(
+    foams: Sequence[Movie | tuple[Movie, Sequence[DotTerm]]],
+    N: int,
+    ring: CoefRing,
+    basis: ElementaryBasis,
+) -> list[MultiPoly]:
+    """:func:`evaluate_family` with the values in ``e_1..e_N`` of ``basis``.
+
+    Shape values and their combinations stay in ``e_1..e_N``; the degree of
+    a term is read with ``E_k`` of q-degree ``2k``.
+    """
     _require_pigments(N)
     # foams by undecorated movie, then by movie: a movie given many times is
     # stripped, and its decorations multiplied per facet, once
@@ -409,16 +495,17 @@ def evaluate_family(
         if mov not in stripped_of:
             stripped_of[mov] = _strip_decorations(mov)
         groups.setdefault(stripped_of[mov][0], {}).setdefault(mov, []).append((k, terms))
+    weights = _e_weights(N)
     values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
     for stripped, movies in groups.items():
         F = compile_movie(stripped)
-        table = _ShapeTable(F, N, ring)
+        table = _ShapeTable(F, N, ring, basis)
         thickness = {f: facet.thickness for f, facet in F.facets.items()}
         for mov, members in movies.items():
             decorations = stripped_of[mov][1]
             decs = _facet_decorations(F, decorations, N, ring)
             for k, terms in members:
-                total = MultiPoly.zero(ring, xvars(N))
+                total: dict[tuple[int, ...], Scalar] = {}
                 for coef, placed in terms:
                     term_decs = dict(decs)
                     for t, edge, shape in placed:
@@ -430,9 +517,10 @@ def evaluate_family(
                         table.bare_degree
                         + sum(_decoration_degree(d) for _, _, d in decorations)
                         + 2 * _dots(s for _, _, s in placed)
-                    ))
-                    total = total + value * coef
-                values[k] = total
+                    ), weights)
+                    for e, c in value.terms.items():
+                        total[e] = total.get(e, 0) + c * coef
+                values[k] = MultiPoly._from_raw(ring, basis.e_names, total)
     return values
 
 

@@ -16,7 +16,7 @@ space is only validated against the known graded ranks.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .actions import (
@@ -42,7 +42,7 @@ from .foamcore import (
     compose,
     mirror,
 )
-from .foameval import CheckReport, degree, evaluate, evaluate_family
+from .foameval import CheckReport, _family_values, degree, evaluate
 from .polyring import (
     CoefRing,
     ElementaryBasis,
@@ -338,8 +338,10 @@ def pair_movies(F: Movie, G: Movie, N: int, ring: CoefRing = ZZ) -> MultiPoly:
 
 
 def _base_entry(value: MultiPoly, base: str) -> MultiPoly:
+    """A checked pairing value over ``base``; the ``phi0`` base keeps its
+    constant term, the same in ``X1..XN`` and in ``e_1..e_N``."""
     if base == "phi0":
-        return MultiPoly.const(value.ring, (), kill_equivariance(value))
+        return MultiPoly.const(value.ring, (), value.constant_value())
     return value
 
 
@@ -359,8 +361,12 @@ class GramMatrix:
 
 
 def gram_matrix(gens: Presentation) -> GramMatrix:
-    rows = _pairings(_movie_sums(gens.movies, gens), gens)
-    entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
+    basis = ElementaryBasis(xvars(gens.N))
+    rows = _pairings(_movie_sums(gens.movies, gens), gens, basis)
+    if gens.base == "equivariant":
+        entries = tuple(tuple(basis.from_e(e) for e in row) for row in rows)
+    else:
+        entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
     return GramMatrix(entries, gens.degrees, gens.N, gens.ring, gens.base)
 
 
@@ -379,14 +385,17 @@ def _movie_sums(movies: Iterable[Movie], gens: Presentation) -> list[FoamSum]:
     return sums
 
 
-def _pairings(rows: Sequence[FoamSum], gens: Presentation) -> list[list[MultiPoly]]:
-    """Entry ``[i][j]`` pairs ``rows[i]`` with ``gens.movies[j]``, equivariantly.
+def _pairings(
+    rows: Sequence[FoamSum], gens: Presentation, basis: ElementaryBasis
+) -> list[list[MultiPoly]]:
+    """Entry ``[i][j]`` pairs ``rows[i]`` with ``gens.movies[j]``, equivariantly,
+    as a polynomial in ``e_1..e_N`` of ``basis``.
 
     A row is paired as its skeleton composed with the mirrored generator,
     its terms' dot shapes placed where they sit on the skeleton; no term
     becomes a movie.  Each (skeleton, generator) composite is built once and
     shared by the rows over that skeleton, and all pairings go through one
-    :func:`evaluate_family` call.
+    :func:`~foamlab.foameval.evaluate_family` call (in ``e_1..e_N``).
     """
     mirrors = [mirror(G) for G in gens.movies]
     composites: dict[_Skeleton, list[Movie]] = {}
@@ -402,7 +411,7 @@ def _pairings(rows: Sequence[FoamSum], gens: Presentation) -> list[list[MultiPol
             composites[skel] = [compose(skel.movie, Gr) for Gr in mirrors]
         terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
         foams.extend((closed, terms) for closed in composites[skel])
-    values = evaluate_family(foams, gens.N, gens.ring)
+    values = _family_values(foams, gens.N, gens.ring, basis)
     n = len(mirrors)
     return [values[i * n:(i + 1) * n] for i in range(len(rows))]
 
@@ -492,17 +501,21 @@ def is_zero_in_statespace(
     one-sided otherwise.  Coefficients may be scalars or polynomials in the
     full alphabet.
     """
+    basis = ElementaryBasis(xvars(gens.N))
     if isinstance(v, FoamSum):
-        (row,) = _pairings([v], gens)
-    else:
-        vs = xvars(gens.N)
-        v = list(v)
-        row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
-        pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens)
-        for (coef, _), values in zip(v, pairs):
-            c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
-            row = [e + value * c for e, value in zip(row, values)]
-    return all(_base_entry(e, gens.base).is_zero() for e in row)
+        (row,) = _pairings([v], gens, basis)
+        return all(_base_entry(e, gens.base).is_zero() for e in row)
+    # a polynomial coefficient need not be symmetric: the row is summed in X1..XN
+    vs = xvars(gens.N)
+    v = list(v)
+    row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
+    pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens, basis)
+    for (coef, _), values in zip(v, pairs):
+        c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
+        row = [e + basis.from_e(value) * c for e, value in zip(row, values)]
+    if gens.base == "phi0":
+        return all(kill_equivariance(e) == 0 for e in row)
+    return all(e.is_zero() for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +623,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         for j in range(m):
             acc = A[i][0] * B[0][j]
             for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
+                if not (A[i][t].is_zero() or B[t][j].is_zero()):
+                    acc = acc + A[i][t] * B[t][j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
@@ -641,12 +655,16 @@ class InducedAction:
 
     ``matrix[k][i]`` is the coefficient of generator ``k`` in the image of
     generator ``i``; composition of operators is matrix product.
+    ``solution`` is the same matrix as solved: on the equivariant base its
+    entries are in ``e_1..e_N`` (variables ``E1..EN``) and ``matrix`` is its
+    expansion in ``X1..XN``; on the ``phi0`` base both are the constants.
     """
 
     op: str
     matrix: Matrix
     certificate: CheckReport
     base: str
+    solution: Matrix = field(repr=False)
 
 
 def induced_action(op: str, params: ActionParams, gens: Presentation) -> InducedAction:
@@ -665,25 +683,19 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         )
     sums = _movie_sums(gens.movies, gens)
     n = len(sums)
-    P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens)
     # The system is solved over R[e_1..e_N]: every pairing is a symmetric
-    # polynomial and far smaller in the elementary basis.  The ``phi0``
-    # entries are constants already.  Only the solution is converted back.
+    # polynomial, far smaller in the elementary basis, and the pairings come
+    # in it.  The ``phi0`` entries are their constant terms.  Only the
+    # solution is converted back.
+    basis = ElementaryBasis(xvars(gens.N))
+    P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
     equivariant = gens.base == "equivariant"
-    if equivariant:
-        basis = ElementaryBasis(xvars(gens.N))
-        entry, back = basis.to_e, basis.from_e
-    else:
-        def entry(v: MultiPoly) -> MultiPoly:
-            return _base_entry(v, gens.base)
-
-        def back(v: MultiPoly) -> MultiPoly:
-            return v
+    back = basis.from_e if equivariant else (lambda v: v)
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries (the
     # generator rows of P) and of the image pairings (the rows after them)
-    M = [[entry(P[k][j]) for k in range(n)] for j in range(n)]
-    B = [[entry(P[n + k][j]) for k in range(n)] for j in range(n)]
+    M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
+    B = [[_base_entry(P[n + k][j], gens.base) for k in range(n)] for j in range(n)]
     # A system without a polynomial solution raises here, before the kernel
     # is checked; the operator is not well defined either way.
     _, kernel, X = _fraction_free_solve(M, B)
@@ -710,8 +722,9 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         )
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
+    solution = tuple(tuple(row) for row in X)
     matrix = tuple(tuple(back(e) for e in row) for row in X)
-    return InducedAction(op, matrix, cert, gens.base)
+    return InducedAction(op, matrix, cert, gens.base, solution)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +736,9 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
 # derivation part).  Composition is therefore matrix product plus the
 # derivation applied entrywise, and operator identities must be checked
 # with these connection-style formulas.  Over the ``phi0`` base the
-# derivation part vanishes and plain matrix algebra applies.
+# derivation part vanishes and plain matrix algebra applies.  Both run on
+# the solved matrices, in ``e_1..e_N`` on the equivariant base, and only the
+# result is expanded in ``X1..XN``.
 
 
 def base_derivation(op: str):
@@ -743,44 +758,71 @@ def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
 
     def deriv(q: MultiPoly) -> MultiPoly:
         acc = MultiPoly.zero(q.ring, q.vars)
-        for name, image in zip(q.vars, images):
-            dq = q.derivative(name)
-            if not dq.is_zero():
-                acc = acc + dq * image
+        for i, (name, image) in enumerate(zip(q.vars, images)):
+            if any(e[i] for e in q.terms):
+                acc = acc + q.derivative(name) * image
         return acc
 
     return deriv
 
 
-def _derive_matrix(op: str, M: Matrix) -> Matrix:
-    d = base_derivation(op)
-    return tuple(tuple(d(e) for e in row) for row in M)
+def _basis(a: InducedAction) -> ElementaryBasis | None:
+    """A converter for the solved entries of ``a``, or None over ``phi0``."""
+    if a.base != "equivariant":
+        return None
+    return ElementaryBasis(xvars(len(a.solution[0][0].vars)))
+
+
+def _derivative(a: InducedAction, basis: ElementaryBasis | None):
+    """The base derivation of ``a`` on every entry of a solved matrix, or
+    None over ``phi0``."""
+    if basis is None:
+        return None
+    deriv = _elementary_derivation(a.op, basis, a.solution[0][0].ring)
+    return lambda S: tuple(tuple(deriv(e) for e in row) for row in S)
+
+
+def _expanded(S: Matrix, basis: ElementaryBasis | None) -> Matrix:
+    """A solved matrix in ``X1..XN``."""
+    if basis is None:
+        return S
+    return tuple(tuple(basis.from_e(e) for e in row) for row in S)
+
+
+def _compose(a: InducedAction, b: InducedAction, basis: ElementaryBasis | None) -> Matrix:
+    """:func:`operator_compose` on the solved matrices."""
+    if a.base != b.base:
+        raise InputError("operators live over different bases")
+    out = mat_mul(a.solution, b.solution)
+    derive = _derivative(a, basis)
+    if derive is not None:
+        out = mat_add(out, derive(b.solution))
+    return out
 
 
 def operator_compose(a: InducedAction, b: InducedAction) -> Matrix:
     """Matrix of ``a`` after ``b`` in the same generator family."""
-    if a.base != b.base:
-        raise InputError("operators live over different bases")
-    out = mat_mul(a.matrix, b.matrix)
-    if a.base == "equivariant":
-        out = mat_add(out, _derive_matrix(a.op, b.matrix))
-    return out
+    basis = _basis(a)
+    return _expanded(_compose(a, b, basis), basis)
 
 
 def operator_commutator(a: InducedAction, b: InducedAction) -> Matrix:
-    return mat_sub(operator_compose(a, b), operator_compose(b, a))
+    basis = _basis(a)
+    return _expanded(mat_sub(_compose(a, b, basis), _compose(b, a, basis)), basis)
 
 
 def operator_power(a: InducedAction, k: int) -> Matrix:
     if k < 1:
         raise InputError("operator power needs a positive exponent")
-    out = a.matrix
+    basis = _basis(a)
+    derive = _derivative(a, basis)
+    out = a.solution
     for _ in range(k - 1):
-        step = mat_mul(a.matrix, out)
-        if a.base == "equivariant":
-            step = mat_add(step, _derive_matrix(a.op, out))
+        step = mat_mul(a.solution, out)
+        if derive is not None:
+            step = mat_add(step, derive(out))
         out = step
-    return out
+    return _expanded(out, basis)
 
 
 # ---------------------------------------------------------------------------

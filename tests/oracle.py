@@ -28,7 +28,17 @@ The reference induced-operator matrix solves the pairing system with the
 package's solver on entries in the pigment alphabet ``X1..XN`` and runs
 the kernel certificate there, differentiating coefficients with
 ``witt_act``; the package solves over the elementary symmetric
-polynomials and converts only the solution back.
+polynomials and converts only the solution back.  The reference operator
+algebra composes and raises those matrices in ``X1..XN`` (``mat_mul`` plus
+``witt_act`` on every entry); the package composes the solved matrices in
+``e_1..e_N`` by the chain rule and converts only the result.
+
+The reference shape value sums one dot-shape map over the colorings of an
+undecorated closed foam part by part: each coloring's value times the
+map's decorations at that coloring, one ``ratfun_sum`` of all the parts,
+and the checks of ``evaluate``.  The package's shape table groups the
+colorings by denominator, lifts each class once to the table's common
+denominator and writes each checked value in ``e_1..e_N``.
 """
 
 from __future__ import annotations
@@ -41,9 +51,29 @@ from typing import Callable
 from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
 from foamlab.foamcore import FoamComplex, MoveTrace, enumerate_colorings
-from foamlab.foameval import _facet_vars, _orbit_poly, colored_eval
+from foamlab.foameval import (
+    DecMap,
+    _at_coloring,
+    _check_degree,
+    _checked_sum,
+    _dots,
+    _facet_vars,
+    _orbit_poly,
+    colored_eval,
+    degree,
+)
 from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3, NotWellDefined
-from foamlab.polyring import CoefRing, MultiPoly, Scalar, power_sum, ratfun_sum, witt_act, xvars
+from foamlab.polyring import (
+    CoefRing,
+    ElementaryBasis,
+    MultiPoly,
+    RatFun,
+    Scalar,
+    power_sum,
+    ratfun_sum,
+    witt_act,
+    xvars,
+)
 
 Poly = dict[tuple[int, ...], Fraction]  # exponent vector over X1..XN -> coeff
 
@@ -439,7 +469,9 @@ def induced_reference(op, params, gens):
     sums = statespace._movie_sums(gens.movies, gens)
     n = len(sums)
     images = [actions.apply_operator(op, params, S) for S in sums]
-    P = statespace._pairings(sums + images, gens)
+    basis = ElementaryBasis(xvars(gens.N))
+    pairs = statespace._pairings(sums + images, gens, basis)
+    P = [[basis.from_e(v) for v in row] for row in pairs]
     base = lambda v: statespace._base_entry(v, gens.base)  # noqa: E731
     M = [[base(P[k][j]) for k in range(n)] for j in range(n)]
     B = [[base(P[n + k][j]) for k in range(n)] for j in range(n)]
@@ -469,3 +501,48 @@ def unfactored_value(F: FoamComplex, N: int, ring: CoefRing) -> MultiPoly:
     if not terms:
         return MultiPoly.zero(ring, xvars(N))
     return ratfun_sum(terms).as_polynomial()
+
+
+def shape_value_reference(F: FoamComplex, N: int, ring: CoefRing, decmap: DecMap) -> MultiPoly:
+    """The checked value of one dot-shape map on an undecorated closed foam:
+    every coloring's value times the map's decorations there, summed in one
+    ``ratfun_sum``, then required to be a symmetric polynomial, homogeneous
+    of degree ``degree(F) + 2 * dots`` when nonzero."""
+    polys = [(f, _orbit_poly(ring, shape)) for f, shape in decmap]
+    terms = []
+    for c in enumerate_colorings(F, N):
+        r = colored_eval(F, c, N, ring)
+        num = r.num
+        for f, p in polys:
+            num = num * _at_coloring(p, c[f], N)
+        terms.append(RatFun(num, r.den))
+    value = _checked_sum(terms, N, ring)
+    _check_degree(value, lambda: degree(F, N) + 2 * _dots(s for _, s in decmap))
+    return value
+
+
+def derive_matrix(op: str, M):
+    """The base derivation of ``op`` on every entry, in ``X1..XN``."""
+    d = statespace.base_derivation(op)
+    return tuple(tuple(d(e) for e in row) for row in M)
+
+
+def operator_compose_reference(a, b):
+    """``operator_compose`` on the matrices in ``X1..XN``."""
+    if a.base != b.base:
+        raise InputError("operators live over different bases")
+    out = statespace.mat_mul(a.matrix, b.matrix)
+    if a.base == "equivariant":
+        out = statespace.mat_add(out, derive_matrix(a.op, b.matrix))
+    return out
+
+
+def operator_power_reference(a, k: int):
+    """``operator_power`` on the matrix in ``X1..XN``."""
+    out = a.matrix
+    for _ in range(k - 1):
+        step = statespace.mat_mul(a.matrix, out)
+        if a.base == "equivariant":
+            step = statespace.mat_add(step, derive_matrix(a.op, out))
+        out = step
+    return out

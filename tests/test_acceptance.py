@@ -10,6 +10,7 @@ independent brute-force oracle in ``tests/oracle.py``.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -340,6 +341,19 @@ class TestDifferentialNilpotence:
         pres = circle_presentation(a, N, GF(p), base)
         act = induced_action("d", pack, pres)
         assert mat_is_zero(operator_power(act, p))
+
+    def test_circle_2_6_over_f5(self):
+        # the matrix text's sha256 was recorded with the solve in X1..XN
+        start = time.monotonic()
+        pack = ActionParams(ring=GF(5), N=6, t1=1, t2=2, t3=0)
+        act = induced_action("d", pack, circle_presentation(2, 6, GF(5)))
+        assert act.certificate.ok
+        assert mat_is_zero(operator_power(act, 5))
+        text = "\n".join(", ".join(str(e) for e in row) for row in act.matrix)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "62fb384d669059017c51f1cdd3aa2019b39d57893889ff852dc44c764433e353"
+        )
+        assert time.monotonic() - start < 30
 
     @pytest.mark.parametrize("base", ["equivariant", "phi0"])
     def test_char_two_squares_to_zero_without_saddles(self, base):

@@ -12,8 +12,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
-from foamlab.errors import FoamlabError, InputError, NonHomogeneous, PatternMismatch
+from foamlab import foameval
+from foamlab.errors import (
+    FoamlabError,
+    InputError,
+    NonHomogeneous,
+    NotPolynomial,
+    NotSymmetric,
+    PatternMismatch,
+)
 from foamlab.foameval import (
+    _ShapeTable,
+    _check_degree,
+    _e_weights,
     bubble_check,
     colored_eval,
     degree,
@@ -42,6 +53,7 @@ from foamlab.foamcore import (
 from foamlab.polyring import (
     GF,
     QQ,
+    ElementaryBasis,
     MultiPoly,
     RatFun,
     SymPoly,
@@ -52,7 +64,14 @@ from foamlab.polyring import (
     xvars,
 )
 
-from oracle import unfactored_value
+from foamlab.statespace import (
+    circle_presentation,
+    gram_matrix,
+    theta_presentation,
+    zipped_presentation,
+)
+
+from oracle import shape_value_reference, unfactored_value
 from test_foamcore import (
     assoc_movie,
     membrane_bubble_movie,
@@ -396,6 +415,178 @@ class TestFamilyAgainstEvaluate:
             assert [("value", v) for v in got] == each
         else:
             assert ("error", got) in each
+
+
+# ---------------------------------------------------------------------------
+# shape tables against the per-coloring sum
+# ---------------------------------------------------------------------------
+
+
+def _table_foam(gens, i=0, j=0):
+    """The undecorated pairing of generators ``i`` and ``j`` of ``gens``."""
+    closed = compose(gens.movies[i], mirror(gens.movies[j]))
+    return compile_movie(_strip_decorations(closed)[0])
+
+
+@st.composite
+def shape_tables(draw):
+    """(undecorated closed foam, N, ring): a pairing of two generators of a
+    circle, theta or zipped presentation at N <= 4."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(5)]))
+    N = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["circle", "theta", "zipped"]))
+    if kind == "circle":
+        gens = circle_presentation(draw(st.integers(1, N - 1)), N, ring)
+    else:
+        a = draw(st.integers(1, N - 1))
+        b = draw(st.integers(1, N - a))
+        web = theta_presentation if kind == "theta" else zipped_presentation
+        gens = web(a, b, N, ring)
+    n = len(gens.movies)
+    return _table_foam(gens, draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))), N, ring
+
+
+@st.composite
+def shape_maps(draw, F, N):
+    """A dot-shape map on ``F``: each facet blank or a shape with parts at
+    most 2 inside and at most 1 outside."""
+    key = []
+    for f in sorted(F.facets):
+        a = F.facets[f].thickness
+        lam = draw(st.lists(st.integers(0, 2), min_size=a, max_size=a))
+        mu = draw(st.lists(st.integers(0, 1), min_size=N - a, max_size=N - a))
+        shape = (tuple(sorted(lam, reverse=True)), tuple(sorted(mu, reverse=True)))
+        if any(shape[0]) or any(shape[1]):
+            key.append((f, shape))
+    return tuple(key)
+
+
+class TestShapeTableAgainstReference:
+    """Table values against one ``ratfun_sum`` of every coloring's part."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_values_and_errors(self, data):
+        F, N, ring = data.draw(shape_tables())
+        basis = ElementaryBasis(xvars(N))
+        table = _ShapeTable(F, N, ring, basis)
+        for _ in range(data.draw(st.integers(1, 3))):
+            decmap = data.draw(shape_maps(F, N))
+            want = _outcome(lambda: shape_value_reference(F, N, ring, decmap))
+            got = _outcome(lambda: basis.from_e(table.value(decmap)))
+            assert got == want
+            if got[0] == "value":
+                assert table.value(decmap) == basis.to_e(want[1])
+
+    def test_vanishing_map(self):
+        # a thin sphere at N = 3 with one dot has degree -2: its value is 0
+        for ring in (ZZ, QQ, GF(5)):
+            F = _table_foam(circle_presentation(1, 3, ring))
+            (f,) = F.facets
+            table = _ShapeTable(F, 3, ring, ElementaryBasis(xvars(3)))
+            one_dot = ((f, ((1,), (0, 0))),)
+            assert table.value(one_dot).is_zero()
+            assert shape_value_reference(F, 3, ring, one_dot).is_zero()
+            two_dots = ((f, ((2,), (0, 0))),)
+            assert table.value(two_dots) == MultiPoly.const(ring, table.basis.e_names, -1)
+            assert shape_value_reference(F, 3, ring, two_dots) == -1
+
+    def test_several_denominator_classes(self):
+        # at N = 4: 6 colorings in 3 classes of two, and 12 colorings in 6
+        for gens, count in ((circle_presentation(2, 4), 3), (theta_presentation(1, 1, 4), 6),
+                            (zipped_presentation(1, 1, 4), 6)):
+            F = _table_foam(gens)
+            basis = ElementaryBasis(xvars(4))
+            table = _ShapeTable(F, 4, ZZ, basis)
+            assert len(table.classes) == count
+            assert sum(len(members) for _, members in table.classes) == len(table.colorings)
+            for dots in range(3):
+                for f in sorted(F.facets):
+                    a = F.facets[f].thickness
+                    shape = ((dots,) + (0,) * (a - 1), (0,) * (4 - a))
+                    decmap = ((f, shape),) if dots else ()
+                    assert basis.from_e(table.value(decmap)) == shape_value_reference(
+                        F, 4, ZZ, decmap
+                    )
+
+    def test_specializes_each_facet_shape_once(self, monkeypatch):
+        F = _table_foam(theta_presentation(1, 1, 3))
+        table = _ShapeTable(F, 3, ZZ, ElementaryBasis(xvars(3)))
+        calls = []
+        real = foameval._at_coloring
+        monkeypatch.setattr(
+            foameval, "_at_coloring", lambda *a: calls.append(a[1]) or real(*a)
+        )
+        f, g = sorted(F.facets)[:2]
+        dot = lambda h: (h, ((1,) + (0,) * (F.facets[h].thickness - 1),  # noqa: E731
+                             (0,) * (3 - F.facets[h].thickness)))
+        table.value((dot(f),))
+        table.value((dot(f), dot(g)))
+        table.value((dot(g),))
+        colors = lambda h: {c[h] for c in table.colorings}  # noqa: E731
+        # one specialization per color a facet takes, for each (facet, shape)
+        assert len(calls) == len(colors(f)) + len(colors(g))
+
+
+class TestShapeTableChecks:
+    """One corrupted colored value: the table raises what the checks raise."""
+
+    CHANGES = {
+        # an extra (X1 - X2) in one denominator leaves it in the sum
+        "denominator": (
+            lambda r, N, ring: RatFun(r.num, {**r.den, (0, 1): r.den.get((0, 1), 0) + 1}),
+            NotPolynomial,
+        ),
+        # + X1 makes the sum a polynomial that is not symmetric
+        "asymmetric": (
+            lambda r, N, ring: r + RatFun(MultiPoly.var(ring, xvars(N), "X1")),
+            NotSymmetric,
+        ),
+        # + p_1 keeps it symmetric but of degree 2, not -4
+        "degree": (
+            lambda r, N, ring: r + RatFun(power_sum(ring, xvars(N), 1)),
+            NotPolynomial,
+        ),
+    }
+
+    def corrupt_first(self, monkeypatch, change):
+        real = foameval.colored_eval
+        seen = []
+
+        def patched(F, c, N, ring=ZZ):
+            seen.append(c)
+            r = real(F, c, N, ring)
+            return change(r, N, ring) if len(seen) == 1 else r
+
+        monkeypatch.setattr(foameval, "colored_eval", patched)
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_evaluate_family(self, change, monkeypatch):
+        fn, error = self.CHANGES[change]
+        self.corrupt_first(monkeypatch, fn)
+        with pytest.raises(error):
+            evaluate_family([sphere_movie()], 3)
+
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_gram_matrix(self, change, monkeypatch):
+        fn, error = self.CHANGES[change]
+        self.corrupt_first(monkeypatch, fn)
+        with pytest.raises(error):
+            gram_matrix(circle_presentation(1, 3))
+
+    def test_uncorrupted_values_pass(self):
+        assert evaluate_family([sphere_movie()], 3) == [MultiPoly.zero(ZZ, xvars(3))]
+        gram_matrix(circle_presentation(1, 3))
+
+    def test_degree_in_e_weighs_e_k_as_2k(self):
+        E1, E2, E3 = (MultiPoly.var(ZZ, ("E1", "E2", "E3"), v) for v in ("E1", "E2", "E3"))
+        w = _e_weights(3)
+        _check_degree(E1 * E2 + E3 * 2, lambda: 6, w)
+        _check_degree(MultiPoly.zero(ZZ, ("E1", "E2", "E3")), lambda: 6, w)
+        with pytest.raises(NotPolynomial):
+            _check_degree(E1 * E1 + E3, lambda: 6, w)
+        with pytest.raises(NotPolynomial):
+            _check_degree(E3, lambda: 4, w)
 
 
 class TestDegree:

@@ -29,6 +29,7 @@ from foamlab.foameval import evaluate
 from foamlab.foamcore import MovieBuilder, _strip_decorations, compose, mirror
 from foamlab.polyring import (
     GF,
+    ElementaryBasis,
     MultiPoly,
     QQ,
     SymPoly,
@@ -57,6 +58,7 @@ from foamlab.statespace import (
     moy_check,
     necklace_presentation,
     operator_commutator,
+    operator_compose,
     operator_power,
     pair_movies,
     presentation,
@@ -165,7 +167,7 @@ class TestGramMatrix:
         assert len(calls) == 6
 
     def test_strips_each_distinct_movie_once(self, monkeypatch):
-        # the pairings hand evaluate_family each composite once per row
+        # the pairings hand the family evaluation each composite once per row
         calls = {"_strip_decorations": 0, "_facet_decorations": 0}
         for name in calls:
             real = getattr(foameval, name)
@@ -176,14 +178,14 @@ class TestGramMatrix:
 
             monkeypatch.setattr(foameval, name, counting)
         movies, foams = set(), []
-        real_family = statespace.evaluate_family
+        real_family = statespace._family_values
 
         def family(given, *a):
             foams.extend(given)
             movies.update(mov for mov, _ in given)
             return real_family(given, *a)
 
-        monkeypatch.setattr(statespace, "evaluate_family", family)
+        monkeypatch.setattr(statespace, "_family_values", family)
         assert moy_check("circle", 4, a=2).ok
         assert (len(foams), len(movies)) == (36, 6)
         assert calls == {"_strip_decorations": 6, "_facet_decorations": 6}
@@ -374,9 +376,9 @@ class TestInducedAction:
     def test_generators_and_images_pair_in_one_evaluation(self, monkeypatch):
         gens = circle_presentation(1, 3, QQ)
         calls = []
-        real = statespace.evaluate_family
+        real = statespace._family_values
         monkeypatch.setattr(
-            statespace, "evaluate_family", lambda *a: calls.append(a) or real(*a)
+            statespace, "_family_values", lambda *a: calls.append(a) or real(*a)
         )
         induced_action("h", rich_pack(3), gens)
         assert len(calls) == 1
@@ -620,6 +622,58 @@ class TestInducedAgainstPigmentBasis:
         got, want = outcomes(op, differential_pack(op, ring, N), gens)
         assert got[0] == "NotWellDefined" and reason in got[1]
         assert got == want
+
+
+class TestOperatorAlgebraAgainstPigmentBasis:
+    """Compositions, brackets and powers of the solved matrices in
+    ``e_1..e_N`` against ``mat_mul`` and ``witt_act`` on the matrices in
+    ``X1..XN`` (``oracle.operator_compose_reference``, ``..._power_...``)."""
+
+    @pytest.mark.parametrize("N,a", [(2, 1), (3, 1), (3, 2), (4, 2)])
+    def test_sl2_compositions_and_brackets(self, N, a):
+        gens = circle_presentation(a, N, QQ)
+        acts = [induced_action(g, rich_pack(N), gens) for g in "ehf"]
+        compose_ref = oracle.operator_compose_reference
+        nonzero = 0
+        basis = ElementaryBasis(xvars(N))
+        for x in acts:
+            assert all(e.vars == basis.e_names for row in x.solution for e in row)
+            assert tuple(tuple(basis.from_e(e) for e in row) for row in x.solution) == x.matrix
+            for y in acts:
+                want = compose_ref(x, y)
+                assert operator_compose(x, y) == want
+                assert operator_commutator(x, y) == mat_sub(want, compose_ref(y, x))
+                nonzero += not mat_is_zero(want)
+            for k in (1, 2, 3):
+                assert operator_power(x, k) == oracle.operator_power_reference(x, k)
+        assert nonzero
+        E, H, F = acts
+        assert mat_is_zero(mat_sub(operator_commutator(E, F), H.matrix))
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("N,a", [(2, 1), (3, 1), (4, 1), (4, 2)])
+    @pytest.mark.parametrize("base", ["equivariant", "phi0"])
+    def test_differential_powers(self, p, N, a, base):
+        pack = ActionParams(ring=GF(p), N=N, t1=1, t2=2, t3=0)
+        act = induced_action("d", pack, circle_presentation(a, N, GF(p), base))
+        if base == "phi0":
+            assert act.solution == act.matrix
+        powers = [operator_power(act, k) for k in range(1, p + 1)]
+        assert powers == [oracle.operator_power_reference(act, k) for k in range(1, p + 1)]
+        assert not mat_is_zero(powers[0]) and mat_is_zero(powers[-1])
+        assert operator_compose(act, act) == oracle.operator_compose_reference(act, act)
+
+    def test_bases_do_not_mix(self):
+        pack = ActionParams(ring=GF(3), N=2, t1=1, t2=2, t3=0)
+        eq, phi0 = (
+            induced_action("d", pack, circle_presentation(1, 2, GF(3), base))
+            for base in ("equivariant", "phi0")
+        )
+        for x, y in ((eq, phi0), (phi0, eq)):
+            with pytest.raises(InputError):
+                operator_compose(x, y)
+            with pytest.raises(InputError):
+                operator_commutator(x, y)
 
 
 def is_zero_vector(M, v):
@@ -871,6 +925,8 @@ class TestOneEvaluationPath:
         gens = FAMILIES[family](QQ)
         P = rich_pack(gens.N)
         zero = MultiPoly.zero(QQ, xvars(gens.N))
+        basis = ElementaryBasis(xvars(gens.N))
+        e_zero = MultiPoly.zero(QQ, basis.e_names)
         for op in ("L:-1", "L:1"):
             for F in gens.movies[:3]:
                 S = apply_operator(op, P, F)
@@ -881,17 +937,21 @@ class TestOneEvaluationPath:
                     )
                     for Gm in gens.movies
                 ]
+                # the pairings come in e_1..e_N
+                want_e = [basis.to_e(w) for w in want]
                 terms = list(S.movies())
-                rows = statespace._pairings([FoamSum.from_movie(mov, P) for _, mov in terms], gens)
+                rows = statespace._pairings(
+                    [FoamSum.from_movie(mov, P) for _, mov in terms], gens, basis
+                )
                 got = [
-                    sum((row[j] * coef for (coef, _), row in zip(terms, rows)), zero)
+                    sum((row[j] * coef for (coef, _), row in zip(terms, rows)), e_zero)
                     for j in range(len(gens))
                 ]
-                assert got == want
+                assert got == want_e
                 with monkeypatch.context() as m:
                     # a formal sum is paired by its dot shapes, not as movies
                     m.setattr(FoamSum, "_materialize", None)
-                    assert statespace._pairings([S], gens) == [want]
+                    assert statespace._pairings([S], gens, basis) == [want_e]
                     assert is_zero_in_statespace(S, gens) == all(w.is_zero() for w in want)
 
 
