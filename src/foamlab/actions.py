@@ -14,9 +14,11 @@ saddle; the two thin facets of a digon or zip move) and goes to
 pair ``(n, c)`` plus a weight function giving ``(w_0, w_n, w_k)`` per move
 kind: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
 ``(e, h, f) = (L_{-1}, 2 L_0, -L_1)``; the p-DG differential is ``f``.
-An operator's move images are built once per skeleton, the summands of
-all moves merged by dot list, and a structural check or an iterate reuses
-them across its applications.
+An operator's move images are built once per skeleton: the weights of all
+moves on the same two blocks are summed and expanded once, the summands
+merged by dot list, and a structural check or an iterate reuses them across
+its applications.  A structural check applies each operator to its input
+once.
 
 The scalar data of the family is an :class:`ActionParams` pack: a seam
 constant ``s``, three index sequences ``nu1/nu2/nu3`` satisfying the Witt
@@ -417,28 +419,35 @@ LocalImage = list[tuple[Scalar, Dots]]
 Weights = Callable[[str], tuple[Scalar, Scalar, Scalar]]
 
 
-def _move_image(
-    skel: _Skeleton, tr: MoveTrace, n: int, xyz: tuple[Scalar, Scalar, Scalar]
-) -> LocalImage:
-    """The image ``sum_k w_k p_k(first) p_{n-k}(second)`` of one basic move.
+Blocks = tuple[tuple[str, bool, int], tuple[str, bool, int]]
 
-    The two blocks are the inside and the outside of the facet of a cup,
-    cap or saddle, and the two thin facets of a digon or zip move.  With
-    ``(x, y, z) = xyz``, the weights of the move's kind, ``w_0 = x``,
-    ``w_n = y`` and ``w_k = z`` in between; at ``n = 0`` the one summand
-    has weight ``x + y - z``.  ``p_0`` is the block size; a dot on an empty
-    block is 0, as :func:`_dot_rule` finds no part in it to raise.
+
+def _blocks(skel: _Skeleton, tr: MoveTrace) -> Blocks:
+    """The two blocks ``(facet, hat, size)`` a basic move touches.
+
+    They are the inside and the outside of the facet of a cup, cap or
+    saddle, and the two thin facets of a digon or zip move.
     """
-    ring, N = skel.ring, skel.N
-    x, y, z = xyz
     if tr.kind in ("cup", "cap", "saddle"):
         (f,) = tr.facets
         (a,) = tr.thickness
-        blocks = ((f, False, a), (f, True, N - a))
-    else:
-        fa, fb, _ft = tr.facets
-        a, b = tr.thickness
-        blocks = ((fa, False, a), (fb, False, b))
+        return (f, False, a), (f, True, skel.N - a)
+    fa, fb, _ft = tr.facets
+    a, b = tr.thickness
+    return (fa, False, a), (fb, False, b)
+
+
+def _block_image(
+    ring: CoefRing, blocks: Blocks, n: int, xyz: tuple[Scalar, Scalar, Scalar]
+) -> LocalImage:
+    """The image ``sum_k w_k p_k(first) p_{n-k}(second)`` on two blocks.
+
+    With ``(x, y, z) = xyz``, ``w_0 = x``, ``w_n = y`` and ``w_k = z`` in
+    between; at ``n = 0`` the one summand has weight ``x + y - z``.  ``p_0``
+    is the block size; a dot on an empty block is 0, as :func:`_dot_rule`
+    finds no part in it to raise.
+    """
+    x, y, z = xyz
     out: LocalImage = []
     for k, w in enumerate([x + y - z] if n == 0 else [x] + [z] * (n - 1) + [y]):
         w = ring.normalize(w)
@@ -456,21 +465,33 @@ def _move_image(
 def _images(skel: _Skeleton, n: int, weights: Weights) -> LocalImage:
     """The local images of the operator of index ``n`` on a skeleton.
 
-    ``weights`` is read once per move kind, in trace order, and the
-    summands of all moves are merged by dot list, zero sums dropped.  At
-    ``n = -1``, and for moves that change no facet, the image is empty.
+    ``weights`` is read once per move kind, in trace order.  A move's image
+    is linear in its weights and its dots depend only on its two blocks, so
+    the weights of all moves on the same two blocks are summed and expanded
+    once (in a closed ``compose(M, mirror(M))`` every cup meets its cap on
+    one facet).  The summands of all blocks are merged by dot list, zero
+    sums dropped.  At ``n = -1``, and for moves that change no facet, the
+    image is empty.
     """
     if n == -1:
         return []
     ring = skel.ring
     read: dict[str, tuple[Scalar, Scalar, Scalar]] = {}
-    acc: dict[Dots, Scalar] = {}
+    summed: dict[Blocks, tuple[Scalar, Scalar, Scalar]] = {}
     for tr in skel.complex.traces:
         if tr.kind in ("assoc", "isotopy", "decorate"):
             continue
         if tr.kind not in read:
             read[tr.kind] = weights(tr.kind)
-        for w, dots in _move_image(skel, tr, n, read[tr.kind]):
+        x, y, z = read[tr.kind]
+        key = _blocks(skel, tr)
+        if key in summed:
+            x0, y0, z0 = summed[key]
+            x, y, z = x0 + x, y0 + y, z0 + z
+        summed[key] = x, y, z
+    acc: dict[Dots, Scalar] = {}
+    for blocks, xyz in summed.items():
+        for w, dots in _block_image(ring, blocks, n, xyz):
             acc[dots] = ring.add(acc[dots], w) if dots in acc else w
     return [(w, dots) for dots, w in acc.items() if w != 0]
 
@@ -703,12 +724,24 @@ def apply_operator(op: str, params: ActionParams, target: Movie | FoamSum) -> Fo
 def commutator_check(
     n: int, m: int, params: ActionParams, mov: Movie | FoamSum
 ) -> CheckReport:
-    """Check [L_n, L_m] = (n-m) L_{n+m} on a movie, as formal sums."""
+    """Check [L_n, L_m] = (n-m) L_{n+m} on a movie, as formal sums.
+
+    Each operator is applied to the movie once, first ``L_m``, then ``L_n``,
+    then ``L_{n+m}``, and a result is reused where two indices coincide;
+    ``L_{n+m}`` is applied even when ``n = m`` scales it by 0, so an index
+    out of a sequence's range raises as it would without the reuse.
+    """
     S = _as_sum(mov, params)
     L = _applier(S.skeleton, lambda k: _witt_weights(params, k))
-    lhs = L(n, L(m, S)) - L(m, L(n, S))
+    Lm = L(m, S)
+    Ln = Lm if n == m else L(n, S)
+    LnLm = L(n, Lm)
+    lhs = LnLm - (LnLm if n == m else L(m, Ln))
     # n + m < -1 only happens for n = m = -1, where the bracket is trivially 0
-    rhs = S.scale(0) if n + m < -1 else L(n + m, S).scale(n - m)
+    if n + m < -1:
+        rhs = S.scale(0)
+    else:
+        rhs = (Lm if n == 0 else Ln if m == 0 else L(n + m, S)).scale(n - m)
     diff = lhs - rhs
     if diff.is_zero():
         return CheckReport(True)
@@ -716,17 +749,18 @@ def commutator_check(
 
 
 def sl2_relations_check(params: ActionParams, mov: Movie | FoamSum) -> CheckReport:
-    """Check [e,f] = h, [h,e] = 2e, [h,f] = -2f on a movie."""
+    """Check [e,f] = h, [h,e] = 2e, [h,f] = -2f on a movie.
+
+    Each generator is applied to the movie once, first ``f``, then ``e``,
+    then ``h``: nine applications in all.
+    """
     S = _as_sum(mov, params)
     op = _applier(S.skeleton, lambda gen: _sl2_weights(params, gen))
-
-    def br(x: str, y: str) -> FoamSum:
-        return op(x, op(y, S)) - op(y, op(x, S))
-
+    fS, eS, hS = op("f", S), op("e", S), op("h", S)
     for name, defect in (
-        ("[e,f]-h", br("e", "f") - op("h", S)),
-        ("[h,e]-2e", br("h", "e") - op("e", S).scale(2)),
-        ("[h,f]+2f", br("h", "f") + op("f", S).scale(2)),
+        ("[e,f]-h", op("e", fS) - op("f", eS) - hS),
+        ("[h,e]-2e", op("h", eS) - op("e", hS) - eS.scale(2)),
+        ("[h,f]+2f", op("h", fS) - op("f", hS) + fS.scale(2)),
     ):
         if not defect.is_zero():
             return CheckReport(False, None, f"{name} defect: {defect}")

@@ -20,6 +20,10 @@ closed rules on the shapes; the tests require identical terms.  Its move
 images come from separate Witt and sl2 tables, one branch per move kind,
 where the package uses one move rule with per-operator weights.
 
+The reference move images expand the move rule once per basic move and
+merge the summands by dot list; the package sums the weights of all moves
+on the same two blocks and expands each block pair once.
+
 The unfactored closed-foam value sums the colored evaluations of every
 coloring of the whole complex in one rational sum; the package sums each
 connected component's colorings and multiplies the component values.
@@ -461,6 +465,45 @@ def sl2_reference(gen, params, S):
     """The reference image of ``S`` under the sl2 generator ``gen``."""
     local = _sl2_local(S.skeleton, params, gen)
     return leibniz_reference(S, _SL2_POLY[gen], local)
+
+
+def move_images(skel: _Skeleton, n: int, weights) -> LocalImage:
+    """The merged local images of the operator of index ``n``, built one
+    move at a time: each move's ``sum_k w_k p_k(first) p_{n-k}(second)``
+    is expanded from its own weights, and the summands of all moves are
+    merged by dot list, zero sums dropped.  ``weights`` is read once per
+    move kind, in trace order."""
+    if n == -1:
+        return []
+    ring, N = skel.ring, skel.N
+    read: dict = {}
+    acc: dict = {}
+    for tr in skel.complex.traces:
+        if tr.kind in ("assoc", "isotopy", "decorate"):
+            continue
+        if tr.kind not in read:
+            read[tr.kind] = weights(tr.kind)
+        x, y, z = read[tr.kind]
+        if tr.kind in ("cup", "cap", "saddle"):
+            (f,) = tr.facets
+            (a,) = tr.thickness
+            blocks = ((f, False, a), (f, True, N - a))
+        else:
+            fa, fb, _ft = tr.facets
+            a, b = tr.thickness
+            blocks = ((fa, False, a), (fb, False, b))
+        for k, w in enumerate([x + y - z] if n == 0 else [x] + [z] * (n - 1) + [y]):
+            w = ring.normalize(w)
+            dots = []
+            for (f, hat, size), j in zip(blocks, (k, n - k)):
+                if j:
+                    dots.append((f, j, hat))
+                else:
+                    w = ring.mul(w, size)
+            if w != 0:
+                dots = tuple(dots)
+                acc[dots] = ring.add(acc[dots], w) if dots in acc else w
+    return [(w, dots) for dots, w in acc.items() if w != 0]
 
 
 def induced_reference(op, params, gens):

@@ -776,6 +776,39 @@ class TestMergedImages:
                 assert same_terms(act_sl2(gen, Ps, S), ref), (mov, gen)
         assert {"cup", "cap", "saddle", "digon_cup", "digon_cap", "zip", "unzip"} <= kinds
 
+    @pytest.mark.parametrize("ring", [QQ, GF(5)])
+    def test_block_images_match_per_move_reference(self, ring):
+        def as_map(images):
+            out = {dots: (type(w), w) for w, dots in images}
+            assert len(out) == len(images)
+            return out
+
+        expanded = 0
+        for Pw, Ps, mov in merge_cases(ring):
+            skel = FoamSum.from_movie(mov, Pw).skeleton
+            weights = {n: actions._witt_weights(Pw, n) for n in range(-1, 7)}
+            weights.update((g, actions._sl2_weights(Ps, g)) for g in ("e", "h", "f"))
+            for name, w in weights.items():
+                n, _ = actions.operator_index(name)
+                ref = oracle.move_images(skel, n, w)
+                assert as_map(actions._images(skel, n, w)) == as_map(ref), (mov, name)
+                expanded += bool(ref)
+        assert expanded
+        # a cup and a cap on one facet with opposite weights: each move's
+        # image is nonzero and their sum is empty
+        b = MovieBuilder()
+        b.cap(b.cup(1))
+        skel = FoamSum.from_movie(b.movie(), ActionParams(ring=ring, N=3)).skeleton
+        xyz = {"cup": (2, Fraction(-3, 7), 1), "cap": (-2, Fraction(3, 7), -1)}
+        moves = [tr for tr in skel.complex.traces if tr.kind in xyz]
+        for n in range(4):
+            assert len(moves) == 2 and all(
+                actions._block_image(ring, actions._blocks(skel, tr), n, xyz[tr.kind])
+                for tr in moves
+            )
+            assert actions._images(skel, n, xyz.__getitem__) == []
+            assert oracle.move_images(skel, n, xyz.__getitem__) == []
+
     def test_cancelling_move_images_are_dropped(self):
         Pw, Ps = saddle_pack(), ActionParams(ring=QQ, N=3, spherical=False)
         S = FoamSum.from_movie(torus(), Pw)
@@ -787,7 +820,10 @@ class TestMergedImages:
         weights.update(h=actions._sl2_weights(Ps, "h"), f=actions._sl2_weights(Ps, "f"))
         for name, w in weights.items():
             n, _ = actions.operator_index(name)
-            raw = [d for tr in moves for _, d in actions._move_image(skel, tr, n, w(tr.kind))]
+            raw = [
+                d for tr in moves
+                for _, d in actions._block_image(skel.ring, actions._blocks(skel, tr), n, w(tr.kind))
+            ]
             assert raw and actions._images(skel, n, w) == []
             if n == 0:
                 assert raw == [()] * 4  # the one dotless summand per move
@@ -826,10 +862,20 @@ class TestMergedImages:
                 commutator_check(0, 1, gf2, mov)
             with pytest.raises(TwoNotInvertible):
                 sl2_relations_check(gf2, mov)
+        # L_{n+m} is applied even when n = m scales it by 0: nu3(6) is out
+        # of a table that ends at 5
+        b = MovieBuilder()
+        b.cap(b.cup(1))
+        short = ActionParams(ring=QQ, N=3, nu3=WittSequence.linear(QQ, Fraction(1, 5), n_max=5))
+        with pytest.raises(IndexOutOfRange):
+            commutator_check(3, 3, short, b.movie())
+        for n, m in ((2, 3), (0, 3)):
+            assert commutator_check(n, m, short, b.movie()).ok
 
 
 class TestImageReuse:
-    """One check or iterate builds each operator's images once."""
+    """One check or iterate builds each operator's images once, and a check
+    applies each operator to its input once."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -843,19 +889,44 @@ class TestImageReuse:
         monkeypatch.setattr(actions, "_images", counting)
         return built
 
+    @staticmethod
+    def applied(monkeypatch):
+        calls = []
+        apply = actions._apply
+
+        def counting(S, n, c, images):
+            calls.append(n)
+            return apply(S, n, c, images)
+
+        monkeypatch.setattr(actions, "_apply", counting)
+        return calls
+
     def test_commutator_check(self, monkeypatch):
-        built = self.counted(monkeypatch)
+        built, calls = self.counted(monkeypatch), self.applied(monkeypatch)
         P, mov = saddle_pack(), torus()
+        count = {}
         for n in INDICES:
             for m in INDICES:
                 built.clear()
+                calls.clear()
                 assert commutator_check(n, m, P, mov).ok
                 assert len(built) == len(set(built)) <= (2 if n == m else 3), (n, m)
+                count[n, m] = len(calls)
+        for (n, m), k in count.items():
+            if n == m:
+                assert k == (2 if n <= 0 else 3), (n, m)
+            elif len({n, m, n + m}) == 3:
+                assert k == 5, (n, m)
+            else:  # n + m is n or m: one of them is 0
+                assert k == 4, (n, m)
+        # the operators benchmark's 15 pairs, m >= n, per movie (74 before)
+        assert sum(k for (n, m), k in count.items() if m >= n) == 59
 
     def test_sl2_relations_check(self, monkeypatch):
-        built = self.counted(monkeypatch)
+        built, calls = self.counted(monkeypatch), self.applied(monkeypatch)
         assert sl2_relations_check(sl2_from_witt(saddle_pack()), torus()).ok
         assert sorted(built) == [-1, 0, 1]
+        assert len(calls) == 9
 
     def test_pdg_iterate(self, monkeypatch):
         built = self.counted(monkeypatch)
