@@ -13,11 +13,11 @@ import random
 from typing import Sequence
 
 from .foamcore import Movie, MovieBuilder, compose, mirror
-from .polyring import CoefRing, SymPoly, ZZ, symmetric_basis
+from .polyring import CoefRing, SymPoly, ZZ, facet_vars, symmetric_basis
 
 
 def inner_vars(a: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(1, a + 1))
+    return facet_vars(a)
 
 
 def random_decoration(

@@ -30,6 +30,7 @@ from .polyring import (
     ZZ,
     complete_homogeneous,
     elementary,
+    facet_vars,
     power_sum,
 )
 
@@ -572,12 +573,10 @@ def _realize_decoration(
             )
         if N - a < 0:
             raise InputError(f"facet thickness {a} exceeds N={N}")
-        variables = tuple(f"x{i}" for i in range(1, a + 1)) + tuple(
-            f"y{i}" for i in range(1, N - a + 1)
-        )
+        variables = facet_vars(a, N - a)
         poly = _realize_poly(ff, expr, ring, variables, a)
         return SymPoly(poly, (a, N - a))
-    variables = tuple(f"x{i}" for i in range(1, a + 1))
+    variables = facet_vars(a)
     poly = _realize_poly(ff, expr, ring, variables, a)
     return SymPoly(poly, (a,))
 

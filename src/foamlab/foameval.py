@@ -13,9 +13,11 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import polyring
 from .errors import (
     InputError,
     NonHomogeneous,
+    NotInSymmetricSubring,
     NotPolynomial,
     NotSymmetric,
     OddEuler,
@@ -52,8 +54,9 @@ from .polyring import (
     Scalar,
     SymPoly,
     ZZ,
+    _lifts,
+    facet_vars,
     is_symmetric,
-    _difference,
     ratfun_sum,
     xvars,
 )
@@ -63,16 +66,9 @@ from .polyring import (
 # ---------------------------------------------------------------------------
 
 
-def _facet_vars(a: int, m: int) -> tuple[str, ...]:
-    """The canonical alphabet of a facet: ``x1..xa`` inside, ``y1..ym`` outside."""
-    return tuple(f"x{i}" for i in range(1, a + 1)) + tuple(
-        f"y{i}" for i in range(1, m + 1)
-    )
-
-
 def _canonical_decoration(dec: SymPoly, a: int, N: int, ring: CoefRing) -> MultiPoly:
     """Rename a decoration of a thickness-``a`` facet onto the x/y alphabet."""
-    vs = _facet_vars(a, N - a)
+    vs = facet_vars(a, N - a)
     blocks = dec.blocks
     if len(blocks) == 1:
         inner, outer = blocks[0], 0
@@ -169,7 +165,7 @@ def _orbit_poly(ring: CoefRing, shape: DotShape) -> MultiPoly:
         for lx in set(itertools.permutations(lam))
         for ly in set(itertools.permutations(mu))
     }
-    return MultiPoly(ring, _facet_vars(len(lam), len(mu)), terms)
+    return MultiPoly(ring, facet_vars(len(lam), len(mu)), terms)
 
 
 def _dots(shapes: Iterable[DotShape]) -> int:
@@ -237,9 +233,7 @@ def colored_eval(
             if q > 0:
                 den[(i - 1, j - 1)] = q
             elif q < 0:
-                xi = MultiPoly.var(ring, vs, f"X{i}")
-                xj = MultiPoly.var(ring, vs, f"X{j}")
-                num = num * ((xi - xj) ** (-q))
+                num = num * polyring._difference(ring, vs, i - 1, j - 1) ** (-q)
 
     for f in F.facets.values():
         for dec in f.decorations:
@@ -351,18 +345,20 @@ class _ShapeTable:
     """Checked values of one undecorated closed foam under dot-shape maps.
 
     The foam is colored once, and the colorings are grouped by the
-    denominator of their colored value.  Each class's lift to the table's
-    least common denominator, ``LCD / D_class``, is built once, and each
-    (facet, dot shape) a map uses is specialized at every coloring the first
-    time it is used.  A map's value is then
+    denominator of their colored value.  The table's least common
+    denominator and each class's lift ``LCD / D_class`` come from
+    :func:`polyring._lifts`, once per table, and each (facet, dot shape) a
+    map uses is specialized at every coloring the first time it is used.  A
+    map's value is then
 
         sum over classes of lift * sum over c in the class of num_c * prod specializations at c
 
     divided once by the LCD.  Each value gets the checks of
-    :func:`evaluate`: a polynomial, symmetric, and homogeneous of degree
+    :func:`evaluate`, in order: a polynomial; symmetric, which writing it in
+    ``e_1..e_N`` by ``basis`` decides; and homogeneous of degree
     ``degree(F) + 2 * dots`` when nonzero, where ``dots`` is the sum of the
-    map's exponents.  It is then written in ``e_1..e_N`` by ``basis`` and
-    kept for the life of the table.
+    map's exponents.  The value in ``e_1..e_N`` is kept for the life of the
+    table.
     """
 
     def __init__(self, F: FoamComplex, N: int, ring: CoefRing, basis: ElementaryBasis):
@@ -374,24 +370,9 @@ class _ShapeTable:
         for k, c in enumerate(self.colorings):
             r = colored_eval(F, c, N, ring)
             classes.setdefault(tuple(sorted(r.den.items())), []).append((k, r.num))
-        self.lcd: dict[tuple[int, int], int] = {}
-        for key in classes:
-            for pair, m in key:
-                self.lcd[pair] = max(self.lcd.get(pair, 0), m)
-        vs = xvars(N)
-        powers: dict[tuple[tuple[int, int], int], MultiPoly] = {}
+        self.lcd, lifts = _lifts(list(classes), ring, xvars(N))
         # (lift, [(coloring index, numerator), ...]) per denominator class
-        self.classes: list[tuple[MultiPoly, list[tuple[int, MultiPoly]]]] = []
-        for key, members in classes.items():
-            lift = MultiPoly.const(ring, vs, 1)
-            den = dict(key)
-            for pair, m in self.lcd.items():
-                need = m - den.get(pair, 0)
-                if need:
-                    if (pair, need) not in powers:
-                        powers[(pair, need)] = _difference(ring, vs, *pair) ** need
-                    lift = lift * powers[(pair, need)]
-            self.classes.append((lift, members))
+        self.classes = list(zip(lifts, classes.values()))
         self.bare_degree = degree(F, N)
         self.specialized: dict[tuple[str, DotShape], list[MultiPoly]] = {}
         self.values: dict[DecMap, MultiPoly] = {}
@@ -427,10 +408,16 @@ class _ShapeTable:
                         total[e] = total.get(e, 0) + c
             summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
             value = summed.as_polynomial()
-            if not is_symmetric(value):
-                raise NotSymmetric(f"evaluation {value} is not symmetric")
-            _check_degree(value, lambda: self.bare_degree + 2 * _dots(s for _, s in decmap))
-            self.values[decmap] = self.basis.to_e(value)
+            try:
+                value_e = self.basis.to_e(value)
+            except NotInSymmetricSubring:
+                raise NotSymmetric(f"evaluation {value} is not symmetric") from None
+            _check_degree(
+                value_e,
+                lambda: self.bare_degree + 2 * _dots(s for _, s in decmap),
+                _e_weights(N),
+            )
+            self.values[decmap] = value_e
         return self.values[decmap]
 
     def combine(self, terms: Iterable[tuple[Scalar, DecMap]]) -> MultiPoly:
@@ -805,8 +792,8 @@ def split_decoration(
     poly = R.poly
     if poly.ring != ring:
         poly = poly.map_coefficients(ring, ring.normalize)
-    xv = tuple(f"x{i}" for i in range(1, a + 1))
-    yv = tuple(f"x{i}" for i in range(1, b + 1))
+    xv = facet_vars(a)
+    yv = facet_vars(b)
     groups: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
     for exp, coef in poly.terms.items():
         left, right = exp[:a], exp[a:]

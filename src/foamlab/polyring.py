@@ -17,6 +17,8 @@ This module provides the algebraic substrate for the rest of foamlab:
   derivations ``L_n = -sum_i z_i^{n+1} d/dz_i`` for ``n >= -1``, the prime
   field derivation ``sum_k x_k^2 d/dx_k``, twisted variants, and the scalar
   sequences that parameterize the foam operators.
+* The facet alphabet ``x1..xa, y1..ym`` and Laurent polynomials in q, with
+  the quantum binomials that graded ranks are checked against.
 """
 
 from __future__ import annotations
@@ -253,9 +255,6 @@ class MultiPoly:
         return MultiPoly(
             self.ring, self.vars, {e: c for e, c in self.terms.items() if sum(e) == total}
         )
-
-    def coefficient(self, exp: tuple[int, ...]) -> Scalar:
-        return self.terms.get(tuple(exp), 0)
 
     # -- arithmetic ---------------------------------------------------------
     def _check_compat(self, other: "MultiPoly") -> None:
@@ -540,6 +539,14 @@ class SymPoly:
 
     def is_invariant(self) -> bool:
         return is_symmetric(self.poly, self.blocks)
+
+
+def facet_vars(a: int, m: int = 0) -> tuple[str, ...]:
+    """The alphabet of a thickness-``a`` facet: ``x1..xa`` inside, then
+    ``y1..ym`` outside."""
+    return tuple(f"x{i}" for i in range(1, a + 1)) + tuple(
+        f"y{i}" for i in range(1, m + 1)
+    )
 
 
 def is_symmetric(poly: MultiPoly, blocks: Sequence[int] | None = None) -> bool:
@@ -1168,13 +1175,44 @@ def _divide_by_difference(
     return quo
 
 
+def _lifts(
+    keys: Sequence[tuple[tuple[tuple[int, int], int], ...]],
+    ring: CoefRing,
+    variables: tuple[str, ...],
+) -> tuple[dict[tuple[int, int], int], list[MultiPoly]]:
+    """The least common denominator of ``keys`` and each key's lift.
+
+    A key is a denominator ``D`` as sorted ``((i, j), m)`` pairs.  The LCD
+    takes the per-pair maximum over the keys, and the lift of ``D`` is
+    ``LCD / D``, one lift per key in order.  Each power ``(x_i - x_j)^k``
+    is built once.
+    """
+    lcd: dict[tuple[int, int], int] = {}
+    for key in keys:
+        for pair, m in key:
+            lcd[pair] = max(lcd.get(pair, 0), m)
+    powers: dict[tuple[tuple[int, int], int], MultiPoly] = {}
+    lifts = []
+    for key in keys:
+        lift = MultiPoly.const(ring, variables, 1)
+        den = dict(key)
+        for pair, m in lcd.items():
+            need = m - den.get(pair, 0)
+            if need:
+                if (pair, need) not in powers:
+                    powers[(pair, need)] = _difference(ring, variables, *pair) ** need
+                lift = lift * powers[(pair, need)]
+        lifts.append(lift)
+    return lcd, lifts
+
+
 def ratfun_sum(parts: Iterable[RatFun]) -> RatFun:
     """The normalized sum of rational functions.
 
     Numerators of parts with the same denominator are added first.  Each
-    group's sum is then lifted once to the least common denominator, the
-    per-pair maximum over nonzero groups, multiplying by powers
-    ``(x_i - x_j)^k`` computed once per call; the total is normalized once.
+    nonzero group's sum is then multiplied once by its lift to the least
+    common denominator of the nonzero groups (:func:`_lifts`), and the
+    total is normalized once.
     """
     groups: dict[tuple, dict[tuple[int, ...], Scalar]] = {}
     first: MultiPoly | None = None
@@ -1194,21 +1232,10 @@ def ratfun_sum(parts: Iterable[RatFun]) -> RatFun:
         for key, terms in groups.items()
         if not (num := MultiPoly._from_raw(ring, variables, terms)).is_zero()
     }
-    lcd: dict[tuple[int, int], int] = {}
-    for key in sums:
-        for pair, m in key:
-            lcd[pair] = max(lcd.get(pair, 0), m)
-    powers: dict[tuple[tuple[int, int], int], MultiPoly] = {}
+    lcd, lifts = _lifts(list(sums), ring, variables)
     total: dict[tuple[int, ...], Scalar] = {}
-    for key, num in sums.items():
-        den = dict(key)
-        for pair, m in lcd.items():
-            need = m - den.get(pair, 0)
-            if need:
-                if (pair, need) not in powers:
-                    powers[(pair, need)] = _difference(ring, variables, *pair) ** need
-                num = num * powers[(pair, need)]
-        for e, c in num.terms.items():
+    for num, lift in zip(sums.values(), lifts):
+        for e, c in (num * lift).terms.items():
             total[e] = total.get(e, 0) + c
     return RatFun(MultiPoly._from_raw(ring, variables, total), lcd).normalize()
 
@@ -1234,48 +1261,52 @@ def xvars(N: int) -> tuple[str, ...]:
     return tuple(f"X{i}" for i in range(1, N + 1))
 
 
-def qbinom_laurent(m: int, a: int) -> dict[int, int]:
-    """Quantum binomial as a Laurent polynomial {exponent: coefficient}.
+# ---------------------------------------------------------------------------
+# Laurent polynomials in q (exponent -> coefficient maps)
+# ---------------------------------------------------------------------------
 
+Laurent = dict[int, int]
+
+
+def _laurent_clean(d: Laurent) -> Laurent:
+    return {e: c for e, c in sorted(d.items()) if c != 0}
+
+
+def laurent_add(a: Laurent, b: Laurent) -> Laurent:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _laurent_clean(out)
+
+
+def laurent_mul(a: Laurent, b: Laurent) -> Laurent:
+    out: Laurent = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return _laurent_clean(out)
+
+
+def quantum_integer(k: int) -> Laurent:
+    """The balanced q-integer ``q^{k-1} + q^{k-3} + ... + q^{1-k}``, empty
+    for ``k <= 0``."""
+    return qbinom_laurent(k, 1)
+
+
+def qbinom_laurent(m: int, a: int) -> Laurent:
+    """The balanced quantum binomial ``[m, a]``, empty unless ``0 <= a <= m``.
+
+    Built row by row from ``[k, 0] = 1`` by the balanced q-Pascal rule
+    ``[k, j] = q^{-j} [k-1, j] + q^{k-j} [k-1, j-1]``; the result is
     ``prod_{i=1..a} [m+1-i]/[i]`` with ``[n] = q^{n-1} + q^{n-3} + ... +
-    q^{1-n}``; computed exactly via the Gaussian binomial in q^2 and then
-    recentered symmetrically.
+    q^{1-n}``, symmetric under ``q -> q^{-1}``.
     """
     if a < 0 or a > m:
         return {}
-    # Gaussian binomial coefficient in variable t = q^2.
-    num = [1]
-    for k in range(1, a + 1):
-        # multiply by (1 - t^(m - k + 1)) / (1 - t^k): do it polynomially.
-        num = _polymul_dense(num, _cyclo_range(m - k + 1))
-        num = _polydiv_dense(num, _cyclo_range(k))
-    # num[d] is the coefficient of t^d; total t-degree a(m-a).
-    # Recenter: q-exponent = 2d - a(m-a).
-    shift = a * (m - a)
-    return {2 * d - shift: c for d, c in enumerate(num) if c}
-
-
-def _cyclo_range(k: int) -> list[int]:
-    """1 + t + ... + t^{k-1}."""
-    return [1] * k
-
-
-def _polymul_dense(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _polydiv_dense(a: list[int], b: list[int]) -> list[int]:
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = a[i + len(b) - 1] // b[-1]
-        out[i] = c
-        for j, y in enumerate(b):
-            a[i + j] -= c * y
-    if any(a):
-        raise ValueError("inexact dense division")
-    return out
+    row: list[Laurent] = [{0: 1}] + [{}] * a  # [k, 0..a], from k = 0
+    for k in range(1, m + 1):
+        row = [row[0]] + [
+            laurent_add(laurent_mul({-j: 1}, row[j]), laurent_mul({k - j: 1}, row[j - 1]))
+            for j in range(1, a + 1)
+        ]
+    return row[a]

@@ -46,13 +46,19 @@ from .foameval import CheckReport, _family_values, degree, evaluate
 from .polyring import (
     CoefRing,
     ElementaryBasis,
+    Laurent,
     MultiPoly,
     Scalar,
     SymPoly,
     ZZ,
+    _laurent_clean,
     elementary,
+    facet_vars,
     kill_equivariance,
+    laurent_add,
+    laurent_mul,
     qbinom_laurent,
+    quantum_integer,
     witt_act,
     xvars,
 )
@@ -92,39 +98,6 @@ __all__ = [
 
 #: A prime larger than 2**31 used for randomized rank specializations.
 _RANK_PRIME = 2147483659
-
-
-# ---------------------------------------------------------------------------
-# Laurent polynomial helpers (exponent -> coefficient maps)
-# ---------------------------------------------------------------------------
-
-Laurent = dict[int, int]
-
-
-def _laurent_clean(d: Laurent) -> Laurent:
-    return {e: c for e, c in sorted(d.items()) if c != 0}
-
-
-def laurent_add(a: Laurent, b: Laurent) -> Laurent:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return _laurent_clean(out)
-
-
-def laurent_mul(a: Laurent, b: Laurent) -> Laurent:
-    out: Laurent = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return _laurent_clean(out)
-
-
-def quantum_integer(k: int) -> Laurent:
-    """The balanced q-integer ``q^{k-1} + q^{k-3} + ... + q^{1-k}``."""
-    if k <= 0:
-        return {}
-    return qbinom_laurent(k, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +169,7 @@ def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
 
 def elementary_product(ring: CoefRing, a: int, mu: Sequence[int]) -> SymPoly:
     """The product ``e_{mu_1} e_{mu_2} ...`` on a thickness-``a`` alphabet."""
-    vs = tuple(f"x{i}" for i in range(1, a + 1))
+    vs = facet_vars(a)
     poly = MultiPoly.const(ring, vs, 1)
     for part in mu:
         poly = poly * elementary(ring, vs, part)

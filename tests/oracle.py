@@ -37,6 +37,11 @@ algebra composes and raises those matrices in ``X1..XN`` (``mat_mul`` plus
 ``witt_act`` on every entry); the package composes the solved matrices in
 ``e_1..e_N`` by the chain rule and converts only the result.
 
+The dense quantum binomial multiplies and divides Gaussian-binomial factors
+``(1 - t^(m-k+1)) / (1 - t^k)`` as dense coefficient lists in ``t = q^2``
+and recenters; the package builds the balanced q-Pascal triangle on its
+Laurent helpers.
+
 The reference shape value sums one dot-shape map over the colorings of an
 undecorated closed foam part by part: each coloring's value times the
 map's decorations at that coloring, one ``ratfun_sum`` of all the parts,
@@ -61,7 +66,6 @@ from foamlab.foameval import (
     _check_degree,
     _checked_sum,
     _dots,
-    _facet_vars,
     _orbit_poly,
     colored_eval,
     degree,
@@ -73,6 +77,7 @@ from foamlab.polyring import (
     MultiPoly,
     RatFun,
     Scalar,
+    facet_vars,
     power_sum,
     ratfun_sum,
     witt_act,
@@ -274,7 +279,7 @@ def leibniz_reference(S, dec_fn, local_fn):
 
     def dot_poly(f: str, k: int, hat: bool) -> MultiPoly:
         a = skel.thickness[f]
-        vs = _facet_vars(a, N - a)
+        vs = facet_vars(a, N - a)
         return power_sum(ring, vs[a:] if hat else vs[:a], k).extend(vs)
 
     images = [local_fn(tr) for tr in skel.complex.traces]
@@ -589,3 +594,37 @@ def operator_power_reference(a, k: int):
             step = statespace.mat_add(step, derive_matrix(a.op, out))
         out = step
     return out
+
+
+def qbinom_dense(m: int, a: int) -> dict[int, int]:
+    """The balanced quantum binomial ``[m, a]`` as ``{q-exponent: coefficient}``,
+    empty unless ``0 <= a <= m``: the Gaussian binomial in ``t = q^2`` by dense
+    multiplication and exact division, recentered by ``a (m - a)``."""
+    if a < 0 or a > m:
+        return {}
+
+    def mul(x: list[int], y: list[int]) -> list[int]:
+        out = [0] * (len(x) + len(y) - 1)
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                out[i + j] += u * v
+        return out
+
+    def div(x: list[int], y: list[int]) -> list[int]:
+        x = list(x)
+        out = [0] * (len(x) - len(y) + 1)
+        for i in range(len(out) - 1, -1, -1):
+            c = x[i + len(y) - 1] // y[-1]
+            out[i] = c
+            for j, v in enumerate(y):
+                x[i + j] -= c * v
+        if any(x):
+            raise ArithmeticError("inexact dense division")
+        return out
+
+    num = [1]
+    for k in range(1, a + 1):
+        # times (1 + t + ... + t^(m-k)) / (1 + t + ... + t^(k-1))
+        num = div(mul(num, [1] * (m - k + 1)), [1] * k)
+    shift = a * (m - a)
+    return {2 * d - shift: c for d, c in enumerate(num) if c}

@@ -43,7 +43,7 @@ from foamlab.errors import (
     WrongRing,
 )
 from foamlab.foamcore import Decorate, MovieBuilder, Saddle, compose, compile_movie
-from foamlab.foameval import _facet_vars, _orbit_poly, degree, evaluate
+from foamlab.foameval import _orbit_poly, degree, evaluate
 from foamlab.polyring import (
     GF,
     MultiPoly,
@@ -51,6 +51,7 @@ from foamlab.polyring import (
     RatFun,
     WittSequence,
     ZZ,
+    facet_vars,
     power_sum,
     symmetric_basis,
     witt_act,
@@ -499,7 +500,7 @@ def dot_shapes(draw):
 
 
 def expand_shapes(ring, a, m, pairs):
-    total = MultiPoly.zero(ring, _facet_vars(a, m))
+    total = MultiPoly.zero(ring, facet_vars(a, m))
     for shape, c in pairs:
         total = total + _orbit_poly(ring, shape) * c
     return total
@@ -517,7 +518,7 @@ class TestDotShapeRules:
     @given(dot_shapes(), st.integers(1, 3), st.booleans(), st.sampled_from(RULE_RINGS))
     def test_dot_rule_is_power_sum_product(self, am_shape, k, hat, ring):
         a, m, shape = am_shape
-        vs = _facet_vars(a, m)
+        vs = facet_vars(a, m)
         block = vs[a:] if hat else vs[:a]
         want = power_sum(ring, block, k).extend(vs) * _orbit_poly(ring, shape)
         assert expand_shapes(ring, a, m, _dot_rule(shape, k, hat)) == want

@@ -761,6 +761,30 @@ class TestRationalSumKernel:
         assert r.den == ({pair: m - k} if m > k else {})
         assert r.num == f * difference(f.ring, i, j) ** max(k - m, 0)
 
+    @given(st.data(), st.integers(1, 5), RINGS)
+    @settings(max_examples=80, deadline=None)
+    def test_lifts_reach_the_lcd(self, data, N, ring):
+        vs = xvars(N)
+        pairs = list(itertools.combinations(range(N), 2))
+        exps = st.dictionaries(st.sampled_from(pairs), st.integers(1, 3)) if pairs else st.just({})
+        keys = [tuple(sorted(d.items())) for d in data.draw(st.lists(exps, min_size=1, max_size=4))]
+        lcd, lifts = polyring._lifts(keys, ring, vs)
+        want = {}
+        for key in keys:
+            for pair, m in key:
+                want[pair] = max(want.get(pair, 0), m)
+        assert lcd == want
+
+        def product(den):
+            out = MultiPoly.const(ring, vs, 1)
+            for (i, j), m in den:
+                out = out * (MultiPoly.var(ring, vs, vs[i]) - MultiPoly.var(ring, vs, vs[j])) ** m
+            return out
+
+        assert len(lifts) == len(keys)
+        for key, lift in zip(keys, lifts):
+            assert lift * product(key) == product(lcd.items())
+
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             ratfun_sum([])
@@ -777,6 +801,11 @@ class TestRationalSumKernel:
 # ---------------------------------------------------------------------------
 
 class TestQBinom:
+    def test_matches_dense_gaussian_binomial(self):
+        for m in range(-2, 14):
+            for a in range(-1, m + 2):
+                assert qbinom_laurent(m, a) == oracle.qbinom_dense(m, a), (m, a)
+
     def test_small_values(self):
         assert qbinom_laurent(2, 1) == {-1: 1, 1: 1}
         assert qbinom_laurent(3, 1) == {-2: 1, 0: 1, 2: 1}
@@ -790,3 +819,14 @@ class TestQBinom:
         for m in range(6):
             for a in range(m + 1):
                 assert sum(qbinom_laurent(m, a).values()) == comb(m, a)
+
+
+# ---------------------------------------------------------------------------
+# alphabets
+# ---------------------------------------------------------------------------
+
+def test_facet_vars_inside_then_outside():
+    assert polyring.facet_vars(2) == ("x1", "x2")
+    assert polyring.facet_vars(2, 1) == ("x1", "x2", "y1")
+    assert polyring.facet_vars(0, 2) == ("y1", "y2")
+    assert polyring.facet_vars(0) == ()
