@@ -79,6 +79,11 @@ class NotSymmetric(FoamlabError):
     """A summed evaluation failed to be symmetric (convention bug)."""
 
 
+class NotEquivariant(NotSymmetric):
+    """A coloring's colored value is not its orbit representative's value
+    with the pigments relabelled (convention bug)."""
+
+
 class NonHomogeneous(FoamlabError):
     """Degree was requested for a foam with non-homogeneous decorations."""
 

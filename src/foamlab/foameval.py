@@ -17,6 +17,7 @@ from . import polyring
 from .errors import (
     InputError,
     NonHomogeneous,
+    NotEquivariant,
     NotInSymmetricSubring,
     NotPolynomial,
     NotSymmetric,
@@ -162,8 +163,8 @@ def _orbit_poly(ring: CoefRing, shape: DotShape) -> MultiPoly:
     lam, mu = shape
     terms = {
         lx + ly: 1
-        for lx in set(itertools.permutations(lam))
-        for ly in set(itertools.permutations(mu))
+        for lx in polyring._distinct_permutations(lam)
+        for ly in polyring._distinct_permutations(mu)
     }
     return MultiPoly(ring, facet_vars(len(lam), len(mu)), terms)
 
@@ -341,52 +342,128 @@ def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
     return EvalResult(value, F, N, ring)
 
 
+def _orbit_order(c: Coloring, facets: Sequence[str], N: int) -> tuple[tuple, list[int]]:
+    """The sorted pigment types of a coloring, and its relabelling from the
+    representative of its S_N orbit.
+
+    The type of a pigment is the set of facets whose color holds it, as
+    positions in ``facets``.  Relabelling pigments permutes the types, so
+    the sorted types name the orbit; its representative is the coloring
+    whose types are sorted, and ``perm[p]`` is the pigment of ``c`` (from 0)
+    that the representative's pigment ``p`` becomes, the pigments of one
+    type in increasing order.
+    """
+    types = [tuple(k for k, f in enumerate(facets) if i in c[f]) for i in range(1, N + 1)]
+    perm = sorted(range(N), key=types.__getitem__)
+    return tuple(types[i] for i in perm), perm
+
+
 class _ShapeTable:
     """Checked values of one undecorated closed foam under dot-shape maps.
 
-    The foam is colored once, and the colorings are grouped by the
-    denominator of their colored value.  The table's least common
-    denominator and each class's lift ``LCD / D_class`` come from
-    :func:`polyring._lifts`, once per table, and each (facet, dot shape) a
-    map uses is specialized at every coloring the first time it is used.  A
-    map's value is then
+    The foam is colored once, and its colorings are grouped into S_N orbits
+    by :func:`_orbit_order`.  The pigments of one type in the orbit's
+    representative form a run, a block, and the orbit is ``S_N / W_P`` for
+    the Young subgroup ``W_P`` of the blocks.  Every coloring's colored
+    value must be the representative's value relabelled to it, numerator
+    and denominator exactly, sign included (Robert--Wagner,
+    arXiv:1702.04140); otherwise the table raises :class:`NotEquivariant`.
 
-        sum over classes of lift * sum over c in the class of num_c * prod specializations at c
+    An orbit of more than one coloring whose representative has exponent 0
+    on the pairs inside a block and at most 1 across blocks is summed by
+    one pushforward.  There the representative's value is ``g / Delta_P``
+    with ``g`` its numerator times ``(Xi - Xj)`` for each cross-block pair
+    missing from its denominator; ``g`` must be ``W_P``-invariant (the
+    representative is fixed by ``W_P``), or the table raises
+    :class:`NotEquivariant`.  A map's value over the orbit is then
+    :func:`polyring._pushforward` of ``g`` times the map's decorations at
+    the representative.  The other orbits, those with a squared pair and
+    one-coloring orbits, are summed as one rational sum: their colorings are
+    grouped by denominator, each class is lifted once to the classes' least
+    common denominator by :func:`polyring._lifts`, and the sum is divided
+    once by it.  Each (facet, dot shape) a map uses is specialized, the
+    first time it is used, at the colorings a value reads.
 
-    divided once by the LCD.  Each value gets the checks of
-    :func:`evaluate`, in order: a polynomial; symmetric, which writing it in
-    ``e_1..e_N`` by ``basis`` decides; and homogeneous of degree
-    ``degree(F) + 2 * dots`` when nonzero, where ``dots`` is the sum of the
-    map's exponents.  The value in ``e_1..e_N`` is kept for the life of the
-    table.
+    Each value gets the checks of :func:`evaluate`, in order: a polynomial;
+    symmetric, which writing it in ``e_1..e_N`` by ``basis`` decides; and
+    homogeneous of degree ``degree(F) + 2 * dots`` when nonzero, where
+    ``dots`` is the sum of the map's exponents.  Only the lifted sum is
+    tested for a polynomial, because an orbit that passes the equivariance
+    check and has exponents at most 1 always sums to one: its sum is
+    ``sum over sigma in S_N / W_P of sigma(g / Delta_P)`` with ``g`` a
+    ``W_P``-invariant polynomial, which is the divided difference ``d_w g``
+    and so a polynomial.  The value in ``e_1..e_N`` is kept for the life of
+    the table.
     """
 
     def __init__(self, F: FoamComplex, N: int, ring: CoefRing, basis: ElementaryBasis):
         if not F.closed:
             raise InputError("only closed foams are evaluated")
         self.N, self.ring, self.basis = N, ring, basis
+        vs = xvars(N)
         self.colorings = list(enumerate_colorings(F, N))
-        classes: dict[tuple, list[tuple[int, MultiPoly]]] = {}
+        facets = sorted(F.facets)
+        orbits: dict[tuple, list[tuple[int, list[int], RatFun]]] = {}
         for k, c in enumerate(self.colorings):
-            r = colored_eval(F, c, N, ring)
-            classes.setdefault(tuple(sorted(r.den.items())), []).append((k, r.num))
-        self.lcd, lifts = _lifts(list(classes), ring, xvars(N))
+            key, perm = _orbit_order(c, facets, N)
+            orbits.setdefault(key, []).append((k, perm, colored_eval(F, c, N, ring)))
+        # coloring indices per orbit, the representative first
+        self.orbits: list[list[int]] = []
+        # (representative index, W_P-invariant numerator g, blocks) per orbit
+        self.pushforwards: list[tuple[int, MultiPoly, tuple[int, ...]]] = []
+        lifted: dict[tuple, list[tuple[int, MultiPoly]]] = {}
+        identity = list(range(N))
+        for key, members in orbits.items():
+            k0, _, rep = next(m for m in members if m[1] == identity)
+            for k, perm, r in members:
+                want = rep.relabel(perm)
+                if want.den != r.den or want.num != r.num:
+                    raise NotEquivariant(
+                        f"coloring {self.colorings[k]}: value {r} is not its orbit"
+                        f" representative's value {rep} relabelled"
+                    )
+            self.orbits.append([k0] + [k for k, _, _ in members if k != k0])
+            blocks = tuple(len(list(run)) for _, run in itertools.groupby(key))
+            block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+            if len(members) > 1 and all(
+                m == 1 and block_of[i] != block_of[j] for (i, j), m in rep.den.items()
+            ):
+                g = rep.num
+                for i, j in itertools.combinations(range(N), 2):
+                    if block_of[i] != block_of[j] and (i, j) not in rep.den:
+                        g = g * polyring._difference(ring, vs, i, j)
+                if not is_symmetric(g, blocks):
+                    raise NotEquivariant(
+                        f"representative {self.colorings[k0]}: value {rep} is not"
+                        f" invariant under its stabilizer"
+                    )
+                self.pushforwards.append((k0, g, blocks))
+            else:
+                for k, _, r in members:
+                    lifted.setdefault(tuple(sorted(r.den.items())), []).append((k, r.num))
+        self.lcd, lifts = _lifts(list(lifted), ring, vs)
         # (lift, [(coloring index, numerator), ...]) per denominator class
-        self.classes = list(zip(lifts, classes.values()))
+        self.classes = list(zip(lifts, lifted.values()))
+        # the colorings whose decorations the values read
+        self.points = sorted(
+            {k for k, _, _ in self.pushforwards}
+            | {k for _, members in self.classes for k, _ in members}
+        )
         self.bare_degree = degree(F, N)
-        self.specialized: dict[tuple[str, DotShape], list[MultiPoly]] = {}
+        self.specialized: dict[tuple[str, DotShape], dict[int, MultiPoly]] = {}
         self.values: dict[DecMap, MultiPoly] = {}
 
-    def _specialized(self, f: str, shape: DotShape) -> list[MultiPoly]:
-        """The decoration of ``shape`` on facet ``f`` at each coloring."""
+    def _specialized(self, f: str, shape: DotShape) -> dict[int, MultiPoly]:
+        """The decoration of ``shape`` on facet ``f`` at each of the points."""
         key = (f, shape)
         if key not in self.specialized:
             p = _orbit_poly(self.ring, shape)
             at: dict[frozenset[int], MultiPoly] = {}
-            for c in self.colorings:
-                if c[f] not in at:
-                    at[c[f]] = _at_coloring(p, c[f], self.N)
-            self.specialized[key] = [at[c[f]] for c in self.colorings]
+            for k in self.points:
+                color = self.colorings[k][f]
+                if color not in at:
+                    at[color] = _at_coloring(p, color, self.N)
+            self.specialized[key] = {k: at[self.colorings[k][f]] for k in self.points}
         return self.specialized[key]
 
     def value(self, decmap: DecMap) -> MultiPoly:
@@ -406,8 +483,15 @@ class _ShapeTable:
                 if not part.is_zero():
                     for e, c in (lift * part).terms.items():
                         total[e] = total.get(e, 0) + c
-            summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
-            value = summed.as_polynomial()
+            if total:
+                summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
+                total = dict(summed.as_polynomial().terms)
+            for k, g, blocks in self.pushforwards:
+                for spec in specs:
+                    g = g * spec[k]
+                for e, c in polyring._pushforward(g, blocks).terms.items():
+                    total[e] = total.get(e, 0) + c
+            value = MultiPoly._from_raw(ring, xvars(N), total)
             try:
                 value_e = self.basis.to_e(value)
             except NotInSymmetricSubring:
@@ -809,16 +893,10 @@ def split_decoration(
             continue
         done.add(rep)
         # monomial symmetric polynomial of the orbit
-        orbit = {p for p in _permutations_of(rep)}
-        left_terms = {p: 1 for p in orbit}
-        left_poly = MultiPoly(ring, xv, left_terms)
+        left_poly = MultiPoly(ring, xv, dict.fromkeys(polyring._distinct_permutations(rep), 1))
         right_poly = MultiPoly(ring, yv, dict(groups[left]))
         out.append((SymPoly(left_poly, (a,)), SymPoly(right_poly, (b,))))
     return out
-
-
-def _permutations_of(exp: tuple[int, ...]) -> set[tuple[int, ...]]:
-    return set(itertools.permutations(exp))
 
 
 def dot_migration_check(

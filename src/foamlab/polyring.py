@@ -1110,6 +1110,32 @@ class RatFun:
 
     __rmul__ = __mul__
 
+    def relabel(self, perm: Sequence[int]) -> "RatFun":
+        """This function with variable ``i`` renamed to variable ``perm[i]``.
+
+        A denominator factor that becomes ``x_a - x_b`` with ``a > b`` is
+        stored as ``x_b - x_a``, which negates the numerator once per unit
+        of its exponent.
+        """
+        num = self.num
+        terms: dict[tuple[int, ...], Scalar] = {}
+        for e, c in num.terms.items():
+            ne = [0] * len(e)
+            for i, k in zip(perm, e):
+                ne[i] = k
+            terms[tuple(ne)] = c
+        den: dict[tuple[int, int], int] = {}
+        flips = 0
+        for (i, j), m in self.den.items():
+            a, b = perm[i], perm[j]
+            if a > b:
+                a, b = b, a
+                flips += m
+            den[(a, b)] = m
+        if flips % 2:
+            terms = {e: -c for e, c in terms.items()}
+        return RatFun(MultiPoly._from_raw(num.ring, num.vars, terms), den)
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, MultiPoly)):
             other = RatFun(
@@ -1173,6 +1199,67 @@ def _divide_by_difference(
     if any(ring.normalize(c) for c in carry.values()):
         return None
     return quo
+
+
+def _divided_difference(
+    terms: Mapping[tuple[int, ...], Scalar], i: int, ring: CoefRing
+) -> dict[tuple[int, ...], Scalar]:
+    """The terms of ``d_i f = (f - s_i f) / (x_i - x_{i+1})``, where ``s_i``
+    swaps ``x_i`` and ``x_{i+1}``.
+
+    Term by term, with ``x = x_i``, ``y = x_{i+1}`` and ``a > b``,
+    ``(x^a y^b - x^b y^a) / (x - y)`` is ``(xy)^b`` times the ``a - b``
+    monomials of degree ``a - b - 1`` in ``x, y``; swapping ``a`` and ``b``
+    negates it.  So no division is made and the result is exact.
+    """
+    out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
+    for e, c in terms.items():
+        a, b = e[i], e[i + 1]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = e[:i], e[i + 2:]
+        for t in range(a - b):
+            ne = head + (b + t, a - 1 - t) + tail
+            out[ne] = get(ne, 0) + c
+    return _canonical(ring, out)
+
+
+def _pushforward(g: MultiPoly, blocks: Sequence[int]) -> MultiPoly:
+    """``sum over sigma in S_N / W_P of sigma(g / Delta_P)``, for ``g``
+    invariant under ``W_P``.
+
+    ``W_P`` is the Young subgroup of ``blocks``, runs of consecutive
+    variables, and ``Delta_P`` the product of ``x_i - x_j`` over ``i < j`` in
+    different blocks.  The sum is the divided difference ``d_w g`` for
+    ``w = w_0 w_{0,P}``, which reverses the block order and keeps each block
+    increasing (a Gysin pushforward from a partial flag variety; Brion,
+    "Lectures on the geometry of flag varieties", arXiv:math/0410240).
+    Indeed ``d_{w_0} f = sum over S_N of sigma(f / Delta)``, and
+    ``d_{w_0} = d_w d_{w_{0,P}}``; for ``m`` with ``d_{w_{0,P}} m = 1``,
+    ``d_{w_0}(g m) = d_w g`` while the sum over ``W_P`` inside each coset
+    turns ``g m / Delta`` into ``g / Delta_P``.
+
+    The word of ``w`` is read from the right: while ``w`` has a descent at
+    ``i`` (``w(i) > w(i+1)``), ``d_w = d_{w s_i} d_i``, so ``d_i`` acts
+    first and ``w`` becomes ``w s_i``.
+    """
+    n = sum(blocks)
+    w: list[int] = []
+    for size in blocks:
+        w += range(n - len(w) - size, n - len(w))
+    terms = g.terms
+    i = 0
+    while i < n - 1:
+        if w[i] > w[i + 1]:
+            terms = _divided_difference(terms, i, g.ring)
+            w[i], w[i + 1] = w[i + 1], w[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return MultiPoly._from_terms(g.ring, g.vars, terms)
 
 
 def _lifts(

@@ -395,12 +395,27 @@ def _pairings(
 
 
 def _specialize(entry: MultiPoly, values: dict[str, int], p: int) -> int:
-    s = entry.eval_scalar({v: values[v] for v in entry.vars})
-    if isinstance(s, int):
-        return s % p
-    if s.denominator % p == 0:
-        raise WrongRing(f"coefficient denominator {s.denominator} is not invertible mod {p}")
-    return s.numerator * pow(s.denominator, -1, p) % p
+    """``entry`` at the point ``values``, modulo ``p``.
+
+    Each coefficient and each power is reduced mod ``p`` as it is read, so
+    no exact value is built; a ``Fraction`` coefficient needs its
+    denominator invertible mod ``p``.
+    """
+    point = [values[v] for v in entry.vars]
+    total = 0
+    for e, c in entry.terms.items():
+        if type(c) is not int:
+            if c.denominator % p == 0:
+                raise WrongRing(
+                    f"coefficient denominator {c.denominator} is not invertible mod {p}"
+                )
+            c = c.numerator * pow(c.denominator, -1, p)
+        term = c % p
+        for x, k in zip(point, e):
+            if k:
+                term = term * pow(x, k, p) % p
+        total += term
+    return total % p
 
 
 def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:

@@ -42,12 +42,20 @@ The dense quantum binomial multiplies and divides Gaussian-binomial factors
 and recenters; the package builds the balanced q-Pascal triangle on its
 Laurent helpers.
 
+The reference specialization evaluates a Gram entry exactly at a point
+and reduces the value mod p; the package reduces each coefficient and each
+power as it reads them.
+
 The reference shape value sums one dot-shape map over the colorings of an
 undecorated closed foam part by part: each coloring's value times the
 map's decorations at that coloring, one ``ratfun_sum`` of all the parts,
-and the checks of ``evaluate``.  The package's shape table groups the
-colorings by denominator, lifts each class once to the table's common
-denominator and writes each checked value in ``e_1..e_N``.
+and the checks of ``evaluate``.  The package's shape table sums most S_N
+orbits of colorings by divided differences at one representative, lifts
+the rest to their common denominator, and writes each checked value in
+``e_1..e_N``.
+
+The dotted thin sphere at a point sums its colorings' values at distinct
+integer coordinates in ``Fraction`` arithmetic, with nothing expanded.
 """
 
 from __future__ import annotations
@@ -70,7 +78,13 @@ from foamlab.foameval import (
     colored_eval,
     degree,
 )
-from foamlab.errors import DivisionNotExact, InputError, NonSphericalWithNu3, NotWellDefined
+from foamlab.errors import (
+    DivisionNotExact,
+    InputError,
+    NonSphericalWithNu3,
+    NotWellDefined,
+    WrongRing,
+)
 from foamlab.polyring import (
     CoefRing,
     ElementaryBasis,
@@ -169,6 +183,24 @@ def sphere_value(k: int, N: int) -> Poly:
         term = p_scale(p_mul(x_power(N, i, k), cofactor), sign)
         numerator = p_add(numerator, term)
     return p_div_exact(numerator, common)
+
+
+def sphere_value_at(k: int, point: list[int]) -> Fraction:
+    """:func:`sphere_value` at a point of distinct coordinates, one term per
+    coloring: ``(-1)^i X_i^k`` times the difference factors avoiding pigment
+    ``i``, over all of them."""
+    N = len(point)
+
+    def product(skip: int) -> Fraction:
+        out = Fraction(1)
+        for a in range(N):
+            for b in range(a + 1, N):
+                if skip not in (a, b):
+                    out *= point[a] - point[b]
+        return out
+
+    total = sum((-1) ** (i + 1) * Fraction(point[i]) ** k * product(i) for i in range(N))
+    return total / product(-1)
 
 
 def sphere_gram(N: int, dots: list[int]) -> list[list[Poly]]:
@@ -567,6 +599,16 @@ def shape_value_reference(F: FoamComplex, N: int, ring: CoefRing, decmap: DecMap
     value = _checked_sum(terms, N, ring)
     _check_degree(value, lambda: degree(F, N) + 2 * _dots(s for _, s in decmap))
     return value
+
+
+def specialize_reference(entry: MultiPoly, values: dict[str, int], p: int) -> int:
+    """An entry at a point modulo ``p``: evaluated exactly, then reduced."""
+    s = entry.eval_scalar({v: values[v] for v in entry.vars})
+    if isinstance(s, int):
+        return s % p
+    if s.denominator % p == 0:
+        raise WrongRing(f"coefficient denominator {s.denominator} is not invertible mod {p}")
+    return s.numerator * pow(s.denominator, -1, p) % p
 
 
 def derive_matrix(op: str, M):

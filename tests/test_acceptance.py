@@ -11,6 +11,8 @@ independent brute-force oracle in ``tests/oracle.py``.
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from foamlab.actions import (
     sl2_relations_check,
     verify_compat,
 )
+from foamlab.cli import main
 from foamlab.corpus import basic_open_movies, closed_corpus, spherical_corpus
 from foamlab.errors import CharTwoNonSpherical
 from foamlab.foamcore import (
@@ -50,6 +53,7 @@ from foamlab.polyring import (
     SymPoly,
     WittSequence,
     ZZ,
+    complete_homogeneous,
     power_sum,
     qbinom_laurent,
     symmetric_basis,
@@ -70,7 +74,7 @@ from foamlab.statespace import (
     zipped_presentation,
 )
 
-from oracle import sphere_gram, sphere_value
+from oracle import sphere_gram, sphere_value, sphere_value_at
 
 
 def rich_pack(N: int) -> ActionParams:
@@ -355,6 +359,20 @@ class TestDifferentialNilpotence:
         )
         assert time.monotonic() - start < 30
 
+    def test_circle_3_6_over_f5(self):
+        # the matrix text's sha256 was recorded with every shape value
+        # lifted to its table's common denominator
+        start = time.monotonic()
+        pack = ActionParams(ring=GF(5), N=6, t1=1, t2=2, t3=0)
+        act = induced_action("d", pack, circle_presentation(3, 6, GF(5)))
+        assert act.certificate.ok
+        assert mat_is_zero(operator_power(act, 5))
+        text = "\n".join(", ".join(str(e) for e in row) for row in act.matrix)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "c6b0794b7454ad9df78b4502ee451aaa87d089c40df92d0a4832df47ba45eacf"
+        )
+        assert time.monotonic() - start < 30
+
     @pytest.mark.parametrize("base", ["equivariant", "phi0"])
     def test_char_two_squares_to_zero_without_saddles(self, base):
         pack = ActionParams(ring=GF(2), N=2, t1=1, t2=1, t3=0)
@@ -387,6 +405,13 @@ class TestStateSpaceRanks:
             want = laurent_mul(qbinom_laurent(N - 1, 1), qbinom_laurent(N, 1))
             assert graded_rank(gram_matrix(reversed_digon)) == want
         assert time.monotonic() - start < 120
+
+    def test_cli_rank_of_the_circle_at_ten_pigments(self, capsys):
+        start = time.monotonic()
+        assert main(["rank", "--web", "circle:1", "--N", "10", "--json"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["rank"] == sorted(map(list, qbinom_laurent(10, 1).items()))
+        assert time.monotonic() - start < 60
 
     @pytest.mark.parametrize(
         "relation,N,kw", [("circle", 6, {"a": 3}), ("square", 4, {}), ("assoc", 4, {})]
@@ -427,6 +452,24 @@ class TestWorkedValues:
             [{}, {(0, 0): Fraction(-1)}],
             [{(0, 0): Fraction(-1)}, {k: -v for k, v in e1.items()}],
         ]
+
+    def test_circle_pairing_matrix_at_eight_pigments(self):
+        # entry (a, b) is a thin sphere with a + b dots, -h_{a+b-7}; checked
+        # against the oracle's sum over colorings at random points
+        start = time.monotonic()
+        G = gram_matrix(circle_presentation(1, 8))
+        assert time.monotonic() - start < 10
+        vs = G.entries[0][0].vars
+        rng = random.Random(8)
+        points = [rng.sample(range(-40, 40), 8) for _ in range(3)]
+        for a, row in enumerate(G.entries):
+            for b, entry in enumerate(row):
+                k = a + b
+                h = complete_homogeneous(ZZ, vs, k - 7) if k >= 7 else MultiPoly.zero(ZZ, vs)
+                assert entry == -h
+                for point in points:
+                    at = entry.eval_scalar(dict(zip(vs, point)))
+                    assert at == sphere_value_at(k, point)
 
     @pytest.mark.parametrize(
         "thickness,k,want", [(1, 5, 1), (2, 8, 56693912375296)]

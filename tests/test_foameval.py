@@ -17,6 +17,7 @@ from foamlab.errors import (
     FoamlabError,
     InputError,
     NonHomogeneous,
+    NotEquivariant,
     NotPolynomial,
     NotSymmetric,
     PatternMismatch,
@@ -24,6 +25,7 @@ from foamlab.errors import (
 from foamlab.foameval import (
     _ShapeTable,
     _check_degree,
+    _orbit_order,
     _e_weights,
     bubble_check,
     colored_eval,
@@ -67,6 +69,7 @@ from foamlab.polyring import (
 from foamlab.statespace import (
     circle_presentation,
     gram_matrix,
+    necklace_presentation,
     theta_presentation,
     zipped_presentation,
 )
@@ -152,6 +155,32 @@ class TestColoredEval:
                         if (a, b) != (lo, hi) and mult % 2:
                             num = -num
                     assert colored_eval(F, c2, 3) == RatFun(num, den)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), N=st.integers(2, 4))
+    def test_every_coloring_is_its_representative_relabelled(self, seed, N):
+        # exactly, numerator and denominator; and each representative is
+        # fixed by the transpositions inside its blocks
+        (mov,) = closed_corpus(seed=seed, count=1)
+        F = compile_movie(mov)
+        facets = sorted(F.facets)
+        colored = []
+        reps = {}
+        for c in enumerate_colorings(F, N):
+            key, perm = _orbit_order(c, facets, N)
+            colored.append((key, perm, colored_eval(F, c, N)))
+            if perm == list(range(N)):
+                reps[key] = colored[-1][2]
+        for key, perm, r in colored:
+            want = reps[key].relabel(perm)
+            assert (want.num, want.den) == (r.num, r.den)
+        for key, rep in reps.items():
+            for i in range(N - 1):
+                if key[i] == key[i + 1]:
+                    swap = list(range(N))
+                    swap[i], swap[i + 1] = i + 1, i
+                    fixed = rep.relabel(swap)
+                    assert (fixed.num, fixed.den) == (rep.num, rep.den)
 
 
 class TestEvaluate:
@@ -416,6 +445,18 @@ class TestFamilyAgainstEvaluate:
         else:
             assert ("error", got) in each
 
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_spheres_dotted_past_the_top_degree(self, N):
+        # p_k on a thin or thick sphere for k = N - 1 .. N + 2: values of
+        # positive degree, which a divided difference word applied in the
+        # wrong order sends to 0
+        movies = [
+            dotted_sphere(k, a) for a in sorted({1, N // 2, N - 1}) for k in range(N - 1, N + 3)
+        ]
+        want = [evaluate(m, N).value for m in movies]
+        assert evaluate_family(movies, N) == want
+        assert sum(not v.is_zero() for v in want) >= 3
+
 
 # ---------------------------------------------------------------------------
 # shape tables against the per-coloring sum
@@ -492,21 +533,33 @@ class TestShapeTableAgainstReference:
             assert shape_value_reference(F, 3, ring, two_dots) == -1
 
     def test_several_denominator_classes(self):
-        # at N = 4: 6 colorings in 3 classes of two, and 12 colorings in 6
-        for gens, count in ((circle_presentation(2, 4), 3), (theta_presentation(1, 1, 4), 6),
-                            (zipped_presentation(1, 1, 4), 6)):
+        # at N = 4 the circle's 6 colorings are one orbit of blocks (2, 2),
+        # and the theta's and the zipped web's 12 one of blocks (2, 1, 1),
+        # each summed by one pushforward; the 3-pigment necklace has two
+        # orbits of 6 with a squared pair, lifted in 3 denominator classes
+        cases = (
+            (circle_presentation(2, 4), 4, [6], [(2, 2)], 0),
+            (theta_presentation(1, 1, 4), 4, [12], [(2, 1, 1)], 0),
+            (zipped_presentation(1, 1, 4), 4, [12], [(2, 1, 1)], 0),
+            (necklace_presentation(3), 3, [6, 6], [], 3),
+        )
+        for gens, N, orbits, blocks, classes in cases:
             F = _table_foam(gens)
-            basis = ElementaryBasis(xvars(4))
-            table = _ShapeTable(F, 4, ZZ, basis)
-            assert len(table.classes) == count
-            assert sum(len(members) for _, members in table.classes) == len(table.colorings)
+            basis = ElementaryBasis(xvars(N))
+            table = _ShapeTable(F, N, ZZ, basis)
+            assert [len(o) for o in table.orbits] == orbits
+            assert [b for _, _, b in table.pushforwards] == blocks
+            assert len(table.classes) == classes
+            assert sorted(k for o in table.orbits for k in o) == list(
+                range(len(table.colorings))
+            )
             for dots in range(3):
                 for f in sorted(F.facets):
                     a = F.facets[f].thickness
-                    shape = ((dots,) + (0,) * (a - 1), (0,) * (4 - a))
+                    shape = ((dots,) + (0,) * (a - 1), (0,) * (N - a))
                     decmap = ((f, shape),) if dots else ()
                     assert basis.from_e(table.value(decmap)) == shape_value_reference(
-                        F, 4, ZZ, decmap
+                        F, N, ZZ, decmap
                     )
 
     def test_specializes_each_facet_shape_once(self, monkeypatch):
@@ -523,56 +576,106 @@ class TestShapeTableAgainstReference:
         table.value((dot(f),))
         table.value((dot(f), dot(g)))
         table.value((dot(g),))
-        colors = lambda h: {c[h] for c in table.colorings}  # noqa: E731
-        # one specialization per color a facet takes, for each (facet, shape)
+        colors = lambda h: {table.colorings[k][h] for k in table.points}  # noqa: E731
+        # one specialization per color a facet takes at the colorings the
+        # values read (here the one representative), for each (facet, shape)
+        assert table.points == [k for k, _, _ in table.pushforwards]
         assert len(calls) == len(colors(f)) + len(colors(g))
 
 
 class TestShapeTableChecks:
-    """One corrupted colored value: the table raises what the checks raise."""
+    """Corrupted colored values: the table raises what its checks raise.
+
+    One corrupted value, at an orbit's representative or at another
+    coloring of the orbit, breaks equivariance.  A corruption of every
+    coloring of an orbit, relabelled to each, keeps equivariance and is
+    caught by the checks on the sum; so is any corruption of a one-coloring
+    orbit, whose only coloring is lifted.
+    """
 
     CHANGES = {
-        # an extra (X1 - X2) in one denominator leaves it in the sum
-        "denominator": (
-            lambda r, N, ring: RatFun(r.num, {**r.den, (0, 1): r.den.get((0, 1), 0) + 1}),
-            NotPolynomial,
+        # an extra (X1 - X2) in the denominator; at N = 3 the pigments 1, 2
+        # of a thin sphere's representative are one block
+        "denominator": lambda r, N, ring: r * RatFun(
+            MultiPoly.const(ring, xvars(N), 1), {(0, 1): 1}
         ),
-        # + X1 makes the sum a polynomial that is not symmetric
-        "asymmetric": (
-            lambda r, N, ring: r + RatFun(MultiPoly.var(ring, xvars(N), "X1")),
-            NotSymmetric,
-        ),
-        # + p_1 keeps it symmetric but of degree 2, not -4
-        "degree": (
-            lambda r, N, ring: r + RatFun(power_sum(ring, xvars(N), 1)),
-            NotPolynomial,
-        ),
+        # + X1 is not symmetric
+        "asymmetric": lambda r, N, ring: r + RatFun(MultiPoly.var(ring, xvars(N), "X1")),
+        # + p_1 is symmetric but of degree 2
+        "degree": lambda r, N, ring: r + RatFun(power_sum(ring, xvars(N), 1)),
     }
 
-    def corrupt_first(self, monkeypatch, change):
+    def corrupt(self, monkeypatch, change, where):
+        """Apply ``change`` to the first representative (``where =
+        "representative"``) or the first other coloring (``"member"``) that
+        is colored, or to every coloring relabelled (``"orbit"``)."""
         real = foameval.colored_eval
-        seen = []
+        done = []
 
         def patched(F, c, N, ring=ZZ):
-            seen.append(c)
             r = real(F, c, N, ring)
-            return change(r, N, ring) if len(seen) == 1 else r
+            _, perm = foameval._orbit_order(c, sorted(F.facets), N)
+            if where == "orbit":
+                inverse = [perm.index(q) for q in range(N)]
+                return change(r.relabel(inverse), N, ring).relabel(perm)
+            if not done and (perm == list(range(N))) == (where == "representative"):
+                done.append(c)
+                return change(r, N, ring)
+            return r
 
         monkeypatch.setattr(foameval, "colored_eval", patched)
 
-    @pytest.mark.parametrize("change", CHANGES)
-    def test_evaluate_family(self, change, monkeypatch):
-        fn, error = self.CHANGES[change]
-        self.corrupt_first(monkeypatch, fn)
-        with pytest.raises(error):
-            evaluate_family([sphere_movie()], 3)
+    @staticmethod
+    def raised(call):
+        with pytest.raises(FoamlabError) as info:
+            call()
+        return type(info.value)
 
+    @pytest.mark.parametrize("where", ["representative", "member"])
     @pytest.mark.parametrize("change", CHANGES)
-    def test_gram_matrix(self, change, monkeypatch):
-        fn, error = self.CHANGES[change]
-        self.corrupt_first(monkeypatch, fn)
-        with pytest.raises(error):
-            gram_matrix(circle_presentation(1, 3))
+    def test_evaluate_family(self, change, where, monkeypatch):
+        self.corrupt(monkeypatch, self.CHANGES[change], where)
+        assert self.raised(lambda: evaluate_family([sphere_movie()], 3)) is NotEquivariant
+
+    @pytest.mark.parametrize("where", ["representative", "member"])
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_gram_matrix(self, change, where, monkeypatch):
+        self.corrupt(monkeypatch, self.CHANGES[change], where)
+        assert self.raised(lambda: gram_matrix(circle_presentation(1, 3))) is NotEquivariant
+
+    @pytest.mark.parametrize("where", ["representative", "member"])
+    def test_squared_pair_orbit(self, where, monkeypatch):
+        self.corrupt(monkeypatch, self.CHANGES["degree"], where)
+        F = _table_foam(necklace_presentation(3))
+        basis = ElementaryBasis(xvars(3))
+        assert self.raised(lambda: _ShapeTable(F, 3, ZZ, basis)) is NotEquivariant
+
+    @pytest.mark.parametrize(
+        "change,error", [("denominator", NotPolynomial), ("degree", NotPolynomial)]
+    )
+    def test_whole_orbit(self, change, error, monkeypatch):
+        # relabelled to every coloring, (X1 - X2) puts a pair of one block
+        # in the representative's denominator, which sends the orbit to the
+        # lift; + p_1 stays a pushforward and breaks the degree
+        self.corrupt(monkeypatch, self.CHANGES[change], "orbit")
+        F = compile_movie(sphere_movie())
+        table = _ShapeTable(F, 3, ZZ, ElementaryBasis(xvars(3)))
+        assert [len(o) for o in table.orbits] == [3]
+        assert len(table.pushforwards) == (change == "degree")
+        assert self.raised(lambda: table.value(())) is error
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [("denominator", NotPolynomial), ("asymmetric", NotSymmetric),
+         ("degree", NotPolynomial)],
+    )
+    def test_one_coloring_orbit(self, change, error, monkeypatch):
+        # a thickness-3 sphere at N = 3 has one coloring, which is lifted
+        self.corrupt(monkeypatch, self.CHANGES[change], "representative")
+        F = compile_movie(sphere_movie(3))
+        table = _ShapeTable(F, 3, ZZ, ElementaryBasis(xvars(3)))
+        assert (table.orbits, table.pushforwards, len(table.classes)) == ([[0]], [], 1)
+        assert self.raised(lambda: table.value(())) is error
 
     def test_uncorrupted_values_pass(self):
         assert evaluate_family([sphere_movie()], 3) == [MultiPoly.zero(ZZ, xvars(3))]

@@ -796,6 +796,86 @@ class TestRationalSumKernel:
             ratfun_sum([a, b])
 
 
+def compositions(n):
+    """Every composition of ``n`` into positive parts."""
+    if n == 0:
+        yield ()
+    for k in range(1, n + 1):
+        for rest in compositions(n - k):
+            yield (k, *rest)
+
+
+@st.composite
+def block_invariant(draw, ring, blocks, max_deg):
+    """A polynomial invariant under the Young subgroup of ``blocks``: a sum
+    of products of one monomial symmetric polynomial per block."""
+    vs = xvars(sum(blocks))
+    out = MultiPoly.zero(ring, vs)
+    for _ in range(draw(st.integers(1, 3))):
+        term = MultiPoly.const(ring, vs, draw(st.integers(-4, 4)))
+        start = 0
+        for size in blocks:
+            lam = sorted(draw(st.lists(st.integers(0, max_deg), min_size=size, max_size=size)))
+            mono = dict.fromkeys(polyring._distinct_permutations(tuple(lam)), 1)
+            block = MultiPoly(ring, vs[start:start + size], mono)
+            term = term * block.extend(vs)
+            start += size
+        out = out + term
+    return out
+
+
+def coset_sum(g, blocks):
+    """``sum sigma(g / Delta_P)`` over the permutations increasing on each
+    block, one per coset of the Young subgroup, in one ``ratfun_sum``."""
+    N = len(g.vars)
+    block_of = [b for b, size in enumerate(blocks) for _ in range(size)]
+    delta = {
+        (i, j): 1 for i, j in itertools.combinations(range(N), 2) if block_of[i] != block_of[j]
+    }
+    parts = [
+        RatFun(g, delta).relabel(perm)
+        for perm in itertools.permutations(range(N))
+        if all(perm[i] < perm[i + 1] for i in range(N - 1) if block_of[i] == block_of[i + 1])
+    ]
+    return ratfun_sum(parts).as_polynomial()
+
+
+class TestPushforward:
+    @pytest.mark.parametrize(
+        "blocks", [b for N in range(1, 5) for b in compositions(N)], ids=str
+    )
+    @given(st.data(), RINGS)
+    @settings(max_examples=15, deadline=None)
+    def test_matches_the_coset_sum(self, blocks, data, ring):
+        # parts up to N + 2 reach the degrees >= N - 1 where a wrong word
+        # order sends the sum to 0
+        N = sum(blocks)
+        g = data.draw(block_invariant(ring, blocks, N + 2))
+        assert polyring._pushforward(g, blocks) == coset_sum(g, blocks)
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    def test_full_flag_of_a_staircase(self, N):
+        # over singleton blocks, d_{w_0} sends x^delta to 1 and x^delta * x_1
+        # to the Schur polynomial s_1 = p_1; one block is the identity
+        vs = xvars(N)
+        delta = MultiPoly(ZZ, vs, {tuple(range(N - 1, -1, -1)): 1})
+        singletons = (1,) * N
+        assert polyring._pushforward(delta, singletons) == 1
+        x1 = MultiPoly.var(ZZ, vs, vs[0])
+        top = polyring._pushforward(delta * x1, singletons)
+        assert top == power_sum(ZZ, vs, 1)
+        assert polyring._pushforward(delta * x1, (N,)) == delta * x1
+
+    @given(RINGS.flatmap(lambda ring: polys(X3, ring, max_deg=6, max_terms=6)), st.integers(0, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_divided_difference_divides_the_antisymmetric_part(self, f, i):
+        swapped = f.permute_vars({X3[i]: X3[i + 1], X3[i + 1]: X3[i]})
+        odd = (f - swapped).terms
+        want = polyring._divide_by_difference(odd, i, i + 1, f.ring) if odd else {}
+        got = polyring._divided_difference(f.terms, i, f.ring)
+        assert got == MultiPoly._from_raw(f.ring, X3, want).terms
+
+
 # ---------------------------------------------------------------------------
 # quantum binomials
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ membership, induced operator matrices and the local rank relations."""
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -257,6 +258,35 @@ class TestGradedRank:
         rows = ((bad,) + G.entries[0][1:],) + G.entries[1:]
         with pytest.raises(WrongRing):
             graded_rank(dataclasses.replace(G, entries=rows))
+
+
+class TestSpecialize:
+    @given(
+        st.sampled_from([ZZ, QQ]),
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 12)] * 3),
+            st.fractions(-10**12, 10**12, max_denominator=10**6),
+            max_size=8,
+        ),
+        st.lists(st.integers(1, statespace._RANK_PRIME - 1), min_size=3, max_size=3),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_evaluating_then_reducing(self, ring, terms, point):
+        if ring == ZZ:
+            terms = {e: int(c) for e, c in terms.items()}
+        entry = MultiPoly(ring, xvars(3), terms)
+        values = dict(zip(xvars(3), point))
+        p = statespace._RANK_PRIME
+        assert statespace._specialize(entry, values, p) == oracle.specialize_reference(
+            entry, values, p
+        )
+
+    def test_vanishing_denominator_is_a_typed_error(self):
+        half = MultiPoly.const(QQ, xvars(2), Fraction(1, 5))
+        with pytest.raises(WrongRing):
+            statespace._specialize(half, {"X1": 1, "X2": 2}, 5)
+        with pytest.raises(WrongRing):
+            oracle.specialize_reference(half, {"X1": 1, "X2": 2}, 5)
 
 
 class TestIsZero:
@@ -833,6 +863,17 @@ class TestOracleInternals:
         assert oracle.sphere_value(1, 2) == {(0, 0): -1}
         minus_e1 = {e: -c for e, c in oracle.elementary_poly(2, 1).items()}
         assert oracle.sphere_value(2, 2) == minus_e1
+
+    def test_sphere_value_at_a_point(self):
+        for N in (2, 3, 4):
+            for k in range(N + 3):
+                value = oracle.sphere_value(k, N)
+                for point in ([3, -1, 7, 2][:N], [-5, 4, 0, 9][:N]):
+                    want = sum(
+                        c * math.prod(x**m for x, m in zip(point, e))
+                        for e, c in value.items()
+                    )
+                    assert oracle.sphere_value_at(k, point) == want
 
     def test_pairing_matches_package_on_dotted_spheres(self):
         for k in range(4):
