@@ -43,6 +43,7 @@ from .errors import (
 )
 from .foamcore import (
     Decorate,
+    EulerWalk,
     Movie,
     MoveTrace,
     compile_movie,
@@ -800,13 +801,20 @@ def colored_compat_check(mov: Movie, n: int, params: ActionParams) -> CheckRepor
     colored value, including the denominator corrections.
     """
     F = compile_movie(mov)
+    walk = EulerWalk(F)
     S = act_witt(n, params, mov)
-    term_complexes = [(c, compile_movie(m)) for c, m in S.movies()]
+    terms = []
+    for coef, m in S.movies():
+        Ft = compile_movie(m)
+        terms.append((coef, Ft, EulerWalk(Ft)))
     for col in enumerate_colorings(F, params.N):
-        rhs = witt_act_ratfun(n, colored_eval(F, col, params.N, params.ring))
+        rhs = witt_act_ratfun(n, colored_eval(F, col, params.N, params.ring, walk))
         # the zero part gives the sum its alphabet when the image is empty
         parts = [RatFun(MultiPoly.zero(params.ring, xvars(params.N)))]
-        parts += [colored_eval(Ft, col, params.N, params.ring) * coef for coef, Ft in term_complexes]
+        parts += [
+            colored_eval(Ft, col, params.N, params.ring, walk_t) * coef
+            for coef, Ft, walk_t in terms
+        ]
         lhs = ratfun_sum(parts)
         if lhs != rhs:
             return CheckReport(False, col, f"{lhs} != {rhs}")

@@ -25,7 +25,6 @@ boundary web (only closed movies are ever evaluated).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -1382,11 +1381,22 @@ def compile_movie(mov: Movie) -> FoamComplex:
 Coloring = dict  # facet id -> frozenset of pigments
 
 
-def _colex_subsets(N: int, k: int) -> list[frozenset[int]]:
-    combos = sorted(
-        itertools.combinations(range(1, N + 1), k), key=lambda s: tuple(reversed(s))
-    )
-    return [frozenset(c) for c in combos]
+def _colex_subsets(N: int, k: int) -> Iterator[frozenset[int]]:
+    """The ``k``-subsets of ``1..N`` in colex order, one at a time.
+
+    Colex order compares the largest elements first, so it is the order of
+    the subsets' bitmasks (bit ``p - 1`` for pigment ``p``) as integers;
+    each mask's successor with ``k`` bits set is Gosper's step.
+    """
+    if k == 0:
+        yield frozenset()
+        return
+    m, stop = (1 << k) - 1, 1 << N
+    while m < stop:
+        yield frozenset(p + 1 for p in range(N) if m >> p & 1)
+        low = m & -m
+        up = m + low
+        m = up | ((m ^ up) >> 2) // low
 
 
 def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
@@ -1478,37 +1488,161 @@ def _components(F: FoamComplex) -> list[FoamComplex]:
 # ---------------------------------------------------------------------------
 
 
-def monochrome_euler(F: FoamComplex, c: Coloring, i: int) -> int:
-    """Euler characteristic of the closed surface of facets containing i."""
-    total = 0
-    for f in F.facets.values():
-        if i in c[f.id]:
-            total += f.chi
-    for b in F.bindings.values():
-        # the seam lies in the surface iff the thick facet contains i
-        if i in c[b.thick]:
-            if not b.is_circle:
+class EulerWalk:
+    """Every Euler characteristic and seam sign of one foam's colorings.
+
+    Built once from a compiled foam, a walk reads a coloring through its
+    pigment types: the type of a pigment is the bitmask of the facets whose
+    color holds it, bit ``k`` for the ``k``-th facet in id order.  The
+    monochrome surface of pigment ``i`` is the facets of its type, and the
+    bichrome surface of ``(i, j)`` is the facets whose color holds exactly
+    one of them, the bits of ``type(i) ^ type(j)``.  One tally gives the
+    Euler characteristic of either: the facets' ``chi``, minus one for each
+    interval seam on the surface, plus one for each singular vertex on it.
+    A seam lies on the monochrome surface when its thick facet does, and on
+    the bichrome surface when any of its three facets does.
+
+    Both numbers, and the seam signs of a pair, depend on the types alone,
+    so :meth:`read` tallies each distinct type and pair of types once per
+    coloring.  ``canonical`` holds what an evaluator derives from the foam
+    once, on its first read (``foameval`` keeps each facet's decorations on
+    the canonical alphabet there, per N and ring).
+    """
+
+    def __init__(self, F: FoamComplex):
+        ids = F.facet_ids()
+        bit = {f: 1 << k for k, f in enumerate(ids)}
+        self.bits = [(f, bit[f]) for f in ids]
+        self.chis = [(bit[f], F.facets[f].chi) for f in ids]
+        intervals = [b for b in F.bindings.values() if not b.is_circle]
+        self.thick = [bit[b.thick] for b in intervals]
+        self.seams = [bit[b.sideA] | bit[b.sideB] | bit[b.thick] for b in intervals]
+        self.vertices = [sum({bit[f] for f in v.facets}) for v in F.vertices.values()]
+        # (binding, first segment's sideA and sideB bits, each segment's sideA bit)
+        self.bindings = [
+            (b, bit[b.sideA], bit[b.sideB], [bit[seg[0]] for seg in b.segments])
+            for b in F.bindings.values()
+        ]
+        self.canonical: dict = {}
+
+    def types(self, c: Coloring, N: int) -> list[int]:
+        """The types of pigments ``1..N`` under ``c``: for each, the facets
+        whose color holds it, as a bitmask."""
+        types = [0] * (N + 1)
+        for f, b in self.bits:
+            for p in c[f]:
+                if 0 < p <= N:
+                    types[p] |= b
+        return types[1:]
+
+    def _tally(self, x: int, seams: list[int]) -> int:
+        """Euler characteristic of the surface of the facets in ``x``; an
+        interval seam lies on it when its mask in ``seams`` meets ``x``."""
+        total = 0
+        for b, chi in self.chis:
+            if x & b:
+                total += chi
+        for m in seams:
+            if x & m:
                 total -= 1
-    for v in F.vertices.values():
-        if any(i in c[f] for f in v.facets):
-            total += 1
-    return total
+        for m in self.vertices:
+            if x & m:
+                total += 1
+        return total
+
+    def euler(self, t: int) -> int:
+        """Euler characteristic of the monochrome surface of type ``t``."""
+        return self._tally(t, self.thick)
+
+    def bichrome(self, s: int, t: int, i: int, j: int) -> tuple[int, int]:
+        """``(chi, positive-circle count)`` of pigments ``i < j`` of types ``s``, ``t``.
+
+        A binding separates ``i`` and ``j`` when its first segment has one on
+        each thin side.  Separating circles are the separating circle
+        bindings and the chains of separating interval bindings through
+        singular vertices; a circle is positive iff ``i`` holds the sideA
+        facet of every segment, and ``SeamSignInconsistent`` is raised for
+        mixed signs (circles first, in binding order) or for a vertex where
+        an odd number of separating intervals meet.
+        """
+        chi = self._tally(s ^ t, self.seams)
+        theta_plus = 0
+        intervals = []
+        for rec in self.bindings:
+            b, a, bb, _ = rec
+            if (s & a and t & bb) or (t & a and s & bb):
+                if not b.is_circle:
+                    intervals.append(rec)
+                elif self._seam_sign([rec], s, i, j):
+                    theta_plus += 1
+        # chain interval bindings through singular vertices
+        adj: dict[str, list] = {}
+        for rec in intervals:
+            for v in rec[0].endpoints:
+                adj.setdefault(v, []).append(rec)
+        for v, recs in adj.items():
+            if len(recs) != 2:
+                raise SeamSignInconsistent(f"separating seam has odd valence at vertex {v}")
+        seen: set[str] = set()
+        for rec in intervals:
+            if rec[0].id in seen:
+                continue
+            comp = [rec]
+            seen.add(rec[0].id)
+            frontier = [rec]
+            while frontier:
+                cur = frontier.pop()
+                for v in cur[0].endpoints:
+                    for nb in adj[v]:
+                        if nb[0].id not in seen:
+                            seen.add(nb[0].id)
+                            comp.append(nb)
+                            frontier.append(nb)
+            if self._seam_sign(comp, s, i, j):
+                theta_plus += 1
+        return chi, theta_plus
+
+    @staticmethod
+    def _seam_sign(comp: list, s: int, i: int, j: int) -> bool:
+        signs = {bool(s & a) for _, _, _, firsts in comp for a in firsts}
+        if len(signs) != 1:
+            raise SeamSignInconsistent(
+                f"mixed seam signs for pigments ({i},{j}) on bindings "
+                f"{[rec[0].id for rec in comp]}"
+            )
+        return signs.pop()
+
+    def read(self, types: Sequence[int]) -> tuple[list[int], Iterator[tuple[int, int, int, int]]]:
+        """One coloring's walk, from its pigment types.
+
+        Returns ``chi_i`` of each pigment ``i = 1..N``, and an iterator of
+        ``(i, j, chi_ij, theta_plus_ij)`` over the pairs ``i < j`` in
+        lexicographic order, which raises a pair's ``SeamSignInconsistent``
+        when it reaches that pair.
+        """
+        euler: dict[int, int] = {}
+        for t in types:
+            if t not in euler:
+                euler[t] = self.euler(t)
+        return [euler[t] for t in types], self._pairs(types)
+
+    def _pairs(self, types: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+        data: dict[tuple[int, int], tuple[int, int]] = {}
+        for i, s in enumerate(types, 1):
+            for j in range(i + 1, len(types) + 1):
+                key = (s, types[j - 1])
+                if key not in data:
+                    data[key] = self.bichrome(s, key[1], i, j)
+                yield (i, j) + data[key]
 
 
-def _in_bichrome(color: frozenset[int], i: int, j: int) -> bool:
-    return (i in color) != (j in color)
-
-
-def _binding_in_bichrome(F: FoamComplex, c: Coloring, b: Binding, i: int, j: int) -> bool:
-    A, B, TH = b.sideA, b.sideB, b.thick  # noqa: N806
-    return any(
-        _in_bichrome(c[f], i, j) for f in (A, B, TH)
-    )
-
-
-def _binding_separates(c: Coloring, seg: tuple[str, str, str], i: int, j: int) -> bool:
-    A, B, _ = seg  # noqa: N806
-    return (i in c[A] and j in c[B]) or (j in c[A] and i in c[B])
+def monochrome_euler(F: FoamComplex, c: Coloring, i: int) -> int:
+    """Euler characteristic of the closed surface of facets containing i,
+    read from one :class:`EulerWalk` of ``F``."""
+    if i < 1:
+        raise ValueError("pigments are numbered from 1")
+    walk = EulerWalk(F)
+    return walk.euler(walk.types(c, i)[i - 1])
 
 
 @dataclass
@@ -1551,7 +1685,8 @@ def local_counts(F: FoamComplex, c: Coloring, i: int, j: int) -> LocalCounts:
 
 
 def bichrome_data(F: FoamComplex, c: Coloring, i: int, j: int) -> tuple[int, int]:
-    """(chi of the bichrome surface, positive-circle count).
+    """(chi of the bichrome surface, positive-circle count), read from one
+    :class:`EulerWalk` of ``F``.
 
     The bichrome surface consists of facets whose color contains exactly one
     of i, j.  Separating circles are the components of the union of bindings
@@ -1561,68 +1696,8 @@ def bichrome_data(F: FoamComplex, c: Coloring, i: int, j: int) -> tuple[int, int
     """
     if not i < j:
         raise ValueError("pigments must satisfy i < j")
-    chi = 0
-    for f in F.facets.values():
-        if _in_bichrome(c[f.id], i, j):
-            chi += f.chi
-    for b in F.bindings.values():
-        if _binding_in_bichrome(F, c, b, i, j):
-            if not b.is_circle:
-                chi -= 1
-    for v in F.vertices.values():
-        if any(_in_bichrome(c[f], i, j) for f in v.facets):
-            chi += 1
-
-    # separating circles and their signs
-    theta_plus = 0
-    separating = [
-        b for b in F.bindings.values() if _binding_separates(c, b.segments[0], i, j)
-    ]
-
-    def seg_positive(seg: tuple[str, str, str]) -> bool:
-        return i in c[seg[0]]
-
-    def circle_sign(bs: list[Binding]) -> bool:
-        signs = {seg_positive(s) for b in bs for s in b.segments}
-        if len(signs) != 1:
-            raise SeamSignInconsistent(
-                f"mixed seam signs for pigments ({i},{j}) on bindings "
-                f"{[b.id for b in bs]}"
-            )
-        return signs.pop()
-
-    circles = [b for b in separating if b.is_circle]
-    intervals = [b for b in separating if not b.is_circle]
-    for b in circles:
-        if circle_sign([b]):
-            theta_plus += 1
-    # chain interval bindings through singular vertices
-    if intervals:
-        adj: dict[str, list[Binding]] = {}
-        for b in intervals:
-            for v in b.endpoints:
-                adj.setdefault(v, []).append(b)
-        for v, bs in adj.items():
-            if len(bs) not in (0, 2):
-                raise SeamSignInconsistent(
-                    f"separating seam has odd valence at vertex {v}"
-                )
-        seen: set[str] = set()
-        for b in intervals:
-            if b.id in seen:
-                continue
-            comp = [b]
-            seen.add(b.id)
-            frontier = [b]
-            while frontier:
-                cur = frontier.pop()
-                for v in cur.endpoints:
-                    for nb in adj[v]:
-                        if nb.id not in seen:
-                            seen.add(nb.id)
-                            comp.append(nb)
-                            frontier.append(nb)
-            if circle_sign(comp):
-                theta_plus += 1
-
-    return chi, theta_plus
+    if i < 1:
+        raise ValueError("pigments are numbered from 1")
+    walk = EulerWalk(F)
+    types = walk.types(c, j)
+    return walk.bichrome(types[i - 1], types[j - 1], i, j)

@@ -34,16 +34,15 @@ from .foamcore import (
     Decorate,
     DigonCap,
     DigonCup,
+    EulerWalk,
     FoamComplex,
     Isotopy,
     Movie,
     Saddle,
     Unzip,
     Zip,
-    bichrome_data,
     compile_movie,
     enumerate_colorings,
-    monochrome_euler,
     _components,
     _strip_decorations,
 )
@@ -208,42 +207,73 @@ def _dot_shapes(
 
 
 def colored_eval(
-    F: FoamComplex, c: Coloring, N: int, ring: CoefRing = ZZ
+    F: FoamComplex,
+    c: Coloring,
+    N: int,
+    ring: CoefRing = ZZ,
+    walk: EulerWalk | None = None,
 ) -> RatFun:
-    """The signed rational value of one coloring of a closed foam."""
+    """The signed rational value of one coloring of a closed foam.
+
+    Every Euler characteristic and seam sign comes from one read of
+    ``walk``, the foam's :class:`EulerWalk`; a caller that colors ``F``
+    many times builds it once and passes it, and without it a walk is built
+    for this coloring.  The sign is ``(-1)`` to the sum of ``i * chi_i / 2``
+    and of the positive separating circles of every pair, and pair
+    ``(i, j)`` contributes the factor ``(X_i - X_j)^(-chi_ij / 2)``.
+    ``OddEuler`` is raised for the first odd ``chi_i``, then for each pair
+    in lexicographic order ``SeamSignInconsistent`` before an odd
+    ``chi_ij``.  Each facet's decorations are multiplied on the canonical
+    alphabet once per walk, N and ring, when the first coloring is read
+    (so a foam with no colorings reads none), and then put at the facet's
+    color.
+    """
+    if walk is None:
+        walk = EulerWalk(F)
     vs = xvars(N)
+    chis, pairs = walk.read(walk.types(c, N))
     sign_exp = 0
-    for i in range(1, N + 1):
-        chi_i = monochrome_euler(F, c, i)
+    for i, chi_i in enumerate(chis, 1):
         if chi_i % 2:
             raise OddEuler(f"pigment {i}: surface has odd Euler characteristic {chi_i}")
         sign_exp += i * (chi_i // 2)
 
     num = MultiPoly.const(ring, vs, 1)
     den: dict[tuple[int, int], int] = {}
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            chi_ij, theta_plus = bichrome_data(F, c, i, j)
-            if chi_ij % 2:
-                raise OddEuler(
-                    f"pigments ({i},{j}): bichrome surface has odd Euler "
-                    f"characteristic {chi_ij}"
-                )
-            sign_exp += theta_plus
-            q = chi_ij // 2
-            if q > 0:
-                den[(i - 1, j - 1)] = q
-            elif q < 0:
-                num = num * polyring._difference(ring, vs, i - 1, j - 1) ** (-q)
+    for i, j, chi_ij, theta_plus in pairs:
+        if chi_ij % 2:
+            raise OddEuler(
+                f"pigments ({i},{j}): bichrome surface has odd Euler "
+                f"characteristic {chi_ij}"
+            )
+        sign_exp += theta_plus
+        q = chi_ij // 2
+        if q > 0:
+            den[(i - 1, j - 1)] = q
+        elif q < 0:
+            num = num * polyring._difference(ring, vs, i - 1, j - 1) ** (-q)
 
-    for f in F.facets.values():
-        for dec in f.decorations:
-            p = _canonical_decoration(dec, f.thickness, N, ring)
-            num = num * _at_coloring(p, c[f.id], N)
+    key = (N, ring)
+    if key not in walk.canonical:
+        walk.canonical[key] = _canonical_decorations(F, N, ring)
+    for f, p in walk.canonical[key]:
+        num = num * _at_coloring(p, c[f], N)
 
     if sign_exp % 2:
         num = -num
     return RatFun(num, den)
+
+
+def _canonical_decorations(F: FoamComplex, N: int, ring: CoefRing) -> list[tuple[str, MultiPoly]]:
+    """Each decorated facet with its decorations' product on the canonical alphabet."""
+    out = []
+    for f in F.facets.values():
+        if f.decorations:
+            p = _canonical_decoration(f.decorations[0], f.thickness, N, ring)
+            for dec in f.decorations[1:]:
+                p = p * _canonical_decoration(dec, f.thickness, N, ring)
+            out.append((f.id, p))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +293,8 @@ class EvalResult:
         """Each coloring of the whole foam with its colored value, in
         :func:`enumerate_colorings` order; computed on every read."""
         F, N, ring = self.foam, self.N, self.ring
-        return [(c, colored_eval(F, c, N, ring)) for c in enumerate_colorings(F, N)]
+        walk = EulerWalk(F)
+        return [(c, colored_eval(F, c, N, ring, walk)) for c in enumerate_colorings(F, N)]
 
 
 def _coloring_key(c: Coloring) -> tuple:
@@ -330,7 +361,8 @@ def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
         raise InputError("only closed foams are evaluated")
     sums = []
     for P in _components(F):
-        terms = [colored_eval(P, c, N, ring) for c in enumerate_colorings(P, N)]
+        walk = EulerWalk(P)
+        terms = [colored_eval(P, c, N, ring, walk) for c in enumerate_colorings(P, N)]
         sums.append((P, _checked_sum(terms, N, ring)))
     value = MultiPoly.const(ring, xvars(N), 1)
     for _, s in sums:
@@ -403,10 +435,11 @@ class _ShapeTable:
         vs = xvars(N)
         self.colorings = list(enumerate_colorings(F, N))
         facets = sorted(F.facets)
+        walk = EulerWalk(F)
         orbits: dict[tuple, list[tuple[int, list[int], RatFun]]] = {}
         for k, c in enumerate(self.colorings):
             key, perm = _orbit_order(c, facets, N)
-            orbits.setdefault(key, []).append((k, perm, colored_eval(F, c, N, ring)))
+            orbits.setdefault(key, []).append((k, perm, colored_eval(F, c, N, ring, walk)))
         # coloring indices per orbit, the representative first
         self.orbits: list[list[int]] = []
         # (representative index, W_P-invariant numerator g, blocks) per orbit
@@ -567,6 +600,7 @@ def _family_values(
             stripped_of[mov] = _strip_decorations(mov)
         groups.setdefault(stripped_of[mov][0], {}).setdefault(mov, []).append((k, terms))
     weights = _e_weights(N)
+    orbit_polys: dict[DotShape, MultiPoly] = {}
     values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
     for stripped, movies in groups.items():
         F = compile_movie(stripped)
@@ -581,7 +615,9 @@ def _family_values(
                     term_decs = dict(decs)
                     for t, edge, shape in placed:
                         f = F.edge_facets[t][edge]
-                        p = _orbit_poly(ring, shape)
+                        if shape not in orbit_polys:
+                            orbit_polys[shape] = _orbit_poly(ring, shape)
+                        p = orbit_polys[shape]
                         term_decs[f] = term_decs[f] * p if f in term_decs else p
                     value = table.combine(_dot_shapes(1, term_decs, thickness, ring))
                     _check_degree(value, lambda: (
@@ -682,15 +718,13 @@ def degree_incremental(mov: Movie, N: int) -> int:
 
 
 def trivial_degree_check(F: FoamComplex, N: int) -> bool:
-    """For undecorated foams the degree equals −Σ χ(bichrome) per coloring."""
+    """For undecorated foams the degree equals −Σ χ(bichrome) per coloring,
+    the sum read from one walk of each coloring."""
     d = degree(F, N)
+    walk = EulerWalk(F)
     for c in enumerate_colorings(F, N):
-        total = 0
-        for i in range(1, N + 1):
-            for j in range(i + 1, N + 1):
-                chi_ij, _ = bichrome_data(F, c, i, j)
-                total += chi_ij
-        if d != -total:
+        _, pairs = walk.read(walk.types(c, N))
+        if d != -sum(chi_ij for _, _, chi_ij, _ in pairs):
             return False
     return True
 
@@ -822,8 +856,9 @@ def bubble_check(
     idx, a = _find_edge_slice(base, facet_edge)
     m = N - a
     Fb = compile_movie(base)
+    walk = EulerWalk(Fb)
     base_vals = {
-        _coloring_key(c): (c, colored_eval(Fb, c, N, ring))
+        _coloring_key(c): (c, colored_eval(Fb, c, N, ring, walk))
         for c in enumerate_colorings(Fb, N)
     }
     fmap = None
@@ -833,6 +868,7 @@ def bubble_check(
         if m == 0:
             continue  # degenerate: nothing to compare beyond identity
         Fg = compile_movie(blown)
+        blown_walk = EulerWalk(Fg)
         fmap = _blown_facet_map(base, idx)
         seen = 0
         for c in enumerate_colorings(Fg, N):
@@ -845,7 +881,7 @@ def bubble_check(
             n_before = _facets_created_before(base, idx)
             membrane = f"f{n_before + 1}"
             r_val = _at_coloring(_canonical_decoration(R, m, N, ring), c[membrane], N)
-            lhs = colored_eval(Fg, c, N, ring) * sign
+            lhs = colored_eval(Fg, c, N, ring, blown_walk) * sign
             rhs = base_val * r_val
             if lhs != rhs:
                 return CheckReport(
@@ -926,13 +962,15 @@ def dot_migration_check(
 
     lhs_movie = build(R)
     Fl = compile_movie(lhs_movie)
+    lhs_walk = EulerWalk(Fl)
     pieces = split_decoration(R, a, b, ring)
     rhs_movies = [compile_movie(build(None, (pa, pb))) for pa, pb in pieces]
+    rhs_walks = [(Fr, EulerWalk(Fr)) for Fr in rhs_movies]
     for c in enumerate_colorings(Fl, N):
-        lhs = colored_eval(Fl, c, N, ring)
+        lhs = colored_eval(Fl, c, N, ring, lhs_walk)
         rhs = None
-        for Fr in rhs_movies:
-            term = colored_eval(Fr, c, N, ring)
+        for Fr, walk in rhs_walks:
+            term = colored_eval(Fr, c, N, ring, walk)
             rhs = term if rhs is None else rhs + term
         if not pieces:
             continue

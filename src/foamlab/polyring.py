@@ -218,7 +218,8 @@ class MultiPoly:
 
     @classmethod
     def const(cls, ring: CoefRing, variables: Sequence[str], c: Scalar) -> "MultiPoly":
-        return cls(ring, variables, {(0,) * len(tuple(variables)): c})
+        variables = tuple(variables)
+        return cls._from_raw(ring, variables, {(0,) * len(variables): c})
 
     @classmethod
     def var(cls, ring: CoefRing, variables: Sequence[str], name: str) -> "MultiPoly":
@@ -317,14 +318,17 @@ class MultiPoly:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        result = MultiPoly.const(self.ring, self.vars, 1)
+        if k == 0:
+            return MultiPoly.const(self.ring, self.vars, 1)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -1164,9 +1168,10 @@ class RatFun:
 
 def _difference(ring: CoefRing, variables: tuple[str, ...], i: int, j: int) -> MultiPoly:
     """The factor ``x_i - x_j``."""
-    xi = MultiPoly.var(ring, variables, variables[i])
-    xj = MultiPoly.var(ring, variables, variables[j])
-    return xi - xj
+    n = len(variables)
+    xi = (0,) * i + (1,) + (0,) * (n - i - 1)
+    xj = (0,) * j + (1,) + (0,) * (n - j - 1)
+    return MultiPoly._from_raw(ring, variables, {xi: 1, xj: -1})
 
 
 def _divide_by_difference(

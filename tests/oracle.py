@@ -56,21 +56,31 @@ the rest to their common denominator, and writes each checked value in
 
 The dotted thin sphere at a point sums its colorings' values at distinct
 integer coordinates in ``Fraction`` arithmetic, with nothing expanded.
+
+The per-pair Euler scans rescan every facet, binding and singular vertex
+of the complex for one pigment or one pigment pair, and the reference
+colored value calls them once per pigment and once per pair, and
+canonicalizes every decoration again at every coloring; the package reads
+every pigment and pair of one coloring from one ``EulerWalk`` of the foam,
+and canonicalizes each facet's decorations once per walk.  The reference
+colex subsets build and sort the full list of ``k``-subsets; the package
+steps through them one bitmask at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable
 
 from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
-from foamlab.foamcore import FoamComplex, MoveTrace, enumerate_colorings
+from foamlab.foamcore import Binding, Coloring, FoamComplex, MoveTrace, enumerate_colorings
 from foamlab.foameval import (
     DecMap,
     _at_coloring,
+    _canonical_decoration,
     _check_degree,
     _checked_sum,
     _dots,
@@ -83,9 +93,12 @@ from foamlab.errors import (
     InputError,
     NonSphericalWithNu3,
     NotWellDefined,
+    OddEuler,
+    SeamSignInconsistent,
     WrongRing,
 )
 from foamlab.polyring import (
+    ZZ,
     CoefRing,
     ElementaryBasis,
     MultiPoly,
@@ -670,3 +683,149 @@ def qbinom_dense(m: int, a: int) -> dict[int, int]:
         num = div(mul(num, [1] * (m - k + 1)), [1] * k)
     shift = a * (m - a)
     return {2 * d - shift: c for d, c in enumerate(num) if c}
+
+
+def colex_subsets_reference(N: int, k: int) -> list[frozenset[int]]:
+    """Every ``k``-subset of ``1..N``, sorted by the reversed tuple."""
+    combos = sorted(
+        combinations(range(1, N + 1), k), key=lambda s: tuple(reversed(s))
+    )
+    return [frozenset(c) for c in combos]
+
+
+def monochrome_euler_reference(F: FoamComplex, c: Coloring, i: int) -> int:
+    """Euler characteristic of the surface of facets containing i, by one scan."""
+    total = 0
+    for f in F.facets.values():
+        if i in c[f.id]:
+            total += f.chi
+    for b in F.bindings.values():
+        # the seam lies in the surface iff the thick facet contains i
+        if i in c[b.thick]:
+            if not b.is_circle:
+                total -= 1
+    for v in F.vertices.values():
+        if any(i in c[f] for f in v.facets):
+            total += 1
+    return total
+
+
+def _in_bichrome(color: frozenset[int], i: int, j: int) -> bool:
+    return (i in color) != (j in color)
+
+
+def _binding_separates(c: Coloring, seg: tuple[str, str, str], i: int, j: int) -> bool:
+    A, B, _ = seg  # noqa: N806
+    return (i in c[A] and j in c[B]) or (j in c[A] and i in c[B])
+
+
+def bichrome_data_reference(F: FoamComplex, c: Coloring, i: int, j: int) -> tuple[int, int]:
+    """(chi of the bichrome surface of (i, j), positive-circle count), by one
+    scan of the complex for this pair."""
+    if not i < j:
+        raise ValueError("pigments must satisfy i < j")
+    chi = 0
+    for f in F.facets.values():
+        if _in_bichrome(c[f.id], i, j):
+            chi += f.chi
+    for b in F.bindings.values():
+        if any(_in_bichrome(c[f], i, j) for f in (b.sideA, b.sideB, b.thick)):
+            if not b.is_circle:
+                chi -= 1
+    for v in F.vertices.values():
+        if any(_in_bichrome(c[f], i, j) for f in v.facets):
+            chi += 1
+
+    # separating circles and their signs
+    theta_plus = 0
+    separating = [
+        b for b in F.bindings.values() if _binding_separates(c, b.segments[0], i, j)
+    ]
+
+    def circle_sign(bs: list[Binding]) -> bool:
+        signs = {i in c[s[0]] for b in bs for s in b.segments}
+        if len(signs) != 1:
+            raise SeamSignInconsistent(
+                f"mixed seam signs for pigments ({i},{j}) on bindings "
+                f"{[b.id for b in bs]}"
+            )
+        return signs.pop()
+
+    circles = [b for b in separating if b.is_circle]
+    intervals = [b for b in separating if not b.is_circle]
+    for b in circles:
+        if circle_sign([b]):
+            theta_plus += 1
+    # chain interval bindings through singular vertices
+    if intervals:
+        adj: dict[str, list[Binding]] = {}
+        for b in intervals:
+            for v in b.endpoints:
+                adj.setdefault(v, []).append(b)
+        for v, bs in adj.items():
+            if len(bs) not in (0, 2):
+                raise SeamSignInconsistent(
+                    f"separating seam has odd valence at vertex {v}"
+                )
+        seen: set[str] = set()
+        for b in intervals:
+            if b.id in seen:
+                continue
+            comp = [b]
+            seen.add(b.id)
+            frontier = [b]
+            while frontier:
+                cur = frontier.pop()
+                for v in cur.endpoints:
+                    for nb in adj[v]:
+                        if nb.id not in seen:
+                            seen.add(nb.id)
+                            comp.append(nb)
+                            frontier.append(nb)
+            if circle_sign(comp):
+                theta_plus += 1
+
+    return chi, theta_plus
+
+
+def colored_eval_reference(
+    F: FoamComplex, c: Coloring, N: int, ring: CoefRing = ZZ
+) -> RatFun:
+    """The signed rational value of one coloring, with one Euler scan per
+    pigment and per pair and every decoration canonicalized at this
+    coloring."""
+    vs = xvars(N)
+    sign_exp = 0
+    for i in range(1, N + 1):
+        chi_i = monochrome_euler_reference(F, c, i)
+        if chi_i % 2:
+            raise OddEuler(f"pigment {i}: surface has odd Euler characteristic {chi_i}")
+        sign_exp += i * (chi_i // 2)
+
+    num = MultiPoly.const(ring, vs, 1)
+    den: dict[tuple[int, int], int] = {}
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            chi_ij, theta_plus = bichrome_data_reference(F, c, i, j)
+            if chi_ij % 2:
+                raise OddEuler(
+                    f"pigments ({i},{j}): bichrome surface has odd Euler "
+                    f"characteristic {chi_ij}"
+                )
+            sign_exp += theta_plus
+            q = chi_ij // 2
+            if q > 0:
+                den[(i - 1, j - 1)] = q
+            elif q < 0:
+                diff = MultiPoly.var(ring, vs, vs[i - 1]) - MultiPoly.var(ring, vs, vs[j - 1])
+                for _ in range(-q):
+                    num = num * diff
+
+    for f in F.facets.values():
+        for dec in f.decorations:
+            p = _canonical_decoration(dec, f.thickness, N, ring)
+            num = num * _at_coloring(p, c[f.id], N)
+
+    if sign_exp % 2:
+        num = -num
+    return RatFun(num, den)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -42,6 +43,30 @@ movie dotted_sphere_torus on empty {
   cap(1) on c1;
   cup(1) -> c2;
   saddle on (c2, c2);
+  saddle on (e1, e2);
+  cap(1) on e3;
+}
+
+movie dotted_theta on empty {
+  cup(2) -> c;
+  decorate c with e_2;
+  digon_cup(1,1) on c;
+  decorate e4 with p_1^2;
+  decorate e5 with p_1;
+  digon_cap on (e4, e5);
+  cap(2) on e6;
+}
+
+movie dotted_spheres_torus on empty {
+  cup(1) -> c1;
+  decorate c1 with p_1^3;
+  cap(1) on c1;
+  cup(2) -> c2;
+  decorate c2 with p_2^2 + e_2^2;
+  cap(2) on c2;
+  cup(1) -> c3;
+  saddle on (c3, c3);
+  decorate e1 with p_1;
   saddle on (e1, e2);
   cap(1) on e3;
 }
@@ -113,6 +138,28 @@ class TestEval:
             },
             separators=(",", ":"),
         ) + "\n"
+
+    @pytest.mark.parametrize(
+        "movie, N, flags, digest",
+        [
+            ("dotted_theta", "3", (),
+             "aa968e296824cf68b9cc04389f47629300fc9d1637999a475f2d3b09f46f2d8d"),
+            ("dotted_theta", "3", ("--json",),
+             "df03eb09f733f5a8a65a13d435168185e9b9eb31239f3ef01ad977b231344ecb"),
+            ("dotted_spheres_torus", "4", (),
+             "3ec3d76f2e4873a49099b65b1b87e05ba7a5b1aa07600ada0a87b6ca3452da7a"),
+            ("dotted_spheres_torus", "4", ("--json",),
+             "5113e646e6dc7573f666d4150f7e96be75f597dd212e2533c14d29547163e01f"),
+        ],
+    )
+    def test_breakdown_stdout_is_pinned(self, capsys, foam_file, movie, N, flags, digest):
+        # every colored value of a decorated foam, three components in the
+        # second, pinned byte for byte
+        code, out, _ = run(
+            capsys, "eval", "--N", N, "--breakdown", *flags, f"{foam_file}#{movie}"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unknown_movie_is_input_error(self, capsys, foam_file):
         code, _, err = run(capsys, "eval", "--N", "2", f"{foam_file}#nope")
@@ -312,6 +359,13 @@ class TestCheckSuites:
         code, out, _ = run(capsys, "check", *args)
         assert code == 0
         assert out.strip().splitlines()[-1] == "pass"
+
+    def test_euler_suite_stdout_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "check", "--suite", "euler", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "9520f4eda067c8295e72a0931111f3c3edc10daa6a8e62b7f9e75a290f58a140"
+        )
 
 
 class TestTypedBoundary:

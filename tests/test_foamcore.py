@@ -10,9 +10,11 @@ import gc
 import importlib
 import random
 import sys
+import time
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
 from foamlab.errors import (
@@ -33,6 +35,7 @@ from foamlab.foamcore import (
     DigonCap,
     DigonCup,
     Edge,
+    EulerWalk,
     Facet,
     FoamComplex,
     Movie,
@@ -42,6 +45,7 @@ from foamlab.foamcore import (
     Vertex,
     Web,
     Zip,
+    _colex_subsets,
     _strip_decorations,
     apply_move,
     bichrome_data,
@@ -55,6 +59,7 @@ from foamlab.foamcore import (
     validate_web,
 )
 from foamlab.polyring import ZZ, MultiPoly, symmetric_basis
+from oracle import bichrome_data_reference, colex_subsets_reference, monochrome_euler_reference
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +486,19 @@ class TestColorings:
         F = compile_movie(sphere_movie(3))
         assert list(enumerate_colorings(F, 2)) == []
 
+    @pytest.mark.parametrize("N", range(9))
+    def test_colex_subsets_match_the_sorted_list(self, N):
+        for k in range(N + 2):
+            assert list(_colex_subsets(N, k)) == colex_subsets_reference(N, k)
+
+    def test_first_coloring_of_a_thick_sphere_is_immediate(self):
+        # C(60, 40) subsets are never listed: the first one comes at once
+        F = compile_movie(sphere_movie(40))
+        start = time.perf_counter()
+        first = next(enumerate_colorings(F, 60))
+        assert time.perf_counter() - start < 1.0
+        assert first == {"f1": frozenset(range(1, 41))}
+
     def test_disjoint_union_constraint(self):
         F = compile_movie(membrane_bubble_movie())
         for c in enumerate_colorings(F, 3):
@@ -602,6 +620,99 @@ class TestColoredEuler:
                 chi, _ = bichrome_data(F, c, i, j)
                 tally, _, _ = spherical_tally(F, c, i, j)
                 assert chi == tally
+
+
+def outcome(call):
+    """The value of ``call()``, or the type and text of the error it raised."""
+    try:
+        return call()
+    except (SeamSignInconsistent, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def reference_pairs(F, c, N):
+    """Each pair's ``(i, j, chi, theta_plus)`` by the oracle's per-pair scan, in
+    lexicographic order, up to and including the first pair that raises."""
+    out = []
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            got = outcome(lambda: bichrome_data_reference(F, c, i, j))
+            if isinstance(got[0], type):
+                return out + [got]
+            out.append((i, j) + got)
+    return out
+
+
+def walk_pairs(walk, c, N):
+    """The walk's pairs of one coloring, ended by the error that stops them."""
+    out = []
+    _, pairs = walk.read(walk.types(c, N))
+    try:
+        out.extend(pairs)
+    except SeamSignInconsistent as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def assert_walk_matches_scans(F, N):
+    walk = EulerWalk(F)
+    for c in enumerate_colorings(F, N):
+        chis, _ = walk.read(walk.types(c, N))
+        assert chis == [monochrome_euler_reference(F, c, i) for i in range(1, N + 1)]
+        assert walk_pairs(walk, c, N) == reference_pairs(F, c, N), c
+        for i in range(1, N + 1):
+            assert monochrome_euler(F, c, i) == chis[i - 1]
+            for j in range(1, N + 1):
+                assert outcome(lambda: bichrome_data(F, c, i, j)) == outcome(
+                    lambda: bichrome_data_reference(F, c, i, j)
+                )
+
+
+class TestEulerWalk:
+    """One walk per coloring against the oracle's per-pigment and per-pair scans."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), N=st.integers(2, 5), spherical=st.booleans())
+    def test_corpus(self, seed, N, spherical):
+        corpus = spherical_corpus if spherical else closed_corpus
+        (mov,) = corpus(seed=seed, count=1)
+        assert_walk_matches_scans(compile_movie(mov), N)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize(
+        "movie", [membrane_bubble_movie, assoc_movie, torus_movie, lambda: theta_movie(1, 2)]
+    )
+    def test_standard_foams(self, movie, N):
+        assert_walk_matches_scans(compile_movie(movie()), N)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize(
+        "segments, endpoints",
+        [
+            ([("f1", "f2", "f3"), ("f2", "f1", "f3")], ()),
+            ([("f1", "f2", "f3")], ("v1", "v2")),
+            ([("f1", "f2", "f3")], ("v1", "v1")),
+        ],
+    )
+    def test_seam_errors(self, segments, endpoints, N):
+        assert_walk_matches_scans(seam_complex(segments, endpoints), N)
+
+    def test_pigments_are_numbered_from_one(self):
+        F = compile_movie(theta_movie())
+        c = next(enumerate_colorings(F, 2))
+        with pytest.raises(ValueError, match="numbered from 1"):
+            monochrome_euler(F, c, 0)
+        with pytest.raises(ValueError, match="numbered from 1"):
+            bichrome_data(F, c, 0, 1)
+
+    def test_a_pair_error_waits_for_its_pair(self):
+        # the walk reads every pigment before any pair raises
+        F = seam_complex([("f1", "f2", "f3")], endpoints=("v1", "v2"))
+        walk = EulerWalk(F)
+        chis, pairs = walk.read(walk.types(SEAM_COLORING, 3))
+        assert chis == [2, 2, 0]
+        with pytest.raises(SeamSignInconsistent, match="odd valence at vertex v1"):
+            next(pairs)
 
 
 # ---------------------------------------------------------------------------

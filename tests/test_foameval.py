@@ -20,7 +20,9 @@ from foamlab.errors import (
     NotEquivariant,
     NotPolynomial,
     NotSymmetric,
+    OddEuler,
     PatternMismatch,
+    SeamSignInconsistent,
 )
 from foamlab.foameval import (
     _ShapeTable,
@@ -42,8 +44,12 @@ from foamlab.foamcore import (
     Cap,
     Cup,
     Decorate,
+    EulerWalk,
+    Facet,
+    FoamComplex,
     Movie,
     MovieBuilder,
+    SingularVertex,
     Web,
     _components,
     _strip_decorations,
@@ -61,6 +67,7 @@ from foamlab.polyring import (
     SymPoly,
     ZZ,
     elementary,
+    facet_vars,
     power_sum,
     symmetric_basis,
     xvars,
@@ -74,10 +81,12 @@ from foamlab.statespace import (
     zipped_presentation,
 )
 
-from oracle import shape_value_reference, unfactored_value
+from oracle import colored_eval_reference, shape_value_reference, unfactored_value
 from test_foamcore import (
+    SEAM_COLORING,
     assoc_movie,
     membrane_bubble_movie,
+    seam_complex,
     sphere_movie,
     theta_movie,
     torus_movie,
@@ -181,6 +190,83 @@ class TestColoredEval:
                     swap[i], swap[i + 1] = i + 1, i
                     fixed = rep.relabel(swap)
                     assert (fixed.num, fixed.den) == (rep.num, rep.den)
+
+
+def value_or_error(call):
+    """The value of ``call()``, or the type and text of the error it raised."""
+    try:
+        return call()
+    except FoamlabError as exc:
+        return type(exc), str(exc)
+
+
+def assert_colored_eval_matches_reference(F, N, ring=ZZ):
+    walk = EulerWalk(F)
+    for c in enumerate_colorings(F, N):
+        want = value_or_error(lambda: colored_eval_reference(F, c, N, ring))
+        assert value_or_error(lambda: colored_eval(F, c, N, ring, walk)) == want, c
+        assert value_or_error(lambda: colored_eval(F, c, N, ring)) == want, c
+
+
+def vertex_pair_foam():
+    """Two thin facets of Euler characteristic 1 meeting at one singular
+    vertex: a pigment on both sees a surface of Euler characteristic 3, and
+    pigments on one each see even surfaces but an odd bichrome one."""
+    facets = {"f1": Facet("f1", 1, 1, ()), "f2": Facet("f2", 1, 1, ())}
+    vertex = SingularVertex("v1", ("f1", "f2"), (), (1, 1, 0))
+    return FoamComplex(facets, {}, {"v1": vertex}, (), True)
+
+
+class TestColoredEvalAgainstReference:
+    """One walk per coloring against one scan per pigment and per pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), N=st.integers(2, 5), spherical=st.booleans())
+    def test_corpus(self, seed, N, spherical):
+        corpus = spherical_corpus if spherical else closed_corpus
+        (mov,) = corpus(seed=seed, count=1)
+        assert_colored_eval_matches_reference(compile_movie(mov), N)
+
+    def test_over_other_rings(self):
+        for mov in closed_corpus(seed=41, count=5):
+            F = compile_movie(mov)
+            for ring in (QQ, GF(5)):
+                assert_colored_eval_matches_reference(F, 3, ring)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_odd_euler(self, N):
+        F = vertex_pair_foam()
+        assert_colored_eval_matches_reference(F, N)
+        walk = EulerWalk(F)
+        with pytest.raises(OddEuler, match=r"^pigment 1: surface has odd Euler characteristic 3$"):
+            colored_eval(F, {"f1": frozenset({1}), "f2": frozenset({1})}, N, ZZ, walk)
+        with pytest.raises(
+            OddEuler,
+            match=r"^pigments \(1,2\): bichrome surface has odd Euler characteristic 3$",
+        ):
+            colored_eval(F, {"f1": frozenset({1}), "f2": frozenset({2})}, N, ZZ, walk)
+
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize(
+        "segments, endpoints",
+        [([("f1", "f2", "f3"), ("f2", "f1", "f3")], ()), ([("f1", "f2", "f3")], ("v1", "v2"))],
+    )
+    def test_seam_sign_inconsistent(self, segments, endpoints, N):
+        F = seam_complex(segments, endpoints)
+        assert_colored_eval_matches_reference(F, N)
+        # the odd-valence seam also has an odd bichrome surface: the seam
+        # error of a pair comes first
+        with pytest.raises(SeamSignInconsistent):
+            colored_eval(F, SEAM_COLORING, N)
+
+    def test_no_coloring_reads_no_decoration(self):
+        # a thickness-3 facet has no coloring at N = 2, so its bad decoration
+        # (a 2-variable polynomial) is never canonicalized
+        dec = SymPoly(power_sum(ZZ, facet_vars(2), 1), (2,))
+        F = FoamComplex({"f1": Facet("f1", 3, 2, (dec,))}, {}, {}, (), True)
+        assert evaluate(F, 2).value.is_zero()
+        with pytest.raises(InputError, match="inner block 2 != facet thickness 3"):
+            evaluate(F, 3)
 
 
 class TestEvaluate:
@@ -612,8 +698,8 @@ class TestShapeTableChecks:
         real = foameval.colored_eval
         done = []
 
-        def patched(F, c, N, ring=ZZ):
-            r = real(F, c, N, ring)
+        def patched(F, c, N, ring=ZZ, walk=None):
+            r = real(F, c, N, ring, walk)
             _, perm = foameval._orbit_order(c, sorted(F.facets), N)
             if where == "orbit":
                 inverse = [perm.index(q) for q in range(N)]
