@@ -1381,19 +1381,23 @@ def compile_movie(mov: Movie) -> FoamComplex:
 Coloring = dict  # facet id -> frozenset of pigments
 
 
-def _colex_subsets(N: int, k: int) -> Iterator[frozenset[int]]:
-    """The ``k``-subsets of ``1..N`` in colex order, one at a time.
+def _colex_subsets(pigments: Sequence[int], k: int) -> Iterator[frozenset[int]]:
+    """The ``k``-subsets of the increasing ``pigments`` in colex order, one
+    at a time.
 
     Colex order compares the largest elements first, so it is the order of
-    the subsets' bitmasks (bit ``p - 1`` for pigment ``p``) as integers;
-    each mask's successor with ``k`` bits set is Gosper's step.
+    the subsets' bitmasks (bit ``i`` for ``pigments[i]``) as integers; each
+    mask's successor with ``k`` bits set is Gosper's step.  Since
+    ``pigments`` increases, the subsets of a set of pigments come in the
+    order they have among all subsets of ``1..N``.
     """
     if k == 0:
         yield frozenset()
         return
-    m, stop = (1 << k) - 1, 1 << N
+    n = len(pigments)
+    m, stop = (1 << k) - 1, 1 << n
     while m < stop:
-        yield frozenset(p + 1 for p in range(N) if m >> p & 1)
+        yield frozenset(pigments[i] for i in range(n) if m >> i & 1)
         low = m & -m
         up = m + low
         m = up | ((m ^ up) >> 2) // low
@@ -1403,7 +1407,13 @@ def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
     """Yield admissible pigment assignments in deterministic order.
 
     Backtracking over facets in id order, candidate subsets in colex order,
-    pruning on every fully-assigned binding constraint.
+    pruning on every fully-assigned binding constraint.  A facet's
+    candidates are read off its colored binding partners: a thick facet
+    whose two thin facets are colored can only be their union, a thin
+    facet whose sibling and thick facet are colored only the difference,
+    and otherwise only pigments inside every colored thick partner and
+    outside every colored sibling can be used.  Every candidate is still
+    checked against all of the facet's constraints.
     """
     ids = F.facet_ids()
     constraints = []  # (A, B, thick)
@@ -1416,6 +1426,7 @@ def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
             by_facet.setdefault(f, []).append(c)
 
     assignment: dict[str, frozenset[int]] = {}
+    pigments = frozenset(range(1, N + 1))
 
     def consistent(f: str) -> bool:
         for (A, B, TH) in by_facet.get(f, ()):  # noqa: N806
@@ -1432,6 +1443,27 @@ def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
                     return False
         return True
 
+    def candidates(f: str, k: int) -> Iterable[frozenset[int]]:
+        # f itself is not assigned, so a role that f also plays reads None
+        allowed = pigments
+        for (A, B, TH) in by_facet.get(f, ()):  # noqa: N806
+            ca, cb, ct = assignment.get(A), assignment.get(B), assignment.get(TH)
+            if f == TH:
+                only = ca | cb if ca is not None and cb is not None else None
+            else:
+                sibling = cb if f == A else ca
+                if ct is None:
+                    if sibling is not None:
+                        allowed -= sibling
+                    continue
+                if sibling is None:
+                    allowed &= ct
+                    continue
+                only = ct - sibling
+            if only is not None:
+                return (only,) if len(only) == k else ()
+        return _colex_subsets(sorted(allowed), k)
+
     def rec(i: int) -> Iterator[Coloring]:
         if i == len(ids):
             yield dict(assignment)
@@ -1440,7 +1472,7 @@ def enumerate_colorings(F: FoamComplex, N: int) -> Iterator[Coloring]:
         k = F.facets[f].thickness
         if k > N:
             return
-        for s in _colex_subsets(N, k):
+        for s in candidates(f, k):
             assignment[f] = s
             if consistent(f):
                 yield from rec(i + 1)

@@ -296,15 +296,34 @@ class MultiPoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times_term(self, e0: tuple[int, ...], c0: Scalar) -> "MultiPoly":
+        """``self * c0 * x^e0`` for a normalized nonzero ``c0``.
+
+        Over Z, Q and F_p a product of nonzero coefficients is nonzero and
+        the shift by ``e0`` is injective, so every term maps to one term:
+        nothing accumulates and nothing cancels.
+        """
+        norm = self.ring.normalize
+        if any(e0):
+            add = operator.add
+            terms = {tuple(map(add, e, e0)): norm(c * c0) for e, c in self.terms.items()}
+        elif c0 == 1:
+            return self
+        else:
+            terms = {e: norm(c * c0) for e, c in self.terms.items()}
+        return MultiPoly._from_terms(self.ring, self.vars, terms)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c0 = self.ring.normalize(other)
             if c0 == 0:
                 return MultiPoly.zero(self.ring, self.vars)
-            return MultiPoly._from_raw(
-                self.ring, self.vars, {e: c * c0 for e, c in self.terms.items()}
-            )
+            return self._times_term((0,) * len(self.vars), c0)
         self._check_compat(other)
+        if len(other.terms) == 1:
+            return self._times_term(*next(iter(other.terms.items())))
+        if len(self.terms) == 1:
+            return other._times_term(*next(iter(self.terms.items())))
         out: dict[tuple[int, ...], Scalar] = {}
         get = out.get
         for e1, c1 in self.terms.items():
@@ -427,9 +446,13 @@ class MultiPoly:
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact division; raises :class:`DivisionNotExact` on remainder.
 
-        The leading term of the remainder comes from a heap of grlex keys
-        with lazy deletion: an exponent that cancels stays in the heap and is
-        skipped when it is popped.
+        A one-term divisor ``c * x^e`` divides each term on its own: its
+        exponent minus ``e``, its coefficient over ``c``.  Any other divisor
+        goes through long division, whose remainder's leading term comes
+        from a heap of grlex keys with lazy deletion: an exponent that
+        cancels stays in the heap and is skipped when it is popped.  Both
+        report the grlex-largest term that does not divide, with the same
+        error.
         """
         self._check_compat(divisor)
         if divisor.is_zero():
@@ -448,6 +471,12 @@ class MultiPoly:
             inv = 1 / Fraction(lead_c)
         else:
             inv = None
+        if len(divisor.terms) == 1:
+            quo = self._term_quotient(lead, lead_c, inv)
+            if quo is not None:
+                return quo
+            # some term does not divide: long division raises for the
+            # grlex-largest one
         rem = dict(self.terms)
         heap = [(_heap_key(e), e) for e in rem]
         heapq.heapify(heap)
@@ -475,6 +504,30 @@ class MultiPoly:
                 else:
                     rem[te] = s
         return MultiPoly._from_raw(ring, self.vars, quo)
+
+    def _term_quotient(
+        self, e0: tuple[int, ...], c0: Scalar, inv: Scalar | None
+    ) -> "MultiPoly | None":
+        """``self / (c0 * x^e0)`` term by term, or None if some term does
+        not divide; ``inv`` is ``1 / c0`` over a field and None over Z."""
+        if c0 == 1 and not any(e0):
+            return self
+        ring, norm, sub = self.ring, self.ring.normalize, operator.sub
+        shift = any(e0)
+        terms: dict[tuple[int, ...], Scalar] = {}
+        for e, c in self.terms.items():
+            if shift:
+                e = tuple(map(sub, e, e0))
+                if min(e) < 0:
+                    return None
+            if inv is not None:
+                terms[e] = norm(c * inv)
+                continue
+            try:
+                terms[e] = ring.divide(c, c0)
+            except DivisionNotExact:
+                return None
+        return MultiPoly._from_terms(ring, self.vars, terms)
 
     # -- serialization ------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
@@ -694,7 +747,6 @@ class ElementaryBasis:
         self._expansions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
             zero: {zero: 1}
         }
-        self._subsets = [list(itertools.combinations(range(N), r)) for r in range(N + 1)]
 
     def to_e(self, poly: MultiPoly) -> MultiPoly:
         """``poly`` as a polynomial in ``e_1..e_N``.
@@ -777,32 +829,48 @@ class ElementaryBasis:
     ) -> dict[tuple[int, ...], int]:
         """``f * e_r`` for ``f`` given by its coefficients at partitions.
 
-        The product's coefficient at a partition ``nu`` sums ``f`` at
-        ``nu - 1_S`` over the ``r``-subsets ``S`` of positions, and every
-        such ``nu`` is ``mu + 1_S`` for a partition ``mu`` of ``f``.
+        The product's coefficient at a partition ``nu`` sums ``f`` at the
+        sorted ``nu - 1_S`` over the ``r``-sets ``S`` of positions, so each
+        partition ``mu`` of ``f`` adds ``f[mu]`` times the number of such
+        ``S`` to every ``nu = mu + 1_S`` that is a partition: the vertical
+        strips on ``mu`` (:func:`_vertical_strips`).
         """
-        subsets = self._subsets[r]
-        targets = set()
-        for mu in f:
-            for S in subsets:
-                nu = list(mu)
-                for i in S:
-                    nu[i] += 1
-                if all(map(operator.ge, nu, nu[1:])):
-                    targets.add(tuple(nu))
         out: dict[tuple[int, ...], int] = {}
-        get = f.get
-        for nu in targets:
-            total = 0
-            for S in subsets:
-                if nu[S[-1]]:  # nu decreases, so every part at S is positive
-                    a = list(nu)
-                    for i in S:
-                        a[i] -= 1
-                    total += get(tuple(sorted(a, reverse=True)), 0)
-            if total:
-                out[nu] = total
-        return out
+        get = out.get
+        for mu, c in f.items():
+            for nu, w in _vertical_strips(mu, r):
+                out[nu] = get(nu, 0) + c * w
+        return {nu: c for nu, c in out.items() if c}
+
+
+def _vertical_strips(mu: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each partition ``nu = mu + 1_S`` over the ``r``-sets ``S`` of
+    positions, once, with the number of ``r``-sets ``S'`` for which
+    ``nu - 1_S'`` sorts to ``mu``.
+
+    Built run by run of equal parts of ``mu``: adding 1 to ``t`` parts of
+    a run keeps the parts decreasing only on its first ``t``.  Those ``t``
+    parts join the untouched end of the run above when its parts are one
+    larger, and taking 1 from any ``t`` parts of that joined run of
+    ``nu`` sorts back to ``mu``: ``C(len, t)`` ways per run.
+    """
+    # (nu so far, parts still to add, count, untouched parts of the last run)
+    states = [(mu, r, 1, 0)]
+    first, above = 0, None
+    for part, run_parts in itertools.groupby(mu):
+        length = sum(1 for _ in run_parts)
+        joins = above == part + 1
+        grown = []
+        for nu, left, w, rest in states:
+            grown.append((nu, left, w, length))
+            moved = list(nu)
+            for t in range(1, min(length, left) + 1):
+                moved[first + t - 1] += 1
+                run = t + rest if joins else t
+                grown.append((tuple(moved), left - t, w * math.comb(run, t), length - t))
+        states = grown
+        first, above = first + length, part
+    return [(nu, w) for nu, left, w, _ in states if not left]
 
 
 def _distinct_permutations(exp: tuple[int, ...]) -> Iterable[tuple[int, ...]]:

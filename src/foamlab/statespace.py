@@ -523,7 +523,11 @@ def _fraction_free_solve(
     the pivot row and ``prev`` the previous pivot (1 at first).  Every entry
     is then a minor of ``[M | B]``, so each division is exact (Sylvester's
     identity), and every pivot equals the last one, ``D`` (``prev`` after
-    the loop).
+    the loop).  Only arithmetic that can change an entry is done: a row
+    with ``a_ic = 0`` under ``p = prev`` is left as it is, an entry with
+    ``a_ij = p_j = 0`` stays 0, and a product with a zero factor is not
+    formed.  Most pivots are constants, so the divisions by ``prev`` are
+    term by term (:meth:`MultiPoly.exact_div`).
 
     For a free column ``fc`` the kernel vector has ``D`` at ``fc`` and
     ``-A[r][fc]`` at the pivot column of each row ``r``.  The solution is the
@@ -546,15 +550,26 @@ def _fraction_free_solve(
         A[r], A[found] = A[found], A[r]
         prow = A[r]
         p = prow[c]
+        unscaled = p == prev
         for i, row in enumerate(A):
-            if i == r:
-                continue
             f = row[c]
+            f_zero = f.is_zero()
+            if i == r or (f_zero and unscaled):
+                continue  # the update would be (p * a - 0) / p = a
             for j in range(width):
                 if j == c:
                     row[j] = zero
                     continue
-                num = p * row[j] - f * prow[j]
+                a, b = row[j], prow[j]
+                # form only the products that are not zero
+                if f_zero or b.is_zero():
+                    if a.is_zero():
+                        continue
+                    num = p * a
+                elif a.is_zero():
+                    num = -(f * b)
+                else:
+                    num = p * a - f * b
                 row[j] = zero if num.is_zero() else num.exact_div(prev)
         prev = p
         pivots.append(c)
@@ -694,12 +709,13 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         # check is blind to the scaling of each kernel vector.
         deriv = _elementary_derivation(op, basis, gens.ring) if equivariant else None
         for vec in kernel:
+            dvec = [deriv(e) for e in vec] if deriv is not None else None
             for j in range(n):
                 acc = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
                 for k in range(n):
                     acc = acc + B[j][k] * vec[k]
-                    if deriv is not None:
-                        acc = acc + M[j][k] * deriv(vec[k])
+                    if dvec is not None:
+                        acc = acc + M[j][k] * dvec[k]
                 if not acc.is_zero():
                     raise NotWellDefined(
                         f"operator {op} moves a pairing-kernel vector out of the"

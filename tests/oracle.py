@@ -28,6 +28,13 @@ The unfactored closed-foam value sums the colored evaluations of every
 coloring of the whole complex in one rational sum; the package sums each
 connected component's colorings and multiplies the component values.
 
+The reference Pieri step adds and takes every ``r``-subset of positions
+and sorts; the package adds the vertical strips on each partition run by
+run of equal parts, each once with the number of subsets that give it.
+
+The reference fraction-free solve forms the full Bareiss update at every
+entry; the package skips the updates that are the identity or zero.
+
 The reference induced-operator matrix solves the pairing system with the
 package's solver on entries in the pigment alphabet ``X1..XN`` and runs
 the kernel certificate there, differentiating coefficients with
@@ -64,7 +71,10 @@ canonicalizes every decoration again at every coloring; the package reads
 every pigment and pair of one coloring from one ``EulerWalk`` of the foam,
 and canonicalizes each facet's decorations once per walk.  The reference
 colex subsets build and sort the full list of ``k``-subsets; the package
-steps through them one bitmask at a time.
+steps through them one bitmask at a time.  The reference coloring
+enumerator tries every ``k``-subset of ``1..N`` at every facet; the
+package tries only the subsets that the facet's colored binding partners
+leave open.
 """
 
 from __future__ import annotations
@@ -305,6 +315,33 @@ def term_exact_div(a: MultiPoly, b: MultiPoly) -> dict:
             else:
                 rem[te] = s
     return quo
+
+
+def pieri_reference(f: dict, r: int, N: int) -> dict:
+    """``f * e_r`` on coefficients at partitions of length ``N``: every
+    ``r``-subset of positions is added to every partition of ``f`` and
+    taken from every target, and the differences are sorted."""
+    subsets = list(combinations(range(N), r))
+    targets = set()
+    for mu in f:
+        for S in subsets:
+            nu = list(mu)
+            for i in S:
+                nu[i] += 1
+            if all(x >= y for x, y in zip(nu, nu[1:])):
+                targets.add(tuple(nu))
+    out = {}
+    for nu in targets:
+        total = 0
+        for S in subsets:
+            if all(nu[i] for i in S):
+                a = list(nu)
+                for i in S:
+                    a[i] -= 1
+                total += f.get(tuple(sorted(a, reverse=True)), 0)
+        if total:
+            out[nu] = total
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +593,61 @@ def move_images(skel: _Skeleton, n: int, weights) -> LocalImage:
     return [(w, dots) for dots, w in acc.items() if w != 0]
 
 
+def fraction_free_solve_reference(M, B):
+    """``(rank, kernel, X)`` of ``statespace._fraction_free_solve(M, B)`` by
+    the Bareiss pass that forms ``(p * a - f * b) / prev`` at every entry of
+    every other row, identity updates included."""
+    n = len(M)
+    ring, vs = M[0][0].ring, M[0][0].vars
+    zero = MultiPoly.zero(ring, vs)
+    A = [list(M[i]) + list(B[i]) for i in range(n)]
+    width = len(A[0])
+    prev = MultiPoly.const(ring, vs, 1)
+    pivots: list[int] = []
+    for c in range(n):
+        r = len(pivots)
+        found = next((i for i in range(r, n) if not A[i][c].is_zero()), None)
+        if found is None:
+            continue
+        A[r], A[found] = A[found], A[r]
+        prow = A[r]
+        p = prow[c]
+        for i, row in enumerate(A):
+            if i == r:
+                continue
+            f = row[c]
+            for j in range(width):
+                if j == c:
+                    row[j] = zero
+                    continue
+                num = p * row[j] - f * prow[j]
+                row[j] = zero if num.is_zero() else num.exact_div(prev)
+        prev = p
+        pivots.append(c)
+    rank = len(pivots)
+    if any(not e.is_zero() for row in A[rank:] for e in row[n:]):
+        raise NotWellDefined("operator image is not in the span of the generator pairings")
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [zero] * n
+        vec[fc] = prev
+        for r, pc in enumerate(pivots):
+            vec[pc] = -A[r][fc]
+        kernel.append(vec)
+    X = [[zero] * (width - n) for _ in range(n)]
+    for r, pc in enumerate(pivots):
+        for col, e in enumerate(A[r][n:]):
+            if e.is_zero():
+                continue
+            try:
+                X[pc][col] = e.exact_div(prev)
+            except DivisionNotExact:
+                raise NotWellDefined(
+                    "operator matrix entry is not polynomial over the base"
+                ) from None
+    return rank, kernel, X
+
+
 def induced_reference(op, params, gens):
     """``(matrix, certificate detail)`` of ``induced_action(op, params, gens)``,
     solved and certified on entries in the pigment alphabet."""
@@ -691,6 +783,45 @@ def colex_subsets_reference(N: int, k: int) -> list[frozenset[int]]:
         combinations(range(1, N + 1), k), key=lambda s: tuple(reversed(s))
     )
     return [frozenset(c) for c in combos]
+
+
+def enumerate_colorings_reference(F: FoamComplex, N: int) -> list[Coloring]:
+    """Every admissible coloring, in the package's order: backtracking over
+    facets in id order and, at every facet, every ``k``-subset of ``1..N``
+    in colex order, kept when it agrees with each binding segment whose
+    facets are assigned."""
+    ids = F.facet_ids()
+    by_facet: dict[str, list[tuple[str, str, str]]] = {}
+    for b in F.bindings.values():
+        for seg in {tuple(s) for s in b.segments}:
+            for f in seg:
+                by_facet.setdefault(f, []).append(seg)
+    assignment: dict[str, frozenset[int]] = {}
+    out: list[Coloring] = []
+
+    def consistent(f: str) -> bool:
+        for A, B, TH in by_facet.get(f, ()):  # noqa: N806
+            ca, cb, ct = assignment.get(A), assignment.get(B), assignment.get(TH)
+            if ca is not None and cb is not None:
+                if ca & cb or (ct is not None and (ca | cb) != ct):
+                    return False
+            if ct is not None and any(x is not None and not x <= ct for x in (ca, cb)):
+                return False
+        return True
+
+    def rec(i: int) -> None:
+        if i == len(ids):
+            out.append(dict(assignment))
+            return
+        f = ids[i]
+        for s in colex_subsets_reference(N, F.facets[f].thickness):
+            assignment[f] = s
+            if consistent(f):
+                rec(i + 1)
+        assignment.pop(f, None)
+
+    rec(0)
+    return out
 
 
 def monochrome_euler_reference(F: FoamComplex, c: Coloring, i: int) -> int:

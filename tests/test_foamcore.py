@@ -59,7 +59,12 @@ from foamlab.foamcore import (
     validate_web,
 )
 from foamlab.polyring import ZZ, MultiPoly, symmetric_basis
-from oracle import bichrome_data_reference, colex_subsets_reference, monochrome_euler_reference
+from oracle import (
+    bichrome_data_reference,
+    colex_subsets_reference,
+    enumerate_colorings_reference,
+    monochrome_euler_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +494,16 @@ class TestColorings:
     @pytest.mark.parametrize("N", range(9))
     def test_colex_subsets_match_the_sorted_list(self, N):
         for k in range(N + 2):
-            assert list(_colex_subsets(N, k)) == colex_subsets_reference(N, k)
+            assert list(_colex_subsets(range(1, N + 1), k)) == colex_subsets_reference(N, k)
+
+    @pytest.mark.parametrize("N", range(2, 7))
+    def test_colorings_match_the_unnarrowed_enumerator(self, N):
+        # the same colorings in the same order as trying every k-subset
+        size = dict(count=8, half_moves=5, max_thickness=3)
+        movies = closed_corpus(seed=N, **size) + spherical_corpus(seed=N, **size)
+        for mov in movies:
+            F = compile_movie(mov)
+            assert list(enumerate_colorings(F, N)) == enumerate_colorings_reference(F, N)
 
     def test_first_coloring_of_a_thick_sphere_is_immediate(self):
         # C(60, 40) subsets are never listed: the first one comes at once

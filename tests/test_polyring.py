@@ -101,6 +101,28 @@ def cancelling_pairs(draw, ring, vars=V2):
     return a, MultiPoly(ring, vars, terms)
 
 
+def one_terms(ring, vars=V2):
+    """Zero, the constant 1, other constants and monomials."""
+    coeffs = (
+        st.fractions(-6, 6, max_denominator=4) if ring == QQ else st.integers(-6, 6)
+    )
+    exps = st.tuples(*[st.integers(0, 2) for _ in vars])
+    return st.one_of(
+        st.just(MultiPoly.zero(ring, vars)),
+        st.just(MultiPoly.const(ring, vars, 1)),
+        coeffs.map(lambda c: MultiPoly.const(ring, vars, c)),
+        st.tuples(exps, coeffs).map(lambda ec: MultiPoly(ring, vars, {ec[0]: ec[1]})),
+    )
+
+
+def division_outcome(divide, a, b):
+    """The typed terms of ``a / b``, or the type and text of the error."""
+    try:
+        return typed(divide(a, b))
+    except DivisionNotExact as exc:
+        return type(exc), str(exc)
+
+
 def typed(terms):
     """A terms dict with each coefficient paired with its type."""
     return {e: (type(c), c) for e, c in terms.items()}
@@ -251,6 +273,42 @@ class TestArith:
                 oracle.term_exact_div(rem, b)
             with pytest.raises(DivisionNotExact):
                 rem.exact_div(b)
+
+    @given(
+        RINGS.flatmap(
+            lambda ring: st.tuples(polys(V2, ring, max_deg=3, max_terms=5), one_terms(ring))
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_operands_match_per_term_reference(self, at):
+        # products and quotients with a one-term factor go term by term
+        a, t = at
+        for x, y in ((a, t), (t, a), (t, t)):
+            assert typed((x * y).terms) == typed(oracle.term_mul(x, y))
+        if t.is_zero():
+            return
+        for num in (a, a * t, a * t + a):
+            got = division_outcome(lambda x, y: x.exact_div(y).terms, num, t)
+            assert got == division_outcome(oracle.term_exact_div, num, t)
+
+    @pytest.mark.parametrize(
+        "num,message",
+        [
+            ({(1, 0): 3}, "3 / 2 is not an integer"),
+            ({(1, 0): 4, (0, 1): 2}, "leading monomial not divisible"),
+            ({(2, 0): 3, (0, 1): 2}, "3 / 2 is not an integer"),
+            ({(0, 2): 2, (1, 0): 3}, "leading monomial not divisible"),
+        ],
+    )
+    def test_one_term_division_reports_the_largest_failing_term(self, num, message):
+        # over Z by 2x: a non-integral quotient, a non-divisible exponent,
+        # and both, with either one at the grlex-largest term
+        a, t = MultiPoly(ZZ, V2, num), MultiPoly(ZZ, V2, {(1, 0): 2})
+        with pytest.raises(DivisionNotExact) as got:
+            a.exact_div(t)
+        with pytest.raises(DivisionNotExact) as want:
+            oracle.term_exact_div(a, t)
+        assert str(got.value) == str(want.value) == message
 
     def test_exact_div_over_Z_needs_integral_quotient(self):
         X = xvars(2)
@@ -420,6 +478,35 @@ class TestSymmetric:
             orbit = orbit + p.permute_vars({X3[i]: X3[j] for i, j in enumerate(perm)})
         # the sum over the permutations inside the blocks is invariant
         assert is_symmetric(orbit, blocks)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda N: st.tuples(
+                st.just(N),
+                st.dictionaries(
+                    st.lists(st.integers(0, 3), min_size=N, max_size=N).map(
+                        lambda parts: tuple(sorted(parts, reverse=True))
+                    ),
+                    st.integers(-3, 3),
+                    max_size=5,
+                ),
+                st.integers(1, N),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_pieri_matches_the_subset_loop(self, case):
+        N, f, r = case
+        got = polyring.ElementaryBasis(xvars(N))._pieri(f, r)
+        assert got == oracle.pieri_reference(f, r, N)
+
+    def test_elementary_basis_builds_nothing_up_front(self):
+        # 2^40 subsets of the pigments are never listed
+        X = xvars(40)
+        basis = polyring.ElementaryBasis(X)
+        e1 = elementary(ZZ, X, 1)
+        assert basis.to_e(e1) == MultiPoly.var(ZZ, basis.e_names, "E1")
+        assert basis.from_e(MultiPoly.var(ZZ, basis.e_names, "E1")) == e1
 
     @pytest.mark.parametrize("p", [0, 1, 4, 9, -3])
     def test_bad_modulus_is_an_input_error(self, p):

@@ -2,6 +2,7 @@
 membership, induced operator matrices and the local rank relations."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -555,6 +556,54 @@ class TestPinnedMatrices:
         assert A.certificate.detail == detail
 
 
+# sha256 of ``str(matrix)`` and the certificate detail of induced actions,
+# recorded before the solver skipped its identity updates: name -> (N,
+# build(ring), digest, detail).  The thin cups have a kernel of dimension
+# 2, so their digests pin the reduced solution with free unknowns 0.
+SOLVE_PINS = {
+    "circle(3,6).d": (
+        6,
+        lambda ring: circle_presentation(3, 6, ring),
+        "e4298d74eb3165bba6bed4667b1ad2bf99d3c1d821cec857ba1000eee06259f2",
+        "pairing nondegenerate; kernel trivial",
+    ),
+    "thin_cups(N=4).e": (
+        4,
+        lambda ring: thin_cups(ring, 4, 5),
+        "3a9aaa67f7145c3898f49024dafa50f6422bd72251b57deb9108b0895e322984",
+        "kernel of dimension 2 is preserved",
+    ),
+    "thin_cups(N=4).h": (
+        4,
+        lambda ring: thin_cups(ring, 4, 5),
+        "36cb0a93379d6392951c2d0ade06c002588d9d675a6cca846c80db374f68c02a",
+        "kernel of dimension 2 is preserved",
+    ),
+    "thin_cups(N=4).f": (
+        4,
+        lambda ring: thin_cups(ring, 4, 5),
+        "0fda9888a617915b876e8663935341fdf47ddb1dce38780edbb7138b8402c019",
+        "kernel of dimension 2 is preserved",
+    ),
+    "thin_cups(N=4).d": (
+        4,
+        lambda ring: thin_cups(ring, 4, 5),
+        "97e3f53ff87a5ae06b5ff99a8513fe4b6a4f8ff125d2547d495df5b865801e04",
+        "kernel of dimension 2 is preserved",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVE_PINS))
+def test_solved_matrix_digest_is_pinned(case):
+    N, build, digest, detail = SOLVE_PINS[case]
+    op = case[-1]
+    ring = GF(5) if op == "d" else QQ
+    A = induced_action(op, differential_pack(op, ring, N), build(ring))
+    assert hashlib.sha256(str(A.matrix).encode()).hexdigest() == digest
+    assert A.certificate.detail == detail
+
+
 # Presentations at N <= 4 for the differential test of the solver over
 # the elementary basis: name -> (N, build(ring)).
 DIFFERENTIAL_FAMILIES = {
@@ -796,6 +845,58 @@ class TestFractionFreeSolve:
         assert (rank2, kernel2) == (rank, kernel)
         assert mat_mul(M, X) == B
         assert X == Y
+
+
+def solve_outcome(solver, M, B):
+    """``(rank, kernel, X)`` with every entry's typed terms, or the
+    ``NotWellDefined`` message."""
+    try:
+        rank, kernel, X = solver(M, B)
+    except NotWellDefined as exc:
+        return "NotWellDefined", str(exc)
+
+    def typed(rows):
+        return [[{e: (type(c), c) for e, c in x.terms.items()} for x in row] for row in rows]
+
+    return rank, typed(kernel), typed(X)
+
+
+class TestSolveAgainstFullUpdate:
+    """The solver, which skips identity and zero updates, against the
+    Bareiss pass that updates every entry
+    (``oracle.fraction_free_solve_reference``)."""
+
+    @given(solvable_systems(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_rank_kernel_and_solution(self, system, data):
+        M, Y = system
+        n = len(M)
+        zero = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
+        if data.draw(st.booleans(), label="zero column"):
+            c = data.draw(st.integers(0, n - 1), label="column")
+            M = [[zero if j == c else e for j, e in enumerate(row)] for row in M]
+        # Y itself is mostly outside the span or without a polynomial
+        # solution; M Y is inside it
+        for B in (Y, mat_mul(M, Y)):
+            got = solve_outcome(solve, M, B)
+            assert got == solve_outcome(oracle.fraction_free_solve_reference, M, B)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            # second pivot X1^2 - X2^2 after X1: p != prev, with a zero entry
+            # in the pivot column of the third row
+            [[X1, X2, ONE], [X2, X1, ZERO], [ZERO, ZERO, X1 + X2]],
+            # a zero column and a repeated row: rank 1
+            [[X1, ZERO, X2], [X1, ZERO, X2], [X2 * 2, ZERO, ONE]],
+            # constant pivots, one of them 1
+            [[ONE, X1, ZERO], [ONE * 2, ZERO, X2], [ZERO, ONE * 3, X1]],
+        ],
+    )
+    def test_same_outcome_on_hand_built_systems(self, M):
+        for B in ([[X1], [X2], [ONE]], mat_mul(M, [[X1], [ONE], [X2]])):
+            got = solve_outcome(solve, M, B)
+            assert got == solve_outcome(oracle.fraction_free_solve_reference, M, B)
 
 
 class TestMoyChecks:
