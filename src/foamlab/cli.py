@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from random import Random
 
 import click
@@ -105,13 +106,14 @@ def _load_movie(target: str, N: int | None, ring: CoefRing = ZZ) -> Movie:
     return parse(text).build_movie(movie_part, N)
 
 
+# web family -> (argument count, builder called with the arguments, N, ring, base)
 _WEB_SHAPES = {
-    "circle": 1,
-    "digon": 2,
-    "bad_digon": 2,
-    "necklace": 0,
-    "chain_left": 3,
-    "chain_right": 3,
+    "circle": (1, circle_presentation),
+    "digon": (2, theta_presentation),
+    "bad_digon": (2, zipped_presentation),
+    "necklace": (0, necklace_presentation),
+    "chain_left": (3, partial(chain_presentation, "left")),
+    "chain_right": (3, partial(chain_presentation, "right")),
 }
 
 
@@ -130,20 +132,10 @@ def parse_presentation(
         args = [int(x) for x in rest.split(",") if x]
     except ValueError:
         raise InputError(f"bad web arguments in {spec!r}") from None
-    if len(args) != _WEB_SHAPES[name]:
-        raise InputError(
-            f"web family {name!r} takes {_WEB_SHAPES[name]} argument(s)"
-        )
-    if name == "circle":
-        return circle_presentation(args[0], N, ring, base)
-    if name == "digon":
-        return theta_presentation(args[0], args[1], N, ring, base)
-    if name == "bad_digon":
-        return zipped_presentation(args[0], args[1], N, ring, base)
-    if name == "necklace":
-        return necklace_presentation(N, ring, base)
-    order = "left" if name == "chain_left" else "right"
-    return chain_presentation(order, args[0], args[1], args[2], N, ring, base)
+    count, build = _WEB_SHAPES[name]
+    if len(args) != count:
+        raise InputError(f"web family {name!r} takes {count} argument(s)")
+    return build(*args, N, ring, base)
 
 
 def _pack_options(fn):

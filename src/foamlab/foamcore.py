@@ -346,6 +346,73 @@ def _get_vertex(w: Web, vid: str) -> Vertex:
     return v
 
 
+_REASSOC_TEXTS = {
+    Assoc: (
+        "assoc middle edge must join two vertices",
+        "assoc requires two merge vertices",
+        "assoc: middle edge must be the full output of v1",
+        "assoc: middle edge must feed v2",
+        "assoc requires three distinct thin edges",
+    ),
+    Coassoc: (
+        "coassoc middle edge must join two vertices",
+        "coassoc requires two split vertices",
+        "coassoc: middle edge must be the full input of v2",
+        "coassoc: middle edge must come from v1",
+        "coassoc requires three distinct thin edges",
+    ),
+}
+
+
+def _reversed(w: Web) -> Web:
+    """The web with every arrow turned round: merges become splits and back."""
+    kinds = {"merge": "split", "split": "merge"}
+    return Web(
+        {k: Edge(e.id, e.thickness, e.head, e.tail) for k, e in w.edges.items()},
+        {k: Vertex(v.id, kinds.get(v.kind, v.kind), v.outs, v.ins) for k, v in w.vertices.items()},
+    )
+
+
+def _reassociate(w: Web, m: Assoc | Coassoc) -> Web:
+    """Reassociate two adjacent merge vertices across their middle edge,
+    reporting a mismatch in the texts of ``m``'s move."""
+    text = _REASSOC_TEXTS[type(m)]
+    g = _get_edge(w, m.mid_edge)
+    if g.is_circle:
+        raise PatternMismatch(text[0])
+    v1 = _get_vertex(w, g.tail)
+    v2 = _get_vertex(w, g.head)
+    if v1.kind != "merge" or v2.kind != "merge":
+        raise PatternMismatch(text[1])
+    if v1.outs != (m.mid_edge,):
+        raise PatternMismatch(text[2])
+    if m.mid_edge not in v2.ins:
+        raise PatternMismatch(text[3])
+    x_id, y_id = v1.ins
+    if v2.ins[0] == m.mid_edge:
+        # (x+y)+z -> x+(y+z)
+        z_id = v2.ins[1]
+        ins1, ins2, kept = (y_id, z_id), (x_id, m.out_mid), x_id
+    else:
+        # z+(x+y) -> (z+x)+y
+        z_id = v2.ins[0]
+        ins1, ins2, kept = (z_id, x_id), (m.out_mid, y_id), y_id
+    new_g = Edge(m.out_mid, w.edges[ins1[0]].thickness + w.edges[ins1[1]].thickness,
+                 v1.id, v2.id)
+    if len({x_id, y_id, z_id}) != 3:
+        raise PatternMismatch(text[4])
+    new = w.with_changes(
+        drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id], add_edges=[new_g],
+        add_vertices=[Vertex(v1.id, "merge", ins1, (m.out_mid,)),
+                      Vertex(v2.id, "merge", ins2, v2.outs)],
+    )
+    # z now ends at v1 instead of v2; the kept edge moves to v2
+    edges = dict(new.edges)
+    edges[z_id] = replace(edges[z_id], head=v1.id)
+    edges[kept] = replace(edges[kept], head=v2.id)
+    return Web(edges, new.vertices)
+
+
 def apply_move(w: Web, m: BasicMove) -> Web:
     """Apply a basic move to a web slice, returning the new slice."""
     if isinstance(m, (Decorate, Isotopy)):
@@ -541,95 +608,11 @@ def apply_move(w: Web, m: BasicMove) -> Web:
         return new
 
     if isinstance(m, Assoc):
-        g = _get_edge(w, m.mid_edge)
-        if g.is_circle:
-            raise PatternMismatch("assoc middle edge must join two vertices")
-        v1 = _get_vertex(w, g.tail)
-        v2 = _get_vertex(w, g.head)
-        if v1.kind != "merge" or v2.kind != "merge":
-            raise PatternMismatch("assoc requires two merge vertices")
-        if v1.outs != (m.mid_edge,):
-            raise PatternMismatch("assoc: middle edge must be the full output of v1")
-        if m.mid_edge not in v2.ins:
-            raise PatternMismatch("assoc: middle edge must feed v2")
-        x_id, y_id = v1.ins
-        slot = v2.ins.index(m.mid_edge)
-        if slot == 0:
-            # (x+y)+z -> x+(y+z)
-            z_id = v2.ins[1]
-            new_g = Edge(m.out_mid, w.edges[y_id].thickness + w.edges[z_id].thickness,
-                         v1.id, v2.id)
-            nv1 = Vertex(v1.id, "merge", (y_id, z_id), (m.out_mid,))
-            nv2 = Vertex(v2.id, "merge", (x_id, m.out_mid), v2.outs)
-            moved, kept = z_id, x_id
-        else:
-            # z+(x+y) -> (z+x)+y ... mirror pattern with the middle in slot 1
-            z_id = v2.ins[0]
-            new_g = Edge(m.out_mid, w.edges[z_id].thickness + w.edges[x_id].thickness,
-                         v1.id, v2.id)
-            nv1 = Vertex(v1.id, "merge", (z_id, x_id), (m.out_mid,))
-            nv2 = Vertex(v2.id, "merge", (m.out_mid, y_id), v2.outs)
-            moved, kept = z_id, y_id
-        if moved in (x_id, y_id) or len({x_id, y_id, z_id}) != 3:
-            raise PatternMismatch("assoc requires three distinct thin edges")
-        new = w.with_changes(drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id],
-                             add_edges=[new_g], add_vertices=[nv1, nv2])
-        # the moved edge now ends at v1 instead of v2; the kept edge moves to v2
-        em = new.edges[moved]
-        new = Web(
-            {**new.edges, moved: Edge(em.id, em.thickness, em.tail, v1.id)},
-            new.vertices,
-        )
-        ek = new.edges[kept]
-        new = Web(
-            {**new.edges, kept: Edge(ek.id, ek.thickness, ek.tail, v2.id)},
-            new.vertices,
-        )
-        return new
+        return _reassociate(w, m)
 
     if isinstance(m, Coassoc):
-        g = _get_edge(w, m.mid_edge)
-        if g.is_circle:
-            raise PatternMismatch("coassoc middle edge must join two vertices")
-        v1 = _get_vertex(w, g.tail)
-        v2 = _get_vertex(w, g.head)
-        if v1.kind != "split" or v2.kind != "split":
-            raise PatternMismatch("coassoc requires two split vertices")
-        if v2.ins != (m.mid_edge,):
-            raise PatternMismatch("coassoc: middle edge must be the full input of v2")
-        if m.mid_edge not in v1.outs:
-            raise PatternMismatch("coassoc: middle edge must come from v1")
-        x_id, y_id = v2.outs
-        slot = v1.outs.index(m.mid_edge)
-        if slot == 0:
-            z_id = v1.outs[1]
-            new_g = Edge(m.out_mid, w.edges[y_id].thickness + w.edges[z_id].thickness,
-                         v1.id, v2.id)
-            nv1 = Vertex(v1.id, "split", v1.ins, (x_id, m.out_mid))
-            nv2 = Vertex(v2.id, "split", (m.out_mid,), (y_id, z_id))
-            moved, kept = z_id, x_id
-        else:
-            z_id = v1.outs[0]
-            new_g = Edge(m.out_mid, w.edges[z_id].thickness + w.edges[x_id].thickness,
-                         v1.id, v2.id)
-            nv1 = Vertex(v1.id, "split", v1.ins, (m.out_mid, y_id))
-            nv2 = Vertex(v2.id, "split", (m.out_mid,), (z_id, x_id))
-            moved, kept = z_id, y_id
-        if len({x_id, y_id, z_id}) != 3:
-            raise PatternMismatch("coassoc requires three distinct thin edges")
-        new = w.with_changes(drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id],
-                             add_edges=[new_g], add_vertices=[nv1, nv2])
-        em = new.edges[moved]
-        new = Web(
-            {**new.edges, moved: Edge(em.id, em.thickness, v2.id, em.head)},
-            new.vertices,
-        )
-        ek = new.edges[kept]
-        new = Web(
-            {**new.edges, kept: Edge(ek.id, ek.thickness, v1.id, ek.head)},
-            new.vertices,
-        )
-        return new
+        # coassociation is association with every arrow turned round
+        return _reversed(_reassociate(_reversed(w), m))
 
     raise PatternMismatch(f"unknown move {m!r}")
 

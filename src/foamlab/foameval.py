@@ -25,20 +25,14 @@ from .errors import (
     PatternMismatch,
 )
 from .foamcore import (
-    Assoc,
     Binding,
     Cap,
-    Coassoc,
     Coloring,
     Cup,
     Decorate,
-    DigonCap,
-    DigonCup,
     EulerWalk,
     FoamComplex,
-    Isotopy,
     Movie,
-    Saddle,
     Unzip,
     Zip,
     compile_movie,
@@ -664,9 +658,9 @@ def degree(F: FoamComplex | Movie, N: int) -> int:
 
 
 _MOVE_LOCAL_DEGREE = {
-    "cup": lambda a, b, N: -a * (N - a),
-    "cap": lambda a, b, N: -a * (N - a),
-    "saddle": lambda a, b, N: a * (N - a),
+    "cup": lambda a, N: -a * (N - a),
+    "cap": lambda a, N: -a * (N - a),
+    "saddle": lambda a, N: a * (N - a),
     "zip": lambda a, b, N: a * b,
     "unzip": lambda a, b, N: a * b,
     "digon_cup": lambda a, b, N: -a * b,
@@ -675,40 +669,13 @@ _MOVE_LOCAL_DEGREE = {
 
 
 def degree_incremental(mov: Movie, N: int) -> int:
-    """Degree as the sum of the local degrees of the basic moves."""
-    total = 0
-    webs = mov.slices()
-    for idx, mv in enumerate(mov.moves):
-        if isinstance(mv, Decorate):
-            total += _decoration_degree(mv.poly)
-        elif isinstance(mv, (Assoc, Coassoc, Isotopy)):
-            pass
-        elif isinstance(mv, Cup):
-            total += _MOVE_LOCAL_DEGREE["cup"](mv.thickness, 0, N)
-        elif isinstance(mv, Cap):
-            a = webs[idx].edges[mv.edge].thickness
-            total += _MOVE_LOCAL_DEGREE["cap"](a, 0, N)
-        elif isinstance(mv, Saddle):
-            a = webs[idx].edges[mv.edge1].thickness
-            total += _MOVE_LOCAL_DEGREE["saddle"](a, 0, N)
-        elif isinstance(mv, Zip):
-            a = webs[idx].edges[mv.edge_a].thickness
-            b = webs[idx].edges[mv.edge_b].thickness
-            total += _MOVE_LOCAL_DEGREE["zip"](a, b, N)
-        elif isinstance(mv, Unzip):
-            t = webs[idx].edges[mv.thick_edge]
-            mvx = webs[idx].vertices[t.tail]
-            a = webs[idx].edges[mvx.ins[0]].thickness
-            b = webs[idx].edges[mvx.ins[1]].thickness
-            total += _MOVE_LOCAL_DEGREE["unzip"](a, b, N)
-        elif isinstance(mv, DigonCup):
-            total += _MOVE_LOCAL_DEGREE["digon_cup"](mv.a, mv.b, N)
-        elif isinstance(mv, DigonCap):
-            a = webs[idx].edges[mv.edge_a].thickness
-            b = webs[idx].edges[mv.edge_b].thickness
-            total += _MOVE_LOCAL_DEGREE["digon_cap"](a, b, N)
-        else:
-            raise InputError(f"unknown move {mv!r}")
+    """Degree as the sum of the local degrees of the basic moves, each read
+    from the thicknesses its compiled trace records, and of the decorations."""
+    traces = compile_movie(mov).traces
+    total = sum(_decoration_degree(mv.poly) for mv in mov.moves if isinstance(mv, Decorate))
+    for tr in traces:
+        if tr.kind in _MOVE_LOCAL_DEGREE:
+            total += _MOVE_LOCAL_DEGREE[tr.kind](*tr.thickness, N)
     return total
 
 
@@ -745,22 +712,6 @@ def _find_edge_slice(mov: Movie, edge: str) -> tuple[int, int]:
     raise InputError(f"edge {edge} never appears in the movie")
 
 
-_FACET_CREATIONS = {
-    "Cup": 1,
-    "Zip": 1,
-    "DigonCup": 2,
-    "Assoc": 1,
-    "Coassoc": 1,
-}
-
-
-def _facets_created_before(mov: Movie, idx: int) -> int:
-    n = len(mov.input_web.edges)
-    for mv in mov.moves[:idx]:
-        n += _FACET_CREATIONS.get(type(mv).__name__, 0)
-    return n
-
-
 def with_bubble(mov: Movie, edge: str, R: SymPoly, N: int, side: str = "good") -> Movie:
     """Glue a decorated thickness-N bubble onto the facet carrying ``edge``.
 
@@ -777,65 +728,22 @@ def with_bubble(mov: Movie, edge: str, R: SymPoly, N: int, side: str = "good") -
         raise InputError(f"facet thickness {a} exceeds N={N}")
     if len(R.blocks) != 1 or R.blocks[0] != m:
         raise InputError(f"bubble decoration must be symmetric in {m} variables")
-    web = mov.slices()[idx]
-    used = set(web.edges) | set(web.vertices)
-    for w in mov.slices():
-        used |= set(w.edges) | set(w.vertices)
-    fresh = iter(f"bub{k}" for k in range(1, 100))
-
-    def new_id():
-        while True:
-            x = next(fresh)
-            if x not in used:
-                return x
-
-    d = new_id()
-    mvv, svv, thick, arc = new_id(), new_id(), new_id(), new_id()
     if m == 0:
         # empty complement: the bubble degenerates to nothing; identity gluing
         return mov
-    e_circle = web.edges[edge].is_circle
-    e1 = new_id()
-    e2 = e1 if e_circle else new_id()
+    webs = mov.slices()
+    used = {x for w in webs for x in (*w.edges, *w.vertices)}
+    fresh = (x for x in (f"bub{k}" for k in itertools.count(1)) if x not in used)
+    d, mvv, svv, thick, arc, e1 = itertools.islice(fresh, 6)
+    e2 = e1 if webs[idx].edges[edge].is_circle else next(fresh)
     if side == "good":
         zip_mv = Zip(edge, d, mvv, svv, thick, e1, e2, arc, arc)
-        inserted = [
-            Cup(m, d),
-            zip_mv,
-            Decorate(arc, R),
-            Unzip(thick, edge, d),
-            Cap(d),
-        ]
+        unzip = Unzip(thick, edge, d)
     else:
         zip_mv = Zip(d, edge, mvv, svv, thick, arc, arc, e1, e2)
-        inserted = [
-            Cup(m, d),
-            zip_mv,
-            Decorate(arc, R),
-            Unzip(thick, d, edge),
-            Cap(d),
-        ]
-    out = Movie(mov.input_web, mov.moves[:idx] + tuple(inserted) + mov.moves[idx:])
-    return out
-
-
-def _blown_facet_map(base: Movie, idx: int) -> dict[str, str]:
-    """Map blown-movie facet ids back to base facet ids.
-
-    Both compiles create facets in move order and keep the earliest label
-    as the canonical union-find root, so the bubble's two extra facets
-    (membrane then thick) simply shift all later facet numbers by two.
-    """
-    n_before = _facets_created_before(base, idx)
-    total = n_before
-    for mv in base.moves[idx:]:
-        total += _FACET_CREATIONS.get(type(mv).__name__, 0)
-    mapping = {}
-    for k in range(1, n_before + 1):
-        mapping[f"f{k}"] = f"f{k}"
-    for k in range(n_before + 1, total + 1):
-        mapping[f"f{k + 2}"] = f"f{k}"
-    return mapping
+        unzip = Unzip(thick, d, edge)
+    inserted = (Cup(m, d), zip_mv, Decorate(arc, R), unzip, Cap(d))
+    return Movie(mov.input_web, mov.moves[:idx] + inserted + mov.moves[idx:])
 
 
 def bubble_check(
@@ -858,10 +766,9 @@ def bubble_check(
     Fb = compile_movie(base)
     walk = EulerWalk(Fb)
     base_vals = {
-        _coloring_key(c): (c, colored_eval(Fb, c, N, ring, walk))
+        _coloring_key(c): colored_eval(Fb, c, N, ring, walk)
         for c in enumerate_colorings(Fb, N)
     }
-    fmap = None
     sign_main = (-1) ** ((m * (m + 1)) // 2)
     for side, sign in (("good", sign_main), ("other", sign_main * (-1) ** (a * m))):
         blown = with_bubble(base, facet_edge, R, N, side)
@@ -869,18 +776,22 @@ def bubble_check(
             continue  # degenerate: nothing to compare beyond identity
         Fg = compile_movie(blown)
         blown_walk = EulerWalk(Fg)
-        fmap = _blown_facet_map(base, idx)
+        # base slice t is blown slice t up to the bubble and t + 5 after it
+        fmap = {
+            Fg.edge_facets[t if t <= idx else t + 5][e]: f
+            for t, facet_of in enumerate(Fb.edge_facets)
+            for e, f in facet_of.items()
+        }
+        membrane = Fg.edge_facets[idx + 1][blown.moves[idx].out_edge]
+        r_dec = _canonical_decoration(R, m, N, ring)
         seen = 0
         for c in enumerate_colorings(Fg, N):
             restricted = {fmap[f]: col for f, col in c.items() if f in fmap}
             key = _coloring_key(restricted)
             if key not in base_vals:
                 return CheckReport(False, c, "no matching base coloring")
-            c0, base_val = base_vals[key]
-            # the target facet is the one the bubble's thick facet refines
-            n_before = _facets_created_before(base, idx)
-            membrane = f"f{n_before + 1}"
-            r_val = _at_coloring(_canonical_decoration(R, m, N, ring), c[membrane], N)
+            base_val = base_vals[key]
+            r_val = _at_coloring(r_dec, c[membrane], N)
             lhs = colored_eval(Fg, c, N, ring, blown_walk) * sign
             rhs = base_val * r_val
             if lhs != rhs:

@@ -75,6 +75,14 @@ steps through them one bitmask at a time.  The reference coloring
 enumerator tries every ``k``-subset of ``1..N`` at every facet; the
 package tries only the subsets that the facet's colored binding partners
 leave open.
+
+The reference incremental degree walks the movie's slices and reads the
+thicknesses each basic move acts on from the slice before it; the package
+reads them from the move traces of the compiled foam.  The reference
+association and coassociation rewire two merge and two split vertices by
+two patterns of their own; the package has one association rule, and
+coassociates by turning every arrow of the web round, associating the two
+merge vertices that result, and turning the arrows back.
 """
 
 from __future__ import annotations
@@ -86,13 +94,36 @@ from typing import Callable
 
 from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
-from foamlab.foamcore import Binding, Coloring, FoamComplex, MoveTrace, enumerate_colorings
+from foamlab.foamcore import (
+    Assoc,
+    Binding,
+    Cap,
+    Coassoc,
+    Coloring,
+    Cup,
+    Decorate,
+    DigonCap,
+    DigonCup,
+    Edge,
+    FoamComplex,
+    Movie,
+    MoveTrace,
+    Saddle,
+    Unzip,
+    Vertex,
+    Web,
+    Zip,
+    _get_edge,
+    _get_vertex,
+    enumerate_colorings,
+)
 from foamlab.foameval import (
     DecMap,
     _at_coloring,
     _canonical_decoration,
     _check_degree,
     _checked_sum,
+    _decoration_degree,
     _dots,
     _orbit_poly,
     colored_eval,
@@ -104,6 +135,7 @@ from foamlab.errors import (
     NonSphericalWithNu3,
     NotWellDefined,
     OddEuler,
+    PatternMismatch,
     SeamSignInconsistent,
     WrongRing,
 )
@@ -960,3 +992,144 @@ def colored_eval_reference(
     if sign_exp % 2:
         num = -num
     return RatFun(num, den)
+
+
+_MOVE_LOCAL_DEGREE = {
+    "cup": lambda a, b, N: -a * (N - a),
+    "cap": lambda a, b, N: -a * (N - a),
+    "saddle": lambda a, b, N: a * (N - a),
+    "zip": lambda a, b, N: a * b,
+    "unzip": lambda a, b, N: a * b,
+    "digon_cup": lambda a, b, N: -a * b,
+    "digon_cap": lambda a, b, N: -a * b,
+}
+
+
+def degree_incremental_reference(mov: Movie, N: int) -> int:
+    """Degree as the sum of the local degrees of the basic moves, each read
+    from the slice the move acts on."""
+    total = 0
+    webs = mov.slices()
+    for idx, mv in enumerate(mov.moves):
+        if isinstance(mv, Decorate):
+            total += _decoration_degree(mv.poly)
+        elif isinstance(mv, Cup):
+            total += _MOVE_LOCAL_DEGREE["cup"](mv.thickness, 0, N)
+        elif isinstance(mv, Cap):
+            a = webs[idx].edges[mv.edge].thickness
+            total += _MOVE_LOCAL_DEGREE["cap"](a, 0, N)
+        elif isinstance(mv, Saddle):
+            a = webs[idx].edges[mv.edge1].thickness
+            total += _MOVE_LOCAL_DEGREE["saddle"](a, 0, N)
+        elif isinstance(mv, Zip):
+            a = webs[idx].edges[mv.edge_a].thickness
+            b = webs[idx].edges[mv.edge_b].thickness
+            total += _MOVE_LOCAL_DEGREE["zip"](a, b, N)
+        elif isinstance(mv, Unzip):
+            t = webs[idx].edges[mv.thick_edge]
+            mvx = webs[idx].vertices[t.tail]
+            a = webs[idx].edges[mvx.ins[0]].thickness
+            b = webs[idx].edges[mvx.ins[1]].thickness
+            total += _MOVE_LOCAL_DEGREE["unzip"](a, b, N)
+        elif isinstance(mv, DigonCup):
+            total += _MOVE_LOCAL_DEGREE["digon_cup"](mv.a, mv.b, N)
+        elif isinstance(mv, DigonCap):
+            a = webs[idx].edges[mv.edge_a].thickness
+            b = webs[idx].edges[mv.edge_b].thickness
+            total += _MOVE_LOCAL_DEGREE["digon_cap"](a, b, N)
+    return total
+
+
+def apply_assoc_reference(w: Web, m: Assoc) -> Web:
+    """Reassociate two adjacent merge vertices across their middle edge."""
+    g = _get_edge(w, m.mid_edge)
+    if g.is_circle:
+        raise PatternMismatch("assoc middle edge must join two vertices")
+    v1 = _get_vertex(w, g.tail)
+    v2 = _get_vertex(w, g.head)
+    if v1.kind != "merge" or v2.kind != "merge":
+        raise PatternMismatch("assoc requires two merge vertices")
+    if v1.outs != (m.mid_edge,):
+        raise PatternMismatch("assoc: middle edge must be the full output of v1")
+    if m.mid_edge not in v2.ins:
+        raise PatternMismatch("assoc: middle edge must feed v2")
+    x_id, y_id = v1.ins
+    slot = v2.ins.index(m.mid_edge)
+    if slot == 0:
+        # (x+y)+z -> x+(y+z)
+        z_id = v2.ins[1]
+        new_g = Edge(m.out_mid, w.edges[y_id].thickness + w.edges[z_id].thickness,
+                     v1.id, v2.id)
+        nv1 = Vertex(v1.id, "merge", (y_id, z_id), (m.out_mid,))
+        nv2 = Vertex(v2.id, "merge", (x_id, m.out_mid), v2.outs)
+        moved, kept = z_id, x_id
+    else:
+        # z+(x+y) -> (z+x)+y ... mirror pattern with the middle in slot 1
+        z_id = v2.ins[0]
+        new_g = Edge(m.out_mid, w.edges[z_id].thickness + w.edges[x_id].thickness,
+                     v1.id, v2.id)
+        nv1 = Vertex(v1.id, "merge", (z_id, x_id), (m.out_mid,))
+        nv2 = Vertex(v2.id, "merge", (m.out_mid, y_id), v2.outs)
+        moved, kept = z_id, y_id
+    if moved in (x_id, y_id) or len({x_id, y_id, z_id}) != 3:
+        raise PatternMismatch("assoc requires three distinct thin edges")
+    new = w.with_changes(drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id],
+                         add_edges=[new_g], add_vertices=[nv1, nv2])
+    # the moved edge now ends at v1 instead of v2; the kept edge moves to v2
+    em = new.edges[moved]
+    new = Web(
+        {**new.edges, moved: Edge(em.id, em.thickness, em.tail, v1.id)},
+        new.vertices,
+    )
+    ek = new.edges[kept]
+    new = Web(
+        {**new.edges, kept: Edge(ek.id, ek.thickness, ek.tail, v2.id)},
+        new.vertices,
+    )
+    return new
+
+
+def apply_coassoc_reference(w: Web, m: Coassoc) -> Web:
+    """Reassociate two adjacent split vertices across their middle edge."""
+    g = _get_edge(w, m.mid_edge)
+    if g.is_circle:
+        raise PatternMismatch("coassoc middle edge must join two vertices")
+    v1 = _get_vertex(w, g.tail)
+    v2 = _get_vertex(w, g.head)
+    if v1.kind != "split" or v2.kind != "split":
+        raise PatternMismatch("coassoc requires two split vertices")
+    if v2.ins != (m.mid_edge,):
+        raise PatternMismatch("coassoc: middle edge must be the full input of v2")
+    if m.mid_edge not in v1.outs:
+        raise PatternMismatch("coassoc: middle edge must come from v1")
+    x_id, y_id = v2.outs
+    slot = v1.outs.index(m.mid_edge)
+    if slot == 0:
+        z_id = v1.outs[1]
+        new_g = Edge(m.out_mid, w.edges[y_id].thickness + w.edges[z_id].thickness,
+                     v1.id, v2.id)
+        nv1 = Vertex(v1.id, "split", v1.ins, (x_id, m.out_mid))
+        nv2 = Vertex(v2.id, "split", (m.out_mid,), (y_id, z_id))
+        moved, kept = z_id, x_id
+    else:
+        z_id = v1.outs[0]
+        new_g = Edge(m.out_mid, w.edges[z_id].thickness + w.edges[x_id].thickness,
+                     v1.id, v2.id)
+        nv1 = Vertex(v1.id, "split", v1.ins, (m.out_mid, y_id))
+        nv2 = Vertex(v2.id, "split", (m.out_mid,), (z_id, x_id))
+        moved, kept = z_id, y_id
+    if len({x_id, y_id, z_id}) != 3:
+        raise PatternMismatch("coassoc requires three distinct thin edges")
+    new = w.with_changes(drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id],
+                         add_edges=[new_g], add_vertices=[nv1, nv2])
+    em = new.edges[moved]
+    new = Web(
+        {**new.edges, moved: Edge(em.id, em.thickness, v2.id, em.head)},
+        new.vertices,
+    )
+    ek = new.edges[kept]
+    new = Web(
+        {**new.edges, kept: Edge(ek.id, ek.thickness, v1.id, ek.head)},
+        new.vertices,
+    )
+    return new

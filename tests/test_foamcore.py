@@ -7,11 +7,15 @@ the compiled topology on randomized corpora.
 """
 
 import gc
+import hashlib
 import importlib
+import itertools
+import json
 import random
 import sys
 import time
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -60,6 +64,8 @@ from foamlab.foamcore import (
 )
 from foamlab.polyring import ZZ, MultiPoly, symmetric_basis
 from oracle import (
+    apply_assoc_reference,
+    apply_coassoc_reference,
     bichrome_data_reference,
     colex_subsets_reference,
     enumerate_colorings_reference,
@@ -320,6 +326,133 @@ class TestMoves:
         w0 = b.web
         b.decorate(c, symmetric_basis("elementary", 1, ZZ, ("x1", "x2")))
         assert b.web == w0
+
+
+# ---------------------------------------------------------------------------
+# reassociation against the two-pattern references
+# ---------------------------------------------------------------------------
+
+
+def three_cup_webs():
+    """The merge/split webs of three cups of thickness 1-2, zipped as
+    (x+y)+z and as x+(y+z)."""
+    for thicknesses in itertools.product((1, 2), repeat=3):
+        for left in (True, False):
+            b = MovieBuilder()
+            x, y, z = (b.cup(t) for t in thicknesses)
+            if left:
+                b.zip(b.zip(x, y).thick_edge, z)
+            else:
+                b.zip(x, b.zip(y, z).thick_edge)
+            yield b.web
+
+
+def coassoc_webs():
+    """Hand-built webs, most of them invalid, around two split vertices
+    joined by ``g``: one per coassociation branch and per error text."""
+    edges = {
+        "a": Edge("a", 3, "p", "s1"),
+        "g": Edge("g", 2, "s1", "s2"),
+        "z": Edge("z", 1, "s1", "q"),
+        "x": Edge("x", 1, "s2", "q"),
+        "y": Edge("y", 1, "s2", "q"),
+        "c": Edge("c", 1, None, None),
+    }
+    s1 = Vertex("s1", "split", ("a",), ("g", "z"))
+    s2 = Vertex("s2", "split", ("g",), ("x", "y"))
+    for v1, v2 in (
+        (s1, s2),
+        (replace(s1, outs=("z", "g")), s2),
+        (s1, replace(s2, kind="merge")),
+        (s1, replace(s2, ins=("a",))),
+        (replace(s1, outs=("a", "z")), s2),
+        (s1, replace(s2, outs=("x", "z"))),
+    ):
+        yield Web(edges, {"s1": v1, "s2": v2})
+
+
+def turned_round(w):
+    kinds = {"merge": "split", "split": "merge"}
+    return Web(
+        {k: Edge(e.id, e.thickness, e.head, e.tail) for k, e in w.edges.items()},
+        {k: Vertex(v.id, kinds[v.kind], v.outs, v.ins) for k, v in w.vertices.items()},
+    )
+
+
+def reassociated(rule, w, m):
+    """The web ``rule`` makes, with its edge order, or the type and text of
+    the error it raised."""
+    try:
+        new = rule(w, m)
+    except (PatternMismatch, LookupError, ValueError) as exc:
+        return type(exc), str(exc)
+    return new, list(new.edges)
+
+
+REASSOC_TEXTS = {
+    Assoc: {
+        "assoc middle edge must join two vertices",
+        "assoc requires two merge vertices",
+        "assoc: middle edge must be the full output of v1",
+        "assoc: middle edge must feed v2",
+        "assoc requires three distinct thin edges",
+    },
+    Coassoc: {
+        "coassoc middle edge must join two vertices",
+        "coassoc requires two split vertices",
+        "coassoc: middle edge must be the full input of v2",
+        "coassoc: middle edge must come from v1",
+        "coassoc requires three distinct thin edges",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "move, reference", [(Assoc, apply_assoc_reference), (Coassoc, apply_coassoc_reference)]
+)
+class TestReassociationAgainstReference:
+    def test_every_edge_of_the_three_cup_webs(self, move, reference):
+        valid = 0
+        for w in three_cup_webs():
+            for e in w.edges:
+                m = move(e, "g")
+                got = reassociated(apply_move, w, m)
+                assert got == reassociated(reference, w, m), (w.edges, e)
+                if isinstance(got[0], Web):
+                    validate_web(got[0])
+                    valid += 1
+        assert valid == 16
+
+    def test_hand_built_webs_hit_every_error_text(self, move, reference):
+        webs = list(coassoc_webs())
+        if move is Assoc:
+            webs = [turned_round(w) for w in webs]
+        texts = set()
+        for w in webs:
+            for e in w.edges:
+                m = move(e, "h")
+                got = reassociated(apply_move, w, m)
+                assert got == reassociated(reference, w, m), (w.edges, w.vertices, e)
+                if got[0] is PatternMismatch:
+                    texts.add(got[1])
+        assert REASSOC_TEXTS[move] <= texts
+
+
+def test_assoc_movie_record_and_value_are_pinned():
+    """Digests taken from the two-pattern reassociation: the compiled record
+    and each coloring's value of the foam with one assoc and one coassoc."""
+    mov = assoc_movie()
+    record = json.dumps(compile_movie(mov).to_record(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == (
+        "52dbed740ffd8f82d8290498d0403027d7b6fd4c1d7216300e0f96dcbfc31c5c"
+    )
+    for N, digest in (
+        (3, "4cfc9d6e1dc11f4593e9c12a9c522c5c085244d1f3853ad4766a09fcfa46c190"),
+        (4, "05f535a6059b90545e670e7326a44decd774f3f5202930584710587c3b6d9c93"),
+    ):
+        result = evaluate(mov, N)
+        assert result.value.is_zero()
+        assert hashlib.sha256(repr(result.breakdown).encode()).hexdigest() == digest
 
 
 class TestMovieAlgebra:

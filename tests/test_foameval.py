@@ -51,6 +51,7 @@ from foamlab.foamcore import (
     MovieBuilder,
     SingularVertex,
     Web,
+    Zip,
     _components,
     _strip_decorations,
     compile_movie,
@@ -81,16 +82,27 @@ from foamlab.statespace import (
     zipped_presentation,
 )
 
-from oracle import colored_eval_reference, shape_value_reference, unfactored_value
+from oracle import (
+    colored_eval_reference,
+    degree_incremental_reference,
+    shape_value_reference,
+    unfactored_value,
+)
 from test_foamcore import (
     SEAM_COLORING,
     assoc_movie,
     membrane_bubble_movie,
     seam_complex,
     sphere_movie,
+    sphere_via_saddle,
     theta_movie,
     torus_movie,
 )
+
+
+def power_sum_p1(m):
+    """The first power sum in ``m`` variables, a bubble decoration."""
+    return symmetric_basis("power_sum", 1, ZZ, tuple(f"y{i}" for i in range(1, m + 1)))
 
 
 def X(N, i):
@@ -808,6 +820,16 @@ class TestDegree:
             for N in (2, 3):
                 assert degree(mov, N) == degree_incremental(mov, N)
 
+    def test_incremental_degree_matches_the_slice_walk(self):
+        movies = (
+            closed_corpus(seed=41, count=60, max_thickness=3)
+            + spherical_corpus(seed=43, count=60, max_thickness=3)
+            + [assoc_movie()]
+        )
+        for mov in movies:
+            for N in (3, 4, 5):
+                assert degree_incremental(mov, N) == degree_incremental_reference(mov, N), mov
+
     def test_trivially_decorated_degree_formula(self):
         for mov in closed_corpus(seed=37, count=15):
             undecorated = Movie(
@@ -868,6 +890,48 @@ class TestBubbles:
         R = symmetric_basis("power_sum", 1, ZZ, ("y1", "y2"))
         report = bubble_check(base, thin_edge, R, 3)
         assert report.ok, report.detail
+
+    def test_bubble_on_a_merged_circle(self):
+        # the saddle merges the two cups' facets into one sphere
+        base = sphere_via_saddle()
+        merged = base.moves[2].out1
+        for N in (2, 3):
+            R = power_sum_p1(N - 1)
+            report = bubble_check(base, merged, R, N)
+            assert report.ok, (N, report.detail)
+
+    def test_bubble_on_every_inner_slice_of_the_corpora(self):
+        checks = 0
+        movies = closed_corpus(5, 30, half_moves=4) + spherical_corpus(6, 20, half_moves=4)
+        for mov in movies:
+            for w in mov.slices()[1:-1]:
+                if not w.edges:
+                    continue
+                edge = min(w.edges)
+                a = w.edges[edge].thickness
+                for N in (2, 3):
+                    if N > a:
+                        report = bubble_check(mov, edge, power_sum_p1(N - a), N)
+                        assert report.ok, (mov, edge, N, report.detail)
+                        checks += 1
+        assert checks == 495
+
+    def test_with_bubble_draws_ids_past_a_taken_pool(self):
+        b = MovieBuilder()
+        cups = [b.cup(1, f"bub{k}") for k in range(1, 100)]
+        for c in cups:
+            b.cap(c)
+        base = b.movie()
+        mov = with_bubble(base, "bub1", power_sum_p1(1), 2)
+        mov.validate()
+        assert mov.moves[1:3] == (
+            Cup(1, "bub100"),
+            Zip("bub1", "bub100", "bub101", "bub102", "bub103",
+                "bub105", "bub105", "bub104", "bub104"),
+        )
+        # a full-thickness bubble is the identity and draws no id
+        empty = SymPoly(MultiPoly.const(ZZ, (), 1), (0,))
+        assert with_bubble(base, "bub1", empty, 1) is base
 
     def test_with_bubble_movie_is_valid(self):
         base = sphere_movie()
