@@ -99,8 +99,9 @@ class Web:
         add_edges: Iterable[Edge] = (),
         add_vertices: Iterable[Vertex] = (),
     ) -> "Web":
-        edges = {k: v for k, v in self.edges.items() if k not in set(drop_edges)}
-        vertices = {k: v for k, v in self.vertices.items() if k not in set(drop_vertices)}
+        drop_edges, drop_vertices = set(drop_edges), set(drop_vertices)
+        edges = {k: v for k, v in self.edges.items() if k not in drop_edges}
+        vertices = {k: v for k, v in self.vertices.items() if k not in drop_vertices}
         for e in add_edges:
             if e.id in edges:
                 raise PatternMismatch(f"edge id {e.id} already present")
@@ -373,9 +374,10 @@ def _reversed(w: Web) -> Web:
     )
 
 
-def _reassociate(w: Web, m: Assoc | Coassoc) -> Web:
-    """Reassociate two adjacent merge vertices across their middle edge,
-    reporting a mismatch in the texts of ``m``'s move."""
+def _reassoc_pattern(w: Web, m: Assoc | Coassoc) -> tuple[Vertex, Vertex, str, str, str]:
+    """The merge vertices ``v1`` and ``v2`` at the tail and head of
+    ``m.mid_edge``, the inputs ``x, y`` of ``v1`` and the other input ``z``
+    of ``v2``, reporting a mismatch in the texts of ``m``'s move."""
     text = _REASSOC_TEXTS[type(m)]
     g = _get_edge(w, m.mid_edge)
     if g.is_circle:
@@ -389,18 +391,24 @@ def _reassociate(w: Web, m: Assoc | Coassoc) -> Web:
     if m.mid_edge not in v2.ins:
         raise PatternMismatch(text[3])
     x_id, y_id = v1.ins
+    z_id = v2.ins[1] if v2.ins[0] == m.mid_edge else v2.ins[0]
+    if len({x_id, y_id, z_id}) != 3:
+        raise PatternMismatch(text[4])
+    return v1, v2, x_id, y_id, z_id
+
+
+def _reassociate(w: Web, m: Assoc | Coassoc) -> Web:
+    """Reassociate two adjacent merge vertices across their middle edge,
+    reporting a mismatch in the texts of ``m``'s move."""
+    v1, v2, x_id, y_id, z_id = _reassoc_pattern(w, m)
     if v2.ins[0] == m.mid_edge:
         # (x+y)+z -> x+(y+z)
-        z_id = v2.ins[1]
         ins1, ins2, kept = (y_id, z_id), (x_id, m.out_mid), x_id
     else:
         # z+(x+y) -> (z+x)+y
-        z_id = v2.ins[0]
         ins1, ins2, kept = (z_id, x_id), (m.out_mid, y_id), y_id
     new_g = Edge(m.out_mid, w.edges[ins1[0]].thickness + w.edges[ins1[1]].thickness,
                  v1.id, v2.id)
-    if len({x_id, y_id, z_id}) != 3:
-        raise PatternMismatch(text[4])
     new = w.with_changes(
         drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id], add_edges=[new_g],
         add_vertices=[Vertex(v1.id, "merge", ins1, (m.out_mid,)),
@@ -411,6 +419,81 @@ def _reassociate(w: Web, m: Assoc | Coassoc) -> Web:
     edges[z_id] = replace(edges[z_id], head=v1.id)
     edges[kept] = replace(edges[kept], head=v2.id)
     return Web(edges, new.vertices)
+
+
+def _unzip_pattern(w: Web, thick_edge: str) -> tuple[Vertex, Vertex]:
+    """The merge and the split vertex that an unzip of ``thick_edge``
+    removes; their slots pair the merge's inputs with the split's outputs."""
+    t = _get_edge(w, thick_edge)
+    if t.is_circle:
+        raise PatternMismatch("unzip requires an edge between two vertices")
+    mv = _get_vertex(w, t.tail)
+    sv = _get_vertex(w, t.head)
+    if mv.kind != "merge" or sv.kind != "split":
+        raise PatternMismatch("unzip requires a merge-to-split edge")
+    if mv.outs != (thick_edge,) or sv.ins != (thick_edge,):
+        raise PatternMismatch("unzip pattern does not match")
+    if [w.edges[e].thickness for e in mv.ins] != [w.edges[e].thickness for e in sv.outs]:
+        raise PatternMismatch("unzip slot thicknesses do not match")
+    return mv, sv
+
+
+def _digon_pattern(w: Web, edge_a: str, edge_b: str) -> tuple[Vertex, Vertex]:
+    """The split and the merge vertex between which ``edge_a`` and
+    ``edge_b`` run side by side, in that slot order: the digon a digon-cap
+    removes."""
+    da = _get_edge(w, edge_a)
+    db = _get_edge(w, edge_b)
+    if da.tail != db.tail or da.head != db.head or da.tail is None:
+        raise PatternMismatch("digon-cap requires a parallel digon pair")
+    sv = _get_vertex(w, da.tail)
+    mv = _get_vertex(w, da.head)
+    if sv.kind != "split" or mv.kind != "merge":
+        raise PatternMismatch("digon-cap requires split-to-merge digon")
+    if sv.outs != (edge_a, edge_b) or mv.ins != (edge_a, edge_b):
+        raise PatternMismatch("digon-cap slot order does not match")
+    return sv, mv
+
+
+Fixup = tuple[str, str, str | None]  # (old edge, new edge, vertex whose slots change)
+
+
+def _cut(
+    e: Edge, first: str, second: str, into: str, out_of: str, move: str
+) -> tuple[list[Edge], list[Fixup]]:
+    """The arcs that replace ``e`` when ``move`` cuts it open, and their
+    fix-ups: ``first`` runs from ``e``'s tail into the vertex ``into`` and
+    ``second`` from the vertex ``out_of`` to ``e``'s head.  A circle
+    becomes the one arc ``first`` from ``out_of`` round to ``into``."""
+    if e.is_circle:
+        if first != second:
+            raise PatternMismatch(f"{move} on a circle must reuse one arc id")
+        return [Edge(first, e.thickness, out_of, into)], []
+    return (
+        [Edge(first, e.thickness, e.tail, into), Edge(second, e.thickness, out_of, e.head)],
+        [(e.id, first, e.tail), (e.id, second, e.head)],
+    )
+
+
+def _rejoin(w: Web, lo: str, hi: str, out: str) -> tuple[Edge, list[Fixup]]:
+    """The edge ``out`` that joins ``lo``, which ran into a vertex being
+    removed, to ``hi``, which ran out of one, and its fix-ups; a circle
+    when ``lo`` and ``hi`` are one edge."""
+    a, b = w.edges[lo], w.edges[hi]
+    if lo == hi:
+        return Edge(out, a.thickness, None, None), []
+    return Edge(out, a.thickness, a.tail, b.head), [(lo, out, a.tail), (hi, out, b.head)]
+
+
+def _rewired(w: Web, fixups: list[Fixup], **changes) -> Web:
+    """``w`` with ``changes`` made, then each fix-up ``(old, new, v)``
+    applied: the slots of vertex ``v`` hold ``new`` where they held
+    ``old``."""
+    new = w.with_changes(**changes)
+    for old, fresh, at in fixups:
+        if at is not None:
+            new = new.replace_edge_endpoint_refs(old, fresh, [at])
+    return new
 
 
 def apply_move(w: Web, m: BasicMove) -> Web:
@@ -482,73 +565,24 @@ def apply_move(w: Web, m: BasicMove) -> Web:
             raise PatternMismatch("zip requires two distinct edges")
         ea = _get_edge(w, m.edge_a)
         eb = _get_edge(w, m.edge_b)
-        tha, thb = ea.thickness, eb.thickness
-        merge = Vertex(m.merge_v, "merge", (m.out_a1, m.out_b1), (m.thick_edge,))
-        split = Vertex(m.split_v, "split", (m.thick_edge,), (m.out_a2, m.out_b2))
-        thick = Edge(m.thick_edge, tha + thb, m.merge_v, m.split_v)
-        new_edges = [thick]
-        drop = [m.edge_a, m.edge_b]
-        fixups = []
-        if ea.is_circle:
-            # the remaining arc runs from the split back around to the merge
-            if m.out_a1 != m.out_a2:
-                raise PatternMismatch("zip on a circle must reuse one arc id")
-            new_edges.append(Edge(m.out_a1, tha, m.split_v, m.merge_v))
-        else:
-            new_edges.append(Edge(m.out_a1, tha, ea.tail, m.merge_v))
-            new_edges.append(Edge(m.out_a2, tha, m.split_v, ea.head))
-            fixups.append((m.edge_a, m.out_a1, ea.tail))
-            fixups.append((m.edge_a, m.out_a2, ea.head))
-        if eb.is_circle:
-            if m.out_b1 != m.out_b2:
-                raise PatternMismatch("zip on a circle must reuse one arc id")
-            new_edges.append(Edge(m.out_b1, thb, m.split_v, m.merge_v))
-        else:
-            new_edges.append(Edge(m.out_b1, thb, eb.tail, m.merge_v))
-            new_edges.append(Edge(m.out_b2, thb, m.split_v, eb.head))
-            fixups.append((m.edge_b, m.out_b1, eb.tail))
-            fixups.append((m.edge_b, m.out_b2, eb.head))
-        new = w.with_changes(
-            drop_edges=drop, add_edges=new_edges, add_vertices=[merge, split]
+        arcs_a, fix_a = _cut(ea, m.out_a1, m.out_a2, m.merge_v, m.split_v, "zip")
+        arcs_b, fix_b = _cut(eb, m.out_b1, m.out_b2, m.merge_v, m.split_v, "zip")
+        thick = Edge(m.thick_edge, ea.thickness + eb.thickness, m.merge_v, m.split_v)
+        return _rewired(
+            w, fix_a + fix_b, drop_edges=[m.edge_a, m.edge_b],
+            add_edges=[thick, *arcs_a, *arcs_b],
+            add_vertices=[Vertex(m.merge_v, "merge", (m.out_a1, m.out_b1), (m.thick_edge,)),
+                          Vertex(m.split_v, "split", (m.thick_edge,), (m.out_a2, m.out_b2))],
         )
-        for old, fresh, at in fixups:
-            new = new.replace_edge_endpoint_refs(old, fresh, [at])
-        return new
 
     if isinstance(m, Unzip):
-        t = _get_edge(w, m.thick_edge)
-        if t.is_circle:
-            raise PatternMismatch("unzip requires an edge between two vertices")
-        mv = _get_vertex(w, t.tail)
-        sv = _get_vertex(w, t.head)
-        if mv.kind != "merge" or sv.kind != "split":
-            raise PatternMismatch("unzip requires a merge-to-split edge")
-        if mv.outs != (m.thick_edge,) or sv.ins != (m.thick_edge,):
-            raise PatternMismatch("unzip pattern does not match")
-        a1, b1 = mv.ins
-        a2, b2 = sv.outs
-        ea1, eb1 = w.edges[a1], w.edges[b1]
-        ea2, eb2 = w.edges[a2], w.edges[b2]
-        if ea1.thickness != ea2.thickness or eb1.thickness != eb2.thickness:
-            raise PatternMismatch("unzip slot thicknesses do not match")
-        drop = {m.thick_edge, a1, b1, a2, b2}
-        add = []
-        fixups = []
-        for lo, hi, out in ((ea1, ea2, m.out_a), (eb1, eb2, m.out_b)):
-            if lo.id == hi.id:
-                # the thin edge loops from split back to merge: it closes up
-                add.append(Edge(out, lo.thickness, None, None))
-            else:
-                add.append(Edge(out, lo.thickness, lo.tail, hi.head))
-                fixups.append((lo.id, out, lo.tail))
-                fixups.append((hi.id, out, hi.head))
-        new = w.with_changes(
-            drop_edges=drop, drop_vertices=[mv.id, sv.id], add_edges=add
+        mv, sv = _unzip_pattern(w, m.thick_edge)
+        out_a, fix_a = _rejoin(w, mv.ins[0], sv.outs[0], m.out_a)
+        out_b, fix_b = _rejoin(w, mv.ins[1], sv.outs[1], m.out_b)
+        return _rewired(
+            w, fix_a + fix_b, drop_edges={m.thick_edge, *mv.ins, *sv.outs},
+            drop_vertices=[mv.id, sv.id], add_edges=[out_a, out_b],
         )
-        for old, fresh, at in fixups:
-            if at is not None:
-                new = new.replace_edge_endpoint_refs(old, fresh, [at])
-        return new
 
     if isinstance(m, DigonCup):
         e = _get_edge(w, m.edge)
@@ -556,56 +590,23 @@ def apply_move(w: Web, m: BasicMove) -> Web:
             raise PatternMismatch(
                 f"digon-cup on {m.edge}: thickness {e.thickness} != {m.a}+{m.b}"
             )
-        split = Vertex(m.split_v, "split", (m.out_low,), (m.edge_a, m.edge_b))
-        merge = Vertex(m.merge_v, "merge", (m.edge_a, m.edge_b), (m.out_high,))
-        da = Edge(m.edge_a, m.a, m.split_v, m.merge_v)
-        db = Edge(m.edge_b, m.b, m.split_v, m.merge_v)
-        add = [da, db]
-        fixups = []
-        if e.is_circle:
-            if m.out_low != m.out_high:
-                raise PatternMismatch("digon-cup on a circle must reuse one arc id")
-            add.append(Edge(m.out_low, e.thickness, m.merge_v, m.split_v))
-        else:
-            add.append(Edge(m.out_low, e.thickness, e.tail, m.split_v))
-            add.append(Edge(m.out_high, e.thickness, m.merge_v, e.head))
-            fixups.append((m.edge, m.out_low, e.tail))
-            fixups.append((m.edge, m.out_high, e.head))
-        new = w.with_changes(
-            drop_edges=[m.edge], add_edges=add, add_vertices=[split, merge]
+        arcs, fixups = _cut(e, m.out_low, m.out_high, m.split_v, m.merge_v, "digon-cup")
+        return _rewired(
+            w, fixups, drop_edges=[m.edge],
+            add_edges=[Edge(m.edge_a, m.a, m.split_v, m.merge_v),
+                       Edge(m.edge_b, m.b, m.split_v, m.merge_v), *arcs],
+            add_vertices=[Vertex(m.split_v, "split", (m.out_low,), (m.edge_a, m.edge_b)),
+                          Vertex(m.merge_v, "merge", (m.edge_a, m.edge_b), (m.out_high,))],
         )
-        for old, fresh, at in fixups:
-            new = new.replace_edge_endpoint_refs(old, fresh, [at])
-        return new
 
     if isinstance(m, DigonCap):
-        da = _get_edge(w, m.edge_a)
-        db = _get_edge(w, m.edge_b)
-        if da.tail != db.tail or da.head != db.head or da.tail is None:
-            raise PatternMismatch("digon-cap requires a parallel digon pair")
-        sv = _get_vertex(w, da.tail)
-        mv = _get_vertex(w, da.head)
-        if sv.kind != "split" or mv.kind != "merge":
-            raise PatternMismatch("digon-cap requires split-to-merge digon")
-        if sv.outs != (m.edge_a, m.edge_b) or mv.ins != (m.edge_a, m.edge_b):
-            raise PatternMismatch("digon-cap slot order does not match")
-        lo = w.edges[sv.ins[0]]
-        hi = w.edges[mv.outs[0]]
-        drop = {m.edge_a, m.edge_b, lo.id, hi.id}
-        fixups = []
-        if lo.id == hi.id:
-            add = [Edge(m.out_edge, lo.thickness, None, None)]
-        else:
-            add = [Edge(m.out_edge, lo.thickness, lo.tail, hi.head)]
-            fixups.append((lo.id, m.out_edge, lo.tail))
-            fixups.append((hi.id, m.out_edge, hi.head))
-        new = w.with_changes(
-            drop_edges=drop, drop_vertices=[sv.id, mv.id], add_edges=add
+        sv, mv = _digon_pattern(w, m.edge_a, m.edge_b)
+        lo, hi = sv.ins[0], mv.outs[0]
+        out, fixups = _rejoin(w, lo, hi, m.out_edge)
+        return _rewired(
+            w, fixups, drop_edges={m.edge_a, m.edge_b, lo, hi},
+            drop_vertices=[sv.id, mv.id], add_edges=[out],
         )
-        for old, fresh, at in fixups:
-            if at is not None:
-                new = new.replace_edge_endpoint_refs(old, fresh, [at])
-        return new
 
     if isinstance(m, Assoc):
         return _reassociate(w, m)
@@ -816,16 +817,18 @@ def compose(a: Movie, b: Movie) -> Movie:
 def mirror(m: Movie) -> Movie:
     """Time-reverse a movie: each move is replaced by its reverse.
 
-    The reversal swaps cup/cap, zip/unzip and digon-cup/digon-cap; a saddle
-    reverses to a saddle and a reassociation to the reassociation of the
-    rewired pattern (the web arrows themselves are unchanged).  Decorations
-    are preserved on the same facet.
+    The reversal swaps cup/cap, zip/unzip and digon-cup/digon-cap, reading
+    an unzip's or digon-cap's vertices and slots from the slice before it
+    with the pattern readers of :func:`apply_move`.  A saddle reverses to a
+    saddle, and a reassociation to the same move on its new middle edge,
+    which gives back the old middle edge's id.  Decorations are preserved
+    on the same facet.
     """
     webs = m.slices()
     rev: list[BasicMove] = []
     for idx in range(len(m.moves) - 1, -1, -1):
         mv = m.moves[idx]
-        before, after = webs[idx], webs[idx + 1]
+        before = webs[idx]
         if isinstance(mv, (Decorate, Isotopy)):
             rev.append(mv)
         elif isinstance(mv, Cup):
@@ -847,33 +850,20 @@ def mirror(m: Movie) -> Movie:
         elif isinstance(mv, Zip):
             rev.append(Unzip(mv.thick_edge, mv.edge_a, mv.edge_b))
         elif isinstance(mv, Unzip):
-            t = before.edges[mv.thick_edge]
-            mvx = before.vertices[t.tail]
-            svx = before.vertices[t.head]
-            a1, b1 = mvx.ins
-            a2, b2 = svx.outs
-            rev.append(
-                Zip(mv.out_a, mv.out_b, t.tail, t.head, mv.thick_edge, a1, a2, b1, b2)
-            )
+            mvx, svx = _unzip_pattern(before, mv.thick_edge)
+            (a1, b1), (a2, b2) = mvx.ins, svx.outs
+            rev.append(Zip(mv.out_a, mv.out_b, mvx.id, svx.id, mv.thick_edge, a1, a2, b1, b2))
         elif isinstance(mv, DigonCup):
             rev.append(DigonCap(mv.edge_a, mv.edge_b, mv.edge))
         elif isinstance(mv, DigonCap):
-            da = before.edges[mv.edge_a]
-            db = before.edges[mv.edge_b]
-            sv = da.tail
-            mvv = da.head
-            low = before.vertices[sv].ins[0]
-            high = before.vertices[mvv].outs[0]
-            rev.append(
-                DigonCup(
-                    mv.out_edge, da.thickness, db.thickness, sv, mvv,
-                    mv.edge_a, mv.edge_b, low, high,
-                )
-            )
-        elif isinstance(mv, Assoc):
-            rev.append(Assoc(mv.out_mid, mv.mid_edge))
-        elif isinstance(mv, Coassoc):
-            rev.append(Coassoc(mv.out_mid, mv.mid_edge))
+            svx, mvx = _digon_pattern(before, mv.edge_a, mv.edge_b)
+            rev.append(DigonCup(
+                mv.out_edge, before.edges[mv.edge_a].thickness,
+                before.edges[mv.edge_b].thickness, svx.id, mvx.id,
+                mv.edge_a, mv.edge_b, svx.ins[0], mvx.outs[0],
+            ))
+        elif isinstance(mv, (Assoc, Coassoc)):
+            rev.append(type(mv)(mv.out_mid, mv.mid_edge))
         else:
             raise PatternMismatch(f"cannot mirror {mv!r}")
     return Movie(m.output_web, tuple(rev))
@@ -1044,7 +1034,8 @@ def compile_movie(mov: Movie) -> FoamComplex:
     n_bind = 0
     binding_of_vertex: dict[str, str] = {}
 
-    def new_binding(segment: tuple[str, str, str], ends: Iterable[str]) -> str:
+    def new_binding(segment: tuple[str, str, str], *ends: str) -> str:
+        """A binding with one segment, open at the web vertices ``ends``."""
         nonlocal n_bind
         n_bind += 1
         bid = f"b{n_bind:04d}"
@@ -1053,24 +1044,23 @@ def compile_movie(mov: Movie) -> FoamComplex:
         rec.segments.append(segment)
         rec.open_ends |= set(ends)
         brecs[bid] = rec
+        for v in ends:
+            binding_of_vertex[v] = bid
         return bid
 
-    def binding_join(b1: str, b2: str, segment: tuple[str, str, str], drop_ends) -> None:
-        r1, r2 = buf.find(b1), buf.find(b2)
-        if r1 == r2:
-            rec = brecs[r1]
-            rec.segments.append(segment)
-            rec.open_ends -= set(drop_ends)
-        else:
-            root = buf.union(r1, r2)
-            other = r2 if root == r1 else r1
-            rec, o = brecs[root], brecs[other]
+    def binding_join(segment: tuple[str, str, str], u: str, v: str) -> None:
+        """Close the seam between the web vertices ``u`` and ``v`` with
+        ``segment``, joining the bindings open at them."""
+        r1, r2 = buf.find(binding_of_vertex.pop(u)), buf.find(binding_of_vertex.pop(v))
+        root = buf.union(r1, r2)
+        rec = brecs[root]
+        if r1 != r2:
+            o = brecs.pop(r2 if root == r1 else r1)
             rec.segments += o.segments
             rec.endpoints += o.endpoints
             rec.open_ends |= o.open_ends
-            rec.segments.append(segment)
-            rec.open_ends -= set(drop_ends)
-            del brecs[other]
+        rec.segments.append(segment)
+        rec.open_ends -= {u, v}
 
     # seed boundary seam arcs for vertices already present in the input web
     for v in webs[0].vertices.values():
@@ -1080,43 +1070,50 @@ def compile_movie(mov: Movie) -> FoamComplex:
         else:
             et = v.ins[0]
             ea, eb = v.outs
-        binding_of_vertex[v.id] = new_binding(
-            (facet_of[ea], facet_of[eb], facet_of[et]), (v.id,)
-        )
+        new_binding((facet_of[ea], facet_of[eb], facet_of[et]), v.id)
 
     sing: dict[str, SingularVertex] = {}
     n_sing = 0
     traces: list[MoveTrace] = []
     snapshots: list[dict[str, str]] = [dict(facet_of)]
+    taken: set[str] = set()  # the edges the current move consumes
+
+    # A move takes every edge it consumes before it gives any edge out, so
+    # an output may reuse the id of an edge the move consumes.
+    def take(e: str) -> str:
+        taken.add(e)
+        return facet_of.pop(e)
+
+    def die(e: str) -> str:
+        """The facet of a consumed edge that the move closes off."""
+        lbl = take(e)
+        bump(lbl, +1)
+        return lbl
+
+    def born(e: str, thickness: int) -> str:
+        """A new facet for the output edge ``e``."""
+        lbl = new_facet(thickness)
+        facet_of[e] = lbl
+        bump(lbl, +1)
+        return lbl
+
+    def rejoin(lo: str, hi: str) -> str:
+        """The facet of the edges ``lo`` and ``hi`` that the move joins."""
+        lbl = take(lo)
+        return lbl if lo == hi else uf.union(lbl, take(hi))
+
+    def keep(lbl: str, circle: bool, *outs: str) -> None:
+        """The output edges ``outs`` of a cut or rejoined edge keep facet
+        ``lbl``; its slab piece counts 0 when a circle sweeps it and 1 when
+        an interval does."""
+        for out in outs:
+            facet_of[out] = lbl
+        bump(lbl, 0 if circle else 1)
 
     for t, mv in enumerate(mov.moves):
         before = webs[t]
         after = webs[t + 1]
-
-        consumed: set[str] = set()
-        if isinstance(mv, Cap):
-            consumed = {mv.edge}
-        elif isinstance(mv, Saddle):
-            consumed = {mv.edge1, mv.edge2}
-        elif isinstance(mv, Zip):
-            consumed = {mv.edge_a, mv.edge_b}
-        elif isinstance(mv, Unzip):
-            tke = before.edges[mv.thick_edge]
-            mvx, svx = before.vertices[tke.tail], before.vertices[tke.head]
-            consumed = {mv.thick_edge, *mvx.ins, *svx.outs}
-        elif isinstance(mv, DigonCup):
-            consumed = {mv.edge}
-        elif isinstance(mv, DigonCap):
-            da = before.edges[mv.edge_a]
-            svx, mvx = before.vertices[da.tail], before.vertices[da.head]
-            consumed = {mv.edge_a, mv.edge_b, svx.ins[0], mvx.outs[0]}
-        elif isinstance(mv, (Assoc, Coassoc)):
-            consumed = {mv.mid_edge}
-
-        # slab product contributions of unchanged edges
-        for e in before.edges.values():
-            if e.id not in consumed and not e.is_circle:
-                bump(facet_of[e.id], +1)
+        taken.clear()
 
         # move-local contributions and facet tracking
         if isinstance(mv, (Decorate, Isotopy)):
@@ -1127,20 +1124,13 @@ def compile_movie(mov: Movie) -> FoamComplex:
             else:
                 traces.append(MoveTrace("isotopy", t))
         elif isinstance(mv, Cup):
-            lbl = new_facet(mv.thickness)
-            facet_of[mv.out_edge] = lbl
-            bump(lbl, +1)
-            traces.append(MoveTrace("cup", t, (lbl,), (mv.thickness,)))
+            traces.append(MoveTrace("cup", t, (born(mv.out_edge, mv.thickness),),
+                                    (mv.thickness,)))
         elif isinstance(mv, Cap):
-            lbl = facet_of.pop(mv.edge)
-            bump(lbl, +1)
-            traces.append(MoveTrace("cap", t, (lbl,), (before.edges[mv.edge].thickness,)))
+            traces.append(MoveTrace("cap", t, (die(mv.edge),),
+                                    (before.edges[mv.edge].thickness,)))
         elif isinstance(mv, Saddle):
-            e1 = before.edges[mv.edge1]
-            e2 = before.edges[mv.edge2]
-            l1 = facet_of.pop(mv.edge1)
-            l2 = facet_of.pop(mv.edge2, l1)
-            root = uf.union(l1, l2)
+            root = rejoin(mv.edge1, mv.edge2)
             outs = [
                 out
                 for out in (mv.out1, mv.out2)
@@ -1150,151 +1140,82 @@ def compile_movie(mov: Movie) -> FoamComplex:
             bump(root, sum(1 for o in outs if not after.edges[o].is_circle) - 1)
             for out in outs:
                 facet_of[out] = root
-            traces.append(MoveTrace("saddle", t, (root,), (e1.thickness,)))
+            traces.append(MoveTrace("saddle", t, (root,), (before.edges[mv.edge1].thickness,)))
         elif isinstance(mv, Zip):
             ea = before.edges[mv.edge_a]
             eb = before.edges[mv.edge_b]
-            fa = facet_of.pop(mv.edge_a)
-            fb = facet_of.pop(mv.edge_b)
-            ft = new_facet(ea.thickness + eb.thickness)
-            facet_of[mv.thick_edge] = ft
-            for out in (mv.out_a1, mv.out_a2):
-                facet_of[out] = fa
-            for out in (mv.out_b1, mv.out_b2):
-                facet_of[out] = fb
-            bump(fa, 0 if ea.is_circle else 1)
-            bump(fb, 0 if eb.is_circle else 1)
-            bump(ft, +1)
-            bid = new_binding((fa, fb, ft), (mv.merge_v, mv.split_v))
-            binding_of_vertex[mv.merge_v] = bid
-            binding_of_vertex[mv.split_v] = bid
+            fa, fb = take(mv.edge_a), take(mv.edge_b)
+            ft = born(mv.thick_edge, ea.thickness + eb.thickness)
+            keep(fa, ea.is_circle, mv.out_a1, mv.out_a2)
+            keep(fb, eb.is_circle, mv.out_b1, mv.out_b2)
+            new_binding((fa, fb, ft), mv.merge_v, mv.split_v)
             traces.append(MoveTrace("zip", t, (fa, fb, ft),
                                     (ea.thickness, eb.thickness)))
         elif isinstance(mv, Unzip):
-            tke = before.edges[mv.thick_edge]
-            mvx = before.vertices[tke.tail]
-            svx = before.vertices[tke.head]
-            a1, b1 = mvx.ins
-            a2, b2 = svx.outs
-            ft = facet_of.pop(mv.thick_edge)
-            la1 = facet_of.pop(a1)
-            fa = la1 if a1 == a2 else uf.union(la1, facet_of.pop(a2))
-            lb1 = facet_of.pop(b1)
-            fb = lb1 if b1 == b2 else uf.union(lb1, facet_of.pop(b2))
-            facet_of[mv.out_a] = fa
-            facet_of[mv.out_b] = fb
-            bump(fa, 0 if after.edges[mv.out_a].is_circle else 1)
-            bump(fb, 0 if after.edges[mv.out_b].is_circle else 1)
-            bump(ft, +1)
-            binding_join(
-                binding_of_vertex.pop(tke.tail),
-                binding_of_vertex.pop(tke.head),
-                (fa, fb, ft),
-                (tke.tail, tke.head),
-            )
+            mvx, svx = _unzip_pattern(before, mv.thick_edge)
+            (a1, b1), (a2, b2) = mvx.ins, svx.outs
+            ft, fa, fb = die(mv.thick_edge), rejoin(a1, a2), rejoin(b1, b2)
+            keep(fa, a1 == a2, mv.out_a)
+            keep(fb, b1 == b2, mv.out_b)
+            binding_join((fa, fb, ft), mvx.id, svx.id)
             traces.append(MoveTrace("unzip", t, (fa, fb, ft),
                                     (before.edges[a1].thickness, before.edges[b1].thickness)))
         elif isinstance(mv, DigonCup):
             e = before.edges[mv.edge]
-            ft = facet_of.pop(mv.edge)
-            fa = new_facet(mv.a)
-            fb = new_facet(mv.b)
-            facet_of[mv.edge_a] = fa
-            facet_of[mv.edge_b] = fb
-            for out in (mv.out_low, mv.out_high):
-                facet_of[out] = ft
-            bump(ft, 0 if e.is_circle else 1)
-            bump(fa, +1)
-            bump(fb, +1)
-            bid = new_binding((fa, fb, ft), (mv.split_v, mv.merge_v))
-            binding_of_vertex[mv.split_v] = bid
-            binding_of_vertex[mv.merge_v] = bid
+            ft = take(mv.edge)
+            fa, fb = born(mv.edge_a, mv.a), born(mv.edge_b, mv.b)
+            keep(ft, e.is_circle, mv.out_low, mv.out_high)
+            new_binding((fa, fb, ft), mv.split_v, mv.merge_v)
             traces.append(MoveTrace("digon_cup", t, (fa, fb, ft), (mv.a, mv.b)))
         elif isinstance(mv, DigonCap):
-            da = before.edges[mv.edge_a]
-            db = before.edges[mv.edge_b]
-            svx = before.vertices[da.tail]
-            mvx = before.vertices[da.head]
+            svx, mvx = _digon_pattern(before, mv.edge_a, mv.edge_b)
             lo, hi = svx.ins[0], mvx.outs[0]
-            fa = facet_of.pop(mv.edge_a)
-            fb = facet_of.pop(mv.edge_b)
-            if lo == hi:
-                ft = facet_of.pop(lo)
-            else:
-                ft = uf.union(facet_of.pop(lo), facet_of.pop(hi))
-            facet_of[mv.out_edge] = ft
-            bump(fa, +1)
-            bump(fb, +1)
-            bump(ft, 0 if after.edges[mv.out_edge].is_circle else 1)
-            binding_join(
-                binding_of_vertex.pop(da.tail),
-                binding_of_vertex.pop(da.head),
-                (fa, fb, ft),
-                (da.tail, da.head),
-            )
+            fa, fb, ft = die(mv.edge_a), die(mv.edge_b), rejoin(lo, hi)
+            keep(ft, lo == hi, mv.out_edge)
+            binding_join((fa, fb, ft), svx.id, mvx.id)
             traces.append(MoveTrace("digon_cap", t, (fa, fb, ft),
-                                    (da.thickness, db.thickness)))
+                                    (before.edges[mv.edge_a].thickness,
+                                     before.edges[mv.edge_b].thickness)))
         elif isinstance(mv, (Assoc, Coassoc)):
-            g = before.edges[mv.mid_edge]
-            v1 = before.vertices[g.tail]
-            v2 = before.vertices[g.head]
-            f_old = facet_of.pop(mv.mid_edge)
-            f_new = new_facet(after.edges[mv.out_mid].thickness)
-            facet_of[mv.out_mid] = f_new
-            bump(f_old, +1)
-            bump(f_new, +1)
-            if isinstance(mv, Assoc):
-                x_id, y_id = v1.ins
-                slot = v2.ins.index(mv.mid_edge)
-                z_id = v2.ins[1 - slot]
-                w_id = v2.outs[0]
-                av1 = after.vertices[v1.id]
-                av2 = after.vertices[v2.id]
-                seg_v1 = (facet_of[av1.ins[0]], facet_of[av1.ins[1]], f_new)
-                seg_v2 = (facet_of[av2.ins[0]], facet_of[av2.ins[1]], facet_of[w_id])
-            else:
-                x_id, y_id = v2.outs
-                slot = v1.outs.index(mv.mid_edge)
-                z_id = v1.outs[1 - slot]
-                w_id = v1.ins[0]
-                av1 = after.vertices[v1.id]
-                av2 = after.vertices[v2.id]
-                seg_v1 = (facet_of[av1.outs[0]], facet_of[av1.outs[1]], facet_of[w_id])
-                seg_v2 = (facet_of[av2.outs[0]], facet_of[av2.outs[1]], f_new)
+            # coassociation is association on the slices with every arrow
+            # turned round, where the middle edge runs from v2 to v1
+            turned = isinstance(mv, Coassoc)
+            rb, ra = (_reversed(before), _reversed(after)) if turned else (before, after)
+            v1, v2, x_id, y_id, z_id = _reassoc_pattern(rb, mv)
+            w_id = v2.outs[0]
+            f_old = die(mv.mid_edge)
+            f_new = born(mv.out_mid, after.edges[mv.out_mid].thickness)
+            seg_v1 = (*(facet_of[e] for e in ra.vertices[v1.id].ins), f_new)
+            seg_v2 = (*(facet_of[e] for e in ra.vertices[v2.id].ins), facet_of[w_id])
+            # bindings are numbered from the middle edge's tail in the movie
+            ends = [(v1.id, seg_v1), (v2.id, seg_v2)]
+            if turned:
+                ends.reverse()
             n_sing += 1
             sid = f"s{n_sing:04d}"
-            b1 = binding_of_vertex.pop(v1.id)
-            b2 = binding_of_vertex.pop(v2.id)
-            for b in (b1, b2):
+            old = [binding_of_vertex.pop(v) for v, _ in ends]
+            for b in old:
                 rec = brecs[buf.find(b)]
                 rec.open_ends -= {v1.id, v2.id}
                 rec.endpoints.append(sid)
-            nb1 = new_binding(seg_v1, (v1.id,))
-            brecs[nb1].endpoints.append(sid)
-            nb2 = new_binding(seg_v2, (v2.id,))
-            brecs[nb2].endpoints.append(sid)
-            binding_of_vertex[v1.id] = nb1
-            binding_of_vertex[v2.id] = nb2
-            thin = sorted(
-                (
-                    before.edges[x_id].thickness,
-                    before.edges[y_id].thickness,
-                    before.edges[z_id].thickness,
-                )
-            )
+            new = [new_binding(seg, v) for v, seg in ends]
+            for b in new:
+                brecs[b].endpoints.append(sid)
+            thin = sorted(before.edges[e].thickness for e in (x_id, y_id, z_id))
             sing[sid] = SingularVertex(
                 sid,
-                (
-                    facet_of[x_id], facet_of[y_id], facet_of[z_id],
-                    facet_of[w_id] if w_id in facet_of else uf.find(f_old),
-                    f_old, f_new,
-                ),
-                (buf.find(b1), buf.find(b2), nb1, nb2),
+                (facet_of[x_id], facet_of[y_id], facet_of[z_id], facet_of[w_id], f_old, f_new),
+                (*(buf.find(b) for b in old), *new),
                 tuple(thin),
             )
             traces.append(MoveTrace("assoc", t))
         else:
             raise PatternMismatch(f"cannot compile move {mv!r}")
+
+        # slab product contributions of the edges the move leaves unchanged
+        for e in before.edges.values():
+            if e.id not in taken and not e.is_circle:
+                bump(snapshots[-1][e.id], +1)
 
         # internal interface contribution
         if t < T - 1:

@@ -134,7 +134,7 @@ def presentation(
     if base not in ("equivariant", "phi0"):
         raise InputError(f"unknown base {base!r}")
     web = movies[0].output_web
-    for m in movies[1:]:
+    for m in movies:
         if m.output_web != web:
             raise InputError("presentation movies do not share a boundary web")
         if not m.input_web.is_empty():

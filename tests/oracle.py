@@ -83,6 +83,15 @@ association and coassociation rewire two merge and two split vertices by
 two patterns of their own; the package has one association rule, and
 coassociates by turning every arrow of the web round, associating the two
 merge vertices that result, and turning the arrows back.
+
+The reference move application, mirror and movie compiler write every
+basic move's rule in full, once in each of the three: each reads its own
+unzip and digon-cap pattern, cuts and rejoins edges in its own code, the
+compiler lists each move's consumed edges in a pass of its own and
+compiles coassociation by a split-vertex copy of the association branch.
+The package reads each pattern with one function, cuts and rejoins with
+one helper each, records what a move consumes as the move takes it, and
+compiles coassociation as association on the reversed slices.
 """
 
 from __future__ import annotations
@@ -90,7 +99,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable
+from typing import Callable, Iterable
 
 from foamlab import actions, statespace
 from foamlab.actions import ActionParams, LocalImage, _Skeleton, half_scalar
@@ -105,16 +114,21 @@ from foamlab.foamcore import (
     DigonCap,
     DigonCup,
     Edge,
+    Facet,
     FoamComplex,
+    Isotopy,
     Movie,
     MoveTrace,
     Saddle,
+    SingularVertex,
     Unzip,
     Vertex,
     Web,
     Zip,
+    _BindingRec,
     _get_edge,
     _get_vertex,
+    _UF,
     enumerate_colorings,
 )
 from foamlab.foameval import (
@@ -1120,8 +1134,10 @@ def apply_coassoc_reference(w: Web, m: Coassoc) -> Web:
         moved, kept = z_id, y_id
     if len({x_id, y_id, z_id}) != 3:
         raise PatternMismatch("coassoc requires three distinct thin edges")
+    # v2 is listed before v1, as the package's association of the reversed
+    # web lists the tail of its middle edge first
     new = w.with_changes(drop_edges=[m.mid_edge], drop_vertices=[v1.id, v2.id],
-                         add_edges=[new_g], add_vertices=[nv1, nv2])
+                         add_edges=[new_g], add_vertices=[nv2, nv1])
     em = new.edges[moved]
     new = Web(
         {**new.edges, moved: Edge(em.id, em.thickness, v2.id, em.head)},
@@ -1133,3 +1149,635 @@ def apply_coassoc_reference(w: Web, m: Coassoc) -> Web:
         new.vertices,
     )
     return new
+
+
+def slices_reference(mov: Movie) -> list[Web]:
+    """Every slice of ``mov``, each move applied by the reference."""
+    webs = [mov.input_web]
+    for mv in mov.moves:
+        webs.append(apply_move_reference(webs[-1], mv))
+    return webs
+
+
+def apply_move_reference(w: Web, m) -> Web:
+    """A basic move applied to a web slice, one pattern and one rewiring
+    per move."""
+    if isinstance(m, (Decorate, Isotopy)):
+        if isinstance(m, Decorate):
+            _get_edge(w, m.edge)
+        return w
+
+    if isinstance(m, Cup):
+        if m.thickness < 1:
+            raise PatternMismatch("cup thickness must be >= 1")
+        return w.with_changes(add_edges=[Edge(m.out_edge, m.thickness, None, None)])
+
+    if isinstance(m, Cap):
+        e = _get_edge(w, m.edge)
+        if not e.is_circle:
+            raise PatternMismatch(f"cap requires a circle edge, got {m.edge}")
+        return w.with_changes(drop_edges=[m.edge])
+
+    if isinstance(m, Saddle):
+        e1 = _get_edge(w, m.edge1)
+        e2 = _get_edge(w, m.edge2)
+        if e1.thickness != e2.thickness:
+            raise PatternMismatch("saddle requires equal thicknesses")
+        th = e1.thickness
+        if m.edge1 == m.edge2:
+            if e1.is_circle:
+                # one circle splits into two circles
+                return w.with_changes(
+                    drop_edges=[m.edge1],
+                    add_edges=[
+                        Edge(m.out1, th, None, None),
+                        Edge(m.out2, th, None, None),
+                    ],
+                )
+            # interval self-saddle: interval + split-off circle
+            out = Edge(m.out1, th, e1.tail, e1.head)
+            new = w.with_changes(
+                drop_edges=[m.edge1],
+                add_edges=[out, Edge(m.out2, th, None, None)],
+            )
+            return new.replace_edge_endpoint_refs(m.edge1, m.out1, [e1.tail, e1.head])
+        if e1.is_circle and e2.is_circle:
+            # two circles merge into one
+            return w.with_changes(
+                drop_edges=[m.edge1, m.edge2],
+                add_edges=[Edge(m.out1, th, None, None)],
+            )
+        if e1.is_circle or e2.is_circle:
+            circ, seg = (e1, e2) if e1.is_circle else (e2, e1)
+            out = Edge(m.out1, th, seg.tail, seg.head)
+            new = w.with_changes(
+                drop_edges=[m.edge1, m.edge2], add_edges=[out]
+            )
+            return new.replace_edge_endpoint_refs(seg.id, m.out1, [seg.tail, seg.head])
+        # two interval edges: cross the connections
+        out1 = Edge(m.out1, th, e1.tail, e2.head)
+        out2 = Edge(m.out2, th, e2.tail, e1.head)
+        new = w.with_changes(drop_edges=[m.edge1, m.edge2], add_edges=[out1, out2])
+        new = new.replace_edge_endpoint_refs(m.edge1, m.out1, [e1.tail])
+        new = new.replace_edge_endpoint_refs(m.edge2, m.out1, [e2.head])
+        new = new.replace_edge_endpoint_refs(m.edge2, m.out2, [e2.tail])
+        new = new.replace_edge_endpoint_refs(m.edge1, m.out2, [e1.head])
+        return new
+
+    if isinstance(m, Zip):
+        if m.edge_a == m.edge_b:
+            raise PatternMismatch("zip requires two distinct edges")
+        ea = _get_edge(w, m.edge_a)
+        eb = _get_edge(w, m.edge_b)
+        tha, thb = ea.thickness, eb.thickness
+        merge = Vertex(m.merge_v, "merge", (m.out_a1, m.out_b1), (m.thick_edge,))
+        split = Vertex(m.split_v, "split", (m.thick_edge,), (m.out_a2, m.out_b2))
+        thick = Edge(m.thick_edge, tha + thb, m.merge_v, m.split_v)
+        new_edges = [thick]
+        drop = [m.edge_a, m.edge_b]
+        fixups = []
+        if ea.is_circle:
+            # the remaining arc runs from the split back around to the merge
+            if m.out_a1 != m.out_a2:
+                raise PatternMismatch("zip on a circle must reuse one arc id")
+            new_edges.append(Edge(m.out_a1, tha, m.split_v, m.merge_v))
+        else:
+            new_edges.append(Edge(m.out_a1, tha, ea.tail, m.merge_v))
+            new_edges.append(Edge(m.out_a2, tha, m.split_v, ea.head))
+            fixups.append((m.edge_a, m.out_a1, ea.tail))
+            fixups.append((m.edge_a, m.out_a2, ea.head))
+        if eb.is_circle:
+            if m.out_b1 != m.out_b2:
+                raise PatternMismatch("zip on a circle must reuse one arc id")
+            new_edges.append(Edge(m.out_b1, thb, m.split_v, m.merge_v))
+        else:
+            new_edges.append(Edge(m.out_b1, thb, eb.tail, m.merge_v))
+            new_edges.append(Edge(m.out_b2, thb, m.split_v, eb.head))
+            fixups.append((m.edge_b, m.out_b1, eb.tail))
+            fixups.append((m.edge_b, m.out_b2, eb.head))
+        new = w.with_changes(
+            drop_edges=drop, add_edges=new_edges, add_vertices=[merge, split]
+        )
+        for old, fresh, at in fixups:
+            new = new.replace_edge_endpoint_refs(old, fresh, [at])
+        return new
+
+    if isinstance(m, Unzip):
+        t = _get_edge(w, m.thick_edge)
+        if t.is_circle:
+            raise PatternMismatch("unzip requires an edge between two vertices")
+        mv = _get_vertex(w, t.tail)
+        sv = _get_vertex(w, t.head)
+        if mv.kind != "merge" or sv.kind != "split":
+            raise PatternMismatch("unzip requires a merge-to-split edge")
+        if mv.outs != (m.thick_edge,) or sv.ins != (m.thick_edge,):
+            raise PatternMismatch("unzip pattern does not match")
+        a1, b1 = mv.ins
+        a2, b2 = sv.outs
+        ea1, eb1 = w.edges[a1], w.edges[b1]
+        ea2, eb2 = w.edges[a2], w.edges[b2]
+        if ea1.thickness != ea2.thickness or eb1.thickness != eb2.thickness:
+            raise PatternMismatch("unzip slot thicknesses do not match")
+        drop = {m.thick_edge, a1, b1, a2, b2}
+        add = []
+        fixups = []
+        for lo, hi, out in ((ea1, ea2, m.out_a), (eb1, eb2, m.out_b)):
+            if lo.id == hi.id:
+                # the thin edge loops from split back to merge: it closes up
+                add.append(Edge(out, lo.thickness, None, None))
+            else:
+                add.append(Edge(out, lo.thickness, lo.tail, hi.head))
+                fixups.append((lo.id, out, lo.tail))
+                fixups.append((hi.id, out, hi.head))
+        new = w.with_changes(
+            drop_edges=drop, drop_vertices=[mv.id, sv.id], add_edges=add
+        )
+        for old, fresh, at in fixups:
+            if at is not None:
+                new = new.replace_edge_endpoint_refs(old, fresh, [at])
+        return new
+
+    if isinstance(m, DigonCup):
+        e = _get_edge(w, m.edge)
+        if e.thickness != m.a + m.b:
+            raise PatternMismatch(
+                f"digon-cup on {m.edge}: thickness {e.thickness} != {m.a}+{m.b}"
+            )
+        split = Vertex(m.split_v, "split", (m.out_low,), (m.edge_a, m.edge_b))
+        merge = Vertex(m.merge_v, "merge", (m.edge_a, m.edge_b), (m.out_high,))
+        da = Edge(m.edge_a, m.a, m.split_v, m.merge_v)
+        db = Edge(m.edge_b, m.b, m.split_v, m.merge_v)
+        add = [da, db]
+        fixups = []
+        if e.is_circle:
+            if m.out_low != m.out_high:
+                raise PatternMismatch("digon-cup on a circle must reuse one arc id")
+            add.append(Edge(m.out_low, e.thickness, m.merge_v, m.split_v))
+        else:
+            add.append(Edge(m.out_low, e.thickness, e.tail, m.split_v))
+            add.append(Edge(m.out_high, e.thickness, m.merge_v, e.head))
+            fixups.append((m.edge, m.out_low, e.tail))
+            fixups.append((m.edge, m.out_high, e.head))
+        new = w.with_changes(
+            drop_edges=[m.edge], add_edges=add, add_vertices=[split, merge]
+        )
+        for old, fresh, at in fixups:
+            new = new.replace_edge_endpoint_refs(old, fresh, [at])
+        return new
+
+    if isinstance(m, DigonCap):
+        da = _get_edge(w, m.edge_a)
+        db = _get_edge(w, m.edge_b)
+        if da.tail != db.tail or da.head != db.head or da.tail is None:
+            raise PatternMismatch("digon-cap requires a parallel digon pair")
+        sv = _get_vertex(w, da.tail)
+        mv = _get_vertex(w, da.head)
+        if sv.kind != "split" or mv.kind != "merge":
+            raise PatternMismatch("digon-cap requires split-to-merge digon")
+        if sv.outs != (m.edge_a, m.edge_b) or mv.ins != (m.edge_a, m.edge_b):
+            raise PatternMismatch("digon-cap slot order does not match")
+        lo = w.edges[sv.ins[0]]
+        hi = w.edges[mv.outs[0]]
+        drop = {m.edge_a, m.edge_b, lo.id, hi.id}
+        fixups = []
+        if lo.id == hi.id:
+            add = [Edge(m.out_edge, lo.thickness, None, None)]
+        else:
+            add = [Edge(m.out_edge, lo.thickness, lo.tail, hi.head)]
+            fixups.append((lo.id, m.out_edge, lo.tail))
+            fixups.append((hi.id, m.out_edge, hi.head))
+        new = w.with_changes(
+            drop_edges=drop, drop_vertices=[sv.id, mv.id], add_edges=add
+        )
+        for old, fresh, at in fixups:
+            if at is not None:
+                new = new.replace_edge_endpoint_refs(old, fresh, [at])
+        return new
+
+    if isinstance(m, Assoc):
+        return apply_assoc_reference(w, m)
+
+    if isinstance(m, Coassoc):
+        return apply_coassoc_reference(w, m)
+
+    raise PatternMismatch(f"unknown move {m!r}")
+
+
+def mirror_reference(m: Movie) -> Movie:
+    """Time-reverse a movie, reading the reference slices: each move is
+    replaced by its reverse.
+
+    The reversal swaps cup/cap, zip/unzip and digon-cup/digon-cap; a saddle
+    reverses to a saddle and a reassociation to the reassociation of the
+    rewired pattern (the web arrows themselves are unchanged).  Decorations
+    are preserved on the same facet.
+    """
+    webs = slices_reference(m)
+    rev: list[BasicMove] = []
+    for idx in range(len(m.moves) - 1, -1, -1):
+        mv = m.moves[idx]
+        before, after = webs[idx], webs[idx + 1]
+        if isinstance(mv, (Decorate, Isotopy)):
+            rev.append(mv)
+        elif isinstance(mv, Cup):
+            rev.append(Cap(mv.out_edge))
+        elif isinstance(mv, Cap):
+            rev.append(Cup(before.edges[mv.edge].thickness, mv.edge))
+        elif isinstance(mv, Saddle):
+            if mv.out2 is None:
+                # a merge reverses to a self-saddle, whose first output is
+                # the interval when one of the merged edges was an interval
+                e1, e2 = mv.edge1, mv.edge2
+                if before.edges[e1].is_circle and not before.edges[e2].is_circle:
+                    e1, e2 = e2, e1
+                rev.append(Saddle(mv.out1, mv.out1, e1, e2))
+            elif mv.edge1 == mv.edge2:
+                rev.append(Saddle(mv.out1, mv.out2, mv.edge1, None))
+            else:
+                rev.append(Saddle(mv.out1, mv.out2, mv.edge1, mv.edge2))
+        elif isinstance(mv, Zip):
+            rev.append(Unzip(mv.thick_edge, mv.edge_a, mv.edge_b))
+        elif isinstance(mv, Unzip):
+            t = before.edges[mv.thick_edge]
+            mvx = before.vertices[t.tail]
+            svx = before.vertices[t.head]
+            a1, b1 = mvx.ins
+            a2, b2 = svx.outs
+            rev.append(
+                Zip(mv.out_a, mv.out_b, t.tail, t.head, mv.thick_edge, a1, a2, b1, b2)
+            )
+        elif isinstance(mv, DigonCup):
+            rev.append(DigonCap(mv.edge_a, mv.edge_b, mv.edge))
+        elif isinstance(mv, DigonCap):
+            da = before.edges[mv.edge_a]
+            db = before.edges[mv.edge_b]
+            sv = da.tail
+            mvv = da.head
+            low = before.vertices[sv].ins[0]
+            high = before.vertices[mvv].outs[0]
+            rev.append(
+                DigonCup(
+                    mv.out_edge, da.thickness, db.thickness, sv, mvv,
+                    mv.edge_a, mv.edge_b, low, high,
+                )
+            )
+        elif isinstance(mv, Assoc):
+            rev.append(Assoc(mv.out_mid, mv.mid_edge))
+        elif isinstance(mv, Coassoc):
+            rev.append(Coassoc(mv.out_mid, mv.mid_edge))
+        else:
+            raise PatternMismatch(f"cannot mirror {mv!r}")
+    return Movie(m.output_web, tuple(rev))
+
+
+def compile_movie_reference(mov: Movie) -> FoamComplex:
+    """Compile a movie into its stratified foam complex, on the reference
+    slices.
+
+    Facet Euler characteristics are exact compact-surface values for closed
+    movies (and relative to the boundary web otherwise).
+    """
+    webs = slices_reference(mov)
+    T = len(mov.moves)
+    uf = _UF()
+    facet_of: dict[str, str] = {}  # current edge id -> facet label
+    chi: dict[str, int] = {}
+    thick_of: dict[str, int] = {}
+    decs: dict[str, list[SymPoly]] = {}
+    label_order: list[str] = []
+    n_label = 0
+
+    def new_facet(thickness: int) -> str:
+        nonlocal n_label
+        n_label += 1
+        lbl = f"F{n_label:04d}"
+        uf.make(lbl)
+        chi[lbl] = 0
+        thick_of[lbl] = thickness
+        decs[lbl] = []
+        label_order.append(lbl)
+        return lbl
+
+    def bump(lbl: str, d: int) -> None:
+        chi[lbl] = chi.get(lbl, 0) + d
+
+    # seed facets for a nonempty input web
+    for e in webs[0].edges.values():
+        facet_of[e.id] = new_facet(e.thickness)
+
+    buf = _UF()  # binding union-find
+    brecs: dict[str, _BindingRec] = {}
+    n_bind = 0
+    binding_of_vertex: dict[str, str] = {}
+
+    def new_binding(segment: tuple[str, str, str], ends: Iterable[str]) -> str:
+        nonlocal n_bind
+        n_bind += 1
+        bid = f"b{n_bind:04d}"
+        buf.make(bid)
+        rec = _BindingRec()
+        rec.segments.append(segment)
+        rec.open_ends |= set(ends)
+        brecs[bid] = rec
+        return bid
+
+    def binding_join(b1: str, b2: str, segment: tuple[str, str, str], drop_ends) -> None:
+        r1, r2 = buf.find(b1), buf.find(b2)
+        if r1 == r2:
+            rec = brecs[r1]
+            rec.segments.append(segment)
+            rec.open_ends -= set(drop_ends)
+        else:
+            root = buf.union(r1, r2)
+            other = r2 if root == r1 else r1
+            rec, o = brecs[root], brecs[other]
+            rec.segments += o.segments
+            rec.endpoints += o.endpoints
+            rec.open_ends |= o.open_ends
+            rec.segments.append(segment)
+            rec.open_ends -= set(drop_ends)
+            del brecs[other]
+
+    # seed boundary seam arcs for vertices already present in the input web
+    for v in webs[0].vertices.values():
+        if v.kind == "merge":
+            ea, eb = v.ins
+            et = v.outs[0]
+        else:
+            et = v.ins[0]
+            ea, eb = v.outs
+        binding_of_vertex[v.id] = new_binding(
+            (facet_of[ea], facet_of[eb], facet_of[et]), (v.id,)
+        )
+
+    sing: dict[str, SingularVertex] = {}
+    n_sing = 0
+    traces: list[MoveTrace] = []
+    snapshots: list[dict[str, str]] = [dict(facet_of)]
+
+    for t, mv in enumerate(mov.moves):
+        before = webs[t]
+        after = webs[t + 1]
+
+        consumed: set[str] = set()
+        if isinstance(mv, Cap):
+            consumed = {mv.edge}
+        elif isinstance(mv, Saddle):
+            consumed = {mv.edge1, mv.edge2}
+        elif isinstance(mv, Zip):
+            consumed = {mv.edge_a, mv.edge_b}
+        elif isinstance(mv, Unzip):
+            tke = before.edges[mv.thick_edge]
+            mvx, svx = before.vertices[tke.tail], before.vertices[tke.head]
+            consumed = {mv.thick_edge, *mvx.ins, *svx.outs}
+        elif isinstance(mv, DigonCup):
+            consumed = {mv.edge}
+        elif isinstance(mv, DigonCap):
+            da = before.edges[mv.edge_a]
+            svx, mvx = before.vertices[da.tail], before.vertices[da.head]
+            consumed = {mv.edge_a, mv.edge_b, svx.ins[0], mvx.outs[0]}
+        elif isinstance(mv, (Assoc, Coassoc)):
+            consumed = {mv.mid_edge}
+
+        # slab product contributions of unchanged edges
+        for e in before.edges.values():
+            if e.id not in consumed and not e.is_circle:
+                bump(facet_of[e.id], +1)
+
+        # move-local contributions and facet tracking
+        if isinstance(mv, (Decorate, Isotopy)):
+            if isinstance(mv, Decorate):
+                lbl = facet_of[mv.edge]
+                decs[uf.find(lbl)].append(mv.poly)
+                traces.append(MoveTrace("decorate", t, (lbl,)))
+            else:
+                traces.append(MoveTrace("isotopy", t))
+        elif isinstance(mv, Cup):
+            lbl = new_facet(mv.thickness)
+            facet_of[mv.out_edge] = lbl
+            bump(lbl, +1)
+            traces.append(MoveTrace("cup", t, (lbl,), (mv.thickness,)))
+        elif isinstance(mv, Cap):
+            lbl = facet_of.pop(mv.edge)
+            bump(lbl, +1)
+            traces.append(MoveTrace("cap", t, (lbl,), (before.edges[mv.edge].thickness,)))
+        elif isinstance(mv, Saddle):
+            e1 = before.edges[mv.edge1]
+            e2 = before.edges[mv.edge2]
+            l1 = facet_of.pop(mv.edge1)
+            l2 = facet_of.pop(mv.edge2, l1)
+            root = uf.union(l1, l2)
+            outs = [
+                out
+                for out in (mv.out1, mv.out2)
+                if out is not None and out in after.edges
+            ]
+            # slab piece value: (number of interval output strands) - 1
+            bump(root, sum(1 for o in outs if not after.edges[o].is_circle) - 1)
+            for out in outs:
+                facet_of[out] = root
+            traces.append(MoveTrace("saddle", t, (root,), (e1.thickness,)))
+        elif isinstance(mv, Zip):
+            ea = before.edges[mv.edge_a]
+            eb = before.edges[mv.edge_b]
+            fa = facet_of.pop(mv.edge_a)
+            fb = facet_of.pop(mv.edge_b)
+            ft = new_facet(ea.thickness + eb.thickness)
+            facet_of[mv.thick_edge] = ft
+            for out in (mv.out_a1, mv.out_a2):
+                facet_of[out] = fa
+            for out in (mv.out_b1, mv.out_b2):
+                facet_of[out] = fb
+            bump(fa, 0 if ea.is_circle else 1)
+            bump(fb, 0 if eb.is_circle else 1)
+            bump(ft, +1)
+            bid = new_binding((fa, fb, ft), (mv.merge_v, mv.split_v))
+            binding_of_vertex[mv.merge_v] = bid
+            binding_of_vertex[mv.split_v] = bid
+            traces.append(MoveTrace("zip", t, (fa, fb, ft),
+                                    (ea.thickness, eb.thickness)))
+        elif isinstance(mv, Unzip):
+            tke = before.edges[mv.thick_edge]
+            mvx = before.vertices[tke.tail]
+            svx = before.vertices[tke.head]
+            a1, b1 = mvx.ins
+            a2, b2 = svx.outs
+            ft = facet_of.pop(mv.thick_edge)
+            la1 = facet_of.pop(a1)
+            fa = la1 if a1 == a2 else uf.union(la1, facet_of.pop(a2))
+            lb1 = facet_of.pop(b1)
+            fb = lb1 if b1 == b2 else uf.union(lb1, facet_of.pop(b2))
+            facet_of[mv.out_a] = fa
+            facet_of[mv.out_b] = fb
+            bump(fa, 0 if after.edges[mv.out_a].is_circle else 1)
+            bump(fb, 0 if after.edges[mv.out_b].is_circle else 1)
+            bump(ft, +1)
+            binding_join(
+                binding_of_vertex.pop(tke.tail),
+                binding_of_vertex.pop(tke.head),
+                (fa, fb, ft),
+                (tke.tail, tke.head),
+            )
+            traces.append(MoveTrace("unzip", t, (fa, fb, ft),
+                                    (before.edges[a1].thickness, before.edges[b1].thickness)))
+        elif isinstance(mv, DigonCup):
+            e = before.edges[mv.edge]
+            ft = facet_of.pop(mv.edge)
+            fa = new_facet(mv.a)
+            fb = new_facet(mv.b)
+            facet_of[mv.edge_a] = fa
+            facet_of[mv.edge_b] = fb
+            for out in (mv.out_low, mv.out_high):
+                facet_of[out] = ft
+            bump(ft, 0 if e.is_circle else 1)
+            bump(fa, +1)
+            bump(fb, +1)
+            bid = new_binding((fa, fb, ft), (mv.split_v, mv.merge_v))
+            binding_of_vertex[mv.split_v] = bid
+            binding_of_vertex[mv.merge_v] = bid
+            traces.append(MoveTrace("digon_cup", t, (fa, fb, ft), (mv.a, mv.b)))
+        elif isinstance(mv, DigonCap):
+            da = before.edges[mv.edge_a]
+            db = before.edges[mv.edge_b]
+            svx = before.vertices[da.tail]
+            mvx = before.vertices[da.head]
+            lo, hi = svx.ins[0], mvx.outs[0]
+            fa = facet_of.pop(mv.edge_a)
+            fb = facet_of.pop(mv.edge_b)
+            if lo == hi:
+                ft = facet_of.pop(lo)
+            else:
+                ft = uf.union(facet_of.pop(lo), facet_of.pop(hi))
+            facet_of[mv.out_edge] = ft
+            bump(fa, +1)
+            bump(fb, +1)
+            bump(ft, 0 if after.edges[mv.out_edge].is_circle else 1)
+            binding_join(
+                binding_of_vertex.pop(da.tail),
+                binding_of_vertex.pop(da.head),
+                (fa, fb, ft),
+                (da.tail, da.head),
+            )
+            traces.append(MoveTrace("digon_cap", t, (fa, fb, ft),
+                                    (da.thickness, db.thickness)))
+        elif isinstance(mv, (Assoc, Coassoc)):
+            g = before.edges[mv.mid_edge]
+            v1 = before.vertices[g.tail]
+            v2 = before.vertices[g.head]
+            f_old = facet_of.pop(mv.mid_edge)
+            f_new = new_facet(after.edges[mv.out_mid].thickness)
+            facet_of[mv.out_mid] = f_new
+            bump(f_old, +1)
+            bump(f_new, +1)
+            if isinstance(mv, Assoc):
+                x_id, y_id = v1.ins
+                slot = v2.ins.index(mv.mid_edge)
+                z_id = v2.ins[1 - slot]
+                w_id = v2.outs[0]
+                av1 = after.vertices[v1.id]
+                av2 = after.vertices[v2.id]
+                seg_v1 = (facet_of[av1.ins[0]], facet_of[av1.ins[1]], f_new)
+                seg_v2 = (facet_of[av2.ins[0]], facet_of[av2.ins[1]], facet_of[w_id])
+            else:
+                x_id, y_id = v2.outs
+                slot = v1.outs.index(mv.mid_edge)
+                z_id = v1.outs[1 - slot]
+                w_id = v1.ins[0]
+                av1 = after.vertices[v1.id]
+                av2 = after.vertices[v2.id]
+                seg_v1 = (facet_of[av1.outs[0]], facet_of[av1.outs[1]], facet_of[w_id])
+                seg_v2 = (facet_of[av2.outs[0]], facet_of[av2.outs[1]], f_new)
+            n_sing += 1
+            sid = f"s{n_sing:04d}"
+            b1 = binding_of_vertex.pop(v1.id)
+            b2 = binding_of_vertex.pop(v2.id)
+            for b in (b1, b2):
+                rec = brecs[buf.find(b)]
+                rec.open_ends -= {v1.id, v2.id}
+                rec.endpoints.append(sid)
+            nb1 = new_binding(seg_v1, (v1.id,))
+            brecs[nb1].endpoints.append(sid)
+            nb2 = new_binding(seg_v2, (v2.id,))
+            brecs[nb2].endpoints.append(sid)
+            binding_of_vertex[v1.id] = nb1
+            binding_of_vertex[v2.id] = nb2
+            thin = sorted(
+                (
+                    before.edges[x_id].thickness,
+                    before.edges[y_id].thickness,
+                    before.edges[z_id].thickness,
+                )
+            )
+            sing[sid] = SingularVertex(
+                sid,
+                (
+                    facet_of[x_id], facet_of[y_id], facet_of[z_id],
+                    facet_of[w_id] if w_id in facet_of else uf.find(f_old),
+                    f_old, f_new,
+                ),
+                (buf.find(b1), buf.find(b2), nb1, nb2),
+                tuple(thin),
+            )
+            traces.append(MoveTrace("assoc", t))
+        else:
+            raise PatternMismatch(f"cannot compile move {mv!r}")
+
+        # internal interface contribution
+        if t < T - 1:
+            for e in after.edges.values():
+                if not e.is_circle:
+                    bump(facet_of[e.id], -1)
+        snapshots.append(dict(facet_of))
+
+    # resolve facets
+    root_chi: dict[str, int] = {}
+    root_dec: dict[str, list[SymPoly]] = {}
+    root_first: dict[str, int] = {}
+    for idx, lbl in enumerate(label_order):
+        root = uf.find(lbl)
+        root_chi[root] = root_chi.get(root, 0) + chi[lbl]
+        root_dec.setdefault(root, []).extend(decs[lbl])
+        root_first.setdefault(root, idx)
+        if thick_of[root] != thick_of[lbl]:
+            raise PatternMismatch("internal error: facet thickness clash")
+    roots = sorted(root_chi, key=lambda r: root_first[r])
+    facet_name = {r: f"f{k + 1}" for k, r in enumerate(roots)}
+
+    def fname(lbl: str) -> str:
+        return facet_name[uf.find(lbl)]
+
+    facets = {
+        facet_name[r]: Facet(facet_name[r], thick_of[r], root_chi[r], tuple(root_dec[r]))
+        for r in roots
+    }
+
+    closed = mov.input_web.is_empty() and webs[-1].is_empty()
+    bindings: dict[str, Binding] = {}
+    bname = {}
+    for k, (bid, rec) in enumerate(sorted(brecs.items())):
+        name = f"b{k + 1}"
+        bname[bid] = name
+        bindings[name] = Binding(
+            name,
+            is_circle=not rec.endpoints and not rec.open_ends,
+            segments=tuple((fname(a), fname(b), fname(c)) for a, b, c in rec.segments),
+            endpoints=tuple(sorted(rec.endpoints)),
+            boundary=bool(rec.open_ends),
+        )
+    vertices = {
+        v.id: SingularVertex(
+            v.id,
+            tuple(fname(f) for f in v.facets),
+            tuple(bname[buf.find(b)] for b in v.bindings),
+            v.thin_thicknesses,
+        )
+        for v in sing.values()
+    }
+    named_traces = tuple(
+        MoveTrace(tr.kind, tr.index, tuple(fname(f) for f in tr.facets), tr.thickness)
+        for tr in traces
+    )
+    edge_facets = tuple(
+        {e: fname(lbl) for e, lbl in snap.items()} for snap in snapshots
+    )
+    return FoamComplex(facets, bindings, vertices, named_traces, closed, edge_facets)

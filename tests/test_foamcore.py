@@ -20,7 +20,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
+from foamlab.corpus import basic_open_movies, closed_corpus, random_open_movie, spherical_corpus
 from foamlab.errors import (
     BoundaryMismatch,
     FoamlabError,
@@ -66,10 +66,14 @@ from foamlab.polyring import ZZ, MultiPoly, symmetric_basis
 from oracle import (
     apply_assoc_reference,
     apply_coassoc_reference,
+    apply_move_reference,
     bichrome_data_reference,
     colex_subsets_reference,
+    compile_movie_reference,
     enumerate_colorings_reference,
+    mirror_reference,
     monochrome_euler_reference,
+    slices_reference,
 )
 
 
@@ -320,6 +324,16 @@ class TestMoves:
         mov = assoc_movie()
         mov.validate()
 
+    def test_with_changes_reads_each_argument_once(self):
+        w = Web({k: Edge(k, 1, None, None) for k in "abc"})
+        new = w.with_changes(
+            drop_edges=(e for e in ["b", "c"]),
+            add_edges=(Edge(k, 2, None, None) for k in "de"),
+        )
+        assert list(new.edges) == ["a", "d", "e"]
+        w = zipped_circles()
+        assert list(w.with_changes(drop_vertices=iter(["m", "s"])).vertices) == []
+
     def test_decorate_keeps_web(self):
         b = MovieBuilder()
         c = b.cup(2)
@@ -379,14 +393,14 @@ def turned_round(w):
     )
 
 
-def reassociated(rule, w, m):
-    """The web ``rule`` makes, with its edge order, or the type and text of
-    the error it raised."""
+def applied(rule, w, m):
+    """The web ``rule`` makes, with its edge and vertex order, or the type
+    and text of the error it raised."""
     try:
         new = rule(w, m)
     except (PatternMismatch, LookupError, ValueError) as exc:
         return type(exc), str(exc)
-    return new, list(new.edges)
+    return new, list(new.edges), list(new.vertices)
 
 
 REASSOC_TEXTS = {
@@ -416,8 +430,8 @@ class TestReassociationAgainstReference:
         for w in three_cup_webs():
             for e in w.edges:
                 m = move(e, "g")
-                got = reassociated(apply_move, w, m)
-                assert got == reassociated(reference, w, m), (w.edges, e)
+                got = applied(apply_move, w, m)
+                assert got == applied(reference, w, m), (w.edges, e)
                 if isinstance(got[0], Web):
                     validate_web(got[0])
                     valid += 1
@@ -431,11 +445,155 @@ class TestReassociationAgainstReference:
         for w in webs:
             for e in w.edges:
                 m = move(e, "h")
-                got = reassociated(apply_move, w, m)
-                assert got == reassociated(reference, w, m), (w.edges, w.vertices, e)
+                got = applied(apply_move, w, m)
+                assert got == applied(reference, w, m), (w.edges, w.vertices, e)
                 if got[0] is PatternMismatch:
                     texts.add(got[1])
         assert REASSOC_TEXTS[move] <= texts
+
+
+# ---------------------------------------------------------------------------
+# every move rule against the one-rule-per-move references
+# ---------------------------------------------------------------------------
+
+
+def zipped_circles(a=1, b=1):
+    """Two circles of thicknesses ``a`` and ``b`` zipped into one merge
+    ``m`` (inputs ``x``, ``y``) and one split ``s`` (outputs ``x``, ``y``)
+    joined by the thick edge ``t``."""
+    return apply_move(
+        Web({"p": Edge("p", a, None, None), "q": Edge("q", b, None, None)}),
+        Zip("p", "q", "m", "s", "t", "x", "x", "y", "y"),
+    )
+
+
+def digon_circle():
+    """A circle ``c`` of thickness 3 with a digon ``x`` (1), ``y`` (2) from
+    the split ``s`` to the merge ``m``."""
+    return apply_move(Web.circle(3), DigonCup("c", 1, 2, "s", "m", "x", "y", "c", "c"))
+
+
+def _revised(w, vid, **changes):
+    return Web(w.edges, {**w.vertices, vid: replace(w.vertices[vid], **changes)})
+
+
+MOVE_ERRORS = [
+    (Web.circle(2, "t"), Unzip("t", "a", "b"),
+     "unzip requires an edge between two vertices"),
+    (digon_circle(), Unzip("x", "a", "b"), "unzip requires a merge-to-split edge"),
+    (_revised(zipped_circles(), "m", outs=("x",)), Unzip("t", "a", "b"),
+     "unzip pattern does not match"),
+    (_revised(zipped_circles(1, 2), "s", outs=("y", "x")), Unzip("t", "a", "b"),
+     "unzip slot thicknesses do not match"),
+    (Web({"p": Edge("p", 1, None, None), "q": Edge("q", 1, None, None)}),
+     DigonCap("p", "q", "o"), "digon-cap requires a parallel digon pair"),
+    (_revised(digon_circle(), "s", kind="merge"), DigonCap("x", "y", "o"),
+     "digon-cap requires split-to-merge digon"),
+    (digon_circle(), DigonCap("y", "x", "o"), "digon-cap slot order does not match"),
+    (Web({"p": Edge("p", 1, None, None), "q": Edge("q", 1, None, None)}),
+     Zip("p", "q", "m", "s", "t", "x", "x2", "y", "y"), "zip on a circle must reuse one arc id"),
+    (Web({"p": Edge("p", 1, None, None), "q": Edge("q", 1, None, None)}),
+     Zip("p", "q", "m", "s", "t", "x", "x", "y", "y2"), "zip on a circle must reuse one arc id"),
+    (Web.circle(3), DigonCup("c", 1, 2, "s", "m", "x", "y", "lo", "hi"),
+     "digon-cup on a circle must reuse one arc id"),
+]
+
+
+@pytest.mark.parametrize("w, move, text", MOVE_ERRORS)
+def test_move_pattern_errors(w, move, text):
+    with pytest.raises(PatternMismatch) as err:
+        apply_move(w, move)
+    assert str(err.value) == text
+    assert applied(apply_move, w, move) == applied(apply_move_reference, w, move)
+
+
+def id_reuse_movies():
+    """Closed movies whose moves give an output the id of an edge they
+    consume: a digon cut into a circle and capped back onto it, a merge
+    of two circles into the first, and two circles zipped and unzipped
+    with their ids swapped each time."""
+    yield Movie(Web.empty(), (
+        Cup(3, "c"), DigonCup("c", 1, 2, "s", "m", "x", "y", "c", "c"),
+        DigonCap("x", "y", "c"), Cap("c"),
+    ))
+    yield Movie(Web.empty(), (Cup(1, "a"), Cup(1, "b"), Saddle("a", "b", "a", None), Cap("a")))
+    yield Movie(Web.empty(), (
+        Cup(1, "p"), Cup(2, "q"), Zip("p", "q", "m", "s", "t", "q", "q", "p", "p"),
+        Unzip("t", "p", "q"), Cap("p"), Cap("q"),
+    ))
+
+
+def open_streams():
+    """Open movies of five random moves of thickness at most 3."""
+    for seed in range(8):
+        rng = random.Random(seed)
+        for _ in range(5):
+            yield random_open_movie(rng, n_moves=5, max_thickness=3)
+
+
+def assert_matches_references(mov):
+    """The slices, compiled foam and mirror of ``mov`` and the compiled foam
+    of its mirror equal the references', dict orders included."""
+    slices = mov.slices()
+    ref = slices_reference(mov)
+    assert [(w, list(w.edges), list(w.vertices)) for w in slices] == [
+        (w, list(w.edges), list(w.vertices)) for w in ref
+    ]
+    rev = mirror(mov)
+    assert rev == mirror_reference(mov)
+    for m in (mov, rev):
+        got, want = compile_movie(m), compile_movie_reference(m)
+        assert got == want
+        assert [list(s) for s in got.edge_facets] == [list(s) for s in want.edge_facets]
+
+
+class TestMovesAgainstReference:
+    @pytest.mark.parametrize("spherical", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_corpus(self, seed, spherical):
+        corpus = spherical_corpus if spherical else closed_corpus
+        for mov in corpus(seed, 6, half_moves=5, max_thickness=3):
+            assert_matches_references(mov)
+
+    def test_open_streams(self):
+        for mov in open_streams():
+            assert_matches_references(mov)
+
+    def test_standard_and_basic_movies(self):
+        movies = [
+            sphere_movie(2), sphere_via_saddle(), torus_movie(), genus_movie(2),
+            theta_movie(1, 2), membrane_bubble_movie(), assoc_movie(),
+            TestMovieAlgebra.circle_meets_interval(True),
+            TestMovieAlgebra.circle_meets_interval(False),
+        ]
+        for a, b in ((1, 1), (1, 2), (2, 1)):
+            movies += basic_open_movies(a, b).values()
+        for mov in movies:
+            assert_matches_references(mov)
+
+    def test_id_reuse(self):
+        for mov in id_reuse_movies():
+            mov.validate()
+            assert mov.is_closed()
+            assert_matches_references(mov)
+
+    def test_every_move_on_every_edge_of_the_slices(self):
+        """Each move kind on every edge (pair) of every slice of the open
+        streams, as the package and the reference apply it."""
+        seen = set()
+        for mov in open_streams():
+            for w in mov.slices():
+                for e, f in itertools.product(sorted(w.edges), repeat=2):
+                    for m in (
+                        Unzip(e, "u1", "u2"), DigonCap(e, f, "u1"),
+                        Zip(e, f, "v1", "v2", "u0", "u1", "u1", "u2", "u2"),
+                        DigonCup(e, 1, 1, "v1", "v2", "u0", "u3", "u1", "u1"),
+                        Assoc(e, "u1"), Coassoc(e, "u1"),
+                    ):
+                        got = applied(apply_move, w, m)
+                        assert got == applied(apply_move_reference, w, m), (w.edges, m)
+                        seen.add((type(m), got[1] if isinstance(got[1], str) else "ok"))
+        assert len(seen) >= 20
 
 
 def test_assoc_movie_record_and_value_are_pinned():

@@ -28,7 +28,7 @@ from foamlab.errors import (
     WrongRing,
 )
 from foamlab.foameval import evaluate
-from foamlab.foamcore import MovieBuilder, _strip_decorations, compose, mirror
+from foamlab.foamcore import Movie, MovieBuilder, _strip_decorations, compose, mirror
 from foamlab.polyring import (
     GF,
     ElementaryBasis,
@@ -126,6 +126,13 @@ class TestPresentations:
     def test_mismatched_boundaries_rejected(self):
         with pytest.raises(InputError):
             presentation([decorated_cup(), decorated_cup(thickness=2)], 3)
+
+    def test_every_movie_must_start_at_the_empty_web(self):
+        cup = decorated_cup()
+        standing = Movie(cup.output_web, ())
+        for movies in ([standing], [standing, cup], [cup, standing]):
+            with pytest.raises(InputError, match="must start at the empty web"):
+                presentation(movies, 3)
 
     def test_elementary_product_blocks(self):
         dec = elementary_product(ZZ, 2, (2, 1))
