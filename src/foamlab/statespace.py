@@ -318,28 +318,50 @@ def _base_entry(value: MultiPoly, base: str) -> MultiPoly:
     return value
 
 
+Matrix = tuple[tuple[MultiPoly, ...], ...]
+
+
+def _basis(base: str, N: int) -> ElementaryBasis | None:
+    """The converter of values stored over ``base``, or None over ``phi0``,
+    where they are constants."""
+    return ElementaryBasis(xvars(N)) if base == "equivariant" else None
+
+
+def _expanded(S: Matrix, basis: ElementaryBasis | None) -> Matrix:
+    """A matrix stored in ``e_1..e_N`` in ``X1..XN``."""
+    if basis is None:
+        return S
+    return tuple(tuple(basis.from_e(e) for e in row) for row in S)
+
+
 @dataclass(frozen=True)
 class GramMatrix:
-    """Matrix of pairings between the generators of one family."""
+    """Matrix of pairings between the generators of one family.
 
-    entries: tuple[tuple[MultiPoly, ...], ...]
+    ``e_entries`` are the pairings as computed, in ``e_1..e_N`` (variables
+    ``E1..EN``) on the equivariant base and constants on ``phi0``.
+    """
+
+    e_entries: Matrix
     row_degrees: tuple[int, ...]
     N: int
     ring: CoefRing
     base: str
 
     @property
+    def entries(self) -> Matrix:
+        """The pairings in ``X1..XN``; expanded on every read."""
+        return _expanded(self.e_entries, _basis(self.base, self.N))
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
+        return (len(self.e_entries), len(self.e_entries[0]) if self.e_entries else 0)
 
 
 def gram_matrix(gens: Presentation) -> GramMatrix:
     basis = ElementaryBasis(xvars(gens.N))
     rows = _pairings(_movie_sums(gens.movies, gens), gens, basis)
-    if gens.base == "equivariant":
-        entries = tuple(tuple(basis.from_e(e) for e in row) for row in rows)
-    else:
-        entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
+    entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
     return GramMatrix(entries, gens.degrees, gens.N, gens.ring, gens.base)
 
 
@@ -420,10 +442,10 @@ def _specialize(entry: MultiPoly, values: dict[str, int], p: int) -> int:
 
 def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:
     n, m = G.shape
-    vs = xvars(G.N)
+    vs = ElementaryBasis(xvars(G.N)).e_names
     values = dict(zip(vs, rng.sample(range(1, p), len(vs))))
     spec = [
-        [_specialize(e, values, p) for e in row] for row in G.entries
+        [_specialize(e, values, p) for e in row] for row in G.e_entries
     ]
     order = sorted(range(n), key=lambda i: (G.row_degrees[i], i))
     pivots: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
@@ -447,21 +469,25 @@ def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:
 def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
     """Graded rank of the pairing, by repeated random specialization.
 
-    Each trial specializes the full alphabet to distinct random values in a
-    prime field of size > 2**31 and row-reduces with pivots chosen greedily
-    in generator-degree order; the contributions appear as ``q^degree``.
-    Disagreeing trials raise :class:`RankUnstable` rather than averaging.
+    Each trial specializes ``e_1..e_N`` (variables ``E1..EN`` of the stored
+    entries) to distinct random values in a prime field of size > 2**31
+    and row-reduces with pivots chosen greedily in generator-degree order;
+    the contributions appear as ``q^degree``.  Disagreeing trials raise
+    :class:`RankUnstable` rather than averaging.  The ``e_1..e_N`` are
+    algebraically independent, so a minor that is nonzero in ``X1..XN`` is
+    a nonzero polynomial in ``E1..EN``.
 
     A trial errs only when the rank of some row prefix drops at the chosen
     point, that is, when a nonzero minor vanishes there.  The graded rank
     is decided by at most ``n`` row prefixes, each by one minor of size at
-    most ``r = min(n, m)`` and total degree at most ``r * D``, where ``D``
-    is the largest total degree of an entry.  By Schwartz--Zippel one trial
-    is therefore wrong with probability at most ``eps = n * r * D / p``
-    (times ``1 + O(N**2 / p)`` because the coordinates are drawn distinct),
-    and ``trials`` independent trials all return the same wrong rank with
-    probability at most ``eps ** trials``.  This assumes no such minor
-    vanishes identically mod ``p``.
+    most ``r = min(n, m)`` and total degree in ``E1..EN`` at most ``r * D``,
+    where ``D`` is the largest total degree of an entry in ``E1..EN`` (at
+    most its degree in ``X1..XN``, since ``e_k`` has degree ``k`` there).
+    By Schwartz--Zippel one trial is therefore wrong with probability at
+    most ``eps = n * r * D / p`` (times ``1 + O(N**2 / p)`` because the
+    coordinates are drawn distinct), and ``trials`` independent trials all
+    return the same wrong rank with probability at most ``eps ** trials``.
+    This assumes no such minor vanishes identically mod ``p``.
     """
     if G.ring.kind not in ("Z", "Q"):
         raise WrongRing("graded ranks are computed over Z or Q coefficients")
@@ -496,11 +522,16 @@ def is_zero_in_statespace(
     # a polynomial coefficient need not be symmetric: the row is summed in X1..XN
     vs = xvars(gens.N)
     v = list(v)
+    for coef, _ in v:
+        if isinstance(coef, MultiPoly) and not set(coef.vars) <= set(vs):
+            raise InputError(
+                f"coefficient in {coef.vars} is not a polynomial in {vs}"
+            )
     row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
     pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens, basis)
-    for (coef, _), values in zip(v, pairs):
+    for (coef, _), values in zip(v, _expanded(pairs, basis)):
         c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
-        row = [e + basis.from_e(value) * c for e, value in zip(row, values)]
+        row = [e + value * c for e, value in zip(row, values)]
     if gens.base == "phi0":
         return all(kill_equivariance(e) == 0 for e in row)
     return all(e.is_zero() for e in row)
@@ -603,8 +634,6 @@ def _fraction_free_solve(
 # Matrix helpers (entries are MultiPoly over a shared base)
 # ---------------------------------------------------------------------------
 
-Matrix = tuple[tuple[MultiPoly, ...], ...]
-
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
@@ -661,13 +690,18 @@ class InducedAction:
     ``solution`` is the same matrix as solved: on the equivariant base its
     entries are in ``e_1..e_N`` (variables ``E1..EN``) and ``matrix`` is its
     expansion in ``X1..XN``; on the ``phi0`` base both are the constants.
+    ``gens`` is the generator family of the coordinates.
     """
 
     op: str
     matrix: Matrix
     certificate: CheckReport
-    base: str
     solution: Matrix = field(repr=False)
+    gens: Presentation = field(repr=False)
+
+    @property
+    def base(self) -> str:
+        return self.gens.base
 
 
 def induced_action(op: str, params: ActionParams, gens: Presentation) -> InducedAction:
@@ -693,7 +727,7 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     basis = ElementaryBasis(xvars(gens.N))
     P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
     equivariant = gens.base == "equivariant"
-    back = basis.from_e if equivariant else (lambda v: v)
+    expand = basis if equivariant else None
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries (the
     # generator rows of P) and of the image pairings (the rows after them)
@@ -719,7 +753,8 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
                 if not acc.is_zero():
                     raise NotWellDefined(
                         f"operator {op} moves a pairing-kernel vector out of the"
-                        f" kernel (generator coordinates {[back(e) for e in vec]})"
+                        f" kernel (generator coordinates"
+                        f" {list(_expanded((vec,), expand)[0])})"
                     )
         cert = CheckReport(
             True, None, f"kernel of dimension {len(kernel)} is preserved"
@@ -727,8 +762,7 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
     solution = tuple(tuple(row) for row in X)
-    matrix = tuple(tuple(back(e) for e in row) for row in X)
-    return InducedAction(op, matrix, cert, gens.base, solution)
+    return InducedAction(op, _expanded(solution, expand), cert, solution, gens)
 
 
 # ---------------------------------------------------------------------------
@@ -770,33 +804,19 @@ def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
     return deriv
 
 
-def _basis(a: InducedAction) -> ElementaryBasis | None:
-    """A converter for the solved entries of ``a``, or None over ``phi0``."""
-    if a.base != "equivariant":
-        return None
-    return ElementaryBasis(xvars(len(a.solution[0][0].vars)))
-
-
 def _derivative(a: InducedAction, basis: ElementaryBasis | None):
     """The base derivation of ``a`` on every entry of a solved matrix, or
     None over ``phi0``."""
     if basis is None:
         return None
-    deriv = _elementary_derivation(a.op, basis, a.solution[0][0].ring)
+    deriv = _elementary_derivation(a.op, basis, a.gens.ring)
     return lambda S: tuple(tuple(deriv(e) for e in row) for row in S)
-
-
-def _expanded(S: Matrix, basis: ElementaryBasis | None) -> Matrix:
-    """A solved matrix in ``X1..XN``."""
-    if basis is None:
-        return S
-    return tuple(tuple(basis.from_e(e) for e in row) for row in S)
 
 
 def _compose(a: InducedAction, b: InducedAction, basis: ElementaryBasis | None) -> Matrix:
     """:func:`operator_compose` on the solved matrices."""
-    if a.base != b.base:
-        raise InputError("operators live over different bases")
+    if a.gens != b.gens:
+        raise InputError("operators are expressed in different presentations")
     out = mat_mul(a.solution, b.solution)
     derive = _derivative(a, basis)
     if derive is not None:
@@ -806,19 +826,19 @@ def _compose(a: InducedAction, b: InducedAction, basis: ElementaryBasis | None) 
 
 def operator_compose(a: InducedAction, b: InducedAction) -> Matrix:
     """Matrix of ``a`` after ``b`` in the same generator family."""
-    basis = _basis(a)
+    basis = _basis(a.base, a.gens.N)
     return _expanded(_compose(a, b, basis), basis)
 
 
 def operator_commutator(a: InducedAction, b: InducedAction) -> Matrix:
-    basis = _basis(a)
+    basis = _basis(a.base, a.gens.N)
     return _expanded(mat_sub(_compose(a, b, basis), _compose(b, a, basis)), basis)
 
 
 def operator_power(a: InducedAction, k: int) -> Matrix:
     if k < 1:
         raise InputError("operator power needs a positive exponent")
-    basis = _basis(a)
+    basis = _basis(a.base, a.gens.N)
     derive = _derivative(a, basis)
     out = a.solution
     for _ in range(k - 1):

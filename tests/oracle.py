@@ -51,7 +51,10 @@ Laurent helpers.
 
 The reference specialization evaluates a Gram entry exactly at a point
 and reduces the value mod p; the package reduces each coefficient and each
-power as it reads them.
+power as it reads them.  The reference rank specializes the Gram entries
+expanded in ``X1..XN`` at a random point of the pigment alphabet; the
+package specializes the stored entries in ``e_1..e_N`` at a random point
+of ``E1..EN``.
 
 The reference shape value sums one dot-shape map over the colorings of an
 undecorated closed foam part by part: each coloring's value times the
@@ -162,6 +165,7 @@ from foamlab.polyring import (
     Scalar,
     facet_vars,
     power_sum,
+    _laurent_clean,
     ratfun_sum,
     witt_act,
     xvars,
@@ -760,6 +764,35 @@ def specialize_reference(entry: MultiPoly, values: dict[str, int], p: int) -> in
     if s.denominator % p == 0:
         raise WrongRing(f"coefficient denominator {s.denominator} is not invertible mod {p}")
     return s.numerator * pow(s.denominator, -1, p) % p
+
+
+def rank_reference(G, rng, p: int) -> dict[int, int]:
+    """One trial of ``graded_rank``: the entries in ``X1..XN`` at a random
+    point of the pigment alphabet mod ``p``, row-reduced with pivots chosen
+    greedily in generator-degree order."""
+    n, m = G.shape
+    vs = xvars(G.N)
+    values = dict(zip(vs, rng.sample(range(1, p), len(vs))))
+    spec = [
+        [statespace._specialize(e, values, p) for e in row] for row in G.entries
+    ]
+    order = sorted(range(n), key=lambda i: (G.row_degrees[i], i))
+    pivots: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
+    rank: dict[int, int] = {}
+    for i in order:
+        row = list(spec[i])
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+        col = next((j for j in range(m) if row[j]), None)
+        if col is None:
+            continue
+        inv = pow(row[col], -1, p)
+        pivots.append((col, [x * inv % p for x in row]))
+        d = G.row_degrees[i]
+        rank[d] = rank.get(d, 0) + 1
+    return _laurent_clean(rank)
 
 
 def derive_matrix(op: str, M):

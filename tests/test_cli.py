@@ -210,6 +210,45 @@ class TestRank:
         assert code == 2
 
 
+# (web, N, extra flags) -> sha256 of `gram --json` stdout, of `rank --json` stdout
+PINNED_PRESENTATIONS = {
+    ("circle:2", "4", ()): (
+        "56457c1c6ce69eba8bef19ced660a0efceafff34234c979508f4289f67512325",
+        "408b5fd99f4872e67142157c713d183b83529a25d3194b8e6ef9f41d8265e9cf",
+    ),
+    ("digon:1,1", "3", ()): (
+        "b6cd07d939573712416159ac7af4a3f3cc33602c7ede6029de7952d81f1525a2",
+        "fe96c123e99be0df5ba59b64077ef14beb93d84f3788dc4b8b8660b2562047fd",
+    ),
+    ("bad_digon:1,1", "3", ()): (
+        "3a692562beb0c9671da60af25f0133af7094d9cf32f7e6860b85e13acf6ea705",
+        "468ce9d18dc70ed3caba9f6d8af53daf3b6738ac3c4866939c368f386f3b49d1",
+    ),
+    ("necklace", "3", ()): (
+        "246fbe0acefd03f8074cff454981dec4b37de0187a0e5f3d58ffa2a1ad64db1d",
+        "ce00452062dedd5f51ae1aaee96093fe6d24cfa8bf9e58f8d4ed32655383f92d",
+    ),
+    ("chain_left:1,1,1", "3", ()): (
+        "659f180138e44fa3250f0df667fa16bc3ab88550abde6d952181be4aa70d9cee",
+        "58ad58ddadd7e0992767bcb97cf6083e9ca116915f9ec8b342335d7724af0cb0",
+    ),
+    ("circle:1", "3", ("--base", "phi0")): (
+        "64673031f99eef25b7312c3051f79523ed43a7f5b26f80526aafeb433a9b791b",
+        "b43c59332cf696b1d19f876ff2b8c4dee2430802d8bccea84269295d01fa3c5a",
+    ),
+}
+
+
+@pytest.mark.parametrize("web,N,flags", list(PINNED_PRESENTATIONS))
+@pytest.mark.parametrize("command", ["gram", "rank"])
+def test_gram_and_rank_stdout_is_pinned(capsys, command, web, N, flags):
+    # Gram entries expanded to X1..XN and the graded rank, byte for byte
+    code, out, _ = run(capsys, command, "--web", web, "--N", N, *flags, "--json")
+    assert code == 0
+    digest = PINNED_PRESENTATIONS[web, N, flags][command == "rank"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestGram:
     def test_circle_entries(self, capsys):
         code, out, _ = run(capsys, "gram", "--web", "circle:1", "--N", "2", "--json")

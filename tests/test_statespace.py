@@ -5,6 +5,8 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import random
+from functools import partial
 from fractions import Fraction
 
 import pytest
@@ -262,10 +264,78 @@ class TestGradedRank:
 
     def test_denominator_vanishing_mod_p_is_a_typed_error(self):
         G = gram_matrix(circle_presentation(1, 2, QQ))
-        bad = MultiPoly.const(QQ, xvars(2), Fraction(1, statespace._RANK_PRIME))
-        rows = ((bad,) + G.entries[0][1:],) + G.entries[1:]
+        evars = ElementaryBasis(xvars(2)).e_names
+        bad = MultiPoly.const(QQ, evars, Fraction(1, statespace._RANK_PRIME))
+        rows = ((bad,) + G.e_entries[0][1:],) + G.e_entries[1:]
         with pytest.raises(WrongRing):
-            graded_rank(dataclasses.replace(G, entries=rows))
+            graded_rank(dataclasses.replace(G, e_entries=rows))
+
+    def test_rank_path_expands_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("from_e called on the rank path")
+
+        monkeypatch.setattr(ElementaryBasis, "from_e", refuse)
+        assert moy_check("circle", 4, a=2).ok
+        G = gram_matrix(theta_presentation(1, 1, 3))
+        assert graded_rank(G) == laurent_mul(qbinom_laurent(2, 1), qbinom_laurent(3, 2))
+
+    def test_entries_are_the_stored_values_expanded(self):
+        for base in ("equivariant", "phi0"):
+            G = gram_matrix(theta_presentation(1, 1, 3, ZZ, base))
+            basis = ElementaryBasis(xvars(3))
+            stored = [e for row in G.e_entries for e in row]
+            if base == "phi0":
+                assert G.entries == G.e_entries
+                assert all(e.is_constant() for e in stored)
+            else:
+                assert all(e.vars == basis.e_names for e in stored)
+                assert G.entries == tuple(
+                    tuple(basis.from_e(e) for e in row) for row in G.e_entries
+                )
+
+
+def _standard_presentations():
+    """The generator families of the CLI at N <= 5: every circle, theta and
+    zipped web and the thin chains; the four-vertex ladder up to N = 4
+    (at N = 5 its 30 generators take seconds to pair)."""
+    out = []
+    for N in range(1, 6):
+        out += [(f"circle({a},{N})", partial(circle_presentation, a, N))
+                for a in range(1, N + 1)]
+        for a, b in itertools.product(range(1, N), repeat=2):
+            if a + b <= N:
+                out.append((f"theta({a},{b},{N})", partial(theta_presentation, a, b, N)))
+                out.append((f"zipped({a},{b},{N})", partial(zipped_presentation, a, b, N)))
+    out += [(f"necklace({N})", partial(necklace_presentation, N)) for N in range(2, 5)]
+    out += [
+        (f"{order}(1,1,1,{N})", partial(chain_presentation, order, 1, 1, 1, N))
+        for order in ("left", "right")
+        for N in (3, 4, 5)
+    ]
+    return out
+
+
+class TestRankAgainstPigmentBasis:
+    """``graded_rank`` on the entries in ``e_1..e_N`` against
+    ``oracle.rank_reference`` on the entries in ``X1..XN``."""
+
+    @pytest.mark.parametrize("base", ["equivariant", "phi0"])
+    @pytest.mark.parametrize(
+        "build", [b for _, b in _standard_presentations()],
+        ids=[name for name, _ in _standard_presentations()],
+    )
+    def test_standard_presentations(self, build, base):
+        G = gram_matrix(build(ZZ, base))
+        want = oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)
+        assert graded_rank(G) == want
+
+    def test_dependent_family(self):
+        movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
+        for base in ("equivariant", "phi0"):
+            G = gram_matrix(presentation(movs, 2, ZZ, base))
+            want = oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)
+            assert graded_rank(G) == want
+            assert sum(want.values()) == 2
 
 
 class TestSpecialize:
@@ -329,6 +399,15 @@ class TestIsZero:
         S = FoamSum.from_movie(decorated_cup(), P)
         assert is_zero_in_statespace(S - S, gens)
         assert not is_zero_in_statespace(S, gens)
+
+    @pytest.mark.parametrize(
+        "N,var", [(2, "Y1"), (2, "X3")], ids=["foreign_name", "beyond_N"]
+    )
+    def test_coefficient_outside_the_alphabet_is_input_error(self, N, var):
+        gens = circle_presentation(1, N)
+        coef = MultiPoly.var(ZZ, (var,), var)
+        with pytest.raises(InputError, match="X1"):
+            is_zero_in_statespace([(coef, decorated_cup())], gens)
 
     @given(st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=20, deadline=None)
@@ -758,6 +837,18 @@ class TestOperatorAlgebraAgainstPigmentBasis:
         for x, y in ((eq, phi0), (phi0, eq)):
             with pytest.raises(InputError):
                 operator_compose(x, y)
+
+    @pytest.mark.parametrize("a2,N2", [(2, 3), (1, 4)], ids=["same_N", "other_N"])
+    def test_presentations_do_not_mix(self, a2, N2):
+        # e on the thin circle at N = 3 against h on another family: the
+        # coordinates refer to different generators
+        e = induced_action("e", rich_pack(3), circle_presentation(1, 3, QQ))
+        h = induced_action("h", rich_pack(N2), circle_presentation(a2, N2, QQ))
+        for x, y in ((e, h), (h, e)):
+            with pytest.raises(InputError, match="presentations"):
+                operator_compose(x, y)
+            with pytest.raises(InputError, match="presentations"):
+                operator_commutator(x, y)
             with pytest.raises(InputError):
                 operator_commutator(x, y)
 
@@ -1040,16 +1131,16 @@ class TestOneEvaluationPath:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gram_equals_pair_movies(self, family):
         gens = FAMILIES[family](ZZ)
-        G = gram_matrix(gens)
+        entries = gram_matrix(gens).entries  # expanded once, not on every read
         for i, F in enumerate(gens.movies):
             for j, Gm in enumerate(gens.movies):
-                assert G.entries[i][j] == pair_movies(F, Gm, gens.N, gens.ring)
+                assert entries[i][j] == pair_movies(F, Gm, gens.N, gens.ring)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gram_is_symmetric(self, family):
-        G = gram_matrix(FAMILIES[family](ZZ))
-        n = len(G.entries)
-        assert all(G.entries[i][j] == G.entries[j][i] for i in range(n) for j in range(n))
+        entries = gram_matrix(FAMILIES[family](ZZ)).entries
+        n = len(entries)
+        assert all(entries[i][j] == entries[j][i] for i in range(n) for j in range(n))
 
     def test_two_shapes_share_four_undecorated_foams(self):
         gens = two_shape_presentation()
