@@ -738,7 +738,7 @@ class ElementaryBasis:
         self.vars = tuple(variables)
         N = len(self.vars)
         self.e_names = (
-            tuple(f"E{i}" for i in range(1, N + 1)) if e_names is None else tuple(e_names)
+            evars(N) if e_names is None else tuple(e_names)
         )
         if len(self.e_names) != N:
             raise ValueError(f"{N} variables need {N} elementary names")
@@ -1419,6 +1419,11 @@ def poly_arith(op: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:
 def xvars(N: int) -> tuple[str, ...]:
     """The pigment alphabet X1..XN."""
     return tuple(f"X{i}" for i in range(1, N + 1))
+
+
+def evars(N: int) -> tuple[str, ...]:
+    """The alphabet E1..EN of the elementary symmetric polynomials."""
+    return tuple(f"E{i}" for i in range(1, N + 1))
 
 
 # ---------------------------------------------------------------------------

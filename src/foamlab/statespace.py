@@ -53,6 +53,7 @@ from .polyring import (
     ZZ,
     _laurent_clean,
     elementary,
+    evars,
     facet_vars,
     kill_equivariance,
     laurent_add,
@@ -442,7 +443,7 @@ def _specialize(entry: MultiPoly, values: dict[str, int], p: int) -> int:
 
 def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:
     n, m = G.shape
-    vs = ElementaryBasis(xvars(G.N)).e_names
+    vs = evars(G.N)
     values = dict(zip(vs, rng.sample(range(1, p), len(vs))))
     spec = [
         [_specialize(e, values, p) for e in row] for row in G.e_entries
@@ -723,11 +724,10 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     # The system is solved over R[e_1..e_N]: every pairing is a symmetric
     # polynomial, far smaller in the elementary basis, and the pairings come
     # in it.  The ``phi0`` entries are their constant terms.  Only the
-    # solution is converted back.
-    basis = ElementaryBasis(xvars(gens.N))
+    # solution is converted back, by the converter of the pairings.
+    expand = _basis(gens.base, gens.N)
+    basis = expand or ElementaryBasis(xvars(gens.N))
     P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
-    equivariant = gens.base == "equivariant"
-    expand = basis if equivariant else None
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries (the
     # generator rows of P) and of the image pairings (the rows after them)
@@ -741,7 +741,7 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         # kernel; the operator acts on its coefficients by the base
         # derivation and on the generators by the pairing columns.  The
         # check is blind to the scaling of each kernel vector.
-        deriv = _elementary_derivation(op, basis, gens.ring) if equivariant else None
+        deriv = _elementary_derivation(op, expand, gens.ring) if expand else None
         for vec in kernel:
             dvec = [deriv(e) for e in vec] if deriv is not None else None
             for j in range(n):
