@@ -40,6 +40,7 @@ from foamlab.polyring import (
     WittSequence,
     ZZ,
     elementary,
+    kill_equivariance,
     power_sum,
     qbinom_laurent,
     xvars,
@@ -424,6 +425,59 @@ class TestIsZero:
         assert is_zero_in_statespace(v, gens) == (c0 == 0 and c1 == 0)
 
 
+def phi0_zero_reference(v, gens):
+    """``is_zero_in_statespace`` on ``phi0`` by the symmetric base change: the
+    row summed in ``X1..XN`` from :func:`pair_movies`, each entry sent
+    through ``kill_equivariance``."""
+    vs = xvars(gens.N)
+    row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
+    for coef, mov in v:
+        c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
+        row = [
+            e + pair_movies(mov, G, gens.N, gens.ring) * c
+            for e, G in zip(row, gens.movies)
+        ]
+    return all(kill_equivariance(e) == 0 for e in row)
+
+
+def phi0_membership_cases():
+    """(presentation, combination, expected) on the two ``phi0`` circles."""
+    one, two = (circle_presentation(a, N, ZZ, "phi0") for a, N in [(1, 2), (2, 3)])
+    e1, e2 = (elementary(ZZ, xvars(2), k) for k in (1, 2))
+    m0, m1 = one.movies
+    yield "circle(1,2) cup", one, [(1, m0)], False
+    yield "circle(1,2) zero scalar", one, [(0, m0), (0, m1)], True
+    yield "circle(1,2) two dots", one, [(3, decorated_cup(p1sq_poly()))], True
+    yield "circle(1,2) e1 cup", one, [(e1, m0)], True
+    yield "circle(1,2) e2 dotted cup", one, [(e2, m1)], True
+    yield "circle(1,2) e1 dotted cup and cup", one, [(e1, m1), (1, m0)], False
+    yield "circle(1,2) dependent", one, [
+        (1, decorated_cup(p1sq_poly())),
+        (-e1, decorated_cup(p1_poly())),
+        (e2, decorated_cup()),
+    ], True
+    E1, E2 = (elementary(ZZ, xvars(3), k) for k in (1, 2))
+    t0, t1, t2 = two.movies
+    yield "circle(2,3) scalars", two, [(1, t0), (-2, t2)], False
+    yield "circle(2,3) top", two, [(5, t2)], False
+    yield "circle(2,3) e1", two, [(E1, t0), (E2, t1)], True
+    yield "circle(2,3) e1 and scalar", two, [(E1, t1), (1, t0)], False
+
+
+class TestIsZeroOnPhi0:
+    """Kernel membership on the ``phi0`` base against the base change
+    ``kill_equivariance`` of the row in ``X1..XN``."""
+
+    @pytest.mark.parametrize(
+        "gens,v,expected",
+        [case[1:] for case in phi0_membership_cases()],
+        ids=[case[0] for case in phi0_membership_cases()],
+    )
+    def test_agrees_with_the_base_change(self, gens, v, expected):
+        assert phi0_zero_reference(v, gens) == expected
+        assert is_zero_in_statespace(v, gens) == expected
+
+
 class TestInducedAction:
     @pytest.mark.parametrize("N", [2, 3])
     def test_sl2_matrix_relations(self, N):
@@ -617,12 +671,15 @@ PINNED = {
 }
 
 
-def thin_cups(ring, N=2, kmax=2):
-    """Thin cups dotted p_1^k, k = 0..kmax: a kernel of dimension 1 at N = 2."""
+def thin_cups(ring, N=2, kmax=2, base="equivariant"):
+    """Thin cups dotted p_1^k, k = 0..kmax: a kernel of dimension 1 at N = 2.
+
+    On ``phi0`` two cups pair to a nonzero constant only when their dots add
+    up to N - 1, so every cup beyond N - 1 dots is in the kernel."""
     movs = [decorated_cup()]
     for k in range(1, kmax + 1):
         movs.append(decorated_cup(SymPoly(power_sum(ring, ("x1",), 1) ** k, (1,))))
-    return presentation(movs, N, ring)
+    return presentation(movs, N, ring, base)
 
 
 PINNED_FAMILIES = {
@@ -710,6 +767,9 @@ DIFFERENTIAL_FAMILIES = {
     "thin_cups(N=4)": (4, lambda ring: thin_cups(ring, 4, 5)),
     "circle(1,3) phi0": (3, lambda ring: circle_presentation(1, 3, ring, "phi0")),
     "circle(2,4) phi0": (4, lambda ring: circle_presentation(2, 4, ring, "phi0")),
+    "thin_cups(N=2) phi0": (2, lambda ring: thin_cups(ring, 2, 2, "phi0")),
+    "thin_cups(N=3) phi0": (3, lambda ring: thin_cups(ring, 3, 3, "phi0")),
+    "thin_cups(N=4) phi0": (4, lambda ring: thin_cups(ring, 4, 5, "phi0")),
 }
 
 
@@ -762,6 +822,12 @@ class TestInducedAgainstPigmentBasis:
         assert got == want
         if family.startswith("thin_cups"):
             assert "kernel of dimension" in got[1]
+
+    @pytest.mark.parametrize("N,dim", [(2, 1), (3, 1), (4, 2)])
+    def test_phi0_thin_cups_run_the_kernel_certificate(self, N, dim):
+        _, build = DIFFERENTIAL_FAMILIES[f"thin_cups(N={N}) phi0"]
+        got, _ = outcomes("d", differential_pack("d", GF(5), N), build(GF(5)))
+        assert got[1] == f"kernel of dimension {dim} is preserved"
 
     @pytest.mark.parametrize("N,kmax", [(2, 2), (3, 3)])
     @pytest.mark.parametrize("op", ["e", "f"])
