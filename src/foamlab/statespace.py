@@ -55,7 +55,6 @@ from .polyring import (
     elementary,
     evars,
     facet_vars,
-    kill_equivariance,
     laurent_add,
     laurent_mul,
     qbinom_laurent,
@@ -111,8 +110,8 @@ class Presentation:
     """A web together with a finite family of build-up movies.
 
     ``base`` selects the coefficient base of the pairing: ``"equivariant"``
-    keeps values as polynomials in the full alphabet, ``"phi0"`` kills the
-    positive-degree symmetric part so values become scalars.
+    keeps values as symmetric polynomials, ``"phi0"`` sends every ``e_k`` to
+    0, so values become constants of the same alphabet.
     """
 
     web: Web
@@ -312,26 +311,23 @@ def pair_movies(F: Movie, G: Movie, N: int, ring: CoefRing = ZZ) -> MultiPoly:
 
 
 def _base_entry(value: MultiPoly, base: str) -> MultiPoly:
-    """A checked pairing value over ``base``; the ``phi0`` base keeps its
-    constant term, the same in ``X1..XN`` and in ``e_1..e_N``."""
+    """A pairing value over ``base``, in the value's own alphabet.
+
+    The ``phi0`` base keeps the constant term: in ``e_1..e_N`` it is the
+    image under ``e_k -> 0``, and in ``X1..XN`` under ``X_i -> 0``, the one
+    ring map to the coefficients that kills every ``e_k`` (each ``X_i`` is
+    a root of ``t^N``, and Z, Q and F_p have no nonzero nilpotents).
+    """
     if base == "phi0":
-        return MultiPoly.const(value.ring, (), value.constant_value())
+        return MultiPoly.const(value.ring, value.vars, value.constant_value())
     return value
 
 
 Matrix = tuple[tuple[MultiPoly, ...], ...]
 
 
-def _basis(base: str, N: int) -> ElementaryBasis | None:
-    """The converter of values stored over ``base``, or None over ``phi0``,
-    where they are constants."""
-    return ElementaryBasis(xvars(N)) if base == "equivariant" else None
-
-
-def _expanded(S: Matrix, basis: ElementaryBasis | None) -> Matrix:
+def _expanded(S: Matrix, basis: ElementaryBasis) -> Matrix:
     """A matrix stored in ``e_1..e_N`` in ``X1..XN``."""
-    if basis is None:
-        return S
     return tuple(tuple(basis.from_e(e) for e in row) for row in S)
 
 
@@ -340,7 +336,7 @@ class GramMatrix:
     """Matrix of pairings between the generators of one family.
 
     ``e_entries`` are the pairings as computed, in ``e_1..e_N`` (variables
-    ``E1..EN``) on the equivariant base and constants on ``phi0``.
+    ``E1..EN``); on ``phi0`` they are constants over ``E1..EN``.
     """
 
     e_entries: Matrix
@@ -352,7 +348,7 @@ class GramMatrix:
     @property
     def entries(self) -> Matrix:
         """The pairings in ``X1..XN``; expanded on every read."""
-        return _expanded(self.e_entries, _basis(self.base, self.N))
+        return _expanded(self.e_entries, ElementaryBasis(xvars(self.N)))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -519,23 +515,22 @@ def is_zero_in_statespace(
     basis = ElementaryBasis(xvars(gens.N))
     if isinstance(v, FoamSum):
         (row,) = _pairings([v], gens, basis)
-        return all(_base_entry(e, gens.base).is_zero() for e in row)
-    # a polynomial coefficient need not be symmetric: the row is summed in X1..XN
-    vs = xvars(gens.N)
-    v = list(v)
-    for coef, _ in v:
-        if isinstance(coef, MultiPoly) and not set(coef.vars) <= set(vs):
-            raise InputError(
-                f"coefficient in {coef.vars} is not a polynomial in {vs}"
-            )
-    row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
-    pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens, basis)
-    for (coef, _), values in zip(v, _expanded(pairs, basis)):
-        c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
-        row = [e + value * c for e, value in zip(row, values)]
-    if gens.base == "phi0":
-        return all(kill_equivariance(e) == 0 for e in row)
-    return all(e.is_zero() for e in row)
+    else:
+        # a polynomial coefficient need not be symmetric: the row is summed
+        # in X1..XN
+        vs = xvars(gens.N)
+        v = list(v)
+        for coef, _ in v:
+            if isinstance(coef, MultiPoly) and not set(coef.vars) <= set(vs):
+                raise InputError(
+                    f"coefficient in {coef.vars} is not a polynomial in {vs}"
+                )
+        row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
+        pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens, basis)
+        for (coef, _), values in zip(v, _expanded(pairs, basis)):
+            c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
+            row = [e + value * c for e, value in zip(row, values)]
+    return all(_base_entry(e, gens.base).is_zero() for e in row)
 
 
 # ---------------------------------------------------------------------------
@@ -687,10 +682,10 @@ class InducedAction:
     """An operator expressed in a generator family, column convention.
 
     ``matrix[k][i]`` is the coefficient of generator ``k`` in the image of
-    generator ``i``; composition of operators is matrix product.
-    ``solution`` is the same matrix as solved: on the equivariant base its
-    entries are in ``e_1..e_N`` (variables ``E1..EN``) and ``matrix`` is its
-    expansion in ``X1..XN``; on the ``phi0`` base both are the constants.
+    generator ``i``; operators compose by :func:`operator_compose`.
+    ``solution`` is the same matrix as solved, with entries in ``e_1..e_N``
+    (variables ``E1..EN``), and ``matrix`` is its expansion in ``X1..XN``;
+    on the ``phi0`` base both hold constants.
     ``gens`` is the generator family of the coordinates.
     """
 
@@ -725,8 +720,7 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     # polynomial, far smaller in the elementary basis, and the pairings come
     # in it.  The ``phi0`` entries are their constant terms.  Only the
     # solution is converted back, by the converter of the pairings.
-    expand = _basis(gens.base, gens.N)
-    basis = expand or ElementaryBasis(xvars(gens.N))
+    basis = ElementaryBasis(xvars(gens.N))
     P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
     # rows of the system are indexed by the pairing partner G_j, columns by
     # the generator coordinates, i.e. the transpose of the Gram entries (the
@@ -737,46 +731,38 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     # is checked; the operator is not well defined either way.
     _, kernel, X = _fraction_free_solve(M, B)
     if kernel:
-        # A vector of coefficients in the pairing kernel must stay in the
-        # kernel; the operator acts on its coefficients by the base
-        # derivation and on the generators by the pairing columns.  The
-        # check is blind to the scaling of each kernel vector.
-        deriv = _elementary_derivation(op, expand, gens.ring) if expand else None
+        # A vector V of coefficients in the pairing kernel must stay in the
+        # kernel, B V + M L(V) = 0: the operator acts on the generators by
+        # the pairing columns and on the coefficients by the base derivation
+        # L.  The check is blind to the scaling of each kernel vector.
+        derive = _elementary_derivation(op, basis, gens.ring)
         for vec in kernel:
-            dvec = [deriv(e) for e in vec] if deriv is not None else None
-            for j in range(n):
-                acc = MultiPoly.zero(M[0][0].ring, M[0][0].vars)
-                for k in range(n):
-                    acc = acc + B[j][k] * vec[k]
-                    if dvec is not None:
-                        acc = acc + M[j][k] * dvec[k]
-                if not acc.is_zero():
-                    raise NotWellDefined(
-                        f"operator {op} moves a pairing-kernel vector out of the"
-                        f" kernel (generator coordinates"
-                        f" {list(_expanded((vec,), expand)[0])})"
-                    )
+            V = tuple((e,) for e in vec)
+            if not mat_is_zero(mat_add(mat_mul(B, V), mat_mul(M, derive(V)))):
+                raise NotWellDefined(
+                    f"operator {op} moves a pairing-kernel vector out of the"
+                    f" kernel (generator coordinates"
+                    f" {[basis.from_e(e) for e in vec]})"
+                )
         cert = CheckReport(
             True, None, f"kernel of dimension {len(kernel)} is preserved"
         )
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
     solution = tuple(tuple(row) for row in X)
-    return InducedAction(op, _expanded(solution, expand), cert, solution, gens)
+    return InducedAction(op, _expanded(solution, basis), cert, solution, gens)
 
 
 # ---------------------------------------------------------------------------
 # Operator algebra on coordinates
 # ---------------------------------------------------------------------------
 #
-# On the equivariant base the operators are derivations: they move the
-# generators (the matrix part) *and* differentiate base coefficients (the
-# derivation part).  Composition is therefore matrix product plus the
-# derivation applied entrywise, and operator identities must be checked
-# with these connection-style formulas.  Over the ``phi0`` base the
-# derivation part vanishes and plain matrix algebra applies.  Both run on
-# the solved matrices, in ``e_1..e_N`` on the equivariant base, and only the
-# result is expanded in ``X1..XN``.
+# The operators are derivations: they move the generators (the matrix
+# part) *and* differentiate base coefficients (the derivation part).  So
+# ``a`` after a solved matrix ``S`` is ``a.solution * S + L_a(S)``, and
+# compositions, brackets and powers all take this one step.  It runs on
+# the solved matrices in ``e_1..e_N``, and only the result is expanded in
+# ``X1..XN``.  On ``phi0`` the entries are constants, where ``L_a`` is 0.
 
 
 def base_derivation(op: str):
@@ -786,9 +772,9 @@ def base_derivation(op: str):
 
 
 def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
-    """:func:`base_derivation` on polynomials in ``e_1..e_N``, by the chain
-    rule ``d(q) = sum_k dq/de_k * d(e_k)``; each ``d(e_k)`` is converted
-    once."""
+    """:func:`base_derivation` on every entry of a matrix in ``e_1..e_N``, by
+    the chain rule ``d(q) = sum_k dq/de_k * d(e_k)``, so 0 on constants;
+    each ``d(e_k)`` is converted once."""
     d = base_derivation(op)
     images = [
         basis.to_e(d(elementary(ring, basis.vars, k))) for k in range(1, len(basis.vars) + 1)
@@ -801,51 +787,43 @@ def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
                 acc = acc + q.derivative(name) * image
         return acc
 
-    return deriv
-
-
-def _derivative(a: InducedAction, basis: ElementaryBasis | None):
-    """The base derivation of ``a`` on every entry of a solved matrix, or
-    None over ``phi0``."""
-    if basis is None:
-        return None
-    deriv = _elementary_derivation(a.op, basis, a.gens.ring)
     return lambda S: tuple(tuple(deriv(e) for e in row) for row in S)
 
 
-def _compose(a: InducedAction, b: InducedAction, basis: ElementaryBasis | None) -> Matrix:
-    """:func:`operator_compose` on the solved matrices."""
+def _after(a: InducedAction, basis: ElementaryBasis):
+    """The step ``S -> a.solution * S + L_a(S)``: ``a`` after ``S``."""
+    derive = _elementary_derivation(a.op, basis, a.gens.ring)
+    return lambda S: mat_add(mat_mul(a.solution, S), derive(S))
+
+
+def _shared_basis(a: InducedAction, b: InducedAction) -> ElementaryBasis:
+    """The converter of two operators' solved matrices, which must share
+    one presentation."""
     if a.gens != b.gens:
         raise InputError("operators are expressed in different presentations")
-    out = mat_mul(a.solution, b.solution)
-    derive = _derivative(a, basis)
-    if derive is not None:
-        out = mat_add(out, derive(b.solution))
-    return out
+    return ElementaryBasis(xvars(a.gens.N))
 
 
 def operator_compose(a: InducedAction, b: InducedAction) -> Matrix:
     """Matrix of ``a`` after ``b`` in the same generator family."""
-    basis = _basis(a.base, a.gens.N)
-    return _expanded(_compose(a, b, basis), basis)
+    basis = _shared_basis(a, b)
+    return _expanded(_after(a, basis)(b.solution), basis)
 
 
 def operator_commutator(a: InducedAction, b: InducedAction) -> Matrix:
-    basis = _basis(a.base, a.gens.N)
-    return _expanded(mat_sub(_compose(a, b, basis), _compose(b, a, basis)), basis)
+    basis = _shared_basis(a, b)
+    ab, ba = _after(a, basis)(b.solution), _after(b, basis)(a.solution)
+    return _expanded(mat_sub(ab, ba), basis)
 
 
 def operator_power(a: InducedAction, k: int) -> Matrix:
     if k < 1:
         raise InputError("operator power needs a positive exponent")
-    basis = _basis(a.base, a.gens.N)
-    derive = _derivative(a, basis)
+    basis = ElementaryBasis(xvars(a.gens.N))
+    step = _after(a, basis)
     out = a.solution
     for _ in range(k - 1):
-        step = mat_mul(a.solution, out)
-        if derive is not None:
-            step = mat_add(step, derive(out))
-        out = step
+        out = step(out)
     return _expanded(out, basis)
 
 

@@ -25,6 +25,7 @@ from foamlab import actions, dsl, foameval, statespace
 from foamlab.errors import (
     DivisionNotExact,
     InputError,
+    NotInSymmetricSubring,
     NotWellDefined,
     RankUnstable,
     WrongRing,
@@ -281,18 +282,21 @@ class TestGradedRank:
         assert graded_rank(G) == laurent_mul(qbinom_laurent(2, 1), qbinom_laurent(3, 2))
 
     def test_entries_are_the_stored_values_expanded(self):
+        basis = ElementaryBasis(xvars(3))
         for base in ("equivariant", "phi0"):
             G = gram_matrix(theta_presentation(1, 1, 3, ZZ, base))
-            basis = ElementaryBasis(xvars(3))
             stored = [e for row in G.e_entries for e in row]
+            assert all(e.vars == basis.e_names for e in stored)
+            assert G.entries == tuple(
+                tuple(basis.from_e(e) for e in row) for row in G.e_entries
+            )
             if base == "phi0":
-                assert G.entries == G.e_entries
+                # constants over E1..EN, expanded to the same constants
+                # over X1..XN
                 assert all(e.is_constant() for e in stored)
-            else:
-                assert all(e.vars == basis.e_names for e in stored)
-                assert G.entries == tuple(
-                    tuple(basis.from_e(e) for e in row) for row in G.e_entries
-                )
+                assert [e.constant_value() for row in G.entries for e in row] == [
+                    e.constant_value() for e in stored
+                ]
 
 
 def _standard_presentations():
@@ -476,6 +480,17 @@ class TestIsZeroOnPhi0:
     def test_agrees_with_the_base_change(self, gens, v, expected):
         assert phi0_zero_reference(v, gens) == expected
         assert is_zero_in_statespace(v, gens) == expected
+
+    def test_non_symmetric_coefficient_reads_the_constant_term(self):
+        # X_i -> 0 is the one ring map R[X1..XN] -> R killing every e_k, so a
+        # row outside the symmetric subring is read by its constant terms
+        gens = circle_presentation(1, 2, ZZ, "phi0")
+        X1 = MultiPoly.var(ZZ, xvars(2), "X1")
+        cup = gens.movies[0]
+        with pytest.raises(NotInSymmetricSubring):
+            phi0_zero_reference([(X1, cup)], gens)
+        assert is_zero_in_statespace([(X1, cup)], gens)
+        assert not is_zero_in_statespace([(X1, cup), (1, cup)], gens)
 
 
 class TestInducedAction:
@@ -894,8 +909,11 @@ class TestOperatorAlgebraAgainstPigmentBasis:
     def test_differential_powers(self, p, N, a, base):
         pack = ActionParams(ring=GF(p), N=N, t1=1, t2=2, t3=0)
         act = induced_action("d", pack, circle_presentation(a, N, GF(p), base))
+        basis = ElementaryBasis(xvars(N))
+        assert all(e.vars == basis.e_names for row in act.solution for e in row)
+        assert act.matrix == tuple(tuple(basis.from_e(e) for e in row) for row in act.solution)
         if base == "phi0":
-            assert act.solution == act.matrix
+            assert all(e.is_constant() for row in act.solution for e in row)
         powers = [operator_power(act, k) for k in range(1, p + 1)]
         assert powers == [oracle.operator_power_reference(act, k) for k in range(1, p + 1)]
         assert not mat_is_zero(powers[0]) and mat_is_zero(powers[-1])
