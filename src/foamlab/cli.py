@@ -94,7 +94,7 @@ def _emit(record: dict, as_json: bool, human: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_movie(target: str, N: int | None, ring: CoefRing = ZZ) -> Movie:
+def _load_movie(target: str, N: int | None) -> Movie:
     file_part, sep, movie_part = target.rpartition("#")
     if not sep or not file_part or not movie_part:
         raise InputError(f"expected <file>#<movie>, got {target!r}")
@@ -199,7 +199,7 @@ def eval_cmd(target, n_pigments, mod, phi0, breakdown, as_json) -> None:
     if mod is not None and phi0:
         raise InputError("--mod and --phi0 are mutually exclusive")
     ring = GF(mod) if mod is not None else ZZ
-    mov = _load_movie(target, n_pigments, ring)
+    mov = _load_movie(target, n_pigments)
     res = evaluate(mov, n_pigments, ring)
     if phi0:
         out = str(kill_equivariance(res.value))
@@ -248,7 +248,7 @@ def act_cmd(
         n_pigments, ring_text, s_text, nu1, nu2, nu3,
         t1_text, t2_text, t3_text, spherical,
     )
-    mov = _load_movie(target, n_pigments, params.ring)
+    mov = _load_movie(target, n_pigments)
     S = apply_operator(op, params, mov)
     record = {
         "command": "act",
@@ -515,7 +515,7 @@ def _suite_compat(count: int, seed: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _suite_pdg(seed: int) -> list[tuple[str, bool, str]]:
+def _suite_pdg() -> list[tuple[str, bool, str]]:
     results = []
     for p in (3, 5):
         for N, a in ((2, 1), (3, 1)):
@@ -552,7 +552,7 @@ def check_cmd(suite, nmax, count, seed, as_json) -> None:
     elif suite == "compat":
         results = _suite_compat(count, seed)
     else:
-        results = _suite_pdg(seed)
+        results = _suite_pdg()
     all_ok = all(ok for _, ok, _ in results)
     record = {
         "command": "check",

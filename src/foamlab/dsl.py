@@ -100,6 +100,7 @@ class _Stream:
     def __init__(self, toks: list[_Tok]):
         self.toks = toks
         self.i = 0
+        self.depth = 0  # open parentheses
 
     @property
     def cur(self) -> _Tok:
@@ -405,6 +406,10 @@ def _parse_value_text(s: _Stream) -> str:
 # polynomial expressions: sum -> product -> power -> atom
 
 _SYM_ATOM = re.compile(r"^(e|h|p)_(\d+)$")
+# The most parentheses open at once, and the greatest height of a polynomial
+# with its references expanded: every recursive walk stays far inside
+# Python's recursion limit.
+_MAX_NESTING = 100
 _X_ATOM = re.compile(r"^X_?(\d+)$")
 
 
@@ -420,11 +425,14 @@ def _parse_poly(s: _Stream) -> PolyExpr:
 
 
 def _parse_product(s: _Stream) -> PolyExpr:
-    if s.accept("punct", "-"):
-        return ("neg", _parse_product(s))
+    negations = 0
+    while s.accept("punct", "-"):
+        negations += 1
     expr = _parse_power(s)
     while s.accept("punct", "*"):
         expr = ("mul", expr, _parse_power(s))
+    for _ in range(negations):
+        expr = ("neg", expr)
     return expr
 
 
@@ -437,8 +445,12 @@ def _parse_power(s: _Stream) -> PolyExpr:
 
 def _parse_atom(s: _Stream) -> PolyExpr:
     if s.accept("punct", "("):
+        s.depth += 1
+        if s.depth > _MAX_NESTING:
+            raise s.error(f"parentheses nested more than {_MAX_NESTING} deep")
         expr = _parse_poly(s)
         s.take("punct", ")")
+        s.depth -= 1
         return expr
     t = s.cur
     if t.kind == "int":
@@ -465,6 +477,7 @@ def _parse_atom(s: _Stream) -> PolyExpr:
 
 
 def _check_references(ff: FoamFile) -> None:
+    heights: dict[str, int] = {}
     for decl in ff.movies.values():
         if decl.web != "empty" and decl.web not in ff.webs:
             raise InputError(
@@ -472,23 +485,42 @@ def _check_references(ff: FoamFile) -> None:
             )
         for mv in decl.moves:
             if mv.poly is not None:
-                _check_poly_refs(ff, mv.poly, decl.name)
-    for name, expr in ff.polys.items():
-        _check_poly_refs(ff, expr, name)
+                _check_poly_refs(ff, mv.poly, decl.name, heights)
+    for name in ff.polys:
+        _check_poly_refs(ff, ("ref", name), name, heights)
 
 
-def _check_poly_refs(ff: FoamFile, expr: PolyExpr, where: str) -> None:
-    tag = expr[0]
-    if tag == "ref":
-        if expr[1] not in ff.polys:
-            raise InputError(f"{where!r} references unknown polynomial {expr[1]!r}")
-    elif tag in ("add", "sub", "mul"):
-        _check_poly_refs(ff, expr[1], where)
-        _check_poly_refs(ff, expr[2], where)
-    elif tag in ("neg",):
-        _check_poly_refs(ff, expr[1], where)
-    elif tag == "pow":
-        _check_poly_refs(ff, expr[1], where)
+def _check_poly_refs(ff: FoamFile, expr: PolyExpr, where: str, heights: dict, level=1) -> int:
+    """The height of ``expr``, ``level`` deep in the walk, with its
+    references expanded; ``heights`` keeps each named polynomial's, None
+    while it is being expanded.
+
+    Raises :class:`InputError` for an unknown reference, a cycle of
+    references, or a height above ``_MAX_NESTING`` (a sum of ``n`` terms is
+    ``n`` high), which bounds every recursive walk over a polynomial.
+    """
+    if level > _MAX_NESTING:
+        raise InputError(f"{where!r}: polynomial nested more than {_MAX_NESTING} deep")
+    if expr[0] != "ref":
+        subs = [sub for sub in expr[1:] if isinstance(sub, tuple)]
+        height = 1 + max(
+            (_check_poly_refs(ff, sub, where, heights, level + 1) for sub in subs), default=0
+        )
+    else:
+        name = expr[1]
+        if name not in ff.polys:
+            raise InputError(f"{where!r} references unknown polynomial {name!r}")
+        if name not in heights:
+            heights[name] = None
+            heights[name] = _check_poly_refs(ff, ff.polys[name], name, heights, level + 1)
+        elif heights[name] is None:
+            path = [n for n, h in heights.items() if h is None]
+            cycle = " -> ".join(path[path.index(name):] + [name])
+            raise InputError(f"polynomial {name!r} refers to itself: {cycle}")
+        height = 1 + heights[name]
+    if height > _MAX_NESTING:
+        raise InputError(f"{where!r}: polynomial nested more than {_MAX_NESTING} deep")
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -516,14 +548,16 @@ def _realize_web(decl: WebDecl) -> Web:
     return web
 
 
-def _poly_uses_hat(expr: PolyExpr) -> bool:
+def _poly_uses_hat(ff: FoamFile, expr: PolyExpr) -> bool:
     tag = expr[0]
     if tag == "sym":
         return expr[1] == "phat"
+    if tag == "ref":
+        return _poly_uses_hat(ff, ff.polys[expr[1]])
     if tag in ("add", "sub", "mul"):
-        return _poly_uses_hat(expr[1]) or _poly_uses_hat(expr[2])
+        return _poly_uses_hat(ff, expr[1]) or _poly_uses_hat(ff, expr[2])
     if tag in ("neg", "pow"):
-        return _poly_uses_hat(expr[1])
+        return _poly_uses_hat(ff, expr[1])
     return False
 
 
@@ -563,10 +597,9 @@ def _realize_poly(
     return left * right  # "mul"
 
 
-def _realize_decoration(
-    ff: FoamFile, expr: PolyExpr, ring: CoefRing, a: int, N: int | None
-) -> SymPoly:
-    if _poly_uses_hat(expr):
+def _realize_decoration(ff: FoamFile, expr: PolyExpr, a: int, N: int | None) -> SymPoly:
+    """A decoration over Z; evaluation maps it into the coefficient ring."""
+    if _poly_uses_hat(ff, expr):
         if N is None:
             raise InputError(
                 "decoration uses hat(p_k); pass the number of pigments"
@@ -574,16 +607,14 @@ def _realize_decoration(
         if N - a < 0:
             raise InputError(f"facet thickness {a} exceeds N={N}")
         variables = facet_vars(a, N - a)
-        poly = _realize_poly(ff, expr, ring, variables, a)
+        poly = _realize_poly(ff, expr, ZZ, variables, a)
         return SymPoly(poly, (a, N - a))
     variables = facet_vars(a)
-    poly = _realize_poly(ff, expr, ring, variables, a)
+    poly = _realize_poly(ff, expr, ZZ, variables, a)
     return SymPoly(poly, (a,))
 
 
-def _realize_movie(
-    ff: FoamFile, decl: MovieDecl, N: int | None, ring: CoefRing = ZZ
-) -> Movie:
+def _realize_movie(ff: FoamFile, decl: MovieDecl, N: int | None) -> Movie:
     b = MovieBuilder(input_web=ff.build_web(decl.web))
 
     def edge(eid: str) -> str:
@@ -628,7 +659,7 @@ def _realize_movie(
         elif mv.op == "decorate":
             e = edge(mv.on[0])
             a = b.web.edges[e].thickness
-            b.decorate(e, _realize_decoration(ff, mv.poly, ring, a, N))
+            b.decorate(e, _realize_decoration(ff, mv.poly, a, N))
         else:  # pragma: no cover - parser only produces known ops
             raise InputError(f"unknown move {mv.op!r}")
     return b.movie()

@@ -30,10 +30,6 @@ class NotInSymmetricSubring(FoamlabError):
     """kill_equivariance applied to a polynomial that is not symmetric."""
 
 
-class ElementaryNotTerminating(FoamlabError):
-    """The rewriting in elementary symmetric polynomials ran out of steps."""
-
-
 class IndexOutOfRange(InputError):
     """A sequence (Witt/flat) was queried beyond its stored index range."""
 

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoundaryMismatch,
+    InputError,
     PatternMismatch,
     SeamSignInconsistent,
     WebInvalid,
@@ -178,23 +179,32 @@ def check_planarity(w: Web, rotations: Mapping[str, tuple[str, str, str]]) -> bo
     ``rotations`` gives, per vertex, the cyclic (counterclockwise) order of
     its three incident edge ids.  Circle components are ignored (always
     planar).  Returns True iff every connected component with vertices has
-    Euler characteristic 2 under the rotation system.
+    Euler characteristic 2 under the rotation system.  Raises
+    :class:`InputError` unless ``rotations`` orders exactly the incident
+    edges of every vertex.
     """
-    darts = []  # (edge, end) with end in {"tail", "head"}
+    # (edge, end) with end in {"tail", "head"}, the edges at each vertex,
+    # and the components over vertices
+    darts = []
+    at: dict[str, list[str]] = {vid: [] for vid in w.vertices}
+    uf = _UF()
+    for vid in w.vertices:
+        uf.make(vid)
     for e in w.edges.values():
         if not e.is_circle:
-            darts.append((e.id, "tail"))
-            darts.append((e.id, "head"))
-    if not darts:
-        return True
-
-    def flip(d):
-        return (d[0], "head" if d[1] == "tail" else "tail")
-
+            darts += [(e.id, "tail"), (e.id, "head")]
+            at[e.tail].append(e.id)
+            at[e.head].append(e.id)
+            uf.union(e.tail, e.head)
+    for vid in sorted(set(rotations) | set(at)):
+        edges = sorted(at.get(vid, ()))
+        if vid not in at or sorted(rotations.get(vid, ())) != edges:
+            raise InputError(
+                f"rotation {rotations.get(vid)} at {vid!r} does not order its edges {edges}"
+            )
     # next dart around a vertex per rotation
     succ = {}
     for vid, order in rotations.items():
-        v = w.vertices[vid]
         incident = []
         for eid in order:
             e = w.edges[eid]
@@ -209,30 +219,13 @@ def check_planarity(w: Web, rotations: Mapping[str, tuple[str, str, str]]) -> bo
     seen = set()
     faces = 0
     for d in darts:
-        if d in seen:
-            continue
-        faces += 1
-        cur = d
-        while cur not in seen:
-            seen.add(cur)
-            cur = succ[flip(cur)]
-    # components over vertices
-    comp = {vid: vid for vid in w.vertices}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for e in w.edges.values():
-        if not e.is_circle:
-            a, b = find(e.tail), find(e.head)
-            comp[a] = b
-    n_comp = len({find(v) for v in w.vertices})
-    V = len(w.vertices)
-    E = sum(1 for e in w.edges.values() if not e.is_circle)
-    return V - E + faces == 2 * n_comp
+        if d not in seen:
+            faces += 1
+            while d not in seen:
+                seen.add(d)
+                d = succ[(d[0], "head" if d[1] == "tail" else "tail")]
+    n_comp = len({uf.find(v) for v in w.vertices})
+    return len(w.vertices) - len(darts) // 2 + faces == 2 * n_comp
 
 
 # ---------------------------------------------------------------------------

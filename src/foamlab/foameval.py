@@ -396,30 +396,28 @@ class _ShapeTable:
     arXiv:1702.04140); otherwise the table raises :class:`NotEquivariant`.
 
     An orbit of more than one coloring whose representative has exponent 0
-    on the pairs inside a block and at most 1 across blocks is summed by
-    one pushforward.  There the representative's value is ``g / Delta_P``
-    with ``g`` its numerator times ``(Xi - Xj)`` for each cross-block pair
-    missing from its denominator; ``g`` must be ``W_P``-invariant (the
-    representative is fixed by ``W_P``), or the table raises
-    :class:`NotEquivariant`.  A map's value over the orbit is then
-    :func:`polyring._pushforward` of ``g`` times the map's decorations at
-    the representative.  The other orbits, those with a squared pair and
-    one-coloring orbits, are summed as one rational sum: their colorings are
-    grouped by denominator, each class is lifted once to the classes' least
-    common denominator by :func:`polyring._lifts`, and the sum is divided
-    once by it.  Each (facet, dot shape) a map uses is specialized, the
-    first time it is used, at the colorings a value reads.
+    on the pairs inside a block and at most 1 across blocks is a
+    pushforward.  There the representative's value is ``g / Delta_P`` with
+    ``g`` its numerator times ``(Xi - Xj)`` for each cross-block pair
+    missing from its denominator; ``g`` must be ``W_P``-invariant, or the
+    table raises :class:`NotEquivariant`.  A map's value over the orbit is
+    then read straight into Schur coefficients by
+    :func:`polyring._schur_coefficients` of ``g`` times the map's
+    decorations at the representative, and written in ``e_1..e_N`` by
+    ``basis``.  The other orbits, those with a squared pair and one-coloring
+    orbits, are summed as one rational sum: their colorings are grouped by
+    denominator, each class is lifted once to the classes' least common
+    denominator by :func:`polyring._lifts`, and the sum is divided once by
+    it.  Each (facet, dot shape) a map uses is specialized, the first time
+    it is used, at the colorings a value reads.
 
-    Each value gets the checks of :func:`evaluate`, in order: a polynomial;
-    symmetric, which writing it in ``e_1..e_N`` by ``basis`` decides; and
-    homogeneous of degree ``degree(F) + 2 * dots`` when nonzero, where
-    ``dots`` is the sum of the map's exponents.  Only the lifted sum is
-    tested for a polynomial, because an orbit that passes the equivariance
-    check and has exponents at most 1 always sums to one: its sum is
-    ``sum over sigma in S_N / W_P of sigma(g / Delta_P)`` with ``g`` a
-    ``W_P``-invariant polynomial, which is the divided difference ``d_w g``
-    and so a polynomial.  The value in ``e_1..e_N`` is kept for the life of
-    the table.
+    Each value gets the checks of :func:`evaluate`, in order: the lifted sum
+    must be a polynomial and symmetric, which writing it in ``e_1..e_N`` by
+    ``basis`` decides, and the value homogeneous of degree ``degree(F) + 2 *
+    dots`` when nonzero, where ``dots`` is the sum of the map's exponents.
+    A pushforward is a sum of Schur polynomials, so a polynomial and
+    symmetric by construction.  The value in ``e_1..e_N`` is kept for the
+    life of the table.
     """
 
     def __init__(self, F: FoamComplex, N: int, ring: CoefRing, basis: ElementaryBasis):
@@ -510,19 +508,20 @@ class _ShapeTable:
                 if not part.is_zero():
                     for e, c in (lift * part).terms.items():
                         total[e] = total.get(e, 0) + c
-            if total:
-                summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
-                total = dict(summed.as_polynomial().terms)
+            schur: dict[tuple[int, ...], Scalar] = {}
             for k, g, blocks in self.pushforwards:
                 for spec in specs:
                     g = g * spec[k]
-                for e, c in polyring._pushforward(g, blocks).terms.items():
-                    total[e] = total.get(e, 0) + c
-            value = MultiPoly._from_raw(ring, xvars(N), total)
-            try:
-                value_e = self.basis.to_e(value)
-            except NotInSymmetricSubring:
-                raise NotSymmetric(f"evaluation {value} is not symmetric") from None
+                for lam, c in polyring._schur_coefficients(g, blocks).items():
+                    schur[lam] = schur.get(lam, 0) + c
+            value_e = self.basis.from_schur(ring, schur)
+            if total:
+                summed = RatFun(MultiPoly._from_raw(ring, xvars(N), total), self.lcd)
+                value = summed.as_polynomial()
+                try:
+                    value_e = value_e + self.basis.to_e(value)
+                except NotInSymmetricSubring:
+                    raise NotSymmetric(f"evaluation {value} is not symmetric") from None
             _check_degree(
                 value_e,
                 lambda: self.bare_degree + 2 * _dots(s for _, s in decmap),

@@ -33,7 +33,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     DivisionNotExact,
-    ElementaryNotTerminating,
     IndexOutOfRange,
     InputError,
     NotInSymmetricSubring,
@@ -607,19 +606,12 @@ def facet_vars(a: int, m: int = 0) -> tuple[str, ...]:
 
 
 def is_symmetric(poly: MultiPoly, blocks: Sequence[int] | None = None) -> bool:
-    return _sorted_coefficients(poly, blocks) is not None
+    """Whether ``poly`` is invariant under permutations inside each block
+    (all variables one block by default).
 
-
-def _sorted_coefficients(
-    poly: MultiPoly, blocks: Sequence[int] | None = None
-) -> dict[tuple[int, ...], Scalar] | None:
-    """The coefficients of ``poly`` at exponents weakly decreasing inside each
-    block (all variables one block by default), or None unless ``poly`` is
-    invariant under permutations inside each block.
-
-    An invariant polynomial is fixed by these coefficients: every term's
-    exponent, sorted inside each block, must carry the same coefficient, and
-    the terms must fill the whole orbit of every sorted exponent.
+    It is when every term's exponent, sorted inside each block, carries the
+    same coefficient, and the terms fill the whole orbit of every sorted
+    exponent.
     """
     n = len(poly.vars)
     bounds = []
@@ -641,7 +633,7 @@ def _sorted_coefficients(
     coeffs = {e: c for key, e, c in keyed if key == e}
     get = coeffs.get
     if any(get(key) != c for key, _, c in keyed):
-        return None
+        return False
     orbits = 0
     for e in coeffs:
         size = 1
@@ -650,7 +642,7 @@ def _sorted_coefficients(
             for _, run in itertools.groupby(e[lo:hi]):
                 size //= math.factorial(sum(1 for _ in run))
         orbits += size
-    return coeffs if orbits == len(keyed) else None
+    return orbits == len(keyed)
 
 
 def elementary(ring: CoefRing, variables: Sequence[str], n: int) -> MultiPoly:
@@ -717,21 +709,19 @@ def symmetric_basis(kind: str, n: int, ring: CoefRing, variables: Sequence[str])
     return SymPoly(fn(ring, variables, n), (len(tuple(variables)),))
 
 
-#: Leading-term subtractions :func:`to_elementary` makes before giving up.
-_TO_ELEMENTARY_STEPS = 100000
-
-
 class ElementaryBasis:
     """Symmetric polynomials in ``variables`` written in ``e_1..e_N``.
 
     :meth:`to_e` rewrites a symmetric polynomial as a polynomial in the
     elementary symmetric polynomials (variables ``E1..EN`` or ``e_names``)
-    and :meth:`from_e` expands one back.  Both work on partitions
-    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2): a
-    symmetric polynomial is fixed by its coefficients at weakly decreasing
-    exponents, and each ``e^alpha`` is expanded on partitions only, by one
-    Pieri step ``e^(alpha - u_i) * e_i``.  A converter keeps every expansion
-    it builds, so values that share one should share one converter.
+    and :meth:`from_e` expands one back.  Both go through partitions
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2--I.3).
+    :meth:`to_e` reads the Schur coefficients of its input
+    (:func:`_schur_coefficients`) and writes each Schur polynomial in ``e``
+    (:meth:`schur`).  :meth:`from_e` expands each ``e^alpha`` on partitions
+    by one Pieri step ``e^(alpha - u_i) * e_i``.  A converter keeps every
+    Schur polynomial and every expansion it builds, so values that share
+    one should share one converter.
     """
 
     def __init__(self, variables: Sequence[str], e_names: Sequence[str] | None = None):
@@ -747,49 +737,60 @@ class ElementaryBasis:
         self._expansions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
             zero: {zero: 1}
         }
+        # s_lam -> {alpha: coefficient of e^alpha}, integers
+        self._schurs: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
+            zero: {zero: 1}
+        }
 
     def to_e(self, poly: MultiPoly) -> MultiPoly:
-        """``poly`` as a polynomial in ``e_1..e_N``.
-
-        Classical leading-term subtraction under graded lex order, on the
-        coefficients at partitions: the leading partition ``lam`` of what
-        is left contributes ``c * e^alpha`` with ``alpha_i = lam_i -
-        lam_{i+1}``, whose expansion has leading coefficient 1 at ``lam``.
-        Raises :class:`NotInSymmetricSubring` unless ``poly`` is symmetric.
-        """
+        """``poly`` as a polynomial in ``e_1..e_N``: its Schur coefficients,
+        each Schur polynomial written in ``e``.  Raises
+        :class:`NotInSymmetricSubring` unless ``poly`` is symmetric."""
         if poly.vars != self.vars:
             raise ValueError(f"alphabet {poly.vars} is not {self.vars}")
-        work = _sorted_coefficients(poly)
-        if work is None:
+        if not is_symmetric(poly):
             raise NotInSymmetricSubring(f"{poly} is not symmetric")
-        norm = poly.ring.normalize
-        heap = [(_heap_key(lam), lam) for lam in work]
-        heapq.heapify(heap)
+        return self.from_schur(poly.ring, _schur_coefficients(poly, (len(self.vars),)))
+
+    def from_schur(self, ring: CoefRing, coeffs: Mapping[tuple[int, ...], Scalar]) -> MultiPoly:
+        """``sum c * s_lam`` over ``coeffs`` ``{lam: c}``, in ``e_1..e_N``."""
         out: dict[tuple[int, ...], Scalar] = {}
-        steps = 0
-        while heap:
-            lam = heapq.heappop(heap)[1]
-            c = work.pop(lam, None)
-            if c is None:
-                continue
-            steps += 1
-            if steps > _TO_ELEMENTARY_STEPS:
-                raise ElementaryNotTerminating("to_elementary failed to terminate")
-            alpha = tuple(map(operator.sub, lam, lam[1:] + (0,)))
-            out[alpha] = c
-            for mu, k in self._expansion(alpha).items():
-                if mu == lam:
-                    continue
-                old = work.get(mu)
-                if old is None:
-                    heapq.heappush(heap, (_heap_key(mu), mu))
-                    old = 0
-                s = norm(old - c * k)
-                if s:
-                    work[mu] = s
-                else:
-                    work.pop(mu, None)
-        return MultiPoly._from_terms(poly.ring, self.e_names, out)
+        get = out.get
+        norm = ring.normalize
+        for lam, c in coeffs.items():
+            c = norm(c)
+            if c:
+                for alpha, k in self.schur(lam).items():
+                    out[alpha] = get(alpha, 0) + c * k
+        return MultiPoly._from_raw(ring, self.e_names, out)
+
+    def schur(self, lam: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+        """The Schur polynomial ``s_lam`` (``lam`` a partition in ``N``
+        parts) as ``{alpha: coefficient of e^alpha}``.
+
+        By the Pieri rule ``e_k s_mu`` is the sum of ``s_nu`` over the
+        vertical ``k``-strips ``nu / mu`` of at most ``N`` rows
+        (:func:`_vertical_strips`).  With ``k`` the length of ``lam`` and
+        ``mu`` ``lam`` less its first column, ``lam`` is one such ``nu`` and
+        every other lies below ``lam`` in dominance order, so
+        ``s_lam = e_k s_mu - sum s_nu`` recurses to ``s_0 = 1``.
+        """
+        found = self._schurs.get(lam)
+        if found is None:
+            k = len(lam) - lam.count(0)
+            mu = tuple(part - 1 for part in lam[:k]) + lam[k:]
+            found = {
+                alpha[:k - 1] + (alpha[k - 1] + 1,) + alpha[k:]: c
+                for alpha, c in self.schur(mu).items()
+            }
+            get = found.get
+            for nu, _ in _vertical_strips(mu, k):
+                if nu != lam:
+                    for alpha, c in self.schur(nu).items():
+                        found[alpha] = get(alpha, 0) - c
+            found = {alpha: c for alpha, c in found.items() if c}
+            self._schurs[lam] = found
+        return found
 
     def from_e(self, epoly: MultiPoly) -> MultiPoly:
         """Expand a polynomial in ``e_1..e_N`` back into ``variables``."""
@@ -1274,65 +1275,39 @@ def _divide_by_difference(
     return quo
 
 
-def _divided_difference(
-    terms: Mapping[tuple[int, ...], Scalar], i: int, ring: CoefRing
-) -> dict[tuple[int, ...], Scalar]:
-    """The terms of ``d_i f = (f - s_i f) / (x_i - x_{i+1})``, where ``s_i``
-    swaps ``x_i`` and ``x_{i+1}``.
-
-    Term by term, with ``x = x_i``, ``y = x_{i+1}`` and ``a > b``,
-    ``(x^a y^b - x^b y^a) / (x - y)`` is ``(xy)^b`` times the ``a - b``
-    monomials of degree ``a - b - 1`` in ``x, y``; swapping ``a`` and ``b``
-    negates it.  So no division is made and the result is exact.
-    """
-    out: dict[tuple[int, ...], Scalar] = {}
-    get = out.get
-    for e, c in terms.items():
-        a, b = e[i], e[i + 1]
-        if a == b:
-            continue
-        if a < b:
-            a, b, c = b, a, -c
-        head, tail = e[:i], e[i + 2:]
-        for t in range(a - b):
-            ne = head + (b + t, a - 1 - t) + tail
-            out[ne] = get(ne, 0) + c
-    return _canonical(ring, out)
-
-
-def _pushforward(g: MultiPoly, blocks: Sequence[int]) -> MultiPoly:
-    """``sum over sigma in S_N / W_P of sigma(g / Delta_P)``, for ``g``
-    invariant under ``W_P``.
+def _schur_coefficients(g: MultiPoly, blocks: Sequence[int]) -> dict[tuple[int, ...], Scalar]:
+    """``{lam: c}`` with ``sum c * s_lam`` equal to ``sum over sigma in
+    S_N / W_P of sigma(g / Delta_P)``, for ``g`` invariant under ``W_P``.
 
     ``W_P`` is the Young subgroup of ``blocks``, runs of consecutive
     variables, and ``Delta_P`` the product of ``x_i - x_j`` over ``i < j`` in
-    different blocks.  The sum is the divided difference ``d_w g`` for
-    ``w = w_0 w_{0,P}``, which reverses the block order and keeps each block
-    increasing (a Gysin pushforward from a partial flag variety; Brion,
-    "Lectures on the geometry of flag varieties", arXiv:math/0410240).
-    Indeed ``d_{w_0} f = sum over S_N of sigma(f / Delta)``, and
-    ``d_{w_0} = d_w d_{w_{0,P}}``; for ``m`` with ``d_{w_{0,P}} m = 1``,
-    ``d_{w_0}(g m) = d_w g`` while the sum over ``W_P`` inside each coset
-    turns ``g m / Delta`` into ``g / Delta_P``.
-
-    The word of ``w`` is read from the right: while ``w`` has a descent at
-    ``i`` (``w(i) > w(i+1)``), ``d_w = d_{w s_i} d_i``, so ``d_i`` acts
-    first and ``w`` becomes ``w s_i``.
+    different blocks.  The sum is the Gysin pushforward from a partial flag
+    variety, ``d_{w_0}(g x^delta_P)`` with ``delta_P`` the staircase
+    ``(b - 1, ..., 0)`` inside each block of size ``b`` (Brion, "Lectures on
+    the geometry of flag varieties", arXiv:math/0410240): the sum over
+    ``W_P`` inside each coset sends ``x^delta_P / Delta`` to ``1 / Delta_P``.
+    By the bialternant formula ``d_{w_0} x^beta`` is 0 when ``beta`` repeats
+    an exponent, and otherwise the sign of the sort of ``beta`` times
+    ``s_{sort(beta) - delta}`` (Macdonald, *Symmetric Functions and Hall
+    Polynomials*, I.3).  One block gives the Schur expansion of a
+    symmetric ``g``.
     """
-    n = sum(blocks)
-    w: list[int] = []
+    n = len(g.vars)
+    shift: list[int] = []
     for size in blocks:
-        w += range(n - len(w) - size, n - len(w))
-    terms = g.terms
-    i = 0
-    while i < n - 1:
-        if w[i] > w[i + 1]:
-            terms = _divided_difference(terms, i, g.ring)
-            w[i], w[i + 1] = w[i + 1], w[i]
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return MultiPoly._from_terms(g.ring, g.vars, terms)
+        shift += range(size - 1, -1, -1)
+    delta = range(n - 1, -1, -1)
+    out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
+    for e, c in g.terms.items():
+        beta = tuple(map(operator.add, e, shift))
+        if len(set(beta)) < n:
+            continue
+        lam = tuple(map(operator.sub, sorted(beta, reverse=True), delta))
+        if sum(a < b for a, b in itertools.combinations(beta, 2)) % 2:
+            c = -c
+        out[lam] = get(lam, 0) + c
+    return _canonical(g.ring, out)
 
 
 def _lifts(

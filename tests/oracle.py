@@ -60,9 +60,15 @@ The reference shape value sums one dot-shape map over the colorings of an
 undecorated closed foam part by part: each coloring's value times the
 map's decorations at that coloring, one ``ratfun_sum`` of all the parts,
 and the checks of ``evaluate``.  The package's shape table sums most S_N
-orbits of colorings by divided differences at one representative, lifts
-the rest to their common denominator, and writes each checked value in
-``e_1..e_N``.
+orbits of colorings at one representative straight into Schur
+coefficients, lifts the rest to their common denominator, and writes each
+checked value in ``e_1..e_N``.
+
+The reference orbit sum ``d_w g`` applies divided differences ``d_i`` along
+a reduced word of ``w = w_0 w_{0,P}``, in ``X1..XN``; the reference
+conversion into ``e_1..e_N`` is leading-term subtraction on the
+coefficients at partitions.  The package reads Schur coefficients by one
+sort per term and writes each Schur polynomial in ``e`` by the Pieri rule.
 
 The dotted thin sphere at a point sums its colorings' values at distinct
 integer coordinates in ``Fraction`` arithmetic, with nothing expanded.
@@ -150,6 +156,7 @@ from foamlab.errors import (
     DivisionNotExact,
     InputError,
     NonSphericalWithNu3,
+    NotInSymmetricSubring,
     NotWellDefined,
     OddEuler,
     PatternMismatch,
@@ -164,8 +171,10 @@ from foamlab.polyring import (
     RatFun,
     Scalar,
     facet_vars,
+    is_symmetric,
     power_sum,
     _laurent_clean,
+    _canonical,
     ratfun_sum,
     witt_act,
     xvars,
@@ -392,6 +401,90 @@ def pieri_reference(f: dict, r: int, N: int) -> dict:
         if total:
             out[nu] = total
     return out
+
+
+# ---------------------------------------------------------------------------
+# Orbit sums and the elementary basis
+# ---------------------------------------------------------------------------
+
+
+def divided_difference_reference(
+    terms: dict[tuple[int, ...], Scalar], i: int, ring: CoefRing
+) -> dict[tuple[int, ...], Scalar]:
+    """The terms of ``d_i f = (f - s_i f) / (x_i - x_{i+1})``, where ``s_i``
+    swaps ``x_i`` and ``x_{i+1}``.
+
+    Term by term, with ``x = x_i``, ``y = x_{i+1}`` and ``a > b``,
+    ``(x^a y^b - x^b y^a) / (x - y)`` is ``(xy)^b`` times the ``a - b``
+    monomials of degree ``a - b - 1`` in ``x, y``; swapping ``a`` and ``b``
+    negates it.
+    """
+    out: dict[tuple[int, ...], Scalar] = {}
+    for e, c in terms.items():
+        a, b = e[i], e[i + 1]
+        if a == b:
+            continue
+        if a < b:
+            a, b, c = b, a, -c
+        head, tail = e[:i], e[i + 2:]
+        for t in range(a - b):
+            ne = head + (b + t, a - 1 - t) + tail
+            out[ne] = out.get(ne, 0) + c
+    return _canonical(ring, out)
+
+
+def pushforward_reference(g: MultiPoly, blocks) -> MultiPoly:
+    """``sum over sigma in S_N / W_P of sigma(g / Delta_P)`` as ``d_w g`` in
+    ``X1..XN``, ``w = w_0 w_{0,P}``, for ``g`` invariant under ``W_P``.
+
+    The word of ``w`` is read from the right: while ``w`` has a descent at
+    ``i`` (``w(i) > w(i+1)``), ``d_w = d_{w s_i} d_i``, so ``d_i`` acts
+    first and ``w`` becomes ``w s_i``.
+    """
+    n = sum(blocks)
+    w: list[int] = []
+    for size in blocks:
+        w += range(n - len(w) - size, n - len(w))
+    terms = g.terms
+    i = 0
+    while i < n - 1:
+        if w[i] > w[i + 1]:
+            terms = divided_difference_reference(terms, i, g.ring)
+            w[i], w[i + 1] = w[i + 1], w[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return MultiPoly(g.ring, g.vars, terms)
+
+
+def to_e_reference(basis: ElementaryBasis, poly: MultiPoly) -> MultiPoly:
+    """``poly`` in the ``e_1..e_N`` of ``basis`` by leading-term subtraction
+    under graded lex order, on the coefficients at partitions.
+
+    The leading partition ``lam`` of what is left contributes ``c *
+    e^alpha`` with ``alpha_i = lam_i - lam_{i+1}``, whose expansion (the
+    package's Pieri expansion of ``e^alpha``) has leading coefficient 1 at
+    ``lam``.  Raises :class:`NotInSymmetricSubring` unless ``poly`` is
+    symmetric.
+    """
+    if not is_symmetric(poly):
+        raise NotInSymmetricSubring(f"{poly} is not symmetric")
+    work = {e: c for e, c in poly.terms.items() if list(e) == sorted(e, reverse=True)}
+    norm = poly.ring.normalize
+    out: dict[tuple[int, ...], Scalar] = {}
+    while work:
+        lam = max(work, key=lambda e: (sum(e), e))
+        c = work.pop(lam)
+        alpha = tuple(a - b for a, b in zip(lam, lam[1:] + (0,)))
+        out[alpha] = c
+        for mu, k in basis._expansion(alpha).items():
+            if mu != lam:
+                s = norm(work.get(mu, 0) - c * k)
+                if s:
+                    work[mu] = s
+                else:
+                    work.pop(mu, None)
+    return MultiPoly(poly.ring, basis.e_names, out)
 
 
 # ---------------------------------------------------------------------------
@@ -754,6 +847,27 @@ def shape_value_reference(F: FoamComplex, N: int, ring: CoefRing, decmap: DecMap
     value = _checked_sum(terms, N, ring)
     _check_degree(value, lambda: degree(F, N) + 2 * _dots(s for _, s in decmap))
     return value
+
+
+def divided_difference_value(table, decmap: DecMap) -> MultiPoly:
+    """A shape table's value of ``decmap`` by the earlier route, unchecked:
+    the lifted classes over their common denominator and each pushforward
+    orbit by :func:`pushforward_reference`, summed in ``X1..XN``, then
+    written in ``e_1..e_N`` by :func:`to_e_reference`."""
+    specs = [table._specialized(f, shape) for f, shape in decmap]
+    total = MultiPoly.zero(table.ring, xvars(table.N))
+    for lift, members in table.classes:
+        for k, num in members:
+            for spec in specs:
+                num = num * spec[k]
+            total = total + lift * num
+    if not total.is_zero():
+        total = RatFun(total, table.lcd).as_polynomial()
+    for k, g, blocks in table.pushforwards:
+        for spec in specs:
+            g = g * spec[k]
+        total = total + pushforward_reference(g, blocks)
+    return to_e_reference(table.basis, total)
 
 
 def specialize_reference(entry: MultiPoly, values: dict[str, int], p: int) -> int:

@@ -249,6 +249,21 @@ def test_gram_and_rank_stdout_is_pinned(capsys, command, web, N, flags):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of ``gram --json`` stdout on two presentations whose orbit sums
+# have many blocks, recorded when orbits were summed by divided differences
+PINNED_LARGE_GRAMS = {
+    ("circle:1", "12"): "5d53c6b8e57af8de861a83efbb308b1e09bcdc8a011c57935c7b57414acb7270",
+    ("circle:2", "8"): "43472415f2e02ac7cacab9924639f14ef12072ac279f8772f041b76582e6a08b",
+}
+
+
+@pytest.mark.parametrize("web,N", list(PINNED_LARGE_GRAMS))
+def test_large_gram_stdout_is_pinned(capsys, web, N):
+    code, out, _ = run(capsys, "gram", "--web", web, "--N", N, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_LARGE_GRAMS[web, N]
+
+
 class TestGram:
     def test_circle_entries(self, capsys):
         code, out, _ = run(capsys, "gram", "--web", "circle:1", "--N", "2", "--json")
@@ -434,6 +449,83 @@ class TestTypedBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestDslReferences:
+    """Named polynomials through ``foamlab eval``: a named ``hat(p_k)``
+    decorates like the inline one, and reference cycles and over-deep
+    nesting exit 2 with an ``error:`` line and no traceback."""
+
+    @staticmethod
+    def eval_file(capsys, tmp_path, text, N="3"):
+        p = tmp_path / "refs.foam"
+        p.write_text(text)
+        return run(capsys, "eval", "--N", N, f"{p}#m")
+
+    def test_named_hat_decorates_like_the_inline_one(self, capsys, tmp_path):
+        named = self.eval_file(capsys, tmp_path, """
+            poly a = hat(p_1);
+            movie m on empty { cup(1) -> c; decorate c with a^2 + 2*a*p_1; cap(1) on c; }
+        """)
+        inline = self.eval_file(capsys, tmp_path, """
+            movie m on empty {
+              cup(1) -> c; decorate c with hat(p_1)^2 + 2*hat(p_1)*p_1; cap(1) on c;
+            }
+        """)
+        assert named == inline
+        assert named[0] == 0 and named[1].strip() not in ("", "0")
+
+    @pytest.mark.parametrize(
+        "polys,cycle",
+        [
+            ("poly a = a;", "a -> a"),
+            ("poly a = 1 + b; poly b = e_1 * a;", "a -> b -> a"),
+            ("poly a = b; poly b = c^2; poly c = -b;", "b -> c -> b"),
+        ],
+    )
+    def test_reference_cycle_is_an_input_error(self, capsys, tmp_path, polys, cycle):
+        code, out, err = self.eval_file(capsys, tmp_path, f"""
+            {polys}
+            movie m on empty {{ cup(1) -> c; decorate c with a; cap(1) on c; }}
+        """)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and cycle in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            "(" * 400 + "p_1" + ")" * 400,
+            "- " * 2000 + "p_1",
+            " + ".join(["p_1"] * 2000),
+        ],
+        ids=["parentheses", "negations", "sum"],
+    )
+    def test_over_deep_nesting_is_an_input_error(self, capsys, tmp_path, poly):
+        code, out, err = self.eval_file(capsys, tmp_path, f"""
+            poly a = {poly};
+            movie m on empty {{ cup(1) -> c; cap(1) on c; }}
+        """)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "nested" in err and "Traceback" not in err
+
+    def test_over_deep_chain_of_names_is_an_input_error(self, capsys, tmp_path):
+        chain = "".join(f"poly a{i} = a{i + 1};" for i in range(2000)) + "poly a2000 = p_1;"
+        code, out, err = self.eval_file(capsys, tmp_path, chain + """
+            movie m on empty { cup(1) -> c; decorate c with a0; cap(1) on c; }
+        """)
+        assert (code, out) == (2, "")
+        assert "nested" in err and "Traceback" not in err
+
+    def test_nesting_inside_the_bound_evaluates(self, capsys, tmp_path):
+        deep = self.eval_file(capsys, tmp_path, f"""
+            poly a = {"(" * 40 + "p_1" + ")" * 40};
+            poly b = {"- " * 40 + "a"};
+            movie m on empty {{ cup(1) -> c; decorate c with b^2; cap(1) on c; }}
+        """, N="2")
+        flat = self.eval_file(capsys, tmp_path, """
+            movie m on empty { cup(1) -> c; decorate c with p_1^2; cap(1) on c; }
+        """, N="2")
+        assert deep == flat and deep[0] == 0
 
 
 class TestHelpers:

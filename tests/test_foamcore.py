@@ -242,6 +242,28 @@ class TestWebValidation:
         # the twisted rotation system closes up into a torus instead
         assert not check_planarity(w, {"s": ("lo", "a", "b"), "m": ("a", "b", "lo")})
 
+    def test_rotation_system_must_order_every_vertex(self):
+        # two thin cups zipped (a split and a merge vertex on a digon) and
+        # a circle
+        b = MovieBuilder()
+        b.zip(b.cup(1), b.cup(1))
+        stray = b.cup(1)
+        w = b.web
+        (merge,) = [v for v in w.vertices.values() if v.kind == "merge"]
+        (split,) = [v for v in w.vertices.values() if v.kind == "split"]
+        (lo,), (a, b_) = split.ins, split.outs
+        good = {split.id: (lo, a, b_), merge.id: (lo, b_, a)}
+        assert check_planarity(w, good)
+        bad = [
+            {merge.id: good[merge.id]},  # the split vertex has no rotation
+            {**good, "v99": good[merge.id]},  # no such vertex
+            {**good, split.id: (stray, *good[split.id][1:])},  # edge not at the vertex
+            {**good, split.id: good[split.id][:2]},  # an edge left out
+        ]
+        for rotations in bad:
+            with pytest.raises(FoamlabError, match="rotation"):
+                check_planarity(w, rotations)
+
 
 # ---------------------------------------------------------------------------
 # moves and movies

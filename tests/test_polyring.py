@@ -12,7 +12,6 @@ import oracle
 from foamlab import polyring
 from foamlab.errors import (
     DivisionNotExact,
-    ElementaryNotTerminating,
     FoamlabError,
     IndexOutOfRange,
     InputError,
@@ -408,17 +407,6 @@ class TestSymmetric:
     def test_to_elementary_rejects_asymmetric(self):
         with pytest.raises(NotInSymmetricSubring):
             to_elementary(var("x"))
-
-    def test_to_elementary_guard_is_typed(self, monkeypatch):
-        # p_4 in three variables takes one step per partition of 4 with at
-        # most three parts: (4), (3,1), (2,2), (2,1,1)
-        p = power_sum(ZZ, V3, 4)
-        monkeypatch.setattr(polyring, "_TO_ELEMENTARY_STEPS", 4)
-        assert from_elementary(to_elementary(p), V3) == p
-        monkeypatch.setattr(polyring, "_TO_ELEMENTARY_STEPS", 3)
-        with pytest.raises(ElementaryNotTerminating) as info:
-            to_elementary(p)
-        assert isinstance(info.value, FoamlabError)
 
     @given(st.data(), st.integers(1, 4), RINGS)
     @settings(max_examples=60, deadline=None)
@@ -928,39 +916,86 @@ def coset_sum(g, blocks):
 
 
 class TestPushforward:
+    """Orbit sums read as Schur coefficients, against the coset sum and the
+    divided differences of ``oracle.pushforward_reference``."""
+
+    @staticmethod
+    def pushed(g, blocks):
+        basis = polyring.ElementaryBasis(g.vars)
+        coeffs = polyring._schur_coefficients(g, blocks)
+        return basis.from_e(basis.from_schur(g.ring, coeffs))
+
     @pytest.mark.parametrize(
-        "blocks", [b for N in range(1, 5) for b in compositions(N)], ids=str
+        "blocks", [b for N in range(1, 6) for b in compositions(N)], ids=str
     )
     @given(st.data(), RINGS)
     @settings(max_examples=15, deadline=None)
     def test_matches_the_coset_sum(self, blocks, data, ring):
-        # parts up to N + 2 reach the degrees >= N - 1 where a wrong word
-        # order sends the sum to 0
+        # parts up to N + 2 reach the degrees >= N - 1 where a wrong sign
+        # or staircase sends the sum to 0
         N = sum(blocks)
         g = data.draw(block_invariant(ring, blocks, N + 2))
-        assert polyring._pushforward(g, blocks) == coset_sum(g, blocks)
+        got = self.pushed(g, blocks)
+        assert got == oracle.pushforward_reference(g, blocks)
+        if N <= 4:
+            assert got == coset_sum(g, blocks)
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     def test_full_flag_of_a_staircase(self, N):
-        # over singleton blocks, d_{w_0} sends x^delta to 1 and x^delta * x_1
-        # to the Schur polynomial s_1 = p_1; one block is the identity
+        # over singleton blocks, d_{w_0} sends x^delta to s_0 = 1 and
+        # x^delta * x_1 to s_1 = p_1; one block reads a symmetric g's Schur
+        # coefficients, p_2 = s_2 - s_11
         vs = xvars(N)
+        zero = (0,) * N
+        s1, s2, s11 = ((1,) + zero[1:], (2,) + zero[1:], (1, 1) + zero[2:])
         delta = MultiPoly(ZZ, vs, {tuple(range(N - 1, -1, -1)): 1})
         singletons = (1,) * N
-        assert polyring._pushforward(delta, singletons) == 1
+        assert polyring._schur_coefficients(delta, singletons) == {zero: 1}
         x1 = MultiPoly.var(ZZ, vs, vs[0])
-        top = polyring._pushforward(delta * x1, singletons)
-        assert top == power_sum(ZZ, vs, 1)
-        assert polyring._pushforward(delta * x1, (N,)) == delta * x1
+        assert polyring._schur_coefficients(delta * x1, singletons) == {s1: 1}
+        assert polyring._schur_coefficients(power_sum(ZZ, vs, 2), (N,)) == {s2: 1, s11: -1}
 
     @given(RINGS.flatmap(lambda ring: polys(X3, ring, max_deg=6, max_terms=6)), st.integers(0, 1))
     @settings(max_examples=80, deadline=None)
     def test_divided_difference_divides_the_antisymmetric_part(self, f, i):
+        # the reference d_i, against synthetic division by x_i - x_{i+1}
         swapped = f.permute_vars({X3[i]: X3[i + 1], X3[i + 1]: X3[i]})
         odd = (f - swapped).terms
         want = polyring._divide_by_difference(odd, i, i + 1, f.ring) if odd else {}
-        got = polyring._divided_difference(f.terms, i, f.ring)
+        got = oracle.divided_difference_reference(f.terms, i, f.ring)
         assert got == MultiPoly._from_raw(f.ring, X3, want).terms
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_schur_is_the_bialternant(self, N):
+        # s_lam * a_delta = a_{lam + delta}, with a_beta = det(x_i^beta_j)
+        vs = xvars(N)
+        basis = polyring.ElementaryBasis(vs)
+        delta = tuple(range(N - 1, -1, -1))
+
+        def alternant(beta):
+            terms = {}
+            for perm in itertools.permutations(range(N)):
+                sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+                terms[tuple(beta[perm[i]] for i in range(N))] = sign
+            return MultiPoly(ZZ, vs, terms)
+
+        for size in range(7):
+            for lam in {tuple(sorted(c, reverse=True)) for c in polyring._compositions(size, N)}:
+                s = basis.from_e(MultiPoly(ZZ, basis.e_names, basis.schur(lam)))
+                assert s * alternant(delta) == alternant(tuple(map(operator.add, lam, delta)))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    @given(st.data(), ALL_RINGS)
+    @settings(max_examples=25, deadline=None)
+    def test_to_e_matches_leading_term_subtraction(self, N, data, ring):
+        basis = polyring.ElementaryBasis(xvars(N))
+        f = data.draw(block_invariant(ring, (N,), 5))
+        assert basis.to_e(f) == oracle.to_e_reference(basis, f)
+        if N > 1:
+            broken = f + MultiPoly.var(ring, f.vars, "X1")
+            for convert in (basis.to_e, lambda p: oracle.to_e_reference(basis, p)):
+                with pytest.raises(NotInSymmetricSubring):
+                    convert(broken)
 
 
 # ---------------------------------------------------------------------------

@@ -1283,6 +1283,39 @@ class TestOneEvaluationPath:
                     assert is_zero_in_statespace(S, gens) == all(w.is_zero() for w in want)
 
 
+# the standard presentations at N <= 6 whose reference route stays under a
+# few seconds: every circle, the thin digons, the 3- and 4-pigment
+# necklaces and the thin chains at N = 4
+STANDARD_TO_6 = {
+    **{
+        f"circle({a},{N})": partial(circle_presentation, a, N)
+        for N in range(2, 7)
+        for a in range(1, N)
+    },
+    **{f"theta(1,1,{N})": partial(theta_presentation, 1, 1, N) for N in range(3, 7)},
+    **{f"zipped(1,1,{N})": partial(zipped_presentation, 1, 1, N) for N in range(3, 7)},
+    **{f"theta(1,2,{N})": partial(theta_presentation, 1, 2, N) for N in (4, 5)},
+    **{f"zipped(2,1,{N})": partial(zipped_presentation, 2, 1, N) for N in (4, 5)},
+    "necklace(3)": partial(necklace_presentation, 3),
+    "necklace(4)": partial(necklace_presentation, 4),
+    "left(1,1,1,4)": partial(chain_presentation, "left", 1, 1, 1, 4),
+    "right(1,1,1,4)": partial(chain_presentation, "right", 1, 1, 1, 4),
+}
+
+
+class TestGramAgainstDividedDifferences:
+    """Gram entries through Schur coefficients against the earlier route:
+    orbit sums by divided differences in ``X1..XN`` and leading-term
+    subtraction into ``e_1..e_N`` (``oracle.divided_difference_value``)."""
+
+    @pytest.mark.parametrize("family", STANDARD_TO_6)
+    def test_e_entries(self, family, monkeypatch):
+        gens = STANDARD_TO_6[family]()
+        got = gram_matrix(gens).e_entries
+        monkeypatch.setattr(foameval._ShapeTable, "value", oracle.divided_difference_value)
+        assert gram_matrix(gens).e_entries == got
+
+
 class TestExports:
     @pytest.mark.parametrize("module", [statespace, dsl], ids=lambda m: m.__name__)
     def test_every_exported_name_resolves(self, module):
