@@ -477,7 +477,7 @@ def _parse_atom(s: _Stream) -> PolyExpr:
 
 
 def _check_references(ff: FoamFile) -> None:
-    heights: dict[str, int] = {}
+    heights: dict[str, int | None] = {}
     for decl in ff.movies.values():
         if decl.web != "empty" and decl.web not in ff.webs:
             raise InputError(
