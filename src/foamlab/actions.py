@@ -14,11 +14,13 @@ saddle; the two thin facets of a digon or zip move) and goes to
 pair ``(n, c)`` plus a weight function giving ``(w_0, w_n, w_k)`` per move
 kind: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
 ``(e, h, f) = (L_{-1}, 2 L_0, -L_1)``; the p-DG differential is ``f``.
-An operator's move images are built once per skeleton: the weights of all
-moves on the same two blocks are summed and expanded once, the summands
-merged by dot list, and a structural check or an iterate reuses them across
-its applications.  A structural check applies each operator to its input
-once.
+An operator's move images are built once per skeleton.  The weights of all
+moves on the same two blocks are summed, and each block pair's summands are
+built once and merged by dot list.  A structural check or an iterate reuses
+the images across its applications, and it keeps one rule table: each
+partition rule is computed once per block shape and read by every
+application.  A term's key is edited in place.  A structural check applies
+each operator to its input once.
 
 The scalar data of the family is an :class:`ActionParams` pack: a seam
 constant ``s``, three index sequences ``nu1/nu2/nu3`` satisfying the Witt
@@ -30,6 +32,7 @@ needs 2 invertible; the sl2 triple on saddle-free movies does not.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -119,9 +122,16 @@ class ActionParams:
         if self.N < 1:
             raise InputError(f"N must be >= 1, got {self.N}")
         _set = object.__setattr__
-        _set(self, "s", self.ring.normalize(self.s))
-        _set(self, "t1", self.ring.normalize(self.t1))
-        _set(self, "t2", self.ring.normalize(self.t2))
+
+        def scalar(name: str) -> None:
+            value = getattr(self, name)
+            try:
+                _set(self, name, self.ring.normalize(value))
+            except WrongRing as exc:
+                raise InputError(f"{name} = {value} is not in {self.ring}: {exc}") from None
+
+        for name in ("s", "t1", "t2"):
+            scalar(name)
         for name in ("nu1", "nu2", "nu3"):
             seq = getattr(self, name)
             if seq is None:
@@ -135,7 +145,7 @@ class ActionParams:
         if self.t3 is None:
             _set(self, "t3", half_scalar(self.ring) if _has_half(self.ring) else 0)
         else:
-            _set(self, "t3", self.ring.normalize(self.t3))
+            scalar("t3")
         if not self.spherical:
             if not self.nu3.is_identically_zero():
                 raise NonSphericalWithNu3("nu3 must vanish for packs used with saddles")
@@ -343,24 +353,30 @@ class FoamSum:
         ):
             raise InputError("formal sums live over different skeletons")
 
-    def __add__(self, other: "FoamSum") -> "FoamSum":
+    def _merge(self, other: "FoamSum", sign: int) -> "FoamSum":
+        """``self + sign * other`` in one pass, zero sums dropped."""
         self._check(other)
         ring = self.skeleton.ring
         acc: dict[DecMap, Scalar] = {}
-        for c, k in self.terms + other.terms:
-            s = ring.add(acc.get(k, 0), c) if k in acc else c
+        for c, k in self.terms:
+            s = ring.add(acc[k], c) if k in acc else c
+            if s == 0:
+                acc.pop(k, None)
+            else:
+                acc[k] = s
+        for c, k in other.terms:
+            s = ring.normalize(acc[k] + sign * c) if k in acc else ring.normalize(sign * c)
             if s == 0:
                 acc.pop(k, None)
             else:
                 acc[k] = s
         return FoamSum(self.skeleton, [(acc[k], k) for k in sorted(acc)])
 
-    def __neg__(self) -> "FoamSum":
-        ring = self.skeleton.ring
-        return FoamSum(self.skeleton, [(ring.neg(c), d) for c, d in self.terms])
+    def __add__(self, other: "FoamSum") -> "FoamSum":
+        return self._merge(other, 1)
 
     def __sub__(self, other: "FoamSum") -> "FoamSum":
-        return self + (-other)
+        return self._merge(other, -1)
 
     def scale(self, c: Scalar) -> "FoamSum":
         ring = self.skeleton.ring
@@ -445,21 +461,26 @@ def _block_image(
 
     With ``(x, y, z) = xyz``, ``w_0 = x``, ``w_n = y`` and ``w_k = z`` in
     between; at ``n = 0`` the one summand has weight ``x + y - z``.  ``p_0``
-    is the block size; a dot on an empty block is 0, as :func:`_dot_rule`
+    is the block size, so the two end summands carry one dot and weight
+    ``x * |first|`` or ``y * |second|``, and the middle ones carry two dots
+    and weight ``z``.  A dot on an empty block is 0, as :func:`_dot_rule`
     finds no part in it to raise.
     """
     x, y, z = xyz
+    (f, f_hat, a), (g, g_hat, b) = blocks
+    if n == 0:
+        w = ring.mul(ring.normalize(x + y - z), a * b)
+        return [(w, ())] if w != 0 else []
     out: LocalImage = []
-    for k, w in enumerate([x + y - z] if n == 0 else [x] + [z] * (n - 1) + [y]):
-        w = ring.normalize(w)
-        dots: list[tuple[str, int, bool]] = []
-        for (f, hat, size), j in zip(blocks, (k, n - k)):
-            if j:
-                dots.append((f, j, hat))
-            else:
-                w = ring.mul(w, size)
-        if w != 0:
-            out.append((w, tuple(dots)))
+    w = ring.mul(ring.normalize(x), a)
+    if w != 0:
+        out.append((w, ((g, n, g_hat),)))
+    z = ring.normalize(z) if n > 1 else 0
+    if z != 0:
+        out += [(z, ((f, k, f_hat), (g, n - k, g_hat))) for k in range(1, n)]
+    w = ring.mul(ring.normalize(y), b)
+    if w != 0:
+        out.append((w, ((f, n, f_hat),)))
     return out
 
 
@@ -497,48 +518,69 @@ def _images(skel: _Skeleton, n: int, weights: Weights) -> LocalImage:
     return [(w, dots) for dots, w in acc.items() if w != 0]
 
 
-def _apply(S: FoamSum, n: int, c: int, images: LocalImage) -> FoamSum:
+# A rule table maps ``(shape, n)`` to the derivation rule's
+# ``(shape', k)`` pairs, with ``shape'`` None where the part lowered was the
+# last nonzero one (the decoration becomes 1 and its entry is dropped), and
+# ``(shape, k, hat)`` to the dot rule's ``(shape', mult)`` pairs.  It is built
+# once per structural check or bare application and dies with it.
+Rules = dict[tuple, list[tuple[DotShape | None, int]]]
+
+
+def _apply(S: FoamSum, n: int, c: int, images: LocalImage, rules: Rules) -> FoamSum:
     """Leibniz application of ``c * L_n`` in the dot-shape basis.
 
     Each decoration is replaced by its image under ``c * L_n``; each of
     ``images``, the operator's local images on ``S``'s skeleton, multiplies
-    its power-sum dots in.
+    its power-sum dots in.  The partition rules are read from ``rules``
+    and computed on a miss; a term's key is edited where it stands.
     """
     skel = S.skeleton
     ring, N = skel.ring, skel.N
+    mul = ring.mul
     blank = {f: ((0,) * a, (0,) * (N - a)) for f, a in skel.thickness.items()}
     acc: dict[DecMap, Scalar] = {}
 
-    def add(coef: Scalar, shapes: dict[str, DotShape]) -> None:
+    def add(coef: Scalar, key: DecMap) -> None:
         if coef == 0:
             return
-        key = tuple(sorted(shapes.items()))
-        s = ring.add(acc[key], coef) if key in acc else coef
-        if s == 0:
+        s = acc.get(key)
+        if s is None:
+            acc[key] = coef
+        elif (s := ring.add(s, coef)) == 0:
             del acc[key]
         else:
             acc[key] = s
 
     for coef, decs in S.terms:
-        shapes = dict(decs)
-        for f, shape in decs:
-            for new, k in _derivation_rule(shape, n).items():
-                nd = dict(shapes)
-                if new == blank[f]:
-                    del nd[f]
-                else:
-                    nd[f] = new
-                add(ring.mul(coef, c * k), nd)
-        for c_loc, dots in images:
-            partial = [(ring.mul(coef, c_loc), shapes)]
-            for f, k, hat in dots:
-                partial = [
-                    (cc if mult == 1 else ring.mul(cc, mult), {**nd, f: new})
-                    for cc, nd in partial
-                    for new, mult in _dot_rule(nd.get(f, blank[f]), k, hat)
+        for i, (f, shape) in enumerate(decs):
+            rule = rules.get((shape, n))
+            if rule is None:
+                rule = rules[shape, n] = [
+                    (new if any(new[0]) or any(new[1]) else None, k)
+                    for new, k in _derivation_rule(shape, n).items()
                 ]
-            for cc, nd in partial:
-                add(cc, nd)
+            head, tail = decs[:i], decs[i + 1:]
+            for new, k in rule:
+                add(mul(coef, c * k), head + tail if new is None else head + ((f, new),) + tail)
+        for c_loc, dots in images:
+            partial = [(mul(coef, c_loc), decs)]
+            for f, k, hat in dots:
+                step = []
+                for cc, key in partial:
+                    i = bisect_left(key, (f,))
+                    if i < len(key) and key[i][0] == f:
+                        shape, tail = key[i][1], key[i + 1:]
+                    else:
+                        shape, tail = blank[f], key[i:]
+                    rule = rules.get((shape, k, hat))
+                    if rule is None:
+                        rule = rules[shape, k, hat] = _dot_rule(shape, k, hat)
+                    head = key[:i]
+                    for new, mult in rule:
+                        step.append((cc if mult == 1 else mul(cc, mult), head + ((f, new),) + tail))
+                partial = step
+            for cc, key in partial:
+                add(cc, key)
     return FoamSum(skel, [(acc[k], k) for k in sorted(acc)])
 
 
@@ -547,14 +589,16 @@ def _applier(
 ) -> Callable[[str | int, FoamSum], FoamSum]:
     """``apply(name, T)`` applies the operator ``name`` to a sum ``T`` over
     ``skel``; each operator's images are built, from ``weights(name)``, on
-    its first application and reused by the later ones."""
+    its first application and reused by the later ones, and every
+    application reads one rule table."""
     images: dict[str | int, LocalImage] = {}
+    rules: Rules = {}
 
     def apply(name: str | int, T: FoamSum) -> FoamSum:
         n, c = operator_index(name)
         if name not in images:
             images[name] = _images(skel, n, weights(name))
-        return _apply(T, n, c, images[name])
+        return _apply(T, n, c, images[name], rules)
 
     return apply
 
@@ -572,8 +616,6 @@ def _witt_weights(params: ActionParams, n: int) -> Weights:
     if n < -1:
         raise InputError("operator index must be at least -1")
     ring, s = params.ring, params.s
-    # (sign of the nu terms, z) per digon or zip kind
-    seam = {"digon_cup": (1, s), "digon_cap": (-1, 1 - s), "zip": (1, s - 1), "unzip": (-1, -s)}
 
     def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
         if kind == "saddle":
@@ -584,10 +626,15 @@ def _witt_weights(params: ActionParams, n: int) -> Weights:
         if kind in ("cup", "cap"):
             nu = params.nu3(n) if kind == "cup" else -params.nu3(n)
             half = half_scalar(ring)
-            return half + nu, half - nu, half
+            return (half + nu, half - nu, half) if nu else (half, half, half)
         nu1, nu2 = params.nu1(n), params.nu2(n)
-        sign, z = seam[kind]
-        return z + sign * nu2, z + sign * nu1, z
+        # the seam constant z, added to nu2 and nu1 on a digon-cup or zip
+        # and subtracted from them on a digon-cap or unzip
+        if kind in ("digon_cup", "zip"):
+            z = s if kind == "digon_cup" else s - 1
+            return z + nu2, z + nu1, z
+        z = 1 - s if kind == "digon_cap" else -s
+        return z - nu2, z - nu1, z
 
     return weights
 
@@ -608,7 +655,7 @@ def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     """Apply the n-th half-Witt operator (n >= -1) to a movie or sum."""
     weights = _witt_weights(params, n)
     S = _as_sum(target, params)
-    return _apply(S, n, 1, _images(S.skeleton, n, weights))
+    return _apply(S, n, 1, _images(S.skeleton, n, weights), {})
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +697,7 @@ def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
         raise InputError(f"unknown sl2 generator {gen!r}")
     S = _as_sum(target, params)
     n, c = operator_index(gen)
-    return _apply(S, n, c, _images(S.skeleton, n, _sl2_weights(params, gen)))
+    return _apply(S, n, c, _images(S.skeleton, n, _sl2_weights(params, gen)), {})
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +729,9 @@ def pdg_iterate(params: ActionParams, target: Movie | FoamSum, k: int) -> FoamSu
         return _as_sum(target, params)
     S = _pdg_sum(params, target)
     n, c = operator_index("f")
-    images = _images(S.skeleton, n, _sl2_weights(params, "f"))
+    images, rules = _images(S.skeleton, n, _sl2_weights(params, "f")), {}
     for _ in range(k):
-        S = _apply(S, n, c, images)
+        S = _apply(S, n, c, images, rules)
     return S
 
 

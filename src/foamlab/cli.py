@@ -163,7 +163,7 @@ def _build_pack(
     kw = {}
     for key, spec in (("nu1", nu1), ("nu2", nu2), ("nu3", nu3)):
         if spec is not None:
-            kw[key] = parse_witt_spec(spec, ring)
+            kw[key] = parse_witt_spec(spec, ring, key)
     if t3_text is not None:
         kw["t3"] = parse_scalar(t3_text)
     return ActionParams(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .actions import ActionParams
-from .errors import InputError
+from .errors import InputError, WrongRing
 from .foamcore import Edge, Movie, MovieBuilder, Vertex, Web, validate_web
 from .polyring import (
     CoefRing,
@@ -690,16 +690,22 @@ def parse_scalar(text: str):
     return Fraction(int(m.group(1)), int(m.group(2)))
 
 
-def parse_witt_spec(text: str, ring: CoefRing) -> WittSequence:
-    """``lin:<slope>`` or ``tab:[v_-1,v_0,...]`` sequence descriptions."""
-    if text.startswith("lin:"):
-        return WittSequence.linear(ring, parse_scalar(text[4:]))
-    if text.startswith("tab:"):
-        body = text[4:]
-        if not (body.startswith("[") and body.endswith("]")):
-            raise InputError(f"bad table spec {text!r}")
-        values = [parse_scalar(v) for v in body[1:-1].split(",") if v]
-        return WittSequence.from_table(ring, values)
+def parse_witt_spec(text: str, ring: CoefRing, name: str = "sequence") -> WittSequence:
+    """``lin:<slope>`` or ``tab:[v_-1,v_0,...]`` sequence descriptions.
+
+    A value outside ``ring`` raises :class:`InputError` naming ``name``.
+    """
+    try:
+        if text.startswith("lin:"):
+            return WittSequence.linear(ring, parse_scalar(text[4:]))
+        if text.startswith("tab:"):
+            body = text[4:]
+            if not (body.startswith("[") and body.endswith("]")):
+                raise InputError(f"bad table spec {text!r}")
+            values = [parse_scalar(v) for v in body[1:-1].split(",") if v]
+            return WittSequence.from_table(ring, values)
+    except WrongRing as exc:
+        raise InputError(f"{name} {text} is not over {ring}: {exc}") from None
     raise InputError(f"bad sequence spec {text!r} (use lin:<v> or tab:[...])")
 
 
@@ -725,7 +731,7 @@ def _realize_params(decl: ParamsDecl) -> ActionParams:
             kwargs[key] = parse_scalar(table.pop(key))
     for key in ("nu1", "nu2", "nu3"):
         if key in table:
-            kwargs[key] = parse_witt_spec(table.pop(key), ring)
+            kwargs[key] = parse_witt_spec(table.pop(key), ring, key)
     if "spherical" in table:
         value = table.pop("spherical")
         if value not in ("true", "false"):

@@ -129,6 +129,21 @@ class TestActionParams:
         with pytest.raises(InputError):
             ActionParams(ring=QQ, N=2, t3=1, spherical=False)
 
+    @pytest.mark.parametrize(
+        "ring,field,value,reason",
+        [
+            (ZZ, "s", Fraction(1, 2), "1/2 is not an integer"),
+            (ZZ, "t1", Fraction(-3, 2), "-3/2 is not an integer"),
+            (ZZ, "t3", Fraction(1, 2), "1/2 is not an integer"),
+            (GF(5), "s", Fraction(1, 5), "denominator 5 not invertible mod 5"),
+            (GF(3), "t2", Fraction(2, 3), "denominator 3 not invertible mod 3"),
+        ],
+    )
+    def test_scalar_outside_the_ring_is_an_input_error(self, ring, field, value, reason):
+        with pytest.raises(InputError) as info:
+            ActionParams(ring=ring, N=2, **{field: value})
+        assert str(info.value) == f"{field} = {value} is not in {ring}: {reason}"
+
     def test_sl2_from_witt_dictionary_values(self):
         P = sl2_from_witt(ActionParams(ring=QQ, N=2))
         assert (P.t1, P.t2, P.t3) == (0, 0, Fraction(1, 2))
@@ -895,9 +910,9 @@ class TestImageReuse:
         calls = []
         apply = actions._apply
 
-        def counting(S, n, c, images):
+        def counting(S, n, c, images, rules):
             calls.append(n)
-            return apply(S, n, c, images)
+            return apply(S, n, c, images, rules)
 
         monkeypatch.setattr(actions, "_apply", counting)
         return calls
@@ -929,12 +944,140 @@ class TestImageReuse:
         assert sorted(built) == [-1, 0, 1]
         assert len(calls) == 9
 
+    def test_rules_built_once_per_check(self, monkeypatch):
+        # each partition rule is computed at most once per argument tuple
+        # within one check; the torus's move images cancel, and those of a
+        # decorated closed movie with digons do not
+        calls, dotted = {}, False
+        for name in ("_dot_rule", "_derivation_rule"):
+            rule = getattr(actions, name)
+
+            def counting(*args, rule=rule, name=name):
+                calls.setdefault(name, []).append(args)
+                return rule(*args)
+
+            monkeypatch.setattr(actions, name, counting)
+        digons = next(
+            m for m in decorated_closed(seed=71, count=12, half_moves=4)
+            if {"digon_cup", "zip"} & {tr.kind for tr in compile_movie(m).traces}
+        )
+        P = saddle_pack()
+        for mov in (torus(), digons):
+            for check in (
+                lambda: commutator_check(2, 3, P, mov),
+                lambda: sl2_relations_check(sl2_from_witt(P), mov),
+            ):
+                calls.clear()
+                assert check().ok
+                assert calls["_derivation_rule"]
+                for args in calls.values():
+                    assert len(args) == len(set(args)), mov
+                dotted |= "_dot_rule" in calls
+        assert dotted
+
     def test_pdg_iterate(self, monkeypatch):
         built = self.counted(monkeypatch)
         R = GF(5)
         P = ActionParams(ring=R, N=3, t1=2, t2=4, t3=half_scalar(R), spherical=False)
         pdg_iterate(P, torus(2), 5)
         assert built == [1]
+
+
+class TestChecksMatchReference:
+    """Inside a structural check or an iterate every application reads the
+    check's one rule table; each one's result equals the reference image of
+    its input, term for term and in order."""
+
+    WITT_PAIRS = [(n, m) for n in INDICES for m in INDICES if n <= m]  # the 15 pairs
+
+    @staticmethod
+    def hook(monkeypatch, reference, seen):
+        """Wrap ``_apply`` to compare every result with ``reference(n, c, S)``
+        and record which of the four cases it met."""
+        apply = actions._apply
+        add = polyring.CoefRing.add
+        inside = []
+
+        def counting_add(ring, a, b):
+            s = add(ring, a, b)
+            if inside and s == 0 and ring.p == 3:
+                seen.add("cancelled mod 3")
+            return s
+
+        def checked(S, n, c, images, rules):
+            inside.append(True)
+            try:
+                out = apply(S, n, c, images, rules)
+            finally:
+                inside.pop()
+            assert same_terms(out, reference(n, c, S)), (n, c)
+            seen.add("applied")
+            skel = S.skeleton
+            if any(skel.thickness[f] == skel.N for _, dots in images for f, _, _ in dots):
+                seen.add("thickness N")
+            if n == -1 and any(
+                not any(new[0]) and not any(new[1])
+                for _, decs in S.terms for _, shape in decs
+                for new in _derivation_rule(shape, -1)
+            ):
+                seen.add("blanked")
+            if n == 0 and any(dots == () for _, dots in images):
+                seen.add("dot-free")
+            return out
+
+        monkeypatch.setattr(polyring.CoefRing, "add", counting_add)
+        monkeypatch.setattr(actions, "_apply", checked)
+
+    @staticmethod
+    def movies(ring, N, seed):
+        kw = dict(count=4, half_moves=4, max_thickness=N, ring=ring)
+        return closed_corpus(seed=seed, **kw) + spherical_corpus(seed=seed, **kw)
+
+    @pytest.mark.parametrize("ring,N", [(QQ, 2), (GF(3), 3), (GF(5), 4), (GF(3), 2)])
+    def test_commutator_and_sl2_checks(self, monkeypatch, ring, N):
+        seen = set()
+        packs = {}
+
+        def witt(n, c, S):
+            return oracle.witt_reference(n, packs["witt"], S)
+
+        def sl2(n, c, S):
+            gen = {(-1, 1): "e", (0, 2): "h", (1, -1): "f"}[n, c]
+            return oracle.sl2_reference(gen, packs["sl2"], S)
+
+        for mov in self.movies(ring, N, seed=40 + N):
+            sad = has_saddle(mov)
+            packs["witt"] = ActionParams(
+                ring=ring, N=N, s=Fraction(1, 4), nu1=WittSequence.linear(ring, Fraction(1, 2)),
+                nu2=WittSequence.linear(ring, Fraction(-1, 4)),
+                nu3=None if sad else WittSequence.linear(ring, Fraction(2, 7)),
+                spherical=not sad,
+            )
+            packs["sl2"] = ActionParams(
+                ring=ring, N=N, t1=Fraction(2, 7), t2=-2, t3=None if sad else Fraction(1, 4),
+                spherical=not sad,
+            )
+            with monkeypatch.context() as m:
+                self.hook(m, witt, seen)
+                for n, m_ in self.WITT_PAIRS:
+                    assert commutator_check(n, m_, packs["witt"], mov).ok, (mov, n, m_)
+            with monkeypatch.context() as m:
+                self.hook(m, sl2, seen)
+                assert sl2_relations_check(packs["sl2"], mov).ok, mov
+        want = {"thickness N", "blanked", "dot-free"}
+        if ring.p == 3:
+            want.add("cancelled mod 3")
+        assert want <= seen
+
+    @pytest.mark.parametrize("p,N", [(3, 3), (5, 2)])
+    def test_pdg_iterate(self, monkeypatch, p, N):
+        R = GF(p)
+        P = ActionParams(ring=R, N=N, t1=2, t2=p - 1, t3=half_scalar(R), spherical=False)
+        seen = set()
+        self.hook(monkeypatch, lambda n, c, S: oracle.sl2_reference("f", P, S), seen)
+        for mov in self.movies(R, N, seed=50 + p):
+            assert pdg_iterate(P, mov, p).is_zero(), mov
+        assert "applied" in seen
 
 
 class TestPdgIterate:

@@ -37,6 +37,24 @@ movie thick_cup on empty {
   decorate c1 with p_2;
 }
 
+movie full_sphere on empty {
+  cup(3) -> c1;
+  decorate c1 with p_2*p_1 + e_3;
+  cap(3) on c1;
+}
+
+movie zipped on empty {
+  cup(1) -> a;
+  decorate a with p_1^2;
+  cup(1) -> b;
+  decorate b with p_1;
+  zip(1,1) on (a, b);
+  decorate e5 with e_2;
+  unzip on e5;
+  cap(1) on e6;
+  cap(1) on e7;
+}
+
 movie dotted_sphere_torus on empty {
   cup(1) -> c1;
   decorate c1 with p_1;
@@ -315,6 +333,53 @@ class TestInduced:
         assert "bad operator index" in err and "Traceback" not in err
 
 
+# (operator, movie) -> sha256 of `act --N 3 --json` stdout, with the pack
+# below over Q, and over F5 for the differential d
+ACT_PACK = ("--s", "1/4", "--nu1", "lin:1/2", "--nu2", "lin:-1/3")
+PINNED_ACT = {
+    ("e", "dotted_sphere"): "9264ce1f609c04b6088e00c12fafa07090688a61db12fd7f379de40141a16607",
+    ("h", "dotted_sphere"): "5af2ca4d335551311ae46dac517900976add3bff0afdb91897c238fcefd27177",
+    ("f", "dotted_sphere"): "3f787041b0b5ea9e2d97f287df9b8a88b5efb5b3c250eb0c5e49b250111c5aa2",
+    ("L:-1", "dotted_sphere"): "24dfa9f911ff6676fac2699641e4dee554a32d1911bccd470284597218646c20",
+    ("L:0", "dotted_sphere"): "f04a33babdf12f5eca223bad22b687b474b3890c90ab71dc75c1905e11543e27",
+    ("L:1", "dotted_sphere"): "770b1330376f1cfb4a7106c0b5c54e222b1d35927ea2e8d8a9304bfa76b30125",
+    ("L:3", "dotted_sphere"): "43a9aa3cbeafe3c89096873f708e95b952711bc41b74753e7435e31cbcf87156",
+    ("d", "dotted_sphere"): "4febd4e356b3376bf628a214a24d34483679300f7bade6c9e94c2a8f2cbf6052",
+    ("e", "full_sphere"): "4791887d6ecdeedfec97f479f7bbb5c2bca68276f2fa72e469f8ce49f70fedbd",
+    ("h", "full_sphere"): "114ed92ab9743209aea67a366cee3576591e14bc04e6c533cfe5bb6d1cfc67f9",
+    ("f", "full_sphere"): "0b3fcdd6213fb9f1e922986772fc8cec45806678cd3efae9b0c46f9a95d43173",
+    ("L:-1", "full_sphere"): "7712b49a59ce9153c9791f6bebf5bb4bf4eabb08c0335ed734e11259d881375f",
+    ("L:0", "full_sphere"): "4ae71ab5f7d634847c667b064ec6a83a9d9584d232b95c391515ac32738bdbc7",
+    ("L:1", "full_sphere"): "66af31c5614d528de5d657095772fab3bd0483a681903c9e02577808cbeee00d",
+    ("L:3", "full_sphere"): "877f21c5dd10e183b8b1afcce94656a0d5fa3f01c858eedfc1ffe250f33ce984",
+    ("d", "full_sphere"): "5a29ca95525f3cc26ce76c8e88510bc6397852e71ac5cb2ed180b1a8571f6b61",
+    ("e", "dotted_spheres_torus"): "2ed2bb2d5adba32791eef68f6d535bd4ec9c3c6add35c66c98a53f2388e93568",
+    ("h", "dotted_spheres_torus"): "48b0f9128e17afa55fb852e60f0cd09519d6e978a401eb545c783254cf817f78",
+    ("f", "dotted_spheres_torus"): "a87d29ddcd41ac42e807c382baf17fce4fa3efbba9b2a71ea09461f28273ecef",
+    ("L:-1", "dotted_spheres_torus"): "b72949cbe339200be925920b69e8806e56d24bd9e05516a3e7721198c604d778",
+    ("L:0", "dotted_spheres_torus"): "b5c7a4b3735c94aec492839a2cbb977427e101e7a95f34d0517a082b6841b469",
+    ("L:1", "dotted_spheres_torus"): "1998b63d6ad34fe3ac5309cc255207d7283c8f7d5e61312c2a5bd469286b6774",
+    ("L:3", "dotted_spheres_torus"): "3b84ec251f5c68b70b79b97967e83f9d01a5604870b5676665b42979a2afe0ea",
+    ("d", "dotted_spheres_torus"): "4cc767e90a2dc13704a0917bcb5f8ae88924695fd1c10c1357cd1c5b064ca56a",
+    ("e", "dotted_theta"): "6bbcb7fae1bde17f44b59955ecb8fc0f08ace70087fe29e0d366cbcc0fa821c4",
+    ("h", "dotted_theta"): "21b9dd0c210efab77e17df71f04a2fd0e534c022651757e86064717b87211c7c",
+    ("f", "dotted_theta"): "954dc61b47d2f3a7c550ac8061f2232698d886e1bd4a4f7ad881741e33d22470",
+    ("L:-1", "dotted_theta"): "92583d9d7677b1a50b39990a1353bfcff77a22955fa1dbc2a16d430316a7d48d",
+    ("L:0", "dotted_theta"): "3cb79ffb8b7f819776075bfdc0c16817a48342868bbda9d419e042faf91a30bd",
+    ("L:1", "dotted_theta"): "92aa9db3a396556c807581ea9878a63e36bf71e3782aecd39cb0da1129556df0",
+    ("L:3", "dotted_theta"): "0d587a799c26a3578b25214037447bcb7f476efa3c6e2ec71f6e9d26dd8f8ca0",
+    ("d", "dotted_theta"): "7c0446459a8e4fd95a49918bbac206f811bb64b84153e6f79f45c360f724ede5",
+    ("e", "zipped"): "5eef870bc0773c190fbcd8967ef64b1c2640f7a5405edc0422aa60a6ae7e8683",
+    ("h", "zipped"): "96011affccc57d317f3d0323cab3c7c3ffdbcc304fafc94dd7dbd226c23fdf2c",
+    ("f", "zipped"): "9ea303d94e41c6a475fad7e4a66253b0f610e61ebdbdb8af38ad7a11779d39a2",
+    ("L:-1", "zipped"): "4ed18fe5ec3c9bb5cbeb5dca899e1e7bd81f0f06f65f63b82deb7c7da9adbb9c",
+    ("L:0", "zipped"): "fe1eb74f70f23f0a8d843284bb376ee6fdd6a3d1d426e65c20ead11ac7f24bfd",
+    ("L:1", "zipped"): "58da37393d8384504d276f7bea2aace13d2e978dd6561087ea8abcd6b092233b",
+    ("L:3", "zipped"): "d05a51e8628835095dbdf7b03982bd10b67f010686682f2801b0e55790e719ea",
+    ("d", "zipped"): "4619191858797a547a3865e1d9c746cbf466e68d5926d5c8fdb7ef9bb47a2947",
+}
+
+
 class TestAct:
     def test_witt_on_dotted_sphere(self, capsys, foam_file):
         code, out, _ = run(
@@ -392,6 +457,18 @@ class TestAct:
         assert code == 0
         assert out == text_out + "\n"
 
+    @pytest.mark.parametrize("op,movie", list(PINNED_ACT))
+    def test_act_stdout_is_pinned(self, capsys, foam_file, op, movie):
+        # a dotted sphere, a thickness-N sphere (empty outer block), spheres
+        # and a dotted torus, a digon and a zip, byte for byte
+        ring = "F5" if op == "d" else "Q"
+        code, out, _ = run(
+            capsys, "act", "--op", op, "--N", "3", "--ring", ring, *ACT_PACK,
+            "--json", f"{foam_file}#{movie}",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ACT[op, movie]
+
     def test_unknown_operator_is_input_error(self, capsys, foam_file):
         code, _, _ = run(
             capsys, "act", "--op", "q", "--N", "2", f"{foam_file}#sphere"
@@ -442,6 +519,16 @@ class TestTypedBoundary:
             ("act", "--op", "e", "--N", "2", "--s", "1/0", "#sphere"),
             ("act", "--op", "L:9", "--N", "2", "#dotted_sphere"),
             ("check", "--suite", "commutators", "--nmax", "5"),
+            # pack scalars outside the ring
+            ("act", "--op", "L:0", "--N", "2", "--ring", "Z", "--s", "1/2", "#dotted_sphere"),
+            ("act", "--op", "L:0", "--N", "2", "--ring", "F5", "--s", "1/5", "#dotted_sphere"),
+            ("act", "--op", "L:0", "--N", "2", "--ring", "Z", "--nu1", "lin:1/2",
+             "#dotted_sphere"),
+            ("act", "--op", "L:0", "--N", "2", "--ring", "Z", "--nu2", "tab:[0,1/2]",
+             "#dotted_sphere"),
+            ("act", "--op", "L:0", "--N", "2", "--ring", "Z", "--t3", "1/2", "#dotted_sphere"),
+            ("induced", "--op", "d", "--web", "circle:1", "--N", "2", "--ring", "F3",
+             "--t1", "1/3"),
         ],
     )
     def test_input_error(self, capsys, foam_file, argv):

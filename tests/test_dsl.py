@@ -194,6 +194,15 @@ class TestParams:
         with pytest.raises(InputError, match="N must be an integer"):
             ff.build_params("p")
 
+    @pytest.mark.parametrize(
+        "entry,field",
+        [("s 1/2", "s"), ("t3 1/2", "t3"), ("nu1 lin:1/2", "nu1"), ("nu3 tab:[0,1/2]", "nu3")],
+    )
+    def test_value_outside_the_ring_is_an_input_error(self, entry, field):
+        ff = parse(f"params p {{ ring Z; N 2; {entry}; }}")
+        with pytest.raises(InputError, match=f"^{field} .* Z: 1/2 is not an integer"):
+            ff.build_params("p")
+
     def test_parse_ring(self):
         assert parse_ring("Z") == ZZ
         assert parse_ring("Q") == QQ
