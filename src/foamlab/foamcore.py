@@ -1433,9 +1433,13 @@ class EulerWalk:
 
     Both numbers, and the seam signs of a pair, depend on the types alone,
     so :meth:`read` tallies each distinct type and pair of types once per
-    coloring.  ``canonical`` holds what an evaluator derives from the foam
-    once, on its first read (``foameval`` keeps each facet's decorations on
-    the canonical alphabet there, per N and ring).
+    walk.  It keeps every ``chi`` by type and every ``(chi, theta_plus)``
+    by type pair for the walk's life; a pair that raises is not kept, so
+    each read of it raises anew, naming its own pigments.  ``canonical``
+    holds what an evaluator derives from the foam as its colorings ask,
+    per N and ring (``foameval`` keeps each facet's decorations on the
+    canonical alphabet there, their products at each color and each power
+    of a difference).
     """
 
     def __init__(self, F: FoamComplex):
@@ -1453,6 +1457,8 @@ class EulerWalk:
             for b in F.bindings.values()
         ]
         self.canonical: dict = {}
+        self._euler: dict[int, int] = {}
+        self._bichrome: dict[tuple[int, int], tuple[int, int]] = {}
 
     def types(self, c: Coloring, N: int) -> list[int]:
         """The types of pigments ``1..N`` under ``c``: for each, the facets
@@ -1549,20 +1555,21 @@ class EulerWalk:
         lexicographic order, which raises a pair's ``SeamSignInconsistent``
         when it reaches that pair.
         """
-        euler: dict[int, int] = {}
+        euler = self._euler
         for t in types:
             if t not in euler:
                 euler[t] = self.euler(t)
         return [euler[t] for t in types], self._pairs(types)
 
     def _pairs(self, types: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
-        data: dict[tuple[int, int], tuple[int, int]] = {}
+        data = self._bichrome
         for i, s in enumerate(types, 1):
             for j in range(i + 1, len(types) + 1):
                 key = (s, types[j - 1])
-                if key not in data:
-                    data[key] = self.bichrome(s, key[1], i, j)
-                yield (i, j) + data[key]
+                found = data.get(key)
+                if found is None:
+                    found = data[key] = self.bichrome(s, key[1], i, j)
+                yield (i, j) + found
 
 
 def monochrome_euler(F: FoamComplex, c: Coloring, i: int) -> int:

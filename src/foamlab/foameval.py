@@ -8,6 +8,7 @@ by the topology and the decorations.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -200,6 +201,25 @@ def _dot_shapes(
 # ---------------------------------------------------------------------------
 
 
+class _WalkTables:
+    """What :func:`colored_eval` keeps on one walk for one N and ring.
+
+    ``one`` is the numerator of a coloring with no factor.  ``powers`` maps
+    ``(i, j, k)`` to ``(X_i - X_j)^k``.  ``decorated`` is each decorated
+    facet with its decorations' product on the canonical alphabet, or None
+    before the first coloring reaches it.  ``at`` maps ``(facet, color)`` to
+    that product put at the color.
+    """
+
+    __slots__ = ("one", "powers", "decorated", "at")
+
+    def __init__(self, N: int, ring: CoefRing) -> None:
+        self.one = MultiPoly.const(ring, xvars(N), 1)
+        self.powers: dict[tuple[int, int, int], MultiPoly] = {}
+        self.decorated: list[tuple[str, MultiPoly]] | None = None
+        self.at: dict[tuple[str, frozenset[int]], MultiPoly] = {}
+
+
 def colored_eval(
     F: FoamComplex,
     c: Coloring,
@@ -218,13 +238,14 @@ def colored_eval(
     ``OddEuler`` is raised for the first odd ``chi_i``, then for each pair
     in lexicographic order ``SeamSignInconsistent`` before an odd
     ``chi_ij``.  Each facet's decorations are multiplied on the canonical
-    alphabet once per walk, N and ring, when the first coloring is read
-    (so a foam with no colorings reads none), and then put at the facet's
-    color.
+    alphabet when the first coloring gets past its pairs (so a foam with no
+    colorings reads none), and then put at the facet's color.  The walk
+    keeps, per N and ring, those products, each product at each color it
+    was put at, and each power of a difference: a walk computes each of
+    them once.
     """
     if walk is None:
         walk = EulerWalk(F)
-    vs = xvars(N)
     chis, pairs = walk.read(walk.types(c, N))
     sign_exp = 0
     for i, chi_i in enumerate(chis, 1):
@@ -232,7 +253,11 @@ def colored_eval(
             raise OddEuler(f"pigment {i}: surface has odd Euler characteristic {chi_i}")
         sign_exp += i * (chi_i // 2)
 
-    num = MultiPoly.const(ring, vs, 1)
+    tables = walk.canonical.get((N, ring))
+    if tables is None:
+        tables = walk.canonical[(N, ring)] = _WalkTables(N, ring)
+    powers = tables.powers
+    factors: list[MultiPoly] = []
     den: dict[tuple[int, int], int] = {}
     for i, j, chi_ij, theta_plus in pairs:
         if chi_ij % 2:
@@ -245,14 +270,24 @@ def colored_eval(
         if q > 0:
             den[(i - 1, j - 1)] = q
         elif q < 0:
-            num = num * polyring._difference(ring, vs, i - 1, j - 1) ** (-q)
+            key = (i, j, -q)
+            power = powers.get(key)
+            if power is None:
+                diff = polyring._difference(ring, tables.one.vars, i - 1, j - 1)
+                power = powers[key] = diff ** -q
+            factors.append(power)
 
-    key = (N, ring)
-    if key not in walk.canonical:
-        walk.canonical[key] = _canonical_decorations(F, N, ring)
-    for f, p in walk.canonical[key]:
-        num = num * _at_coloring(p, c[f], N)
+    if tables.decorated is None:
+        tables.decorated = _canonical_decorations(F, N, ring)
+    at = tables.at
+    for f, p in tables.decorated:
+        key = (f, c[f])
+        found = at.get(key)
+        if found is None:
+            found = at[key] = _at_coloring(p, c[f], N)
+        factors.append(found)
 
+    num = functools.reduce(operator.mul, factors) if factors else tables.one
     if sign_exp % 2:
         num = -num
     return RatFun(num, den)

@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DivisionNotExact,
@@ -874,15 +874,30 @@ def _vertical_strips(mu: tuple[int, ...], r: int) -> list[tuple[tuple[int, ...],
     return [(nu, w) for nu, left, w, _ in states if not left]
 
 
-def _distinct_permutations(exp: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """Every distinct rearrangement of ``exp``, each once."""
-    if not exp:
-        yield ()
-        return
-    for v in dict.fromkeys(exp):
-        i = exp.index(v)
-        for rest in _distinct_permutations(exp[:i] + exp[i + 1:]):
-            yield (v, *rest)
+def _distinct_permutations(exp: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct rearrangement of ``exp``, each once, in lexicographically
+    decreasing order.
+
+    Starts from ``exp`` sorted decreasing and steps to the previous
+    permutation in place: find the last descent ``a[i] > a[i+1]``, swap
+    ``a[i]`` with the last entry after it that is smaller, and reverse the
+    tail after ``i``.  The package passes partitions, so there the sort only
+    copies.
+    """
+    a = sorted(exp, reverse=True)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 def to_elementary(poly: MultiPoly, e_names: Sequence[str] | None = None) -> MultiPoly:

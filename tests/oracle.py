@@ -32,6 +32,9 @@ The reference Pieri step adds and takes every ``r``-subset of positions
 and sorts; the package adds the vertical strips on each partition run by
 run of equal parts, each once with the number of subsets that give it.
 
+The reference distinct permutations recurse on each distinct first value;
+the package steps from one permutation to the previous one in place.
+
 The reference fraction-free solve forms the full Bareiss update at every
 entry; the package skips the updates that are the identity or zero.
 
@@ -1928,3 +1931,21 @@ def compile_movie_reference(mov: Movie) -> FoamComplex:
         {e: fname(lbl) for e, lbl in snap.items()} for snap in snapshots
     )
     return FoamComplex(facets, bindings, vertices, named_traces, closed, edge_facets)
+
+
+# ---------------------------------------------------------------------------
+# Distinct permutations
+# ---------------------------------------------------------------------------
+
+
+def distinct_permutations_reference(exp: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """Every distinct rearrangement of ``exp``, each once: each distinct
+    value in order of first appearance, then the rearrangements of the
+    rest, recursively."""
+    if not exp:
+        yield ()
+        return
+    for v in dict.fromkeys(exp):
+        i = exp.index(v)
+        for rest in distinct_permutations_reference(exp[:i] + exp[i + 1:]):
+            yield (v, *rest)

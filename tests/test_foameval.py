@@ -5,13 +5,19 @@ conventions (monochrome and bichrome Euler characteristics of spheres) and
 are treated as an independent oracle for the implementation.
 """
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foamlab.corpus import closed_corpus, random_open_movie, spherical_corpus
+from foamlab.corpus import (
+    closed_corpus,
+    random_decoration,
+    random_open_movie,
+    spherical_corpus,
+)
 from foamlab import foameval
 from foamlab.errors import (
     FoamlabError,
@@ -279,6 +285,128 @@ class TestColoredEvalAgainstReference:
         assert evaluate(F, 2).value.is_zero()
         with pytest.raises(InputError, match="inner block 2 != facet thickness 3"):
             evaluate(F, 3)
+
+
+def decorated_assoc_movie(rng):
+    """A closed foam with one assoc and one coassoc singular vertex, its two
+    thin cups and its first thick edge carrying random corpus decorations."""
+    b = MovieBuilder()
+    x = b.cup(1)
+    y = b.cup(1)
+    b.decorate(x, random_decoration(rng, 1))
+    b.decorate(y, random_decoration(rng, 1))
+    z1 = b.zip(x, y)
+    b.decorate(z1.thick_edge, random_decoration(rng, 2))
+    z = b.cup(1)
+    z2 = b.zip(z1.thick_edge, z)
+    b.assoc(z2.out_a1)
+    b.coassoc(z2.out_a2)
+    uz = b.unzip(z2.thick_edge)
+    b.cap(uz.out_a)
+    dcap = b.digon_cap(z1.out_b1, z2.out_b1)
+    b.cap(dcap.out_edge)
+    return b.movie()
+
+
+def count_calls(monkeypatch):
+    """Count the walk's tallies and ``_at_coloring`` by what their result
+    depends on: the walk and the type or type pair, or the facet's
+    canonical product (one per walk, facet, N and ring), color and N."""
+    calls = collections.Counter()
+    alive = []  # keys hold ids: keep their objects alive
+
+    def counting(name, key_of, fn):
+        def counted(*args):
+            alive.append(args[0])
+            calls[name, *key_of(*args)] += 1
+            return fn(*args)
+
+        return counted
+
+    for name, key_of, owner in (
+        ("bichrome", lambda walk, s, t, i, j: (id(walk), s, t), EulerWalk),
+        ("euler", lambda walk, t: (id(walk), t), EulerWalk),
+        ("_at_coloring", lambda p, color, N: (id(p), color, N), foameval),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, key_of, getattr(owner, name)))
+    return calls
+
+
+class TestWalkTables:
+    """A walk computes each tally, power and decoration at a color once, and
+    its tables change no value and no error."""
+
+    def test_each_key_is_computed_once_per_walk(self, monkeypatch):
+        rng = random.Random(5)
+        movies = [
+            compose(mov, decorated_assoc_movie(rng)) for mov in closed_corpus(seed=5, count=8)
+        ]
+        for mov in movies:
+            F = compile_movie(mov)
+            assert F.vertices and any(f.decorations for f in F.facets.values())
+        calls = count_calls(monkeypatch)
+        for mov in movies:
+            evaluate(mov, 4)
+        assert {k[0] for k in calls} == {"bichrome", "euler", "_at_coloring"}
+        assert max(calls.values()) == 1
+
+    def test_values_match_a_walk_per_coloring(self):
+        rng = random.Random(9)
+        for mov in closed_corpus(seed=9, count=4):
+            F = compile_movie(compose(mov, decorated_assoc_movie(rng)))
+            for ring in (ZZ, GF(3)):
+                assert_colored_eval_matches_reference(F, 4, ring)
+
+    def test_one_pair_at_several_exponents(self):
+        # two genus-2 thin facets: the bichrome surface of (1, 2) is one of
+        # them or both, so one walk reads (X1 - X2)^1 and (X1 - X2)^2
+        dec = SymPoly(power_sum(ZZ, facet_vars(1), 2), (1,))
+        F = FoamComplex(
+            {"f1": Facet("f1", 1, -2, (dec,)), "f2": Facet("f2", 1, -2, ())}, {}, {}, (), True
+        )
+        assert_colored_eval_matches_reference(F, 3)
+        walk = EulerWalk(F)
+        for c in enumerate_colorings(F, 3):
+            colored_eval(F, c, 3, ZZ, walk)
+        assert {k for i, j, k in walk.canonical[3, ZZ].powers if (i, j) == (1, 2)} == {1, 2}
+
+    @pytest.mark.parametrize(
+        "segments, endpoints",
+        [([("f1", "f2", "f3"), ("f2", "f1", "f3")], ()), ([("f1", "f2", "f3")], ("v1", "v2"))],
+    )
+    def test_a_seam_error_is_raised_at_every_read(self, segments, endpoints):
+        F = seam_complex(segments, endpoints)
+        colorings = [
+            # pigment 1 is on no facet: pairs (1, 2) and (1, 3) are kept
+            # before pair (2, 3) raises
+            {"f1": frozenset({2}), "f2": frozenset({3}), "f3": frozenset({2, 3})},
+            SEAM_COLORING,
+            # SEAM_COLORING's failing pair moved to pigments (1, 3)
+            {"f1": frozenset({1}), "f2": frozenset({3}), "f3": frozenset({1, 3})},
+        ]
+        want = [value_or_error(lambda: colored_eval(F, c, 3)) for c in colorings]
+        assert [w[0] for w in want] == [SeamSignInconsistent] * 3
+        walk = EulerWalk(F)
+        for k in (0, 1, 1, 2, 1, 0):
+            assert value_or_error(lambda: colored_eval(F, colorings[k], 3, ZZ, walk)) == want[k]
+
+    def test_odd_euler_comes_before_a_malformed_decoration(self):
+        bad = SymPoly(power_sum(ZZ, facet_vars(2), 1), (2,))
+        sphere = FoamComplex({"f1": Facet("f1", 1, 2, (bad,))}, {}, {}, (), True)
+        with pytest.raises(InputError, match="inner block 2 != facet thickness 1"):
+            evaluate(sphere, 2)
+        F = vertex_pair_foam()
+        F = FoamComplex(
+            {**F.facets, "f1": Facet("f1", 1, 1, (bad,))}, F.bindings, F.vertices, (), True
+        )
+        walk = EulerWalk(F)
+        colorings = [
+            ({"f1": frozenset({1}), "f2": frozenset({1})}, r"^pigment 1: surface has odd"),
+            ({"f1": frozenset({1}), "f2": frozenset({2})}, r"^pigments \(1,2\): bichrome"),
+        ]
+        for c, text in colorings * 2:
+            with pytest.raises(OddEuler, match=text):
+                colored_eval(F, c, 2, ZZ, walk)
 
 
 class TestEvaluate:

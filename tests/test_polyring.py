@@ -488,6 +488,17 @@ class TestSymmetric:
         got = polyring.ElementaryBasis(xvars(N))._pieri(f, r)
         assert got == oracle.pieri_reference(f, r, N)
 
+    @given(st.lists(st.integers(0, 4), max_size=9))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_permutations_match_the_recursion(self, parts):
+        # the package passes partitions: the same sequence, in
+        # lexicographically decreasing order; any order gives the same set
+        lam = tuple(sorted(parts, reverse=True))
+        got = list(polyring._distinct_permutations(lam))
+        assert got == list(oracle.distinct_permutations_reference(lam))
+        assert got == sorted(set(got), reverse=True)
+        assert list(polyring._distinct_permutations(tuple(parts))) == got
+
     def test_elementary_basis_builds_nothing_up_front(self):
         # 2^40 subsets of the pigments are never listed
         X = xvars(40)
