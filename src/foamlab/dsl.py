@@ -12,10 +12,10 @@ again is the identity on the syntax trees.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .actions import ActionParams
 from .errors import InputError, WrongRing
@@ -138,7 +138,9 @@ class _Stream:
 
 # Polynomial expressions are nested tuples:
 #   ("int", n) ("sym", kind, k) with kind in {"e", "h", "p", "phat"}
-#   ("X", i) ("ref", name) ("neg", x) ("add"|"sub"|"mul", a, b) ("pow", a, k)
+#   ("X", i) ("ref", name) ("neg", x) ("pow", x, k)
+#   ("sum", t1, t2, ...) ("mul", f1, f2, ...): the flat chains the grammar
+#   writes, each at least two long; a subtracted term is stored negated
 PolyExpr = tuple
 
 
@@ -407,30 +409,31 @@ def _parse_value_text(s: _Stream) -> str:
 
 _SYM_ATOM = re.compile(r"^(e|h|p)_(\d+)$")
 # The most parentheses open at once, and the greatest height of a polynomial
-# with its references expanded: every recursive walk stays far inside
-# Python's recursion limit.
+# with its references expanded (a chain of terms or factors is one level):
+# every recursive walk stays far inside Python's recursion limit.
 _MAX_NESTING = 100
 _X_ATOM = re.compile(r"^X_?(\d+)$")
 
 
 def _parse_poly(s: _Stream) -> PolyExpr:
-    expr = _parse_product(s)
+    terms = [_parse_product(s)]
     while True:
         if s.accept("punct", "+"):
-            expr = ("add", expr, _parse_product(s))
+            terms.append(_parse_product(s))
         elif s.accept("punct", "-"):
-            expr = ("sub", expr, _parse_product(s))
+            terms.append(("neg", _parse_product(s)))
         else:
-            return expr
+            return terms[0] if len(terms) == 1 else ("sum", *terms)
 
 
 def _parse_product(s: _Stream) -> PolyExpr:
     negations = 0
     while s.accept("punct", "-"):
         negations += 1
-    expr = _parse_power(s)
+    factors = [_parse_power(s)]
     while s.accept("punct", "*"):
-        expr = ("mul", expr, _parse_power(s))
+        factors.append(_parse_power(s))
+    expr = factors[0] if len(factors) == 1 else ("mul", *factors)
     for _ in range(negations):
         expr = ("neg", expr)
     return expr
@@ -496,8 +499,8 @@ def _check_poly_refs(ff: FoamFile, expr: PolyExpr, where: str, heights: dict, le
     while it is being expanded.
 
     Raises :class:`InputError` for an unknown reference, a cycle of
-    references, or a height above ``_MAX_NESTING`` (a sum of ``n`` terms is
-    ``n`` high), which bounds every recursive walk over a polynomial.
+    references, or a height above ``_MAX_NESTING``, which bounds every
+    recursive walk over a polynomial.
     """
     if level > _MAX_NESTING:
         raise InputError(f"{where!r}: polynomial nested more than {_MAX_NESTING} deep")
@@ -548,70 +551,65 @@ def _realize_web(decl: WebDecl) -> Web:
     return web
 
 
-def _poly_uses_hat(ff: FoamFile, expr: PolyExpr) -> bool:
+def _uses_hat(ff: FoamFile, expr: PolyExpr, seen: set[str]) -> bool:
+    """Whether ``expr`` mentions hat(p_k); the names in ``seen`` were read and do not."""
     tag = expr[0]
     if tag == "sym":
         return expr[1] == "phat"
     if tag == "ref":
-        return _poly_uses_hat(ff, ff.polys[expr[1]])
-    if tag in ("add", "sub", "mul"):
-        return _poly_uses_hat(ff, expr[1]) or _poly_uses_hat(ff, expr[2])
-    if tag in ("neg", "pow"):
-        return _poly_uses_hat(ff, expr[1])
-    return False
+        if expr[1] in seen:
+            return False
+        seen.add(expr[1])
+        return _uses_hat(ff, ff.polys[expr[1]], seen)
+    return any(_uses_hat(ff, sub, seen) for sub in expr[1:] if isinstance(sub, tuple))
 
 
 def _realize_poly(
-    ff: FoamFile, expr: PolyExpr, ring: CoefRing, variables: tuple[str, ...], a: int
+    ff: FoamFile, expr: PolyExpr, variables: tuple[str, ...], a: int, named: dict
 ) -> MultiPoly:
+    """``expr`` over Z; ``named`` keeps each named polynomial realized so far."""
     inner = variables[:a]
-    outer = variables[a:]
     tag = expr[0]
     if tag == "int":
-        return MultiPoly.const(ring, variables, expr[1])
+        return MultiPoly.const(ZZ, variables, expr[1])
     if tag == "sym":
         kind, k = expr[1], expr[2]
         if kind == "e":
-            return elementary(ring, inner, k).extend(variables)
+            return elementary(ZZ, inner, k).extend(variables)
         if kind == "h":
-            return complete_homogeneous(ring, inner, k).extend(variables)
+            return complete_homogeneous(ZZ, inner, k).extend(variables)
         if kind == "p":
-            return power_sum(ring, inner, k).extend(variables)
-        if not outer:
-            raise InputError("hat(p_k) needs the ambient number of pigments")
-        return power_sum(ring, outer, k).extend(variables)
+            return power_sum(ZZ, inner, k).extend(variables)
+        return power_sum(ZZ, variables[a:], k).extend(variables)
     if tag == "X":
         raise InputError("the global alphabet cannot decorate a facet")
     if tag == "ref":
-        return _realize_poly(ff, ff.polys[expr[1]], ring, variables, a)
+        name = expr[1]
+        if name not in named:
+            named[name] = _realize_poly(ff, ff.polys[name], variables, a, named)
+        return named[name]
+    parts = [
+        _realize_poly(ff, sub, variables, a, named) for sub in expr[1:] if isinstance(sub, tuple)
+    ]
+    if tag == "sum":
+        return sum(parts)
+    if tag == "mul":
+        return math.prod(parts)
     if tag == "neg":
-        return -_realize_poly(ff, expr[1], ring, variables, a)
-    if tag == "pow":
-        return _realize_poly(ff, expr[1], ring, variables, a) ** expr[2]
-    left = _realize_poly(ff, expr[1], ring, variables, a)
-    right = _realize_poly(ff, expr[2], ring, variables, a)
-    if tag == "add":
-        return left + right
-    if tag == "sub":
-        return left - right
-    return left * right  # "mul"
+        return -parts[0]
+    return parts[0] ** expr[2]  # "pow"
 
 
 def _realize_decoration(ff: FoamFile, expr: PolyExpr, a: int, N: int | None) -> SymPoly:
     """A decoration over Z; evaluation maps it into the coefficient ring."""
-    if _poly_uses_hat(ff, expr):
+    blocks = (a,)
+    if _uses_hat(ff, expr, set()):
         if N is None:
-            raise InputError(
-                "decoration uses hat(p_k); pass the number of pigments"
-            )
+            raise InputError("decoration uses hat(p_k); pass the number of pigments")
         if N - a < 0:
             raise InputError(f"facet thickness {a} exceeds N={N}")
-        variables = facet_vars(a, N - a)
-        poly = _realize_poly(ff, expr, ZZ, variables, a)
-        return SymPoly(poly, (a, N - a))
-    variables = facet_vars(a)
-    poly = _realize_poly(ff, expr, ZZ, variables, a)
-    return SymPoly(poly, (a,))
+        blocks = (a, N - a)
+    return SymPoly(_realize_poly(ff, expr, facet_vars(*blocks), a, {}), blocks)
 
 
 def _realize_movie(ff: FoamFile, decl: MovieDecl, N: int | None) -> Movie:
@@ -635,8 +633,6 @@ def _realize_movie(ff: FoamFile, decl: MovieDecl, N: int | None) -> Movie:
                     f" thickness {b.web.edges[e].thickness}"
                 )
             b.cap(e)
-        elif mv.op == "saddle":
-            b.saddle(edge(mv.on[0]), edge(mv.on[1]))
         elif mv.op == "zip":
             ea, eb = edge(mv.on[0]), edge(mv.on[1])
             for eid, want in zip((ea, eb), mv.args):
@@ -646,22 +642,12 @@ def _realize_movie(ff: FoamFile, decl: MovieDecl, N: int | None) -> Movie:
                         f" {eid!r} thickness {b.web.edges[eid].thickness}"
                     )
             b.zip(ea, eb)
-        elif mv.op == "unzip":
-            b.unzip(edge(mv.on[0]))
-        elif mv.op == "digon_cup":
-            b.digon_cup(edge(mv.on[0]), mv.args[0], mv.args[1])
-        elif mv.op == "digon_cap":
-            b.digon_cap(edge(mv.on[0]), edge(mv.on[1]))
-        elif mv.op == "assoc":
-            b.assoc(edge(mv.on[0]))
-        elif mv.op == "coassoc":
-            b.coassoc(edge(mv.on[0]))
         elif mv.op == "decorate":
             e = edge(mv.on[0])
             a = b.web.edges[e].thickness
             b.decorate(e, _realize_decoration(ff, mv.poly, a, N))
-        else:  # pragma: no cover - parser only produces known ops
-            raise InputError(f"unknown move {mv.op!r}")
+        else:  # saddle, unzip, digon_cup, digon_cap, assoc, coassoc
+            getattr(b, mv.op)(*map(edge, mv.on), *mv.args)
     return b.movie()
 
 
@@ -792,8 +778,19 @@ def _move_text(mv: MoveStmt) -> str:
     return text
 
 
-def poly_text(expr: PolyExpr, parent: str = "add") -> str:
+# The tags parenthesized as a term of a sum or the operand of a negation, as
+# a factor of a product, and as the base of a power.
+_TERM = ("sum",)
+_FACTOR = ("sum", "neg", "mul")
+_BASE = ("sum", "neg", "mul", "pow")
+
+
+def poly_text(expr: PolyExpr, wrapped: tuple[str, ...] = ()) -> str:
+    """``expr`` as the grammar writes it, in parentheses when its tag is in
+    ``wrapped``."""
     tag = expr[0]
+    if tag in wrapped:
+        return f"({poly_text(expr)})"
     if tag == "int":
         return str(expr[1])
     if tag == "sym":
@@ -804,21 +801,16 @@ def poly_text(expr: PolyExpr, parent: str = "add") -> str:
         return f"X_{expr[1]}"
     if tag == "ref":
         return expr[1]
-    if tag == "neg":
-        inner = poly_text(expr[1], "mul")
-        return _wrap(f"-{inner}", parent in ("mul", "pow"))
-    if tag == "pow":
-        return f"{poly_text(expr[1], 'pow')}^{expr[2]}"
+    if tag == "sum":
+        return poly_text(expr[1], _TERM) + "".join(
+            f" - {poly_text(t[1], _TERM)}" if t[0] == "neg" else f" + {poly_text(t, _TERM)}"
+            for t in expr[2:]
+        )
     if tag == "mul":
-        body = f"{poly_text(expr[1], 'mul')}*{poly_text(expr[2], 'mul')}"
-        return _wrap(body, parent == "pow")
-    sep = "+" if tag == "add" else "-"
-    body = f"{poly_text(expr[1], 'add')} {sep} {poly_text(expr[2], 'mul')}"
-    return _wrap(body, parent in ("mul", "pow"))
-
-
-def _wrap(text: str, needed: bool) -> str:
-    return f"({text})" if needed else text
+        return "*".join(poly_text(factor, _FACTOR) for factor in expr[1:])
+    if tag == "neg":
+        return f"-{poly_text(expr[1], _TERM)}"
+    return f"{poly_text(expr[1], _BASE)}^{expr[2]}"  # "pow"
 
 
 def normalize(text: str) -> str:

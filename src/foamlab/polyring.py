@@ -558,7 +558,7 @@ class MultiPoly:
     __repr__ = __str__
 
     def to_record(self) -> dict:
-        """Structured machine-readable record (used by the CLI JSON schema)."""
+        """Structured machine-readable record of the ring, variables and terms."""
         return {
             "ring": str(self.ring),
             "variables": list(self.vars),
@@ -579,7 +579,9 @@ class SymPoly:
 
     ``blocks`` partitions the variable tuple into consecutive groups; the
     polynomial must be invariant under permutations inside each block.
-    Invariance is certified by adjacent transpositions.
+    :func:`is_symmetric` checks it: every term carries the coefficient of its
+    exponent sorted inside each block, and the orbits of the sorted
+    exponents add up to the number of terms.
     """
 
     poly: MultiPoly

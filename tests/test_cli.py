@@ -10,6 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from foamlab import dsl
 from foamlab.cli import laurent_text, main, parse_presentation
 from foamlab.errors import InputError
 from foamlab.polyring import ZZ, qbinom_laurent
@@ -580,12 +581,8 @@ class TestDslReferences:
 
     @pytest.mark.parametrize(
         "poly",
-        [
-            "(" * 400 + "p_1" + ")" * 400,
-            "- " * 2000 + "p_1",
-            " + ".join(["p_1"] * 2000),
-        ],
-        ids=["parentheses", "negations", "sum"],
+        ["(" * 400 + "p_1" + ")" * 400, "- " * 2000 + "p_1"],
+        ids=["parentheses", "negations"],
     )
     def test_over_deep_nesting_is_an_input_error(self, capsys, tmp_path, poly):
         code, out, err = self.eval_file(capsys, tmp_path, f"""
@@ -602,6 +599,36 @@ class TestDslReferences:
         """)
         assert (code, out) == (2, "")
         assert "nested" in err and "Traceback" not in err
+
+    def test_long_flat_sum_evaluates(self, capsys, tmp_path):
+        """A sum is one chain, however many terms it has: nothing is nested."""
+        code, out, err = self.eval_file(capsys, tmp_path, f"""
+            poly a = {" + ".join(["p_1"] * 2000)};
+            movie m on empty {{ cup(1) -> c; decorate c with a; cap(1) on c; }}
+        """, N="2")
+        assert (code, out.strip(), err) == (0, "-2000", "")
+
+    def test_each_named_polynomial_is_read_once(self, capsys, tmp_path, monkeypatch):
+        """``a{k} = a{k-1} + a{k-1}`` doubles the value per line, not the work:
+        the hat check and the realization each make at most three calls per
+        declaration (the sum and its two references), not 2^41."""
+        def counted(walk):
+            inner, calls = getattr(dsl, walk), []
+
+            def counting(*args):
+                calls.append(args[1])
+                assert len(calls) <= 3 * 41, f"{walk} reads a named polynomial twice"
+                return inner(*args)
+
+            return counting
+
+        for walk in ("_uses_hat", "_realize_poly"):
+            monkeypatch.setattr(dsl, walk, counted(walk))
+        chain = "poly a0 = p_1;" + "".join(f"poly a{k} = a{k - 1} + a{k - 1};" for k in range(1, 41))
+        code, out, err = self.eval_file(capsys, tmp_path, chain + """
+            movie m on empty { cup(1) -> c; decorate c with a40; cap(1) on c; }
+        """, N="2")
+        assert (code, out.strip(), err) == (0, "-1099511627776", "")
 
     def test_nesting_inside_the_bound_evaluates(self, capsys, tmp_path):
         deep = self.eval_file(capsys, tmp_path, f"""

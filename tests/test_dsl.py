@@ -246,8 +246,65 @@ class TestFuzz:
             ff = parse(text)
         except InputError:
             return
+        assert parse(dumps(ff)) == ff
         for name in ff.params:
             try:
                 ff.build_params(name)
             except InputError:
                 pass
+
+
+# Polynomial expression texts as the grammar writes them: atoms, references
+# to ``a`` and ``b``, leading negations, powers, and parenthesized chains.
+poly_atom = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.sampled_from("ehp"), st.integers(0, 4)).map(lambda t: f"{t[0]}_{t[1]}"),
+    st.integers(1, 4).map(lambda k: f"hat(p_{k})"),
+    st.sampled_from(["a", "b"]),
+)
+
+
+def _larger_poly(inner):
+    factor = st.tuples(
+        st.one_of(poly_atom, inner.map(lambda x: f"({x})")),
+        st.sampled_from(["", "^0", "^2", "^3"]),
+    ).map("".join)
+    term = st.tuples(
+        st.sampled_from(["", "-", "- -"]), st.lists(factor, min_size=1, max_size=3).map("*".join)
+    ).map("".join)
+    rest = st.lists(st.tuples(st.sampled_from([" + ", " - "]), term).map("".join), max_size=3)
+    return st.tuples(term, rest.map("".join)).map("".join)
+
+
+poly_text_strategy = st.recursive(poly_atom, _larger_poly, max_leaves=24)
+
+
+class TestPolynomialRoundTrip:
+    @given(poly_text_strategy)
+    @settings(max_examples=300, deadline=None)
+    def test_print_parse_is_identity(self, expr):
+        text = f"poly a = p_1; poly b = e_2 - 1; poly z = {expr};"
+        ff = parse(text)
+        assert parse(dumps(ff)) == ff
+        once = normalize(text)
+        assert normalize(once) == once
+
+    @pytest.mark.parametrize(
+        "expr,printed",
+        [
+            ("p_1*(p_2*p_3)", "p_1*(p_2*p_3)"),
+            ("(p_1*p_2)*p_3", "(p_1*p_2)*p_3"),
+            ("(p_1^2)^3", "(p_1^2)^3"),
+            ("(p_1 + p_2) + (p_3)", "(p_1 + p_2) + p_3"),
+            ("(p_1 + p_2)^2", "(p_1 + p_2)^2"),
+            ("p_1 + -p_2", "p_1 - p_2"),
+            ("-(p_1)*p_2 - -(-p_3)", "-p_1*p_2 - --p_3"),
+            ("(-p_1)*p_2", "(-p_1)*p_2"),
+        ],
+    )
+    def test_nested_chains_keep_their_parentheses(self, expr, printed):
+        assert normalize(f"poly z = {expr};") == f"poly z = {printed};\n"
+
+    def test_negation_only_leads_a_term(self):
+        with pytest.raises(InputError, match="atom"):
+            parse("poly z = p_1*-p_2;")

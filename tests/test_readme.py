@@ -1,8 +1,11 @@
-"""The Python examples of the README run as written."""
+"""The Python examples and the description-format example of the README
+work as written."""
 
 import ast
 import re
 from pathlib import Path
+
+from foamlab.dsl import normalize, parse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +41,12 @@ def test_python_blocks_run_in_order():
             assert eval(code, namespace) == value, code
             checked += 1
     assert checked == 4
+
+
+def test_description_format_example_round_trips():
+    section = README.read_text().split("## The description format", 1)[1]
+    example = re.search(r"^```text\n(.*?)^```", section, re.M | re.S).group(1)
+    ff = parse(example)
+    assert set(ff.webs) == {"theta"} and set(ff.movies) == {"dotted_sphere"}
+    once = normalize(example)
+    assert parse(once) == ff and normalize(once) == once
