@@ -7,20 +7,22 @@ under ``c * L_n``) and a bundle of summands per basic move.  Dots on the
 complementary alphabet of a facet (thickness a inside, N-a outside) are
 first-class citizens here: they are stored as two-block decorations.
 
-Every operator has an index ``n`` and follows one move rule: a basic move
-touches two blocks (inside and outside of the facet of a cup, cap or
-saddle; the two thin facets of a digon or zip move) and goes to
+Every operator has a name from :func:`parse_operator` and follows one move
+rule: a basic move touches two blocks (inside and outside of the facet of a
+cup, cap or saddle; the two thin facets of a digon or zip move) and goes to
 ``sum_k w_k p_k(first) p_{n-k}(second)``.  An operator is thus an index
-pair ``(n, c)`` plus a weight function giving ``(w_0, w_n, w_k)`` per move
-kind: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
+pair ``(n, c)`` plus weights ``(w_0, w_n, w_k)`` per move kind, both read
+from the name: ``L_n`` is ``(n, 1)``, and the sl2 triple restricts it, with
 ``(e, h, f) = (L_{-1}, 2 L_0, -L_1)``; the p-DG differential is ``f``.
-An operator's move images are built once per skeleton.  The weights of all
-moves on the same two blocks are summed, and each block pair's summands are
-built once and merged by dot list.  A structural check or an iterate reuses
-the images across its applications, and it keeps one rule table: each
-partition rule is computed once per block shape and read by every
-application.  A term's key is edited in place.  A structural check applies
-each operator to its input once.
+Every application goes through one applier per skeleton, after one check
+of the input.  The applier builds an operator's move images on its first
+application: the weights of all moves on the same two blocks are summed,
+and each block pair's summands are built once and merged by dot list.  It
+keeps one rule table, in which each partition rule is computed once per
+block shape.  A term's key is edited in place.  :func:`act_witt`,
+:func:`act_sl2` and :func:`act_pdg` apply once, and :func:`apply_operator`
+dispatches to them; an iterate or a structural check keeps one applier,
+and a check applies each operator to its input once.
 
 The scalar data of the family is an :class:`ActionParams` pack: a seam
 constant ``s``, three index sequences ``nu1/nu2/nu3`` satisfying the Witt
@@ -423,8 +425,12 @@ OPERATOR_INDEX = {"e": (-1, 1), "h": (0, 2), "f": (1, -1), "d": (1, -1)}
 
 
 def operator_index(name: str | int) -> tuple[int, int]:
-    """``(n, c)`` for a name from :func:`parse_operator`; ``L:<n>`` is ``(n, 1)``."""
-    return (name, 1) if isinstance(name, int) else OPERATOR_INDEX[name]
+    """``(n, c)`` for a name from :func:`parse_operator`; ``L:<n>`` is ``(n, 1)``, n >= -1."""
+    if not isinstance(name, int):
+        return OPERATOR_INDEX[name]
+    if name < -1:
+        raise InputError("operator index must be at least -1")
+    return name, 1
 
 
 # A local image is a list of (scalar, dots) summands; each dot (f, k, hat)
@@ -584,38 +590,37 @@ def _apply(S: FoamSum, n: int, c: int, images: LocalImage, rules: Rules) -> Foam
     return FoamSum(skel, [(acc[k], k) for k in sorted(acc)])
 
 
-def _applier(
-    skel: _Skeleton, weights: Callable[[str | int], Weights]
-) -> Callable[[str | int, FoamSum], FoamSum]:
-    """``apply(name, T)`` applies the operator ``name`` to a sum ``T`` over
-    ``skel``; each operator's images are built, from ``weights(name)``, on
-    its first application and reused by the later ones, and every
-    application reads one rule table."""
-    images: dict[str | int, LocalImage] = {}
-    rules: Rules = {}
+def _weights(params: ActionParams, name: str | int) -> Weights:
+    """The weights of the operator ``name``; an index ``n < -1`` raises.
 
-    def apply(name: str | int, T: FoamSum) -> FoamSum:
-        n, c = operator_index(name)
-        if name not in images:
-            images[name] = _images(skel, n, weights(name))
-        return _apply(T, n, c, images[name], rules)
-
-    return apply
-
-
-# ---------------------------------------------------------------------------
-# Half-Witt operators
-# ---------------------------------------------------------------------------
-
-
-def _witt_weights(params: ActionParams, n: int) -> Weights:
-    """The weights of ``L_n``, from ``s``, ``nu1/nu2/nu3(n)`` and 1/2.
-
-    Raises :class:`InputError` for ``n < -1``.
+    ``L_n`` reads ``s``, ``nu1/nu2/nu3(n)`` and 1/2 one move kind at a time,
+    so a sequence is read only at the kinds a movie has.  ``h`` and ``f``
+    read ``t1/t2/t3``; ``d`` is ``f``, and so is ``e``, which has no images.
     """
-    if n < -1:
-        raise InputError("operator index must be at least -1")
+    n, _ = operator_index(name)
     ring, s = params.ring, params.s
+    t1, t2, t3 = params.t1, params.t2, params.t3
+    if name == "h":
+        # h = 2 L_0: one weight x + y - z = W per kind, with no 1/2 in it
+        u, v = t1 + t2, 2 - t1 - t2
+        W = {"cup": 1, "cap": 1, "saddle": -1,
+             "digon_cup": u, "digon_cap": v, "zip": -v, "unzip": -u}
+        return lambda kind: (W[kind], 0, 0)
+    if isinstance(name, str):
+        # f = -L_1 with t1, t2, t3 in place of nu1(1) + s, nu2(1) + s, nu3(1) + 1/2
+        table = {
+            "cup": (-t3, t3 - 1, 0), "cap": (t3 - 1, -t3, 0),
+            "digon_cup": (-t2, -t1, 0), "digon_cap": (t2 - 1, t1 - 1, 0),
+            "zip": (1 - t2, 1 - t1, 0), "unzip": (t2, t1, 0),
+        }
+
+        def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
+            if kind == "saddle":
+                half = half_scalar(ring)
+                return half, half, 0
+            return table[kind]
+
+        return weights
 
     def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
         if kind == "saddle":
@@ -639,99 +644,86 @@ def _witt_weights(params: ActionParams, n: int) -> Weights:
     return weights
 
 
-def _as_sum(target: Movie | FoamSum, params: ActionParams) -> FoamSum:
-    if not isinstance(target, FoamSum):
-        return FoamSum.from_movie(target, params)
-    skel = target.skeleton
-    if skel.ring != params.ring or skel.N != params.N:
-        raise InputError(
-            f"formal sum over {skel.ring} with N={skel.N}, pack over"
-            f" {params.ring} with N={params.N}"
-        )
-    return target
+def _applier(skel: _Skeleton, params: ActionParams) -> Callable[[str | int, FoamSum], FoamSum]:
+    """``apply(name, T)`` applies the operator ``name`` to a sum ``T`` over
+    ``skel``; each operator's images are built, from ``_weights(params,
+    name)``, on its first application and reused by the later ones, and
+    every application reads one rule table."""
+    images: dict[str | int, LocalImage] = {}
+    rules: Rules = {}
+
+    def apply(name: str | int, T: FoamSum) -> FoamSum:
+        n, c = operator_index(name)
+        if name not in images:
+            images[name] = _images(skel, n, _weights(params, name))
+        return _apply(T, n, c, images[name], rules)
+
+    return apply
+
+
+def _as_sum(
+    target: Movie | FoamSum, params: ActionParams, name: str | int | None = None
+) -> FoamSum:
+    """``target`` as a formal sum over the pack's ring and N.
+
+    With an operator ``name`` to apply, its index must be at least -1, and
+    ``d`` needs a prime field, of odd characteristic on movies with saddles
+    (a pack declared for saddles has 1/2, so p > 2).
+    """
+    if name is not None:
+        operator_index(name)
+    if name == "d" and params.ring.kind != "Fp":
+        raise WrongRing("the p-DG differential is defined over prime fields")
+    if isinstance(target, FoamSum):
+        S, skel = target, target.skeleton
+        if skel.ring != params.ring or skel.N != params.N:
+            raise InputError(
+                f"formal sum over {skel.ring} with N={skel.N}, pack over"
+                f" {params.ring} with N={params.N}"
+            )
+    else:
+        S = FoamSum.from_movie(target, params)
+    if name == "d" and params.ring.p == 2 and S.skeleton.has_saddle:
+        raise CharTwoNonSpherical("the differential needs p > 2 on movies with saddles")
+    return S
+
+
+def _act(name: str | int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
+    """Apply the operator ``name`` once, after the checks of :func:`_as_sum`."""
+    S = _as_sum(target, params, name)
+    return _applier(S.skeleton, params)(name, S)
+
+
+# ---------------------------------------------------------------------------
+# The named operators
+# ---------------------------------------------------------------------------
 
 
 def act_witt(n: int, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     """Apply the n-th half-Witt operator (n >= -1) to a movie or sum."""
-    weights = _witt_weights(params, n)
-    S = _as_sum(target, params)
-    return _apply(S, n, 1, _images(S.skeleton, n, weights), {})
-
-
-# ---------------------------------------------------------------------------
-# The sl2 triple
-# ---------------------------------------------------------------------------
-
-
-def _sl2_weights(params: ActionParams, gen: str) -> Weights:
-    """The weights of ``h`` (n = 0) or ``f`` (n = 1) from ``t1/t2/t3``.
-
-    ``e`` (n = -1) reads no weights and gets those of ``f``.
-    """
-    t1, t2, t3 = params.t1, params.t2, params.t3
-    if gen == "h":
-        # h = 2 L_0: one weight x + y - z = W per kind, with no 1/2 in it
-        u, v = t1 + t2, 2 - t1 - t2
-        W = {"cup": 1, "cap": 1, "saddle": -1,
-             "digon_cup": u, "digon_cap": v, "zip": -v, "unzip": -u}
-        return lambda kind: (W[kind], 0, 0)
-    # f = -L_1 with t1, t2, t3 in place of nu1(1) + s, nu2(1) + s, nu3(1) + 1/2
-    table = {
-        "cup": (-t3, t3 - 1, 0), "cap": (t3 - 1, -t3, 0),
-        "digon_cup": (-t2, -t1, 0), "digon_cap": (t2 - 1, t1 - 1, 0),
-        "zip": (1 - t2, 1 - t1, 0), "unzip": (t2, t1, 0),
-    }
-
-    def weights(kind: str) -> tuple[Scalar, Scalar, Scalar]:
-        if kind == "saddle":
-            half = half_scalar(params.ring)
-            return half, half, 0
-        return table[kind]
-
-    return weights
+    return _act(n, params, target)
 
 
 def act_sl2(gen: str, params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     """Apply one of the sl2 generators ``e``, ``h``, ``f``."""
     if gen not in ("e", "h", "f"):
         raise InputError(f"unknown sl2 generator {gen!r}")
-    S = _as_sum(target, params)
-    n, c = operator_index(gen)
-    return _apply(S, n, c, _images(S.skeleton, n, _sl2_weights(params, gen)), {})
-
-
-# ---------------------------------------------------------------------------
-# p-DG differential
-# ---------------------------------------------------------------------------
-
-
-def _pdg_sum(params: ActionParams, target: Movie | FoamSum) -> FoamSum:
-    """``target`` as a sum the differential acts on: over a prime field,
-    and over one of odd characteristic if it has saddles."""
-    if params.ring.kind != "Fp":
-        raise WrongRing("the p-DG differential is defined over prime fields")
-    S = _as_sum(target, params)
-    if params.ring.p == 2 and (S.skeleton.has_saddle or not params.spherical):
-        raise CharTwoNonSpherical("the differential needs p > 2 on movies with saddles")
-    return S
+    return _act(gen, params, target)
 
 
 def act_pdg(params: ActionParams, target: Movie | FoamSum) -> FoamSum:
     """The degree-2 differential with d^p = 0 over a prime field."""
-    return act_sl2("f", params, _pdg_sum(params, target))
+    return _act("d", params, target)
 
 
 def pdg_iterate(params: ActionParams, target: Movie | FoamSum, k: int) -> FoamSum:
     """Apply the p-DG differential ``k >= 0`` times; its images are built once."""
     if k < 0:
         raise InputError(f"cannot apply the differential {k} times")
-    if k == 0:
-        return _as_sum(target, params)
-    S = _pdg_sum(params, target)
-    n, c = operator_index("f")
-    images, rules = _images(S.skeleton, n, _sl2_weights(params, "f")), {}
+    S = _as_sum(target, params, "d" if k else None)
+    apply = _applier(S.skeleton, params)
     for _ in range(k):
-        S = _apply(S, n, c, images, rules)
+        S = apply("d", S)
     return S
 
 
@@ -748,9 +740,7 @@ def parse_operator(op: str) -> str | int:
             n = int(op[2:])
         except ValueError:
             raise InputError(f"bad operator index in {op!r}") from None
-        if n < -1:
-            raise InputError("operator index must be at least -1")
-        return n
+        return operator_index(n)[0]
     raise InputError(f"unknown operator {op!r} (use L:<n>, e, h, f or d)")
 
 
@@ -780,7 +770,7 @@ def commutator_check(
     out of a sequence's range raises as it would without the reuse.
     """
     S = _as_sum(mov, params)
-    L = _applier(S.skeleton, lambda k: _witt_weights(params, k))
+    L = _applier(S.skeleton, params)
     Lm = L(m, S)
     Ln = Lm if n == m else L(n, S)
     LnLm = L(n, Lm)
@@ -803,7 +793,7 @@ def sl2_relations_check(params: ActionParams, mov: Movie | FoamSum) -> CheckRepo
     then ``h``: nine applications in all.
     """
     S = _as_sum(mov, params)
-    op = _applier(S.skeleton, lambda gen: _sl2_weights(params, gen))
+    op = _applier(S.skeleton, params)
     fS, eS, hS = op("f", S), op("e", S), op("h", S)
     for name, defect in (
         ("[e,f]-h", op("e", fS) - op("f", eS) - hS),

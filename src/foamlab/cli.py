@@ -23,7 +23,7 @@ from .actions import (
     verify_compat,
 )
 from .corpus import basic_open_movies, closed_corpus, spherical_corpus
-from .dsl import parse, parse_ring, parse_scalar, parse_witt_spec
+from .dsl import parse, parse_pack, parse_ring, parse_witt_spec
 from .errors import FoamlabError, InputError
 from .foamcore import (
     Movie,
@@ -139,15 +139,16 @@ def parse_presentation(
 
 
 def _pack_options(fn):
+    """The pack options, named by the keys of a ``params`` block."""
     opts = [
-        click.option("--s", "s_text", default="0", show_default=True,
+        click.option("--s", default="0", show_default=True,
                      help="Seam parameter (integer or a/b)."),
         click.option("--nu1", default=None, help="Sequence spec lin:<v> or tab:[...]."),
         click.option("--nu2", default=None, help="Sequence spec lin:<v> or tab:[...]."),
         click.option("--nu3", default=None, help="Sequence spec lin:<v> or tab:[...]."),
-        click.option("--t1", "t1_text", default="0", show_default=True),
-        click.option("--t2", "t2_text", default="0", show_default=True),
-        click.option("--t3", "t3_text", default=None,
+        click.option("--t1", default="0", show_default=True),
+        click.option("--t2", default="0", show_default=True),
+        click.option("--t3", default=None,
                      help="Defaults to 1/2 when the ring has it."),
         click.option("--spherical/--no-spherical", default=True, show_default=True),
     ]
@@ -156,25 +157,11 @@ def _pack_options(fn):
     return fn
 
 
-def _build_pack(
-    N, ring_text, s_text, nu1, nu2, nu3, t1_text, t2_text, t3_text, spherical
-) -> ActionParams:
-    ring = parse_ring(ring_text)
-    kw = {}
-    for key, spec in (("nu1", nu1), ("nu2", nu2), ("nu3", nu3)):
-        if spec is not None:
-            kw[key] = parse_witt_spec(spec, ring, key)
-    if t3_text is not None:
-        kw["t3"] = parse_scalar(t3_text)
-    return ActionParams(
-        ring=ring,
-        N=N,
-        s=parse_scalar(s_text),
-        t1=parse_scalar(t1_text),
-        t2=parse_scalar(t2_text),
-        spherical=spherical,
-        **kw,
-    )
+def _build_pack(N: int, ring: str, spherical: bool, **texts: str | None) -> ActionParams:
+    """The pack of the command-line options, read as a ``params`` block is."""
+    texts = {key: text for key, text in texts.items() if text is not None}
+    spherical_text = "true" if spherical else "false"
+    return parse_pack({**texts, "ring": ring, "N": str(N), "spherical": spherical_text})
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +226,9 @@ def degree_cmd(target, n_pigments, as_json) -> None:
               help="Coefficient ring: Z, Q or F<p>.")
 @_pack_options
 @click.option("--json", "as_json", is_flag=True)
-def act_cmd(
-    target, op, n_pigments, ring_text, s_text, nu1, nu2, nu3,
-    t1_text, t2_text, t3_text, spherical, as_json,
-) -> None:
+def act_cmd(target, op, n_pigments, ring_text, as_json, **pack) -> None:
     """Apply an operator to a movie; prints the resulting formal sum."""
-    params = _build_pack(
-        n_pigments, ring_text, s_text, nu1, nu2, nu3,
-        t1_text, t2_text, t3_text, spherical,
-    )
+    params = _build_pack(n_pigments, ring_text, **pack)
     mov = _load_movie(target, n_pigments)
     S = apply_operator(op, params, mov)
     record = {
@@ -361,16 +342,10 @@ def moy_cmd(
 @_presentation_options
 @_pack_options
 @click.option("--json", "as_json", is_flag=True)
-def induced_cmd(
-    op, web_spec, n_pigments, ring_text, base, s_text, nu1, nu2, nu3,
-    t1_text, t2_text, t3_text, spherical, as_json,
-) -> None:
+def induced_cmd(op, web_spec, n_pigments, ring_text, base, as_json, **pack) -> None:
     """Matrix of an operator in a generator family, with a certificate."""
     # the presentation and the parameter pack share one --ring flag
-    params = _build_pack(
-        n_pigments, ring_text, s_text, nu1, nu2, nu3,
-        t1_text, t2_text, t3_text, spherical,
-    )
+    params = _build_pack(n_pigments, ring_text, **pack)
     pres = parse_presentation(web_spec, n_pigments, params.ring, base)
     act = induced_action(op, params, pres)
     matrix = [[str(e) for e in row] for row in act.matrix]

@@ -39,6 +39,7 @@ __all__ = [
     "parse",
     "dumps",
     "normalize",
+    "parse_pack",
     "parse_ring",
     "parse_scalar",
     "parse_witt_spec",
@@ -223,7 +224,13 @@ class FoamFile:
     def build_params(self, name: str) -> ActionParams:
         if name not in self.params:
             raise InputError(f"unknown parameter pack {name!r}")
-        return _realize_params(self.params[name])
+        entries = self.params[name].entries
+        texts = dict(entries)
+        if len(texts) != len(entries):
+            raise InputError(f"parameter pack {name!r} repeats a key")
+        if "ring" not in texts or "N" not in texts:
+            raise InputError(f"parameter pack {name!r} needs ring and N")
+        return parse_pack(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +252,9 @@ def parse(text: str) -> FoamFile:
             _declare(ff.movies, decl.name, decl, s)
         elif kw == "poly":
             pname = s.name()
+            if pname == "hat" or _SYM_ATOM.match(pname) or _X_ATOM.match(pname):
+                s.i -= 1
+                raise s.error(f"{pname!r} is an atom and cannot name a polynomial")
             s.take("punct", "=")
             expr = _parse_poly(s)
             s.take("punct", ";")
@@ -372,10 +382,9 @@ def _parse_params(s: _Stream) -> ParamsDecl:
     name = s.name()
     s.take("punct", "{")
     entries: list[tuple[str, str]] = []
-    keys = ("ring", "N", "s", "t1", "t2", "t3", "nu1", "nu2", "nu3", "spherical")
     while not s.accept("punct", "}"):
         key = s.take("name").text
-        if key not in keys:
+        if key not in _PACK_KEYS:
             s.i -= 1
             raise s.error(f"unknown parameter key {key!r}")
         value = _parse_value_text(s)
@@ -701,25 +710,29 @@ def witt_spec_text(seq: WittSequence) -> str:
     return "tab:[" + ",".join(str(seq(n)) for n in range(-1, seq.n_max + 1)) + "]"
 
 
-def _realize_params(decl: ParamsDecl) -> ActionParams:
-    table = dict(decl.entries)
-    if len(table) != len(decl.entries):
-        raise InputError(f"parameter pack {decl.name!r} repeats a key")
-    if "ring" not in table or "N" not in table:
-        raise InputError(f"parameter pack {decl.name!r} needs ring and N")
-    ring = parse_ring(table.pop("ring"))
-    n_text = table.pop("N")
+# The keys of a pack, in a ``params`` block and on the command line.
+_PACK_KEYS = ("ring", "N", "s", "t1", "t2", "t3", "nu1", "nu2", "nu3", "spherical")
+
+
+def parse_pack(texts: dict[str, str]) -> ActionParams:
+    """The pack written by ``texts``, a value text per key of ``_PACK_KEYS``.
+
+    ``ring`` and ``N`` are required; a key left out takes the default of
+    :class:`~foamlab.actions.ActionParams`.
+    """
+    ring = parse_ring(texts["ring"])
+    n_text = texts["N"]
     if not re.fullmatch(r"-?\d+", n_text):
         raise InputError(f"N must be an integer, not {n_text!r}")
     kwargs: dict = {"ring": ring, "N": int(n_text)}
     for key in ("s", "t1", "t2", "t3"):
-        if key in table:
-            kwargs[key] = parse_scalar(table.pop(key))
+        if key in texts:
+            kwargs[key] = parse_scalar(texts[key])
     for key in ("nu1", "nu2", "nu3"):
-        if key in table:
-            kwargs[key] = parse_witt_spec(table.pop(key), ring, key)
-    if "spherical" in table:
-        value = table.pop("spherical")
+        if key in texts:
+            kwargs[key] = parse_witt_spec(texts[key], ring, key)
+    if "spherical" in texts:
+        value = texts["spherical"]
         if value not in ("true", "false"):
             raise InputError(f"spherical must be true or false, not {value!r}")
         kwargs["spherical"] = value == "true"

@@ -557,16 +557,6 @@ class MultiPoly:
 
     __repr__ = __str__
 
-    def to_record(self) -> dict:
-        """Structured machine-readable record of the ring, variables and terms."""
-        return {
-            "ring": str(self.ring),
-            "variables": list(self.vars),
-            "terms": [
-                {"exponents": list(e), "coefficient": str(c)} for e, c in self.sorted_terms()
-            ],
-        }
-
 
 # ---------------------------------------------------------------------------
 # Symmetric polynomials

@@ -802,8 +802,8 @@ class TestMergedImages:
         expanded = 0
         for Pw, Ps, mov in merge_cases(ring):
             skel = FoamSum.from_movie(mov, Pw).skeleton
-            weights = {n: actions._witt_weights(Pw, n) for n in range(-1, 7)}
-            weights.update((g, actions._sl2_weights(Ps, g)) for g in ("e", "h", "f"))
+            weights = {n: actions._weights(Pw, n) for n in range(-1, 7)}
+            weights.update((g, actions._weights(Ps, g)) for g in ("e", "h", "f"))
             for name, w in weights.items():
                 n, _ = actions.operator_index(name)
                 ref = oracle.move_images(skel, n, w)
@@ -832,8 +832,8 @@ class TestMergedImages:
         (f,) = skel.thickness
         moves = [tr for tr in skel.complex.traces if tr.kind != "decorate"]
         assert [tr.kind for tr in moves] == ["cup", "saddle", "saddle", "cap"]
-        weights = {n: actions._witt_weights(Pw, n) for n in (0, 1, 2, 3)}
-        weights.update(h=actions._sl2_weights(Ps, "h"), f=actions._sl2_weights(Ps, "f"))
+        weights = {n: actions._weights(Pw, n) for n in (0, 1, 2, 3)}
+        weights.update(h=actions._weights(Ps, "h"), f=actions._weights(Ps, "f"))
         for name, w in weights.items():
             n, _ = actions.operator_index(name)
             raw = [
@@ -1105,3 +1105,88 @@ class TestPdgIterate:
         gf2 = ActionParams(ring=GF(2), N=3, t1=1, t2=1, t3=1)
         with pytest.raises(CharTwoNonSpherical):
             pdg_iterate(gf2, torus(), 2)
+
+
+class TestEntryPoints:
+    """``act_witt``, ``act_sl2``, ``act_pdg`` and ``pdg_iterate`` give what
+    ``apply_operator`` gives, sums and errors alike."""
+
+    @staticmethod
+    def movies():
+        kw = dict(count=6, half_moves=4, max_thickness=3)
+        return closed_corpus(seed=61, **kw) + spherical_corpus(seed=61, **kw)
+
+    def test_named_operators_equal_apply_operator(self):
+        saddles = nonzero = 0
+        for mov in self.movies():
+            sad = has_saddle(mov)
+            saddles += sad
+            Pw = saddle_pack() if sad else rich_pack()
+            Ps = sl2_from_witt(Pw)
+            Pd = ActionParams(ring=GF(5), N=3, t1=2, t2=4, spherical=not sad)
+            for n in range(-1, 4):
+                S = act_witt(n, Pw, mov)
+                assert same_terms(S, apply_operator(f"L:{n}", Pw, mov)), (mov, n)
+                nonzero += not S.is_zero()
+            for gen in ("e", "h", "f"):
+                assert same_terms(act_sl2(gen, Ps, mov), apply_operator(gen, Ps, mov)), mov
+            assert same_terms(act_pdg(Pd, mov), apply_operator("d", Pd, mov)), mov
+            nested = FoamSum.from_movie(mov, Pd)
+            for k in range(4):
+                assert same_terms(pdg_iterate(Pd, mov, k), nested), (mov, k)
+                nested = apply_operator("d", Pd, nested)
+        assert saddles and nonzero
+
+    def test_errors_keep_their_type_and_text(self):
+        saddled = next(m for m in self.movies() if has_saddle(m))
+        sphere = dotted_sphere(1)
+        over_N2 = FoamSum.from_movie(sphere, ActionParams(ring=QQ, N=2))
+        gf2 = ActionParams(ring=GF(2), N=3, t1=1, t2=1)
+        QQ3 = ActionParams(ring=QQ, N=3)
+        cases = [
+            (lambda: act_witt(-2, rich_pack(), sphere),
+             lambda: apply_operator("L:-2", rich_pack(), sphere),
+             InputError, "operator index must be at least -1"),
+            (lambda: act_sl2("d", ActionParams(ring=GF(5), N=3), sphere), None,
+             InputError, "unknown sl2 generator 'd'"),
+            (lambda: act_pdg(QQ3, sphere),
+             lambda: apply_operator("d", QQ3, sphere),
+             WrongRing, "the p-DG differential is defined over prime fields"),
+            (lambda: act_pdg(gf2, saddled),
+             lambda: apply_operator("d", gf2, saddled),
+             CharTwoNonSpherical, "the differential needs p > 2 on movies with saddles"),
+            (lambda: act_witt(1, QQ3, over_N2),
+             lambda: apply_operator("L:1", QQ3, over_N2),
+             InputError, "formal sum over Q with N=2, pack over Q with N=3"),
+        ]
+        for named, dispatched, error, text in cases:
+            for call in (named, dispatched):
+                if call is None:
+                    continue
+                with pytest.raises(error) as info:
+                    call()
+                assert type(info.value) is error and str(info.value) == text
+        for P, mov, error in ((QQ3, sphere, WrongRing), (gf2, saddled, CharTwoNonSpherical)):
+            with pytest.raises(error):
+                pdg_iterate(P, mov, 1)
+
+
+class TestChecksCanFail:
+    """With wrong weights for one operator the structural checks report
+    the defect instead of passing."""
+
+    def test_wrong_weights_give_a_defect(self, monkeypatch):
+        weights = actions._weights
+
+        def wrong(params, name):
+            w = weights(params, name)
+            if name not in (2, "h"):
+                return w
+            return lambda kind: (w(kind)[0] + 1,) + w(kind)[1:]
+
+        monkeypatch.setattr(actions, "_weights", wrong)
+        P, mov = rich_pack(), dotted_sphere(2)
+        rep = commutator_check(1, 2, P, mov)
+        assert not rep.ok and rep.detail.startswith("[L_1, L_2] defect: ")
+        rep = sl2_relations_check(sl2_from_witt(P), mov)
+        assert not rep.ok and rep.detail.startswith("[e,f]-h defect: ")

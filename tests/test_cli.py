@@ -592,6 +592,16 @@ class TestDslReferences:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "nested" in err and "Traceback" not in err
 
+    def test_atom_named_polynomial_is_an_input_error(self, capsys, tmp_path):
+        """``e_1`` names an atom: declaring it as a polynomial is refused
+        where it is declared, not read as the elementary ``e_1`` later."""
+        code, out, err = self.eval_file(capsys, tmp_path, """
+            poly e_1 = p_2^2; poly z = e_1;
+            movie m on empty { cup(1) -> c; decorate c with z; cap(1) on c; }
+        """, N="2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2, column 18: 'e_1' is an atom")
+
     def test_over_deep_chain_of_names_is_an_input_error(self, capsys, tmp_path):
         chain = "".join(f"poly a{i} = a{i + 1};" for i in range(2000)) + "poly a2000 = p_1;"
         code, out, err = self.eval_file(capsys, tmp_path, chain + """

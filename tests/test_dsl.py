@@ -97,6 +97,22 @@ class TestParsing:
         with pytest.raises(InputError, match=r"line 2"):
             parse("poly a = p_1;\npoly b = @;")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "poly e_1 = p_2^2; poly z = e_1;",
+            "poly X1 = p_1;",
+            "poly hat = p_1;",
+            "poly h_2 = p_1;",
+            "poly p_3 = p_1;",
+            "poly X_1 = p_1;",
+        ],
+    )
+    def test_atom_cannot_name_a_polynomial(self, text):
+        """An atom's name would be read as the atom wherever it is used."""
+        with pytest.raises(InputError, match=r"^line 1, column 6: '\w+' is an atom"):
+            parse(text)
+
     def test_comments_and_whitespace_ignored(self):
         ff1 = parse("poly a = p_1;  # trailing\n# whole line\npoly b = a;")
         ff2 = parse("poly a=p_1;poly b=a;")

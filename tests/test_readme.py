@@ -1,10 +1,12 @@
-"""The Python examples and the description-format example of the README
-work as written."""
+"""The Python examples, the description-format example and the
+command-line examples of the README work as written."""
 
 import ast
 import re
+import shlex
 from pathlib import Path
 
+from foamlab.cli import main
 from foamlab.dsl import normalize, parse
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -50,3 +52,34 @@ def test_description_format_example_round_trips():
     assert set(ff.webs) == {"theta"} and set(ff.movies) == {"dotted_sphere"}
     once = normalize(example)
     assert parse(once) == ff and normalize(once) == once
+
+
+def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each ``foamlab`` line of the command-line block exits 0 on the
+    description-format example saved as ``fixtures.foam``, and prints the
+    value its ``# ->`` comment states."""
+    text = README.read_text()
+    example = re.search(
+        r"^```text\n(.*?)^```", text.split("## The description format", 1)[1], re.M | re.S
+    ).group(1)
+    block = re.search(
+        r"^```sh\n(.*?)^```", text.split("## Command-line interface", 1)[1], re.M | re.S
+    ).group(1)
+    (tmp_path / "fixtures.foam").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    ran, stated = 0, []
+    for line in block.replace("\\\n", " ").splitlines():
+        m = re.fullmatch(r"foamlab (.*?)(?:\s+# -> (.*))?", line.strip())
+        if m is None:
+            continue
+        try:
+            code = main(shlex.split(m.group(1)))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code == 0, line
+        if m.group(2) is not None:
+            assert out.strip() == m.group(2), line
+            stated.append(m.group(2))
+        ran += 1
+    assert ran == 14 and stated == ["-1", "0", "q^-1 + q"]
