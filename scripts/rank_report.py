@@ -1,40 +1,43 @@
 #!/usr/bin/env python3
 """Print graded ranks of the standard web state spaces for a range of N.
 
+Every generator family of ``WEB_FAMILIES`` is ranked at each argument tuple
+with entries in 1..N-1 that it accepts, and every relation of
+``MOY_RELATIONS`` is checked at its default thicknesses.
+
 Usage: python scripts/rank_report.py [max_N]
 """
 
+import itertools
 import sys
 
 sys.path.insert(0, "src")
 
 from foamlab.cli import laurent_text
+from foamlab.errors import InputError
 from foamlab.statespace import (
-    circle_presentation,
+    MOY_RELATIONS,
+    WEB_FAMILIES,
     gram_matrix,
     graded_rank,
     moy_check,
-    theta_presentation,
-    zipped_presentation,
 )
 
 
 def main() -> None:
     max_n = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    print("circle ranks")
-    for N in range(2, max_n + 1):
-        for a in range(1, N):
-            L = graded_rank(gram_matrix(circle_presentation(a, N)))
-            print(f"  N={N} a={a}: {laurent_text(L)}")
-    print("digon ranks (both readings)")
-    for N in range(2, max_n + 1):
-        good = graded_rank(gram_matrix(theta_presentation(1, 1, N)))
-        bad = graded_rank(gram_matrix(zipped_presentation(1, 1, N)))
-        print(f"  N={N}: {laurent_text(good)}  |  {laurent_text(bad)}")
+    print("family ranks")
+    for name, (arity, build) in WEB_FAMILIES.items():
+        for N in range(2, max_n + 1):
+            for args in itertools.product(range(1, N), repeat=arity):
+                try:
+                    L = graded_rank(gram_matrix(build(*args, N)))
+                except InputError:
+                    continue
+                spec = f"{name}:" + ",".join(map(str, args)) if args else name
+                print(f"  {spec:17s} N={N}: {laurent_text(L)}")
     print("relation checks")
-    from foamlab.errors import InputError
-
-    for relation in ("circle", "digon", "bad_digon", "assoc", "square"):
+    for relation in MOY_RELATIONS:
         for N in range(2, max_n + 1):
             try:
                 rep = moy_check(relation, N)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
-from functools import partial
 from random import Random
 
 import click
@@ -36,18 +35,16 @@ from .foamcore import (
 from .foameval import degree, evaluate
 from .polyring import GF, QQ, ZZ, CoefRing, kill_equivariance
 from .statespace import (
+    MOY_RELATIONS,
+    WEB_FAMILIES,
     Presentation,
-    chain_presentation,
     circle_presentation,
     gram_matrix,
     graded_rank,
     induced_action,
     moy_check,
-    necklace_presentation,
     operator_power,
     mat_is_zero,
-    theta_presentation,
-    zipped_presentation,
 )
 
 SCHEMA = "foamlab.v1"
@@ -106,55 +103,56 @@ def _load_movie(target: str, N: int | None) -> Movie:
     return parse(text).build_movie(movie_part, N)
 
 
-# web family -> (argument count, builder called with the arguments, N, ring, base)
-_WEB_SHAPES = {
-    "circle": (1, circle_presentation),
-    "digon": (2, theta_presentation),
-    "bad_digon": (2, zipped_presentation),
-    "necklace": (0, necklace_presentation),
-    "chain_left": (3, partial(chain_presentation, "left")),
-    "chain_right": (3, partial(chain_presentation, "right")),
-}
-
-
 def parse_presentation(
     spec: str, N: int, ring: CoefRing, base: str
 ) -> Presentation:
-    """Named generator families: ``circle:a``, ``digon:a,b``,
-    ``bad_digon:a,b``, ``necklace``, ``chain_left:a,b,c``,
-    ``chain_right:a,b,c``."""
+    """A generator family of :data:`~foamlab.statespace.WEB_FAMILIES` named
+    as ``<family>:<a>,<b>,...``, e.g. ``digon:1,2``; a family without
+    arguments is named alone (``necklace``)."""
     name, _, rest = spec.partition(":")
-    if name not in _WEB_SHAPES:
+    if name not in WEB_FAMILIES:
         raise InputError(
-            f"unknown web family {name!r} (choose from {sorted(_WEB_SHAPES)})"
+            f"unknown web family {name!r} (choose from {sorted(WEB_FAMILIES)})"
         )
     try:
-        args = [int(x) for x in rest.split(",") if x]
+        args = [int(x) for x in rest.split(",")] if rest else []
     except ValueError:
         raise InputError(f"bad web arguments in {spec!r}") from None
-    count, build = _WEB_SHAPES[name]
+    count, build = WEB_FAMILIES[name]
     if len(args) != count:
         raise InputError(f"web family {name!r} takes {count} argument(s)")
     return build(*args, N, ring, base)
 
 
-def _pack_options(fn):
-    """The pack options, named by the keys of a ``params`` block."""
-    opts = [
-        click.option("--s", default="0", show_default=True,
-                     help="Seam parameter (integer or a/b)."),
-        click.option("--nu1", default=None, help="Sequence spec lin:<v> or tab:[...]."),
-        click.option("--nu2", default=None, help="Sequence spec lin:<v> or tab:[...]."),
-        click.option("--nu3", default=None, help="Sequence spec lin:<v> or tab:[...]."),
-        click.option("--t1", default="0", show_default=True),
-        click.option("--t2", default="0", show_default=True),
-        click.option("--t3", default=None,
-                     help="Defaults to 1/2 when the ring has it."),
-        click.option("--spherical/--no-spherical", default=True, show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _options(*opts):
+    """One decorator applying ``opts`` in the order given."""
+
+    def apply(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+
+    return apply
+
+
+# the pack options, named by the keys of a ``params`` block
+_pack_options = _options(
+    click.option("--s", default="0", show_default=True,
+                 help="Seam parameter (integer or a/b)."),
+    click.option("--nu1", default=None, help="Sequence spec lin:<v> or tab:[...]."),
+    click.option("--nu2", default=None, help="Sequence spec lin:<v> or tab:[...]."),
+    click.option("--nu3", default=None, help="Sequence spec lin:<v> or tab:[...]."),
+    click.option("--t1", default="0", show_default=True),
+    click.option("--t2", default="0", show_default=True),
+    click.option("--t3", default=None,
+                 help="Defaults to 1/2 when the ring has it."),
+    click.option("--spherical/--no-spherical", default=True, show_default=True),
+)
+_ring_base_options = _options(
+    click.option("--ring", "ring_text", default="Z", show_default=True),
+    click.option("--base", type=click.Choice(["equivariant", "phi0"]),
+                 default="equivariant", show_default=True),
+)
 
 
 def _build_pack(N: int, ring: str, spherical: bool, **texts: str | None) -> ActionParams:
@@ -241,18 +239,12 @@ def act_cmd(target, op, n_pigments, ring_text, as_json, **pack) -> None:
     _emit(record, as_json, str(S))
 
 
-def _presentation_options(fn):
-    opts = [
-        click.option("--web", "web_spec", required=True,
-                     help="Generator family, e.g. circle:1 or digon:1,1."),
-        click.option("--N", "n_pigments", type=int, required=True),
-        click.option("--ring", "ring_text", default="Z", show_default=True),
-        click.option("--base", type=click.Choice(["equivariant", "phi0"]),
-                     default="equivariant", show_default=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_presentation_options = _options(
+    click.option("--web", "web_spec", required=True,
+                 help="Generator family, e.g. circle:1 or digon:1,1."),
+    click.option("--N", "n_pigments", type=int, required=True),
+    _ring_base_options,
+)
 
 
 @cli.command("gram")
@@ -301,17 +293,12 @@ def rank_cmd(web_spec, n_pigments, ring_text, base, trials, seed, as_json) -> No
 
 
 @cli.command("moy-check")
-@click.option("--relation", required=True,
-              type=click.Choice(
-                  ["circle", "digon", "bad_digon", "assoc", "square", "bad_square"]
-              ))
+@click.option("--relation", required=True, type=click.Choice(list(MOY_RELATIONS)))
 @click.option("--N", "n_pigments", type=int, required=True)
 @click.option("--a", type=int, default=1, show_default=True)
 @click.option("--b", type=int, default=1, show_default=True)
 @click.option("--c", type=int, default=1, show_default=True)
-@click.option("--ring", "ring_text", default="Z", show_default=True)
-@click.option("--base", type=click.Choice(["equivariant", "phi0"]),
-              default="equivariant", show_default=True)
+@_ring_base_options
 @click.option("--trials", type=int, default=3, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True)

@@ -15,8 +15,10 @@ space is only validated against the known graded ranks.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Sequence
 
 from .actions import (
@@ -81,6 +83,8 @@ __all__ = [
     "is_zero_in_statespace",
     "induced_action",
     "moy_check",
+    "WEB_FAMILIES",
+    "MOY_RELATIONS",
     "laurent_add",
     "laurent_mul",
     "quantum_integer",
@@ -181,19 +185,42 @@ def _require_thicknesses(*thicknesses: int) -> None:
         raise InputError(f"edge thicknesses must be >= 1, got {thicknesses}")
 
 
+def _split_circle(
+    s: int, splits: Sequence[tuple[str, int, int]], N: int, ring: CoefRing, base: str
+) -> Presentation:
+    """A thickness-``s`` cup split by digon cups, one movie per decoration.
+
+    The cup carries ``e_lam`` for ``lam`` in the ``(N-s) x s`` box.  A split
+    ``(where, a, b)`` opens a digon on ``where`` (``"circle"``, or the
+    ``"a"``, ``"b"`` or ``"low"`` edge of the previous split) and decorates
+    its thickness-``a`` edge by ``e_mu`` for ``mu`` in the ``b x a`` box.
+    The movies run over the product of the boxes, the first box outermost.
+    """
+    boxes = [[elementary_product(ring, s, lam) for lam in box_partitions(N - s, s)]]
+    boxes += [
+        [elementary_product(ring, a, mu) for mu in box_partitions(b, a)]
+        for _, a, b in splits
+    ]
+    movies = []
+    for decorations in itertools.product(*boxes):
+        bld = MovieBuilder()
+        edges = {"circle": bld.cup(s)}
+        bld.decorate(edges["circle"], decorations[0])
+        for (where, a, b), dec in zip(splits, decorations[1:]):
+            d = bld.digon_cup(edges[where], a, b)
+            bld.decorate(d.edge_a, dec)
+            edges = {"a": d.edge_a, "b": d.edge_b, "low": d.out_low}
+        movies.append(bld.movie())
+    return presentation(movies, N, ring, base)
+
+
 def circle_presentation(
     a: int, N: int, ring: CoefRing = ZZ, base: str = "equivariant"
 ) -> Presentation:
     """Cups decorated by elementary products indexed by the (N-a) x a box."""
     if not 0 < a <= N:
         raise InputError(f"circle thickness {a} out of range for N={N}")
-    movies = []
-    for mu in box_partitions(N - a, a):
-        b = MovieBuilder()
-        c = b.cup(a)
-        b.decorate(c, elementary_product(ring, a, mu))
-        movies.append(b.movie())
-    return presentation(movies, N, ring, base)
+    return _split_circle(a, (), N, ring, base)
 
 
 def theta_presentation(
@@ -203,16 +230,7 @@ def theta_presentation(
     _require_thicknesses(a, b)
     if a + b > N:
         raise InputError(f"total thickness {a + b} exceeds N={N}")
-    movies = []
-    for lam in box_partitions(N - a - b, a + b):
-        for mu in box_partitions(b, a):
-            bld = MovieBuilder()
-            c = bld.cup(a + b)
-            bld.decorate(c, elementary_product(ring, a + b, lam))
-            d = bld.digon_cup(c, a, b)
-            bld.decorate(d.edge_a, elementary_product(ring, a, mu))
-            movies.append(bld.movie())
-    return presentation(movies, N, ring, base)
+    return _split_circle(a + b, [("circle", a, b)], N, ring, base)
 
 
 def zipped_presentation(
@@ -241,19 +259,7 @@ def necklace_presentation(
     """Thickness-2 circle carrying two thin bigons (the four-vertex ladder)."""
     if N < 2:
         raise InputError("the ladder web needs N >= 2")
-    movies = []
-    for lam in box_partitions(N - 2, 2):
-        for mu in box_partitions(1, 1):
-            for nu in box_partitions(1, 1):
-                bld = MovieBuilder()
-                c = bld.cup(2)
-                bld.decorate(c, elementary_product(ring, 2, lam))
-                d1 = bld.digon_cup(c, 1, 1)
-                bld.decorate(d1.edge_a, elementary_product(ring, 1, mu))
-                d2 = bld.digon_cup(d1.out_low, 1, 1)
-                bld.decorate(d2.edge_a, elementary_product(ring, 1, nu))
-                movies.append(bld.movie())
-    return presentation(movies, N, ring, base)
+    return _split_circle(2, [("circle", 1, 1), ("low", 1, 1)], N, ring, base)
 
 
 def chain_presentation(
@@ -265,39 +271,25 @@ def chain_presentation(
     s = a + b + c
     if s > N:
         raise InputError(f"total thickness {s} exceeds N={N}")
-    movies = []
     if order == "left":
-        pairs = [
-            (lam, mu, nu)
-            for lam in box_partitions(N - s, s)
-            for mu in box_partitions(c, a + b)
-            for nu in box_partitions(b, a)
-        ]
+        splits = [("circle", a + b, c), ("a", a, b)]
     elif order == "right":
-        pairs = [
-            (lam, mu, nu)
-            for lam in box_partitions(N - s, s)
-            for mu in box_partitions(b + c, a)
-            for nu in box_partitions(c, b)
-        ]
+        splits = [("circle", a, b + c), ("b", b, c)]
     else:
         raise InputError(f"unknown bracketing {order!r}")
-    for lam, mu, nu in pairs:
-        bld = MovieBuilder()
-        c0 = bld.cup(s)
-        bld.decorate(c0, elementary_product(ring, s, lam))
-        if order == "left":
-            d1 = bld.digon_cup(c0, a + b, c)
-            bld.decorate(d1.edge_a, elementary_product(ring, a + b, mu))
-            d2 = bld.digon_cup(d1.edge_a, a, b)
-            bld.decorate(d2.edge_a, elementary_product(ring, a, nu))
-        else:
-            d1 = bld.digon_cup(c0, a, b + c)
-            bld.decorate(d1.edge_a, elementary_product(ring, a, mu))
-            d2 = bld.digon_cup(d1.edge_b, b, c)
-            bld.decorate(d2.edge_a, elementary_product(ring, b, nu))
-        movies.append(bld.movie())
-    return presentation(movies, N, ring, base)
+    return _split_circle(s, splits, N, ring, base)
+
+
+#: Generator family -> (argument count, builder called with the arguments,
+#: then N, ring and base); the ``--web`` families of the command line.
+WEB_FAMILIES = {
+    "circle": (1, circle_presentation),
+    "digon": (2, theta_presentation),
+    "bad_digon": (2, zipped_presentation),
+    "necklace": (0, necklace_presentation),
+    "chain_left": (3, partial(chain_presentation, "left")),
+    "chain_right": (3, partial(chain_presentation, "right")),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -832,8 +824,24 @@ def operator_power(a: InducedAction, k: int) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _rank_of(p: Presentation, trials: int, seed: int) -> Laurent:
-    return graded_rank(gram_matrix(p), trials=trials, seed=seed)
+#: Relation -> (the generator families of :data:`WEB_FAMILIES` it ranks, and
+#: its predicted graded rank as a function of ``N, a, b, c``).  A family takes
+#: as many of ``a, b, c`` as its argument count, in that order.
+MOY_RELATIONS = {
+    "circle": (("circle",), lambda N, a, b, c: qbinom_laurent(N, a)),
+    "digon": (("digon",), lambda N, a, b, c: laurent_mul(
+        qbinom_laurent(a + b, a), qbinom_laurent(N, a + b))),
+    "bad_digon": (("bad_digon",), lambda N, a, b, c: laurent_mul(
+        qbinom_laurent(N - a, b), qbinom_laurent(N, a))),
+    "assoc": (("chain_left", "chain_right"), lambda N, a, b, c: laurent_mul(
+        laurent_mul(qbinom_laurent(a + b + c, a + b), qbinom_laurent(a + b, a)),
+        qbinom_laurent(N, a + b + c))),
+    "square": (("necklace",), lambda N, a, b, c: laurent_add(
+        laurent_mul(quantum_integer(N), quantum_integer(N)),
+        laurent_mul(quantum_integer(N - 2), quantum_integer(N)))),
+    "bad_square": ((), lambda N, a, b, c: laurent_mul(
+        laurent_mul(quantum_integer(2), quantum_integer(2)), qbinom_laurent(N, 2))),
+}
 
 
 def moy_check(
@@ -849,53 +857,29 @@ def moy_check(
 ) -> CheckReport:
     """Check one of the local graded-rank relations of web state spaces.
 
-    ``circle``, ``digon``, ``bad_digon``, ``assoc`` and ``square`` compare a
-    computed graded rank against the predicted Laurent polynomial;
+    :data:`MOY_RELATIONS` names, for each relation, the generator families
+    of :data:`WEB_FAMILIES` it ranks (all but ``bad_digon`` are grown by one
+    split-circle builder) and its predicted graded rank; only the requested
+    relation's prediction is computed, after its families are ranked.
+    ``circle``, ``digon``, ``bad_digon`` and ``square`` compare one family's
+    rank with the prediction, ``assoc`` both bracketings' ranks.
     ``bad_square`` is outside the move family used by the presentations
-    (its defining foams are not built from the spherical moves), so only
-    the numeric rank identity is verified and the report says so.
+    (its defining foams are not built from the spherical moves), so it ranks
+    no family: only the numeric identity between its prediction and the
+    ``square`` prediction is verified, for ``N >= 2``, and the report says
+    so.  ``N`` and ``trials`` below 1 are rejected for every relation.
     """
-    if relation == "circle":
-        got = _rank_of(circle_presentation(a, N, ring, base), trials, seed)
-        want = qbinom_laurent(N, a)
-    elif relation == "digon":
-        got = _rank_of(theta_presentation(a, b, N, ring, base), trials, seed)
-        want = laurent_mul(qbinom_laurent(a + b, a), qbinom_laurent(N, a + b))
-    elif relation == "bad_digon":
-        got = _rank_of(zipped_presentation(a, b, N, ring, base), trials, seed)
-        want = laurent_mul(qbinom_laurent(N - a, b), qbinom_laurent(N, a))
-    elif relation == "assoc":
-        left = _rank_of(chain_presentation("left", a, b, c, N, ring, base), trials, seed)
-        right = _rank_of(
-            chain_presentation("right", a, b, c, N, ring, base), trials, seed
-        )
-        want = laurent_mul(
-            laurent_mul(qbinom_laurent(a + b + c, a + b), qbinom_laurent(a + b, a)),
-            qbinom_laurent(N, a + b + c),
-        )
-        if left != right or left != want:
-            return CheckReport(
-                False,
-                (left, right, want),
-                "bracketing ranks disagree",
-            )
-        return CheckReport(True, None, f"both bracketings have rank {want}")
-    elif relation == "square":
-        got = _rank_of(necklace_presentation(N, ring, base), trials, seed)
-        circ = quantum_integer(N)
-        want = laurent_add(
-            laurent_mul(circ, circ),
-            laurent_mul(quantum_integer(N - 2), circ),
-        )
-    elif relation == "bad_square":
-        lhs = laurent_mul(
-            laurent_mul(quantum_integer(2), quantum_integer(2)),
-            qbinom_laurent(N, 2),
-        )
-        circ = quantum_integer(N)
-        rhs = laurent_add(
-            laurent_mul(circ, circ), laurent_mul(quantum_integer(N - 2), circ)
-        )
+    if relation not in MOY_RELATIONS:
+        raise InputError(f"unknown relation {relation!r}")
+    if N < 1:
+        raise InputError(f"N must be >= 1, got {N}")
+    if trials < 1:
+        raise InputError("at least one specialization is required")
+    families, predict = MOY_RELATIONS[relation]
+    if relation == "bad_square":
+        if N < 2:
+            raise InputError("the ladder web needs N >= 2")
+        lhs, rhs = predict(N, a, b, c), MOY_RELATIONS["square"][1](N, a, b, c)
         ok = lhs == rhs
         return CheckReport(
             ok,
@@ -904,8 +888,18 @@ def moy_check(
             " the move family of these presentations; rank identity"
             + (" holds" if ok else " fails"),
         )
-    else:
-        raise InputError(f"unknown relation {relation!r}")
+    ranks = []
+    for name in families:
+        arity, build = WEB_FAMILIES[name]
+        gens = build(*(a, b, c)[:arity], N, ring, base)
+        ranks.append(graded_rank(gram_matrix(gens), trials=trials, seed=seed))
+    want = predict(N, a, b, c)
+    if relation == "assoc":
+        left, right = ranks
+        if left != right or left != want:
+            return CheckReport(False, (left, right, want), "bracketing ranks disagree")
+        return CheckReport(True, None, f"both bracketings have rank {want}")
+    (got,) = ranks
     if got != want:
         return CheckReport(False, (got, want), f"{relation}: rank mismatch")
     return CheckReport(True, None, f"{relation}: rank {want}")

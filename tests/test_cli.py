@@ -14,6 +14,7 @@ from foamlab import dsl
 from foamlab.cli import laurent_text, main, parse_presentation
 from foamlab.errors import InputError
 from foamlab.polyring import ZZ, qbinom_laurent
+from foamlab.statespace import MOY_RELATIONS, WEB_FAMILIES
 
 FIXTURES = """
 movie sphere on empty {
@@ -255,6 +256,31 @@ PINNED_PRESENTATIONS = {
         "64673031f99eef25b7312c3051f79523ed43a7f5b26f80526aafeb433a9b791b",
         "b43c59332cf696b1d19f876ff2b8c4dee2430802d8bccea84269295d01fa3c5a",
     ),
+    # unequal thicknesses, where the order of a split shows
+    ("digon:1,2", "4", ()): (
+        "79920c0f918b8f799b4d8c3f0ae3719885d58c56e108992258d8e036449930e2",
+        "1bccfc98ce72a265891c646b3ac053b407d09537fd268362dc4e682ba1a4b7d4",
+    ),
+    ("digon:2,1", "4", ()): (
+        "1f3bac4596e662d6c51aaa918f84b1a67af794b4eda34bae1999d0ebfb16d5a9",
+        "43ac35f9546647f2a957d8d26b4ad5e980719e21f137a385f10ff8638e1d9778",
+    ),
+    ("bad_digon:1,2", "4", ()): (
+        "31365e7c1255996ed375eff2cd701b193819dc1974f06c15645e4d2f3766c119",
+        "a2e8f2754e37bed2c5579c469f3da72f3c96343ffeaf1972ed83582f011803b3",
+    ),
+    ("chain_left:1,2,1", "4", ()): (
+        "649eb0a06d2f4d0ab7195c463d18d94b7666aece953a48d7943097a9de03982b",
+        "db5469907bf9e288d45cb310b7eef22c5cacccf577fbd927e231988fc0302c79",
+    ),
+    ("chain_right:2,1,1", "4", ()): (
+        "776b4e18cbb5308165d14ac7f221c26abaaecbe19243c48bfda3cc137434ec4e",
+        "47d3f8aacd2710111aefa74f7b4d7e2a09fcfaafd3570a8b101483bc2013baa9",
+    ),
+    ("chain_right:1,1,1", "3", ()): (
+        "e66931bd7774b5399c79e1771b819b1542221e2a932a7e280f609925a902b750",
+        "1275f4d6309984ce492bfe6ac2eb16bd7d36ebc1a3ef43d23c3912479e06ed6c",
+    ),
 }
 
 
@@ -306,6 +332,18 @@ class TestMoyCheck:
         )
         rec = json.loads(out)
         assert code == 0 and "skip" in rec["detail"]
+
+    @pytest.mark.parametrize("relation", list(MOY_RELATIONS))
+    @pytest.mark.parametrize("n,trials", [("0", "3"), ("-3", "3"), ("2", "-1")])
+    def test_out_of_range_n_and_trials_are_input_errors(self, capsys, relation, n, trials):
+        code, out, err = run(
+            capsys, "moy-check", "--relation", relation, "--N", n, "--trials", trials
+        )
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_bad_square_needs_two_pigments(self, capsys):
+        code, out, err = run(capsys, "moy-check", "--relation", "bad_square", "--N", "1")
+        assert (code, out, err) == (2, "", "error: the ladder web needs N >= 2\n")
 
 
 class TestInduced:
@@ -665,6 +703,15 @@ class TestHelpers:
         pres = parse_presentation("circle:1", 2, ZZ, "equivariant")
         assert len(pres.movies) == 2
 
+    @pytest.mark.parametrize("spec", ["circle:1,", "circle:1,,", "circle:,1", "digon:1,,2"])
+    def test_empty_web_argument_is_input_error(self, capsys, spec):
+        code, out, err = run(capsys, "rank", "--web", spec, "--N", "3")
+        assert (code, out) == (2, "") and f"bad web arguments in {spec!r}" in err
+
+    @pytest.mark.parametrize("spec", ["necklace", "necklace:"])
+    def test_parse_presentation_without_arguments(self, spec):
+        assert len(parse_presentation(spec, 2, ZZ, "equivariant").movies) == 4
+
 
 # ---------------------------------------------------------------------------
 # fuzzing the entry point
@@ -680,8 +727,8 @@ _BASE = st.sampled_from(["equivariant", "phi0"])
 _OP = st.sampled_from(["e", "h", "f", "d", "L:-1", "L:0", "L:2", "L:-2", "L:x", "q"])
 _SCALAR = st.sampled_from(["0", "1", "-1", "1/2", "-2/3"] * 3 + ["1/0", "x"])
 _SEQ = st.sampled_from(["lin:0", "lin:1/2", "tab:[0,1,2]"] * 3 + ["lin:1/0", "tab:[1", "bogus"])
-_ARITY = {"circle": 1, "digon": 2, "bad_digon": 2, "necklace": 0,
-          "chain_left": 3, "chain_right": 3, "pentagon": 1}
+# every family of the table, and one the parser does not know
+_ARITY = {name: arity for name, (arity, _) in WEB_FAMILIES.items()} | {"pentagon": 1}
 
 
 @st.composite
@@ -727,9 +774,7 @@ def _argv(draw, movie_file):
         if cmd == "rank":
             argv += ["--trials", draw(st.sampled_from(["-1", "0", "1", "2"]))]
     elif cmd == "moy-check":
-        relation = draw(st.sampled_from(
-            ["circle", "digon", "bad_digon", "assoc", "square", "bad_square"]
-        ))
+        relation = draw(st.sampled_from(list(MOY_RELATIONS)))
         argv = ["moy-check", "--relation", relation, "--N", draw(_N),
                 "--a", draw(_THICK), "--b", draw(_THICK), "--c", draw(_THICK),
                 "--ring", draw(_RING), "--base", draw(_BASE),

@@ -8,6 +8,7 @@ from pathlib import Path
 
 from foamlab.cli import main
 from foamlab.dsl import normalize, parse
+from foamlab.statespace import MOY_RELATIONS, WEB_FAMILIES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -83,3 +84,16 @@ def test_command_line_block_runs(tmp_path, monkeypatch, capsys):
             stated.append(m.group(2))
         ran += 1
     assert ran == 14 and stated == ["-1", "0", "q^-1 + q"]
+
+
+def test_family_and_relation_paragraphs_name_the_tables():
+    """The generator families and the ``moy-check`` relations the README
+    lists are exactly the keys of the tables the command line reads."""
+    text = README.read_text()
+    for lead, table in (
+        ("Generator families for", WEB_FAMILIES),
+        ("Relations for `moy-check`", MOY_RELATIONS),
+    ):
+        paragraph = text.split(lead, 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"`([a-z_]+)", paragraph.split(": ", 1)[1])
+        assert names == list(table), lead

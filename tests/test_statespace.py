@@ -1111,6 +1111,20 @@ class TestMoyChecks:
         assert report.ok
         assert "skipped" in report.detail
 
+    @pytest.mark.parametrize("N", [1, 0, -3])
+    def test_bad_square_needs_two_pigments(self, N):
+        with pytest.raises(InputError, match="N >= 2" if N == 1 else "N must be >= 1"):
+            moy_check("bad_square", N)
+
+    @pytest.mark.parametrize("relation", list(statespace.MOY_RELATIONS))
+    def test_n_and_trials_are_checked_for_every_relation(self, relation):
+        for N in (0, -3):
+            with pytest.raises(InputError, match="N must be >= 1"):
+                moy_check(relation, N)
+        for trials in (0, -1):
+            with pytest.raises(InputError, match="specialization"):
+                moy_check(relation, 3, trials=trials)
+
     def test_unknown_relation(self):
         with pytest.raises(InputError):
             moy_check("pentagon", 2)
