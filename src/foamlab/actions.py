@@ -52,7 +52,6 @@ from .foamcore import (
     Movie,
     MoveTrace,
     compile_movie,
-    enumerate_colorings,
     _strip_decorations,
 )
 from .foameval import (
@@ -60,9 +59,11 @@ from .foameval import (
     DecMap,
     DotShape,
     _ShapeTable,
+    _colored_values,
     _dot_shapes,
     _facet_decorations,
     _orbit_poly,
+    _placed_on,
     colored_eval,
     degree,
     evaluate,
@@ -298,7 +299,7 @@ class FoamSum:
     ) -> "FoamSum":
         """The skeleton carrying ``decorations``, placed as
         ``_strip_decorations`` returns them, as a formal sum."""
-        decs = _facet_decorations(skel.complex, decorations, skel.N, skel.ring)
+        decs = _facet_decorations(_placed_on(skel.complex, decorations), skel.N, skel.ring)
         return cls._canonical(skel, [(1, decs)])
 
     @classmethod
@@ -838,14 +839,13 @@ def colored_compat_check(mov: Movie, n: int, params: ActionParams) -> CheckRepor
     colored value, including the denominator corrections.
     """
     F = compile_movie(mov)
-    walk = EulerWalk(F)
     S = act_witt(n, params, mov)
     terms = []
     for coef, m in S.movies():
         Ft = compile_movie(m)
         terms.append((coef, Ft, EulerWalk(Ft)))
-    for col in enumerate_colorings(F, params.N):
-        rhs = witt_act_ratfun(n, colored_eval(F, col, params.N, params.ring, walk))
+    for col, value in _colored_values(F, params.N, params.ring):
+        rhs = witt_act_ratfun(n, value)
         # the zero part gives the sum its alphabet when the image is empty
         parts = [RatFun(MultiPoly.zero(params.ring, xvars(params.N)))]
         parts += [

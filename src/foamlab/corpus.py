@@ -16,10 +16,6 @@ from .foamcore import Movie, MovieBuilder, compose, mirror
 from .polyring import CoefRing, SymPoly, ZZ, facet_vars, symmetric_basis
 
 
-def inner_vars(a: int) -> tuple[str, ...]:
-    return facet_vars(a)
-
-
 def random_decoration(
     rng: random.Random, thickness: int, max_qdegree: int = 4, ring: CoefRing = ZZ
 ) -> SymPoly:
@@ -29,9 +25,9 @@ def random_decoration(
     if kind == "elementary":
         k_cap = min(k_cap, thickness)
     k = rng.randint(1, max(1, k_cap))
-    dec = symmetric_basis(kind, k, ring, inner_vars(thickness))
+    dec = symmetric_basis(kind, k, ring, facet_vars(thickness))
     if dec.poly.is_zero():
-        dec = symmetric_basis("power_sum", 1, ring, inner_vars(thickness))
+        dec = symmetric_basis("power_sum", 1, ring, facet_vars(thickness))
     return dec
 
 
@@ -42,10 +38,9 @@ def random_open_movie(
     max_qdegree: int = 4,
     ring: CoefRing = ZZ,
     allow_saddle: bool = True,
-    prefix: str = "",
 ) -> Movie:
     """A random movie from the empty web, at most ``n_moves`` basic moves."""
-    b = MovieBuilder(prefix=prefix)
+    b = MovieBuilder()
     for _ in range(n_moves):
         edges = sorted(b.web.edges)
         options = ["cup"]

@@ -514,44 +514,20 @@ def apply_move(w: Web, m: BasicMove) -> Web:
             raise PatternMismatch("saddle requires equal thicknesses")
         th = e1.thickness
         if m.edge1 == m.edge2:
-            if e1.is_circle:
-                # one circle splits into two circles
-                return w.with_changes(
-                    drop_edges=[m.edge1],
-                    add_edges=[
-                        Edge(m.out1, th, None, None),
-                        Edge(m.out2, th, None, None),
-                    ],
-                )
-            # interval self-saddle: interval + split-off circle
-            out = Edge(m.out1, th, e1.tail, e1.head)
-            new = w.with_changes(
-                drop_edges=[m.edge1],
-                add_edges=[out, Edge(m.out2, th, None, None)],
-            )
-            return new.replace_edge_endpoint_refs(m.edge1, m.out1, [e1.tail, e1.head])
-        if e1.is_circle and e2.is_circle:
-            # two circles merge into one
-            return w.with_changes(
-                drop_edges=[m.edge1, m.edge2],
-                add_edges=[Edge(m.out1, th, None, None)],
-            )
-        if e1.is_circle or e2.is_circle:
-            circ, seg = (e1, e2) if e1.is_circle else (e2, e1)
-            out = Edge(m.out1, th, seg.tail, seg.head)
-            new = w.with_changes(
-                drop_edges=[m.edge1, m.edge2], add_edges=[out]
-            )
-            return new.replace_edge_endpoint_refs(seg.id, m.out1, [seg.tail, seg.head])
-        # two interval edges: cross the connections
-        out1 = Edge(m.out1, th, e1.tail, e2.head)
-        out2 = Edge(m.out2, th, e2.tail, e1.head)
-        new = w.with_changes(drop_edges=[m.edge1, m.edge2], add_edges=[out1, out2])
-        new = new.replace_edge_endpoint_refs(m.edge1, m.out1, [e1.tail])
-        new = new.replace_edge_endpoint_refs(m.edge2, m.out1, [e2.head])
-        new = new.replace_edge_endpoint_refs(m.edge2, m.out2, [e2.tail])
-        new = new.replace_edge_endpoint_refs(m.edge1, m.out2, [e1.head])
-        return new
+            # a circle splits into two circles, an interval splits off a circle
+            outs = [Edge(m.out1, th, e1.tail, e1.head), Edge(m.out2, th, None, None)]
+            fixups = [(m.edge1, m.out1, e1.tail), (m.edge1, m.out1, e1.head)]
+        elif e1.is_circle or e2.is_circle:
+            # a circle merges into the other edge, circle or interval
+            seg = e2 if e1.is_circle else e1
+            outs = [Edge(m.out1, th, seg.tail, seg.head)]
+            fixups = [(seg.id, m.out1, seg.tail), (seg.id, m.out1, seg.head)]
+        else:
+            # two interval edges: cross the connections
+            outs = [Edge(m.out1, th, e1.tail, e2.head), Edge(m.out2, th, e2.tail, e1.head)]
+            fixups = [(m.edge1, m.out1, e1.tail), (m.edge2, m.out1, e2.head),
+                      (m.edge2, m.out2, e2.tail), (m.edge1, m.out2, e1.head)]
+        return _rewired(w, fixups, drop_edges=[m.edge1, m.edge2], add_edges=outs)
 
     if isinstance(m, Zip):
         if m.edge_a == m.edge_b:
@@ -662,16 +638,15 @@ def _strip_decorations(mov: Movie) -> tuple[Movie, tuple[tuple[int, str, SymPoly
 class MovieBuilder:
     """Incrementally builds a movie with deterministic fresh ids."""
 
-    def __init__(self, input_web: Web | None = None, prefix: str = ""):
+    def __init__(self, input_web: Web | None = None):
         self.web = input_web if input_web is not None else Web.empty()
         self.input_web = self.web
         self.moves: list[BasicMove] = []
-        self.prefix = prefix
         self._n = 0
 
     def fresh(self, kind: str) -> str:
         self._n += 1
-        return f"{self.prefix}{kind}{self._n}"
+        return f"{kind}{self._n}"
 
     def _push(self, m: BasicMove) -> BasicMove:
         self.web = apply_move(self.web, m)
@@ -788,12 +763,13 @@ def _rename_movie(m: Movie, keep: set[str], tag: str) -> Movie:
 
 def compose(a: Movie, b: Movie) -> Movie:
     """Concatenate movies; requires output(a) == input(b) (same ids)."""
-    out = a.output_web
+    webs = a.slices()
+    out = webs[-1]
     if out != b.input_web:
         raise BoundaryMismatch("output of the first movie != input of the second")
     interface_ids = set(out.edges) | set(out.vertices)
     used = set()
-    for w in a.slices():
+    for w in webs:
         used |= set(w.edges) | set(w.vertices)
     tag = "'"
     while True:
@@ -859,7 +835,7 @@ def mirror(m: Movie) -> Movie:
             rev.append(type(mv)(mv.out_mid, mv.mid_edge))
         else:
             raise PatternMismatch(f"cannot mirror {mv!r}")
-    return Movie(m.output_web, tuple(rev))
+    return Movie(webs[-1], tuple(rev))
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,11 @@ from .foamcore import (
     Cup,
     Decorate,
     EulerWalk,
+    Facet,
     FoamComplex,
     Movie,
     Unzip,
+    Web,
     Zip,
     compile_movie,
     enumerate_colorings,
@@ -96,24 +98,32 @@ def _at_coloring(p: MultiPoly, color: frozenset[int], N: int) -> MultiPoly:
 
 
 def _facet_decorations(
-    F: FoamComplex,
-    decorations: Sequence[tuple[int, str, SymPoly]],
-    N: int,
-    ring: CoefRing,
+    placed: Iterable[tuple[Facet, SymPoly]], N: int, ring: CoefRing
 ) -> dict[str, MultiPoly]:
-    """A movie's decorations, multiplied per facet of its undecorated complex.
+    """Decorations multiplied per facet on the canonical alphabet.
 
-    ``decorations`` are placed as :func:`_strip_decorations` returns them;
-    each facet's product is on the canonical alphabet.
+    ``placed`` yields ``(facet, decoration)``: a compiled foam's facets with
+    their own decorations, or :func:`_placed_on` decorations of a stripped
+    movie.  Each facet's product is keyed by its id, in the order the
+    facets are first reached.
     """
     out: dict[str, MultiPoly] = {}
+    for f, dec in placed:
+        p = _canonical_decoration(dec, f.thickness, N, ring)
+        out[f.id] = out[f.id] * p if f.id in out else p
+    return out
+
+
+def _placed_on(
+    F: FoamComplex, decorations: Iterable[tuple[int, str, SymPoly]]
+) -> Iterator[tuple[Facet, SymPoly]]:
+    """Each decoration placed as :func:`_strip_decorations` returns it, on
+    the facet of ``F``, its undecorated complex, that carries it."""
     for t, edge, dec in decorations:
         f = F.edge_facets[t].get(edge)
         if f is None:
             raise PatternMismatch(f"edge {edge} not in slice")
-        p = _canonical_decoration(dec, F.facets[f].thickness, N, ring)
-        out[f] = out[f] * p if f in out else p
-    return out
+        yield F.facets[f], dec
 
 
 def _decoration_degree(dec: SymPoly) -> int:
@@ -205,8 +215,8 @@ class _WalkTables:
     """What :func:`colored_eval` keeps on one walk for one N and ring.
 
     ``one`` is the numerator of a coloring with no factor.  ``powers`` maps
-    ``(i, j, k)`` to ``(X_i - X_j)^k``.  ``decorated`` is each decorated
-    facet with its decorations' product on the canonical alphabet, or None
+    ``(i, j, k)`` to ``(X_i - X_j)^k``.  ``decorated`` maps each decorated
+    facet to its decorations' product on the canonical alphabet, or is None
     before the first coloring reaches it.  ``at`` maps ``(facet, color)`` to
     that product put at the color.
     """
@@ -216,7 +226,7 @@ class _WalkTables:
     def __init__(self, N: int, ring: CoefRing) -> None:
         self.one = MultiPoly.const(ring, xvars(N), 1)
         self.powers: dict[tuple[int, int, int], MultiPoly] = {}
-        self.decorated: list[tuple[str, MultiPoly]] | None = None
+        self.decorated: dict[str, MultiPoly] | None = None
         self.at: dict[tuple[str, frozenset[int]], MultiPoly] = {}
 
 
@@ -278,9 +288,11 @@ def colored_eval(
             factors.append(power)
 
     if tables.decorated is None:
-        tables.decorated = _canonical_decorations(F, N, ring)
+        tables.decorated = _facet_decorations(
+            ((f, dec) for f in F.facets.values() for dec in f.decorations), N, ring
+        )
     at = tables.at
-    for f, p in tables.decorated:
+    for f, p in tables.decorated.items():
         key = (f, c[f])
         found = at.get(key)
         if found is None:
@@ -293,16 +305,12 @@ def colored_eval(
     return RatFun(num, den)
 
 
-def _canonical_decorations(F: FoamComplex, N: int, ring: CoefRing) -> list[tuple[str, MultiPoly]]:
-    """Each decorated facet with its decorations' product on the canonical alphabet."""
-    out = []
-    for f in F.facets.values():
-        if f.decorations:
-            p = _canonical_decoration(f.decorations[0], f.thickness, N, ring)
-            for dec in f.decorations[1:]:
-                p = p * _canonical_decoration(dec, f.thickness, N, ring)
-            out.append((f.id, p))
-    return out
+def _colored_values(F: FoamComplex, N: int, ring: CoefRing) -> Iterator[tuple[Coloring, RatFun]]:
+    """Each coloring of ``F`` with its :func:`colored_eval` value, in
+    :func:`enumerate_colorings` order, all read from one walk."""
+    walk = EulerWalk(F)
+    for c in enumerate_colorings(F, N):
+        yield c, colored_eval(F, c, N, ring, walk)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +329,7 @@ class EvalResult:
     def breakdown(self) -> list[tuple[Coloring, RatFun]]:
         """Each coloring of the whole foam with its colored value, in
         :func:`enumerate_colorings` order; computed on every read."""
-        F, N, ring = self.foam, self.N, self.ring
-        walk = EulerWalk(F)
-        return [(c, colored_eval(F, c, N, ring, walk)) for c in enumerate_colorings(F, N)]
+        return list(_colored_values(self.foam, self.N, self.ring))
 
 
 def _coloring_key(c: Coloring) -> tuple:
@@ -390,8 +396,7 @@ def evaluate(F: FoamComplex | Movie, N: int, ring: CoefRing = ZZ) -> EvalResult:
         raise InputError("only closed foams are evaluated")
     sums = []
     for P in _components(F):
-        walk = EulerWalk(P)
-        terms = [colored_eval(P, c, N, ring, walk) for c in enumerate_colorings(P, N)]
+        terms = [value for _, value in _colored_values(P, N, ring)]
         sums.append((P, _checked_sum(terms, N, ring)))
     value = MultiPoly.const(ring, xvars(N), 1)
     for _, s in sums:
@@ -460,13 +465,13 @@ class _ShapeTable:
             raise InputError("only closed foams are evaluated")
         self.N, self.ring, self.basis = N, ring, basis
         vs = xvars(N)
-        self.colorings = list(enumerate_colorings(F, N))
+        self.colorings: list[Coloring] = []
         facets = sorted(F.facets)
-        walk = EulerWalk(F)
         orbits: dict[tuple, list[tuple[int, list[int], RatFun]]] = {}
-        for k, c in enumerate(self.colorings):
+        for k, (c, value) in enumerate(_colored_values(F, N, ring)):
+            self.colorings.append(c)
             key, perm = _orbit_order(c, facets, N)
-            orbits.setdefault(key, []).append((k, perm, colored_eval(F, c, N, ring, walk)))
+            orbits.setdefault(key, []).append((k, perm, value))
         # coloring indices per orbit, the representative first
         self.orbits: list[list[int]] = []
         # (representative index, W_P-invariant numerator g, blocks) per orbit
@@ -590,11 +595,13 @@ def evaluate_family(
     A foam is a closed movie, or a pair ``(movie, terms)`` whose value is
     ``sum c * value(movie with the term's extra dot shapes)`` over the dot
     terms ``(c, ((t, edge, shape), ...))``; a bare movie is the single term
-    ``(1, ())``.  Foams are grouped by undecorated movie, which is compiled
-    and colored once per group (a :class:`_ShapeTable`).  A term's
-    decorations are multiplied per facet and split into dot-shape maps, and
-    its value is their combination, so a map shared by many terms is
-    summed over the colorings once.
+    ``(1, ())``.  Each movie object is stripped of its decorations once,
+    which are multiplied per facet once (:func:`_facet_decorations`).  Foams
+    are grouped by undecorated movie, compared by equality, which is
+    compiled and colored once per group (a :class:`_ShapeTable`).  A term's
+    decorations are split into dot-shape maps, and its value is their
+    combination, so a map shared by many terms is summed over the colorings
+    once.
 
     Each map's value has the checks of :func:`evaluate`; a nonzero term
     value must also be homogeneous of the degree of its decorated foam,
@@ -615,18 +622,22 @@ def _family_values(
     """:func:`evaluate_family` with the values in ``e_1..e_N`` of ``basis``.
 
     Shape values and their combinations stay in ``e_1..e_N``; the degree of
-    a term is read with ``E_k`` of q-degree ``2k``.
+    a term is read with ``E_k`` of q-degree ``2k``.  Movies are keyed by
+    object, so each is stripped and its undecorated movie hashed once;
+    ``foams`` holds every movie for the call, so no id is reused.
     """
     _require_pigments(N)
-    # foams by undecorated movie, then by movie: a movie given many times is
-    # stripped, and its decorations multiplied per facet, once
-    stripped_of: dict[Movie, tuple[Movie, tuple]] = {}
-    groups: dict[Movie, dict[Movie, list[tuple[int, Sequence[DotTerm]]]]] = {}
+    # each movie object's decorations and foams, grouped by undecorated movie
+    by_movie: dict[int, tuple[tuple, list]] = {}
+    groups: dict[Movie, list[tuple[tuple, list]]] = {}
     for k, foam in enumerate(foams):
         mov, terms = foam if isinstance(foam, tuple) else (foam, _PLAIN)
-        if mov not in stripped_of:
-            stripped_of[mov] = _strip_decorations(mov)
-        groups.setdefault(stripped_of[mov][0], {}).setdefault(mov, []).append((k, terms))
+        entry = by_movie.get(id(mov))
+        if entry is None:
+            stripped, decorations = _strip_decorations(mov)
+            entry = by_movie[id(mov)] = (decorations, [])
+            groups.setdefault(stripped, []).append(entry)
+        entry[1].append((k, terms))
     weights = _e_weights(N)
     orbit_polys: dict[DotShape, MultiPoly] = {}
     values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
@@ -634,9 +645,8 @@ def _family_values(
         F = compile_movie(stripped)
         table = _ShapeTable(F, N, ring, basis)
         thickness = {f: facet.thickness for f, facet in F.facets.items()}
-        for mov, members in movies.items():
-            decorations = stripped_of[mov][1]
-            decs = _facet_decorations(F, decorations, N, ring)
+        for decorations, members in movies:
+            decs = _facet_decorations(_placed_on(F, decorations), N, ring)
             for k, terms in members:
                 total: dict[tuple[int, ...], Scalar] = {}
                 for coef, placed in terms:
@@ -737,9 +747,9 @@ class CheckReport:
     detail: str = ""
 
 
-def _find_edge_slice(mov: Movie, edge: str) -> tuple[int, int]:
-    """First slice index at which the edge exists, and its thickness."""
-    webs = mov.slices()
+def _find_edge_slice(webs: Sequence[Web], edge: str) -> tuple[int, int]:
+    """First index of the slices ``webs`` at which the edge exists, and its
+    thickness."""
     for idx, w in enumerate(webs):
         if edge in w.edges:
             return idx, w.edges[edge].thickness
@@ -756,7 +766,14 @@ def with_bubble(mov: Movie, edge: str, R: SymPoly, N: int, side: str = "good") -
     re-closed membrane circle dies.  The facet edge id is reused by the
     unzip so the remainder of the movie applies unchanged.
     """
-    idx, a = _find_edge_slice(mov, edge)
+    return _with_bubble(mov, mov.slices(), edge, R, N, side)
+
+
+def _with_bubble(
+    mov: Movie, webs: Sequence[Web], edge: str, R: SymPoly, N: int, side: str
+) -> Movie:
+    """:func:`with_bubble` on a movie whose slices are ``webs``."""
+    idx, a = _find_edge_slice(webs, edge)
     m = N - a
     if m < 0:
         raise InputError(f"facet thickness {a} exceeds N={N}")
@@ -765,7 +782,6 @@ def with_bubble(mov: Movie, edge: str, R: SymPoly, N: int, side: str = "good") -
     if m == 0:
         # empty complement: the bubble degenerates to nothing; identity gluing
         return mov
-    webs = mov.slices()
     used = {x for w in webs for x in (*w.edges, *w.vertices)}
     fresh = (x for x in (f"bub{k}" for k in itertools.count(1)) if x not in used)
     d, mvv, svv, thick, arc, e1 = itertools.islice(fresh, 6)
@@ -795,17 +811,14 @@ def bubble_check(
     ``(−1)^{(N−a)(N−a+1)/2}`` — with an extra ``(−1)^{a(N−a)}`` when the
     bubble is glued from the other side.
     """
-    idx, a = _find_edge_slice(base, facet_edge)
+    webs = base.slices()
+    idx, a = _find_edge_slice(webs, facet_edge)
     m = N - a
     Fb = compile_movie(base)
-    walk = EulerWalk(Fb)
-    base_vals = {
-        _coloring_key(c): colored_eval(Fb, c, N, ring, walk)
-        for c in enumerate_colorings(Fb, N)
-    }
+    base_vals = {_coloring_key(c): value for c, value in _colored_values(Fb, N, ring)}
     sign_main = (-1) ** ((m * (m + 1)) // 2)
     for side, sign in (("good", sign_main), ("other", sign_main * (-1) ** (a * m))):
-        blown = with_bubble(base, facet_edge, R, N, side)
+        blown = _with_bubble(base, webs, facet_edge, R, N, side)
         if m == 0:
             continue  # degenerate: nothing to compare beyond identity
         Fg = compile_movie(blown)
@@ -848,36 +861,29 @@ def split_decoration(
 ) -> list[tuple[SymPoly, SymPoly]]:
     """Write a symmetric polynomial in a+b variables as Σ_j P_j(x)·Q_j(y).
 
-    The output pieces are symmetric in the first a and last b variables
-    respectively; substituting x=x_1..x_a, y=x_{a+1}..x_{a+b} and summing
-    products recovers R.
+    ``R`` is split into monomial orbits of the two blocks by
+    :func:`_orbit_decompose`.  There is one piece per orbit of the first a
+    variables, in the order the orbits are first reached among ``R``'s
+    terms: ``P`` is that orbit's monomial symmetric polynomial and ``Q``
+    the sum of the second-block orbits it meets, each with its
+    coefficient, both built by :func:`_orbit_poly`.  ``P`` is on
+    ``x_1..x_a`` and ``Q`` on ``x_1..x_b``; substituting ``x_{a+1}..x_{a+b}``
+    for Q's variables and summing products recovers R.  A zero R has no
+    pieces.
     """
     if len(R.blocks) != 1 or R.blocks[0] != a + b:
         raise InputError(f"decoration must be symmetric in {a + b} variables")
     poly = R.poly
     if poly.ring != ring:
         poly = poly.map_coefficients(ring, ring.normalize)
-    xv = facet_vars(a)
-    yv = facet_vars(b)
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], object]] = {}
-    for exp, coef in poly.terms.items():
-        left, right = exp[:a], exp[a:]
-        groups.setdefault(left, {})[right] = coef
-    # gather the left monomials into S_a-orbits
-    orbit_of: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for left in groups:
-        orbit_of[left] = tuple(sorted(left, reverse=True))
-    out = []
-    done = set()
-    for left, rep in orbit_of.items():
-        if rep in done:
-            continue
-        done.add(rep)
-        # monomial symmetric polynomial of the orbit
-        left_poly = MultiPoly(ring, xv, dict.fromkeys(polyring._distinct_permutations(rep), 1))
-        right_poly = MultiPoly(ring, yv, dict(groups[left]))
-        out.append((SymPoly(left_poly, (a,)), SymPoly(right_poly, (b,))))
-    return out
+    right: dict[tuple[int, ...], MultiPoly] = {}
+    for (lam, mu), coef in _orbit_decompose(poly, a).items():
+        q = _orbit_poly(ring, (mu, ())) * coef
+        right[lam] = right[lam] + q if lam in right else q
+    return [
+        (SymPoly(_orbit_poly(ring, (lam, ())), (a,)), SymPoly(q, (b,)))
+        for lam, q in right.items()
+    ]
 
 
 def dot_migration_check(
@@ -905,14 +911,11 @@ def dot_migration_check(
         bld.cap(out.out_edge)
         return bld.movie()
 
-    lhs_movie = build(R)
-    Fl = compile_movie(lhs_movie)
-    lhs_walk = EulerWalk(Fl)
+    Fl = compile_movie(build(R))
     pieces = split_decoration(R, a, b, ring)
     rhs_movies = [compile_movie(build(None, (pa, pb))) for pa, pb in pieces]
     rhs_walks = [(Fr, EulerWalk(Fr)) for Fr in rhs_movies]
-    for c in enumerate_colorings(Fl, N):
-        lhs = colored_eval(Fl, c, N, ring, lhs_walk)
+    for c, lhs in _colored_values(Fl, N, ring):
         rhs = None
         for Fr, walk in rhs_walks:
             term = colored_eval(Fr, c, N, ring, walk)

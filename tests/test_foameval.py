@@ -6,6 +6,7 @@ are treated as an independent oracle for the implementation.
 """
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -1061,6 +1062,15 @@ class TestBubbles:
         empty = SymPoly(MultiPoly.const(ZZ, (), 1), (0,))
         assert with_bubble(base, "bub1", empty, 1) is base
 
+    def test_bubble_check_slices_its_base_once(self, monkeypatch):
+        base = sphere_movie()
+        sliced = []
+        real = Movie.slices
+        monkeypatch.setattr(Movie, "slices", lambda mov: sliced.append(mov is base) or real(mov))
+        assert bubble_check(base, base.moves[0].out_edge, power_sum_p1(1), 2).ok
+        # once for the facet edge and the bubble ids, once in compile_movie
+        assert sliced.count(True) == 2
+
     def test_with_bubble_movie_is_valid(self):
         base = sphere_movie()
         R = symmetric_basis("power_sum", 1, ZZ, ("y1",))
@@ -1069,7 +1079,103 @@ class TestBubbles:
         assert mov.is_closed()
 
 
+# split_decoration's pieces (P terms on x1..xa, Q terms on x1..xb), in order,
+# for e_k, h_k and p_k in a + b variables, keyed (kind, k, a, b)
+SPLIT_PIECES = {
+    ("e", 2, 1, 1): [({(1,): 1}, {(1,): 1})],
+    ("e", 2, 1, 2): [({(1,): 1}, {(0, 1): 1, (1, 0): 1}), ({(0,): 1}, {(1, 1): 1})],
+    ("e", 2, 2, 1): [({(1, 1): 1}, {(0,): 1}), ({(0, 1): 1, (1, 0): 1}, {(1,): 1})],
+    ("e", 3, 1, 1): [],
+    ("e", 3, 1, 2): [({(1,): 1}, {(1, 1): 1})],
+    ("e", 3, 2, 1): [({(1, 1): 1}, {(1,): 1})],
+    ("h", 2, 1, 1): [({(0,): 1}, {(2,): 1}), ({(1,): 1}, {(1,): 1}), ({(2,): 1}, {(0,): 1})],
+    ("h", 2, 1, 2): [
+        ({(0,): 1}, {(0, 2): 1, (1, 1): 1, (2, 0): 1}),
+        ({(1,): 1}, {(0, 1): 1, (1, 0): 1}),
+        ({(2,): 1}, {(0, 0): 1}),
+    ],
+    ("h", 2, 2, 1): [
+        ({(0, 0): 1}, {(2,): 1}),
+        ({(0, 1): 1, (1, 0): 1}, {(1,): 1}),
+        ({(0, 2): 1, (2, 0): 1}, {(0,): 1}),
+        ({(1, 1): 1}, {(0,): 1}),
+    ],
+    ("h", 3, 1, 1): [
+        ({(0,): 1}, {(3,): 1}), ({(1,): 1}, {(2,): 1}),
+        ({(2,): 1}, {(1,): 1}), ({(3,): 1}, {(0,): 1}),
+    ],
+    ("h", 3, 1, 2): [
+        ({(0,): 1}, {(0, 3): 1, (1, 2): 1, (2, 1): 1, (3, 0): 1}),
+        ({(1,): 1}, {(0, 2): 1, (1, 1): 1, (2, 0): 1}),
+        ({(2,): 1}, {(0, 1): 1, (1, 0): 1}),
+        ({(3,): 1}, {(0, 0): 1}),
+    ],
+    ("h", 3, 2, 1): [
+        ({(0, 0): 1}, {(3,): 1}),
+        ({(0, 1): 1, (1, 0): 1}, {(2,): 1}),
+        ({(0, 2): 1, (2, 0): 1}, {(1,): 1}),
+        ({(0, 3): 1, (3, 0): 1}, {(0,): 1}),
+        ({(1, 1): 1}, {(1,): 1}),
+        ({(1, 2): 1, (2, 1): 1}, {(0,): 1}),
+    ],
+    ("p", 2, 1, 1): [({(2,): 1}, {(0,): 1}), ({(0,): 1}, {(2,): 1})],
+    ("p", 2, 1, 2): [({(2,): 1}, {(0, 0): 1}), ({(0,): 1}, {(0, 2): 1, (2, 0): 1})],
+    ("p", 2, 2, 1): [({(0, 2): 1, (2, 0): 1}, {(0,): 1}), ({(0, 0): 1}, {(2,): 1})],
+    ("p", 3, 1, 1): [({(3,): 1}, {(0,): 1}), ({(0,): 1}, {(3,): 1})],
+    ("p", 3, 1, 2): [({(3,): 1}, {(0, 0): 1}), ({(0,): 1}, {(0, 3): 1, (3, 0): 1})],
+    ("p", 3, 2, 1): [({(0, 3): 1, (3, 0): 1}, {(0,): 1}), ({(0, 0): 1}, {(3,): 1})],
+}
+KINDS = {"e": "elementary", "h": "complete", "p": "power_sum"}
+
+
+def recombined(pieces, a, b, ring=ZZ):
+    """The sum of ``P(x_1..x_a) * Q(x_{a+1}..x_{a+b})`` over split pieces."""
+    allv = facet_vars(a + b)
+    total = MultiPoly.zero(ring, allv)
+    for pa, pb in pieces:
+        total = total + pa.poly.extend(allv) * pb.poly.rename(allv[a:]).extend(allv)
+    return total
+
+
 class TestDotMigration:
+    @pytest.mark.parametrize("case", sorted(SPLIT_PIECES))
+    def test_split_pieces_are_pinned(self, case):
+        kind, k, a, b = case
+        R = symmetric_basis(KINDS[kind], k, ZZ, facet_vars(a + b))
+        got = [(pa.poly, pa.blocks, pb.poly, pb.blocks) for pa, pb in split_decoration(R, a, b)]
+        assert got == [
+            (MultiPoly(ZZ, facet_vars(a), p), (a,), MultiPoly(ZZ, facet_vars(b), q), (b,))
+            for p, q in SPLIT_PIECES[case]
+        ]
+
+    def test_zero_decoration_has_no_pieces(self):
+        assert split_decoration(SymPoly(MultiPoly.zero(ZZ, facet_vars(3)), (3,)), 1, 2) == []
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_random_symmetric_pieces_recombine(self, data):
+        n = data.draw(st.integers(2, 4), label="a + b")
+        a = data.draw(st.integers(1, n - 1), label="a")
+        ring = data.draw(st.sampled_from([ZZ, QQ, GF(3)]), label="ring")
+        seeds = data.draw(st.lists(
+            st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(-4, 4)),
+            max_size=4,
+        ), label="symmetrized terms")
+        terms = collections.Counter()
+        for exp, c in seeds:
+            for perm in set(itertools.permutations(exp)):
+                terms[perm] += c
+        R = SymPoly(MultiPoly(ZZ, facet_vars(n), terms), (n,))
+        pieces = split_decoration(R, a, n - a, ring)
+        assert recombined(pieces, a, n - a, ring) == R.poly.map_coefficients(
+            ring, ring.normalize
+        )
+        # one piece per orbit of the first block, each a monomial symmetric
+        # polynomial
+        orbits = [max(pa.poly.terms) for pa, _ in pieces]
+        assert len(set(orbits)) == len(orbits)
+        assert all(set(pa.poly.terms.values()) == {1} for pa, _ in pieces)
+
     def test_split_recombines(self):
         for kind, k in (("power_sum", 2), ("elementary", 2), ("complete", 2)):
             R = symmetric_basis(kind, k, ZZ, ("x1", "x2", "x3"))

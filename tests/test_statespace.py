@@ -181,7 +181,7 @@ class TestGramMatrix:
 
     def test_strips_each_distinct_movie_once(self, monkeypatch):
         # the pairings hand the family evaluation each composite once per row
-        calls = {"_strip_decorations": 0, "_facet_decorations": 0}
+        calls = {"_strip_decorations": 0, "_placed_on": 0}
         for name in calls:
             real = getattr(foameval, name)
 
@@ -201,7 +201,7 @@ class TestGramMatrix:
         monkeypatch.setattr(statespace, "_family_values", family)
         assert moy_check("circle", 4, a=2).ok
         assert (len(foams), len(movies)) == (36, 6)
-        assert calls == {"_strip_decorations": 6, "_facet_decorations": 6}
+        assert calls == {"_strip_decorations": 6, "_placed_on": 6}
 
     def test_phi0_entries_are_constants(self):
         G = gram_matrix(circle_presentation(1, 3, ZZ, "phi0"))
