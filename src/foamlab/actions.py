@@ -816,17 +816,16 @@ def witt_act_ratfun(n: int, r: RatFun) -> RatFun:
     ring, vs = r.num.ring, r.num.vars
     num = witt_act(n, r.num)
     if r.den and n >= 0:
-        corr = MultiPoly.zero(ring, vs)
+        # sum q * h_n(X_i, X_j) over the factors (X_i - X_j)^q, where
+        # h_n(X_i, X_j) = (X_i^{n+1} - X_j^{n+1}) / (X_i - X_j)
+        corr: dict[tuple[int, ...], int] = {}
         for (i, j), q in r.den.items():
-            # (X_i^{n+1} - X_j^{n+1}) / (X_i - X_j), the two-variable
-            # complete homogeneous polynomial of degree n
-            h = MultiPoly.zero(ring, vs)
             for u in range(n + 1):
                 exp = [0] * len(vs)
                 exp[i], exp[j] = u, n - u
-                h = h + MultiPoly(ring, vs, {tuple(exp): 1})
-            corr = corr + h * q
-        num = num + r.num * corr
+                key = tuple(exp)
+                corr[key] = corr.get(key, 0) + q
+        num = num + r.num * MultiPoly._from_raw(ring, vs, corr)
     return RatFun(num, r.den)
 
 

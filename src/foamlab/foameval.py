@@ -77,10 +77,7 @@ def _canonical_decoration(dec: SymPoly, a: int, N: int, ring: CoefRing) -> Multi
         raise InputError(f"decoration inner block {inner} != facet thickness {a}")
     if outer not in (0, N - a):
         raise InputError(f"decoration outer block {outer} incompatible with N={N}, a={a}")
-    if outer:
-        poly = dec.poly.rename(vs)
-    else:
-        poly = dec.poly.rename(vs[:a]).extend(vs)
+    poly = dec.poly._remapped(vs, range(a + outer))
     if poly.ring != ring:
         poly = poly.map_coefficients(ring, ring.normalize)
     return poly
@@ -94,7 +91,7 @@ def _at_coloring(p: MultiPoly, color: frozenset[int], N: int) -> MultiPoly:
     """
     inner = sorted(color)
     outer = [i for i in range(1, N + 1) if i not in color]
-    return p.rename([f"X{i}" for i in inner + outer]).extend(xvars(N))
+    return p._remapped(xvars(N), [i - 1 for i in inner + outer])
 
 
 def _facet_decorations(

@@ -397,36 +397,39 @@ class MultiPoly:
             result = result + term
         return result
 
+    def _remapped(self, variables: tuple[str, ...], positions: Sequence[int]) -> "MultiPoly":
+        """This polynomial on ``variables``, variable ``k`` at slot
+        ``positions[k]`` and exponent 0 elsewhere.  ``positions`` is injective,
+        so each term keeps its canonical coefficient; one gather per term."""
+        n = len(self.vars)
+        source = [n] * len(variables)
+        for k, pos in enumerate(positions):
+            source[pos] = k
+        if len(source) > 1:
+            gather = operator.itemgetter(*source)
+        else:
+            gather = lambda e: tuple(e[k] for k in source)  # noqa: E731
+        terms = {gather(e + (0,)): c for e, c in self.terms.items()}
+        return MultiPoly._from_terms(self.ring, variables, terms)
+
     def rename(self, new_vars: Sequence[str]) -> "MultiPoly":
         new_vars = tuple(new_vars)
         if len(new_vars) != len(self.vars):
             raise ValueError("rename must preserve arity")
-        return MultiPoly._from_raw(self.ring, new_vars, self.terms)
+        return MultiPoly._from_terms(self.ring, new_vars, self.terms)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """View this polynomial inside a larger variable alphabet."""
         variables = tuple(variables)
-        idx = [variables.index(v) for v in self.vars]
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(variables)
-            for pos, k in zip(idx, e):
-                ne[pos] = k
-            out[tuple(ne)] = c
-        return MultiPoly._from_raw(self.ring, variables, out)
+        return self._remapped(variables, [variables.index(v) for v in self.vars])
 
     def permute_vars(self, perm: Mapping[str, str]) -> "MultiPoly":
         """Apply a variable permutation (a bijection on the alphabet)."""
         pos = {v: i for i, v in enumerate(self.vars)}
-        out = {}
-        get = out.get
-        for e, c in self.terms.items():
-            ne = [0] * len(self.vars)
-            for v, k in zip(self.vars, e):
-                ne[pos[perm.get(v, v)]] = k
-            key = tuple(ne)
-            out[key] = get(key, 0) + c
-        return MultiPoly._from_raw(self.ring, self.vars, out)
+        positions = [pos[perm.get(v, v)] for v in self.vars]
+        if len(set(positions)) != len(positions):
+            raise ValueError(f"{dict(perm)} is not a bijection on {self.vars}")
+        return self._remapped(self.vars, positions)
 
     def eval_scalar(self, values: Mapping[str, Scalar]) -> Scalar:
         total: Scalar = 0
@@ -705,7 +708,7 @@ class ElementaryBasis:
     """Symmetric polynomials in ``variables`` written in ``e_1..e_N``.
 
     :meth:`to_e` rewrites a symmetric polynomial as a polynomial in the
-    elementary symmetric polynomials (variables ``E1..EN`` or ``e_names``)
+    elementary symmetric polynomials (the variables ``E1..EN`` of ``e_names``)
     and :meth:`from_e` expands one back.  Both go through partitions
     (Macdonald, *Symmetric Functions and Hall Polynomials*, I.2--I.3).
     :meth:`to_e` reads the Schur coefficients of its input
@@ -716,14 +719,10 @@ class ElementaryBasis:
     one should share one converter.
     """
 
-    def __init__(self, variables: Sequence[str], e_names: Sequence[str] | None = None):
+    def __init__(self, variables: Sequence[str]):
         self.vars = tuple(variables)
         N = len(self.vars)
-        self.e_names = (
-            evars(N) if e_names is None else tuple(e_names)
-        )
-        if len(self.e_names) != N:
-            raise ValueError(f"{N} variables need {N} elementary names")
+        self.e_names = evars(N)
         zero = (0,) * N
         # e^alpha -> {partition: coefficient of its orbit sum}, integers
         self._expansions: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {
@@ -892,14 +891,13 @@ def _distinct_permutations(exp: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         a[i + 1:] = a[:i:-1]
 
 
-def to_elementary(poly: MultiPoly, e_names: Sequence[str] | None = None) -> MultiPoly:
+def to_elementary(poly: MultiPoly) -> MultiPoly:
     """Rewrite a symmetric polynomial in the elementary symmetric generators.
 
-    Returns a polynomial in variables ``E1..Ek`` (or the supplied names)
-    such that substituting ``Ei -> e_i(vars)`` recovers the input; see
-    :class:`ElementaryBasis`.
+    Returns a polynomial in variables ``E1..Ek`` such that substituting
+    ``Ei -> e_i(vars)`` recovers the input; see :class:`ElementaryBasis`.
     """
-    return ElementaryBasis(poly.vars, e_names).to_e(poly)
+    return ElementaryBasis(poly.vars).to_e(poly)
 
 
 def from_elementary(epoly: MultiPoly, variables: Sequence[str]) -> MultiPoly:
@@ -933,18 +931,18 @@ def from_elementary(epoly: MultiPoly, variables: Sequence[str]) -> MultiPoly:
 
 
 def witt_act(n: int, q: MultiPoly) -> MultiPoly:
-    """The degree-2n derivation ``-sum_i z_i^{n+1} d/dz_i`` for n >= -1."""
+    """The degree-2n derivation ``-sum_i z_i^{n+1} d/dz_i`` for n >= -1:
+    each factor ``z_i^k`` of a term, ``k > 0``, gives ``-k z_i^{k+n}``."""
     if n < -1:
         raise ValueError("index must be at least -1")
-    out = MultiPoly.zero(q.ring, q.vars)
-    for i, v in enumerate(q.vars):
-        d = q.derivative(v)
-        if d.is_zero():
-            continue
-        exp = tuple(n + 1 if k == i else 0 for k in range(len(q.vars)))
-        mono = MultiPoly(q.ring, q.vars, {exp: 1})
-        out = out - mono * d
-    return out
+    out: dict[tuple[int, ...], Scalar] = {}
+    get = out.get
+    for e, c in q.terms.items():
+        for i, k in enumerate(e):
+            if k:
+                ne = e[:i] + (k + n,) + e[i + 1:]
+                out[ne] = get(ne, 0) - k * c
+    return MultiPoly._from_raw(q.ring, q.vars, out)
 
 
 def p_derivation(q: MultiPoly, iterate: int = 1) -> MultiPoly:
@@ -1197,13 +1195,7 @@ class RatFun:
         stored as ``x_b - x_a``, which negates the numerator once per unit
         of its exponent.
         """
-        num = self.num
-        terms: dict[tuple[int, ...], Scalar] = {}
-        for e, c in num.terms.items():
-            ne = [0] * len(e)
-            for i, k in zip(perm, e):
-                ne[i] = k
-            terms[tuple(ne)] = c
+        num = self.num._remapped(self.num.vars, perm)
         den: dict[tuple[int, int], int] = {}
         flips = 0
         for (i, j), m in self.den.items():
@@ -1212,9 +1204,7 @@ class RatFun:
                 a, b = b, a
                 flips += m
             den[(a, b)] = m
-        if flips % 2:
-            terms = {e: -c for e, c in terms.items()}
-        return RatFun(MultiPoly._from_raw(num.ring, num.vars, terms), den)
+        return RatFun(-num if flips % 2 else num, den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, MultiPoly)):

@@ -429,14 +429,10 @@ def _specialize(entry: MultiPoly, values: dict[str, int], p: int) -> int:
     return total % p
 
 
-def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:
-    n, m = G.shape
-    vs = evars(G.N)
-    values = dict(zip(vs, rng.sample(range(1, p), len(vs))))
-    spec = [
-        [_specialize(e, values, p) for e in row] for row in G.e_entries
-    ]
-    order = sorted(range(n), key=lambda i: (G.row_degrees[i], i))
+def _rank_once(spec: list[list[int]], degrees: Sequence[int], p: int) -> Laurent:
+    """The graded rank of a matrix of scalars mod ``p``, row ``i`` of degree
+    ``degrees[i]``, with pivots chosen greedily in degree order."""
+    order = sorted(range(len(spec)), key=lambda i: (degrees[i], i))
     pivots: list[tuple[int, list[int]]] = []  # (pivot column, normalized row)
     rank: Laurent = {}
     for i in order:
@@ -445,26 +441,32 @@ def _rank_once(G: GramMatrix, rng: random.Random, p: int) -> Laurent:
             f = row[col]
             if f:
                 row = [(x - f * y) % p for x, y in zip(row, prow)]
-        col = next((j for j in range(m) if row[j]), None)
+        col = next((j for j, x in enumerate(row) if x), None)
         if col is None:
             continue
         inv = pow(row[col], -1, p)
         pivots.append((col, [x * inv % p for x in row]))
-        d = G.row_degrees[i]
+        d = degrees[i]
         rank[d] = rank.get(d, 0) + 1
     return _laurent_clean(rank)
 
 
 def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
-    """Graded rank of the pairing, by repeated random specialization.
+    """Graded rank of the pairing: exact when the ``phi0`` matrix has full
+    row rank, else by repeated random specialization.
 
-    Each trial specializes ``e_1..e_N`` (variables ``E1..EN`` of the stored
-    entries) to distinct random values in a prime field of size > 2**31
-    and row-reduces with pivots chosen greedily in generator-degree order;
-    the contributions appear as ``q^degree``.  Disagreeing trials raise
-    :class:`RankUnstable` rather than averaging.  The ``e_1..e_N`` are
-    algebraically independent, so a minor that is nonzero in ``X1..XN`` is
-    a nonzero polynomial in ``E1..EN``.
+    Each elimination reads the entries at a point of ``E1..EN`` modulo a
+    prime ``p`` > 2**31 and row-reduces with pivots chosen greedily in
+    generator-degree order; the contributions appear as ``q^degree``.  The
+    first point is 0, where the entries are their constant terms, the
+    ``phi0`` matrix ``M_0``.  Setting every ``e_k`` to 0 is a ring map, so a
+    nonzero ``n x n`` minor of ``M_0`` mod ``p`` is the constant term of the
+    same minor of the Gram matrix, which is then nonzero: every row is a
+    pivot, and the rank ``sum q^{deg_i}`` is returned with no point drawn.
+    Otherwise ``trials`` points are drawn, with distinct random coordinates,
+    and disagreeing trials raise :class:`RankUnstable` rather than
+    averaging.  The ``e_1..e_N`` are algebraically independent, so a minor
+    that is nonzero in ``X1..XN`` is a nonzero polynomial in ``E1..EN``.
 
     A trial errs only when the rank of some row prefix drops at the chosen
     point, that is, when a nonzero minor vanishes there.  The graded rank
@@ -476,14 +478,25 @@ def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
     most ``eps = n * r * D / p`` (times ``1 + O(N**2 / p)`` because the
     coordinates are drawn distinct), and ``trials`` independent trials all
     return the same wrong rank with probability at most ``eps ** trials``.
-    This assumes no such minor vanishes identically mod ``p``.
+    This bound covers only a singular ``M_0``, and assumes no such minor
+    vanishes identically mod ``p``.
     """
     if G.ring.kind not in ("Z", "Q"):
         raise WrongRing("graded ranks are computed over Z or Q coefficients")
     if trials < 1:
         raise InputError("at least one specialization is required")
+    p, vs = _RANK_PRIME, evars(G.N)
+
+    def rank_at(point: Sequence[int]) -> Laurent:
+        values = dict(zip(vs, point))
+        spec = [[_specialize(e, values, p) for e in row] for row in G.e_entries]
+        return _rank_once(spec, G.row_degrees, p)
+
+    rank = rank_at([0] * G.N)
+    if sum(rank.values()) == G.shape[0]:
+        return rank
     rng = random.Random(seed)
-    results = [_rank_once(G, rng, _RANK_PRIME) for _ in range(trials)]
+    results = [rank_at(rng.sample(range(1, p), G.N)) for _ in range(trials)]
     if any(r != results[0] for r in results[1:]):
         raise RankUnstable(f"specializations disagree: {results}")
     return results[0]

@@ -104,6 +104,16 @@ compiles coassociation by a split-vertex copy of the association branch.
 The package reads each pattern with one function, cuts and rejoins with
 one helper each, records what a move consumes as the move takes it, and
 compiles coassociation as association on the reversed slices.
+
+The reference exponent rewrites scatter each exponent with a loop of their
+own and renormalize every coefficient: ``extend``, ``permute_vars``, the
+numerator of ``RatFun.relabel``, and the facet polynomial at a coloring by
+a rename followed by an extension.  The reference ``L_n`` subtracts
+``z_i^{n+1}`` times the partial derivative in ``z_i`` for each variable, and
+the reference ``L_n`` on a colored ratio adds ``n + 1`` one-term
+polynomials per denominator pair.  The package moves variables by one
+gather per term that keeps the canonical coefficients, reads each term
+once for ``L_n``, and builds the ratio's correction as one dict.
 """
 
 from __future__ import annotations
@@ -1949,3 +1959,105 @@ def distinct_permutations_reference(exp: tuple[int, ...]) -> Iterable[tuple[int,
         i = exp.index(v)
         for rest in distinct_permutations_reference(exp[:i] + exp[i + 1:]):
             yield (v, *rest)
+
+
+# ---------------------------------------------------------------------------
+# Exponent rewrites
+# ---------------------------------------------------------------------------
+
+
+def extend_reference(p: MultiPoly, variables) -> MultiPoly:
+    """``p`` inside a larger alphabet: each exponent scattered by a loop."""
+    variables = tuple(variables)
+    idx = [variables.index(v) for v in p.vars]
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(variables)
+        for pos, k in zip(idx, e):
+            ne[pos] = k
+        out[tuple(ne)] = c
+    return MultiPoly._from_raw(p.ring, variables, out)
+
+
+def permute_vars_reference(p: MultiPoly, perm) -> MultiPoly:
+    """``p`` with variable ``v`` moved to ``perm.get(v, v)``.  Written for
+    a bijection: on any other map two variables write one slot, the last
+    wins, and terms that then coincide are added."""
+    pos = {v: i for i, v in enumerate(p.vars)}
+    out = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(p.vars)
+        for v, k in zip(p.vars, e):
+            ne[pos[perm.get(v, v)]] = k
+        key = tuple(ne)
+        out[key] = out.get(key, 0) + c
+    return MultiPoly._from_raw(p.ring, p.vars, out)
+
+
+def relabel_reference(r: RatFun, perm) -> RatFun:
+    """``r`` with variable ``i`` renamed to ``perm[i]``; a flipped
+    denominator factor negates the numerator once per unit of exponent."""
+    num = r.num
+    terms = {}
+    for e, c in num.terms.items():
+        ne = [0] * len(e)
+        for i, k in zip(perm, e):
+            ne[i] = k
+        terms[tuple(ne)] = c
+    den = {}
+    flips = 0
+    for (i, j), m in r.den.items():
+        a, b = perm[i], perm[j]
+        if a > b:
+            a, b = b, a
+            flips += m
+        den[(a, b)] = m
+    if flips % 2:
+        terms = {e: -c for e, c in terms.items()}
+    return RatFun(MultiPoly._from_raw(num.ring, num.vars, terms), den)
+
+
+def at_coloring_reference(p: MultiPoly, color, N: int) -> MultiPoly:
+    """A canonical facet polynomial renamed onto the color's pigments and
+    then those outside it, each in increasing order, then extended to
+    ``X1..XN``."""
+    inner = sorted(color)
+    outer = [i for i in range(1, N + 1) if i not in color]
+    names = tuple(f"X{i}" for i in inner + outer)
+    if len(names) != len(p.vars):
+        raise ValueError("rename must preserve arity")
+    return extend_reference(MultiPoly._from_raw(p.ring, names, p.terms), xvars(N))
+
+
+def witt_act_reference(n: int, q: MultiPoly) -> MultiPoly:
+    """``L_n q`` as ``-sum_i z_i^{n+1} dq/dz_i``, one derivative and one
+    product per variable."""
+    if n < -1:
+        raise ValueError("index must be at least -1")
+    out = MultiPoly.zero(q.ring, q.vars)
+    for i, v in enumerate(q.vars):
+        d = q.derivative(v)
+        if d.is_zero():
+            continue
+        exp = tuple(n + 1 if k == i else 0 for k in range(len(q.vars)))
+        out = out - MultiPoly(q.ring, q.vars, {exp: 1}) * d
+    return out
+
+
+def witt_act_ratfun_reference(n: int, r: RatFun) -> RatFun:
+    """``L_n`` on ``num / prod (X_i - X_j)^q``: ``L_n num`` plus ``num``
+    times ``q h_n(X_i, X_j)`` per factor, each ``h_n`` summed from its
+    ``n + 1`` monomials."""
+    ring, vs = r.num.ring, r.num.vars
+    num = witt_act_reference(n, r.num)
+    if r.den and n >= 0:
+        corr = MultiPoly.zero(ring, vs)
+        for (i, j), q in r.den.items():
+            h = MultiPoly.zero(ring, vs)
+            for u in range(n + 1):
+                exp = [0] * len(vs)
+                exp[i], exp[j] = u, n - u
+                h = h + MultiPoly(ring, vs, {tuple(exp): 1})
+            corr = corr + h * q
+        num = num + r.num * corr
+    return RatFun(num, r.den)

@@ -461,6 +461,21 @@ class TestWittOnRatios:
         r = witt_act_ratfun(-1, RatFun(one, {(0, 1): 1}))
         assert r == RatFun(MultiPoly.zero(QQ, xvars(2)), {(0, 1): 1})
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+    def test_colored_values_against_reference(self, ring):
+        movs = closed_corpus(seed=47, count=4, half_moves=3)
+        movs += spherical_corpus(seed=53, count=3)
+        for N in (2, 3):
+            for mov in movs:
+                for _, r in foameval._colored_values(compile_movie(mov), N, ring):
+                    for n in range(-1, 5):
+                        got = witt_act_ratfun(n, r)
+                        want = oracle.witt_act_ratfun_reference(n, r)
+                        assert got.den == want.den and got.num.vars == want.num.vars
+                        assert {e: (type(c), c) for e, c in got.num.terms.items()} == {
+                            e: (type(c), c) for e, c in want.num.terms.items()
+                        }
+
 
 class TestPdg:
     @pytest.mark.parametrize("p", [3, 5])

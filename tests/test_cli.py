@@ -539,8 +539,8 @@ class TestCheckSuites:
 
 
 class TestTypedBoundary:
-    """Malformed or out-of-range numbers exit 2 with an ``error:`` line and
-    no traceback."""
+    """Malformed or out-of-range numbers exit 2, and other library errors
+    exit 1, with an ``error:`` line and no traceback."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -575,6 +575,14 @@ class TestTypedBoundary:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_library_error_exits_one(self, capsys, foam_file):
+        # a library error that is not an InputError exits 1: the Witt move
+        # weights of L_1 need 1/2, and TwoNotInvertible says Z has none
+        code, out, err = run(capsys, "act", f"{foam_file}#sphere", "--op", "L:1",
+                             "--N", "2", "--ring", "Z")
+        assert code == 1 and out == ""
+        assert err == "error: 1/2 does not exist in Z\n"
 
 
 class TestDslReferences:

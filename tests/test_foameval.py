@@ -877,16 +877,34 @@ class TestShapeTableChecks:
         basis = ElementaryBasis(xvars(3))
         assert self.raised(lambda: _ShapeTable(F, 3, ZZ, basis)) is NotEquivariant
 
+    @pytest.mark.parametrize("where", ["representative", "member", "orbit"])
     @pytest.mark.parametrize(
-        "change,error", [("denominator", NotPolynomial), ("degree", NotPolynomial)]
+        "change,error",
+        [("denominator", NotPolynomial), ("asymmetric", NotSymmetric), ("degree", NotPolynomial)],
+    )
+    def test_evaluate(self, change, error, where, monkeypatch):
+        # evaluate sums the colored values with no orbit check: the extra
+        # pole survives the sum, + X1 leaves it asymmetric, and + p_1
+        # breaks the degree, which is typed NotPolynomial too
+        self.corrupt(monkeypatch, self.CHANGES[change], where)
+        assert self.raised(lambda: evaluate(sphere_movie(), 3)) is error
+
+    @pytest.mark.parametrize(
+        "change,error",
+        [("denominator", NotPolynomial), ("asymmetric", NotEquivariant), ("degree", NotPolynomial)],
     )
     def test_whole_orbit(self, change, error, monkeypatch):
         # relabelled to every coloring, (X1 - X2) puts a pair of one block
         # in the representative's denominator, which sends the orbit to the
-        # lift; + p_1 stays a pushforward and breaks the degree
+        # lift; + X1 is not invariant under the representative's stabilizer;
+        # + p_1 stays a pushforward and breaks the degree
         self.corrupt(monkeypatch, self.CHANGES[change], "orbit")
         F = compile_movie(sphere_movie())
-        table = _ShapeTable(F, 3, ZZ, ElementaryBasis(xvars(3)))
+        basis = ElementaryBasis(xvars(3))
+        if error is NotEquivariant:
+            assert self.raised(lambda: _ShapeTable(F, 3, ZZ, basis)) is error
+            return
+        table = _ShapeTable(F, 3, ZZ, basis)
         assert [len(o) for o in table.orbits] == [3]
         assert len(table.pushforwards) == (change == "degree")
         assert self.raised(lambda: table.value(())) is error

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracle
-from foamlab import polyring
+from foamlab import foameval, polyring
 from foamlab.errors import (
     DivisionNotExact,
     FoamlabError,
@@ -30,6 +30,7 @@ from foamlab.polyring import (
     base_change,
     complete_homogeneous,
     elementary,
+    facet_vars,
     flatness_check,
     from_elementary,
     is_flat,
@@ -760,6 +761,89 @@ class TestRatFun:
         rb = RatFun(b, {(0, 2): 1})
         assert (ra + rb) - rb == ra
 
+
+
+# ---------------------------------------------------------------------------
+# exponent rewrites against the per-site loops
+# ---------------------------------------------------------------------------
+
+NAMES = ("a", "b", "c", "d", "u", "v", "w")
+
+
+def same(got, want):
+    """Equal alphabets and rings, and every coefficient of one type and
+    value."""
+    assert (got.ring, got.vars) == (want.ring, want.vars)
+    assert typed(got.terms) == typed(want.terms)
+
+
+@st.composite
+def any_poly(draw, variables=None):
+    """A polynomial over Z, Q or F_5 on ``variables``, or on a random
+    alphabet of 1 to 4 names."""
+    ring = draw(RINGS)
+    if variables is None:
+        variables = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, 4))])
+    return draw(polys(variables, ring, max_deg=6, max_terms=6))
+
+
+@st.composite
+def ratfuns(draw):
+    """A ratio on ``X1..XN`` with a random ``(Xi - Xj)``-power denominator."""
+    N = draw(st.integers(1, 4))
+    num = draw(any_poly(xvars(N)))
+    pairs = itertools.combinations(range(N), 2)
+    return RatFun(num, {pair: draw(st.integers(0, 3)) for pair in pairs})
+
+
+class TestExponentRewrites:
+    """``extend``, ``permute_vars``, ``RatFun.relabel``, a facet polynomial
+    at a coloring, and ``L_n`` against ``oracle``'s loops, over Z, Q and
+    F_p."""
+
+    @given(any_poly(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_extend(self, p, data):
+        extra = [v for v in NAMES if v not in p.vars]
+        wider = data.draw(st.permutations(list(p.vars) + extra[: data.draw(st.integers(0, 3))]))
+        same(p.extend(wider), oracle.extend_reference(p, wider))
+
+    @given(any_poly(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_permute_vars(self, p, data):
+        image = data.draw(st.permutations(p.vars))
+        # fixed points are left out of the map: they stay where they are
+        perm = {v: w for v, w in zip(p.vars, image) if v != w}
+        same(p.permute_vars(perm), oracle.permute_vars_reference(p, perm))
+
+    def test_permute_vars_rejects_a_non_bijection(self):
+        p = var("x") ** 2 + var("y")
+        # the reference writes both exponents into one slot, the last wins:
+        # x^2 becomes 1
+        assert oracle.permute_vars_reference(p, {"x": "y"}) == var("y") + 1
+        with pytest.raises(ValueError, match="not a bijection"):
+            p.permute_vars({"x": "y"})
+
+    @given(ratfuns(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabel(self, r, data):
+        perm = data.draw(st.permutations(range(len(r.num.vars))))
+        got, want = r.relabel(perm), oracle.relabel_reference(r, perm)
+        same(got.num, want.num)
+        assert got.den == want.den
+
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_at_coloring(self, N, data):
+        a = data.draw(st.integers(1, N))
+        p = data.draw(any_poly(facet_vars(a, N - a)))
+        color = frozenset(data.draw(st.permutations(range(1, N + 1)))[:a])
+        same(foameval._at_coloring(p, color, N), oracle.at_coloring_reference(p, color, N))
+
+    @given(any_poly(), st.integers(-1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_witt_act(self, q, n):
+        same(witt_act(n, q), oracle.witt_act_reference(n, q))
 
 
 # ---------------------------------------------------------------------------

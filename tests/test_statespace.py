@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import types
 from functools import partial
 from fractions import Fraction
 
@@ -47,6 +48,7 @@ from foamlab.polyring import (
     xvars,
 )
 from foamlab.statespace import (
+    WEB_FAMILIES,
     box_partitions,
     circle_presentation,
     chain_presentation,
@@ -242,8 +244,16 @@ class TestGradedRank:
         with pytest.raises(WrongRing):
             graded_rank(G)
 
+    @staticmethod
+    def dependent_gram():
+        """Three generators of rank 2: their ``phi0`` matrix is singular, so
+        the rank is decided by random points."""
+        movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
+        return gram_matrix(presentation(movs, 2))
+
     def test_trials_is_the_number_of_specializations(self, monkeypatch):
-        G = gram_matrix(circle_presentation(1, 2))
+        # one elimination at the zero point, then one per trial
+        G = self.dependent_gram()
         calls = []
         real = statespace._rank_once
 
@@ -252,17 +262,54 @@ class TestGradedRank:
             return real(*args)
 
         monkeypatch.setattr(statespace, "_rank_once", counting)
-        assert graded_rank(G, trials=1) == qbinom_laurent(2, 1)
-        assert len(calls) == 1
+        assert sum(graded_rank(G, trials=1).values()) == 2
+        assert len(calls) == 2
         graded_rank(G, trials=4)
-        assert len(calls) == 5
+        assert len(calls) == 7
 
     def test_disagreeing_specializations_raise(self, monkeypatch):
-        G = gram_matrix(circle_presentation(1, 2))
+        G = self.dependent_gram()
+        real = statespace._rank_once
         answers = itertools.cycle([{0: 2}, {0: 1}])
-        monkeypatch.setattr(statespace, "_rank_once", lambda *args: next(answers))
+        calls = []
+
+        def disagreeing(*args):
+            calls.append(args)
+            return real(*args) if len(calls) == 1 else next(answers)
+
+        monkeypatch.setattr(statespace, "_rank_once", disagreeing)
         with pytest.raises(RankUnstable):
             graded_rank(G, trials=2)
+
+    def test_zero_point_decides_the_standard_families(self, monkeypatch):
+        # every family with N <= 4 on both bases, and the rank bench's five
+        # relations: M_0 has full rank, so no random point is drawn
+        cases = []
+        for name, (arity, build) in sorted(WEB_FAMILIES.items()):
+            for N in range(1, 5):
+                for args in itertools.product(range(N + 1), repeat=arity):
+                    for base in ("equivariant", "phi0"):
+                        try:
+                            G = gram_matrix(build(*args, N, ZZ, base))
+                        except InputError:
+                            continue
+                        want = oracle.rank_reference(
+                            G, random.Random(0), statespace._RANK_PRIME
+                        )
+                        cases.append((G, want))
+        assert len(cases) == 86
+
+        def refuse(*args):
+            raise AssertionError("a random point was drawn")
+
+        monkeypatch.setattr(statespace, "random", types.SimpleNamespace(Random=refuse))
+        for G, want in cases:
+            assert graded_rank(G) == want
+        for relation, N, abc in (
+            ("circle", 5, (2,)), ("digon", 4, (1, 1)), ("bad_digon", 4, (1, 1)),
+            ("square", 3, ()), ("assoc", 3, (1, 1, 1)),
+        ):
+            assert moy_check(relation, N, *abc, seed=901).ok
 
     def test_denominator_vanishing_mod_p_is_a_typed_error(self):
         G = gram_matrix(circle_presentation(1, 2, QQ))
