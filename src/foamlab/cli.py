@@ -40,7 +40,7 @@ from .statespace import (
     Presentation,
     circle_presentation,
     gram_matrix,
-    graded_rank,
+    presentation_rank,
     induced_action,
     moy_check,
     operator_power,
@@ -279,7 +279,7 @@ def rank_cmd(web_spec, n_pigments, ring_text, base, trials, seed, as_json) -> No
     """Graded rank of a web state space presented by a generator family."""
     ring = parse_ring(ring_text)
     pres = parse_presentation(web_spec, n_pigments, ring, base)
-    L = graded_rank(gram_matrix(pres), trials=trials, seed=seed)
+    L = presentation_rank(pres, trials=trials, seed=seed)
     record = {
         "command": "rank",
         "web": web_spec,

@@ -412,12 +412,6 @@ class MultiPoly:
         terms = {gather(e + (0,)): c for e, c in self.terms.items()}
         return MultiPoly._from_terms(self.ring, variables, terms)
 
-    def rename(self, new_vars: Sequence[str]) -> "MultiPoly":
-        new_vars = tuple(new_vars)
-        if len(new_vars) != len(self.vars):
-            raise ValueError("rename must preserve arity")
-        return MultiPoly._from_terms(self.ring, new_vars, self.terms)
-
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """View this polynomial inside a larger variable alphabet."""
         variables = tuple(variables)

@@ -80,6 +80,7 @@ __all__ = [
     "pair_movies",
     "gram_matrix",
     "graded_rank",
+    "presentation_rank",
     "is_zero_in_statespace",
     "induced_action",
     "moy_check",
@@ -137,9 +138,10 @@ def presentation(
         raise InputError("a presentation needs at least one movie")
     if base not in ("equivariant", "phi0"):
         raise InputError(f"unknown base {base!r}")
-    web = movies[0].output_web
-    for m in movies:
-        if m.output_web != web:
+    webs = [m.output_web for m in movies]
+    web = webs[0]
+    for m, w in zip(movies, webs):
+        if w != web:
             raise InputError("presentation movies do not share a boundary web")
         if not m.input_web.is_empty():
             raise InputError("presentation movies must start at the empty web")
@@ -370,34 +372,44 @@ def _movie_sums(movies: Iterable[Movie], gens: Presentation) -> list[FoamSum]:
 
 
 def _pairings(
-    rows: Sequence[FoamSum], gens: Presentation, basis: ElementaryBasis
+    rows: Sequence[FoamSum],
+    gens: Presentation,
+    basis: ElementaryBasis,
+    columns: Sequence[Sequence[int]] | None = None,
 ) -> list[list[MultiPoly]]:
-    """Entry ``[i][j]`` pairs ``rows[i]`` with ``gens.movies[j]``, equivariantly,
-    as a polynomial in ``e_1..e_N`` of ``basis``.
+    """Entry ``[i][k]`` pairs ``rows[i]`` with ``gens.movies[columns[i][k]]``,
+    equivariantly, as a polynomial in ``e_1..e_N`` of ``basis``; with no
+    ``columns``, every row is paired with every generator.
 
     A row is paired as its skeleton composed with the mirrored generator,
     its terms' dot shapes placed where they sit on the skeleton; no term
-    becomes a movie.  Each (skeleton, generator) composite is built once and
-    shared by the rows over that skeleton, and all pairings go through one
+    becomes a movie.  Each (skeleton, generator) composite is built once,
+    when a requested pair first needs it, and shared by the rows over that
+    skeleton; all pairings go through one
     :func:`~foamlab.foameval.evaluate_family` call (in ``e_1..e_N``).
     """
-    mirrors = [mirror(G) for G in gens.movies]
-    composites: dict[_Skeleton, list[Movie]] = {}
+    if columns is None:
+        columns = [range(len(gens.movies))] * len(rows)
+    mirrors: dict[int, Movie] = {}
+    composites: dict[_Skeleton, dict[int, Movie]] = {}
     foams: list = []
-    for row in rows:
+    for row, cols in zip(rows, columns):
         skel = row.skeleton
         if skel.ring != gens.ring or skel.N != gens.N:
             raise InputError(
                 f"formal sum over {skel.ring} with N={skel.N}, presentation over"
                 f" {gens.ring} with N={gens.N}"
             )
-        if skel not in composites:
-            composites[skel] = [compose(skel.movie, Gr) for Gr in mirrors]
+        built = composites.setdefault(skel, {})
         terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
-        foams.extend((closed, terms) for closed in composites[skel])
-    values = _family_values(foams, gens.N, gens.ring, basis)
-    n = len(mirrors)
-    return [values[i * n:(i + 1) * n] for i in range(len(rows))]
+        for j in cols:
+            if j not in built:
+                if j not in mirrors:
+                    mirrors[j] = mirror(gens.movies[j])
+                built[j] = compose(skel.movie, mirrors[j])
+            foams.append((built[j], terms))
+    values = iter(_family_values(foams, gens.N, gens.ring, basis))
+    return [[next(values) for _ in cols] for cols in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +463,50 @@ def _rank_once(spec: list[list[int]], degrees: Sequence[int], p: int) -> Laurent
     return _laurent_clean(rank)
 
 
+def _rank_at(entries: Matrix, degrees: Sequence[int], point: Sequence[int]) -> Laurent:
+    """The graded rank of ``entries`` read at ``point`` of ``E1..EN``, mod
+    :data:`_RANK_PRIME`."""
+    p = _RANK_PRIME
+    values = dict(zip(evars(len(point)), point))
+    spec = [[_specialize(e, values, p) for e in row] for row in entries]
+    return _rank_once(spec, degrees, p)
+
+
+def _exact_rank(entries: Matrix, degrees: Sequence[int], N: int) -> Laurent | None:
+    """The graded rank of the ``phi0`` matrix ``M_0`` (``entries`` at the
+    point 0) when it has full row rank, which is then the exact graded rank
+    of ``entries``; ``None`` when ``M_0`` is singular."""
+    rank = _rank_at(entries, degrees, [0] * N)
+    return rank if sum(rank.values()) == len(entries) else None
+
+
+def _sampled_rank(G: GramMatrix, trials: int, seed: int) -> Laurent:
+    """The graded rank of ``G`` at ``trials`` random points of ``E1..EN``,
+    which must agree."""
+    rng = random.Random(seed)
+    results = [
+        _rank_at(G.e_entries, G.row_degrees, rng.sample(range(1, _RANK_PRIME), G.N))
+        for _ in range(trials)
+    ]
+    if any(r != results[0] for r in results[1:]):
+        raise RankUnstable(f"specializations disagree: {results}")
+    return results[0]
+
+
+def _require_rank_inputs(ring: CoefRing, trials: int) -> None:
+    if ring.kind not in ("Z", "Q"):
+        raise WrongRing("graded ranks are computed over Z or Q coefficients")
+    if trials < 1:
+        raise InputError("at least one specialization is required")
+
+
 def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
     """Graded rank of the pairing: exact when the ``phi0`` matrix has full
     row rank, else by repeated random specialization.
+
+    For a presentation, :func:`presentation_rank` gives the same rank and
+    computes only the pairings of ``M_0`` unless ``M_0`` is singular; this
+    function serves a caller that already holds the whole Gram matrix.
 
     Each elimination reads the entries at a point of ``E1..EN`` modulo a
     prime ``p`` > 2**31 and row-reduces with pivots chosen greedily in
@@ -481,25 +534,37 @@ def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
     This bound covers only a singular ``M_0``, and assumes no such minor
     vanishes identically mod ``p``.
     """
-    if G.ring.kind not in ("Z", "Q"):
-        raise WrongRing("graded ranks are computed over Z or Q coefficients")
-    if trials < 1:
-        raise InputError("at least one specialization is required")
-    p, vs = _RANK_PRIME, evars(G.N)
+    _require_rank_inputs(G.ring, trials)
+    rank = _exact_rank(G.e_entries, G.row_degrees, G.N)
+    return _sampled_rank(G, trials, seed) if rank is None else rank
 
-    def rank_at(point: Sequence[int]) -> Laurent:
-        values = dict(zip(vs, point))
-        spec = [[_specialize(e, values, p) for e in row] for row in G.e_entries]
-        return _rank_once(spec, G.row_degrees, p)
 
-    rank = rank_at([0] * G.N)
-    if sum(rank.values()) == G.shape[0]:
-        return rank
-    rng = random.Random(seed)
-    results = [rank_at(rng.sample(range(1, p), G.N)) for _ in range(trials)]
-    if any(r != results[0] for r in results[1:]):
-        raise RankUnstable(f"specializations disagree: {results}")
-    return results[0]
+def presentation_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Laurent:
+    """The graded rank of the pairing on ``gens``, from its degree-0 band.
+
+    Equal to ``graded_rank(gram_matrix(gens), trials, seed)``.  A pairing
+    ``<G_i; G_j>`` is homogeneous of q-degree ``deg_i + deg_j`` (the degree
+    check enforces it on every value computed), so its constant term, its
+    entry in the ``phi0`` matrix ``M_0``, is 0 unless ``deg_i + deg_j = 0``.
+    Only the pairs of that band are computed, each with every check of
+    :func:`gram_matrix`, and ``M_0`` is ranked from them as in
+    :func:`graded_rank`: at full row rank the rank ``sum q^{deg_i}`` is
+    exact.  Only a singular ``M_0`` builds the whole Gram matrix, which is
+    then ranked at ``trials`` random points.  The ring and ``trials`` are
+    checked before any pairing.
+    """
+    _require_rank_inputs(gens.ring, trials)
+    degrees, n = gens.degrees, len(gens)
+    band = [[j for j in range(n) if d + degrees[j] == 0] for d in degrees]
+    basis = ElementaryBasis(xvars(gens.N))
+    zero = MultiPoly.zero(gens.ring, basis.e_names)
+    M0 = [[zero] * n for _ in range(n)]
+    pairs = _pairings(_movie_sums(gens.movies, gens), gens, basis, band)
+    for row, cols, values in zip(M0, band, pairs):
+        for j, value in zip(cols, values):
+            row[j] = value
+    rank = _exact_rank(M0, degrees, gens.N)
+    return _sampled_rank(gram_matrix(gens), trials, seed) if rank is None else rank
 
 
 # ---------------------------------------------------------------------------
@@ -876,6 +941,8 @@ def moy_check(
     relation's prediction is computed, after its families are ranked.
     ``circle``, ``digon``, ``bad_digon`` and ``square`` compare one family's
     rank with the prediction, ``assoc`` both bracketings' ranks.
+    Each family is ranked by :func:`presentation_rank`, which pairs only the
+    degree-0 band unless its ``phi0`` matrix is singular.
     ``bad_square`` is outside the move family used by the presentations
     (its defining foams are not built from the spherical moves), so it ranks
     no family: only the numeric identity between its prediction and the
@@ -905,7 +972,7 @@ def moy_check(
     for name in families:
         arity, build = WEB_FAMILIES[name]
         gens = build(*(a, b, c)[:arity], N, ring, base)
-        ranks.append(graded_rank(gram_matrix(gens), trials=trials, seed=seed))
+        ranks.append(presentation_rank(gens, trials=trials, seed=seed))
     want = predict(N, a, b, c)
     if relation == "assoc":
         left, right = ranks

@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foamlab import dsl
+from foamlab import dsl, statespace
 from foamlab.cli import laurent_text, main, parse_presentation
 from foamlab.errors import InputError
 from foamlab.polyring import ZZ, qbinom_laurent
@@ -228,6 +228,15 @@ class TestRank:
     def test_unknown_family_is_input_error(self, capsys):
         code, _, _ = run(capsys, "rank", "--web", "pentagon:1", "--N", "2")
         assert code == 2
+
+    def test_prime_field_fails_before_any_pairing(self, capsys, monkeypatch):
+        def no_pairing(*args):
+            raise AssertionError("pairing work started")
+
+        monkeypatch.setattr(statespace, "_family_values", no_pairing)
+        code, out, err = run(capsys, "rank", "--web", "circle:1", "--N", "2", "--ring", "F5")
+        assert (code, out) == (1, "")
+        assert err == "error: graded ranks are computed over Z or Q coefficients\n"
 
 
 # (web, N, extra flags) -> sha256 of `gram --json` stdout, of `rank --json` stdout

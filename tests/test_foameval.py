@@ -1146,12 +1146,18 @@ SPLIT_PIECES = {
 KINDS = {"e": "elementary", "h": "complete", "p": "power_sum"}
 
 
+def renamed(p, variables):
+    """``p`` with its variables renamed, in order, to ``variables``."""
+    assert len(variables) == len(p.vars)
+    return MultiPoly(p.ring, variables, p.terms)
+
+
 def recombined(pieces, a, b, ring=ZZ):
     """The sum of ``P(x_1..x_a) * Q(x_{a+1}..x_{a+b})`` over split pieces."""
     allv = facet_vars(a + b)
     total = MultiPoly.zero(ring, allv)
     for pa, pb in pieces:
-        total = total + pa.poly.extend(allv) * pb.poly.rename(allv[a:]).extend(allv)
+        total = total + pa.poly.extend(allv) * renamed(pb.poly, allv[a:]).extend(allv)
     return total
 
 
@@ -1202,7 +1208,7 @@ class TestDotMigration:
             total = MultiPoly.zero(ZZ, allv)
             for pa, pb in pieces:
                 left = pa.poly.extend(allv)
-                right = pb.poly.rename(("x2", "x3")).extend(allv)
+                right = renamed(pb.poly, ("x2", "x3")).extend(allv)
                 total = total + left * right
             assert total == R.poly
 

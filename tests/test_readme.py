@@ -43,7 +43,7 @@ def test_python_blocks_run_in_order():
         for code, value in stated_values(block):
             assert eval(code, namespace) == value, code
             checked += 1
-    assert checked == 4
+    assert checked == 5
 
 
 def test_description_format_example_round_trips():

@@ -70,6 +70,7 @@ from foamlab.statespace import (
     operator_power,
     pair_movies,
     presentation,
+    presentation_rank,
     quantum_integer,
     scalar_matrix,
     theta_presentation,
@@ -140,10 +141,38 @@ class TestPresentations:
             with pytest.raises(InputError, match="must start at the empty web"):
                 presentation(movies, 3)
 
+    def test_reads_each_output_web_once(self, monkeypatch):
+        movs = [decorated_cup(), decorated_cup(p1_poly())]
+        sliced = []
+        real = Movie.slices
+        monkeypatch.setattr(
+            Movie, "slices",
+            lambda mov: sliced.append(next((k for k, m in enumerate(movs) if m is mov), None))
+            or real(mov),
+        )
+        presentation(movs, 2)
+        # each output web and each degree once; the first movie also once
+        # by mirror and once by compose for the degree offset
+        assert (sliced.count(0), sliced.count(1)) == (4, 2)
+
     def test_elementary_product_blocks(self):
         dec = elementary_product(ZZ, 2, (2, 1))
         assert dec.blocks == (2,)
         assert dec.poly.qdegree() == 6
+
+
+def _small_family_presentations(ring):
+    """Every :data:`WEB_FAMILIES` presentation with N <= 4, on both bases."""
+    out = []
+    for name, (arity, build) in sorted(WEB_FAMILIES.items()):
+        for N in range(1, 5):
+            for args in itertools.product(range(N + 1), repeat=arity):
+                for base in ("equivariant", "phi0"):
+                    try:
+                        out.append(build(*args, N, ring, base))
+                    except InputError:
+                        continue
+    return out
 
 
 class TestGramMatrix:
@@ -201,9 +230,20 @@ class TestGramMatrix:
             return real_family(given, *a)
 
         monkeypatch.setattr(statespace, "_family_values", family)
-        assert moy_check("circle", 4, a=2).ok
+        gram_matrix(circle_presentation(2, 4))
         assert (len(foams), len(movies)) == (36, 6)
         assert calls == {"_strip_decorations": 6, "_placed_on": 6}
+
+    def test_off_band_entries_have_no_constant_term(self):
+        # the fact the band rank rests on: a pairing is homogeneous of degree
+        # deg_i + deg_j, so off the band deg_i + deg_j = 0 it has no constant
+        # term; checked on every family with N <= 4, on both bases
+        for gens in _small_family_presentations(ZZ):
+            G = gram_matrix(gens)
+            for i, row in enumerate(G.e_entries):
+                for j, e in enumerate(row):
+                    if gens.degrees[i] + gens.degrees[j] != 0:
+                        assert e.constant_value() == 0
 
     def test_phi0_entries_are_constants(self):
         G = gram_matrix(circle_presentation(1, 3, ZZ, "phi0"))
@@ -285,18 +325,9 @@ class TestGradedRank:
         # every family with N <= 4 on both bases, and the rank bench's five
         # relations: M_0 has full rank, so no random point is drawn
         cases = []
-        for name, (arity, build) in sorted(WEB_FAMILIES.items()):
-            for N in range(1, 5):
-                for args in itertools.product(range(N + 1), repeat=arity):
-                    for base in ("equivariant", "phi0"):
-                        try:
-                            G = gram_matrix(build(*args, N, ZZ, base))
-                        except InputError:
-                            continue
-                        want = oracle.rank_reference(
-                            G, random.Random(0), statespace._RANK_PRIME
-                        )
-                        cases.append((G, want))
+        for gens in _small_family_presentations(ZZ):
+            G = gram_matrix(gens)
+            cases.append((G, oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)))
         assert len(cases) == 86
 
         def refuse(*args):
@@ -366,6 +397,87 @@ def _standard_presentations():
         for N in (3, 4, 5)
     ]
     return out
+
+
+class TestPresentationRank:
+    """``presentation_rank`` pairs the degree-0 band first and falls back to
+    the whole Gram matrix only when its ``phi0`` matrix is singular."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
+    def test_equals_the_gram_rank(self, ring):
+        cases = _small_family_presentations(ring)
+        assert len(cases) == 86
+        for gens in cases:
+            assert presentation_rank(gens) == graded_rank(gram_matrix(gens))
+
+    def test_moy_check_pairs_exactly_the_band(self, monkeypatch):
+        # each composite is tagged with the generator it mirrors; a row's
+        # placed terms are shared by its pairs, in row order
+        built = []
+        real_build = WEB_FAMILIES["circle"][1]
+        monkeypatch.setitem(
+            WEB_FAMILIES, "circle",
+            (1, lambda *a: built.append(real_build(*a)) or built[-1]),
+        )
+        mirrored, composed = {}, {}
+        real_mirror, real_compose = statespace.mirror, statespace.compose
+
+        def tag_mirror(G):
+            out = real_mirror(G)
+            mirrored[id(out)] = G
+            return out
+
+        def tag_compose(a, b):
+            out = real_compose(a, b)
+            composed[id(out)] = mirrored.get(id(b))
+            return out
+
+        monkeypatch.setattr(statespace, "mirror", tag_mirror)
+        monkeypatch.setattr(statespace, "compose", tag_compose)
+        handed = []
+        real_family = statespace._family_values
+        monkeypatch.setattr(
+            statespace, "_family_values",
+            lambda foams, *a: handed.extend(foams) or real_family(foams, *a),
+        )
+        assert moy_check("circle", 4, a=2).ok
+        (gens,) = built
+        rows = list({id(terms): None for _, terms in handed})
+        pairs = [
+            (rows.index(id(terms)), gens.movies.index(composed[id(closed)]))
+            for closed, terms in handed
+        ]
+        d = gens.degrees
+        band = [(i, j) for i in range(6) for j in range(6) if d[i] + d[j] == 0]
+        assert len(band) == 8
+        assert pairs == band
+
+    def test_singular_band_falls_back_to_the_gram_matrix(self, monkeypatch):
+        # the zero point on the band, then one elimination per trial of the
+        # whole Gram matrix
+        movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
+        gens = presentation(movs, 2)
+        calls = []
+        real = statespace._rank_once
+        monkeypatch.setattr(
+            statespace, "_rank_once", lambda *a: calls.append(a) or real(*a)
+        )
+        for trials in (1, 4):
+            calls.clear()
+            rank = presentation_rank(gens, trials=trials)
+            assert sum(rank.values()) == 2
+            assert len(calls) == 1 + trials
+            assert rank == graded_rank(gram_matrix(gens), trials=trials)
+
+    def test_prime_field_fails_before_any_pairing(self, monkeypatch):
+        def no_pairing(*args):
+            raise AssertionError("pairing work started")
+
+        monkeypatch.setattr(statespace, "_family_values", no_pairing)
+        with pytest.raises(WrongRing, match="over Z or Q coefficients"):
+            presentation_rank(circle_presentation(1, 2, GF(5)))
+        with pytest.raises(InputError, match="at least one specialization"):
+            presentation_rank(circle_presentation(1, 2), trials=0)
 
 
 class TestRankAgainstPigmentBasis:
