@@ -156,9 +156,6 @@ class ActionParams:
             if self.t3 != half:
                 raise InputError(f"t3 must be 1/2 for packs used with saddles, got {self.t3}")
 
-    def t3bar(self) -> Scalar:
-        return self.ring.add(1, self.ring.neg(self.t3))
-
 
 def sl2_from_witt(params: ActionParams) -> ActionParams:
     """Fill in the sl2 scalars dictated by the half-Witt data.

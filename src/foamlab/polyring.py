@@ -251,11 +251,6 @@ class MultiPoly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_part(self, total: int) -> "MultiPoly":
-        return MultiPoly(
-            self.ring, self.vars, {e: c for e, c in self.terms.items() if sum(e) == total}
-        )
-
     # -- arithmetic ---------------------------------------------------------
     def _check_compat(self, other: "MultiPoly") -> None:
         if self.ring != other.ring:
@@ -324,11 +319,7 @@ class MultiPoly:
         if len(self.terms) == 1:
             return other._times_term(*next(iter(self.terms.items())))
         out: dict[tuple[int, ...], Scalar] = {}
-        get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(operator.add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
+        _add_product(out, self, other)
         return MultiPoly._from_raw(self.ring, self.vars, out)
 
     __rmul__ = __mul__
@@ -424,16 +415,6 @@ class MultiPoly:
         if len(set(positions)) != len(positions):
             raise ValueError(f"{dict(perm)} is not a bijection on {self.vars}")
         return self._remapped(self.vars, positions)
-
-    def eval_scalar(self, values: Mapping[str, Scalar]) -> Scalar:
-        total: Scalar = 0
-        for e, c in self.terms.items():
-            term = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    term = self.ring.mul(term, self.ring.normalize(values[v]) ** k)
-            total = self.ring.add(total, term)
-        return total
 
     def map_coefficients(self, ring: CoefRing, fn: Callable[[Scalar], Scalar]) -> "MultiPoly":
         return MultiPoly(ring, self.vars, {e: fn(c) for e, c in self.terms.items()})
@@ -553,6 +534,33 @@ class MultiPoly:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _add_product(out: dict, a: MultiPoly, b: MultiPoly) -> None:
+    """Add the terms of ``a * b`` into ``out``, unreduced; ``a`` and ``b``
+    share one alphabet."""
+    get, add = out.get, operator.add
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _sum_of_products(
+    ring: CoefRing, variables: tuple[str, ...], pairs: Iterable[tuple[MultiPoly, MultiPoly]]
+) -> MultiPoly:
+    """``sum a * b`` over ``pairs``, every factor over ``ring`` on
+    ``variables``: all the products accumulate in one dict of unreduced
+    coefficients, normalized once, so no polynomial is built per ``+``.  A
+    pair with a zero factor adds nothing."""
+    out: dict[tuple[int, ...], Scalar] = {}
+    for a, b in pairs:
+        if not (a.ring is ring is b.ring or a.ring == ring == b.ring):
+            raise WrongRing(f"mixed rings {a.ring}, {b.ring} and {ring}")
+        if a.vars != variables or b.vars != variables:
+            raise ValueError(f"mixed variable alphabets {a.vars}, {b.vars} and {variables}")
+        _add_product(out, a, b)
+    return MultiPoly._from_raw(ring, variables, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1148,9 +1156,6 @@ class RatFun:
         if terms is not num.terms:
             num = MultiPoly._from_raw(num.ring, num.vars, terms)
         return RatFun(num, den)
-
-    def is_polynomial(self) -> bool:
-        return not self.normalize().den
 
     def as_polynomial(self) -> MultiPoly:
         from .errors import NotPolynomial

@@ -16,8 +16,10 @@ space is only validated against the known graded ranks.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
 
@@ -44,7 +46,7 @@ from .foamcore import (
     compose,
     mirror,
 )
-from .foameval import CheckReport, _family_values, degree, evaluate
+from .foameval import CheckReport, _decoration_degree, _family_values, degree, evaluate
 from .polyring import (
     CoefRing,
     ElementaryBasis,
@@ -54,6 +56,7 @@ from .polyring import (
     SymPoly,
     ZZ,
     _laurent_clean,
+    _sum_of_products,
     elementary,
     evars,
     facet_vars,
@@ -145,11 +148,21 @@ def presentation(
             raise InputError("presentation movies do not share a boundary web")
         if not m.input_web.is_empty():
             raise InputError("presentation movies must start at the empty web")
-    raw = tuple(degree(m, N) for m in movies)
+    # A movie's degree is its undecorated movie's plus its decorations', so
+    # each undecorated movie is compiled once.
+    bare: dict[Movie, int] = {}
+    raw = []
+    for m in movies:
+        stripped, decorations = _strip_decorations(m)
+        if stripped not in bare:
+            bare[stripped] = degree(stripped, N)
+        raw.append(bare[stripped] + sum(_decoration_degree(d) for _, _, d in decorations))
     # The degree of an open movie is additive under gluing only up to a
     # constant depending on the boundary web; calibrate it so that pairing
-    # two generators is homogeneous of the sum of their degrees.
-    offset = degree(compose(movies[0], mirror(movies[0])), N) - 2 * raw[0]
+    # two generators is homogeneous of the sum of their degrees.  The
+    # constant is read on the first undecorated movie.
+    first = next(iter(bare))
+    offset = degree(compose(first, mirror(first)), N) - 2 * bare[first]
     if offset % 2:
         raise InputError("odd boundary offset: degrees cannot be calibrated")
     degrees = tuple(d + offset // 2 for d in raw)
@@ -549,22 +562,31 @@ def presentation_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Lau
     Only the pairs of that band are computed, each with every check of
     :func:`gram_matrix`, and ``M_0`` is ranked from them as in
     :func:`graded_rank`: at full row rank the rank ``sum q^{deg_i}`` is
-    exact.  Only a singular ``M_0`` builds the whole Gram matrix, which is
-    then ranked at ``trials`` random points.  The ring and ``trials`` are
+    exact.  Only a singular ``M_0`` completes the Gram matrix, pairing the
+    pairs off the band, which is then ranked at ``trials`` random points;
+    each pair is computed once either way.  The ring and ``trials`` are
     checked before any pairing.
     """
     _require_rank_inputs(gens.ring, trials)
     degrees, n = gens.degrees, len(gens)
-    band = [[j for j in range(n) if d + degrees[j] == 0] for d in degrees]
     basis = ElementaryBasis(xvars(gens.N))
+    sums = _movie_sums(gens.movies, gens)
     zero = MultiPoly.zero(gens.ring, basis.e_names)
-    M0 = [[zero] * n for _ in range(n)]
-    pairs = _pairings(_movie_sums(gens.movies, gens), gens, basis, band)
-    for row, cols, values in zip(M0, band, pairs):
-        for j, value in zip(cols, values):
-            row[j] = value
-    rank = _exact_rank(M0, degrees, gens.N)
-    return _sampled_rank(gram_matrix(gens), trials, seed) if rank is None else rank
+    entries = [[zero] * n for _ in range(n)]
+
+    def pair(on_band: bool) -> None:
+        cols = [[j for j in range(n) if (d + degrees[j] == 0) == on_band] for d in degrees]
+        for row, js, values in zip(entries, cols, _pairings(sums, gens, basis, cols)):
+            for j, value in zip(js, values):
+                row[j] = _base_entry(value, gens.base)
+
+    pair(True)
+    rank = _exact_rank(entries, degrees, gens.N)
+    if rank is None:
+        pair(False)
+        G = GramMatrix(tuple(map(tuple, entries)), degrees, gens.N, gens.ring, gens.base)
+        rank = _sampled_rank(G, trials, seed)
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -631,6 +653,10 @@ def _fraction_free_solve(
     reduced one with the free unknowns 0, ``X[pc][col] = A[r][n + col] / D``.
     Raises :class:`NotWellDefined` when a column of ``B`` is outside the span
     of ``M`` or the solution is not polynomial.
+
+    :func:`induced_action` calls it only when :func:`_lifted_solve` cannot
+    certify this answer; it is the reference the lifted solve is tested
+    against, and the one source of the solver's errors.
     """
     n = len(M)
     ring, vs = M[0][0].ring, M[0][0].vars
@@ -696,6 +722,171 @@ def _fraction_free_solve(
     return rank, kernel, X
 
 
+def _pivot_block(
+    M0: list[list[Scalar]], ring: CoefRing
+) -> tuple[list[int], list[int], list[list[Scalar]]] | None:
+    """Gauss--Jordan on the scalar matrix ``M0`` over the coefficient field
+    (Q for Z and Q, F_p for F_p), each column in turn pivoted on a row not
+    yet used.
+
+    Returns the pivot columns ``P``, their pivot rows ``R`` and
+    ``U = M0[R, P]^-1``, row ``a`` for ``P[a]`` and column ``b`` for
+    ``R[b]``; None over Z when ``U`` is not integral.  Each row carries the
+    row operations done on it as a row of the identity.  A pivot row is only
+    ever combined with pivot rows, so those carried rows, read at the
+    columns ``R``, are ``U``.
+    """
+    n = len(M0)
+    if ring.kind == "Fp":
+        p = ring.p
+
+        def inverse(x: Scalar) -> Scalar:
+            return pow(x, -1, p)
+
+        def reduce(x: Scalar) -> Scalar:
+            return x % p
+    else:
+        def inverse(x: Scalar) -> Scalar:
+            return x if x in (1, -1) else 1 / Fraction(x)
+
+        def reduce(x: Scalar) -> Scalar:
+            return x
+    A = [list(row) + [int(i == k) for k in range(n)] for i, row in enumerate(M0)]
+    P: list[int] = []
+    R: list[int] = []
+    for c in range(n):
+        i = next((i for i, row in enumerate(A) if row[c] and i not in R), None)
+        if i is None:
+            continue
+        inv = inverse(A[i][c])
+        prow = A[i] = [reduce(x * inv) for x in A[i]]
+        for k, row in enumerate(A):
+            f = row[c]
+            if f and k != i:
+                A[k] = [reduce(x - f * y) if y else x for x, y in zip(row, prow)]
+        P.append(c)
+        R.append(i)
+    U = [[A[i][n + k] for k in R] for i in R]
+    if ring.kind == "Z" and any(type(u) is not int and u.denominator != 1 for row in U for u in row):
+        return None
+    return P, R, [[ring.normalize(u) for u in row] for row in U]
+
+
+def _lift(
+    MRP: list[list[MultiPoly]], U: list[list[MultiPoly]], rhs: list[MultiPoly], bound: int
+) -> list[MultiPoly] | None:
+    """The polynomial ``y`` with ``MRP y = rhs``, one weight at a time, or
+    None when the residual is still nonzero past weight ``bound``.
+
+    ``U`` is the inverse of the constant terms of ``MRP``, as constants.
+    Variable ``k`` (from 0) has weight ``k + 1``, as ``E_{k+1}`` has in
+    ``e_1..e_N``.
+    The residual ``rhs - MRP y`` has no term below the weight ``d`` lifted
+    next: its weight-``d`` part times ``U`` is ``y``'s, since ``MRP``'s
+    weight-0 part times ``U`` is the identity.  Each step subtracts
+    ``MRP y_d`` from the residual; when it is 0, ``MRP y = rhs`` exactly.
+    """
+    ring, vs = rhs[0].ring, rhs[0].vars
+    one = MultiPoly.const(ring, vs, 1)
+    weights = range(1, len(vs) + 1)
+
+    def weight(e: tuple[int, ...]) -> int:
+        return sum(map(operator.mul, e, weights))
+
+    lifted: list[dict] = [{} for _ in rhs]
+    res = list(rhs)
+    while True:
+        d = min((weight(e) for x in res for e in x.terms), default=None)
+        if d is None:
+            return [MultiPoly._from_terms(ring, vs, t) for t in lifted]
+        if d > bound:
+            return None
+        low = [
+            (b, MultiPoly._from_terms(ring, vs, {e: c for e, c in x.terms.items() if weight(e) == d}))
+            for b, x in enumerate(res) if x.terms
+        ]
+        y = [_sum_of_products(ring, vs, ((u[b], x) for b, x in low if u[b].terms)) for u in U]
+        step = [(a, -ya) for a, ya in enumerate(y) if ya.terms]
+        res = [
+            _sum_of_products(ring, vs, [(one, x), *((row[a], ya) for a, ya in step if row[a].terms)])
+            for row, x in zip(MRP, res)
+        ]
+        for t, ya in zip(lifted, y):
+            t.update(ya.terms)
+
+
+def _lifted_solve(
+    M: list[list[MultiPoly]], B: list[list[MultiPoly]]
+) -> tuple[int, list[list[MultiPoly]], list[list[MultiPoly]]] | None:
+    """:func:`_fraction_free_solve` of ``M X = B`` by lifting from the
+    constant terms ``M_0`` (Dixon's p-adic lifting, Numer. Math. 40, 1982,
+    with the grading of ``e_1..e_N`` in place of ``p``); None when it
+    cannot certify the same answer.
+
+    :func:`_pivot_block` gives ``M_0``'s pivot columns ``P`` in column order,
+    its pivot rows ``R`` and ``U = M_0[R, P]^-1``.  With the free columns
+    ``F``, :func:`_lift` solves ``M[R, P] Y = [B_R | M[R, F]]`` column by
+    column, up to the bound ``deg(rhs) + (r - 1) deg(M[R, P])`` that Cramer's
+    rule puts on a polynomial solution.  Then, exactly:
+
+    * the rows outside ``R`` satisfy ``M[Q, P] Y = [B_Q | M[Q, F]]``, so the
+      columns ``P`` are a basis of the column space of ``M`` (the
+      determinant of ``M[R, P]`` has a nonzero constant term, so they are
+      independent);
+    * each free column has zero coefficient on every later pivot column, so
+      ``P`` is the greedy basis in column order, Bareiss's pivots.
+
+    ``X`` is then Bareiss's: ``Y``'s rows at ``P``, 0 at the free unknowns.
+    The kernel vector of free column ``f`` has 1 at ``f`` and ``-Y`` at the
+    pivots, Bareiss's divided by its last pivot.  A non-integral ``U`` over
+    Z, a residual past the bound or a failed check returns None.
+    """
+    n, m = len(M), len(B[0])
+    ring, vs = M[0][0].ring, M[0][0].vars
+    block = _pivot_block([[x.constant_value() for x in row] for row in M], ring)
+    if block is None:
+        return None
+    P, R, U = block
+    F = [c for c in range(n) if c not in P]
+    rhs = [[*B[i], *(M[i][f] for f in F)] for i in range(n)]
+    MRP = [[M[i][c] for c in P] for i in R]
+    consts = [[MultiPoly.const(ring, vs, u) for u in row] for row in U]
+    weights = range(1, len(vs) + 1)
+
+    def deg(entries: Iterable[MultiPoly]) -> int:
+        return max((sum(map(operator.mul, e, weights)) for x in entries for e in x.terms), default=0)
+
+    slope = (len(P) - 1) * deg(x for row in MRP for x in row)
+    columns = []
+    for j in range(m + len(F)):
+        col = [rhs[i][j] for i in R]
+        y = _lift(MRP, consts, col, deg(col) + slope) if col else []
+        if y is None:
+            return None
+        columns.append(y)
+    Y = [[col[a] for col in columns] for a in range(len(P))]
+    for i in (i for i in range(n) if i not in R):
+        for j, want in enumerate(rhs[i]):
+            pairs = ((M[i][c], Y[a][j]) for a, c in enumerate(P))
+            if _sum_of_products(ring, vs, pairs) != want:
+                return None
+    for k, f in enumerate(F):
+        if any(c > f and Y[a][m + k].terms for a, c in enumerate(P)):
+            return None
+    zero, one = MultiPoly.zero(ring, vs), MultiPoly.const(ring, vs, 1)
+    kernel = []
+    for k, f in enumerate(F):
+        vec = [zero] * n
+        vec[f] = one
+        for a, c in enumerate(P):
+            vec[c] = -Y[a][m + k]
+        kernel.append(vec)
+    X = [[zero] * m for _ in range(n)]
+    for a, c in enumerate(P):
+        X[c] = Y[a][:m]
+    return len(P), kernel, X
+
+
 # ---------------------------------------------------------------------------
 # Matrix helpers (entries are MultiPoly over a shared base)
 # ---------------------------------------------------------------------------
@@ -714,18 +905,11 @@ def mat_scale(A: Matrix, c: Scalar) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                if not (A[i][t].is_zero() or B[t][j].is_zero()):
-                    acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    cols = list(zip(*B))
+    return tuple(
+        tuple(_sum_of_products(row[0].ring, row[0].vars, zip(row, col)) for col in cols)
+        for row in A
+    )
 
 
 def mat_is_zero(A: Matrix) -> bool:
@@ -770,12 +954,38 @@ class InducedAction:
         return self.gens.base
 
 
+def _induced_system(
+    op: str, params: ActionParams, gens: Presentation, basis: ElementaryBasis
+) -> tuple[list[list[MultiPoly]], list[list[MultiPoly]]]:
+    """The system ``M X = B`` whose solution is the matrix of ``op``.
+
+    It is posed over R[e_1..e_N]: every pairing is a symmetric polynomial,
+    far smaller in the elementary basis, and the pairings come in it.  The
+    ``phi0`` entries are their constant terms.  Rows are indexed by the
+    pairing partner G_j, columns by the generator coordinates: ``M`` is the
+    transpose of the Gram entries and ``B`` of the image pairings.
+    """
+    sums = _movie_sums(gens.movies, gens)
+    n = len(sums)
+    P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
+    M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
+    B = [[_base_entry(P[n + k][j], gens.base) for k in range(n)] for j in range(n)]
+    return M, B
+
+
 def induced_action(op: str, params: ActionParams, gens: Presentation) -> InducedAction:
     """The matrix of an operator on the span of a generator family.
 
     Solves the pairing equations exactly and certifies well-definedness:
     when the Gram matrix is degenerate, the operator must map the pairing
     kernel into itself, otherwise :class:`NotWellDefined` is raised.
+
+    The system is solved by :func:`_lifted_solve` from its constant terms
+    ``M_0`` when it can certify Bareiss's answer, as on every standard
+    presentation; otherwise by :func:`_fraction_free_solve`.  Both give the
+    same matrix, and every error comes from the Bareiss path, so it reads
+    the same whichever path ran.  Only the solution is converted back to
+    ``X1..XN``, by the converter of the pairings.
     """
     parse_operator(op)
     if params.N != gens.N or params.ring != gens.ring:
@@ -784,36 +994,25 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         raise InputError(
             "the non-equivariant base only carries the p-differential"
         )
-    sums = _movie_sums(gens.movies, gens)
-    n = len(sums)
-    # The system is solved over R[e_1..e_N]: every pairing is a symmetric
-    # polynomial, far smaller in the elementary basis, and the pairings come
-    # in it.  The ``phi0`` entries are their constant terms.  Only the
-    # solution is converted back, by the converter of the pairings.
     basis = ElementaryBasis(xvars(gens.N))
-    P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
-    # rows of the system are indexed by the pairing partner G_j, columns by
-    # the generator coordinates, i.e. the transpose of the Gram entries (the
-    # generator rows of P) and of the image pairings (the rows after them)
-    M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
-    B = [[_base_entry(P[n + k][j], gens.base) for k in range(n)] for j in range(n)]
-    # A system without a polynomial solution raises here, before the kernel
-    # is checked; the operator is not well defined either way.
-    _, kernel, X = _fraction_free_solve(M, B)
+    M, B = _induced_system(op, params, gens, basis)
+    # The lifted solve returns Bareiss's X and its kernel up to scaling, to
+    # which the kernel check is blind.  Whatever it cannot certify, a moved
+    # kernel vector included, Bareiss solves again: a system without a
+    # polynomial solution raises there, before the kernel is checked, and a
+    # moved vector is reported in Bareiss's scaling.
+    solved = _lifted_solve(M, B)
+    if solved is None or _moved_kernel_vector(op, basis, M, B, solved[1]) is not None:
+        solved = _fraction_free_solve(M, B)
+        vec = _moved_kernel_vector(op, basis, M, B, solved[1])
+        if vec is not None:
+            raise NotWellDefined(
+                f"operator {op} moves a pairing-kernel vector out of the"
+                f" kernel (generator coordinates"
+                f" {[basis.from_e(e) for e in vec]})"
+            )
+    _, kernel, X = solved
     if kernel:
-        # A vector V of coefficients in the pairing kernel must stay in the
-        # kernel, B V + M L(V) = 0: the operator acts on the generators by
-        # the pairing columns and on the coefficients by the base derivation
-        # L.  The check is blind to the scaling of each kernel vector.
-        derive = _elementary_derivation(op, basis, gens.ring)
-        for vec in kernel:
-            V = tuple((e,) for e in vec)
-            if not mat_is_zero(mat_add(mat_mul(B, V), mat_mul(M, derive(V)))):
-                raise NotWellDefined(
-                    f"operator {op} moves a pairing-kernel vector out of the"
-                    f" kernel (generator coordinates"
-                    f" {[basis.from_e(e) for e in vec]})"
-                )
         cert = CheckReport(
             True, None, f"kernel of dimension {len(kernel)} is preserved"
         )
@@ -821,6 +1020,27 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
     solution = tuple(tuple(row) for row in X)
     return InducedAction(op, _expanded(solution, basis), cert, solution, gens)
+
+
+def _moved_kernel_vector(
+    op: str, basis: ElementaryBasis, M: Matrix, B: Matrix, kernel: list[list[MultiPoly]]
+) -> list[MultiPoly] | None:
+    """The first vector of ``kernel`` that the operator moves out of the
+    pairing kernel, or None.
+
+    A vector V of coefficients in the pairing kernel must stay in the
+    kernel, B V + M L(V) = 0: the operator acts on the generators by the
+    pairing columns and on the coefficients by the base derivation L.  The
+    check is blind to the scaling of each kernel vector.
+    """
+    if not kernel:
+        return None
+    derive = _elementary_derivation(op, basis, M[0][0].ring)
+    for vec in kernel:
+        V = tuple((e,) for e in vec)
+        if not mat_is_zero(mat_add(mat_mul(B, V), mat_mul(M, derive(V)))):
+            return vec
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -851,11 +1071,11 @@ def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
     ]
 
     def deriv(q: MultiPoly) -> MultiPoly:
-        acc = MultiPoly.zero(q.ring, q.vars)
-        for i, (name, image) in enumerate(zip(q.vars, images)):
-            if any(e[i] for e in q.terms):
-                acc = acc + q.derivative(name) * image
-        return acc
+        return _sum_of_products(q.ring, q.vars, (
+            (q.derivative(name), image)
+            for i, (name, image) in enumerate(zip(q.vars, images))
+            if any(e[i] for e in q.terms)
+        ))
 
     return lambda S: tuple(tuple(deriv(e) for e in row) for row in S)
 

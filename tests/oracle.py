@@ -633,7 +633,7 @@ def _sl2_local(
     t1, t2, t3 = params.t1, params.t2, params.t3
     t1b = ring.add(1, ring.neg(t1))
     t2b = ring.add(1, ring.neg(t2))
-    t3b = params.t3bar()
+    t3b = ring.add(1, ring.neg(t3))
 
     def local(tr: MoveTrace) -> LocalImage:
         out: LocalImage = []
@@ -883,9 +883,23 @@ def divided_difference_value(table, decmap: DecMap) -> MultiPoly:
     return to_e_reference(table.basis, total)
 
 
+def eval_scalar(poly: MultiPoly, values: dict[str, Scalar]) -> Scalar:
+    """``poly`` at the point ``values`` (a value for each of its variables),
+    exactly, in its coefficient ring."""
+    ring = poly.ring
+    total: Scalar = 0
+    for e, c in poly.terms.items():
+        term = c
+        for v, k in zip(poly.vars, e):
+            if k:
+                term = ring.mul(term, ring.normalize(values[v]) ** k)
+        total = ring.add(total, term)
+    return total
+
+
 def specialize_reference(entry: MultiPoly, values: dict[str, int], p: int) -> int:
     """An entry at a point modulo ``p``: evaluated exactly, then reduced."""
-    s = entry.eval_scalar({v: values[v] for v in entry.vars})
+    s = eval_scalar(entry, values)
     if isinstance(s, int):
         return s % p
     if s.denominator % p == 0:

@@ -74,7 +74,7 @@ from foamlab.statespace import (
     zipped_presentation,
 )
 
-from oracle import sphere_gram, sphere_value, sphere_value_at
+from oracle import eval_scalar, sphere_gram, sphere_value, sphere_value_at
 
 
 def rich_pack(N: int) -> ActionParams:
@@ -468,7 +468,7 @@ class TestWorkedValues:
                 h = complete_homogeneous(ZZ, vs, k - 7) if k >= 7 else MultiPoly.zero(ZZ, vs)
                 assert entry == -h
                 for point in points:
-                    at = entry.eval_scalar(dict(zip(vs, point)))
+                    at = eval_scalar(entry, dict(zip(vs, point)))
                     assert at == sphere_value_at(k, point)
 
     @pytest.mark.parametrize(

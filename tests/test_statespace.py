@@ -151,9 +151,9 @@ class TestPresentations:
             or real(mov),
         )
         presentation(movs, 2)
-        # each output web and each degree once; the first movie also once
-        # by mirror and once by compose for the degree offset
-        assert (sliced.count(0), sliced.count(1)) == (4, 2)
+        # each output web once; the degrees and the offset are read on the
+        # undecorated movies, which are other objects
+        assert (sliced.count(0), sliced.count(1)) == (1, 1)
 
     def test_elementary_product_blocks(self):
         dec = elementary_product(ZZ, 2, (2, 1))
@@ -468,6 +468,39 @@ class TestPresentationRank:
             assert sum(rank.values()) == 2
             assert len(calls) == 1 + trials
             assert rank == graded_rank(gram_matrix(gens), trials=trials)
+
+    def test_singular_band_pairs_each_pair_once(self, monkeypatch):
+        # the band, then only the pairs off it: each row (by its placed
+        # terms) meets each generator (by the mirror it is composed with)
+        # exactly once
+        movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
+        gens = presentation(movs, 2)
+        mirrored, composed = {}, {}
+        real_mirror, real_compose = statespace.mirror, statespace.compose
+
+        def tag_mirror(G):
+            out = real_mirror(G)
+            mirrored[id(out)] = (out, movs.index(G))
+            return out
+
+        def tag_compose(a, b):
+            out = real_compose(a, b)
+            composed[id(out)] = (out, mirrored[id(b)][1])
+            return out
+
+        monkeypatch.setattr(statespace, "mirror", tag_mirror)
+        monkeypatch.setattr(statespace, "compose", tag_compose)
+        handed = []
+        real_family = statespace._family_values
+        monkeypatch.setattr(
+            statespace, "_family_values",
+            lambda foams, *a: handed.append(list(foams)) or real_family(foams, *a),
+        )
+        rank = presentation_rank(gens)
+        assert rank == graded_rank(gram_matrix(gens)) and sum(rank.values()) == 2
+        band, off = handed[:2]
+        pairs = [(tuple(terms), composed[id(closed)][1]) for closed, terms in band + off]
+        assert len(band) == 2 and len(pairs) == 9 and len(set(pairs)) == 9
 
     def test_prime_field_fails_before_any_pairing(self, monkeypatch):
         def no_pairing(*args):
@@ -1242,6 +1275,179 @@ class TestSolveAgainstFullUpdate:
         for B in ([[X1], [X2], [ONE]], mat_mul(M, [[X1], [ONE], [X2]])):
             got = solve_outcome(solve, M, B)
             assert got == solve_outcome(oracle.fraction_free_solve_reference, M, B)
+
+
+lifted = statespace._lifted_solve
+
+#: Monomials in ``E1, E2`` (weights 1 and 2) by weight.
+GRADED_MONOMIALS = {
+    0: [(0, 0)], 1: [(1, 0)], 2: [(2, 0), (0, 1)], 3: [(3, 0), (1, 1)],
+    4: [(4, 0), (2, 1), (0, 2)],
+}
+
+
+@st.composite
+def graded_systems(draw):
+    """``(M, B)`` with entry ``(i, j)`` of ``M`` homogeneous of weight
+    ``g_i + h_j`` in ``E1, E2`` (0 where that is negative or above 4), often
+    singular as a product ``L R`` through ``k <= n``; ``B`` graded by the
+    same rows, as ``M Y`` or drawn."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(5)]))
+    vs = ("E1", "E2")
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 2))
+    if ring == QQ:
+        coeffs = st.fractions(-2, 2, max_denominator=2)
+    else:
+        coeffs = st.integers(-2, 2)
+
+    def grades(size):
+        return draw(st.lists(st.integers(-1, 1), min_size=size, max_size=size))
+
+    def matrix(rows, cols):
+        return [
+            [
+                MultiPoly(ring, vs, draw(st.dictionaries(
+                    st.sampled_from(GRADED_MONOMIALS[r + c]), coeffs, max_size=2
+                ))) if 0 <= r + c <= 4 else MultiPoly.zero(ring, vs)
+                for c in cols
+            ]
+            for r in rows
+        ]
+
+    g, h, out = grades(n), grades(n), grades(m)
+    if k < n:
+        inner = grades(k)
+        M = mat_mul(matrix(g, inner), matrix([-t for t in inner], h))
+    else:
+        M = matrix(g, h)
+    if draw(st.booleans()):
+        B = mat_mul(M, matrix([-t for t in h], out))
+    else:
+        B = matrix(g, out)
+    return [list(row) for row in M], [list(row) for row in B]
+
+
+def assert_lifted_is_bareiss(got, M, B, unit=False):
+    """``got``, a lifted solve of ``M X = B``, has Bareiss's rank and ``X``
+    (coefficient types included) and its kernel vectors up to scaling: by
+    a nonzero constant when ``unit``."""
+    rank, kernel, X = solve(M, B)
+    assert got[0] == rank
+    assert solve_outcome(lambda *_: got, M, B)[2] == solve_outcome(solve, M, B)[2]
+    assert len(got[1]) == len(kernel)
+    for mine, theirs in zip(got[1], kernel):
+        f = next(c for c, e in enumerate(mine) if e == 1)
+        scale = theirs[f]
+        assert [e * scale for e in mine] == theirs
+        assert not scale.is_zero() and (scale.is_constant() or not unit)
+
+
+def bench_rich_pack(N):
+    return ActionParams(
+        ring=QQ, N=N, s=Fraction(1, 4),
+        nu1=WittSequence.linear(QQ, Fraction(1, 2)),
+        nu2=WittSequence.linear(QQ, Fraction(-1, 3)),
+        nu3=WittSequence.linear(QQ, Fraction(1, 5)),
+        t1=Fraction(2, 3), t2=Fraction(-1, 2),
+    )
+
+
+class TestLiftedSolve:
+    """The solve lifted from ``M_0`` against ``_fraction_free_solve``."""
+
+    @pytest.mark.parametrize(
+        "ring,ops,count",
+        [(QQ, "ehf", 129), (GF(5), "d", 86), (ZZ, "e", 43)],
+        ids=["QQ", "F5", "ZZ"],
+    )
+    def test_equals_bareiss_on_every_small_family(self, ring, ops, count):
+        # the phi0 base carries only d
+        cases = 0
+        for gens in _small_family_presentations(ring):
+            if gens.base == "phi0" and ops != "d":
+                continue
+            for op in ops:
+                if ring == ZZ:
+                    pack = ActionParams(ring=ZZ, N=gens.N, t1=1, t2=-2, t3=0)
+                else:
+                    pack = differential_pack(op, ring, gens.N)
+                basis = ElementaryBasis(xvars(gens.N))
+                M, B = statespace._induced_system(op, pack, gens, basis)
+                got = lifted(M, B)
+                assert got is not None, (gens.web, gens.N, gens.base, op)
+                assert_lifted_is_bareiss(got, M, B, unit=True)
+                cases += 1
+        assert cases == count
+
+    @given(graded_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_bareiss_or_declines(self, system):
+        M, B = system
+        got = lifted(M, B)
+        if got is None:
+            return
+        assert solve_outcome(solve, M, B)[0] != "NotWellDefined"
+        assert_lifted_is_bareiss(got, M, B)
+
+    @pytest.mark.parametrize(
+        "N,cups,op", [(3, (2,), "e"), (2, (0,), "d"), (3, (0, 1), "f")]
+    )
+    def test_one_sided_cups_take_the_fallback(self, N, cups, op, monkeypatch):
+        # the families of ``test_same_unsolvable_system``: no polynomial
+        # solution, so the lifting declines and Bareiss raises
+        ring = GF(5) if op == "d" else QQ
+        movs = [
+            decorated_cup(SymPoly(power_sum(ring, ("x1",), 1) ** k, (1,)) if k else None)
+            for k in cups
+        ]
+        gens = presentation(movs, N, ring)
+        pack = differential_pack(op, ring, N)
+        M, B = statespace._induced_system(op, pack, gens, ElementaryBasis(xvars(N)))
+        assert lifted(M, B) is None
+        calls = []
+        monkeypatch.setattr(
+            statespace, "_fraction_free_solve", lambda *a: calls.append(a) or solve(*a)
+        )
+        with pytest.raises(NotWellDefined):
+            induced_action(op, pack, gens)
+        assert len(calls) == 1
+
+    def test_moved_kernel_vector_is_reported_by_bareiss(self, monkeypatch):
+        # images of h certified with the derivation of e: the lifting
+        # succeeds, its kernel moves, and Bareiss solves again
+        real = actions.apply_operator
+        monkeypatch.setattr(statespace, "apply_operator", lambda _op, *a: real("h", *a))
+        outcomes_seen = []
+        monkeypatch.setattr(
+            statespace, "_lifted_solve", lambda *a: outcomes_seen.append(lifted(*a)) or outcomes_seen[-1]
+        )
+        calls = []
+        monkeypatch.setattr(
+            statespace, "_fraction_free_solve", lambda *a: calls.append(a) or solve(*a)
+        )
+        with pytest.raises(NotWellDefined, match="kernel"):
+            induced_action("e", rich_pack(2), thin_cups(QQ, 2, 2))
+        assert outcomes_seen[0] is not None and len(calls) == 1
+
+    def test_bench_systems_never_reach_bareiss(self, monkeypatch):
+        # the circle and thin-cup systems of the ``induced`` benchmark
+        def no_bareiss(*args):
+            raise AssertionError("fell back to _fraction_free_solve")
+
+        monkeypatch.setattr(statespace, "_fraction_free_solve", no_bareiss)
+        dpack = partial(ActionParams, ring=GF(5), t1=1, t2=2, t3=0)
+        systems = [
+            ("d", dpack(N=5), circle_presentation(2, 5, GF(5))),
+            ("d", dpack(N=4), thin_cups(GF(5), 4, 6)),
+        ] + [
+            (op, bench_rich_pack(4), gens)
+            for gens in (circle_presentation(2, 4, QQ), thin_cups(QQ, 4, 6))
+            for op in "ehf"
+        ]
+        for op, pack, gens in systems:
+            assert induced_action(op, pack, gens).certificate.ok
 
 
 class TestMoyChecks:
