@@ -772,15 +772,19 @@ def _pivot_block(
     return P, R, [[ring.normalize(u) for u in row] for row in U]
 
 
+def _weight(e: tuple[int, ...]) -> int:
+    """The weight of an exponent: variable ``k`` (from 0) has weight
+    ``k + 1``, as ``E_{k+1}`` has in ``e_1..e_N``."""
+    return sum(map(operator.mul, e, itertools.count(1)))
+
+
 def _lift(
     MRP: list[list[MultiPoly]], U: list[list[MultiPoly]], rhs: list[MultiPoly], bound: int
 ) -> list[MultiPoly] | None:
-    """The polynomial ``y`` with ``MRP y = rhs``, one weight at a time, or
-    None when the residual is still nonzero past weight ``bound``.
+    """The polynomial ``y`` with ``MRP y = rhs``, one :func:`_weight` at a
+    time, or None when the residual is still nonzero past weight ``bound``.
 
     ``U`` is the inverse of the constant terms of ``MRP``, as constants.
-    Variable ``k`` (from 0) has weight ``k + 1``, as ``E_{k+1}`` has in
-    ``e_1..e_N``.
     The residual ``rhs - MRP y`` has no term below the weight ``d`` lifted
     next: its weight-``d`` part times ``U`` is ``y``'s, since ``MRP``'s
     weight-0 part times ``U`` is the identity.  Each step subtracts
@@ -788,21 +792,16 @@ def _lift(
     """
     ring, vs = rhs[0].ring, rhs[0].vars
     one = MultiPoly.const(ring, vs, 1)
-    weights = range(1, len(vs) + 1)
-
-    def weight(e: tuple[int, ...]) -> int:
-        return sum(map(operator.mul, e, weights))
-
     lifted: list[dict] = [{} for _ in rhs]
     res = list(rhs)
     while True:
-        d = min((weight(e) for x in res for e in x.terms), default=None)
+        d = min((_weight(e) for x in res for e in x.terms), default=None)
         if d is None:
             return [MultiPoly._from_terms(ring, vs, t) for t in lifted]
         if d > bound:
             return None
         low = [
-            (b, MultiPoly._from_terms(ring, vs, {e: c for e, c in x.terms.items() if weight(e) == d}))
+            (b, MultiPoly._from_terms(ring, vs, {e: c for e, c in x.terms.items() if _weight(e) == d}))
             for b, x in enumerate(res) if x.terms
         ]
         y = [_sum_of_products(ring, vs, ((u[b], x) for b, x in low if u[b].terms)) for u in U]
@@ -851,10 +850,9 @@ def _lifted_solve(
     rhs = [[*B[i], *(M[i][f] for f in F)] for i in range(n)]
     MRP = [[M[i][c] for c in P] for i in R]
     consts = [[MultiPoly.const(ring, vs, u) for u in row] for row in U]
-    weights = range(1, len(vs) + 1)
 
     def deg(entries: Iterable[MultiPoly]) -> int:
-        return max((sum(map(operator.mul, e, weights)) for x in entries for e in x.terms), default=0)
+        return max((_weight(e) for x in entries for e in x.terms), default=0)
 
     slope = (len(P) - 1) * deg(x for row in MRP for x in row)
     columns = []
