@@ -26,7 +26,7 @@ boundary web (only closed movies are ever evaluated).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     BoundaryMismatch,
@@ -616,7 +616,11 @@ class Movie:
             validate_web(w)
 
 
-def _strip_decorations(mov: Movie) -> tuple[Movie, tuple[tuple[int, str, SymPoly], ...]]:
+#: A movie's decorations as :func:`_strip_decorations` returns them.
+Decorations = tuple[tuple[int, str, SymPoly], ...]
+
+
+def _strip_decorations(mov: Movie) -> tuple[Movie, Decorations]:
     """Split a movie into its undecorated movie and its decorations.
 
     Each decoration comes back as ``(t, edge, poly)``: it sits on ``edge`` of
@@ -633,6 +637,17 @@ def _strip_decorations(mov: Movie) -> tuple[Movie, tuple[tuple[int, str, SymPoly
         else:
             moves.append(mv)
     return Movie(mov.input_web, tuple(moves)), tuple(decorations)
+
+
+def _split_movies(movies: Iterable[Movie]) -> list[tuple[Movie, Decorations]]:
+    """Each movie split by :func:`_strip_decorations`, equal undecorated
+    movies returned as one shared object."""
+    shared: dict[Movie, Movie] = {}
+    out = []
+    for mov in movies:
+        bare, decorations = _strip_decorations(mov)
+        out.append((shared.setdefault(bare, bare), decorations))
+    return out
 
 
 class MovieBuilder:
@@ -724,13 +739,19 @@ class MovieBuilder:
 # -- movie algebra ----------------------------------------------------------
 
 
-def _rename_movie(m: Movie, keep: set[str], tag: str) -> Movie:
-    """Rename every edge/vertex id not in ``keep`` by suffixing ``tag``."""
+def _suffixer(keep: set[str], tag: str) -> Callable[[str | None], str | None]:
+    """The rename that suffixes ``tag`` to every edge/vertex id not in ``keep``."""
 
     def r(x: str | None) -> str | None:
         if x is None or x in keep:
             return x
         return f"{x}{tag}"
+
+    return r
+
+
+def _rename_movie(m: Movie, r: Callable[[str | None], str | None]) -> Movie:
+    """Rename every edge/vertex id of ``m`` by ``r``."""
 
     def r_web(w: Web) -> Web:
         return Web(
@@ -763,6 +784,17 @@ def _rename_movie(m: Movie, keep: set[str], tag: str) -> Movie:
 
 def compose(a: Movie, b: Movie) -> Movie:
     """Concatenate movies; requires output(a) == input(b) (same ids)."""
+    return _composite(a, b)[0]
+
+
+def _composite(a: Movie, b: Movie) -> tuple[Movie, Callable[[str | None], str | None]]:
+    """:func:`compose` of ``a`` and ``b``, and the rename it gave ``b``'s ids.
+
+    An id of ``b`` off the shared web gets the shortest run of primes that
+    clashes with no id of ``a``; a decoration on edge ``e`` of slice ``t`` of
+    ``b`` sits on edge ``rename(e)`` of slice ``len(a.moves) + t`` of the
+    composite.
+    """
     webs = a.slices()
     out = webs[-1]
     if out != b.input_web:
@@ -773,14 +805,15 @@ def compose(a: Movie, b: Movie) -> Movie:
         used |= set(w.edges) | set(w.vertices)
     tag = "'"
     while True:
-        b2 = _rename_movie(b, interface_ids, tag)
+        rename = _suffixer(interface_ids, tag)
+        b2 = _rename_movie(b, rename)
         internal = set()
         for w in b2.slices():
             internal |= set(w.edges) | set(w.vertices)
         if not (internal - interface_ids) & used:
             break
         tag += "'"
-    return Movie(a.input_web, a.moves + b2.moves)
+    return Movie(a.input_web, a.moves + b2.moves), rename
 
 
 def mirror(m: Movie) -> Movie:

@@ -40,8 +40,9 @@ from .foamcore import (
     Zip,
     compile_movie,
     enumerate_colorings,
+    Decorations,
     _components,
-    _strip_decorations,
+    _split_movies,
 )
 from .polyring import (
     CoefRing,
@@ -592,13 +593,12 @@ def evaluate_family(
     A foam is a closed movie, or a pair ``(movie, terms)`` whose value is
     ``sum c * value(movie with the term's extra dot shapes)`` over the dot
     terms ``(c, ((t, edge, shape), ...))``; a bare movie is the single term
-    ``(1, ())``.  Each movie object is stripped of its decorations once,
-    which are multiplied per facet once (:func:`_facet_decorations`).  Foams
-    are grouped by undecorated movie, compared by equality, which is
-    compiled and colored once per group (a :class:`_ShapeTable`).  A term's
-    decorations are split into dot-shape maps, and its value is their
-    combination, so a map shared by many terms is summed over the colorings
-    once.
+    ``(1, ())``.  Each movie is split into its undecorated movie and its
+    decorations, and equal undecorated movies become one object
+    (:func:`~foamlab.foamcore._split_movies`), which :func:`_family_values`
+    compiles and colors once (a :class:`_ShapeTable`).  A term's decorations
+    are split into dot-shape maps, and its value is their combination, so a
+    map shared by many terms is summed over the colorings once.
 
     Each map's value has the checks of :func:`evaluate`; a nonzero term
     value must also be homogeneous of the degree of its decorated foam,
@@ -607,42 +607,47 @@ def evaluate_family(
     its terms).
     """
     basis = ElementaryBasis(xvars(N))
-    return [basis.from_e(v) for v in _family_values(foams, N, ring, basis)]
+    pairs = [foam if isinstance(foam, tuple) else (foam, _PLAIN) for foam in foams]
+    split = _split_movies(mov for mov, _ in pairs)
+    values = _family_values(
+        [(bare, decorations, terms) for (bare, decorations), (_, terms) in zip(split, pairs)],
+        N, ring, basis,
+    )
+    return [basis.from_e(v) for v in values]
 
 
 def _family_values(
-    foams: Sequence[Movie | tuple[Movie, Sequence[DotTerm]]],
+    foams: Sequence[tuple[Movie, Decorations, Sequence[DotTerm]]],
     N: int,
     ring: CoefRing,
     basis: ElementaryBasis,
 ) -> list[MultiPoly]:
-    """:func:`evaluate_family` with the values in ``e_1..e_N`` of ``basis``.
+    """The values of split foams ``(undecorated movie, decorations, terms)``,
+    in ``e_1..e_N`` of ``basis``.
 
-    Shape values and their combinations stay in ``e_1..e_N``; the degree of
-    a term is read with ``E_k`` of q-degree ``2k``.  Movies are keyed by
-    object, so each is stripped and its undecorated movie hashed once;
-    ``foams`` holds every movie for the call, so no id is reused.
+    The value of a foam is that of :func:`evaluate_family` for the movie
+    carrying ``decorations``, placed as :func:`_strip_decorations` returns
+    them.  Foams are grouped by undecorated movie object, each compiled and
+    colored once, and within it by decorations object, each multiplied per
+    facet once (:func:`_facet_decorations`); ``foams`` holds every object
+    for the call, so no id is reused.  Shape values and their combinations
+    stay in ``e_1..e_N``; the degree of a term is read with ``E_k`` of
+    q-degree ``2k``.
     """
     _require_pigments(N)
-    # each movie object's decorations and foams, grouped by undecorated movie
-    by_movie: dict[int, tuple[tuple, list]] = {}
-    groups: dict[Movie, list[tuple[tuple, list]]] = {}
-    for k, foam in enumerate(foams):
-        mov, terms = foam if isinstance(foam, tuple) else (foam, _PLAIN)
-        entry = by_movie.get(id(mov))
-        if entry is None:
-            stripped, decorations = _strip_decorations(mov)
-            entry = by_movie[id(mov)] = (decorations, [])
-            groups.setdefault(stripped, []).append(entry)
-        entry[1].append((k, terms))
+    # the foams of each undecorated movie, grouped by decorations
+    groups: dict[int, tuple[Movie, dict[int, tuple[Decorations, list]]]] = {}
+    for k, (bare, decorations, terms) in enumerate(foams):
+        by_decs = groups.setdefault(id(bare), (bare, {}))[1]
+        by_decs.setdefault(id(decorations), (decorations, []))[1].append((k, terms))
     weights = _e_weights(N)
     orbit_polys: dict[DotShape, MultiPoly] = {}
     values: list[MultiPoly] = [None] * len(foams)  # type: ignore[list-item]
-    for stripped, movies in groups.items():
-        F = compile_movie(stripped)
+    for bare, by_decs in groups.values():
+        F = compile_movie(bare)
         table = _ShapeTable(F, N, ring, basis)
         thickness = {f: facet.thickness for f, facet in F.facets.items()}
-        for decorations, members in movies:
+        for decorations, members in by_decs.values():
             decs = _facet_decorations(_placed_on(F, decorations), N, ring)
             for k, terms in members:
                 total: dict[tuple[int, ...], Scalar] = {}

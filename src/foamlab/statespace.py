@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .actions import (
     ActionParams,
@@ -33,16 +33,20 @@ from .actions import (
 )
 from .errors import (
     DivisionNotExact,
+    FoamlabError,
     InputError,
     NotWellDefined,
     RankUnstable,
     WrongRing,
 )
 from .foamcore import (
+    Decorations,
     Movie,
     MovieBuilder,
     Web,
-    _strip_decorations,
+    _composite,
+    _get_edge,
+    _split_movies,
     compose,
     mirror,
 )
@@ -120,6 +124,10 @@ class Presentation:
     ``base`` selects the coefficient base of the pairing: ``"equivariant"``
     keeps values as symmetric polynomials, ``"phi0"`` sends every ``e_k`` to
     0, so values become constants of the same alphabet.
+
+    ``split`` holds each movie as its undecorated movie and its decorations
+    (:func:`~foamlab.foamcore._strip_decorations`), with one shared object
+    per distinct undecorated movie: the pairings are built on those.
     """
 
     web: Web
@@ -128,6 +136,7 @@ class Presentation:
     N: int
     ring: CoefRing
     base: str
+    split: tuple[tuple[Movie, Decorations], ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.movies)
@@ -141,32 +150,43 @@ def presentation(
         raise InputError("a presentation needs at least one movie")
     if base not in ("equivariant", "phi0"):
         raise InputError(f"unknown base {base!r}")
-    webs = [m.output_web for m in movies]
-    web = webs[0]
-    for m, w in zip(movies, webs):
-        if w != web:
+    split = tuple(_split_movies(movies))
+    # Each undecorated movie is replayed once, for its output web and the
+    # edges its movies decorate.
+    slices: dict[int, list[Web]] = {}
+    for m, (bare, decorations) in zip(movies, split):
+        if id(bare) not in slices:
+            try:
+                slices[id(bare)] = bare.slices()
+            except FoamlabError:
+                m.slices()  # the decorated movie's first error, in move order
+                raise
+        for t, edge, _ in decorations:
+            _get_edge(slices[id(bare)][t], edge)
+    web = slices[id(split[0][0])][-1]
+    for m, (bare, _) in zip(movies, split):
+        if slices[id(bare)][-1] != web:
             raise InputError("presentation movies do not share a boundary web")
         if not m.input_web.is_empty():
             raise InputError("presentation movies must start at the empty web")
     # A movie's degree is its undecorated movie's plus its decorations', so
     # each undecorated movie is compiled once.
-    bare: dict[Movie, int] = {}
+    bare_degrees: dict[int, int] = {}
     raw = []
-    for m in movies:
-        stripped, decorations = _strip_decorations(m)
-        if stripped not in bare:
-            bare[stripped] = degree(stripped, N)
-        raw.append(bare[stripped] + sum(_decoration_degree(d) for _, _, d in decorations))
+    for bare, decorations in split:
+        if id(bare) not in bare_degrees:
+            bare_degrees[id(bare)] = degree(bare, N)
+        raw.append(bare_degrees[id(bare)] + sum(_decoration_degree(d) for _, _, d in decorations))
     # The degree of an open movie is additive under gluing only up to a
     # constant depending on the boundary web; calibrate it so that pairing
     # two generators is homogeneous of the sum of their degrees.  The
     # constant is read on the first undecorated movie.
-    first = next(iter(bare))
-    offset = degree(compose(first, mirror(first)), N) - 2 * bare[first]
+    first = split[0][0]
+    offset = degree(compose(first, mirror(first)), N) - 2 * bare_degrees[id(first)]
     if offset % 2:
         raise InputError("odd boundary offset: degrees cannot be calibrated")
     degrees = tuple(d + offset // 2 for d in raw)
-    return Presentation(web, movies, degrees, N, ring, base)
+    return Presentation(web, movies, degrees, N, ring, base, split)
 
 
 def box_partitions(rows: int, cols: int) -> list[tuple[int, ...]]:
@@ -364,23 +384,23 @@ class GramMatrix:
 
 def gram_matrix(gens: Presentation) -> GramMatrix:
     basis = ElementaryBasis(xvars(gens.N))
-    rows = _pairings(_movie_sums(gens.movies, gens), gens, basis)
+    rows = _pairings(_movie_sums(gens.split, gens), gens, basis)
     entries = tuple(tuple(_base_entry(e, gens.base) for e in row) for row in rows)
     return GramMatrix(entries, gens.degrees, gens.N, gens.ring, gens.base)
 
 
-def _movie_sums(movies: Iterable[Movie], gens: Presentation) -> list[FoamSum]:
-    """Movies as formal sums over the ring and N of ``gens``.
-
-    Movies with the same undecorated movie share one skeleton.
-    """
-    skeletons: dict[Movie, _Skeleton] = {}
+def _movie_sums(
+    split: Iterable[tuple[Movie, Decorations]], gens: Presentation
+) -> list[FoamSum]:
+    """Split movies, as :attr:`Presentation.split` holds them, as formal sums
+    over the ring and N of ``gens``; one skeleton per undecorated movie
+    object."""
+    skeletons: dict[int, _Skeleton] = {}
     sums = []
-    for mov in movies:
-        stripped, decorations = _strip_decorations(mov)
-        if stripped not in skeletons:
-            skeletons[stripped] = _Skeleton(stripped, gens.ring, gens.N)
-        sums.append(FoamSum._decorated(skeletons[stripped], decorations))
+    for bare, decorations in split:
+        if id(bare) not in skeletons:
+            skeletons[id(bare)] = _Skeleton(bare, gens.ring, gens.N)
+        sums.append(FoamSum._decorated(skeletons[id(bare)], decorations))
     return sums
 
 
@@ -394,17 +414,25 @@ def _pairings(
     equivariantly, as a polynomial in ``e_1..e_N`` of ``basis``; with no
     ``columns``, every row is paired with every generator.
 
-    A row is paired as its skeleton composed with the mirrored generator,
-    its terms' dot shapes placed where they sit on the skeleton; no term
-    becomes a movie.  Each (skeleton, generator) composite is built once,
-    when a requested pair first needs it, and shared by the rows over that
-    skeleton; all pairings go through one
-    :func:`~foamlab.foameval.evaluate_family` call (in ``e_1..e_N``).
+    A row is paired as its skeleton composed with the mirrored undecorated
+    generator, its terms' dot shapes placed where they sit on the skeleton;
+    no term becomes a movie.  Each distinct undecorated generator
+    (:attr:`Presentation.split`) is mirrored once, and each (skeleton,
+    undecorated generator) composite is built once, when a requested pair
+    first needs it.  Generator ``j``'s decoration on edge ``e`` of slice
+    ``t`` of its ``k``-move undecorated movie sits on slice ``k - t`` of the
+    mirror, so on edge ``rename(e)`` of slice ``len(skeleton) + k - t`` of
+    the composite, ``rename`` being the one
+    :func:`~foamlab.foamcore._composite` gave the mirror.  These placed
+    decorations are built once per (skeleton, generator) and shared by the
+    rows over that skeleton; all pairings go through one
+    :func:`~foamlab.foameval._family_values` call (in ``e_1..e_N``).
     """
     if columns is None:
         columns = [range(len(gens.movies))] * len(rows)
     mirrors: dict[int, Movie] = {}
-    composites: dict[_Skeleton, dict[int, Movie]] = {}
+    composites: dict[tuple[_Skeleton, int], tuple[Movie, Callable]] = {}
+    placed: dict[_Skeleton, dict[int, tuple[Movie, Decorations]]] = {}
     foams: list = []
     for row, cols in zip(rows, columns):
         skel = row.skeleton
@@ -413,14 +441,21 @@ def _pairings(
                 f"formal sum over {skel.ring} with N={skel.N}, presentation over"
                 f" {gens.ring} with N={gens.N}"
             )
-        built = composites.setdefault(skel, {})
+        built = placed.setdefault(skel, {})
         terms = [(c, tuple((*skel.rep[f], s) for f, s in d)) for c, d in row.terms]
         for j in cols:
             if j not in built:
-                if j not in mirrors:
-                    mirrors[j] = mirror(gens.movies[j])
-                built[j] = compose(skel.movie, mirrors[j])
-            foams.append((built[j], terms))
+                bare, decorations = gens.split[j]
+                if (skel, id(bare)) not in composites:
+                    if id(bare) not in mirrors:
+                        mirrors[id(bare)] = mirror(bare)
+                    composites[skel, id(bare)] = _composite(skel.movie, mirrors[id(bare)])
+                composite, rename = composites[skel, id(bare)]
+                end = len(skel.movie.moves) + len(bare.moves)
+                built[j] = composite, tuple(
+                    (end - t, rename(edge), dec) for t, edge, dec in decorations
+                )
+            foams.append((*built[j], terms))
     values = iter(_family_values(foams, gens.N, gens.ring, basis))
     return [[next(values) for _ in cols] for cols in columns]
 
@@ -570,7 +605,7 @@ def presentation_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Lau
     _require_rank_inputs(gens.ring, trials)
     degrees, n = gens.degrees, len(gens)
     basis = ElementaryBasis(xvars(gens.N))
-    sums = _movie_sums(gens.movies, gens)
+    sums = _movie_sums(gens.split, gens)
     zero = MultiPoly.zero(gens.ring, basis.e_names)
     entries = [[zero] * n for _ in range(n)]
 
@@ -618,7 +653,7 @@ def is_zero_in_statespace(
                     f"coefficient in {coef.vars} is not a polynomial in {vs}"
                 )
         row = [MultiPoly.zero(gens.ring, vs) for _ in gens.movies]
-        pairs = _pairings(_movie_sums((mov for _, mov in v), gens), gens, basis)
+        pairs = _pairings(_movie_sums(_split_movies(mov for _, mov in v), gens), gens, basis)
         for (coef, _), values in zip(v, _expanded(pairs, basis)):
             c = coef.extend(vs) if isinstance(coef, MultiPoly) else coef
             row = [e + value * c for e, value in zip(row, values)]
@@ -938,7 +973,9 @@ class InducedAction:
     ``solution`` is the same matrix as solved, with entries in ``e_1..e_N``
     (variables ``E1..EN``), and ``matrix`` is its expansion in ``X1..XN``;
     on the ``phi0`` base both hold constants.
-    ``gens`` is the generator family of the coordinates.
+    ``gens`` is the generator family of the coordinates, and ``images`` the
+    operator's images ``d(e_1)..d(e_N)`` of the elementary symmetric
+    polynomials, in ``e_1..e_N`` (:func:`_derivation_images`).
     """
 
     op: str
@@ -946,6 +983,7 @@ class InducedAction:
     certificate: CheckReport
     solution: Matrix = field(repr=False)
     gens: Presentation = field(repr=False)
+    images: tuple[MultiPoly, ...] = field(repr=False, compare=False)
 
     @property
     def base(self) -> str:
@@ -963,7 +1001,7 @@ def _induced_system(
     pairing partner G_j, columns by the generator coordinates: ``M`` is the
     transpose of the Gram entries and ``B`` of the image pairings.
     """
-    sums = _movie_sums(gens.movies, gens)
+    sums = _movie_sums(gens.split, gens)
     n = len(sums)
     P = _pairings(sums + [apply_operator(op, params, S) for S in sums], gens, basis)
     M = [[_base_entry(P[k][j], gens.base) for k in range(n)] for j in range(n)]
@@ -994,15 +1032,17 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
         )
     basis = ElementaryBasis(xvars(gens.N))
     M, B = _induced_system(op, params, gens, basis)
+    images = _derivation_images(op, basis, gens.ring)
+    derive = _elementary_derivation(images)
     # The lifted solve returns Bareiss's X and its kernel up to scaling, to
     # which the kernel check is blind.  Whatever it cannot certify, a moved
     # kernel vector included, Bareiss solves again: a system without a
     # polynomial solution raises there, before the kernel is checked, and a
     # moved vector is reported in Bareiss's scaling.
     solved = _lifted_solve(M, B)
-    if solved is None or _moved_kernel_vector(op, basis, M, B, solved[1]) is not None:
+    if solved is None or _moved_kernel_vector(derive, M, B, solved[1]) is not None:
         solved = _fraction_free_solve(M, B)
-        vec = _moved_kernel_vector(op, basis, M, B, solved[1])
+        vec = _moved_kernel_vector(derive, M, B, solved[1])
         if vec is not None:
             raise NotWellDefined(
                 f"operator {op} moves a pairing-kernel vector out of the"
@@ -1017,23 +1057,21 @@ def induced_action(op: str, params: ActionParams, gens: Presentation) -> Induced
     else:
         cert = CheckReport(True, None, "pairing nondegenerate; kernel trivial")
     solution = tuple(tuple(row) for row in X)
-    return InducedAction(op, _expanded(solution, basis), cert, solution, gens)
+    return InducedAction(op, _expanded(solution, basis), cert, solution, gens, images)
 
 
 def _moved_kernel_vector(
-    op: str, basis: ElementaryBasis, M: Matrix, B: Matrix, kernel: list[list[MultiPoly]]
+    derive: Callable[[Matrix], Matrix], M: Matrix, B: Matrix, kernel: list[list[MultiPoly]]
 ) -> list[MultiPoly] | None:
     """The first vector of ``kernel`` that the operator moves out of the
     pairing kernel, or None.
 
     A vector V of coefficients in the pairing kernel must stay in the
     kernel, B V + M L(V) = 0: the operator acts on the generators by the
-    pairing columns and on the coefficients by the base derivation L.  The
-    check is blind to the scaling of each kernel vector.
+    pairing columns and on the coefficients by the base derivation L,
+    ``derive`` (:func:`_elementary_derivation`).  The check is blind to the
+    scaling of each kernel vector.
     """
-    if not kernel:
-        return None
-    derive = _elementary_derivation(op, basis, M[0][0].ring)
     for vec in kernel:
         V = tuple((e,) for e in vec)
         if not mat_is_zero(mat_add(mat_mul(B, V), mat_mul(M, derive(V)))):
@@ -1059,14 +1097,21 @@ def base_derivation(op: str):
     return lambda q: witt_act(n, q) * c
 
 
-def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
-    """:func:`base_derivation` on every entry of a matrix in ``e_1..e_N``, by
-    the chain rule ``d(q) = sum_k dq/de_k * d(e_k)``, so 0 on constants;
-    each ``d(e_k)`` is converted once."""
+def _derivation_images(
+    op: str, basis: ElementaryBasis, ring: CoefRing
+) -> tuple[MultiPoly, ...]:
+    """The images ``d(e_1)..d(e_N)`` under :func:`base_derivation` of ``op``,
+    converted to ``e_1..e_N`` by ``basis``."""
     d = base_derivation(op)
-    images = [
+    return tuple(
         basis.to_e(d(elementary(ring, basis.vars, k))) for k in range(1, len(basis.vars) + 1)
-    ]
+    )
+
+
+def _elementary_derivation(images: Sequence[MultiPoly]):
+    """:func:`base_derivation` on every entry of a matrix in ``e_1..e_N``, by
+    the chain rule ``d(q) = sum_k dq/de_k * d(e_k)`` with the images
+    ``d(e_k)`` of :func:`_derivation_images`, so 0 on constants."""
 
     def deriv(q: MultiPoly) -> MultiPoly:
         return _sum_of_products(q.ring, q.vars, (
@@ -1078,9 +1123,9 @@ def _elementary_derivation(op: str, basis: ElementaryBasis, ring: CoefRing):
     return lambda S: tuple(tuple(deriv(e) for e in row) for row in S)
 
 
-def _after(a: InducedAction, basis: ElementaryBasis):
+def _after(a: InducedAction):
     """The step ``S -> a.solution * S + L_a(S)``: ``a`` after ``S``."""
-    derive = _elementary_derivation(a.op, basis, a.gens.ring)
+    derive = _elementary_derivation(a.images)
     return lambda S: mat_add(mat_mul(a.solution, S), derive(S))
 
 
@@ -1095,24 +1140,23 @@ def _shared_basis(a: InducedAction, b: InducedAction) -> ElementaryBasis:
 def operator_compose(a: InducedAction, b: InducedAction) -> Matrix:
     """Matrix of ``a`` after ``b`` in the same generator family."""
     basis = _shared_basis(a, b)
-    return _expanded(_after(a, basis)(b.solution), basis)
+    return _expanded(_after(a)(b.solution), basis)
 
 
 def operator_commutator(a: InducedAction, b: InducedAction) -> Matrix:
     basis = _shared_basis(a, b)
-    ab, ba = _after(a, basis)(b.solution), _after(b, basis)(a.solution)
+    ab, ba = _after(a)(b.solution), _after(b)(a.solution)
     return _expanded(mat_sub(ab, ba), basis)
 
 
 def operator_power(a: InducedAction, k: int) -> Matrix:
     if k < 1:
         raise InputError("operator power needs a positive exponent")
-    basis = ElementaryBasis(xvars(a.gens.N))
-    step = _after(a, basis)
+    step = _after(a)
     out = a.solution
     for _ in range(k - 1):
         out = step(out)
-    return _expanded(out, basis)
+    return _expanded(out, ElementaryBasis(xvars(a.gens.N)))
 
 
 # ---------------------------------------------------------------------------

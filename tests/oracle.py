@@ -807,7 +807,7 @@ def fraction_free_solve_reference(M, B):
 def induced_reference(op, params, gens):
     """``(matrix, certificate detail)`` of ``induced_action(op, params, gens)``,
     solved and certified on entries in the pigment alphabet."""
-    sums = statespace._movie_sums(gens.movies, gens)
+    sums = statespace._movie_sums(gens.split, gens)
     n = len(sums)
     images = [actions.apply_operator(op, params, S) for S in sums]
     basis = ElementaryBasis(xvars(gens.N))

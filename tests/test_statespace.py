@@ -22,12 +22,13 @@ from foamlab.actions import (
     apply_operator,
     sl2_from_witt,
 )
-from foamlab import actions, dsl, foameval, statespace
+from foamlab import actions, dsl, foamcore, foameval, statespace
 from foamlab.errors import (
     DivisionNotExact,
     InputError,
     NotInSymmetricSubring,
     NotWellDefined,
+    PatternMismatch,
     RankUnstable,
     WrongRing,
 )
@@ -141,19 +142,40 @@ class TestPresentations:
             with pytest.raises(InputError, match="must start at the empty web"):
                 presentation(movies, 3)
 
+    def test_errors_keep_their_order(self):
+        # a movie off the empty web with another boundary: each movie's
+        # boundary is checked before its input web, in movie order
+        cup = decorated_cup()
+        off = Movie(decorated_cup(thickness=2).output_web, ())
+        with pytest.raises(InputError, match="do not share a boundary web"):
+            presentation([cup, off], 3)
+        with pytest.raises(InputError, match="must start at the empty web"):
+            presentation([off, cup], 3)
+        # a decoration on a missing edge fails where the decorated movie
+        # would, before a later bad move and before the boundary checks
+        dot = foamcore.Decorate("nope", p1_poly())
+        for tail in ((), (foamcore.Cap("gone"),)):
+            bad = Movie(cup.input_web, cup.moves + (dot,) + tail)
+            for movies in ([bad], [cup, bad], [off, bad]):
+                with pytest.raises(PatternMismatch, match="edge nope not in slice"):
+                    presentation(movies, 3)
+
     def test_reads_each_output_web_once(self, monkeypatch):
-        movs = [decorated_cup(), decorated_cup(p1_poly())]
+        # the decorated movies are never replayed; their one undecorated
+        # movie is replayed four times however many movies share it: for
+        # the output web, for its degree, and by the offset's mirror and
+        # compose
         sliced = []
         real = Movie.slices
-        monkeypatch.setattr(
-            Movie, "slices",
-            lambda mov: sliced.append(next((k for k, m in enumerate(movs) if m is mov), None))
-            or real(mov),
-        )
-        presentation(movs, 2)
-        # each output web once; the degrees and the offset are read on the
-        # undecorated movies, which are other objects
-        assert (sliced.count(0), sliced.count(1)) == (1, 1)
+        monkeypatch.setattr(Movie, "slices", lambda mov: sliced.append(mov) or real(mov))
+        decs = [None, p1_poly(), p1sq_poly()]
+        for n in (1, 2, 3):
+            movs = [decorated_cup(d) for d in decs[:n]]
+            sliced.clear()
+            gens = presentation(movs, 2)
+            (bare,) = {id(b): b for b, _ in gens.split}.values()
+            assert not any(m is mov for m in movs for mov in sliced)
+            assert sum(mov is bare for mov in sliced) == 4
 
     def test_elementary_product_blocks(self):
         dec = elementary_product(ZZ, 2, (2, 1))
@@ -203,36 +225,50 @@ class TestGramMatrix:
                         assert e.qdegree() == G.row_degrees[i] + G.row_degrees[j]
 
     def test_composes_each_skeleton_with_each_generator_once(self, monkeypatch):
-        gens = circle_presentation(2, 4)
-        calls = []
-        real = statespace.compose
-        monkeypatch.setattr(statespace, "compose", lambda *a: calls.append(a) or real(*a))
-        gram_matrix(gens)
-        assert len(calls) == 6
-
-    def test_strips_each_distinct_movie_once(self, monkeypatch):
-        # the pairings hand the family evaluation each composite once per row
-        calls = {"_strip_decorations": 0, "_placed_on": 0}
+        # one composite per (skeleton, undecorated generator) and one mirror
+        # per undecorated generator: circle(2,4) has one undecorated movie,
+        # the two-shape family two
+        calls = {"_composite": 0, "mirror": 0}
         for name in calls:
-            real = getattr(foameval, name)
+            real = getattr(statespace, name)
 
             def counting(*a, name=name, real=real):
                 calls[name] += 1
                 return real(*a)
 
-            monkeypatch.setattr(foameval, name, counting)
-        movies, foams = set(), []
+            monkeypatch.setattr(statespace, name, counting)
+        for gens, want in ((circle_presentation(2, 4), (1, 1)), (two_shape_presentation(), (4, 2))):
+            calls.update(dict.fromkeys(calls, 0))
+            gram_matrix(gens)
+            assert (calls["_composite"], calls["mirror"]) == want
+
+    def test_strips_each_distinct_movie_once(self, monkeypatch):
+        # the presentation keeps its split, so the pairings strip nothing;
+        # the family evaluation gets one undecorated composite and each
+        # generator's placed decorations as one object, placed once
+        gens = circle_presentation(2, 4)
+        calls = {"_strip_decorations": 0, "_placed_on": 0}
+        for module, name in ((foamcore, "_strip_decorations"), (foameval, "_placed_on")):
+            real = getattr(module, name)
+
+            def counting(*a, name=name, real=real):
+                calls[name] += 1
+                return real(*a)
+
+            monkeypatch.setattr(module, name, counting)
+        foams = []
         real_family = statespace._family_values
 
         def family(given, *a):
             foams.extend(given)
-            movies.update(mov for mov, _ in given)
             return real_family(given, *a)
 
         monkeypatch.setattr(statespace, "_family_values", family)
-        gram_matrix(circle_presentation(2, 4))
-        assert (len(foams), len(movies)) == (36, 6)
-        assert calls == {"_strip_decorations": 6, "_placed_on": 6}
+        gram_matrix(gens)
+        bare = {id(b) for b, _, _ in foams}
+        decorations = {id(d) for _, d, _ in foams}
+        assert (len(foams), len(bare), len(decorations)) == (36, 1, 6)
+        assert calls == {"_strip_decorations": 0, "_placed_on": 6}
 
     def test_off_band_entries_have_no_constant_term(self):
         # the fact the band rank rests on: a pairing is homogeneous of degree
@@ -399,6 +435,18 @@ def _standard_presentations():
     return out
 
 
+def _polys(decorations):
+    """The decoration polynomials of split decorations, in order."""
+    return [d.poly for _, _, d in decorations]
+
+
+def _column_decorations(gens):
+    """Each generator's decoration polynomials, which tell them apart."""
+    columns = [_polys(decorations) for _, decorations in gens.split]
+    assert all(columns.count(c) == 1 for c in columns)
+    return columns
+
+
 class TestPresentationRank:
     """``presentation_rank`` pairs the degree-0 band first and falls back to
     the whole Gram matrix only when its ``phi0`` matrix is singular."""
@@ -411,29 +459,14 @@ class TestPresentationRank:
             assert presentation_rank(gens) == graded_rank(gram_matrix(gens))
 
     def test_moy_check_pairs_exactly_the_band(self, monkeypatch):
-        # each composite is tagged with the generator it mirrors; a row's
-        # placed terms are shared by its pairs, in row order
+        # a column is known by the decorations placed on its composite, a
+        # row by its placed terms, shared by its pairs, in row order
         built = []
         real_build = WEB_FAMILIES["circle"][1]
         monkeypatch.setitem(
             WEB_FAMILIES, "circle",
             (1, lambda *a: built.append(real_build(*a)) or built[-1]),
         )
-        mirrored, composed = {}, {}
-        real_mirror, real_compose = statespace.mirror, statespace.compose
-
-        def tag_mirror(G):
-            out = real_mirror(G)
-            mirrored[id(out)] = G
-            return out
-
-        def tag_compose(a, b):
-            out = real_compose(a, b)
-            composed[id(out)] = mirrored.get(id(b))
-            return out
-
-        monkeypatch.setattr(statespace, "mirror", tag_mirror)
-        monkeypatch.setattr(statespace, "compose", tag_compose)
         handed = []
         real_family = statespace._family_values
         monkeypatch.setattr(
@@ -442,10 +475,11 @@ class TestPresentationRank:
         )
         assert moy_check("circle", 4, a=2).ok
         (gens,) = built
-        rows = list({id(terms): None for _, terms in handed})
+        columns = _column_decorations(gens)
+        rows = list({id(terms): None for _, _, terms in handed})
         pairs = [
-            (rows.index(id(terms)), gens.movies.index(composed[id(closed)]))
-            for closed, terms in handed
+            (rows.index(id(terms)), columns.index(_polys(decorations)))
+            for _, decorations, terms in handed
         ]
         d = gens.degrees
         band = [(i, j) for i in range(6) for j in range(6) if d[i] + d[j] == 0]
@@ -471,25 +505,11 @@ class TestPresentationRank:
 
     def test_singular_band_pairs_each_pair_once(self, monkeypatch):
         # the band, then only the pairs off it: each row (by its placed
-        # terms) meets each generator (by the mirror it is composed with)
-        # exactly once
+        # terms) meets each generator (by the decorations placed on its
+        # composite) exactly once
         movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
         gens = presentation(movs, 2)
-        mirrored, composed = {}, {}
-        real_mirror, real_compose = statespace.mirror, statespace.compose
-
-        def tag_mirror(G):
-            out = real_mirror(G)
-            mirrored[id(out)] = (out, movs.index(G))
-            return out
-
-        def tag_compose(a, b):
-            out = real_compose(a, b)
-            composed[id(out)] = (out, mirrored[id(b)][1])
-            return out
-
-        monkeypatch.setattr(statespace, "mirror", tag_mirror)
-        monkeypatch.setattr(statespace, "compose", tag_compose)
+        columns = _column_decorations(gens)
         handed = []
         real_family = statespace._family_values
         monkeypatch.setattr(
@@ -499,7 +519,10 @@ class TestPresentationRank:
         rank = presentation_rank(gens)
         assert rank == graded_rank(gram_matrix(gens)) and sum(rank.values()) == 2
         band, off = handed[:2]
-        pairs = [(tuple(terms), composed[id(closed)][1]) for closed, terms in band + off]
+        pairs = [
+            (tuple(terms), columns.index(_polys(decorations)))
+            for _, decorations, terms in band + off
+        ]
         assert len(band) == 2 and len(pairs) == 9 and len(set(pairs)) == 9
 
     def test_prime_field_fails_before_any_pairing(self, monkeypatch):
@@ -1660,6 +1683,85 @@ class TestOneEvaluationPath:
                     m.setattr(FoamSum, "_materialize", None)
                     assert statespace._pairings([S], gens, basis) == [want_e]
                     assert is_zero_in_statespace(S, gens) == all(w.is_zero() for w in want)
+
+
+def detour_presentation(N=3, ring=ZZ):
+    """Thickness-2 cups, some split by a digon that closes again.
+
+    A plain cup and a cup followed by a digon-cup and a digon-cap are two
+    undecorated movies with one boundary web; the cups carry ``e_lam``, and
+    the digon's thin edges are dotted between the two moves.
+    """
+    movs = []
+    for lam in box_partitions(N - 2, 2):
+        b = MovieBuilder()
+        b.decorate(b.cup(2, "e6"), elementary_product(ring, 2, lam))
+        movs.append(b.movie())
+    for k in range(3):
+        b = MovieBuilder()
+        c = b.cup(2, "y")
+        b.decorate(c, elementary_product(ring, 2, (1,) * (k % 2)))
+        d = b.digon_cup(c, 1, 1)
+        b.decorate(d.edge_a, SymPoly(power_sum(ring, ("x1",), 1) ** k, (1,)))
+        if k == 2:
+            b.decorate(d.edge_b, p1_poly(ring))
+        b.digon_cap(d.edge_a, d.edge_b)
+        movs.append(b.movie())
+    return presentation(movs, N, ring)
+
+
+class TestPairingsByUndecoratedMovie:
+    """``_pairings`` builds one composite per (skeleton, undecorated
+    generator) and places each generator's decorations on it; every entry
+    must equal ``pair_movies`` of the decorated movies."""
+
+    def test_two_undecorated_movies_against_pair_movies(self):
+        gens = detour_presentation()
+        n = len(gens)
+        assert len({id(bare) for bare, _ in gens.split}) == 2
+        basis = ElementaryBasis(xvars(gens.N))
+        want = [
+            [basis.to_e(pair_movies(F, G, gens.N, gens.ring)) for G in gens.movies]
+            for F in gens.movies
+        ]
+        assert sum(not e.is_zero() for row in want for e in row) > n
+        rows = statespace._movie_sums(gens.split, gens)
+        assert statespace._pairings(rows, gens, basis) == want
+        # a subset of columns per row, each row's in its own order
+        cols = [[j for j in reversed(range(n)) if (i + j) % 3] for i in range(n)]
+        got = statespace._pairings(rows, gens, basis, cols)
+        assert got == [[want[i][j] for j in js] for i, js in enumerate(cols)]
+
+    def test_composite_row_takes_the_double_prime_tag(self):
+        # a row movie that is itself a composite carries primed ids, so its
+        # composite with a mirrored generator renames by a second prime, and
+        # the generator's decorations must follow that rename
+        gens = detour_presentation()
+        cup, detour = gens.movies[0], gens.movies[-1]
+        b = MovieBuilder(cup.output_web)
+        s = b.cup(1)
+        b.decorate(s, SymPoly(power_sum(ZZ, ("x1",), 1) ** (gens.N - 1), (1,)))
+        b.cap(s)
+        bubble = b.movie()
+        row = compose(cup, bubble)
+        ((bare, _),) = foamcore._split_movies([row])
+        _, rename = foamcore._composite(bare, mirror(gens.split[-1][0]))
+        assert rename("e1") == "e1''"
+        assert any(d.edge.endswith("''") for d in compose(row, mirror(detour)).moves
+                   if isinstance(d, foamcore.Decorate))
+        basis = ElementaryBasis(xvars(gens.N))
+        sums = statespace._movie_sums(foamcore._split_movies([row]), gens)
+        (got,) = statespace._pairings(sums, gens, basis)
+        assert got == [basis.to_e(pair_movies(row, G, gens.N, ZZ)) for G in gens.movies]
+        # the dotted bubble is a scalar: the row is that multiple of the cup
+        sphere = MovieBuilder()
+        t = sphere.cup(1)
+        sphere.decorate(t, SymPoly(power_sum(ZZ, ("x1",), 1) ** (gens.N - 1), (1,)))
+        sphere.cap(t)
+        c = evaluate(sphere.movie(), gens.N).value.constant_value()
+        assert c != 0
+        assert is_zero_in_statespace([(1, row), (-c, cup)], gens)
+        assert not is_zero_in_statespace([(1, row)], gens)
 
 
 # the standard presentations at N <= 6 whose reference route stays under a
