@@ -18,8 +18,8 @@ from foamlab.errors import InputError
 from foamlab.statespace import (
     MOY_RELATIONS,
     WEB_FAMILIES,
+    graded_rank,
     moy_check,
-    presentation_rank,
 )
 
 
@@ -30,7 +30,7 @@ def main() -> None:
         for N in range(2, max_n + 1):
             for args in itertools.product(range(1, N), repeat=arity):
                 try:
-                    L = presentation_rank(build(*args, N))
+                    L = graded_rank(build(*args, N))
                 except InputError:
                     continue
                 spec = f"{name}:" + ",".join(map(str, args)) if args else name

@@ -87,7 +87,6 @@ __all__ = [
     "pair_movies",
     "gram_matrix",
     "graded_rank",
-    "presentation_rank",
     "is_zero_in_statespace",
     "induced_action",
     "moy_check",
@@ -520,20 +519,14 @@ def _rank_at(entries: Matrix, degrees: Sequence[int], point: Sequence[int]) -> L
     return _rank_once(spec, degrees, p)
 
 
-def _exact_rank(entries: Matrix, degrees: Sequence[int], N: int) -> Laurent | None:
-    """The graded rank of the ``phi0`` matrix ``M_0`` (``entries`` at the
-    point 0) when it has full row rank, which is then the exact graded rank
-    of ``entries``; ``None`` when ``M_0`` is singular."""
-    rank = _rank_at(entries, degrees, [0] * N)
-    return rank if sum(rank.values()) == len(entries) else None
-
-
-def _sampled_rank(G: GramMatrix, trials: int, seed: int) -> Laurent:
-    """The graded rank of ``G`` at ``trials`` random points of ``E1..EN``,
-    which must agree."""
+def _sampled_rank(
+    entries: Matrix, degrees: Sequence[int], N: int, trials: int, seed: int
+) -> Laurent:
+    """The graded rank of ``entries`` at ``trials`` random points of
+    ``E1..EN``, which must agree."""
     rng = random.Random(seed)
     results = [
-        _rank_at(G.e_entries, G.row_degrees, rng.sample(range(1, _RANK_PRIME), G.N))
+        _rank_at(entries, degrees, rng.sample(range(1, _RANK_PRIME), N))
         for _ in range(trials)
     ]
     if any(r != results[0] for r in results[1:]):
@@ -542,65 +535,50 @@ def _sampled_rank(G: GramMatrix, trials: int, seed: int) -> Laurent:
 
 
 def _require_rank_inputs(ring: CoefRing, trials: int) -> None:
-    if ring.kind not in ("Z", "Q"):
-        raise WrongRing("graded ranks are computed over Z or Q coefficients")
     if trials < 1:
         raise InputError("at least one specialization is required")
+    if ring.kind not in ("Z", "Q"):
+        raise WrongRing("graded ranks are computed over Z or Q coefficients")
 
 
-def graded_rank(G: GramMatrix, trials: int = 3, seed: int = 0) -> Laurent:
-    """Graded rank of the pairing: exact when the ``phi0`` matrix has full
-    row rank, else by repeated random specialization.
+def graded_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Laurent:
+    """The graded rank of the pairing on ``gens``, from its degree-0 band:
+    exact when the ``phi0`` matrix has full row rank, else by repeated
+    random specialization of the whole Gram matrix.
 
-    For a presentation, :func:`presentation_rank` gives the same rank and
-    computes only the pairings of ``M_0`` unless ``M_0`` is singular; this
-    function serves a caller that already holds the whole Gram matrix.
+    A pairing ``<G_i; G_j>`` is homogeneous of q-degree ``deg_i + deg_j``
+    (the degree check enforces it on every value computed), so its constant
+    term, its entry in the ``phi0`` matrix ``M_0``, is 0 unless
+    ``deg_i + deg_j = 0``.  Only the pairs of that band are computed first,
+    each with every check of :func:`gram_matrix`.  ``trials`` and then the
+    ring (Z or Q) are checked before any pairing.
 
     Each elimination reads the entries at a point of ``E1..EN`` modulo a
     prime ``p`` > 2**31 and row-reduces with pivots chosen greedily in
     generator-degree order; the contributions appear as ``q^degree``.  The
-    first point is 0, where the entries are their constant terms, the
-    ``phi0`` matrix ``M_0``.  Setting every ``e_k`` to 0 is a ring map, so a
-    nonzero ``n x n`` minor of ``M_0`` mod ``p`` is the constant term of the
-    same minor of the Gram matrix, which is then nonzero: every row is a
-    pivot, and the rank ``sum q^{deg_i}`` is returned with no point drawn.
-    Otherwise ``trials`` points are drawn, with distinct random coordinates,
-    and disagreeing trials raise :class:`RankUnstable` rather than
-    averaging.  The ``e_1..e_N`` are algebraically independent, so a minor
-    that is nonzero in ``X1..XN`` is a nonzero polynomial in ``E1..EN``.
+    first point is 0, where the entries are their constant terms, ``M_0``.
+    Setting every ``e_k`` to 0 is a ring map, so a nonzero ``n x n`` minor
+    of ``M_0`` mod ``p`` is the constant term of the same minor of the Gram
+    matrix, which is then nonzero: every row is a pivot, and the rank
+    ``sum q^{deg_i}`` is returned with no point drawn.  Otherwise the pairs
+    off the band complete the Gram matrix, each pair computed once either
+    way, and ``trials`` points are drawn, with distinct random coordinates;
+    disagreeing trials raise :class:`RankUnstable` rather than averaging.
+    The ``e_1..e_N`` are algebraically independent, so a minor that is
+    nonzero in ``X1..XN`` is a nonzero polynomial in ``E1..EN``.
 
     A trial errs only when the rank of some row prefix drops at the chosen
     point, that is, when a nonzero minor vanishes there.  The graded rank
     is decided by at most ``n`` row prefixes, each by one minor of size at
-    most ``r = min(n, m)`` and total degree in ``E1..EN`` at most ``r * D``,
-    where ``D`` is the largest total degree of an entry in ``E1..EN`` (at
-    most its degree in ``X1..XN``, since ``e_k`` has degree ``k`` there).
-    By Schwartz--Zippel one trial is therefore wrong with probability at
-    most ``eps = n * r * D / p`` (times ``1 + O(N**2 / p)`` because the
+    most ``n`` and total degree in ``E1..EN`` at most ``n * D``, where ``D``
+    is the largest total degree of an entry in ``E1..EN`` (at most its
+    degree in ``X1..XN``, since ``e_k`` has degree ``k`` there).  By
+    Schwartz--Zippel one trial is therefore wrong with probability at most
+    ``eps = n * n * D / p`` (times ``1 + O(N**2 / p)`` because the
     coordinates are drawn distinct), and ``trials`` independent trials all
     return the same wrong rank with probability at most ``eps ** trials``.
     This bound covers only a singular ``M_0``, and assumes no such minor
     vanishes identically mod ``p``.
-    """
-    _require_rank_inputs(G.ring, trials)
-    rank = _exact_rank(G.e_entries, G.row_degrees, G.N)
-    return _sampled_rank(G, trials, seed) if rank is None else rank
-
-
-def presentation_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Laurent:
-    """The graded rank of the pairing on ``gens``, from its degree-0 band.
-
-    Equal to ``graded_rank(gram_matrix(gens), trials, seed)``.  A pairing
-    ``<G_i; G_j>`` is homogeneous of q-degree ``deg_i + deg_j`` (the degree
-    check enforces it on every value computed), so its constant term, its
-    entry in the ``phi0`` matrix ``M_0``, is 0 unless ``deg_i + deg_j = 0``.
-    Only the pairs of that band are computed, each with every check of
-    :func:`gram_matrix`, and ``M_0`` is ranked from them as in
-    :func:`graded_rank`: at full row rank the rank ``sum q^{deg_i}`` is
-    exact.  Only a singular ``M_0`` completes the Gram matrix, pairing the
-    pairs off the band, which is then ranked at ``trials`` random points;
-    each pair is computed once either way.  The ring and ``trials`` are
-    checked before any pairing.
     """
     _require_rank_inputs(gens.ring, trials)
     degrees, n = gens.degrees, len(gens)
@@ -616,11 +594,10 @@ def presentation_rank(gens: Presentation, trials: int = 3, seed: int = 0) -> Lau
                 row[j] = _base_entry(value, gens.base)
 
     pair(True)
-    rank = _exact_rank(entries, degrees, gens.N)
-    if rank is None:
+    rank = _rank_at(entries, degrees, [0] * gens.N)
+    if sum(rank.values()) < n:
         pair(False)
-        G = GramMatrix(tuple(map(tuple, entries)), degrees, gens.N, gens.ring, gens.base)
-        rank = _sampled_rank(G, trials, seed)
+        rank = _sampled_rank(entries, degrees, gens.N, trials, seed)
     return rank
 
 
@@ -1203,21 +1180,23 @@ def moy_check(
     relation's prediction is computed, after its families are ranked.
     ``circle``, ``digon``, ``bad_digon`` and ``square`` compare one family's
     rank with the prediction, ``assoc`` both bracketings' ranks.
-    Each family is ranked by :func:`presentation_rank`, which pairs only the
+    Each family is ranked by :func:`graded_rank`, which pairs only the
     degree-0 band unless its ``phi0`` matrix is singular.
     ``bad_square`` is outside the move family used by the presentations
     (its defining foams are not built from the spherical moves), so it ranks
     no family: only the numeric identity between its prediction and the
     ``square`` prediction is verified, for ``N >= 2``, and the report says
-    so.  ``N`` and ``trials`` below 1 are rejected for every relation.
+    so.  ``N`` and ``trials`` below 1 are rejected for every relation, and
+    a ring other than Z or Q for every relation that ranks a family, before
+    any family is built.
     """
     if relation not in MOY_RELATIONS:
         raise InputError(f"unknown relation {relation!r}")
     if N < 1:
         raise InputError(f"N must be >= 1, got {N}")
-    if trials < 1:
-        raise InputError("at least one specialization is required")
     families, predict = MOY_RELATIONS[relation]
+    # before any family is built; bad_square ranks none, so its ring is unread
+    _require_rank_inputs(ring if families else ZZ, trials)
     if relation == "bad_square":
         if N < 2:
             raise InputError("the ladder web needs N >= 2")
@@ -1234,7 +1213,7 @@ def moy_check(
     for name in families:
         arity, build = WEB_FAMILIES[name]
         gens = build(*(a, b, c)[:arity], N, ring, base)
-        ranks.append(presentation_rank(gens, trials=trials, seed=seed))
+        ranks.append(graded_rank(gens, trials=trials, seed=seed))
     want = predict(N, a, b, c)
     if relation == "assoc":
         left, right = ranks

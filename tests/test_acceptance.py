@@ -396,14 +396,14 @@ class TestStateSpaceRanks:
         start = time.monotonic()
         for N, a in ((2, 1), (3, 1), (3, 2), (4, 2)):
             pres = circle_presentation(a, N)
-            assert graded_rank(gram_matrix(pres)) == qbinom_laurent(N, a)
+            assert graded_rank(pres) == qbinom_laurent(N, a)
         for N in (2, 3):
             digon = theta_presentation(1, 1, N)
             want = laurent_mul(qbinom_laurent(2, 1), qbinom_laurent(N, 2))
-            assert graded_rank(gram_matrix(digon)) == want
+            assert graded_rank(digon) == want
             reversed_digon = zipped_presentation(1, 1, N)
             want = laurent_mul(qbinom_laurent(N - 1, 1), qbinom_laurent(N, 1))
-            assert graded_rank(gram_matrix(reversed_digon)) == want
+            assert graded_rank(reversed_digon) == want
         assert time.monotonic() - start < 120
 
     def test_cli_rank_of_the_circle_at_ten_pigments(self, capsys):

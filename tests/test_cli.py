@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from foamlab import dsl, statespace
+from foamlab import actions, dsl, foamcore, foameval, statespace
 from foamlab.cli import laurent_text, main, parse_presentation
 from foamlab.errors import InputError
 from foamlab.polyring import ZZ, qbinom_laurent
@@ -238,6 +238,12 @@ class TestRank:
         assert (code, out) == (1, "")
         assert err == "error: graded ranks are computed over Z or Q coefficients\n"
 
+    def test_trials_are_checked_before_the_ring(self, capsys):
+        code, out, err = run(
+            capsys, "rank", "--web", "circle:1", "--N", "3", "--ring", "F5", "--trials", "0"
+        )
+        assert (code, out, err) == (2, "", "error: at least one specialization is required\n")
+
 
 # (web, N, extra flags) -> sha256 of `gram --json` stdout, of `rank --json` stdout
 PINNED_PRESENTATIONS = {
@@ -349,6 +355,30 @@ class TestMoyCheck:
             capsys, "moy-check", "--relation", relation, "--N", n, "--trials", trials
         )
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.parametrize("relation", [r for r in MOY_RELATIONS if r != "bad_square"])
+    def test_prime_field_fails_before_any_family_is_built(self, capsys, monkeypatch, relation):
+        # trials first (exit 2), then the ring (exit 1); no movie is compiled
+        compiled = []
+        real = foamcore.compile_movie
+        for module in (foamcore, foameval, actions):
+            monkeypatch.setattr(
+                module, "compile_movie", lambda m: compiled.append(m) or real(m)
+            )
+        args = ("moy-check", "--relation", relation, "--N", "3", "--ring", "F5")
+        code, out, err = run(capsys, *args, "--trials", "0")
+        assert (code, out, err) == (2, "", "error: at least one specialization is required\n")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err == "error: graded ranks are computed over Z or Q coefficients\n"
+        assert compiled == []
+
+    def test_bad_square_reads_no_ring(self, capsys):
+        # it ranks no family, so a prime field is not rejected
+        code, out, _ = run(
+            capsys, "moy-check", "--relation", "bad_square", "--N", "2", "--ring", "F5"
+        )
+        assert code == 0 and out.startswith("pass")
 
     def test_bad_square_needs_two_pigments(self, capsys):
         code, out, err = run(capsys, "moy-check", "--relation", "bad_square", "--N", "1")

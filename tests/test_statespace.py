@@ -1,7 +1,6 @@
 """Tests for web state spaces: Gram matrices, graded ranks, kernel
 membership, induced operator matrices and the local rank relations."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -71,7 +70,6 @@ from foamlab.statespace import (
     operator_power,
     pair_movies,
     presentation,
-    presentation_rank,
     quantum_integer,
     scalar_matrix,
     theta_presentation,
@@ -286,24 +284,26 @@ class TestGramMatrix:
         assert all(e.is_constant() for row in G.entries for e in row)
 
 
+def _reference_rank(gens):
+    """``oracle.rank_reference`` on the whole Gram matrix of ``gens``."""
+    return oracle.rank_reference(gram_matrix(gens), random.Random(0), statespace._RANK_PRIME)
+
+
 class TestGradedRank:
     @pytest.mark.parametrize("N,a", [(2, 1), (3, 1), (3, 2), (4, 2)])
     def test_circle_ranks(self, N, a):
-        G = gram_matrix(circle_presentation(a, N))
-        assert graded_rank(G) == qbinom_laurent(N, a)
+        assert graded_rank(circle_presentation(a, N)) == qbinom_laurent(N, a)
 
     def test_full_thickness_circle_is_trivial(self):
-        G = gram_matrix(circle_presentation(3, 3))
-        assert graded_rank(G) == {0: 1}
+        assert graded_rank(circle_presentation(3, 3)) == {0: 1}
 
     def test_rank_at_q_one_is_ungraded_rank(self):
-        G = gram_matrix(circle_presentation(2, 4))
-        assert sum(graded_rank(G).values()) == 6
+        assert sum(graded_rank(circle_presentation(2, 4)).values()) == 6
 
     def test_base_change_compatibility(self):
         for N, a in [(2, 1), (3, 1), (3, 2)]:
-            eq = graded_rank(gram_matrix(circle_presentation(a, N)))
-            ph = graded_rank(gram_matrix(circle_presentation(a, N, ZZ, "phi0")))
+            eq = graded_rank(circle_presentation(a, N))
+            ph = graded_rank(circle_presentation(a, N, ZZ, "phi0"))
             assert eq == ph
 
     def test_rank_drops_for_dependent_family(self):
@@ -312,24 +312,22 @@ class TestGradedRank:
             decorated_cup(p1_poly()),
             decorated_cup(p1sq_poly()),
         ]
-        G = gram_matrix(presentation(movs, 2))
-        assert sum(graded_rank(G).values()) == 2
+        assert sum(graded_rank(presentation(movs, 2)).values()) == 2
 
     def test_prime_field_coefficients_rejected(self):
-        G = gram_matrix(circle_presentation(1, 2, GF(5)))
         with pytest.raises(WrongRing):
-            graded_rank(G)
+            graded_rank(circle_presentation(1, 2, GF(5)))
 
     @staticmethod
-    def dependent_gram():
+    def dependent_presentation():
         """Three generators of rank 2: their ``phi0`` matrix is singular, so
         the rank is decided by random points."""
         movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
-        return gram_matrix(presentation(movs, 2))
+        return presentation(movs, 2)
 
     def test_trials_is_the_number_of_specializations(self, monkeypatch):
         # one elimination at the zero point, then one per trial
-        G = self.dependent_gram()
+        gens = self.dependent_presentation()
         calls = []
         real = statespace._rank_once
 
@@ -338,13 +336,13 @@ class TestGradedRank:
             return real(*args)
 
         monkeypatch.setattr(statespace, "_rank_once", counting)
-        assert sum(graded_rank(G, trials=1).values()) == 2
+        assert sum(graded_rank(gens, trials=1).values()) == 2
         assert len(calls) == 2
-        graded_rank(G, trials=4)
+        graded_rank(gens, trials=4)
         assert len(calls) == 7
 
     def test_disagreeing_specializations_raise(self, monkeypatch):
-        G = self.dependent_gram()
+        gens = self.dependent_presentation()
         real = statespace._rank_once
         answers = itertools.cycle([{0: 2}, {0: 1}])
         calls = []
@@ -355,23 +353,20 @@ class TestGradedRank:
 
         monkeypatch.setattr(statespace, "_rank_once", disagreeing)
         with pytest.raises(RankUnstable):
-            graded_rank(G, trials=2)
+            graded_rank(gens, trials=2)
 
     def test_zero_point_decides_the_standard_families(self, monkeypatch):
         # every family with N <= 4 on both bases, and the rank bench's five
         # relations: M_0 has full rank, so no random point is drawn
-        cases = []
-        for gens in _small_family_presentations(ZZ):
-            G = gram_matrix(gens)
-            cases.append((G, oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)))
+        cases = [(gens, _reference_rank(gens)) for gens in _small_family_presentations(ZZ)]
         assert len(cases) == 86
 
         def refuse(*args):
             raise AssertionError("a random point was drawn")
 
         monkeypatch.setattr(statespace, "random", types.SimpleNamespace(Random=refuse))
-        for G, want in cases:
-            assert graded_rank(G) == want
+        for gens, want in cases:
+            assert graded_rank(gens) == want
         for relation, N, abc in (
             ("circle", 5, (2,)), ("digon", 4, (1, 1)), ("bad_digon", 4, (1, 1)),
             ("square", 3, ()), ("assoc", 3, (1, 1, 1)),
@@ -384,7 +379,7 @@ class TestGradedRank:
         bad = MultiPoly.const(QQ, evars, Fraction(1, statespace._RANK_PRIME))
         rows = ((bad,) + G.e_entries[0][1:],) + G.e_entries[1:]
         with pytest.raises(WrongRing):
-            graded_rank(dataclasses.replace(G, e_entries=rows))
+            statespace._rank_at(rows, G.row_degrees, [0, 0])
 
     def test_rank_path_expands_nothing(self, monkeypatch):
         def refuse(*args):
@@ -392,8 +387,8 @@ class TestGradedRank:
 
         monkeypatch.setattr(ElementaryBasis, "from_e", refuse)
         assert moy_check("circle", 4, a=2).ok
-        G = gram_matrix(theta_presentation(1, 1, 3))
-        assert graded_rank(G) == laurent_mul(qbinom_laurent(2, 1), qbinom_laurent(3, 2))
+        gens = theta_presentation(1, 1, 3)
+        assert graded_rank(gens) == laurent_mul(qbinom_laurent(2, 1), qbinom_laurent(3, 2))
 
     def test_entries_are_the_stored_values_expanded(self):
         basis = ElementaryBasis(xvars(3))
@@ -448,15 +443,15 @@ def _column_decorations(gens):
 
 
 class TestPresentationRank:
-    """``presentation_rank`` pairs the degree-0 band first and falls back to
-    the whole Gram matrix only when its ``phi0`` matrix is singular."""
+    """``graded_rank`` pairs the degree-0 band first and falls back to the
+    whole Gram matrix only when its ``phi0`` matrix is singular."""
 
     @pytest.mark.parametrize("ring", [ZZ, QQ], ids=["ZZ", "QQ"])
     def test_equals_the_gram_rank(self, ring):
         cases = _small_family_presentations(ring)
         assert len(cases) == 86
         for gens in cases:
-            assert presentation_rank(gens) == graded_rank(gram_matrix(gens))
+            assert graded_rank(gens) == _reference_rank(gens)
 
     def test_moy_check_pairs_exactly_the_band(self, monkeypatch):
         # a column is known by the decorations placed on its composite, a
@@ -498,10 +493,10 @@ class TestPresentationRank:
         )
         for trials in (1, 4):
             calls.clear()
-            rank = presentation_rank(gens, trials=trials)
+            rank = graded_rank(gens, trials=trials)
             assert sum(rank.values()) == 2
             assert len(calls) == 1 + trials
-            assert rank == graded_rank(gram_matrix(gens), trials=trials)
+            assert rank == _reference_rank(gens)
 
     def test_singular_band_pairs_each_pair_once(self, monkeypatch):
         # the band, then only the pairs off it: each row (by its placed
@@ -516,8 +511,8 @@ class TestPresentationRank:
             statespace, "_family_values",
             lambda foams, *a: handed.append(list(foams)) or real_family(foams, *a),
         )
-        rank = presentation_rank(gens)
-        assert rank == graded_rank(gram_matrix(gens)) and sum(rank.values()) == 2
+        rank = graded_rank(gens)
+        assert rank == _reference_rank(gens) and sum(rank.values()) == 2
         band, off = handed[:2]
         pairs = [
             (tuple(terms), columns.index(_polys(decorations)))
@@ -531,14 +526,17 @@ class TestPresentationRank:
 
         monkeypatch.setattr(statespace, "_family_values", no_pairing)
         with pytest.raises(WrongRing, match="over Z or Q coefficients"):
-            presentation_rank(circle_presentation(1, 2, GF(5)))
-        with pytest.raises(InputError, match="at least one specialization"):
-            presentation_rank(circle_presentation(1, 2), trials=0)
+            graded_rank(circle_presentation(1, 2, GF(5)))
+        for ring in (ZZ, GF(5)):
+            # trials is checked before the ring
+            with pytest.raises(InputError, match="at least one specialization"):
+                graded_rank(circle_presentation(1, 2, ring), trials=0)
 
 
 class TestRankAgainstPigmentBasis:
-    """``graded_rank`` on the entries in ``e_1..e_N`` against
-    ``oracle.rank_reference`` on the entries in ``X1..XN``."""
+    """``graded_rank`` of a presentation, which reads its pairings in
+    ``e_1..e_N``, against ``oracle.rank_reference`` on the entries of its
+    Gram matrix in ``X1..XN``."""
 
     @pytest.mark.parametrize("base", ["equivariant", "phi0"])
     @pytest.mark.parametrize(
@@ -546,22 +544,20 @@ class TestRankAgainstPigmentBasis:
         ids=[name for name, _ in _standard_presentations()],
     )
     def test_standard_presentations(self, build, base):
-        G = gram_matrix(build(ZZ, base))
-        want = oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)
-        assert graded_rank(G) == want
+        gens = build(ZZ, base)
+        assert graded_rank(gens) == _reference_rank(gens)
 
     def test_necklace_at_five(self):
         # one base: phi0 keeps the constant terms of these same pairings
-        G = gram_matrix(necklace_presentation(5, ZZ))
-        want = oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)
-        assert graded_rank(G) == want
+        gens = necklace_presentation(5, ZZ)
+        assert graded_rank(gens) == _reference_rank(gens)
 
     def test_dependent_family(self):
         movs = [decorated_cup(), decorated_cup(p1_poly()), decorated_cup(p1sq_poly())]
         for base in ("equivariant", "phi0"):
-            G = gram_matrix(presentation(movs, 2, ZZ, base))
-            want = oracle.rank_reference(G, random.Random(0), statespace._RANK_PRIME)
-            assert graded_rank(G) == want
+            gens = presentation(movs, 2, ZZ, base)
+            want = _reference_rank(gens)
+            assert graded_rank(gens) == want
             assert sum(want.values()) == 2
 
 
@@ -1377,6 +1373,72 @@ def bench_rich_pack(N):
     )
 
 
+@st.composite
+def scalar_matrices(draw):
+    """A square scalar matrix of size 1..4 over Z, Q, F2 or F5 with small
+    entries, often singular."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(2), GF(5)]))
+    n = draw(st.integers(1, 4))
+    coeffs = st.fractions(-2, 2, max_denominator=2) if ring == QQ else st.integers(-2, 2)
+    row = st.lists(coeffs, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    return ring, [[ring.normalize(x) for x in r] for r in rows]
+
+
+def scalar_rank(vectors, ring):
+    """The rank of ``vectors`` over Q, or over F_p for F_p."""
+    p = ring.p if ring.kind == "Fp" else None
+
+    def reduce(x):
+        return x % p if p else x
+
+    def divide(x, y):
+        return x * pow(y, -1, p) % p if p else Fraction(x) / y
+
+    rows, rank = [list(v) for v in vectors], 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if reduce(rows[i][c])), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = divide(rows[k][c], rows[rank][c])
+            rows[k] = [reduce(x - f * y) for x, y in zip(rows[k], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestPivotBlock:
+    """``_pivot_block`` against a greedy column basis and its inverse."""
+
+    @given(scalar_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_greedy_columns_and_their_inverse(self, case):
+        ring, M0 = case
+        n = len(M0)
+        field = QQ if ring == ZZ else ring
+        block = statespace._pivot_block(M0, field)
+        P, R, U = block
+        columns = [[row[c] for row in M0] for c in range(n)]
+        greedy = []
+        for c in range(n):
+            if scalar_rank([columns[j] for j in greedy + [c]], ring) > len(greedy):
+                greedy.append(c)
+        assert P == greedy
+        assert len(R) == len(set(R)) == len(P)
+        product = [
+            [field.normalize(sum(U[a][b] * M0[r][c] for b, r in enumerate(R))) for c in P]
+            for a in range(len(P))
+        ]
+        assert product == [[int(a == c) for c in range(len(P))] for a in range(len(P))]
+        if ring == ZZ:
+            # None exactly when the inverse over Q is not integral
+            integral = all(Fraction(u).denominator == 1 for row in U for u in row)
+            got = statespace._pivot_block(M0, ZZ)
+            assert got == (block if integral else None)
+            assert got is None or all(type(u) is int for row in got[2] for u in row)
+
+
 class TestLiftedSolve:
     """The solve lifted from ``M_0`` against ``_fraction_free_solve``."""
 
@@ -1519,18 +1581,18 @@ class TestMoyChecks:
 
     def test_digon_rank_matches_zip_reading(self):
         # the two generator families of the two-vertex web span the same space
-        d = graded_rank(gram_matrix(theta_presentation(1, 1, 3)))
-        z = graded_rank(gram_matrix(zipped_presentation(1, 1, 3)))
+        d = graded_rank(theta_presentation(1, 1, 3))
+        z = graded_rank(zipped_presentation(1, 1, 3))
         assert d == z
 
     def test_square_rank_value(self):
-        got = graded_rank(gram_matrix(necklace_presentation(2)))
+        got = graded_rank(necklace_presentation(2))
         two = quantum_integer(2)
         assert got == laurent_mul(two, two)
 
     def test_chain_presentations_share_the_web_rank(self):
-        left = graded_rank(gram_matrix(chain_presentation("left", 1, 1, 1, 3)))
-        right = graded_rank(gram_matrix(chain_presentation("right", 1, 1, 1, 3)))
+        left = graded_rank(chain_presentation("left", 1, 1, 1, 3))
+        right = graded_rank(chain_presentation("right", 1, 1, 1, 3))
         assert left == right
 
 
