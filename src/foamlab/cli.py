@@ -38,6 +38,7 @@ from .statespace import (
     MOY_RELATIONS,
     WEB_FAMILIES,
     Presentation,
+    _require_rank_inputs,
     circle_presentation,
     graded_rank,
     gram_matrix,
@@ -278,6 +279,8 @@ def gram_cmd(web_spec, n_pigments, ring_text, base, as_json) -> None:
 def rank_cmd(web_spec, n_pigments, ring_text, base, trials, seed, as_json) -> None:
     """Graded rank of a web state space presented by a generator family."""
     ring = parse_ring(ring_text)
+    # graded_rank's own input checks, before the web is built
+    _require_rank_inputs(ring, trials)
     pres = parse_presentation(web_spec, n_pigments, ring, base)
     L = graded_rank(pres, trials=trials, seed=seed)
     record = {

@@ -1010,7 +1010,12 @@ class WittSequence:
         return self.table[n + 1]
 
     def is_identically_zero(self) -> bool:
-        return all(self(n) == 0 for n in range(-1, self.n_max + 1))
+        """Whether every value ``self(n)``, ``-1 <= n <= n_max``, is 0, read
+        off the definition: a linear sequence is 0 at ``n = -1`` and
+        ``slope`` at ``n = 0``, and a table holds the values ``n = -1..n_max``."""
+        if self.kind == "linear":
+            return self.slope == 0 or self.n_max < 0
+        return not any(self.table)
 
 
 def witt_sequence_check(seq: WittSequence) -> tuple[bool, tuple[int, int] | None]:

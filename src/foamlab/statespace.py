@@ -849,8 +849,9 @@ def _lifted_solve(
 
     ``X`` is then Bareiss's: ``Y``'s rows at ``P``, 0 at the free unknowns.
     The kernel vector of free column ``f`` has 1 at ``f`` and ``-Y`` at the
-    pivots, Bareiss's divided by its last pivot.  A non-integral ``U`` over
-    Z, a residual past the bound or a failed check returns None.
+    pivots, Bareiss's divided by its last pivot.  A zero ``M_0`` (nothing to
+    lift from), a non-integral ``U`` over Z, a residual past the bound or a
+    failed check returns None.
     """
     n, m = len(M), len(B[0])
     ring, vs = M[0][0].ring, M[0][0].vars
@@ -858,6 +859,8 @@ def _lifted_solve(
     if block is None:
         return None
     P, R, U = block
+    if not P:
+        return None
     F = [c for c in range(n) if c not in P]
     rhs = [[*B[i], *(M[i][f] for f in F)] for i in range(n)]
     MRP = [[M[i][c] for c in P] for i in R]
@@ -875,11 +878,9 @@ def _lifted_solve(
             return None
         columns.append(y)
     Y = [[col[a] for col in columns] for a in range(len(P))]
-    for i in (i for i in range(n) if i not in R):
-        for j, want in enumerate(rhs[i]):
-            pairs = ((M[i][c], Y[a][j]) for a, c in enumerate(P))
-            if _sum_of_products(ring, vs, pairs) != want:
-                return None
+    Q = [i for i in range(n) if i not in R]
+    if mat_mul([[M[i][c] for c in P] for i in Q], Y) != tuple(tuple(rhs[i]) for i in Q):
+        return None
     for k, f in enumerate(F):
         if any(c > f and Y[a][m + k].terms for a, c in enumerate(P)):
             return None
@@ -902,12 +903,44 @@ def _lifted_solve(
 # ---------------------------------------------------------------------------
 
 
+def _shared_base(*matrices: Matrix) -> tuple[CoefRing, tuple[str, ...]] | None:
+    """The ring and alphabet of every entry of ``matrices`` (None when they
+    have no entry), read in one pass.  The helpers below skip zero entries,
+    so a zero entry over another ring or alphabet is rejected here, with the
+    errors of :func:`polyring._sum_of_products`."""
+    entries = (x for M in matrices for row in M for x in row)
+    first = next(entries, None)
+    if first is None:
+        return None
+    ring, vs = first.ring, first.vars
+    for x in entries:
+        if not (x.ring is ring or x.ring == ring):
+            raise WrongRing(f"mixed rings {x.ring} and {ring}")
+        if x.vars != vs:
+            raise ValueError(f"mixed variable alphabets {x.vars} and {vs}")
+    return ring, vs
+
+
+def _mat_add(A: Matrix, B: Matrix, sub: bool) -> Matrix:
+    """``A + B`` or ``A - B``; a zero addend leaves the other entry as it is."""
+    _shared_base(A, B)
+
+    def add(x: MultiPoly, y: MultiPoly) -> MultiPoly:
+        if not y.terms:
+            return x
+        if not x.terms:
+            return -y if sub else y
+        return x - y if sub else x + y
+
+    return tuple(tuple(map(add, ra, rb)) for ra, rb in zip(A, B))
+
+
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+    return _mat_add(A, B, sub=False)
 
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+    return _mat_add(A, B, sub=True)
 
 
 def mat_scale(A: Matrix, c: Scalar) -> Matrix:
@@ -915,11 +948,30 @@ def mat_scale(A: Matrix, c: Scalar) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    cols = list(zip(*B))
-    return tuple(
-        tuple(_sum_of_products(row[0].ring, row[0].vars, zip(row, col)) for col in cols)
-        for row in A
-    )
+    """``A B``, pairing only nonzero entries (Gustavson's row-by-row
+    product, ACM TOMS 4(3), 1978).
+
+    The nonzero entries of each row of ``B`` are listed once.  Row ``i`` of
+    the product pairs each nonzero ``A[i][k]`` with row ``k``'s nonzero
+    entries, and each entry sums its pairs, in increasing ``k``, through
+    :func:`polyring._sum_of_products`; an entry with no pair is 0.  Only
+    entries that are the zero polynomial are skipped, and every entry's ring
+    and alphabet are checked first (:func:`_shared_base`)."""
+    base = _shared_base(A, B)
+    width = len(B[0]) if B else 0
+    zero = MultiPoly.zero(*base) if base else None
+    rows_of_b = [[(j, y) for j, y in enumerate(row) if y.terms] for row in B]
+    out = []
+    for row in A:
+        pairs: dict[int, list[tuple[MultiPoly, MultiPoly]]] = {}
+        for x, nonzero in zip(row, rows_of_b):
+            if x.terms:
+                for j, y in nonzero:
+                    pairs.setdefault(j, []).append((x, y))
+        out.append(tuple(
+            _sum_of_products(*base, pairs[j]) if j in pairs else zero for j in range(width)
+        ))
+    return tuple(out)
 
 
 def mat_is_zero(A: Matrix) -> bool:
@@ -1091,6 +1143,8 @@ def _elementary_derivation(images: Sequence[MultiPoly]):
     ``d(e_k)`` of :func:`_derivation_images`, so 0 on constants."""
 
     def deriv(q: MultiPoly) -> MultiPoly:
+        if not q.terms:
+            return q
         return _sum_of_products(q.ring, q.vars, (
             (q.derivative(name), image)
             for i, (name, image) in enumerate(zip(q.vars, images))

@@ -43,9 +43,10 @@ package's solver on entries in the pigment alphabet ``X1..XN`` and runs
 the kernel certificate there, differentiating coefficients with
 ``witt_act``; the package solves over the elementary symmetric
 polynomials and converts only the solution back.  The reference operator
-algebra composes and raises those matrices in ``X1..XN`` (``mat_mul`` plus
-``witt_act`` on every entry); the package composes the solved matrices in
-``e_1..e_N`` by the chain rule and converts only the result.
+algebra composes and raises those matrices in ``X1..XN`` (a dense product,
+every entry pair multiplied and added by ``*`` and ``+``, plus ``witt_act``
+on every entry); the package composes the solved matrices in ``e_1..e_N``
+by the chain rule, pairs only nonzero entries and converts only the result.
 
 The dense quantum binomial multiplies and divides Gaussian-binomial factors
 ``(1 - t^(m-k+1)) / (1 - t^k)`` as dense coefficient lists in ``t = q^2``
@@ -942,13 +943,37 @@ def derive_matrix(op: str, M):
     return tuple(tuple(d(e) for e in row) for row in M)
 
 
+def mat_mul_reference(A, B):
+    """``statespace.mat_mul`` densely: every entry pair, by ``*`` and ``+``."""
+    out = []
+    for row in A:
+        prods = []
+        for j in range(len(B[0]) if B else 0):
+            acc = row[0] * B[0][j]
+            for k in range(1, len(row)):
+                acc = acc + row[k] * B[k][j]
+            prods.append(acc)
+        out.append(tuple(prods))
+    return tuple(out)
+
+
+def mat_add_reference(A, B):
+    """``statespace.mat_add`` densely, by ``+`` on every entry pair."""
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_neg_reference(A):
+    """``-A``, entry by entry."""
+    return tuple(tuple(-x for x in row) for row in A)
+
+
 def operator_compose_reference(a, b):
     """``operator_compose`` on the matrices in ``X1..XN``."""
     if a.base != b.base:
         raise InputError("operators live over different bases")
-    out = statespace.mat_mul(a.matrix, b.matrix)
+    out = mat_mul_reference(a.matrix, b.matrix)
     if a.base == "equivariant":
-        out = statespace.mat_add(out, derive_matrix(a.op, b.matrix))
+        out = mat_add_reference(out, derive_matrix(a.op, b.matrix))
     return out
 
 
@@ -956,9 +981,9 @@ def operator_power_reference(a, k: int):
     """``operator_power`` on the matrix in ``X1..XN``."""
     out = a.matrix
     for _ in range(k - 1):
-        step = statespace.mat_mul(a.matrix, out)
+        step = mat_mul_reference(a.matrix, out)
         if a.base == "equivariant":
-            step = statespace.mat_add(step, derive_matrix(a.op, out))
+            step = mat_add_reference(step, derive_matrix(a.op, out))
         out = step
     return out
 

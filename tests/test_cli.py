@@ -244,6 +244,23 @@ class TestRank:
         )
         assert (code, out, err) == (2, "", "error: at least one specialization is required\n")
 
+    @pytest.mark.parametrize("web", ["circle:2", "necklace", "pentagon:1", "circle:1,"])
+    def test_prime_field_fails_before_any_movie_is_compiled(self, capsys, monkeypatch, web):
+        # as in moy-check: trials (exit 2), then the ring (exit 1), then the web
+        compiled = []
+        real = foamcore.compile_movie
+        for module in (foamcore, foameval, actions):
+            monkeypatch.setattr(
+                module, "compile_movie", lambda m: compiled.append(m) or real(m)
+            )
+        args = ("rank", "--web", web, "--N", "4", "--ring", "F5")
+        code, out, err = run(capsys, *args, "--trials", "0")
+        assert (code, out, err) == (2, "", "error: at least one specialization is required\n")
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (1, "")
+        assert err == "error: graded ranks are computed over Z or Q coefficients\n"
+        assert compiled == []
+
 
 # (web, N, extra flags) -> sha256 of `gram --json` stdout, of `rank --json` stdout
 PINNED_PRESENTATIONS = {

@@ -667,6 +667,35 @@ class TestSequences:
         with pytest.raises(IndexOutOfRange):
             seq(5)
 
+    @given(
+        st.sampled_from([ZZ, QQ, GF(2), GF(5)]),
+        st.one_of(
+            st.tuples(st.just("linear"), st.integers(-3, 3), st.integers(-3, 9)),
+            st.tuples(st.just("table"), st.lists(st.integers(-1, 1), max_size=5)),
+        ),
+    )
+    def test_identically_zero_matches_the_definition(self, ring, spec):
+        if spec[0] == "linear":
+            seq = WittSequence.linear(ring, spec[1], spec[2])
+        else:
+            seq = WittSequence.from_table(ring, spec[1])
+        want = all(seq(n) == 0 for n in range(-1, seq.n_max + 1))
+        assert seq.is_identically_zero() == want
+
+    @pytest.mark.parametrize(
+        "seq,zero",
+        [
+            (WittSequence.linear(QQ, 3, n_max=-1), True),
+            (WittSequence.linear(GF(5), 5, n_max=4), True),
+            (WittSequence.linear(GF(5), 2, n_max=0), False),
+            (WittSequence.from_table(ZZ, []), True),
+            (WittSequence.from_table(GF(3), [0, 3, 6]), True),
+            (WittSequence.from_table(ZZ, [0, 0, 1]), False),
+        ],
+    )
+    def test_identically_zero_edge_cases(self, seq, zero):
+        assert seq.is_identically_zero() is zero
+
     def test_flat_examples(self):
         # tau_n = (n+1) x^n is flat; tau_n = h_n(x, y) is flat.
         nmax = 4

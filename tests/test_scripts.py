@@ -17,11 +17,12 @@ def run_script(*argv: str) -> subprocess.CompletedProcess:
 
 
 def test_operator_matrices():
-    res = run_script("scripts/operator_matrices.py", "2", "3")
-    assert res.returncode == 0, res.stderr
-    assert "[e,f] == h : True" in res.stdout
-    assert res.stdout.count("d^3 == 0 : True") == 2
-    assert "FAIL" not in res.stdout
+    for N, p in (("2", "3"), ("3", "5")):
+        res = run_script("scripts/operator_matrices.py", N, p)
+        assert res.returncode == 0, res.stderr
+        assert "[e,f] == h : True" in res.stdout
+        assert res.stdout.count(f"d^{p} == 0 : True") == 2
+        assert "FAIL" not in res.stdout
 
 
 def test_rank_report():

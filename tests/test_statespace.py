@@ -21,7 +21,7 @@ from foamlab.actions import (
     apply_operator,
     sl2_from_witt,
 )
-from foamlab import actions, dsl, foamcore, foameval, statespace
+from foamlab import actions, dsl, foamcore, foameval, polyring, statespace
 from foamlab.errors import (
     DivisionNotExact,
     InputError,
@@ -59,6 +59,7 @@ from foamlab.statespace import (
     is_zero_in_statespace,
     laurent_add,
     laurent_mul,
+    mat_add,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -1087,7 +1088,7 @@ class TestInducedAgainstPigmentBasis:
 
 class TestOperatorAlgebraAgainstPigmentBasis:
     """Compositions, brackets and powers of the solved matrices in
-    ``e_1..e_N`` against ``mat_mul`` and ``witt_act`` on the matrices in
+    ``e_1..e_N`` against dense products and ``witt_act`` on the matrices in
     ``X1..XN`` (``oracle.operator_compose_reference``, ``..._power_...``)."""
 
     @pytest.mark.parametrize("N,a", [(2, 1), (3, 1), (3, 2), (4, 2)])
@@ -1103,7 +1104,10 @@ class TestOperatorAlgebraAgainstPigmentBasis:
             for y in acts:
                 want = compose_ref(x, y)
                 assert operator_compose(x, y) == want
-                assert operator_commutator(x, y) == mat_sub(want, compose_ref(y, x))
+                bracket = oracle.mat_add_reference(
+                    want, oracle.mat_neg_reference(compose_ref(y, x))
+                )
+                assert operator_commutator(x, y) == bracket
                 nonzero += not mat_is_zero(want)
             for k in (1, 2, 3):
                 assert operator_power(x, k) == oracle.operator_power_reference(x, k)
@@ -1150,6 +1154,119 @@ class TestOperatorAlgebraAgainstPigmentBasis:
                 operator_compose(x, y)
             with pytest.raises(InputError, match="presentations"):
                 operator_commutator(x, y)
+
+
+@st.composite
+def sparse_operands(draw):
+    """``(A, B, C)``: ``A`` is n x k, ``B`` k x m and ``C`` n x k, mostly
+    zero, over Z, Q or F5 in ``E1..Ek`` for k <= 3, with whole rows of ``A``
+    and columns of ``B`` blanked, and sometimes a whole matrix zero."""
+    ring = draw(st.sampled_from([ZZ, QQ, GF(5)]))
+    vs = tuple(f"E{i}" for i in range(1, draw(st.integers(1, 3)) + 1))
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    coeffs = st.fractions(-3, 3, max_denominator=3) if ring == QQ else st.integers(-3, 3)
+    exps = st.tuples(*(st.integers(0, 2) for _ in vs))
+    zero = MultiPoly.zero(ring, vs)
+    entry = st.one_of(
+        st.just(zero),
+        st.just(zero),
+        st.dictionaries(exps, coeffs, min_size=1, max_size=3).map(
+            lambda d: MultiPoly(ring, vs, d)
+        ),
+    )
+
+    def matrix(rows, cols):
+        if draw(st.integers(0, 5)) == 0:
+            return tuple((zero,) * cols for _ in range(rows))
+        return tuple(tuple(draw(entry) for _ in range(cols)) for _ in range(rows))
+
+    A, B, C = matrix(n, k), matrix(k, m), matrix(n, k)
+    blank_rows = draw(st.sets(st.integers(0, n - 1)))
+    blank_cols = draw(st.sets(st.integers(0, m - 1)))
+    A = tuple((zero,) * k if i in blank_rows else row for i, row in enumerate(A))
+    B = tuple(tuple(zero if j in blank_cols else x for j, x in enumerate(row)) for row in B)
+    return A, B, C
+
+
+def monomial_permutation(ring, vs, perm, shift):
+    """The permutation matrix of ``perm`` with entry ``(i, perm[i])`` the
+    monomial ``(i + 1) E1^(i + shift)``."""
+    n = len(perm)
+    zero = MultiPoly.zero(ring, vs)
+    return tuple(
+        tuple(
+            MultiPoly(ring, vs, {(i + shift,) + (0,) * (len(vs) - 1): i + 1})
+            if j == perm[i] else zero
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+class TestSparseMatrices:
+    """``mat_mul``, ``mat_add`` and ``mat_sub`` pair only nonzero entries;
+    the references in ``oracle`` pair every entry."""
+
+    @given(sparse_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_dense_references(self, operands):
+        A, B, C = operands
+        assert mat_mul(A, B) == oracle.mat_mul_reference(A, B)
+        assert mat_add(A, C) == oracle.mat_add_reference(A, C)
+        assert mat_sub(A, C) == oracle.mat_add_reference(A, oracle.mat_neg_reference(C))
+        assert mat_sub(C, A) == oracle.mat_add_reference(C, oracle.mat_neg_reference(A))
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=str)
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 1), (3, 2, 1), (1, 3, 2)])
+    def test_small_shapes_and_zero_matrices(self, ring, shape):
+        n, k, m = shape
+        vs = ("E1", "E2")
+        e1, e2 = (MultiPoly.var(ring, vs, v) for v in vs)
+        zero = MultiPoly.zero(ring, vs)
+        pool = [e1 + 2, zero, e2 * e1 - 1, zero, e1 * e1]
+        A = tuple(tuple(pool[(i + 2 * j) % 5] for j in range(k)) for i in range(n))
+        B = tuple(tuple(pool[(3 * i + j) % 5] for j in range(m)) for i in range(k))
+        Z = tuple((zero,) * m for _ in range(k))
+        for left, right in ((A, B), (A, Z), (tuple((zero,) * k for _ in range(n)), B)):
+            got = mat_mul(left, right)
+            assert got == oracle.mat_mul_reference(left, right)
+            assert all(type(row) is tuple for row in got) and len(got) == n
+        assert mat_is_zero(mat_mul(A, Z))
+        assert mat_add(A, mat_sub(A, A)) == A
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize(
+        "other,error,text",
+        [
+            (MultiPoly.zero(QQ, ("E1", "E2")), WrongRing, "mixed rings"),
+            (MultiPoly.zero(ZZ, ("E1", "E3")), ValueError, "mixed variable alphabets"),
+        ],
+        ids=["ring", "alphabet"],
+    )
+    def test_zero_entry_from_another_base_raises(self, side, other, error, text):
+        vs = ("E1", "E2")
+        x = MultiPoly.var(ZZ, vs, "E1") + 1
+        good = ((x, x), (x, MultiPoly.zero(ZZ, vs)))
+        bad = ((x, x), (other, x))
+        for op in (mat_mul, mat_add, mat_sub):
+            args = (bad, good) if side == "left" else (good, bad)
+            with pytest.raises(error, match=text):
+                op(*args)
+
+    def test_permutation_product_makes_one_product_per_entry(self, monkeypatch):
+        # 12 nonzero pairs of 1,728
+        vs = ("E1", "E2")
+        P = monomial_permutation(QQ, vs, [(5 * i + 3) % 12 for i in range(12)], 0)
+        S = monomial_permutation(QQ, vs, [(7 * i + 1) % 12 for i in range(12)], 1)
+        calls = []
+        real = polyring._add_product
+        monkeypatch.setattr(
+            polyring, "_add_product", lambda out, a, b: calls.append(1) or real(out, a, b)
+        )
+        got = mat_mul(P, S)
+        assert len(calls) == 12
+        monkeypatch.undo()
+        assert got == oracle.mat_mul_reference(P, S)
 
 
 def is_zero_vector(M, v):
